@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynsys import f1, f2, reverse_field_xy, vector_field_xy
-from .errors import COutOfRange, NotTypeI, NotTypeII
+from .dynsys import f1, f1_prime, reverse_field_xy, vector_field_xy
+from .errors import COutOfRange, DomainError, NotTypeI, NotTypeII
 from .params import LomseParams, StabilityType
 
 DEFAULT_GRID_POINTS = 10_000
@@ -88,10 +88,7 @@ def barrier_h(phi: float, params: LomseParams, c: float) -> float:
 
 
 def barrier_h_prime(phi: float, params: LomseParams, c: float) -> float:
-    lam2 = params.lambda_sq
-    den = 1.0 + lam2 * phi * phi
-    f1p = -2.0 * (lam2 - 1.0) * params.p * lam2 * phi / (den * den)
-    return (f1(phi, params) + f1p * phi) / (c * (params.n - params.p))
+    return (f1(phi, params) + f1_prime(phi, params) * phi) / (c * (params.n - params.p))
 
 
 def case1_closed_forms(params: LomseParams, c: float) -> tuple[float, float, float]:
@@ -215,8 +212,8 @@ def case2_step1_check(params: LomseParams,
     no_limit_cycle_check supplies it."""
     _require_type2(params)
     if params.n - params.p != 1:
-        raise NotTypeII(f"step-1 certificate requires n - p = 1, got "
-                        f"({params.n},{params.p})")
+        raise DomainError(f"step-1 certificate requires n - p = 1, got "
+                          f"({params.n},{params.p})")
     s_star, f_min = fs_minimum()
     phi0 = params.phi0
     lam2 = params.lambda_sq

@@ -6,7 +6,8 @@ Exit codes (public contract):
     2  usage / invalid arguments
     3  inadmissible triple without --allow-inadmissible
     4  integration blowup
-    5  certificate (barrier) failure
+    5  certificate failure (verify: barrier; density: not strictly below
+       the cone density)
     6  wrong stability type for the requested report
 
 Configuration: a flat key = value text file (one pair per line, '#'
@@ -27,14 +28,13 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import analysis, barrier, geometry, hopf, radial
+from . import analysis, barrier, geometry, hopf, integrate, radial
 from .errors import (
     BlowupDetected,
     DomainError,
@@ -43,9 +43,6 @@ from .errors import (
     NotTypeII,
 )
 from .integrate import (
-    CrossingReport,
-    PhiHit,
-    PsiZero,
     Trajectory,
     crossing_report,
     detect_psi_zeros,
@@ -66,26 +63,23 @@ _FORMATS = ("json", "csv", "svg")
 
 @dataclass
 class RunConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    conv_tol: float = 1e-8
-    event_tol: float = 1e-12
-    eps_start: float = 1e-6
-    t_max: float = 400.0
-    max_crossings: int = 40
-    grid_points: int = 10_000
-    cycle_grid: int = 200
-    quad_panels: int = 8192
+    rel_tol: float = integrate.DEFAULT_REL_TOL
+    conv_tol: float = integrate.DEFAULT_CONV_TOL
+    eps_start: float = integrate.DEFAULT_EPS
+    t_max: float = integrate.DEFAULT_T_MAX
+    max_crossings: int = integrate.DEFAULT_MAX_CROSSINGS
+    grid_points: int = barrier.DEFAULT_GRID_POINTS
+    cycle_grid: int = barrier.DEFAULT_CYCLE_GRID[0]
+    quad_panels: int = analysis.DEFAULT_QUAD_PANELS
     sample_count: int = 100
     fd_step: float = 1e-5
     seed: int = 0
-    jobs: int = 1
     out_dir: str = "."
     formats: tuple[str, ...] = ("json", "csv")
 
     def validate(self) -> None:
-        for name in ("rel_tol", "abs_tol", "conv_tol", "event_tol", "eps_start", "t_max"):
-            if getattr(self, name) < 0.0 or (name != "abs_tol" and getattr(self, name) == 0.0):
+        for name in ("rel_tol", "conv_tol", "eps_start", "t_max"):
+            if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if not self.formats:
             raise ValueError("formats must be nonempty")
@@ -146,8 +140,16 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _fields(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def _json_encode(obj, indent: int = 0) -> str:
     pad = "  " * indent
+    if isinstance(obj, LomseParams):
+        obj = {"n": obj.n, "p": obj.p, "k": obj.k}
+    elif dataclasses.is_dataclass(obj):
+        obj = _fields(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -171,135 +173,30 @@ def _json_encode(obj, indent: int = 0) -> str:
 
 
 def dumps_json(obj) -> str:
+    """JSON text of obj; a dataclass is written as its fields in declaration
+    order, LomseParams as its triple {n, p, k}."""
     return _json_encode(obj) + "\n"
 
 
-def params_to_dict(params: LomseParams) -> dict:
-    return {"n": params.n, "p": params.p, "k": params.k}
-
-
-def params_from_dict(d: dict) -> LomseParams:
-    return build_params(int(d["n"]), int(d["p"]), int(d["k"]), allow_inadmissible=True)
-
-
-def crossing_report_to_dict(report: CrossingReport) -> dict:
-    return {
-        "target": report.target,
-        "psi_zeros": [
-            {"t": z.t, "phi": z.phi, "phi_offset": z.phi_offset, "direction": z.direction}
-            for z in report.psi_zeros
-        ],
-        "phi_hits": [{"t": h.t, "dilation": h.dilation} for h in report.phi_hits],
-    }
-
-
-def crossing_report_from_dict(d: dict) -> CrossingReport:
-    return CrossingReport(
-        psi_zeros=[
-            PsiZero(t=z["t"], phi=z["phi"], phi_offset=z["phi_offset"],
-                    direction=int(z["direction"]))
-            for z in d["psi_zeros"]
-        ],
-        phi_hits=[PhiHit(t=h["t"], dilation=h["dilation"]) for h in d["phi_hits"]],
-        target=d["target"],
-    )
-
-
-def barrier1_to_dict(r: barrier.BarrierCase1Report) -> dict:
-    return {
-        "params": params_to_dict(r.params),
-        "case": 1,
-        "c": r.c,
-        "f0": r.f0,
-        "g0": r.g0,
-        "g_end": r.g_end,
-        "grid_margin": r.grid_margin,
-        "passed": r.passed,
-    }
-
-
-def barrier1_from_dict(d: dict) -> barrier.BarrierCase1Report:
-    return barrier.BarrierCase1Report(
-        params=params_from_dict(d["params"]), c=d["c"], f0=d["f0"], g0=d["g0"],
-        g_end=d["g_end"], grid_margin=d["grid_margin"], passed=bool(d["passed"]),
-    )
-
-
-def barrier2_to_dict(r: barrier.BarrierCase2Report) -> dict:
-    return {
-        "params": params_to_dict(r.params),
-        "case": 2,
-        "g_grid_margin": r.g_grid_margin,
-        "fs_min": r.fs_min,
-        "fs_argmin": r.fs_argmin,
-        "cycle_margin": r.cycle_margin,
-        "passed": r.passed,
-    }
-
-
-def barrier2_from_dict(d: dict) -> barrier.BarrierCase2Report:
-    return barrier.BarrierCase2Report(
-        params=params_from_dict(d["params"]), g_grid_margin=d["g_grid_margin"],
-        fs_min=d["fs_min"], fs_argmin=d["fs_argmin"], cycle_margin=d["cycle_margin"],
-        passed=bool(d["passed"]),
-    )
-
-
-def geometry_to_dict(r: geometry.GeometryReport) -> dict:
-    return {
-        "params": params_to_dict(r.params),
-        "cos_alpha": r.cos_alpha,
-        "volume_ratio": r.volume_ratio,
-        "jordan_angles": [[a, m] for a, m in r.jordan_angles],
-        "slope_w": r.slope_w,
-    }
-
-
-def geometry_from_dict(d: dict) -> geometry.GeometryReport:
-    return geometry.GeometryReport(
-        params=params_from_dict(d["params"]),
-        cos_alpha=d["cos_alpha"],
-        volume_ratio=d["volume_ratio"],
-        jordan_angles=[(a, int(m)) for a, m in d["jordan_angles"]],
-        slope_w=d["slope_w"],
-    )
-
-
-def density_to_dict(r: analysis.DensityReport) -> dict:
-    return {
-        "params": params_to_dict(r.params),
-        "radii": list(r.radii),
-        "thetas": list(r.thetas),
-        "theta_infinity": r.theta_infinity,
-        "strictly_below_cone": r.strictly_below_cone,
-    }
-
-
-def density_from_dict(d: dict) -> analysis.DensityReport:
-    return analysis.DensityReport(
-        params=params_from_dict(d["params"]), radii=list(d["radii"]),
-        thetas=list(d["thetas"]), theta_infinity=d["theta_infinity"],
-        strictly_below_cone=bool(d["strictly_below_cone"]),
-    )
-
-
-def family_to_dict(r: analysis.SolutionFamilyReport) -> dict:
-    return {
-        "params": params_to_dict(r.params),
-        "boundary_slope": r.boundary_slope,
-        "dilations": list(r.dilations),
-        "count_is_lower_bound": r.count_is_lower_bound,
-        "includes_singular_cone": r.includes_singular_cone,
-    }
-
-
-def family_from_dict(d: dict) -> analysis.SolutionFamilyReport:
-    return analysis.SolutionFamilyReport(
-        params=params_from_dict(d["params"]), boundary_slope=d["boundary_slope"],
-        dilations=list(d["dilations"]),
-        count_is_lower_bound=bool(d["count_is_lower_bound"]),
-        includes_singular_cone=bool(d["includes_singular_cone"]),
-    )
+def from_dict(cls, d):
+    """Inverse of dumps_json after json.loads: rebuild a value of type cls,
+    a report dataclass or any type hint nested in one."""
+    if d is None:
+        return None
+    if cls is LomseParams:
+        return build_params(int(d["n"]), int(d["p"]), int(d["k"]), allow_inadmissible=True)
+    if dataclasses.is_dataclass(cls):
+        hints = typing.get_type_hints(cls)
+        return cls(**{f.name: from_dict(hints[f.name], d[f.name])
+                      for f in dataclasses.fields(cls)})
+    origin, args = typing.get_origin(cls), typing.get_args(cls)
+    if origin is list:
+        return [from_dict(args[0], v) for v in d]
+    if origin is tuple:
+        return tuple(from_dict(a, v) for a, v in zip(args, d))
+    if args:  # X | None with a value present
+        return from_dict(args[0], d)
+    return cls(d)
 
 
 # ----------------------------------------------------------------------
@@ -377,18 +274,12 @@ _CLASSIFY_HEADER = (f"{'n':>3} {'p':>3} {'k':>3}  adm  "
 
 
 def cmd_classify(args) -> int:
-    cfg = build_config(args)
+    build_config(args)  # rejects a bad config file or flag value
     if args.sweep:
         n_max, k_max = args.sweep
-        all_params = enumerate_admissible(n_max, k_max)
         print(_CLASSIFY_HEADER)
-        if cfg.jobs > 1:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                rows = list(pool.map(_classify_row, all_params))
-        else:
-            rows = [_classify_row(p) for p in all_params]
-        for row in rows:
-            print(row)
+        for p in enumerate_admissible(n_max, k_max):
+            print(_classify_row(p))
         return EXIT_OK
     if args.n is None or args.p is None or args.k is None:
         print("classify: provide n p k or --sweep N_MAX K_MAX", file=sys.stderr)
@@ -450,7 +341,7 @@ def cmd_orbit(args) -> int:
                   ((s.r, s.rho, s.rho_r, s.rho_rr, radial.ode1_residual(s, params))
                    for s in profile))
     if "json" in cfg.formats:
-        (out / "events.json").write_text(dumps_json(crossing_report_to_dict(report)), encoding="utf-8")
+        (out / "events.json").write_text(dumps_json(report), encoding="utf-8")
     if "svg" in cfg.formats:
         _orbit_svgs(out, traj, profile)
     print(f"orbit ({params.n},{params.p},{params.k}): {len(traj)} states, "
@@ -467,7 +358,7 @@ def cmd_verify(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if params.stability is StabilityType.CENTER_TYPE_I:
         report = barrier.case1_check(params, c=args.c, grid_points=cfg.grid_points)
-        payload = barrier1_to_dict(report)
+        payload = {"params": params, "case": 1, **_fields(report)}
         print(f"invariant region ({params.n},{params.p},{params.k}) with c={fmt17(report.c)}:")
         print(f"  F(0) = {fmt17(report.f0)}")
         print(f"  G(0) = {fmt17(report.g0)}")
@@ -477,7 +368,7 @@ def cmd_verify(args) -> int:
     else:
         report = barrier.case2_check(params, grid_points=cfg.grid_points,
                                      cycle_grid=(cfg.cycle_grid, cfg.cycle_grid))
-        payload = barrier2_to_dict(report)
+        payload = {"params": params, "case": 2, **_fields(report)}
         print(f"spiral certificates ({params.n},{params.p},{params.k}):")
         print(f"  min F(s) = {fmt17(report.fs_min)} at s = {fmt17(report.fs_argmin)}")
         print(f"  step-1 grid margin = {fmt17(report.g_grid_margin)}")
@@ -496,7 +387,7 @@ def cmd_geometry(args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if "json" in cfg.formats:
-        (out / "geometry.json").write_text(dumps_json(geometry_to_dict(report)), encoding="utf-8")
+        (out / "geometry.json").write_text(dumps_json(report), encoding="utf-8")
     print(f"geometry ({params.n},{params.p},{params.k}):")
     print(f"  cos_alpha    = {fmt17(report.cos_alpha)}")
     print(f"  volume_ratio = {fmt17(report.volume_ratio)}")
@@ -520,7 +411,7 @@ def cmd_density(args) -> int:
         thetas = [analysis.theta_of_radius(profile, params, r, n_panels=cfg.quad_panels)
                   for r in radii]
         payload = {
-            "params": params_to_dict(params),
+            "params": params,
             "radii": radii,
             "thetas": thetas,
             "theta_infinity": analysis.theta_infinity(params),
@@ -536,12 +427,12 @@ def cmd_density(args) -> int:
                                    rel_tol=cfg.rel_tol, conv_tol=cfg.conv_tol)
     report = analysis.density_report(traj, params, n_panels=cfg.quad_panels)
     if "json" in cfg.formats:
-        (out / "density.json").write_text(dumps_json(density_to_dict(report)), encoding="utf-8")
+        (out / "density.json").write_text(dumps_json(report), encoding="utf-8")
     print(f"density ({params.n},{params.p},{params.k}): {len(report.thetas)} crossings")
     print(f"  Theta_1 = {fmt17(report.thetas[0])}")
     print(f"  Theta_infinity = {fmt17(report.theta_infinity)}")
     print(f"  strictly_below_cone = {report.strictly_below_cone}")
-    return EXIT_OK
+    return EXIT_OK if report.strictly_below_cone else EXIT_BARRIER_FAILURE
 
 
 def cmd_maps_check(args) -> int:
@@ -557,7 +448,7 @@ def cmd_maps_check(args) -> int:
     sum_dev = hopf.condition_b_check(hopf.hopf_map, params, cfg.sample_count,
                                      h=cfg.fd_step, seed=cfg.seed)
     payload = {
-        "params": params_to_dict(params),
+        "params": params,
         "samples": cfg.sample_count,
         "fd_step": cfg.fd_step,
         "seed": cfg.seed,
@@ -586,11 +477,8 @@ def _add_common(sub: argparse.ArgumentParser, with_triple: bool = True) -> None:
     sub.add_argument("--out-dir", dest="out_dir")
     sub.add_argument("--formats", help="comma list from json,csv,svg")
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--jobs", type=int)
     sub.add_argument("--rel-tol", dest="rel_tol", type=float)
-    sub.add_argument("--abs-tol", dest="abs_tol", type=float)
     sub.add_argument("--conv-tol", dest="conv_tol", type=float)
-    sub.add_argument("--event-tol", dest="event_tol", type=float)
     sub.add_argument("--eps", dest="eps_start", type=float)
     sub.add_argument("--t-max", dest="t_max", type=float)
     sub.add_argument("--max-crossings", dest="max_crossings", type=int)

@@ -66,15 +66,28 @@ def f2(phi: float, params: LomseParams) -> float:
     return params.n - params.p + params.p / (1.0 + lam2 * phi * phi)
 
 
-def f1_from_offset(u: float, params: LomseParams) -> float:
-    """f1(phi0 + u) evaluated without cancellation near the equilibrium.
+def offset_field(params: LomseParams):
+    """du/dt, dpsi/dt as a closure over the parameters, with u = phi - phi0.
 
-    Uses f1(phi) = -(n-p) lambda^2 u (phi + phi0) / (1 + lambda^2 phi^2),
-    exact because f1(phi0) = 0; accurate relative to u however small u is.
+    f1(phi) phi is evaluated as -(n-p) lambda^2 u (phi + phi0) phi / (1 +
+    lambda^2 phi^2), exact because f1(phi0) = 0; accurate relative to u
+    however small u is.
     """
+    p = params.p
     lam2 = params.lambda_sq
-    phi = params.phi0 + u
-    return -(params.n - params.p) * lam2 * u * (phi + params.phi0) / (1.0 + lam2 * phi * phi)
+    phi0 = params.phi0
+    n_minus_p = float(params.n - params.p)
+    c1 = n_minus_p * lam2
+
+    def field(u: float, psi: float) -> tuple[float, float]:
+        phi = phi0 + u
+        den = 1.0 + lam2 * phi * phi
+        f1_phi = -c1 * u * (phi + phi0) / den * phi  # f1(phi) * phi, no cancellation
+        f2_val = n_minus_p + p / den
+        dpsi = -psi - (f2_val * psi - f1_phi) * (1.0 + (phi + psi) ** 2)
+        return psi, dpsi
+
+    return field
 
 
 def _unpack(state) -> tuple[float, float]:
@@ -105,13 +118,13 @@ def reverse_field_xy(phi: float, psi: float, params: LomseParams) -> tuple[float
     return x1, -x2
 
 
-def _f1_prime(phi: float, params: LomseParams) -> float:
+def f1_prime(phi: float, params: LomseParams) -> float:
     lam2 = params.lambda_sq
     d = 1.0 + lam2 * phi * phi
     return -2.0 * (lam2 - 1.0) * params.p * lam2 * phi / (d * d)
 
 
-def _f2_prime(phi: float, params: LomseParams) -> float:
+def f2_prime(phi: float, params: LomseParams) -> float:
     lam2 = params.lambda_sq
     d = 1.0 + lam2 * phi * phi
     return -2.0 * params.p * lam2 * phi / (d * d)
@@ -123,7 +136,7 @@ def jacobian(state, params: LomseParams) -> np.ndarray:
     phi, psi = _unpack(state)
     b = f2(phi, params) * psi - f1(phi, params) * phi
     c = 1.0 + (phi + psi) ** 2
-    db_dphi = _f2_prime(phi, params) * psi - _f1_prime(phi, params) * phi - f1(phi, params)
+    db_dphi = f2_prime(phi, params) * psi - f1_prime(phi, params) * phi - f1(phi, params)
     d21 = -db_dphi * c - b * 2.0 * (phi + psi)
     d22 = -1.0 - f2(phi, params) * c - b * 2.0 * (phi + psi)
     return np.array([[0.0, 1.0], [d21, d22]])

@@ -22,11 +22,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .dynsys import PhaseState
+from .dynsys import PhaseState, offset_field
 from .errors import BlowupDetected, EpsNonpositive
 from .params import LomseParams, StabilityType
 
@@ -61,25 +60,6 @@ class Termination(enum.Enum):
     MAX_TIME = "max_time"
     MAX_CROSSINGS = "max_crossings"
     BLOWUP = "blowup"
-
-
-def _offset_field(params: LomseParams):
-    """du/dt, dpsi/dt as a closure over the parameters, with u = phi - phi0."""
-    p = params.p
-    lam2 = params.lambda_sq
-    phi0 = params.phi0
-    n_minus_p = float(params.n - params.p)
-    c1 = n_minus_p * lam2
-
-    def field(u: float, psi: float) -> tuple[float, float]:
-        phi = phi0 + u
-        den = 1.0 + lam2 * phi * phi
-        f1_phi = -c1 * u * (phi + phi0) / den * phi  # f1(phi) * phi, no cancellation
-        f2_val = n_minus_p + p / den
-        dpsi = -psi - (f2_val * psi - f1_phi) * (1.0 + (phi + psi) ** 2)
-        return psi, dpsi
-
-    return field
 
 
 def _hermite(t, t0, t1, y0, y1, m0, m1):
@@ -132,9 +112,9 @@ class PhiHit:
 
 @dataclass(frozen=True)
 class CrossingReport:
+    target: float
     psi_zeros: list[PsiZero]
     phi_hits: list[PhiHit]
-    target: float
 
 
 class Trajectory:
@@ -170,11 +150,6 @@ class Trajectory:
     @property
     def phi(self) -> np.ndarray:
         return self.params.phi0 + self.u
-
-    @cached_property
-    def states(self) -> list[PhaseState]:
-        phi = self.phi
-        return [PhaseState(phi[i], self.psi[i], self.t[i]) for i in range(len(self.t))]
 
     @property
     def t_start(self) -> float:
@@ -215,7 +190,7 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, abs_tol, *,
     the max-norm over both components; using the joint norm keeps the scale
     well defined when psi passes through zero.
     """
-    field = _offset_field(params)
+    field = offset_field(params)
     phi0 = params.phi0
     blowup_at = _BLOWUP_FACTOR * phi0
     if math.hypot(phi0 + u0, psi0) > blowup_at:

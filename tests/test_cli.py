@@ -12,24 +12,13 @@ from lo_dynamics.cli import (
     EXIT_USAGE,
     EXIT_WRONG_TYPE,
     RunConfig,
-    barrier1_from_dict,
-    barrier1_to_dict,
-    barrier2_from_dict,
-    barrier2_to_dict,
-    crossing_report_from_dict,
-    crossing_report_to_dict,
-    density_from_dict,
-    density_to_dict,
     dumps_json,
-    family_from_dict,
-    family_to_dict,
     fmt17,
-    geometry_from_dict,
-    geometry_to_dict,
+    from_dict,
     load_config_file,
     main,
 )
-from lo_dynamics import crossing_report
+from lo_dynamics import CrossingReport, crossing_report
 
 
 def run(args):
@@ -138,6 +127,29 @@ def test_density_radius_sweep_type1(tmp_path, capsys):
     assert payload["thetas"] == sorted(payload["thetas"])
 
 
+def test_verify_spiral_needs_unit_codimension(tmp_path, capsys):
+    # (5,3,6) is a spiral triple with n - p = 2: outside the step-1 certificate's
+    # domain, not of the wrong stability type
+    assert run(["verify", "5", "3", "6", "--allow-inadmissible",
+                "--out-dir", str(tmp_path)]) == EXIT_USAGE
+    assert "requires n - p = 1" in capsys.readouterr().err
+
+
+def test_density_above_cone_exits_barrier_failure(tmp_path, capsys):
+    assert run(["density", "5", "4", "6", "--out-dir", str(tmp_path)]) == EXIT_BARRIER_FAILURE
+    payload = json.loads((tmp_path / "density.json").read_text())
+    assert payload["strictly_below_cone"] is False
+
+
+@pytest.mark.parametrize("key", ["jobs", "abs_tol", "event_tol"])
+def test_removed_knobs_are_usage_errors(key, tmp_path, capsys, monkeypatch):
+    assert run(["classify", "3", "2", "2", "--" + key.replace("_", "-"), "2"]) == EXIT_USAGE
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 2\n")
+    monkeypatch.setenv("LO_DYNAMICS_CONFIG", str(cfg))
+    assert run(["classify", "3", "2", "2"]) == EXIT_USAGE
+
+
 def test_density_type2(tmp_path, capsys):
     assert run(["density", "3", "2", "4", "--out-dir", str(tmp_path),
                 "--max-crossings", "12", "--quad-panels", "4096"]) == EXIT_OK
@@ -199,22 +211,32 @@ def test_fmt17_round_trip():
 
 def test_json_report_round_trips(p322, p324, traj324):
     rep = crossing_report(traj324)
-    assert crossing_report_from_dict(json.loads(dumps_json(crossing_report_to_dict(rep)))) == rep
+    assert from_dict(CrossingReport, json.loads(dumps_json(rep))) == rep
 
     b1 = barrier.case1_check(p322, grid_points=200)
-    assert barrier1_from_dict(json.loads(dumps_json(barrier1_to_dict(b1)))) == b1
+    assert from_dict(barrier.BarrierCase1Report, json.loads(dumps_json(b1))) == b1
 
     b2 = barrier.case2_check(p324, grid_points=200, cycle_grid=(40, 40))
-    assert barrier2_from_dict(json.loads(dumps_json(barrier2_to_dict(b2)))) == b2
+    assert from_dict(barrier.BarrierCase2Report, json.loads(dumps_json(b2))) == b2
 
     geo = geometry.geometry_report(p322)
-    assert geometry_from_dict(json.loads(dumps_json(geometry_to_dict(geo)))) == geo
+    assert from_dict(geometry.GeometryReport, json.loads(dumps_json(geo))) == geo
 
     fam = analysis.dirichlet_solutions(traj324, p324.phi0)
-    assert family_from_dict(json.loads(dumps_json(family_to_dict(fam)))) == fam
+    assert from_dict(analysis.SolutionFamilyReport, json.loads(dumps_json(fam))) == fam
 
     den = analysis.density_report(traj324, p324, n_panels=1024)
-    assert density_from_dict(json.loads(dumps_json(density_to_dict(den)))) == den
+    assert from_dict(analysis.DensityReport, json.loads(dumps_json(den))) == den
+
+
+def test_json_key_order(tmp_path):
+    assert run(["orbit", "3", "2", "2", "--out-dir", str(tmp_path), "--formats", "json"]) == EXIT_OK
+    events = json.loads((tmp_path / "events.json").read_text())
+    assert list(events) == ["target", "psi_zeros", "phi_hits"]
+    for triple in (["3", "2", "2"], ["3", "2", "4"]):
+        assert run(["verify", *triple, "--out-dir", str(tmp_path), "--grid-points", "200"]) == EXIT_OK
+        barrier_json = json.loads((tmp_path / "barrier.json").read_text())
+        assert list(barrier_json)[:2] == ["params", "case"]
 
 
 def test_determinism_same_bytes(tmp_path):

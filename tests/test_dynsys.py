@@ -14,7 +14,7 @@ from lo_dynamics import (
     vector_field,
     vector_field_xy,
 )
-from lo_dynamics.dynsys import f1, f2, f1_from_offset, jacobian, reverse_field_xy
+from lo_dynamics.dynsys import f1, f1_prime, f2, jacobian, offset_field, reverse_field_xy
 
 
 def raw_display_field(phi, psi, params):
@@ -81,9 +81,32 @@ def test_compact_form_equals_display(p324):
 
 
 def test_offset_f1_matches_textbook(p324):
+    field = offset_field(p324)
     for u in [-1.0, -0.3, -1e-3, 1e-3, 0.4, 1.1]:
-        assert f1_from_offset(u, p324) == pytest.approx(
-            f1(p324.phi0 + u, p324), rel=1e-12, abs=1e-13)
+        for psi in [-0.5, 0.0, 0.7]:
+            assert field(u, psi) == pytest.approx(
+                vector_field_xy(p324.phi0 + u, psi, p324), rel=1e-12, abs=1e-13)
+
+
+def test_field_broadcasts_over_arrays():
+    # numpy's x**2 is x*x while Python's float ** calls libm pow, 1 ulp apart
+    # at about 0.1% of points; X2 = -psi - B (1 + (phi+psi)^2) can cancel, so
+    # X2 and Y2 are held to 2 ulp of their larger term, the rest to 2 ulp
+    def assert_ulps(vec, scalar, scale):
+        assert np.all(np.abs(vec - scalar) <= 2.0 * np.spacing(scale))
+
+    rng = np.random.default_rng(11)
+    for params in enumerate_admissible(31, 20):
+        phi, psi = rng.uniform(-3.0 * params.phi0, 3.0 * params.phi0, size=(2, 400))
+        pairs = list(zip(phi.tolist(), psi.tolist()))
+        for fn in (f1, f2, f1_prime):
+            scalar = np.array([fn(a, params) for a, _ in pairs])
+            assert_ulps(fn(phi, params), scalar, np.abs(scalar))
+        for fn in (vector_field_xy, reverse_field_xy):
+            v1, v2 = fn(phi, psi, params)
+            s1, s2 = np.array([fn(a, b, params) for a, b in pairs]).T
+            assert_ulps(v1, s1, np.abs(s1))
+            assert_ulps(v2, s2, np.maximum(np.abs(psi), np.abs(s2 + psi)))
 
 
 def test_field_nonzero_away_from_equilibria(p322):
