@@ -21,11 +21,13 @@ def main() -> int:
     for n, p, k in TRIPLES:
         out = f"{args.out}/{n}_{p}_{k}"
         print(f"== ({n},{p},{k}) -> {out}")
-        rc = cli_main(["orbit", str(n), str(p), str(k),
-                       "--out-dir", out, "--formats", "json,csv,svg"])
-        rc |= cli_main(["verify", str(n), str(p), str(k), "--out-dir", out])
-        if rc:
-            return rc
+        # stop at the first failing command and pass its exit code on unchanged
+        for argv in (["orbit", str(n), str(p), str(k),
+                      "--out-dir", out, "--formats", "json,csv,svg"],
+                     ["verify", str(n), str(p), str(k), "--out-dir", out]):
+            rc = cli_main(argv)
+            if rc:
+                return rc
     return 0
 
 

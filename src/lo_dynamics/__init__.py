@@ -31,6 +31,7 @@ from .integrate import (
     CrossingReport,
     PhiHit,
     PsiZero,
+    StepStats,
     Termination,
     Trajectory,
     adaptive_integrate,

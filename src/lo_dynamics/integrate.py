@@ -11,6 +11,10 @@ form, so the inward spiral stays accurate relative to its own amplitude
 down to ~1e-290.
 
 Integrator: embedded Dormand-Prince 5(4) pair with PI step-size control.
+Each attempted step evaluates the field 6 times: the 7th stage, taken at
+the 5th-order solution, is the first stage of the next step (FSAL).
+Trajectory.stats records the accepted and rejected steps, the field
+evaluations (1 + 6 per attempt) and the smallest and largest accepted step.
 Dense output is cubic Hermite on (state, derivative) at step endpoints;
 events are refined by bisection on the interpolant to 1e-12 in t.
 A classical fixed-step RK4 in plain (phi, psi) coordinates serves as the
@@ -30,7 +34,7 @@ from .errors import BlowupDetected, EpsNonpositive
 from .params import LomseParams, StabilityType
 
 # Dormand-Prince 5(4) tableau. Row 7 equals the 5th-order weights (FSAL).
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# The field is autonomous, so the nodes c_i are not needed.
 _DP_A = (
     (),
     (1 / 5,),
@@ -111,6 +115,23 @@ class PhiHit:
 
 
 @dataclass(frozen=True)
+class StepStats:
+    """Work done by one integration run.
+
+    rhs_evals counts 6 field evaluations per attempted step plus the one
+    at the start (FSAL); an attempt cut short by an overflowing stage
+    counts in full.  h_min and h_max are the smallest and largest accepted
+    steps, None when no step was accepted.
+    """
+
+    accepted: int
+    rejected: int
+    rhs_evals: int
+    h_min: float | None
+    h_max: float | None
+
+
+@dataclass(frozen=True)
 class CrossingReport:
     target: float
     psi_zeros: list[PsiZero]
@@ -124,10 +145,12 @@ class Trajectory:
     derivative, which makes a cubic Hermite interpolant available on every
     segment.  phi values are reconstructed as phi0 + u; the offsets keep
     full relative precision long after phi0 + u rounds to phi0.
-    Completed trajectories are immutable.
+    Completed trajectories are immutable.  `stats` counts the steps taken;
+    `rejected` is the number of rejected step attempts that led to them.
     """
 
-    def __init__(self, params, t, u, psi, dpsi, eps_start, tolerances, terminated_by):
+    def __init__(self, params, t, u, psi, dpsi, eps_start, tolerances, terminated_by,
+                 rejected=0):
         self.params = params
         self.t = np.asarray(t, dtype=float)
         self.u = np.asarray(u, dtype=float)
@@ -138,11 +161,20 @@ class Trajectory:
         self.eps_start = eps_start
         self.tolerances = tolerances
         self.terminated_by = terminated_by
-        if not np.all(np.diff(self.t) > 0.0):
+        steps = np.diff(self.t)
+        if not np.all(steps > 0.0):
             raise ValueError("trajectory times must be strictly increasing")
         for arr in (self.t, self.u, self.psi, self.dpsi):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("trajectory states must be finite")
+        accepted = len(steps)
+        self.stats = StepStats(
+            accepted=accepted,
+            rejected=rejected,
+            rhs_evals=1 + 6 * (accepted + rejected),
+            h_min=float(steps.min()) if accepted else None,
+            h_max=float(steps.max()) if accepted else None,
+        )
 
     def __len__(self) -> int:
         return len(self.t)
@@ -199,17 +231,22 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, abs_tol, *,
             f"(n,p,k)=({params.n},{params.p},{params.k})"
         )
 
+    # the tableau's nonzero entries, named once; A[6] holds the 5th-order weights
+    (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6)) = _DP_A
+    e1, _, e3, e4, e5, e6, e7 = _DP_E
+
     ts = [t0]
     us = [u0]
     psis = [psi0]
-    du, dpsi = field(u0, psi0)
-    dpsis = [dpsi]
+    k1u, k1p = field(u0, psi0)
+    dpsis = [k1p]
 
     t, u, psi = t0, u0, psi0
-    k1 = (du, dpsi)
     h = 1e-3
     err_prev = 1.0
     crossings = 0
+    rejected = 0
     reason = None
     # PI controller exponents for an order-4 error estimate
     alpha, beta = 0.17, 0.04
@@ -227,31 +264,22 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, abs_tol, *,
 
         # one embedded step; an overflowing stage counts as an infinite error
         try:
-            ku = [k1[0], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-            kp = [k1[1], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-            for i in range(1, 7):
-                a = _DP_A[i]
-                su = 0.0
-                sp = 0.0
-                for j in range(i):
-                    su += a[j] * ku[j]
-                    sp += a[j] * kp[j]
-                ku[i], kp[i] = field(u + h * su, psi + h * sp)
-            # row 6 of A is the 5th-order solution; stage 7 evaluated there (FSAL)
-            a6 = _DP_A[6]
-            u_new = u + h * (a6[0] * ku[0] + a6[2] * ku[2] + a6[3] * ku[3]
-                             + a6[4] * ku[4] + a6[5] * ku[5])
-            psi_new = psi + h * (a6[0] * kp[0] + a6[2] * kp[2] + a6[3] * kp[3]
-                                 + a6[4] * kp[4] + a6[5] * kp[5])
-            ku[6], kp[6] = field(u_new, psi_new)
-
-            err_u = 0.0
-            err_p = 0.0
-            for j in range(7):
-                err_u += _DP_E[j] * ku[j]
-                err_p += _DP_E[j] * kp[j]
-            err_u *= h
-            err_p *= h
+            k2u, k2p = field(u + h * (a21 * k1u), psi + h * (a21 * k1p))
+            k3u, k3p = field(u + h * (a31 * k1u + a32 * k2u),
+                             psi + h * (a31 * k1p + a32 * k2p))
+            k4u, k4p = field(u + h * (a41 * k1u + a42 * k2u + a43 * k3u),
+                             psi + h * (a41 * k1p + a42 * k2p + a43 * k3p))
+            k5u, k5p = field(u + h * (a51 * k1u + a52 * k2u + a53 * k3u + a54 * k4u),
+                             psi + h * (a51 * k1p + a52 * k2p + a53 * k3p + a54 * k4p))
+            k6u, k6p = field(
+                u + h * (a61 * k1u + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u),
+                psi + h * (a61 * k1p + a62 * k2p + a63 * k3p + a64 * k4p + a65 * k5p))
+            u_new = u + h * (b1 * k1u + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
+            psi_new = psi + h * (b1 * k1p + b3 * k3p + b4 * k4p + b5 * k5p + b6 * k6p)
+            # stage 7 is the field at the 5th-order solution: next step's k1 (FSAL)
+            k7u, k7p = field(u_new, psi_new)
+            err_u = (e1 * k1u + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * k7u) * h
+            err_p = (e1 * k1p + e3 * k3p + e4 * k4p + e5 * k5p + e6 * k6p + e7 * k7p) * h
         except OverflowError:
             err_u = err_p = math.inf
             u_new = psi_new = math.inf
@@ -275,11 +303,11 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, abs_tol, *,
             if psi * psi_new < 0.0:
                 crossings += 1
             u, psi = u_new, psi_new
-            k1 = (ku[6], kp[6])
+            k1u, k1p = k7u, k7p
             ts.append(t)
             us.append(u)
             psis.append(psi)
-            dpsis.append(kp[6])
+            dpsis.append(k7p)
 
             if math.hypot(phi0 + u, psi) > blowup_at:
                 raise BlowupDetected(
@@ -298,12 +326,13 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, abs_tol, *,
                 break
             h = min(h * min(fac, 10.0), h_max)
         else:
+            rejected += 1
             h = h * max(0.2, 0.9 * err ** -0.2)
             err_prev = 1.0
             if h < _H_MIN:
                 raise RuntimeError(f"step size underflow at t={t:.6g}")
 
-    return ts, us, psis, dpsis, reason
+    return ts, us, psis, dpsis, reason, rejected
 
 
 def shoot_unstable_manifold(params: LomseParams,
@@ -336,7 +365,7 @@ def shoot_unstable_manifold(params: LomseParams,
     t_start = math.log(eps) / mu1
 
     type_one = params.stability is StabilityType.CENTER_TYPE_I
-    ts, us, psis, dpsis, reason = _advance(
+    ts, us, psis, dpsis, reason, rejected = _advance(
         params,
         t_start,
         phi_start - params.phi0,
@@ -347,7 +376,7 @@ def shoot_unstable_manifold(params: LomseParams,
         conv_tol=conv_tol if type_one else None,
         max_crossings=None if type_one else max_crossings,
     )
-    return Trajectory(params, ts, us, psis, dpsis, eps, (rel_tol, abs_tol), reason)
+    return Trajectory(params, ts, us, psis, dpsis, eps, (rel_tol, abs_tol), reason, rejected)
 
 
 def adaptive_integrate(params: LomseParams,
@@ -358,48 +387,60 @@ def adaptive_integrate(params: LomseParams,
     """Adaptive integration from an arbitrary interior state to t_end."""
     if t_end <= state0.t:
         raise ValueError(f"t_end={t_end} must exceed state0.t={state0.t}")
-    ts, us, psis, dpsis, reason = _advance(
+    ts, us, psis, dpsis, reason, rejected = _advance(
         params, state0.t, state0.phi - params.phi0, state0.psi,
         t_end, rel_tol, abs_tol,
     )
-    return Trajectory(params, ts, us, psis, dpsis, None, (rel_tol, abs_tol), reason)
+    return Trajectory(params, ts, us, psis, dpsis, None, (rel_tol, abs_tol), reason,
+                      rejected)
 
 
 def detect_psi_zeros(traj: Trajectory) -> list[PsiZero]:
     """Refine every sign change of psi on the dense output; increasing t."""
     if len(traj) < 2:
         raise ValueError("need at least 2 trajectory states")
+    t, u, psi, dpsi = traj.t, traj.u, traj.psi, traj.dpsi
+    phi0 = traj.params.phi0
     zeros: list[PsiZero] = []
-    psi = traj.psi
-    t = traj.t
-    for i in range(len(t) - 1):
-        if psi[i] * psi[i + 1] < 0.0:
-            tz = float(_bisect(traj.psi_at, t[i], t[i + 1], psi[i], psi[i + 1]))
-            offset = float(traj.u_at(tz))
-            direction = -1 if psi[i] > 0.0 else 1
-            zeros.append(PsiZero(t=tz, phi=traj.params.phi0 + offset,
-                                 phi_offset=offset, direction=direction))
+    for i in np.flatnonzero(psi[:-1] * psi[1:] < 0.0).tolist():
+        t0, t1 = float(t[i]), float(t[i + 1])
+        p0, p1 = float(psi[i]), float(psi[i + 1])
+        m0, m1 = float(dpsi[i]), float(dpsi[i + 1])
+        tz = _bisect(lambda s: _hermite(s, t0, t1, p0, p1, m0, m1), t0, t1, p0, p1)
+        offset = _hermite(tz, t0, t1, float(u[i]), float(u[i + 1]), p0, p1)
+        zeros.append(PsiZero(t=tz, phi=phi0 + offset, phi_offset=offset,
+                             direction=-1 if p0 > 0.0 else 1))
     return zeros
 
 
 def detect_phi_hits(traj: Trajectory, target: float) -> list[PhiHit]:
-    """All refined solutions of phi(t) = target along the trajectory."""
+    """All refined solutions of phi(t) = target along the trajectory.
+
+    A sample exactly on the target is a hit unless the sample before it is
+    one too; a sign change between samples is refined by bisection.
+    """
     if target <= 0.0:
         raise ValueError(f"target must be > 0, got {target}")
+    if len(traj) < 2:
+        return []
     u_target = target - traj.params.phi0
-    g = traj.u - u_target
-    t = traj.t
+    t, u, psi = traj.t, traj.u, traj.psi
+    g = u - u_target
+    on_target = g == 0.0
+    candidates = on_target.copy()
+    candidates[1:] &= ~on_target[:-1]
+    candidates[:-1] |= g[:-1] * g[1:] < 0.0
     hits: list[PhiHit] = []
-    for i in range(len(t) - 1):
-        if g[i] == 0.0:
-            if i == 0 or g[i - 1] != 0.0:
-                hits.append(PhiHit(t=float(t[i]), dilation=math.exp(t[i])))
-        elif g[i] * g[i + 1] < 0.0:
-            tz = float(_bisect(lambda s: traj.u_at(s) - u_target,
-                               t[i], t[i + 1], g[i], g[i + 1]))
-            hits.append(PhiHit(t=tz, dilation=math.exp(tz)))
-    if len(t) >= 2 and g[-1] == 0.0 and g[-2] != 0.0:
-        hits.append(PhiHit(t=float(t[-1]), dilation=math.exp(t[-1])))
+    for i in np.flatnonzero(candidates).tolist():
+        if on_target[i]:
+            th = float(t[i])
+        else:
+            t0, t1 = float(t[i]), float(t[i + 1])
+            u0, u1 = float(u[i]), float(u[i + 1])
+            p0, p1 = float(psi[i]), float(psi[i + 1])
+            th = _bisect(lambda s: _hermite(s, t0, t1, u0, u1, p0, p1) - u_target,
+                         t0, t1, float(g[i]), float(g[i + 1]))
+        hits.append(PhiHit(t=th, dilation=math.exp(th)))
     return hits
 
 

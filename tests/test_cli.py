@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import lo_dynamics
 from lo_dynamics import analysis, barrier, geometry
 from lo_dynamics.cli import (
     EXIT_BARRIER_FAILURE,
@@ -249,18 +252,22 @@ def test_determinism_same_bytes(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def _run_module(*args):
+    """`python -m lo_dynamics ARGS` in a child that imports the package this
+    process imported, installed or not."""
+    pkg_root = str(Path(lo_dynamics.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "lo_dynamics", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "lo_dynamics", "classify", "3", "2", "2"],
-        capture_output=True, text=True,
-    )
+    proc = _run_module("classify", "3", "2", "2")
     assert proc.returncode == 0
     assert "center(I)" in proc.stdout
 
 
 def test_usage_exit_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "lo_dynamics", "no-such-command"],
-        capture_output=True, text=True,
-    )
+    proc = _run_module("no-such-command")
     assert proc.returncode == EXIT_USAGE

@@ -5,6 +5,8 @@ import pytest
 
 from lo_dynamics import (
     PhaseState,
+    PhiHit,
+    PsiZero,
     Termination,
     Trajectory,
     adaptive_integrate,
@@ -17,6 +19,7 @@ from lo_dynamics import (
 )
 from lo_dynamics.barrier import barrier_h, default_c
 from lo_dynamics.errors import BlowupDetected, EpsNonpositive
+from lo_dynamics.integrate import _bisect
 
 
 def test_type1_converges(p322, traj322):
@@ -226,3 +229,110 @@ def test_asymptotic_slope(p324, traj324):
 def test_tolerances_recorded(traj322):
     rel, abs_ = traj322.tolerances
     assert rel == 1e-10 and abs_ == 0.0
+
+
+# accepted steps and termination of the session fixtures; (5,4,6) stops
+# at the deep floor before 40 crossings are counted (product sign test)
+@pytest.mark.parametrize("fixture, accepted, reason", [
+    ("traj322", 727, Termination.CONVERGED_TO_P1),
+    ("traj324", 7490, Termination.MAX_CROSSINGS),
+    ("traj542", 823, Termination.CONVERGED_TO_P1),
+    ("traj546", 19783, Termination.CONVERGED_TO_P1),
+])
+def test_step_sequence_pinned(request, fixture, accepted, reason):
+    traj = request.getfixturevalue(fixture)
+    stats = traj.stats
+    assert traj.terminated_by is reason
+    assert stats.accepted == accepted == len(traj) - 1
+    assert stats.rejected == 0
+    assert stats.rhs_evals == 1 + 6 * (stats.accepted + stats.rejected)
+    steps = np.diff(traj.t)
+    assert stats.h_min == steps.min() and stats.h_max == steps.max()
+
+
+def test_rhs_evals_count_field_calls(monkeypatch, p324):
+    import lo_dynamics.integrate as integrate
+
+    calls = []
+    real = integrate.offset_field
+
+    def counting(params):
+        field = real(params)
+
+        def wrapped(u, psi):
+            calls.append(None)
+            return field(u, psi)
+
+        return wrapped
+
+    monkeypatch.setattr(integrate, "offset_field", counting)
+    traj = adaptive_integrate(p324, PhaseState(1.0, -3.0, 0.0), 2.0)
+    assert traj.stats.rejected == 2
+    assert traj.stats.rhs_evals == len(calls) == 1 + 6 * (len(traj) - 1 + 2)
+
+
+def _loop_phi_hits(traj, target):
+    """Sample-by-sample scan through the public interpolant: the reference."""
+    u_target = target - traj.params.phi0
+    g = traj.u - u_target
+    t = traj.t
+    hits = []
+    for i in range(len(t) - 1):
+        if g[i] == 0.0:
+            if i == 0 or g[i - 1] != 0.0:
+                hits.append(PhiHit(t=float(t[i]), dilation=math.exp(t[i])))
+        elif g[i] * g[i + 1] < 0.0:
+            tz = float(_bisect(lambda s: traj.u_at(s) - u_target,
+                               t[i], t[i + 1], g[i], g[i + 1]))
+            hits.append(PhiHit(t=tz, dilation=math.exp(tz)))
+    if len(t) >= 2 and g[-1] == 0.0 and g[-2] != 0.0:
+        hits.append(PhiHit(t=float(t[-1]), dilation=math.exp(t[-1])))
+    return hits
+
+
+def _loop_psi_zeros(traj):
+    zeros = []
+    psi, t = traj.psi, traj.t
+    for i in range(len(t) - 1):
+        if psi[i] * psi[i + 1] < 0.0:
+            tz = float(_bisect(traj.psi_at, t[i], t[i + 1], psi[i], psi[i + 1]))
+            offset = float(traj.u_at(tz))
+            zeros.append(PsiZero(t=tz, phi=traj.params.phi0 + offset, phi_offset=offset,
+                                 direction=-1 if psi[i] > 0.0 else 1))
+    return zeros
+
+
+@pytest.mark.parametrize("fixture", ["traj322", "traj324", "traj542", "traj546"])
+def test_event_scans_match_sample_loop(request, fixture):
+    traj = request.getfixturevalue(fixture)
+    phi0 = traj.params.phi0
+    assert detect_psi_zeros(traj) == _loop_psi_zeros(traj)
+    for target in (phi0, 0.5 * phi0, 0.999 * phi0):
+        assert detect_phi_hits(traj, target) == _loop_phi_hits(traj, target)
+
+
+def _hand_built(params, t, u, psi):
+    t = np.asarray(t, dtype=float)
+    return Trajectory(params, t, u, psi, np.zeros_like(t), None, (0.0, 0.0),
+                      Termination.MAX_TIME)
+
+
+def test_phi_hits_exact_zero_samples(p322):
+    # target phi0 makes g = u exactly.  Hits: the interior zero at t=1, the
+    # first of the two zeros at t=3, 4, the linear sign change on [5, 6]
+    # (u = -1 + 2 (t - 5), slopes 2 at both ends, so the Hermite cubic is
+    # that line and vanishes at 5.5) and the zero at the last sample t=7.
+    traj = _hand_built(p322, range(8),
+                       [-1.0, 0.0, 1.0, 0.0, 0.0, -1.0, 1.0, 0.0],
+                       [1.0, 1.0, -1.0, 0.0, -1.0, 2.0, 2.0, -1.0])
+    hits = detect_phi_hits(traj, p322.phi0)
+    assert [h.t for h in hits] == [1.0, 3.0, 5.5, 7.0]
+    assert [h.dilation for h in hits] == [math.exp(x) for x in (1.0, 3.0, 5.5, 7.0)]
+    assert hits == _loop_phi_hits(traj, p322.phi0)
+
+
+def test_phi_hits_exact_zero_first_sample(p322):
+    traj = _hand_built(p322, [0.5, 1.0, 1.5], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0])
+    assert detect_phi_hits(traj, p322.phi0) == [PhiHit(t=0.5, dilation=math.exp(0.5))]
+    single = _hand_built(p322, [0.5], [0.0], [0.0])
+    assert detect_phi_hits(single, p322.phi0) == []

@@ -1,0 +1,34 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from lo_dynamics.cli import EXIT_BLOWUP, EXIT_OK, EXIT_USAGE
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("codes, expected, calls", [
+    ({}, EXIT_OK, 8),
+    ({"orbit": EXIT_BLOWUP, "verify": EXIT_USAGE}, EXIT_BLOWUP, 1),
+    ({"verify": EXIT_USAGE}, EXIT_USAGE, 2),
+])
+def test_gallery_returns_first_failing_exit_code(monkeypatch, tmp_path, codes, expected, calls):
+    gallery = _load("run_orbit_gallery")
+    seen = []
+
+    def fake_cli(argv):
+        seen.append(argv[0])
+        return codes.get(argv[0], EXIT_OK)
+
+    monkeypatch.setattr(gallery, "cli_main", fake_cli)
+    monkeypatch.setattr("sys.argv", ["run_orbit_gallery.py", "--out", str(tmp_path)])
+    assert gallery.main() == expected
+    assert len(seen) == calls
