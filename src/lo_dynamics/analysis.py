@@ -12,6 +12,11 @@ submanifolds, and its limit is the cone density.  Volumes are computed
 by composite Simpson quadrature in x = log r with the integrand factored
 as g(x) e^{(n+1)x}; the exponential is scaled out analytically so that
 profiles spanning hundreds of e-folds stay in floating range.
+
+Profiles are `radial.Profile` columns.  The rescaled copy for each
+crossing is four array operations, and the interpolant reads the columns
+directly; both give the same bits as the former per-sample transform, so
+every Theta_i is unchanged by the columnar layout.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .errors import InsufficientHits, NotMonotone, NotTypeII, RadiusOutOfRange
 from .geometry import los_volume, unit_ball_volume, unit_sphere_volume
 from .integrate import Trajectory, detect_phi_hits, detect_psi_zeros
 from .params import LomseParams, StabilityType
-from .radial import ProfileSample, rescale_profile, to_profile
+from .radial import Profile, rescale_profile, to_profile
 
 DEFAULT_QUAD_PANELS = 8192
 
@@ -61,20 +66,17 @@ class _ProfileInterp:
     (rather than rho, which grows like e^x) keeps the relative error tied
     to the step size and not to the radial growth."""
 
-    def __init__(self, samples: list[ProfileSample]):
-        if len(samples) < 2:
+    def __init__(self, profile: Profile):
+        if len(profile) < 2:
             raise ValueError("need at least 2 profile samples")
-        r = np.array([s.r for s in samples])
-        rho = np.array([s.rho for s in samples])
-        rho_r = np.array([s.rho_r for s in samples])
-        rho_rr = np.array([s.rho_rr for s in samples])
+        r, rho = profile.r, profile.rho
         if not np.all(np.diff(r) > 0.0):
             raise ValueError("profile radii must be strictly increasing")
         self.x = np.log(r)
         self.phi = rho / r
-        self.psi = rho_r - self.phi
+        self.psi = profile.rho_r - self.phi
         # d(psi)/dx = r rho_rr - psi
-        self.dpsi = r * rho_rr - self.psi
+        self.dpsi = r * profile.rho_rr - self.psi
         rr = r * r + rho * rho
         if not np.all(np.diff(rr) > 0.0):
             raise NotMonotone("r^2 + rho^2 is not strictly increasing along the profile")
@@ -95,12 +97,21 @@ class _ProfileInterp:
         i, h, s = self._coeffs(xq)
         return _hermite_vec(s, h, self.psi[i], self.psi[i + 1], self.dpsi[i], self.dpsi[i + 1])
 
+    def phi_at_scalar(self, x: float) -> float:
+        """phi_at for one float x: the same operations on floats, so the
+        same bits, without the per-call cost of 1-element arrays."""
+        i = min(max(int(self.x.searchsorted(x, side="right")) - 1, 0), len(self.x) - 2)
+        x0 = float(self.x[i])
+        h = float(self.x[i + 1]) - x0
+        return _hermite_vec((x - x0) / h, h, float(self.phi[i]), float(self.phi[i + 1]),
+                            float(self.psi[i]), float(self.psi[i + 1]))
+
     def cut_x(self, R: float) -> float:
         """x with r^2 + rho(r)^2 = R^2; unique by the monotonicity check."""
         target = 2.0 * math.log(R)
 
         def g(x):
-            return 2.0 * x + math.log1p(float(self.phi_at(np.array([x]))[0]) ** 2) - target
+            return 2.0 * x + math.log1p(self.phi_at_scalar(x) ** 2) - target
 
         a, b = float(self.x[0]), float(self.x[-1])
         ga, gb = g(a), g(b)
@@ -164,7 +175,7 @@ def _volume_core(interp: _ProfileInterp, params: LomseParams, x_cut: float,
     return core + tail
 
 
-def graph_volume(profile: list[ProfileSample], params: LomseParams, R: float,
+def graph_volume(profile: Profile, params: LomseParams, R: float,
                  n_panels: int = DEFAULT_QUAD_PANELS) -> float:
     """Volume of the graph inside the ambient ball of radius R."""
     if R <= 0.0:
@@ -175,7 +186,7 @@ def graph_volume(profile: list[ProfileSample], params: LomseParams, R: float,
     return unit_sphere_volume(params.n) * core * math.exp((params.n + 1.0) * x_cut)
 
 
-def theta_of_radius(profile: list[ProfileSample], params: LomseParams, R: float,
+def theta_of_radius(profile: Profile, params: LomseParams, R: float,
                     n_panels: int = DEFAULT_QUAD_PANELS) -> float:
     """Density Theta(R); evaluated in scaled form, stable for any span."""
     if R <= 0.0:
@@ -185,7 +196,7 @@ def theta_of_radius(profile: list[ProfileSample], params: LomseParams, R: float,
     x_cut = interp.cut_x(R)
     core = _volume_core(interp, params, x_cut, n_panels)
     # (r_cut / R)^{n+1} = (1 + phi(x_cut)^2)^{-(n+1)/2}
-    phi_cut = float(interp.phi_at(np.array([x_cut]))[0])
+    phi_cut = interp.phi_at_scalar(x_cut)
     ratio = (1.0 + phi_cut * phi_cut) ** (-(n + 1.0) / 2.0)
     return unit_sphere_volume(n) / unit_ball_volume(n + 1) * core * ratio
 
@@ -238,7 +249,7 @@ def density_report(traj: Trajectory, params: LomseParams | None = None,
     thetas = []
     for hit in hits:
         d = hit.dilation
-        rho_d = d * float(interp.phi_at(np.array([hit.t]))[0])
+        rho_d = d * interp.phi_at_scalar(hit.t)
         radii.append(math.hypot(d, rho_d))
         rescaled = rescale_profile(profile, d)
         thetas.append(theta_of_radius(rescaled, params, R, n_panels=n_panels))

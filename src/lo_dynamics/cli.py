@@ -34,6 +34,8 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis, barrier, geometry, hopf, integrate, radial
 from .errors import (
     BlowupDetected,
@@ -290,7 +292,7 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _orbit_svgs(out: Path, traj: Trajectory, profile) -> None:
+def _orbit_svgs(out: Path, traj: Trajectory, profile: radial.Profile) -> None:
     params = traj.params
     phi = traj.phi
     psi = traj.psi
@@ -305,13 +307,10 @@ def _orbit_svgs(out: Path, traj: Trajectory, profile) -> None:
         t_cut = zeros[3].t if len(zeros) >= 4 else traj.t_end
     else:
         t_cut = traj.t_end
-    rs = []
-    rhos = []
-    for s, t in zip(profile, traj.t):
-        if t > t_cut:
-            break
-        rs.append(s.r)
-        rhos.append(s.rho)
+    # t is strictly increasing: the samples up to t_cut are a prefix
+    m = int(np.searchsorted(traj.t, t_cut, side="right"))
+    rs = profile.r[:m].tolist()
+    rhos = profile.rho[:m].tolist()
     ray = [params.phi0 * r for r in rs]
     write_svg(out / "profile.svg",
               [(rs, rhos, "#1f77b4"), (rs, ray, "#d62728")])
@@ -338,8 +337,8 @@ def cmd_orbit(args) -> int:
         write_csv(out / "trajectory.csv", ["t", "phi", "psi"],
                   zip(traj.t.tolist(), traj.phi.tolist(), traj.psi.tolist()))
         write_csv(out / "profile.csv", ["r", "rho", "rho_r", "rho_rr", "residual"],
-                  ((s.r, s.rho, s.rho_r, s.rho_rr, radial.ode1_residual(s, params))
-                   for s in profile))
+                  zip(profile.r.tolist(), profile.rho.tolist(), profile.rho_r.tolist(),
+                      profile.rho_rr.tolist(), radial.ode1_residual(profile, params).tolist()))
     if "json" in cfg.formats:
         (out / "events.json").write_text(dumps_json(report), encoding="utf-8")
     if "svg" in cfg.formats:

@@ -43,7 +43,7 @@ class COutOfRange(LoDynamicsError, ValueError):
 
 
 class LengthMismatch(LoDynamicsError, ValueError):
-    """A singular-value list does not have the expected length."""
+    """A singular-value list or a profile column does not have the expected length."""
 
 
 class NotOnSphere(LoDynamicsError, ValueError):

@@ -5,12 +5,20 @@ r = e^t, rho = r*phi, rho_r = phi + psi.  The second derivative comes
 from the vector field, rho_rr = (psi_t + psi)/r with psi_t = X2, never
 from differencing samples, so the residual checks below measure the
 integration error and not a differentiation artifact.
+
+A whole profile is a `Profile`: four read-only columns r, rho, rho_r,
+rho_rr.  The columns are computed with the same IEEE operations, in the
+same order, as the transform of one sample (r from `math.exp`, not
+`np.exp`, which rounds differently), so each row is bit-identical to the
+`ProfileSample` of that state; indexing a `Profile` returns that sample.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .dynsys import vector_field_xy
 from .errors import LengthMismatch
@@ -26,18 +34,44 @@ class ProfileSample:
     rho_rr: float
 
 
-def to_profile(traj: Trajectory) -> list[ProfileSample]:
-    """Samplewise transform of a trajectory into profile samples."""
-    if len(traj) == 0:
+@dataclass(frozen=True, eq=False)
+class Profile:
+    """Profile samples as columns: four equal-length read-only float arrays.
+
+    `profile[i]` is the i-th row as a `ProfileSample`; iteration yields the
+    rows in order.  The columns are read-only copies of the given values.
+    """
+
+    r: np.ndarray
+    rho: np.ndarray
+    rho_r: np.ndarray
+    rho_rr: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.r)
+        for name in ("r", "rho", "rho_r", "rho_rr"):
+            col = np.array(getattr(self, name), dtype=float)
+            if col.shape != (n,):
+                raise LengthMismatch(f"column {name} has shape {col.shape}, expected ({n},)")
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+
+    def __len__(self) -> int:
+        return len(self.r)
+
+    def __getitem__(self, i: int) -> ProfileSample:
+        return ProfileSample(r=float(self.r[i]), rho=float(self.rho[i]),
+                             rho_r=float(self.rho_r[i]), rho_rr=float(self.rho_rr[i]))
+
+
+def to_profile(traj: Trajectory) -> Profile:
+    """Samplewise transform of a trajectory into a profile."""
+    n = len(traj)
+    if n == 0:
         raise ValueError("empty trajectory")
-    out = []
-    phi0 = traj.params.phi0
-    for t, u, psi, dpsi in zip(traj.t, traj.u, traj.psi, traj.dpsi):
-        r = math.exp(t)
-        phi = phi0 + u
-        out.append(ProfileSample(r=r, rho=r * phi, rho_r=phi + psi,
-                                 rho_rr=(dpsi + psi) / r))
-    return out
+    r = np.fromiter(map(math.exp, traj.t.tolist()), float, n)
+    phi = traj.params.phi0 + traj.u
+    return Profile(r=r, rho=r * phi, rho_r=phi + traj.psi, rho_rr=(traj.dpsi + traj.psi) / r)
 
 
 def state_to_sample(phi: float, psi: float, t: float, params: LomseParams) -> ProfileSample:
@@ -47,12 +81,12 @@ def state_to_sample(phi: float, psi: float, t: float, params: LomseParams) -> Pr
     return ProfileSample(r=r, rho=r * phi, rho_r=phi + psi, rho_rr=(x2 + psi) / r)
 
 
-def ode1_residual(sample: ProfileSample, params: LomseParams) -> float:
-    """Residual of the reduced second-order ODE at the sample; zero on
-    exact solutions."""
+def ode1_residual(sample: ProfileSample | Profile, params: LomseParams):
+    """Residual of the reduced second-order ODE at the sample, or at every
+    row of a profile as an array; zero on exact solutions."""
     r = sample.r
-    if r <= 0.0:
-        raise ValueError(f"r must be > 0, got {r}")
+    if np.any(r <= 0.0):
+        raise ValueError(f"r must be > 0, got {np.min(r)}")
     lam2 = params.lambda_sq
     n, p = params.n, params.p
     rho, rho_r, rho_rr = sample.rho, sample.rho_r, sample.rho_rr
@@ -89,17 +123,16 @@ def recover_state(sample: ProfileSample) -> tuple[float, float, float]:
     return phi, sample.rho_r - phi, math.log(sample.r)
 
 
-def rescale_profile(samples: list[ProfileSample], d: float) -> list[ProfileSample]:
+def rescale_profile(profile: Profile, d: float) -> Profile:
     """The profile rho_d(r) = rho(d r)/d; minimality is invariant under this."""
     if d <= 0.0:
         raise ValueError(f"dilation must be > 0, got {d}")
-    return [
-        ProfileSample(r=s.r / d, rho=s.rho / d, rho_r=s.rho_r, rho_rr=s.rho_rr * d)
-        for s in samples
-    ]
+    return Profile(r=profile.r / d, rho=profile.rho / d, rho_r=profile.rho_r,
+                   rho_rr=profile.rho_rr * d)
 
 
-def cone_profile(params: LomseParams, radii: list[float]) -> list[ProfileSample]:
+def cone_profile(params: LomseParams, radii) -> Profile:
     """Exact cone rho = phi0 * r sampled at the given radii."""
     phi0 = params.phi0
-    return [ProfileSample(r=r, rho=phi0 * r, rho_r=phi0, rho_rr=0.0) for r in radii]
+    r = np.asarray(radii, dtype=float)
+    return Profile(r=r, rho=phi0 * r, rho_r=np.full(len(r), phi0), rho_rr=np.zeros(len(r)))

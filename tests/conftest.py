@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
-from lo_dynamics import build_params, shoot_unstable_manifold
+from lo_dynamics import build_params, enumerate_admissible, shoot_unstable_manifold
+from lo_dynamics.radial import ProfileSample
 
 
 @pytest.fixture(scope="session")
@@ -46,3 +49,27 @@ def traj542(p542):
 @pytest.fixture(scope="session")
 def traj546(p546):
     return shoot_unstable_manifold(p546)
+
+
+@pytest.fixture(scope="session")
+def table_trajs():
+    """Default-shot trajectories of every admissible triple of (31, 20)."""
+    return {p.triple(): shoot_unstable_manifold(p) for p in enumerate_admissible(31, 20)}
+
+
+def _to_profile_per_sample(traj) -> list[ProfileSample]:
+    """The profile transform one sample at a time, as it was written before
+    profiles became columns; the reference for the columnar transform."""
+    out = []
+    phi0 = traj.params.phi0
+    for t, u, psi, dpsi in zip(traj.t, traj.u, traj.psi, traj.dpsi):
+        r = math.exp(t)
+        phi = phi0 + u
+        out.append(ProfileSample(r=r, rho=r * phi, rho_r=phi + psi,
+                                 rho_rr=(dpsi + psi) / r))
+    return out
+
+
+@pytest.fixture(scope="session")
+def to_profile_per_sample():
+    return _to_profile_per_sample

@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from lo_dynamics import build_params, detect_psi_zeros, shoot_unstable_manifold
+from lo_dynamics import (
+    build_params,
+    detect_phi_hits,
+    detect_psi_zeros,
+    shoot_unstable_manifold,
+)
 from lo_dynamics.analysis import (
+    DEFAULT_QUAD_PANELS,
     DensityReport,
+    _ProfileInterp,
+    _volume_core,
     density_report,
     dirichlet_solutions,
     graph_volume,
@@ -14,7 +22,7 @@ from lo_dynamics.analysis import (
 )
 from lo_dynamics.errors import InsufficientHits, NotTypeII, RadiusOutOfRange
 from lo_dynamics.geometry import los_volume, unit_ball_volume, unit_sphere_volume
-from lo_dynamics.radial import ProfileSample, cone_profile, to_profile
+from lo_dynamics.radial import Profile, ProfileSample, cone_profile, to_profile
 
 
 def _cone_volume_exact(params, R):
@@ -37,8 +45,9 @@ def test_cone_volume_closed_form(p322, cone322):
 
 
 def test_flat_disk_volume(p322):
-    flat = [ProfileSample(r=r, rho=0.0, rho_r=0.0, rho_rr=0.0)
-            for r in np.geomspace(1e-8, 10.0, 2000)]
+    r = np.geomspace(1e-8, 10.0, 2000)
+    zero = np.zeros_like(r)
+    flat = Profile(r=r, rho=zero, rho_r=zero, rho_rr=zero)
     R = 3.0
     got = graph_volume(flat, p322, R)
     n = p322.n
@@ -108,7 +117,6 @@ def test_density_report_324(p324, traj324):
 
 
 def _dilations(traj, params):
-    from lo_dynamics import detect_phi_hits
     return [h.dilation for h in detect_phi_hits(traj, params.phi0)]
 
 
@@ -158,3 +166,106 @@ def test_dilations_reproduce_boundary_data(p324, traj324):
 def test_dirichlet_rejects_nonpositive_slope(traj322):
     with pytest.raises(ValueError):
         dirichlet_solutions(traj322, 0.0)
+
+
+# ----------------------------------------------------------------------
+# the density computation as it was written for lists of samples, kept as
+# the reference for the columnar one: arrays gathered sample by sample,
+# phi evaluated through 1-element arrays, a new sample list per crossing
+
+class _PerSampleInterp(_ProfileInterp):
+    def __init__(self, samples):
+        r = np.array([s.r for s in samples])
+        rho = np.array([s.rho for s in samples])
+        rho_r = np.array([s.rho_r for s in samples])
+        rho_rr = np.array([s.rho_rr for s in samples])
+        assert np.all(np.diff(r) > 0.0)
+        self.x = np.log(r)
+        self.phi = rho / r
+        self.psi = rho_r - self.phi
+        self.dpsi = r * rho_rr - self.psi
+        self.r2rho2 = r * r + rho * rho
+        assert np.all(np.diff(self.r2rho2) > 0.0)
+
+    def cut_x(self, R):
+        target = 2.0 * math.log(R)
+
+        def g(x):
+            return 2.0 * x + math.log1p(float(self.phi_at(np.array([x]))[0]) ** 2) - target
+
+        a, b = float(self.x[0]), float(self.x[-1])
+        ga, gb = g(a), g(b)
+        assert ga <= 1e-12 and gb >= -1e-12
+        if ga >= 0.0:
+            return a
+        if gb <= 0.0:
+            return b
+        for _ in range(200):
+            m = 0.5 * (a + b)
+            if m <= a or m >= b:
+                break
+            if g(m) < 0.0:
+                a = m
+            else:
+                b = m
+        return 0.5 * (a + b)
+
+
+def _theta_per_sample(samples, params, R):
+    n = params.n
+    interp = _PerSampleInterp(samples)
+    x_cut = interp.cut_x(R)
+    core = _volume_core(interp, params, x_cut, DEFAULT_QUAD_PANELS)
+    phi_cut = float(interp.phi_at(np.array([x_cut]))[0])
+    ratio = (1.0 + phi_cut * phi_cut) ** (-(n + 1.0) / 2.0)
+    return unit_sphere_volume(n) / unit_ball_volume(n + 1) * core * ratio
+
+
+def _density_per_sample(traj, samples):
+    params = traj.params
+    interp = _PerSampleInterp(samples)
+    R = math.sqrt(1.0 + params.phi0 ** 2)
+    radii, thetas = [], []
+    for hit in detect_phi_hits(traj, params.phi0):
+        d = hit.dilation
+        rho_d = d * float(interp.phi_at(np.array([hit.t]))[0])
+        radii.append(math.hypot(d, rho_d))
+        rescaled = [ProfileSample(r=s.r / d, rho=s.rho / d, rho_r=s.rho_r, rho_rr=s.rho_rr * d)
+                    for s in samples]
+        thetas.append(_theta_per_sample(rescaled, params, R))
+    return radii, thetas
+
+
+@pytest.mark.parametrize("triple", [(3, 2, 4), (5, 4, 14)])
+def test_density_report_matches_per_sample_code(triple, to_profile_per_sample):
+    traj = shoot_unstable_manifold(build_params(*triple))
+    report = density_report(traj)
+    radii, thetas = _density_per_sample(traj, to_profile_per_sample(traj))
+    assert len(report.thetas) >= 10
+    assert report.radii == radii
+    assert report.thetas == thetas
+
+
+@pytest.mark.parametrize("fixture", ["traj322", "traj542"])
+def test_theta_of_radius_matches_per_sample_code(fixture, request, to_profile_per_sample):
+    traj = request.getfixturevalue(fixture)
+    profile = to_profile(traj)
+    samples = to_profile_per_sample(traj)
+    for R in (0.5, 1.0, 2.0):
+        assert theta_of_radius(profile, traj.params, R) == \
+            _theta_per_sample(samples, traj.params, R)
+
+
+def test_density_report_builds_no_samples(monkeypatch, p324, traj324):
+    built = []
+    init = ProfileSample.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProfileSample, "__init__", counting_init)
+    density_report(traj324, p324)
+    assert built == []
+    to_profile(traj324)[0]  # the counter sees a row read
+    assert built == [1]

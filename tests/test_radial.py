@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lo_dynamics import build_params
 from lo_dynamics.errors import LengthMismatch
 from lo_dynamics.radial import (
+    Profile,
     ProfileSample,
     cone_profile,
     ode1_residual,
@@ -135,3 +136,58 @@ def test_cone_profile_builder(p324):
 def test_empty_trajectory_rejected(p322):
     with pytest.raises(ValueError):
         to_profile(type("T", (), {"__len__": lambda self: 0})())
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_to_profile_columns_match_per_sample_transform(table_trajs, to_profile_per_sample):
+    # all 230 (31, 20) triples: every column is bit-identical to the
+    # former sample-by-sample transform, r included (math.exp, not np.exp)
+    assert len(table_trajs) == 230
+    for triple, traj in table_trajs.items():
+        profile = to_profile(traj)
+        ref = to_profile_per_sample(traj)
+        for name in ("r", "rho", "rho_r", "rho_rr"):
+            assert _same_bits(getattr(profile, name), [getattr(s, name) for s in ref]), \
+                (triple, name)
+
+
+def test_profile_rows_and_rescaling_match_samples(traj324, to_profile_per_sample):
+    profile = to_profile(traj324)
+    ref = to_profile_per_sample(traj324)
+    assert len(profile) == len(ref)
+    assert list(profile) == ref
+    assert profile[-1] == ref[-1]
+    assert type(profile[0].r) is float
+    d = 3.7
+    rescaled = rescale_profile(profile, d)
+    expect = [ProfileSample(r=s.r / d, rho=s.rho / d, rho_r=s.rho_r, rho_rr=s.rho_rr * d)
+              for s in ref]
+    assert list(rescaled) == expect
+    # residuals over the columns are the per-sample residuals
+    params = traj324.params
+    assert _same_bits(ode1_residual(profile, params), [ode1_residual(s, params) for s in ref])
+
+
+def test_profile_columns_read_only_and_equal_length():
+    r = np.array([1.0, 2.0])
+    prof = Profile(r=r, rho=r, rho_r=[1.0, 1.0], rho_rr=[0.0, 0.0])
+    for col in (prof.r, prof.rho, prof.rho_r, prof.rho_rr):
+        assert not col.flags.writeable
+    r[0] = 5.0  # the profile holds copies
+    assert prof.r[0] == 1.0 and prof.rho[0] == 1.0
+    with pytest.raises(ValueError):
+        prof.rho_r[0] = 2.0
+    with pytest.raises(LengthMismatch):
+        Profile(r=r, rho=r, rho_r=[1.0], rho_rr=[0.0, 0.0])
+    with pytest.raises(IndexError):
+        prof[2]
+
+
+def test_residual_rejects_nonpositive_radius_column(p322):
+    bad = Profile(r=[1.0, 0.0], rho=[1.0, 0.0], rho_r=[0.0, 0.0], rho_rr=[0.0, 0.0])
+    with pytest.raises(ValueError):
+        ode1_residual(bad, p322)
