@@ -80,6 +80,17 @@ def _hermite(t, t0, t1, y0, y1, m0, m1):
     )
 
 
+def _strict_sign_change(v: np.ndarray) -> np.ndarray:
+    """Mask of i with v[i] and v[i + 1] of strictly opposite signs.
+
+    The product test v[i] * v[i + 1] < 0 misses sign changes once the
+    product underflows to zero (amplitudes below about 1e-162); comparing
+    signs does not.  A zero sample is no sign change, as with the product.
+    """
+    a, b = v[:-1], v[1:]
+    return ((a < 0.0) & (b > 0.0)) | ((a > 0.0) & (b < 0.0))
+
+
 def _bisect(fn, ta, tb, fa, fb, tol=EVENT_TOL):
     """Bracketed bisection for a sign change of fn on [ta, tb]."""
     while tb - ta > tol:
@@ -300,7 +311,7 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, abs_tol, *,
                 fac = 0.9 * err ** (-alpha) * err_prev ** beta
             err_prev = max(err, 1e-4)
             t = t_max if is_last else t + h
-            if psi * psi_new < 0.0:
+            if (psi < 0.0 < psi_new) or (psi_new < 0.0 < psi):
                 crossings += 1
             u, psi = u_new, psi_new
             k1u, k1p = k7u, k7p
@@ -402,7 +413,7 @@ def detect_psi_zeros(traj: Trajectory) -> list[PsiZero]:
     t, u, psi, dpsi = traj.t, traj.u, traj.psi, traj.dpsi
     phi0 = traj.params.phi0
     zeros: list[PsiZero] = []
-    for i in np.flatnonzero(psi[:-1] * psi[1:] < 0.0).tolist():
+    for i in np.flatnonzero(_strict_sign_change(psi)).tolist():
         t0, t1 = float(t[i]), float(t[i + 1])
         p0, p1 = float(psi[i]), float(psi[i + 1])
         m0, m1 = float(dpsi[i]), float(dpsi[i + 1])
@@ -429,7 +440,7 @@ def detect_phi_hits(traj: Trajectory, target: float) -> list[PhiHit]:
     on_target = g == 0.0
     candidates = on_target.copy()
     candidates[1:] &= ~on_target[:-1]
-    candidates[:-1] |= g[:-1] * g[1:] < 0.0
+    candidates[:-1] |= _strict_sign_change(g)
     hits: list[PhiHit] = []
     for i in np.flatnonzero(candidates).tolist():
         if on_target[i]:

@@ -7,6 +7,7 @@ from lo_dynamics import (
     PhaseState,
     PhiHit,
     PsiZero,
+    StabilityType,
     Termination,
     Trajectory,
     adaptive_integrate,
@@ -19,7 +20,7 @@ from lo_dynamics import (
 )
 from lo_dynamics.barrier import barrier_h, default_c
 from lo_dynamics.errors import BlowupDetected, EpsNonpositive
-from lo_dynamics.integrate import _bisect
+from lo_dynamics.integrate import DEFAULT_MAX_CROSSINGS, _bisect
 
 
 def test_type1_converges(p322, traj322):
@@ -281,7 +282,7 @@ def _loop_phi_hits(traj, target):
         if g[i] == 0.0:
             if i == 0 or g[i - 1] != 0.0:
                 hits.append(PhiHit(t=float(t[i]), dilation=math.exp(t[i])))
-        elif g[i] * g[i + 1] < 0.0:
+        elif g[i] < 0.0 < g[i + 1] or g[i + 1] < 0.0 < g[i]:
             tz = float(_bisect(lambda s: traj.u_at(s) - u_target,
                                t[i], t[i + 1], g[i], g[i + 1]))
             hits.append(PhiHit(t=tz, dilation=math.exp(tz)))
@@ -294,7 +295,7 @@ def _loop_psi_zeros(traj):
     zeros = []
     psi, t = traj.psi, traj.t
     for i in range(len(t) - 1):
-        if psi[i] * psi[i + 1] < 0.0:
+        if psi[i] < 0.0 < psi[i + 1] or psi[i + 1] < 0.0 < psi[i]:
             tz = float(_bisect(traj.psi_at, t[i], t[i + 1], psi[i], psi[i + 1]))
             offset = float(traj.u_at(tz))
             zeros.append(PsiZero(t=tz, phi=traj.params.phi0 + offset, phi_offset=offset,
@@ -336,3 +337,33 @@ def test_phi_hits_exact_zero_first_sample(p322):
     assert detect_phi_hits(traj, p322.phi0) == [PhiHit(t=0.5, dilation=math.exp(0.5))]
     single = _hand_built(p322, [0.5], [0.0], [0.0])
     assert detect_phi_hits(single, p322.phi0) == []
+
+
+def test_sign_changes_below_product_underflow(p322):
+    # products of these samples underflow to 0.0; the sign changes remain
+    traj = _hand_built(p322, [0.0, 1.0, 2.0, 3.0], [1e-200, -1e-200, 1e-200, 0.0],
+                       [1e-200, -1e-200, 1e-200, 0.0])
+    assert 1e-200 * -1e-200 == 0.0
+    assert [math.floor(z.t) for z in detect_psi_zeros(traj)] == [0, 1]
+    hits = [h.t for h in detect_phi_hits(traj, p322.phi0)]
+    assert [math.floor(t) for t in hits] == [0, 1, 3] and hits[-1] == 3.0
+
+
+def test_table_spiral_zeros_equal_sign_changes(table_trajs):
+    spirals = {triple: traj for triple, traj in table_trajs.items()
+               if traj.params.stability is StabilityType.SPIRAL_TYPE_II}
+    assert len(spirals) == 17
+    for triple, traj in spirals.items():
+        sign = np.sign(traj.psi)
+        changes = int(np.sum(sign[:-1] * sign[1:] < 0.0))
+        zeros = detect_psi_zeros(traj)
+        assert len(zeros) == changes, triple
+        if triple == (5, 4, 6):
+            # the 1e-290 floor comes before the 40th crossing; the last
+            # zeros lie where products of psi samples underflow
+            assert traj.terminated_by is Termination.CONVERGED_TO_P1
+            assert len(zeros) == 28
+            assert abs(zeros[-1].phi_offset) < 1e-200
+        else:
+            assert traj.terminated_by is Termination.MAX_CROSSINGS, triple
+            assert len(zeros) == DEFAULT_MAX_CROSSINGS, triple
