@@ -20,8 +20,11 @@ from lo_dynamics.cli import (
     from_dict,
     load_config_file,
     main,
+    write_csv,
+    write_svg,
 )
-from lo_dynamics import CrossingReport, crossing_report
+from lo_dynamics import CrossingReport, crossing_report, detect_psi_zeros
+from lo_dynamics.radial import ode1_residual
 
 
 def run(args):
@@ -75,6 +78,31 @@ def test_orbit_type2_events(tmp_path):
     assert hits
     dils = [h["dilation"] for h in hits]
     assert dils == sorted(dils)
+
+
+def test_orbit_profile_files_match_per_sample_code(tmp_path, traj324, to_profile_per_sample):
+    # the files as they were written from a list of samples: one residual
+    # per sample, the plot cut at the first sample past the 4th psi zero
+    assert run(["orbit", "3", "2", "4", "--out-dir", str(tmp_path),
+                "--formats", "csv,svg"]) == EXIT_OK
+    params = traj324.params
+    samples = to_profile_per_sample(traj324)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    write_csv(ref / "profile.csv", ["r", "rho", "rho_r", "rho_rr", "residual"],
+              ((s.r, s.rho, s.rho_r, s.rho_rr, ode1_residual(s, params)) for s in samples))
+    t_cut = detect_psi_zeros(traj324)[3].t
+    rs, rhos = [], []
+    for s, t in zip(samples, traj324.t):
+        if t > t_cut:
+            break
+        rs.append(s.r)
+        rhos.append(s.rho)
+    assert 1 < len(rs) < len(samples)
+    write_svg(ref / "profile.svg",
+              [(rs, rhos, "#1f77b4"), (rs, [params.phi0 * r for r in rs], "#d62728")])
+    for name in ("profile.csv", "profile.svg"):
+        assert (tmp_path / name).read_bytes() == (ref / name).read_bytes(), name
 
 
 def test_orbit_svg(tmp_path):
