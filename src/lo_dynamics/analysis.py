@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InsufficientHits, NotMonotone, NotTypeII, RadiusOutOfRange
 from .geometry import los_volume, unit_ball_volume, unit_sphere_volume
-from .integrate import Trajectory, detect_phi_hits, detect_psi_zeros
+from .integrate import Trajectory, _hermite, detect_phi_hits, detect_psi_zeros
 from .params import LomseParams, StabilityType
 from .radial import Profile, rescale_profile, to_profile
 
@@ -82,29 +82,24 @@ class _ProfileInterp:
             raise NotMonotone("r^2 + rho^2 is not strictly increasing along the profile")
         self.r2rho2 = rr
 
-    def _coeffs(self, xq: np.ndarray):
+    def phi_psi_at(self, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """phi and psi at the points xq, each point located once."""
         i = np.clip(np.searchsorted(self.x, xq, side="right") - 1, 0, len(self.x) - 2)
-        x0 = self.x[i]
-        h = self.x[i + 1] - x0
-        s = (xq - x0) / h
-        return i, h, s
+        x0, x1 = self.x[i], self.x[i + 1]
+        phi = _hermite(xq, x0, x1, self.phi[i], self.phi[i + 1], self.psi[i], self.psi[i + 1])
+        psi = _hermite(xq, x0, x1, self.psi[i], self.psi[i + 1],
+                       self.dpsi[i], self.dpsi[i + 1])
+        return phi, psi
 
     def phi_at(self, xq: np.ndarray) -> np.ndarray:
-        i, h, s = self._coeffs(xq)
-        return _hermite_vec(s, h, self.phi[i], self.phi[i + 1], self.psi[i], self.psi[i + 1])
-
-    def psi_at(self, xq: np.ndarray) -> np.ndarray:
-        i, h, s = self._coeffs(xq)
-        return _hermite_vec(s, h, self.psi[i], self.psi[i + 1], self.dpsi[i], self.dpsi[i + 1])
+        return self.phi_psi_at(xq)[0]
 
     def phi_at_scalar(self, x: float) -> float:
         """phi_at for one float x: the same operations on floats, so the
         same bits, without the per-call cost of 1-element arrays."""
         i = min(max(int(self.x.searchsorted(x, side="right")) - 1, 0), len(self.x) - 2)
-        x0 = float(self.x[i])
-        h = float(self.x[i + 1]) - x0
-        return _hermite_vec((x - x0) / h, h, float(self.phi[i]), float(self.phi[i + 1]),
-                            float(self.psi[i]), float(self.psi[i + 1]))
+        return _hermite(x, float(self.x[i]), float(self.x[i + 1]), float(self.phi[i]),
+                        float(self.phi[i + 1]), float(self.psi[i]), float(self.psi[i + 1]))
 
     def cut_x(self, R: float) -> float:
         """x with r^2 + rho(r)^2 = R^2; unique by the monotonicity check."""
@@ -135,13 +130,6 @@ class _ProfileInterp:
         return 0.5 * (a + b)
 
 
-def _hermite_vec(s, h, y0, y1, m0, m1):
-    s2 = s * s
-    s3 = s2 * s
-    return ((2.0 * s3 - 3.0 * s2 + 1.0) * y0 + (s3 - 2.0 * s2 + s) * h * m0
-            + (-2.0 * s3 + 3.0 * s2) * y1 + (s3 - s2) * h * m1)
-
-
 def _volume_core(interp: _ProfileInterp, params: LomseParams, x_cut: float,
                  n_panels: int) -> float:
     """integral of g(x) e^{(n+1)(x - x_cut)} dx over [x0, x_cut] plus the
@@ -154,8 +142,7 @@ def _volume_core(interp: _ProfileInterp, params: LomseParams, x_cut: float,
         raise RadiusOutOfRange("cut radius below the first profile sample")
 
     def g_of(xq: np.ndarray) -> np.ndarray:
-        phi = interp.phi_at(xq)
-        psi = interp.psi_at(xq)
+        phi, psi = interp.phi_psi_at(xq)
         rho_r = phi + psi
         return np.sqrt(1.0 + rho_r * rho_r) * (1.0 + lam2 * phi * phi) ** (p / 2.0)
 

@@ -269,3 +269,29 @@ def test_density_report_builds_no_samples(monkeypatch, p324, traj324):
     assert built == []
     to_profile(traj324)[0]  # the counter sees a row read
     assert built == [1]
+
+
+def _separate_lookup_hermite(x, xq, y, m):
+    """The interpolant as evaluated when phi and psi each located the query
+    points themselves, with the Hermite basis written in (s, h) form."""
+    i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(x) - 2)
+    x0 = x[i]
+    h = x[i + 1] - x0
+    s = (xq - x0) / h
+    s2 = s * s
+    s3 = s2 * s
+    return ((2.0 * s3 - 3.0 * s2 + 1.0) * y[i] + (s3 - 2.0 * s2 + s) * h * m[i]
+            + (-2.0 * s3 + 3.0 * s2) * y[i + 1] + (s3 - s2) * h * m[i + 1])
+
+
+@pytest.mark.parametrize("fixture", ["traj322", "traj324"])
+def test_phi_psi_at_matches_separate_lookups(fixture, request):
+    interp = _ProfileInterp(to_profile(request.getfixturevalue(fixture)))
+    x = interp.x
+    xq = np.concatenate([np.linspace(x[0], x[-1], DEFAULT_QUAD_PANELS + 1),
+                         [x[0] - 1.0, x[-1] + 1.0]])
+    phi, psi = interp.phi_psi_at(xq)
+    assert np.array_equal(phi, _separate_lookup_hermite(x, xq, interp.phi, interp.psi))
+    assert np.array_equal(psi, _separate_lookup_hermite(x, xq, interp.psi, interp.dpsi))
+    assert np.array_equal(interp.phi_at(xq), phi)
+    assert [interp.phi_at_scalar(float(v)) for v in xq[::97]] == phi[::97].tolist()
