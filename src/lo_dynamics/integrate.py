@@ -195,10 +195,6 @@ class Trajectory:
         return self.params.phi0 + self.u
 
     @property
-    def t_start(self) -> float:
-        return float(self.t[0])
-
-    @property
     def t_end(self) -> float:
         return float(self.t[-1])
 

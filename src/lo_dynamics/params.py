@@ -82,12 +82,6 @@ class LomseParams:
         K = self.big_k
         return Fraction(self.p * (K - self.n), K * (self.n - self.p))
 
-    @property
-    def cos_theta_sq_frac(self) -> Fraction:
-        """cos^2(theta) = K(n - p) / (n(K - p)) exactly."""
-        K = self.big_k
-        return Fraction(K * (self.n - self.p), self.n * (K - self.p))
-
     def triple(self) -> tuple[int, int, int]:
         return (self.n, self.p, self.k)
 
