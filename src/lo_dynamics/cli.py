@@ -14,7 +14,9 @@ Configuration: a flat key = value text file (one pair per line, '#'
 comments allowed), pointed to by --config or the LO_DYNAMICS_CONFIG
 environment variable; command-line flags win over the file.  Keys match
 the RunConfig field names; the formats value is a comma list such as
-"json,csv,svg".
+"json,csv,svg".  One file serves every subcommand: each ignores the keys
+it does not read and takes flags only for the ones it reads (see its
+--help); any other flag, and any unknown key, exits 2.
 
 All numbers are serialized with 17 significant digits; CSV columns are
 fixed (trajectory.csv: t,phi,psi; profile.csv: r,rho,rho_r,rho_rr,residual)
@@ -73,8 +75,8 @@ class RunConfig:
     grid_points: int = barrier.DEFAULT_GRID_POINTS
     cycle_grid: int = barrier.DEFAULT_CYCLE_GRID[0]
     quad_panels: int = analysis.DEFAULT_QUAD_PANELS
-    sample_count: int = 100
-    fd_step: float = 1e-5
+    sample_count: int = hopf.DEFAULT_SAMPLE_COUNT
+    fd_step: float = hopf.DEFAULT_FD_STEP
     seed: int = 0
     out_dir: str = "."
     formats: tuple[str, ...] = ("json", "csv")
@@ -105,17 +107,17 @@ def load_config_file(path: str | Path) -> dict[str, str]:
 
 
 def _coerce(cfg: RunConfig, key: str, value: str) -> None:
+    """Set field key of cfg from its text, as a config file or a flag gives it."""
     if not hasattr(cfg, key):
         raise ValueError(f"unknown config key {key!r}")
-    current = getattr(cfg, key)
     if key == "formats":
         setattr(cfg, key, tuple(v.strip() for v in value.split(",") if v.strip()))
-    elif isinstance(current, int):
-        setattr(cfg, key, int(value))
-    elif isinstance(current, float):
-        setattr(cfg, key, float(value))
-    else:
-        setattr(cfg, key, value)
+        return
+    kind = type(getattr(cfg, key))
+    try:
+        setattr(cfg, key, kind(value))
+    except ValueError:
+        raise ValueError(f"{key} must be {kind.__name__}, got {value!r}") from None
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -127,10 +129,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for key in vars(cfg):
         flag = getattr(args, key, None)
         if flag is not None:
-            if key == "formats":
-                _coerce(cfg, key, flag)
-            else:
-                setattr(cfg, key, flag)
+            _coerce(cfg, key, flag)
     cfg.validate()
     return cfg
 
@@ -264,6 +263,26 @@ def _build(args) -> LomseParams:
                         allow_inadmissible=getattr(args, "allow_inadmissible", False))
 
 
+_SHOOT_FIELDS = ("rel_tol", "conv_tol", "eps_start", "t_max", "max_crossings")
+
+
+def _shoot(params: LomseParams, cfg: RunConfig) -> Trajectory:
+    """The connecting orbit with the settings of cfg it reads, _SHOOT_FIELDS."""
+    return shoot_unstable_manifold(params, eps=cfg.eps_start, t_max=cfg.t_max,
+                                   max_crossings=cfg.max_crossings,
+                                   rel_tol=cfg.rel_tol, conv_tol=cfg.conv_tol)
+
+
+def _write_json(cfg: RunConfig, name: str, payload) -> Path:
+    """Create the output directory and, if json is among the formats, write
+    payload there as name; returns the directory."""
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    if "json" in cfg.formats:
+        (out / name).write_text(dumps_json(payload), encoding="utf-8")
+    return out
+
+
 def _classify_row(params: LomseParams) -> str:
     kind = "center(I)" if params.stability is StabilityType.CENTER_TYPE_I else "spiral(II)"
     return (f"{params.n:>3} {params.p:>3} {params.k:>3}  "
@@ -319,28 +338,18 @@ def _orbit_svgs(out: Path, traj: Trajectory, profile: radial.Profile) -> None:
 def cmd_orbit(args) -> int:
     cfg = build_config(args)
     params = _build(args)
-    traj = shoot_unstable_manifold(
-        params,
-        eps=cfg.eps_start,
-        t_max=cfg.t_max,
-        max_crossings=cfg.max_crossings,
-        rel_tol=cfg.rel_tol,
-        conv_tol=cfg.conv_tol,
-    )
+    traj = _shoot(params, cfg)
     target = args.target_phi if args.target_phi is not None else params.phi0
     report = crossing_report(traj, target)
     profile = radial.to_profile(traj)
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _write_json(cfg, "events.json", report)
     if "csv" in cfg.formats:
         write_csv(out / "trajectory.csv", ["t", "phi", "psi"],
                   zip(traj.t.tolist(), traj.phi.tolist(), traj.psi.tolist()))
         write_csv(out / "profile.csv", ["r", "rho", "rho_r", "rho_rr", "residual"],
                   zip(profile.r.tolist(), profile.rho.tolist(), profile.rho_r.tolist(),
                       profile.rho_rr.tolist(), radial.ode1_residual(profile, params).tolist()))
-    if "json" in cfg.formats:
-        (out / "events.json").write_text(dumps_json(report), encoding="utf-8")
     if "svg" in cfg.formats:
         _orbit_svgs(out, traj, profile)
     print(f"orbit ({params.n},{params.p},{params.k}): {len(traj)} states, "
@@ -353,8 +362,6 @@ def cmd_orbit(args) -> int:
 def cmd_verify(args) -> int:
     cfg = build_config(args)
     params = _build(args)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if params.stability is StabilityType.CENTER_TYPE_I:
         report = barrier.case1_check(params, c=args.c, grid_points=cfg.grid_points)
         payload = {"params": params, "case": 1, **_fields(report)}
@@ -364,6 +371,9 @@ def cmd_verify(args) -> int:
         print(f"  G(lambda^2 phi0^2) = {fmt17(report.g_end)}")
         print(f"  grid margin = {fmt17(report.grid_margin)}")
         ok = report.passed and report.grid_margin > 0.0
+    elif args.c is not None:
+        print("verify: -c applies only to the real-eigenvalue type", file=sys.stderr)
+        return EXIT_USAGE
     else:
         report = barrier.case2_check(params, grid_points=cfg.grid_points,
                                      cycle_grid=(cfg.cycle_grid, cfg.cycle_grid))
@@ -373,8 +383,7 @@ def cmd_verify(args) -> int:
         print(f"  step-1 grid margin = {fmt17(report.g_grid_margin)}")
         print(f"  no-limit-cycle margin (max Y2+X2) = {fmt17(report.cycle_margin)}")
         ok = report.passed
-    if "json" in cfg.formats:
-        (out / "barrier.json").write_text(dumps_json(payload), encoding="utf-8")
+    _write_json(cfg, "barrier.json", payload)
     print("PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_BARRIER_FAILURE
 
@@ -383,10 +392,7 @@ def cmd_geometry(args) -> int:
     cfg = build_config(args)
     params = _build(args)
     report = geometry.geometry_report(params)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if "json" in cfg.formats:
-        (out / "geometry.json").write_text(dumps_json(report), encoding="utf-8")
+    _write_json(cfg, "geometry.json", report)
     print(f"geometry ({params.n},{params.p},{params.k}):")
     print(f"  cos_alpha    = {fmt17(report.cos_alpha)}")
     print(f"  volume_ratio = {fmt17(report.volume_ratio)}")
@@ -399,13 +405,9 @@ def cmd_geometry(args) -> int:
 def cmd_density(args) -> int:
     cfg = build_config(args)
     params = _build(args)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if args.radii:
-        radii = [float(v) for v in args.radii.split(",")]
-        traj = shoot_unstable_manifold(params, eps=cfg.eps_start, t_max=cfg.t_max,
-                                       max_crossings=cfg.max_crossings,
-                                       rel_tol=cfg.rel_tol, conv_tol=cfg.conv_tol)
+    radii = [float(v) for v in args.radii.split(",")] if args.radii else None
+    traj = _shoot(params, cfg)
+    if radii:
         profile = radial.to_profile(traj)
         thetas = [analysis.theta_of_radius(profile, params, r, n_panels=cfg.quad_panels)
                   for r in radii]
@@ -415,18 +417,13 @@ def cmd_density(args) -> int:
             "thetas": thetas,
             "theta_infinity": analysis.theta_infinity(params),
         }
-        if "json" in cfg.formats:
-            (out / "density.json").write_text(dumps_json(payload), encoding="utf-8")
+        _write_json(cfg, "density.json", payload)
         for r, th in zip(radii, thetas):
             print(f"Theta({fmt17(r)}) = {fmt17(th)}")
         print(f"Theta_infinity = {fmt17(payload['theta_infinity'])}")
         return EXIT_OK
-    traj = shoot_unstable_manifold(params, eps=cfg.eps_start, t_max=cfg.t_max,
-                                   max_crossings=cfg.max_crossings,
-                                   rel_tol=cfg.rel_tol, conv_tol=cfg.conv_tol)
     report = analysis.density_report(traj, params, n_panels=cfg.quad_panels)
-    if "json" in cfg.formats:
-        (out / "density.json").write_text(dumps_json(report), encoding="utf-8")
+    _write_json(cfg, "density.json", report)
     print(f"density ({params.n},{params.p},{params.k}): {len(report.thetas)} crossings")
     print(f"  Theta_1 = {fmt17(report.thetas[0])}")
     print(f"  Theta_infinity = {fmt17(report.theta_infinity)}")
@@ -437,15 +434,12 @@ def cmd_density(args) -> int:
 def cmd_maps_check(args) -> int:
     cfg = build_config(args)
     params = build_params(3, 2, 2)
-    import numpy as np
-
-    pts = hopf.random_sphere_points(4, cfg.sample_count, seed=cfg.seed)
-    sv_dev = 0.0
+    pts = hopf.random_sphere_points(params.n + 1, cfg.sample_count, seed=cfg.seed)
+    sv_dev = sum_dev = 0.0
     for x in pts:
         sv = hopf.numeric_singular_values(hopf.hopf_map, x, h=cfg.fd_step)
         sv_dev = max(sv_dev, float(np.max(np.abs(sv - np.array([2.0, 2.0, 0.0])))))
-    sum_dev = hopf.condition_b_check(hopf.hopf_map, params, cfg.sample_count,
-                                     h=cfg.fd_step, seed=cfg.seed)
+        sum_dev = max(sum_dev, abs(hopf.angle_sum(sv, params.theta) - params.n))
     payload = {
         "params": params,
         "samples": cfg.sample_count,
@@ -454,10 +448,7 @@ def cmd_maps_check(args) -> int:
         "max_singular_value_deviation": sv_dev,
         "max_angle_sum_deviation": sum_dev,
     }
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if "json" in cfg.formats:
-        (out / "maps_check.json").write_text(dumps_json(payload), encoding="utf-8")
+    _write_json(cfg, "maps_check.json", payload)
     print(f"witness map over {cfg.sample_count} points:")
     print(f"  max |singular values - (2,2,0)| = {fmt17(sv_dev)}")
     print(f"  max deviation of the angle sum  = {fmt17(sum_dev)}")
@@ -465,24 +456,40 @@ def cmd_maps_check(args) -> int:
 
 
 # ----------------------------------------------------------------------
+# the command-line flag of each RunConfig field that has one
 
-def _add_common(sub: argparse.ArgumentParser, with_triple: bool = True) -> None:
-    if with_triple:
-        sub.add_argument("n", type=int)
-        sub.add_argument("p", type=int)
-        sub.add_argument("k", type=int)
-        sub.add_argument("--allow-inadmissible", action="store_true")
-    sub.add_argument("--config", help=f"config file (or set {CONFIG_ENV_VAR})")
-    sub.add_argument("--out-dir", dest="out_dir")
-    sub.add_argument("--formats", help="comma list from json,csv,svg")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--rel-tol", dest="rel_tol", type=float)
-    sub.add_argument("--conv-tol", dest="conv_tol", type=float)
-    sub.add_argument("--eps", dest="eps_start", type=float)
-    sub.add_argument("--t-max", dest="t_max", type=float)
-    sub.add_argument("--max-crossings", dest="max_crossings", type=int)
-    sub.add_argument("--grid-points", dest="grid_points", type=int)
-    sub.add_argument("--quad-panels", dest="quad_panels", type=int)
+_FLAGS = {
+    "rel_tol": "--rel-tol",
+    "conv_tol": "--conv-tol",
+    "eps_start": "--eps",
+    "t_max": "--t-max",
+    "max_crossings": "--max-crossings",
+    "grid_points": "--grid-points",
+    "quad_panels": "--quad-panels",
+    "sample_count": "--samples",
+    "fd_step": "--step",
+    "seed": "--seed",
+    "out_dir": "--out-dir",
+    "formats": "--formats",
+}
+
+
+def _add_command(sub, name: str, func, help: str, fields: tuple[str, ...],
+                 triple: str | None = "required") -> argparse.ArgumentParser:
+    """Add subcommand name with the triple n p k ("required", "optional" or
+    None), --config, and the flags of out_dir and of fields, the RunConfig
+    fields it reads; build_config coerces their string values."""
+    cmd = sub.add_parser(name, help=help)
+    if triple:
+        for arg in ("n", "p", "k"):
+            cmd.add_argument(arg, type=int, nargs="?" if triple == "optional" else None)
+        cmd.add_argument("--allow-inadmissible", action="store_true")
+    cmd.add_argument("--config", help=f"config file (or set {CONFIG_ENV_VAR})")
+    for field in ("out_dir", *fields):
+        cmd.add_argument(_FLAGS[field], dest=field,
+                         help="comma list from json,csv,svg" if field == "formats" else None)
+    cmd.set_defaults(func=func)
+    return cmd
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -492,41 +499,33 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_cls = sub.add_parser("classify", help="admissibility, constants and stability type")
-    p_cls.add_argument("n", type=int, nargs="?")
-    p_cls.add_argument("p", type=int, nargs="?")
-    p_cls.add_argument("k", type=int, nargs="?")
-    p_cls.add_argument("--allow-inadmissible", action="store_true")
+    # classify writes no files, but callers such as perfbench pass --out-dir to every command
+    p_cls = _add_command(sub, "classify", cmd_classify,
+                         "admissibility, constants and stability type", (), triple="optional")
     p_cls.add_argument("--sweep", nargs=2, type=int, metavar=("N_MAX", "K_MAX"))
-    _add_common(p_cls, with_triple=False)
-    p_cls.set_defaults(func=cmd_classify)
 
-    p_orb = sub.add_parser("orbit", help="shoot the connecting orbit and emit data files")
-    _add_common(p_orb)
+    p_orb = _add_command(sub, "orbit", cmd_orbit,
+                         "shoot the connecting orbit and emit data files",
+                         ("formats", *_SHOOT_FIELDS))
     p_orb.add_argument("--target-phi", dest="target_phi", type=float,
                        help="slope for crossing detection (default: phi0)")
-    p_orb.set_defaults(func=cmd_orbit)
 
-    p_ver = sub.add_parser("verify", help="run the certificate suite for the type")
-    _add_common(p_ver)
+    p_ver = _add_command(sub, "verify", cmd_verify, "run the certificate suite for the type",
+                         ("formats", "grid_points"))
     p_ver.add_argument("-c", type=float, default=None,
                        help="barrier constant override (real-eigenvalue type)")
-    p_ver.set_defaults(func=cmd_verify)
 
-    p_geo = sub.add_parser("geometry", help="closed-form geometric invariants")
-    _add_common(p_geo)
-    p_geo.set_defaults(func=cmd_geometry)
+    _add_command(sub, "geometry", cmd_geometry, "closed-form geometric invariants",
+                 ("formats",))
 
-    p_den = sub.add_parser("density", help="density report (spiral type) or Theta(R) sweep")
-    _add_common(p_den)
+    p_den = _add_command(sub, "density", cmd_density,
+                         "density report (spiral type) or Theta(R) sweep",
+                         ("formats", *_SHOOT_FIELDS, "quad_panels"))
     p_den.add_argument("--radii", help="comma list of radii for a Theta(R) sweep")
-    p_den.set_defaults(func=cmd_density)
 
-    p_map = sub.add_parser("maps-check", help="witness-map singular values and angle sum")
-    _add_common(p_map, with_triple=False)
-    p_map.add_argument("--samples", dest="sample_count", type=int)
-    p_map.add_argument("--step", dest="fd_step", type=float)
-    p_map.set_defaults(func=cmd_maps_check)
+    _add_command(sub, "maps-check", cmd_maps_check,
+                 "witness-map singular values and angle sum",
+                 ("formats", "sample_count", "fd_step", "seed"), triple=None)
 
     return parser
 

@@ -26,6 +26,9 @@ import numpy as np
 from .errors import NotOnSphere, StepOutOfRange
 from .params import LomseParams
 
+DEFAULT_SAMPLE_COUNT = 100
+DEFAULT_FD_STEP = 1e-5
+
 _SPHERE_TOL = 1e-9
 _H_LO, _H_HI = 1e-8, 1e-3
 
@@ -59,7 +62,7 @@ def sphere_tangent_basis(x: np.ndarray) -> np.ndarray:
     return q[:, 1:]
 
 
-def map_differential(map_fn, x, h: float = 1e-5) -> np.ndarray:
+def map_differential(map_fn, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Finite-difference pushforward matrix between tangent spaces.
 
     Column j is the image of the j-th tangent basis vector: central
@@ -84,7 +87,7 @@ def map_differential(map_fn, x, h: float = 1e-5) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def numeric_singular_values(map_fn, x, h: float = 1e-5) -> np.ndarray:
+def numeric_singular_values(map_fn, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Singular values of the tangent-space differential, sorted descending,
     via symmetric eigendecomposition of the Gram matrix J^T J."""
     jac = map_differential(map_fn, x, h)
@@ -93,13 +96,18 @@ def numeric_singular_values(map_fn, x, h: float = 1e-5) -> np.ndarray:
     return np.sqrt(np.clip(eigs, 0.0, None))[::-1]
 
 
-def condition_b_sum(map_fn, x, theta: float, h: float = 1e-5) -> float:
-    """sum_j 1/(cos^2 theta + sin^2 theta lambda_j^2) over all n singular
-    values at x; equals n exactly at the minimality angle."""
+def angle_sum(sv: np.ndarray, theta: float) -> float:
+    """sum_j 1/(cos^2 theta + sin^2 theta lambda_j^2) over the singular
+    values sv of a differential."""
     c2 = math.cos(theta) ** 2
     s2 = math.sin(theta) ** 2
-    sv = numeric_singular_values(map_fn, x, h)
     return float(np.sum(1.0 / (c2 + s2 * sv * sv)))
+
+
+def condition_b_sum(map_fn, x, theta: float, h: float = DEFAULT_FD_STEP) -> float:
+    """angle_sum over all n singular values of map_fn at x; equals n
+    exactly at the minimality angle."""
+    return angle_sum(numeric_singular_values(map_fn, x, h), theta)
 
 
 def random_sphere_points(dim: int, count: int, seed: int = 0) -> np.ndarray:
@@ -109,8 +117,9 @@ def random_sphere_points(dim: int, count: int, seed: int = 0) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def condition_b_check(map_fn, params: LomseParams, sample_count: int = 100,
-                      h: float = 1e-5, seed: int = 0) -> float:
+def condition_b_check(map_fn, params: LomseParams,
+                      sample_count: int = DEFAULT_SAMPLE_COUNT,
+                      h: float = DEFAULT_FD_STEP, seed: int = 0) -> float:
     """Max |sum - n| of the angle condition over random sample points."""
     dim = params.n + 1
     pts = random_sphere_points(dim, sample_count, seed)

@@ -1,0 +1,139 @@
+"""The flag surface of each subcommand: every flag it takes changes an
+output, and the flags it does not read are usage errors."""
+
+import argparse
+import dataclasses
+
+import pytest
+
+from lo_dynamics.cli import EXIT_OK, EXIT_USAGE, RunConfig, main, make_parser
+
+
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    parser = make_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _option_flags(cmd: argparse.ArgumentParser) -> set[str]:
+    return {s for a in cmd._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+OPTION_FLAGS = {
+    "classify": {"--allow-inadmissible", "--config", "--out-dir", "--sweep"},
+    "orbit": {"--allow-inadmissible", "--config", "--conv-tol", "--eps", "--formats",
+              "--max-crossings", "--out-dir", "--rel-tol", "--t-max", "--target-phi"},
+    "verify": {"--allow-inadmissible", "--config", "--formats", "--grid-points",
+               "--out-dir", "-c"},
+    "geometry": {"--allow-inadmissible", "--config", "--formats", "--out-dir"},
+    "density": {"--allow-inadmissible", "--config", "--conv-tol", "--eps", "--formats",
+                "--max-crossings", "--out-dir", "--quad-panels", "--radii", "--rel-tol",
+                "--t-max"},
+    "maps-check": {"--config", "--formats", "--out-dir", "--samples", "--seed", "--step"},
+}
+
+
+def test_option_flags_per_command():
+    flags = {name: _option_flags(cmd) for name, cmd in _commands().items()}
+    assert flags == OPTION_FLAGS
+    assert sum(map(len, flags.values())) == 41
+
+
+# ----------------------------------------------------------------------
+# every config flag a command takes changes its stdout or its files
+
+def _config_flags() -> list[tuple[str, str]]:
+    """(command, flag) for each flag that sets a RunConfig field, but --out-dir."""
+    fields = {f.name for f in dataclasses.fields(RunConfig)} - {"out_dir"}
+    return sorted((name, flag) for name, cmd in _commands().items()
+                  for a in cmd._actions if a.dest in fields for flag in a.option_strings)
+
+
+_ORBIT = ["orbit", "3", "2", "2"]
+_DENSITY = ["density", "3", "2", "4", "--max-crossings", "4", "--quad-panels", "512"]
+_MAPS = ["maps-check", "--samples", "5"]
+
+# (command, flag) -> (base command line, a value of the flag that differs from the base)
+FLAG_CASES = {
+    ("orbit", "--rel-tol"): (_ORBIT, "1e-8"),
+    ("orbit", "--conv-tol"): (_ORBIT, "1e-4"),
+    ("orbit", "--eps"): (_ORBIT, "1e-5"),
+    ("orbit", "--t-max"): (_ORBIT, "5"),
+    ("orbit", "--max-crossings"): (["orbit", "3", "2", "4"], "4"),
+    ("orbit", "--formats"): (_ORBIT, "json"),
+    ("verify", "--grid-points"): (["verify", "3", "2", "2"], "200"),
+    ("verify", "--formats"): (["verify", "3", "2", "2"], "csv"),
+    ("geometry", "--formats"): (["geometry", "3", "2", "2"], "csv"),
+    ("density", "--rel-tol"): (_DENSITY, "1e-8"),
+    ("density", "--eps"): (_DENSITY, "1e-5"),
+    ("density", "--t-max"): (_DENSITY, "8"),
+    ("density", "--max-crossings"): (_DENSITY, "3"),
+    ("density", "--quad-panels"): (_DENSITY, "256"),
+    ("density", "--formats"): (_DENSITY, "csv"),
+    # conv_tol ends type-I orbits only: a looser one cuts the profile short of R = 100
+    ("density", "--conv-tol"): (["density", "3", "2", "2", "--radii", "1,100",
+                                 "--quad-panels", "512"], "1e-2"),
+    ("maps-check", "--samples"): (_MAPS, "6"),
+    ("maps-check", "--step"): (_MAPS, "1e-4"),
+    ("maps-check", "--seed"): (_MAPS, "1"),
+    ("maps-check", "--formats"): (_MAPS, "csv"),
+}
+
+
+def _outputs(argv, out_dir, capsys):
+    """Exit code, stdout and the files written by one run."""
+    capsys.readouterr()
+    rc = main([*argv, "--out-dir", str(out_dir)])
+    files = {f.name: f.read_bytes() for f in out_dir.iterdir()} if out_dir.exists() else {}
+    return rc, capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize("command,flag", _config_flags())
+def test_every_flag_changes_an_output(command, flag, tmp_path, capsys):
+    base, value = FLAG_CASES[command, flag]
+    assert base[0] == command
+    rc, *before = _outputs(base, tmp_path / "base", capsys)
+    assert rc == EXIT_OK
+    _, *after = _outputs([*base, flag, value], tmp_path / "flag", capsys)
+    assert after != before
+
+
+def test_flag_cases_are_all_taken():
+    assert sorted(FLAG_CASES) == _config_flags()
+
+
+# ----------------------------------------------------------------------
+# flags every command took before, whether it read them or not
+
+_FORMER_COMMON = ("--config", "--out-dir", "--formats", "--seed", "--rel-tol", "--conv-tol",
+                  "--eps", "--t-max", "--max-crossings", "--grid-points", "--quad-panels")
+_UNREAD = sorted((name, flag) for name, flags in OPTION_FLAGS.items()
+                 for flag in _FORMER_COMMON if flag not in flags)
+
+
+def test_unread_flag_count():
+    assert len(_UNREAD) == 36
+
+
+@pytest.mark.parametrize("command,flag", _UNREAD)
+def test_unread_flags_are_usage_errors(command, flag, tmp_path, capsys):
+    triple = [] if command == "maps-check" else ["3", "2", "2"]
+    value = "json" if flag == "--formats" else "1"
+    assert main([command, *triple, flag, value, "--out-dir", str(tmp_path)]) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_verify_c_on_spiral_triple_is_usage_error(tmp_path, capsys):
+    argv = ["verify", "3", "2", "4", "-c", "0.3", "--out-dir", str(tmp_path)]
+    assert main(argv) == EXIT_USAGE
+    assert "-c applies only to the real-eigenvalue type" in capsys.readouterr().err
+    assert not (tmp_path / "barrier.json").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--rel-tol", "abc"), ("--max-crossings", "2.5"),
+                                        ("--formats", "bmp")])
+def test_bad_flag_value_is_usage_error(flag, value, tmp_path, capsys):
+    argv = ["orbit", "3", "2", "2", flag, value, "--out-dir", str(tmp_path)]
+    assert main(argv) == EXIT_USAGE
+    assert not any(tmp_path.iterdir())
