@@ -142,6 +142,29 @@ def jacobian(state, params: LomseParams) -> np.ndarray:
     return np.array([[0.0, 1.0], [d21, d22]])
 
 
+def p1_quadratic_bound(params: LomseParams) -> float:
+    """c2 with |F(x) - J x| <= c2 |x|^2 + O(|x|^3) in the max-norm near P1.
+
+    F is offset_field at x = (u, psi), J the linearization at P1.  Only
+    dpsi/dt has a remainder; c2 is half the sum of the absolute second
+    derivatives of X2 = -psi - B C at P1, the mixed one counted twice, with
+    B = f2(phi) psi - f1(phi) phi (zero at P1) and C = 1 + (phi + psi)^2.
+    """
+    phi0 = params.phi0
+    lam2 = params.lambda_sq
+    d = 1.0 + lam2 * phi0 * phi0
+    f1pp = -2.0 * (lam2 - 1.0) * params.p * lam2 * (1.0 - 3.0 * lam2 * phi0 * phi0) / d ** 3
+    f1p = f1_prime(phi0, params)
+    f2v = f2(phi0, params)
+    c = 1.0 + phi0 * phi0
+    c_x = 2.0 * phi0  # dC/dphi = dC/dpsi at P1
+    b_u = -f1p * phi0
+    x2_uu = (f1pp * phi0 + 2.0 * f1p) * c - 2.0 * b_u * c_x
+    x2_up = -(f2_prime(phi0, params) * c + (b_u + f2v) * c_x)
+    x2_pp = -2.0 * f2v * c_x
+    return 0.5 * (abs(x2_uu) + 2.0 * abs(x2_up) + abs(x2_pp))
+
+
 def linearize_origin(params: LomseParams) -> OriginLinearization:
     n, k = params.n, params.k
     mu1 = float(k - 1)

@@ -29,7 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynsys import PhaseState, offset_field
+from .dynsys import (
+    P1Linearization,
+    PhaseState,
+    linearize_p1,
+    offset_field,
+    p1_quadratic_bound,
+)
 from .errors import BlowupDetected, EpsNonpositive
 from .params import LomseParams, StabilityType
 
@@ -129,10 +135,12 @@ class PhiHit:
 class StepStats:
     """Work done by one integration run.
 
-    rhs_evals counts 6 field evaluations per attempted step plus the one
-    at the start (FSAL); an attempt cut short by an overflowing stage
-    counts in full.  h_min and h_max are the smallest and largest accepted
-    steps, None when no step was accepted.
+    accepted and rejected count DP5 steps only.  rhs_evals counts 6 field
+    evaluations per attempted step plus the one at the start (FSAL); an
+    attempt cut short by an overflowing stage counts in full.  h_min and
+    h_max are the smallest and largest accepted DP5 steps, None when no
+    step was accepted.  tail_samples counts the samples of the closed-form
+    spiral tail that follow the DP5 steps (0 when the run never spliced).
     """
 
     accepted: int
@@ -140,6 +148,7 @@ class StepStats:
     rhs_evals: int
     h_min: float | None
     h_max: float | None
+    tail_samples: int = 0
 
 
 @dataclass(frozen=True)
@@ -157,11 +166,12 @@ class Trajectory:
     segment.  phi values are reconstructed as phi0 + u; the offsets keep
     full relative precision long after phi0 + u rounds to phi0.
     Completed trajectories are immutable.  `stats` counts the steps taken;
-    `rejected` is the number of rejected step attempts that led to them.
+    `rejected` is the number of rejected step attempts that led to them and
+    `tail_samples` the number of closed-form samples at the end.
     """
 
     def __init__(self, params, t, u, psi, dpsi, eps_start, tolerances, terminated_by,
-                 rejected=0):
+                 rejected=0, tail_samples=0):
         self.params = params
         self.t = np.asarray(t, dtype=float)
         self.u = np.asarray(u, dtype=float)
@@ -178,13 +188,15 @@ class Trajectory:
         for arr in (self.t, self.u, self.psi, self.dpsi):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("trajectory states must be finite")
-        accepted = len(steps)
+        accepted = len(steps) - tail_samples
+        dp5_steps = steps[:accepted]
         self.stats = StepStats(
             accepted=accepted,
             rejected=rejected,
             rhs_evals=1 + 6 * (accepted + rejected),
-            h_min=float(steps.min()) if accepted else None,
-            h_max=float(steps.max()) if accepted else None,
+            h_min=float(dp5_steps.min()) if accepted else None,
+            h_max=float(dp5_steps.max()) if accepted else None,
+            tail_samples=tail_samples,
         )
 
     def __len__(self) -> int:
@@ -221,15 +233,61 @@ class Trajectory:
         return PhaseState(self.phi_at(t), self.psi_at(t), t)
 
 
+def splice_amplitude(params: LomseParams, rel_tol: float) -> float:
+    """The amplitude delta below which a spiral run continues in closed form.
+
+    Within max(|u|, |psi|) <= delta the field's quadratic remainder
+    |F(x) - J x| stays below rel_tol/10 of max(|u|, |psi|): its Taylor bound
+    p1_quadratic_bound * |x|^2 reaches that at 2 delta, and the factor 2
+    covers the cubic terms and rounding.
+    """
+    return rel_tol / (20.0 * p1_quadratic_bound(params))
+
+
+def _linear_tail(lin: P1Linearization, t0, u0, psi0, h, t_max):
+    """exp(J tau) (u0, psi0) at t0 + h, t0 + 2h, ... around a spiral P1.
+
+    J = [[0, 1], [a, b]] has eigenvalues alpha +- i omega, so
+    exp(J tau) x = e^{alpha tau} (x cos(omega tau) + (J - alpha I) x
+    sin(omega tau) / omega), and dpsi = a u + b psi is exact.  The grid ends
+    with a sample at t_max exactly, or at least one step after the max-norm
+    bound e^{alpha tau} (1 + |J - alpha I| / omega) max(|u0|, |psi0|) has
+    fallen to _DEEP_FLOOR, whichever comes first.
+    """
+    a, b = lin.a, lin.b
+    alpha, omega = lin.mu3.real, lin.mu3.imag
+    growth = 1.0 + max(abs(alpha) + 1.0, abs(a) + abs(b - alpha)) / omega
+    tau_floor = math.log(_DEEP_FLOOR / (growth * max(abs(u0), abs(psi0)))) / alpha
+    tau = h * np.arange(1, math.floor(min(t_max - t0, tau_floor) / h) + 2)
+    t = t0 + tau
+    if t[-1] >= t_max:
+        keep = t < t_max
+        t = np.append(t[keep], t_max)
+        tau = np.append(tau[keep], t_max - t0)
+    decay = np.exp(alpha * tau)
+    cos = np.cos(omega * tau)
+    sin = np.sin(omega * tau) / omega
+    u = decay * (u0 * cos + (psi0 - alpha * u0) * sin)
+    psi = decay * (psi0 * cos + (a * u0 + (b - alpha) * psi0) * sin)
+    return t, u, psi, a * u + b * psi
+
+
 def _advance(params, t0, u0, psi0, t_max, rel_tol, abs_tol, *,
-             conv_tol=None, max_crossings=None, h_max=_H_MAX):
+             conv_tol=None, max_crossings=None, h_max=_H_MAX, tail=None):
     """Adaptive DP5(4) driver in deviation coordinates.
 
     Error is measured against abs_tol + rel_tol * |state|, where |state| is
     the max-norm over both components; using the joint norm keeps the scale
     well defined when psi passes through zero.
+
+    With tail, the spiral linearization at P1, the run leaves the DP5 loop
+    at the first accepted state of amplitude below splice_amplitude and
+    appends _linear_tail samples spaced by the last accepted step, cut by
+    the loop's stop rules: the deep floor, max_crossings sign changes of
+    psi and t_max, tested in that order on each sample.
     """
     field = offset_field(params)
+    delta = splice_amplitude(params, rel_tol) if tail is not None else 0.0
     phi0 = params.phi0
     blowup_at = _BLOWUP_FACTOR * phi0
     if math.hypot(phi0 + u0, psi0) > blowup_at:
@@ -254,6 +312,7 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, abs_tol, *,
     err_prev = 1.0
     crossings = 0
     rejected = 0
+    tail_samples = 0
     reason = None
     # PI controller exponents for an order-4 error estimate
     alpha, beta = 0.17, 0.04
@@ -306,6 +365,7 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, abs_tol, *,
             else:
                 fac = 0.9 * err ** (-alpha) * err_prev ** beta
             err_prev = max(err, 1e-4)
+            t_prev = t
             t = t_max if is_last else t + h
             if (psi < 0.0 < psi_new) or (psi_new < 0.0 < psi):
                 crossings += 1
@@ -331,6 +391,25 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, abs_tol, *,
             if max_crossings is not None and crossings >= max_crossings:
                 reason = Termination.MAX_CROSSINGS
                 break
+            if amp < delta and t < t_max:
+                tt, tu, tpsi, tdpsi = _linear_tail(tail, t, u, psi, t - t_prev, t_max)
+                count = crossings + np.cumsum(
+                    _strict_sign_change(np.concatenate(([psi], tpsi))))
+                floor = np.maximum(np.abs(tu), np.abs(tpsi)) < _DEEP_FLOOR
+                full = count >= (max_crossings if max_crossings is not None else math.inf)
+                stop = int(np.flatnonzero(floor | full | (tt >= t_max))[0])
+                if floor[stop]:
+                    reason = Termination.CONVERGED_TO_P1
+                elif full[stop]:
+                    reason = Termination.MAX_CROSSINGS
+                else:
+                    reason = Termination.MAX_TIME
+                tail_samples = stop + 1
+                ts.extend(tt[:tail_samples].tolist())
+                us.extend(tu[:tail_samples].tolist())
+                psis.extend(tpsi[:tail_samples].tolist())
+                dpsis.extend(tdpsi[:tail_samples].tolist())
+                break
             h = min(h * min(fac, 10.0), h_max)
         else:
             rejected += 1
@@ -339,7 +418,7 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, abs_tol, *,
             if h < _H_MIN:
                 raise RuntimeError(f"step size underflow at t={t:.6g}")
 
-    return ts, us, psis, dpsis, reason, rejected
+    return ts, us, psis, dpsis, reason, rejected, tail_samples
 
 
 def shoot_unstable_manifold(params: LomseParams,
@@ -372,7 +451,8 @@ def shoot_unstable_manifold(params: LomseParams,
     t_start = math.log(eps) / mu1
 
     type_one = params.stability is StabilityType.CENTER_TYPE_I
-    ts, us, psis, dpsis, reason, rejected = _advance(
+    lin = linearize_p1(params)
+    ts, us, psis, dpsis, reason, rejected, tail_samples = _advance(
         params,
         t_start,
         phi_start - params.phi0,
@@ -382,8 +462,10 @@ def shoot_unstable_manifold(params: LomseParams,
         abs_tol,
         conv_tol=conv_tol if type_one else None,
         max_crossings=None if type_one else max_crossings,
+        tail=lin if lin.spiral and not type_one else None,
     )
-    return Trajectory(params, ts, us, psis, dpsis, eps, (rel_tol, abs_tol), reason, rejected)
+    return Trajectory(params, ts, us, psis, dpsis, eps, (rel_tol, abs_tol), reason, rejected,
+                      tail_samples)
 
 
 def adaptive_integrate(params: LomseParams,
@@ -394,7 +476,7 @@ def adaptive_integrate(params: LomseParams,
     """Adaptive integration from an arbitrary interior state to t_end."""
     if t_end <= state0.t:
         raise ValueError(f"t_end={t_end} must exceed state0.t={state0.t}")
-    ts, us, psis, dpsis, reason, rejected = _advance(
+    ts, us, psis, dpsis, reason, rejected, _ = _advance(
         params, state0.t, state0.phi - params.phi0, state0.psi,
         t_end, rel_tol, abs_tol,
     )
