@@ -273,6 +273,15 @@ def _shoot(params: LomseParams, cfg: RunConfig) -> Trajectory:
                                    rel_tol=cfg.rel_tol, conv_tol=cfg.conv_tol)
 
 
+def _conv_tol_misused(args, params: LomseParams) -> bool:
+    """Report --conv-tol on a spiral triple, whose runs never read it."""
+    if args.conv_tol is None or params.stability is StabilityType.CENTER_TYPE_I:
+        return False
+    print(f"{args.command}: --conv-tol applies only to the real-eigenvalue type",
+          file=sys.stderr)
+    return True
+
+
 def _write_json(cfg: RunConfig, name: str, payload) -> Path:
     """Create the output directory and, if json is among the formats, write
     payload there as name; returns the directory."""
@@ -338,6 +347,8 @@ def _orbit_svgs(out: Path, traj: Trajectory, profile: radial.Profile) -> None:
 def cmd_orbit(args) -> int:
     cfg = build_config(args)
     params = _build(args)
+    if _conv_tol_misused(args, params):
+        return EXIT_USAGE
     traj = _shoot(params, cfg)
     target = args.target_phi if args.target_phi is not None else params.phi0
     report = crossing_report(traj, target)
@@ -402,10 +413,19 @@ def cmd_geometry(args) -> int:
     return EXIT_OK
 
 
+def _radius(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"radii must be a comma list of floats, got {text!r}") from None
+
+
 def cmd_density(args) -> int:
     cfg = build_config(args)
     params = _build(args)
-    radii = [float(v) for v in args.radii.split(",")] if args.radii else None
+    if _conv_tol_misused(args, params):
+        return EXIT_USAGE
+    radii = [_radius(v) for v in args.radii.split(",")] if args.radii else None
     traj = _shoot(params, cfg)
     if radii:
         profile = radial.to_profile(traj)

@@ -131,6 +131,24 @@ def test_verify_c_on_spiral_triple_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "barrier.json").exists()
 
 
+@pytest.mark.parametrize("command", ["orbit", "density"])
+def test_conv_tol_on_spiral_triple_is_usage_error(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [command, "3", "2", "4", "--conv-tol", "0.5", "--out-dir", str(out)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{command}: --conv-tol applies only to the real-eigenvalue type" in err
+    assert not out.exists()
+
+
+def test_bad_radii_name_the_flag(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["density", "3", "2", "2", "--radii", "1,x", "--out-dir", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert "error: radii must be a comma list of floats, got 'x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--rel-tol", "abc"), ("--max-crossings", "2.5"),
                                         ("--formats", "bmp")])
 def test_bad_flag_value_is_usage_error(flag, value, tmp_path, capsys):
