@@ -1,0 +1,255 @@
+"""The closed-form spiral tail: its splice amplitude, its formula, its stop
+rules, and its agreement with DP5 and with an mpmath Taylor integration.
+
+The agreement bounds are set from measurement at the default rel_tol of
+1e-10, within a factor of two above the largest value measured over the
+triples of each test; each test's comment gives that value.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+import lo_dynamics.integrate as integrate
+from lo_dynamics import (
+    StabilityType,
+    Termination,
+    Trajectory,
+    build_params,
+    detect_phi_hits,
+    detect_psi_zeros,
+    enumerate_admissible,
+    linearize_p1,
+    shoot_unstable_manifold,
+)
+from lo_dynamics.dynsys import offset_field
+from lo_dynamics.integrate import (
+    _DEEP_FLOOR,
+    DEFAULT_MAX_CROSSINGS,
+    DEFAULT_REL_TOL,
+    _advance,
+    _linear_tail,
+    _strict_sign_change,
+    splice_amplitude,
+)
+
+_SPIRAL_PARAMS = [p for p in enumerate_admissible(31, 20)
+                  if p.stability is StabilityType.SPIRAL_TYPE_II]
+
+
+@pytest.fixture(scope="module")
+def spirals(table_trajs):
+    return {p.triple(): table_trajs[p.triple()] for p in _SPIRAL_PARAMS}
+
+
+@pytest.fixture
+def dp5_only(monkeypatch):
+    """shoot_unstable_manifold with the splice switched off: DP5 to the end."""
+    monkeypatch.setattr(integrate, "splice_amplitude", lambda params, rel_tol: 0.0)
+    return shoot_unstable_manifold
+
+
+def _amp(traj):
+    return np.maximum(np.abs(traj.u), np.abs(traj.psi))
+
+
+def test_table_has_17_spiral_triples():
+    assert len(_SPIRAL_PARAMS) == 17
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, DEFAULT_REL_TOL])
+@pytest.mark.parametrize("params", _SPIRAL_PARAMS, ids=lambda p: str(p.triple()))
+def test_splice_amplitude_bounds_field_remainder(params, rel_tol):
+    # on and inside the max-norm square of radius delta around P1, the field
+    # departs from its linearization by at most rel_tol/10 of the amplitude
+    delta = splice_amplitude(params, rel_tol)
+    lin = linearize_p1(params)
+    field = offset_field(params)
+    theta = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+    side = np.maximum(np.abs(np.cos(theta)), np.abs(np.sin(theta)))
+    worst = {}
+    for scale in (1.0, 0.5, 1e-3):
+        ratios = []
+        for c, s, m in zip(np.cos(theta), np.sin(theta), side):
+            u, psi = scale * delta * c / m, scale * delta * s / m
+            du, dpsi = field(u, psi)
+            assert du == psi
+            ratios.append(abs(dpsi - (lin.a * u + lin.b * psi)) / max(abs(u), abs(psi)))
+        worst[scale] = max(ratios)
+    assert max(worst.values()) <= rel_tol / 10.0
+    # the Taylor bound is reached at the square's corners: delta is not
+    # chosen far smaller than the bound allows
+    assert worst[1.0] >= rel_tol / 40.0
+
+
+@pytest.mark.parametrize("triple", [(3, 2, 4), (5, 4, 6)])
+def test_linear_tail_is_the_matrix_exponential(triple):
+    params = build_params(*triple)
+    lin = linearize_p1(params)
+    u0, psi0, h = 1e-13, -2e-13, 0.01
+    t, u, psi, dpsi = _linear_tail(lin, 10.0, u0, psi0, h, 13.0)
+    assert t[-1] == 13.0
+    assert np.all(np.diff(t) > 0.0)
+    np.testing.assert_allclose(np.diff(t)[:-1], h, rtol=1e-12)
+    assert np.array_equal(dpsi, lin.a * u + lin.b * psi)
+    jac = np.array([[0.0, 1.0], [lin.a, lin.b]])
+    vals, vecs = np.linalg.eig(jac)
+    coef = np.linalg.solve(vecs, np.array([u0, psi0], dtype=complex))
+    tau = t - 10.0
+    exact = (vecs @ (coef[:, None] * np.exp(np.outer(vals, tau)))).real
+    amp = np.maximum(np.abs(exact[0]), np.abs(exact[1]))
+    assert np.max(np.abs(u - exact[0]) / amp) < 1e-13
+    assert np.max(np.abs(psi - exact[1]) / amp) < 1e-13
+
+
+def test_type_one_runs_never_splice(table_trajs):
+    for triple, traj in table_trajs.items():
+        if traj.params.stability is StabilityType.CENTER_TYPE_I:
+            assert traj.stats.tail_samples == 0, triple
+            assert traj.stats.accepted == len(traj) - 1, triple
+
+
+@pytest.mark.parametrize("triple", [(3, 2, 4), (5, 4, 6), (5, 4, 20)])
+def test_spliced_run_keeps_the_dp5_prefix(triple, spirals, dp5_only):
+    traj = spirals[triple]
+    dp5 = dp5_only(traj.params)
+    s = traj.stats.accepted
+    for name in ("t", "u", "psi", "dpsi"):
+        assert np.array_equal(getattr(traj, name)[:s + 1], getattr(dp5, name)[:s + 1]), name
+    assert dp5.stats.tail_samples == 0
+
+
+def test_splice_grid_and_stop_rules(spirals):
+    for triple, traj in spirals.items():
+        params, stats = traj.params, traj.stats
+        s = stats.accepted
+        amp = _amp(traj)
+        # the splice state is the first DP5 state below delta
+        delta = splice_amplitude(params, DEFAULT_REL_TOL)
+        assert amp[s] < delta <= amp[:s].min(), triple
+        assert stats.tail_samples == len(traj) - 1 - s > 0, triple
+        h = traj.t[s] - traj.t[s - 1]
+        np.testing.assert_allclose(np.diff(traj.t[s:]), h, rtol=1e-9)
+        lin = linearize_p1(params)
+        tail = slice(s + 1, None)
+        assert np.array_equal(traj.dpsi[tail], lin.a * traj.u[tail] + lin.b * traj.psi[tail])
+        changes = _strict_sign_change(traj.psi)
+        if triple == (5, 4, 6):
+            # stops at the first sample below the deep floor
+            assert traj.terminated_by is Termination.CONVERGED_TO_P1
+            assert amp[-1] < _DEEP_FLOOR <= amp[:-1].min()
+            assert changes.sum() < DEFAULT_MAX_CROSSINGS
+        else:
+            # stops at the first sample past the 40th sign change
+            assert traj.terminated_by is Termination.MAX_CROSSINGS, triple
+            assert changes.sum() == DEFAULT_MAX_CROSSINGS and changes[-1], triple
+            assert amp.min() >= _DEEP_FLOOR, triple
+
+
+def test_tail_stops_at_t_max_and_max_crossings(p324):
+    timed = shoot_unstable_manifold(p324, t_max=30.0, max_crossings=10 ** 6)
+    assert timed.terminated_by is Termination.MAX_TIME
+    assert timed.t_end == 30.0 and timed.stats.tail_samples > 0
+    assert timed.t[-2] < 30.0 - 0.5 * (timed.t[-3] - timed.t[-4])
+    counted = shoot_unstable_manifold(p324, max_crossings=20)
+    changes = _strict_sign_change(counted.psi)
+    assert counted.terminated_by is Termination.MAX_CROSSINGS
+    assert counted.stats.tail_samples > 0
+    assert changes.sum() == 20 and changes[-1]
+    assert len(detect_psi_zeros(counted)) == 20
+
+
+def _continuation(traj):
+    """DP5 from the splice state to the same stop rules, without a tail."""
+    s = traj.stats.accepted
+    before = int(_strict_sign_change(traj.psi[:s + 1]).sum())
+    rel_tol, abs_tol = traj.tolerances
+    ts, us, psis, dpsis, reason, rejected, tail = _advance(
+        traj.params, float(traj.t[s]), float(traj.u[s]), float(traj.psi[s]),
+        integrate.DEFAULT_T_MAX, rel_tol, abs_tol,
+        max_crossings=DEFAULT_MAX_CROSSINGS - before)
+    assert tail == 0
+    return Trajectory(traj.params, ts, us, psis, dpsis, None, traj.tolerances, reason,
+                      rejected)
+
+
+def test_tail_matches_dp5_continuation(spirals):
+    # measured over the 17 triples: 3.6e-8 in zero times, 9.3e-8 relative
+    # in zero offsets, 3.4e-8 in hit times, all on (5,4,6); this is the
+    # continuation's own error (see test_spliced_zeros_match_fine_dp5)
+    for triple, traj in spirals.items():
+        cont = _continuation(traj)
+        assert cont.terminated_by is traj.terminated_by, triple
+        t_splice = traj.t[traj.stats.accepted]
+        tail_zeros = [z for z in detect_psi_zeros(traj) if z.t > t_splice]
+        cont_zeros = detect_psi_zeros(cont)
+        assert len(tail_zeros) == len(cont_zeros) > 0, triple
+        for a, b in zip(tail_zeros, cont_zeros):
+            assert abs(a.t - b.t) <= 5e-8, triple
+            assert abs(a.phi_offset - b.phi_offset) <= 1.5e-7 * abs(b.phi_offset), triple
+            assert a.direction == b.direction, triple
+        phi0 = traj.params.phi0
+        tail_hits = [h for h in detect_phi_hits(traj, phi0) if h.t > t_splice]
+        cont_hits = detect_phi_hits(cont, phi0)
+        assert len(tail_hits) == len(cont_hits), triple
+        for a, b in zip(tail_hits, cont_hits):
+            assert abs(a.t - b.t) <= 5e-8, triple
+
+
+@pytest.mark.parametrize("triple", [(3, 2, 4), (5, 4, 6), (5, 4, 12), (5, 4, 20)])
+def test_spliced_zeros_match_fine_dp5(triple, spirals, dp5_only):
+    # against DP5 at rel_tol 1e-13 the spliced zero offsets agree to 1.8e-8
+    # relative on (5,4,6) and 7.1e-9 on the others, while default DP5
+    # without the splice is off by up to 9.2e-8 (5,4,6) and 5.6e-8 (5,4,12).
+    # (5,4,6)'s 1.8e-8 is the cubic Hermite dense output on the tail grid
+    # (h |mu3| = 0.042): the zeros of the exact linear flow from the same
+    # splice state differ from the detected ones by as much.
+    traj = spirals[triple]
+    ref = detect_psi_zeros(dp5_only(traj.params, rel_tol=1e-13))
+    zeros = detect_psi_zeros(traj)
+    assert len(zeros) == len(ref)
+    for a, b in zip(zeros, ref):
+        assert abs(a.phi_offset - b.phi_offset) <= 3e-8 * abs(b.phi_offset)
+
+
+def test_mpmath_zeros_straddling_the_splice(spirals):
+    # Taylor integration at 20 digits of the same launch in offset
+    # variables; zeros 1-5 come before the splice, 6-8 after it
+    traj = spirals[(3, 2, 4)]
+    params = traj.params
+    zeros = detect_psi_zeros(traj)[:8]
+    t_splice = traj.t[traj.stats.accepted]
+    assert zeros[4].t < t_splice < zeros[5].t
+    n, p, big_k = params.n, params.p, params.big_k
+    with mpmath.workdps(20):
+        lam2 = mpmath.mpf(params.lambda_sq_num) / params.lambda_sq_den
+        phi0 = mpmath.sqrt(mpmath.mpf(p * (big_k - n)) / (big_k * (n - p)))
+
+        def field(_, y):
+            u, psi = y
+            phi = phi0 + u
+            den = 1 + lam2 * phi * phi
+            f1_phi = -(n - p) * lam2 * u * (phi + phi0) / den * phi
+            f2 = (n - p) + p / den
+            return [psi, -psi - (f2 * psi - f1_phi) * (1 + (phi + psi) ** 2)]
+
+        eps = mpmath.mpf(traj.eps_start)
+        mu1 = params.k - 1
+        norm_v1 = mpmath.sqrt(1 + mu1 * mu1)
+        sol = mpmath.odefun(field, mpmath.log(eps) / mu1,
+                            [eps / norm_v1 - phi0, eps * mu1 / norm_v1])
+        exact = []
+        for z in zeros:
+            tz = mpmath.findroot(lambda s: sol(s)[1], mpmath.mpf(z.t))
+            exact.append((float(tz), float(sol(tz)[0])))
+    t1 = exact[0][0]
+    for z, (tz, uz) in zip(zeros, exact):
+        assert abs(z.phi_offset - uz) <= 1e-8 * abs(uz)
+        # measured 1.4e-9 on the time since the first zero
+        assert abs((z.t - zeros[0].t) - (tz - t1)) <= 3e-9
+        # every float zero comes 2.48e-6 early: the launch steps control
+        # psi ~ 1e-6 only to rel_tol * |u| with |u| ~ phi0, which shifts the
+        # whole orbit in t without changing its offsets
+        assert abs(z.t - tz) <= 3e-6
