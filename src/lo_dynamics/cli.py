@@ -16,7 +16,9 @@ environment variable; command-line flags win over the file.  Keys match
 the RunConfig field names; the formats value is a comma list such as
 "json,csv,svg".  One file serves every subcommand: each ignores the keys
 it does not read and takes flags only for the ones it reads (see its
---help); any other flag, and any unknown key, exits 2.
+--help); any other flag, and any unknown key, exits 2.  verify -c and the
+--conv-tol of orbit and density act on the real-eigenvalue type only and
+exit 2 on a spiral triple.
 
 All numbers are serialized with 17 significant digits; CSV columns are
 fixed (trajectory.csv: t,phi,psi; profile.csv: r,rho,rho_r,rho_rr,residual)

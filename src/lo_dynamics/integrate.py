@@ -13,8 +13,19 @@ down to ~1e-290.
 Integrator: embedded Dormand-Prince 5(4) pair with PI step-size control.
 Each attempted step evaluates the field 6 times: the 7th stage, taken at
 the 5th-order solution, is the first stage of the next step (FSAL).
-Trajectory.stats records the accepted and rejected steps, the field
-evaluations (1 + 6 per attempt) and the smallest and largest accepted step.
+
+Spiral tail: once a spiral run's amplitude max(|u|, |psi|) falls below
+splice_amplitude, delta = rel_tol / (20 c2) with c2 the bound of the
+field's quadratic remainder at P1 (dynsys.p1_quadratic_bound), the
+remainder is below rel_tol/10 of the state and the run stops taking DP5
+steps.  It continues with the linear flow exp(J tau) x* in closed form,
+sampled on a uniform grid spaced by the last accepted DP5 step, with
+dpsi = a u + b psi, until the loop's own stop rules end it.  The samples
+go into the same columns, so everything downstream has one code path.
+
+Trajectory.stats records the accepted and rejected DP5 steps, the field
+evaluations (1 + 6 per attempt), the smallest and largest accepted step
+and the number of closed-form tail samples.
 Dense output is cubic Hermite on (state, derivative) at step endpoints;
 events are refined by bisection on the interpolant to 1e-12 in t.
 A classical fixed-step RK4 in plain (phi, psi) coordinates serves as the
@@ -280,11 +291,12 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, abs_tol, *,
     the max-norm over both components; using the joint norm keeps the scale
     well defined when psi passes through zero.
 
-    With tail, the spiral linearization at P1, the run leaves the DP5 loop
-    at the first accepted state of amplitude below splice_amplitude and
-    appends _linear_tail samples spaced by the last accepted step, cut by
-    the loop's stop rules: the deep floor, max_crossings sign changes of
-    psi and t_max, tested in that order on each sample.
+    With tail, the spiral linearization at P1 (which needs max_crossings),
+    the run leaves the DP5 loop at the first accepted state of amplitude
+    below splice_amplitude and appends _linear_tail samples spaced by the
+    last accepted step, cut by the loop's stop rules: the deep floor,
+    max_crossings sign changes of psi and t_max, tested in that order on
+    each sample.
     """
     field = offset_field(params)
     delta = splice_amplitude(params, rel_tol) if tail is not None else 0.0
@@ -396,7 +408,7 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, abs_tol, *,
                 count = crossings + np.cumsum(
                     _strict_sign_change(np.concatenate(([psi], tpsi))))
                 floor = np.maximum(np.abs(tu), np.abs(tpsi)) < _DEEP_FLOOR
-                full = count >= (max_crossings if max_crossings is not None else math.inf)
+                full = count >= max_crossings
                 stop = int(np.flatnonzero(floor | full | (tt >= t_max))[0])
                 if floor[stop]:
                     reason = Termination.CONVERGED_TO_P1
@@ -436,6 +448,7 @@ def shoot_unstable_manifold(params: LomseParams,
 
     Termination: distance to (phi0, 0) below conv_tol for the real-eigenvalue
     type; max_crossings psi sign changes for the spiral type; t_max otherwise.
+    Spiral runs continue in closed form below splice_amplitude.
 
     abs_tol defaults to 0 (pure relative control): the spiral must stay
     accurate relative to its own amplitude far below any fixed absolute
