@@ -159,7 +159,7 @@ class StepStats:
     rhs_evals: int
     h_min: float | None
     h_max: float | None
-    tail_samples: int = 0
+    tail_samples: int
 
 
 @dataclass(frozen=True)
@@ -464,7 +464,6 @@ def shoot_unstable_manifold(params: LomseParams,
     t_start = math.log(eps) / mu1
 
     type_one = params.stability is StabilityType.CENTER_TYPE_I
-    lin = linearize_p1(params)
     ts, us, psis, dpsis, reason, rejected, tail_samples = _advance(
         params,
         t_start,
@@ -475,7 +474,7 @@ def shoot_unstable_manifold(params: LomseParams,
         abs_tol,
         conv_tol=conv_tol if type_one else None,
         max_crossings=None if type_one else max_crossings,
-        tail=lin if lin.spiral and not type_one else None,
+        tail=None if type_one else linearize_p1(params),
     )
     return Trajectory(params, ts, us, psis, dpsis, eps, (rel_tol, abs_tol), reason, rejected,
                       tail_samples)

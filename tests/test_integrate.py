@@ -232,20 +232,24 @@ def test_tolerances_recorded(traj322):
     assert rel == 1e-10 and abs_ == 0.0
 
 
-# accepted DP5 steps, closed-form tail samples and termination of the
-# session fixtures; (5,4,6) stops at the deep floor before 40 crossings
-@pytest.mark.parametrize("fixture, accepted, tail, reason", [
-    ("traj322", 727, 0, Termination.CONVERGED_TO_P1),
-    ("traj324", 1104, 6639, Termination.MAX_CROSSINGS),
-    ("traj542", 823, 0, Termination.CONVERGED_TO_P1),
-    ("traj546", 1071, 15482, Termination.CONVERGED_TO_P1),
+# closed-form tail samples after the DP5 steps; type-I runs have none
+_TAIL_SAMPLES = {"traj324": 6639, "traj546": 15482}
+
+
+# accepted DP5 steps and termination of the session fixtures; (5,4,6)
+# stops at the deep floor before 40 crossings
+@pytest.mark.parametrize("fixture, accepted, reason", [
+    ("traj322", 727, Termination.CONVERGED_TO_P1),
+    ("traj324", 1104, Termination.MAX_CROSSINGS),
+    ("traj542", 823, Termination.CONVERGED_TO_P1),
+    ("traj546", 1071, Termination.CONVERGED_TO_P1),
 ])
-def test_step_sequence_pinned(request, fixture, accepted, tail, reason):
+def test_step_sequence_pinned(request, fixture, accepted, reason):
     traj = request.getfixturevalue(fixture)
     stats = traj.stats
     assert traj.terminated_by is reason
     assert stats.accepted == accepted
-    assert stats.tail_samples == tail
+    assert stats.tail_samples == _TAIL_SAMPLES.get(fixture, 0)
     assert stats.accepted + stats.tail_samples == len(traj) - 1
     assert stats.rejected == 0
     assert stats.rhs_evals == 1 + 6 * (stats.accepted + stats.rejected)
