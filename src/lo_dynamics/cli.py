@@ -6,8 +6,8 @@ Exit codes (public contract):
     2  usage / invalid arguments
     3  inadmissible triple without --allow-inadmissible
     4  integration blowup
-    5  certificate failure (verify: barrier; density: not strictly below
-       the cone density)
+    5  certificate failure (verify: barrier; density: a crossing's density
+       not strictly below the cone density, or not resolved from it)
     6  wrong stability type for the requested report
 
 Configuration: a flat key = value text file (one pair per line, '#'
@@ -444,13 +444,18 @@ def cmd_density(args) -> int:
             print(f"Theta({fmt17(r)}) = {fmt17(th)}")
         print(f"Theta_infinity = {fmt17(payload['theta_infinity'])}")
         return EXIT_OK
-    report = analysis.density_report(traj, params, n_panels=cfg.quad_panels)
+    report = analysis.density_report(traj, n_panels=cfg.quad_panels)
     _write_json(cfg, "density.json", report)
-    print(f"density ({params.n},{params.p},{params.k}): {len(report.thetas)} crossings")
+    gaps, errors = report.log10_gaps, report.log10_gap_errors
+    print(f"density ({params.n},{params.p},{params.k}): {len(gaps)} crossings")
     print(f"  Theta_1 = {fmt17(report.thetas[0])}")
+    print(f"  Theta_1_simpson = {fmt17(report.theta_1_simpson)}")
     print(f"  Theta_infinity = {fmt17(report.theta_infinity)}")
+    for i in (0, len(gaps) - 1):
+        print(f"  log10_gap_{i + 1} = {fmt17(gaps[i])} (error bar 10^{fmt17(errors[i])})")
+    print(f"  resolved gaps = {sum(e < g for g, e in zip(gaps, errors))} of {len(gaps)}")
     print(f"  strictly_below_cone = {report.strictly_below_cone}")
-    return EXIT_OK if report.strictly_below_cone else EXIT_BARRIER_FAILURE
+    return EXIT_OK if report.strictly_below_cone is True else EXIT_BARRIER_FAILURE
 
 
 def cmd_maps_check(args) -> int:

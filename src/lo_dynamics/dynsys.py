@@ -165,6 +165,16 @@ def p1_quadratic_bound(params: LomseParams) -> float:
     return 0.5 * (abs(x2_uu) + 2.0 * abs(x2_up) + abs(x2_pp))
 
 
+def spiral_flow_growth(lin: P1Linearization) -> float:
+    """G with |exp(J tau) x| <= G e^{alpha tau} |x| in the max-norm around a
+    spiral P1 (eigenvalues alpha +- i omega): exp(J tau) x = e^{alpha tau}
+    (x cos(omega tau) + (J - alpha I) x sin(omega tau) / omega), and the
+    max-norm of J - alpha I = [[-alpha, 1], [a, b - alpha]] is its larger
+    absolute row sum."""
+    alpha, omega = lin.mu3.real, lin.mu3.imag
+    return 1.0 + max(abs(alpha) + 1.0, abs(lin.a) + abs(lin.b - alpha)) / omega
+
+
 def linearize_origin(params: LomseParams) -> OriginLinearization:
     n, k = params.n, params.k
     mu1 = float(k - 1)

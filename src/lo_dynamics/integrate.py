@@ -46,6 +46,7 @@ from .dynsys import (
     linearize_p1,
     offset_field,
     p1_quadratic_bound,
+    spiral_flow_growth,
 )
 from .errors import BlowupDetected, EpsNonpositive
 from .params import LomseParams, StabilityType
@@ -262,13 +263,12 @@ def _linear_tail(lin: P1Linearization, t0, u0, psi0, h, t_max):
     exp(J tau) x = e^{alpha tau} (x cos(omega tau) + (J - alpha I) x
     sin(omega tau) / omega), and dpsi = a u + b psi is exact.  The grid ends
     with a sample at t_max exactly, or at least one step after the max-norm
-    bound e^{alpha tau} (1 + |J - alpha I| / omega) max(|u0|, |psi0|) has
-    fallen to _DEEP_FLOOR, whichever comes first.
+    bound e^{alpha tau} spiral_flow_growth max(|u0|, |psi0|) has fallen to
+    _DEEP_FLOOR, whichever comes first.
     """
     a, b = lin.a, lin.b
     alpha, omega = lin.mu3.real, lin.mu3.imag
-    growth = 1.0 + max(abs(alpha) + 1.0, abs(a) + abs(b - alpha)) / omega
-    tau_floor = math.log(_DEEP_FLOOR / (growth * max(abs(u0), abs(psi0)))) / alpha
+    tau_floor = math.log(_DEEP_FLOOR / (spiral_flow_growth(lin) * max(abs(u0), abs(psi0)))) / alpha
     tau = h * np.arange(1, math.floor(min(t_max - t0, tau_floor) / h) + 2)
     t = t0 + tau
     if t[-1] >= t_max:

@@ -205,7 +205,7 @@ def test_criterion_10_multiplicity():
 
 def test_criterion_11_non_minimizing():
     params = _params(3, 2, 4)
-    report = density_report(_shot(3, 2, 4), params)
+    report = density_report(_shot(3, 2, 4))
     assert np.all(np.diff(report.thetas) > -1e-9)
     assert report.thetas[0] < report.theta_infinity - 1e-9
     assert report.strictly_below_cone

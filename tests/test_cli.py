@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -166,10 +167,29 @@ def test_verify_spiral_needs_unit_codimension(tmp_path, capsys):
     assert "requires n - p = 1" in capsys.readouterr().err
 
 
-def test_density_above_cone_exits_barrier_failure(tmp_path, capsys):
-    assert run(["density", "5", "4", "6", "--out-dir", str(tmp_path)]) == EXIT_BARRIER_FAILURE
+def test_density_546_resolves_every_gap(tmp_path, capsys):
+    # Theta_1 of (5,4,6) lies 1.3e-19 below Theta_inf = 66.66, far below
+    # one ulp of it: only the gaps resolve it
+    assert run(["density", "5", "4", "6", "--out-dir", str(tmp_path)]) == EXIT_OK
     payload = json.loads((tmp_path / "density.json").read_text())
-    assert payload["strictly_below_cone"] is False
+    assert payload["strictly_below_cone"] is True
+    gaps, errors = payload["log10_gaps"], payload["log10_gap_errors"]
+    assert len(gaps) == 28
+    assert all(e < g for g, e in zip(gaps, errors))
+    assert "resolved gaps = 28 of 28" in capsys.readouterr().out
+
+
+def test_density_unresolved_exits_barrier_failure(tmp_path, capsys, monkeypatch):
+    real = analysis.density_report
+
+    def unresolved(traj, n_panels):
+        return dataclasses.replace(real(traj, n_panels), strictly_below_cone=None)
+
+    monkeypatch.setattr(analysis, "density_report", unresolved)
+    argv = ["density", "3", "2", "4", "--max-crossings", "4", "--out-dir", str(tmp_path)]
+    assert run(argv) == EXIT_BARRIER_FAILURE
+    assert json.loads((tmp_path / "density.json").read_text())["strictly_below_cone"] is None
+    assert "strictly_below_cone = None" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("key", ["jobs", "abs_tol", "event_tol"])
@@ -256,7 +276,7 @@ def test_json_report_round_trips(p322, p324, traj324):
     fam = analysis.dirichlet_solutions(traj324, p324.phi0)
     assert from_dict(analysis.SolutionFamilyReport, json.loads(dumps_json(fam))) == fam
 
-    den = analysis.density_report(traj324, p324, n_panels=1024)
+    den = analysis.density_report(traj324, n_panels=1024)
     assert from_dict(analysis.DensityReport, json.loads(dumps_json(den))) == den
 
 

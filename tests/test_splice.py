@@ -39,11 +39,6 @@ _SPIRAL_PARAMS = [p for p in enumerate_admissible(31, 20)
                   if p.stability is StabilityType.SPIRAL_TYPE_II]
 
 
-@pytest.fixture(scope="module")
-def spirals(table_trajs):
-    return {p.triple(): table_trajs[p.triple()] for p in _SPIRAL_PARAMS}
-
-
 @pytest.fixture
 def dp5_only(monkeypatch):
     """shoot_unstable_manifold with the splice switched off: DP5 to the end."""
@@ -214,32 +209,15 @@ def test_spliced_zeros_match_fine_dp5(triple, spirals, dp5_only):
         assert abs(a.phi_offset - b.phi_offset) <= 3e-8 * abs(b.phi_offset)
 
 
-def test_mpmath_zeros_straddling_the_splice(spirals):
+def test_mpmath_zeros_straddling_the_splice(spirals, mpmath_orbit):
     # Taylor integration at 20 digits of the same launch in offset
     # variables; zeros 1-5 come before the splice, 6-8 after it
     traj = spirals[(3, 2, 4)]
-    params = traj.params
     zeros = detect_psi_zeros(traj)[:8]
     t_splice = traj.t[traj.stats.accepted]
     assert zeros[4].t < t_splice < zeros[5].t
-    n, p, big_k = params.n, params.p, params.big_k
     with mpmath.workdps(20):
-        lam2 = mpmath.mpf(params.lambda_sq_num) / params.lambda_sq_den
-        phi0 = mpmath.sqrt(mpmath.mpf(p * (big_k - n)) / (big_k * (n - p)))
-
-        def field(_, y):
-            u, psi = y
-            phi = phi0 + u
-            den = 1 + lam2 * phi * phi
-            f1_phi = -(n - p) * lam2 * u * (phi + phi0) / den * phi
-            f2 = (n - p) + p / den
-            return [psi, -psi - (f2 * psi - f1_phi) * (1 + (phi + psi) ** 2)]
-
-        eps = mpmath.mpf(traj.eps_start)
-        mu1 = params.k - 1
-        norm_v1 = mpmath.sqrt(1 + mu1 * mu1)
-        sol = mpmath.odefun(field, mpmath.log(eps) / mu1,
-                            [eps / norm_v1 - phi0, eps * mu1 / norm_v1])
+        sol, _, _ = mpmath_orbit(traj)
         exact = []
         for z in zeros:
             tz = mpmath.findroot(lambda s: sol(s)[1], mpmath.mpf(z.t))
