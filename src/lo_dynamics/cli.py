@@ -5,7 +5,7 @@ Exit codes (public contract):
     0  success
     2  usage / invalid arguments
     3  inadmissible triple without --allow-inadmissible
-    4  integration blowup
+    4  integration failure: blowup, or the step size underflowed
     5  certificate failure (verify: barrier; density: a crossing's density
        not strictly below the cone density, or not resolved from it)
     6  wrong stability type for the requested report
@@ -29,9 +29,9 @@ a viewBox computed from the data extents plus a 5% margin.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import typing
@@ -47,6 +47,7 @@ from .errors import (
     InadmissibleTriple,
     InsufficientHits,
     NotTypeII,
+    StepSizeUnderflow,
 )
 from .integrate import (
     Trajectory,
@@ -85,8 +86,8 @@ class RunConfig:
 
     def validate(self) -> None:
         for name in ("rel_tol", "conv_tol", "eps_start", "t_max"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite")
         if not self.formats:
             raise ValueError("formats must be nonempty")
         for f in self.formats:
@@ -206,11 +207,12 @@ def from_dict(cls, d):
 # file emitters
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """The header, then each row, a tuple of one float per column, at 17
+    significant digits (fmt17's formatter); lines end in \r\n."""
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt17(v) if isinstance(v, float) else v for v in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line % row for row in rows)
 
 
 def write_svg(path: Path, series: list[tuple[list[float], list[float], str]],
@@ -568,7 +570,7 @@ def main(argv: list[str] | None = None) -> int:
     except InadmissibleTriple as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    except BlowupDetected as exc:
+    except (BlowupDetected, StepSizeUnderflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
     except (NotTypeII, InsufficientHits) as exc:

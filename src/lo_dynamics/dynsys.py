@@ -67,27 +67,25 @@ def f2(phi: float, params: LomseParams) -> float:
 
 
 def offset_field(params: LomseParams):
-    """du/dt, dpsi/dt as a closure over the parameters, with u = phi - phi0.
+    """dpsi/dt(u, psi) as a scalar closure over the parameters, u = phi - phi0.
 
+    The other component, du/dt, is psi itself and is not returned.
     f1(phi) phi is evaluated as -(n-p) lambda^2 u (phi + phi0) phi / (1 +
     lambda^2 phi^2), exact because f1(phi0) = 0; accurate relative to u
-    however small u is.
+    however small u is.  (phi + psi) ** 2 is Python's float power (libm
+    pow), which can differ from (phi + psi) * (phi + psi) in the last bit.
     """
-    p = params.p
-    lam2 = params.lambda_sq
-    phi0 = params.phi0
     n_minus_p = float(params.n - params.p)
-    c1 = n_minus_p * lam2
 
-    def field(u: float, psi: float) -> tuple[float, float]:
+    # the constants are default arguments, read as fast locals; callers pass u, psi only
+    def dpsi(u: float, psi: float, phi0=params.phi0, lam2=params.lambda_sq,
+             n_minus_p=n_minus_p, p=params.p, c1=n_minus_p * params.lambda_sq) -> float:
         phi = phi0 + u
         den = 1.0 + lam2 * phi * phi
         f1_phi = -c1 * u * (phi + phi0) / den * phi  # f1(phi) * phi, no cancellation
-        f2_val = n_minus_p + p / den
-        dpsi = -psi - (f2_val * psi - f1_phi) * (1.0 + (phi + psi) ** 2)
-        return psi, dpsi
+        return -psi - ((n_minus_p + p / den) * psi - f1_phi) * (1.0 + (phi + psi) ** 2)
 
-    return field
+    return dpsi
 
 
 def _unpack(state) -> tuple[float, float]:
@@ -145,7 +143,7 @@ def jacobian(state, params: LomseParams) -> np.ndarray:
 def p1_quadratic_bound(params: LomseParams) -> float:
     """c2 with |F(x) - J x| <= c2 |x|^2 + O(|x|^3) in the max-norm near P1.
 
-    F is offset_field at x = (u, psi), J the linearization at P1.  Only
+    F = (psi, offset_field) at x = (u, psi), J the linearization at P1.  Only
     dpsi/dt has a remainder; c2 is half the sum of the absolute second
     derivatives of X2 = -psi - B C at P1, the mixed one counted twice, with
     B = f2(phi) psi - f1(phi) phi (zero at P1) and C = 1 + (phi + psi)^2.

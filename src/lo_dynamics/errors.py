@@ -22,6 +22,11 @@ class BlowupDetected(LoDynamicsError, RuntimeError):
     signals an integration bug or grossly wrong parameters."""
 
 
+class StepSizeUnderflow(LoDynamicsError, RuntimeError):
+    """The adaptive step fell below its floor without meeting the error test,
+    e.g. under a relative tolerance far below the rounding of the state."""
+
+
 class RadiusOutOfRange(LoDynamicsError, ValueError):
     """Requested ball radius lies outside the radial span of the profile."""
 

@@ -11,8 +11,11 @@ form, so the inward spiral stays accurate relative to its own amplitude
 down to ~1e-290.
 
 Integrator: embedded Dormand-Prince 5(4) pair with PI step-size control.
-Each attempted step evaluates the field 6 times: the 7th stage, taken at
-the 5th-order solution, is the first stage of the next step (FSAL).
+The field is dynsys.offset_field, a scalar closure returning dpsi/dt; du/dt
+is psi itself, so each stage's u-derivative is that stage's psi argument.
+Each attempted step calls the field 6 times: the 7th stage, taken at the
+5th-order solution, is the first stage of the next step (FSAL), so a run
+makes 1 + 6 x attempts calls.
 
 Spiral tail: once a spiral run's amplitude max(|u|, |psi|) falls below
 splice_amplitude, delta = rel_tol / (20 c2) with c2 the bound of the
@@ -48,7 +51,7 @@ from .dynsys import (
     p1_quadratic_bound,
     spiral_flow_growth,
 )
-from .errors import BlowupDetected, EpsNonpositive
+from .errors import BlowupDetected, EpsNonpositive, StepSizeUnderflow
 from .params import LomseParams, StabilityType
 
 # Dormand-Prince 5(4) tableau. Row 7 equals the 5th-order weights (FSAL).
@@ -284,12 +287,17 @@ def _linear_tail(lin: P1Linearization, t0, u0, psi0, h, t_max):
 
 
 def _advance(params, t0, u0, psi0, t_max, rel_tol, abs_tol, *,
-             conv_tol=None, max_crossings=None, h_max=_H_MAX, tail=None):
+             conv_tol=None, max_crossings=None, tail=None):
     """Adaptive DP5(4) driver in deviation coordinates.
 
     Error is measured against abs_tol + rel_tol * |state|, where |state| is
-    the max-norm over both components; using the joint norm keeps the scale
-    well defined when psi passes through zero.
+    the max-norm over both components and over the step's two end states;
+    using the joint norm keeps the scale well defined when psi passes
+    through zero.
+
+    The field is the scalar dpsi/dt of offset_field; each stage's du/dt is
+    that stage's psi argument.  An attempt makes 6 field calls, the 7th
+    stage at the 5th-order solution being the next attempt's first (FSAL).
 
     With tail, the spiral linearization at P1 (which needs max_crossings),
     the run leaves the DP5 loop at the first accepted state of amplitude
@@ -298,7 +306,7 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, abs_tol, *,
     max_crossings sign changes of psi and t_max, tested in that order on
     each sample.
     """
-    field = offset_field(params)
+    dpsi = offset_field(params)
     delta = splice_amplitude(params, rel_tol) if tail is not None else 0.0
     phi0 = params.phi0
     blowup_at = _BLOWUP_FACTOR * phi0
@@ -312,14 +320,18 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, abs_tol, *,
     (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
      (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6)) = _DP_A
     e1, _, e3, e4, e5, e6, e7 = _DP_E
+    inf = math.inf
 
     ts = [t0]
     us = [u0]
     psis = [psi0]
-    k1u, k1p = field(u0, psi0)
+    k1p = dpsi(u0, psi0)
     dpsis = [k1p]
+    ts_append, us_append = ts.append, us.append
+    psis_append, dpsis_append = psis.append, dpsis.append
 
     t, u, psi = t0, u0, psi0
+    amp = max(abs(u), abs(psi))  # max-norm of the accepted state, carried forward
     h = 1e-3
     err_prev = 1.0
     crossings = 0
@@ -333,42 +345,53 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, abs_tol, *,
         if t >= t_max:
             reason = Termination.MAX_TIME
             break
-        h = min(h, h_max)
         # clamp the final step and land on t_max exactly
         remaining = t_max - t
         is_last = h >= remaining
         if is_last:
             h = remaining
 
-        # one embedded step; an overflowing stage counts as an infinite error
+        # one embedded step; k1u is psi, each later ku the psi argument of
+        # its stage; an overflowing stage counts as an infinite error
         try:
-            k2u, k2p = field(u + h * (a21 * k1u), psi + h * (a21 * k1p))
-            k3u, k3p = field(u + h * (a31 * k1u + a32 * k2u),
-                             psi + h * (a31 * k1p + a32 * k2p))
-            k4u, k4p = field(u + h * (a41 * k1u + a42 * k2u + a43 * k3u),
-                             psi + h * (a41 * k1p + a42 * k2p + a43 * k3p))
-            k5u, k5p = field(u + h * (a51 * k1u + a52 * k2u + a53 * k3u + a54 * k4u),
-                             psi + h * (a51 * k1p + a52 * k2p + a53 * k3p + a54 * k4p))
-            k6u, k6p = field(
-                u + h * (a61 * k1u + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u),
-                psi + h * (a61 * k1p + a62 * k2p + a63 * k3p + a64 * k4p + a65 * k5p))
-            u_new = u + h * (b1 * k1u + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
+            k2u = psi + h * (a21 * k1p)
+            k2p = dpsi(u + h * (a21 * psi), k2u)
+            k3u = psi + h * (a31 * k1p + a32 * k2p)
+            k3p = dpsi(u + h * (a31 * psi + a32 * k2u), k3u)
+            k4u = psi + h * (a41 * k1p + a42 * k2p + a43 * k3p)
+            k4p = dpsi(u + h * (a41 * psi + a42 * k2u + a43 * k3u), k4u)
+            k5u = psi + h * (a51 * k1p + a52 * k2p + a53 * k3p + a54 * k4p)
+            k5p = dpsi(u + h * (a51 * psi + a52 * k2u + a53 * k3u + a54 * k4u), k5u)
+            k6u = psi + h * (a61 * k1p + a62 * k2p + a63 * k3p + a64 * k4p + a65 * k5p)
+            k6p = dpsi(u + h * (a61 * psi + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u),
+                       k6u)
+            u_new = u + h * (b1 * psi + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
             psi_new = psi + h * (b1 * k1p + b3 * k3p + b4 * k4p + b5 * k5p + b6 * k6p)
             # stage 7 is the field at the 5th-order solution: next step's k1 (FSAL)
-            k7u, k7p = field(u_new, psi_new)
-            err_u = (e1 * k1u + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * k7u) * h
-            err_p = (e1 * k1p + e3 * k3p + e4 * k4p + e5 * k5p + e6 * k6p + e7 * k7p) * h
+            k7p = dpsi(u_new, psi_new)
         except OverflowError:
-            err_u = err_p = math.inf
-            u_new = psi_new = math.inf
-
-        norm = max(abs(u), abs(psi), abs(u_new), abs(psi_new))
-        scale = abs_tol + rel_tol * norm
-        if scale <= 0.0 or not math.isfinite(scale):
-            scale = 5e-324
-        err = max(abs(err_u), abs(err_p)) / scale
-        if not (math.isfinite(u_new) and math.isfinite(psi_new)):
-            err = math.inf
+            err = inf
+        else:
+            # comparisons in place of abs, max and isfinite, each giving the
+            # same result on NaN; a non-finite new state gets err = inf
+            amp_new = u_new if u_new >= 0.0 else -u_new
+            abs_psi = psi_new if psi_new >= 0.0 else -psi_new
+            if amp_new < inf and abs_psi < inf:
+                if abs_psi > amp_new:
+                    amp_new = abs_psi
+                scale = abs_tol + rel_tol * (amp_new if amp_new > amp else amp)
+                if not 0.0 < scale < inf:
+                    scale = 5e-324
+                err_u = (e1 * psi + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u
+                         + e7 * psi_new) * h
+                err_p = (e1 * k1p + e3 * k3p + e4 * k4p + e5 * k5p + e6 * k6p + e7 * k7p) * h
+                if err_u < 0.0:
+                    err_u = -err_u
+                if err_p < 0.0:
+                    err_p = -err_p
+                err = (err_p if err_p > err_u else err_u) / scale
+            else:
+                err = inf
 
         if err <= 1.0:
             # accept
@@ -376,24 +399,25 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, abs_tol, *,
                 fac = 10.0
             else:
                 fac = 0.9 * err ** (-alpha) * err_prev ** beta
-            err_prev = max(err, 1e-4)
+                if fac > 10.0:
+                    fac = 10.0
+            err_prev = 1e-4 if 1e-4 > err else err
             t_prev = t
             t = t_max if is_last else t + h
             if (psi < 0.0 < psi_new) or (psi_new < 0.0 < psi):
                 crossings += 1
-            u, psi = u_new, psi_new
-            k1u, k1p = k7u, k7p
-            ts.append(t)
-            us.append(u)
-            psis.append(psi)
-            dpsis.append(k7p)
+            u, psi, amp = u_new, psi_new, amp_new
+            k1p = k7p
+            ts_append(t)
+            us_append(u)
+            psis_append(psi)
+            dpsis_append(k7p)
 
             if math.hypot(phi0 + u, psi) > blowup_at:
                 raise BlowupDetected(
                     f"state left the bounded region at t={t:.6g} for "
                     f"(n,p,k)=({params.n},{params.p},{params.k})"
                 )
-            amp = max(abs(u), abs(psi))
             if conv_tol is not None and math.hypot(u, psi) < conv_tol:
                 reason = Termination.CONVERGED_TO_P1
                 break
@@ -422,13 +446,16 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, abs_tol, *,
                 psis.extend(tpsi[:tail_samples].tolist())
                 dpsis.extend(tdpsi[:tail_samples].tolist())
                 break
-            h = min(h * min(fac, 10.0), h_max)
+            h *= fac
+            if h > _H_MAX:
+                h = _H_MAX
         else:
             rejected += 1
-            h = h * max(0.2, 0.9 * err ** -0.2)
+            shrink = 0.9 * err ** -0.2
+            h *= shrink if shrink > 0.2 else 0.2
             err_prev = 1.0
             if h < _H_MIN:
-                raise RuntimeError(f"step size underflow at t={t:.6g}")
+                raise StepSizeUnderflow(f"step size underflow at t={t:.6g}")
 
     return ts, us, psis, dpsis, reason, rejected, tail_samples
 

@@ -6,11 +6,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lo_dynamics
-from lo_dynamics import analysis, barrier, geometry
+from lo_dynamics import analysis, barrier, enumerate_admissible, geometry
 from lo_dynamics.cli import (
     EXIT_BARRIER_FAILURE,
+    EXIT_BLOWUP,
     EXIT_INADMISSIBLE,
     EXIT_OK,
     EXIT_USAGE,
@@ -253,6 +256,63 @@ def test_run_config_validation():
         cfg.validate()
     with pytest.raises(ValueError):
         RunConfig(rel_tol=0.0).validate()
+    for bad in ("nan", "inf"):
+        with pytest.raises(ValueError):
+            RunConfig(eps_start=float(bad)).validate()
+
+
+def test_step_size_underflow_exits_integration_failure(tmp_path, capsys):
+    # no step meets an error test far below the rounding of the state
+    assert run(["orbit", "3", "2", "2", "--rel-tol", "1e-300",
+                "--out-dir", str(tmp_path)]) == EXIT_BLOWUP
+    assert "step size underflow" in capsys.readouterr().err
+    assert not (tmp_path / "events.json").exists()
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+# the (31, 20) table, plus any domain-valid triple run off-table
+_TRIPLES = st.one_of(
+    st.sampled_from([p.triple() for p in enumerate_admissible(31, 20)]),
+    st.integers(2, 31).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(1, n - 1), st.integers(2, 20))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triple=_TRIPLES,
+       rel_tol=st.one_of(_log_uniform(-12.0, -3.0), st.just(1e-300)),
+       eps=_log_uniform(-12.0, 3.0),
+       t_max=_log_uniform(-2.0, 2.6),
+       max_crossings=st.integers(1, 60))
+def test_orbit_exits_with_a_documented_code(tmp_path_factory, triple, rel_tol, eps, t_max,
+                                            max_crossings):
+    # every run of the shooting loop ends in an exit code, never an exception:
+    # 2 (t_max before the launch time leaves one sample), 4 (blowup for a
+    # large eps, step underflow for a tiny rel_tol) and 0 are the ones seen
+    out = tmp_path_factory.mktemp("orbit")
+    code = run(["orbit", *map(str, triple), "--allow-inadmissible",
+                "--rel-tol", repr(rel_tol), "--eps", repr(eps), "--t-max", repr(t_max),
+                "--max-crossings", str(max_crossings), "--formats", "json",
+                "--out-dir", str(out)])
+    assert code in (0, 2, 3, 4, 5, 6)
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    # the former route: csv.writer over fmt17 strings, the reference bytes
+    import csv
+
+    rows = [(1.0 / 3.0, -0.0, 1e-300), (5e-324, -1.7976931348623157e308, 7.0),
+            (float("inf"), float("-inf"), float("nan")), (0.1, 2.0 ** 60, -123.456)]
+    header = ["a", "b", "c"]
+    write_csv(tmp_path / "new.csv", header, iter(rows))
+    with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([fmt17(v) for v in row] for row in rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_fmt17_round_trip():

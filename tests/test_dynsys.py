@@ -81,11 +81,11 @@ def test_compact_form_equals_display(p324):
 
 
 def test_offset_f1_matches_textbook(p324):
-    field = offset_field(p324)
+    dpsi = offset_field(p324)
     for u in [-1.0, -0.3, -1e-3, 1e-3, 0.4, 1.1]:
         for psi in [-0.5, 0.0, 0.7]:
-            assert field(u, psi) == pytest.approx(
-                vector_field_xy(p324.phi0 + u, psi, p324), rel=1e-12, abs=1e-13)
+            _, x2 = vector_field_xy(p324.phi0 + u, psi, p324)
+            assert dpsi(u, psi) == pytest.approx(x2, rel=1e-12, abs=1e-13)
 
 
 def test_field_broadcasts_over_arrays():

@@ -257,6 +257,27 @@ def test_step_sequence_pinned(request, fixture, accepted, reason):
     assert stats.h_min == steps.min() and stats.h_max == steps.max()
 
 
+def test_table_work_pinned(table_trajs):
+    # the whole (31, 20) table: a step that moved on any triple changes a total
+    stats = [traj.stats for traj in table_trajs.values()]
+    type_one = [traj.params.stability is StabilityType.CENTER_TYPE_I
+                for traj in table_trajs.values()]
+    assert sum(s.accepted for s in stats) == 273_467
+    assert sum(s.accepted for s, one in zip(stats, type_one) if one) == 253_462
+    assert sum(s.rejected for s in stats) == 638
+    assert sum(s.tail_samples for s in stats) == 158_652
+    assert sum(s.rhs_evals for s in stats) == 1_644_860
+    ends = {}
+    for (triple, traj), one in zip(table_trajs.items(), type_one):
+        ends.setdefault((one, traj.terminated_by), []).append(triple)
+    assert {key: len(triples) for key, triples in ends.items()} == {
+        (True, Termination.CONVERGED_TO_P1): 213,
+        (False, Termination.MAX_CROSSINGS): 16,
+        (False, Termination.CONVERGED_TO_P1): 1,
+    }
+    assert ends[False, Termination.CONVERGED_TO_P1] == [(5, 4, 6)]
+
+
 def test_rhs_evals_count_field_calls(monkeypatch, p324):
     import lo_dynamics.integrate as integrate
 
@@ -264,11 +285,11 @@ def test_rhs_evals_count_field_calls(monkeypatch, p324):
     real = integrate.offset_field
 
     def counting(params):
-        field = real(params)
+        dpsi = real(params)
 
         def wrapped(u, psi):
             calls.append(None)
-            return field(u, psi)
+            return dpsi(u, psi)
 
         return wrapped
 
@@ -276,6 +297,32 @@ def test_rhs_evals_count_field_calls(monkeypatch, p324):
     traj = adaptive_integrate(p324, PhaseState(1.0, -3.0, 0.0), 2.0)
     assert traj.stats.rejected == 2
     assert traj.stats.rhs_evals == len(calls) == 1 + 6 * (len(traj) - 1 + 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("stage", [2, 4, 6])
+def test_nonfinite_stage_is_rejected(monkeypatch, p322, stage, bad):
+    # field call `stage` of the first attempt (call 1 is the initial k1)
+    # returns a non-finite dpsi; stage 6 spoils psi_new alone.  The attempt
+    # is rejected with err = inf, so the retry takes 0.2 of the first step
+    import lo_dynamics.integrate as integrate
+
+    real = integrate.offset_field
+
+    def poisoned(params):
+        dpsi = real(params)
+        calls = []
+
+        def wrapped(u, psi):
+            calls.append(None)
+            return bad if len(calls) == stage else dpsi(u, psi)
+
+        return wrapped
+
+    monkeypatch.setattr(integrate, "offset_field", poisoned)
+    traj = adaptive_integrate(p322, PhaseState(0.5, 0.3, 0.0), 1.0)
+    assert traj.stats.rejected >= 1
+    assert traj.t[1] == 1e-3 * 0.2
 
 
 def _loop_phi_hits(traj, target):

@@ -69,8 +69,7 @@ def test_splice_amplitude_bounds_field_remainder(params, rel_tol):
         ratios = []
         for c, s, m in zip(np.cos(theta), np.sin(theta), side):
             u, psi = scale * delta * c / m, scale * delta * s / m
-            du, dpsi = field(u, psi)
-            assert du == psi
+            dpsi = field(u, psi)
             ratios.append(abs(dpsi - (lin.a * u + lin.b * psi)) / max(abs(u), abs(psi)))
         worst[scale] = max(ratios)
     assert max(worst.values()) <= rel_tol / 10.0
