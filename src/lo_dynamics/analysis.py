@@ -173,6 +173,8 @@ def _volume_core(interp: _ProfileInterp, params: LomseParams, x_cut: float,
     """integral of g(x) e^{(n+1)(x - x_cut)} dx over [x0, x_cut] plus the
     power-law tail below the first sample, with
     g = sqrt(1 + rho_r^2) (1 + lambda^2 phi^2)^{p/2}."""
+    if n_panels < 1:
+        raise ValueError(f"n_panels must be at least 1, got {n_panels}")
     n, p = params.n, params.p
     lam2 = params.lambda_sq
     x0 = float(interp.x[0])

@@ -153,6 +153,8 @@ def case1_check(params: LomseParams, c: float | None = None,
                 grid_points: int = DEFAULT_GRID_POINTS) -> BarrierCase1Report:
     """Closed-form certificate plus the raw slope inequality on a phi grid."""
     _require_type1(params)
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be at least 1, got {grid_points}")
     if c is None:
         c = default_c(params)
     if not 0.0 < c <= 1.0:
@@ -214,6 +216,8 @@ def case2_step1_check(params: LomseParams,
     if params.n - params.p != 1:
         raise DomainError(f"step-1 certificate requires n - p = 1, got "
                           f"({params.n},{params.p})")
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be at least 1, got {grid_points}")
     s_star, f_min = fs_minimum()
     phi0 = params.phi0
     lam2 = params.lambda_sq
@@ -251,6 +255,8 @@ def no_limit_cycle_check(params: LomseParams,
     """
     _require_type2(params)
     n_phi, n_psi = grid
+    if n_phi < 2 or n_psi < 1:
+        raise ValueError(f"grid must be at least (2, 1), got {grid}")
     phi0 = params.phi0
     lam2 = params.lambda_sq
     thr = cycle_region_threshold(params)

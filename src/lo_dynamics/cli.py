@@ -16,7 +16,9 @@ environment variable; command-line flags win over the file.  Keys match
 the RunConfig field names; the formats value is a comma list such as
 "json,csv,svg".  One file serves every subcommand: each ignores the keys
 it does not read and takes flags only for the ones it reads (see its
---help); any other flag, and any unknown key, exits 2.  verify -c and the
+--help); any other flag, and any unknown key, exits 2.  Sampling
+resolutions (certificate grids, Simpson panels, finite-difference step)
+are the modules' DEFAULT_* constants, not settings.  verify -c and the
 --conv-tol of orbit and density act on the real-eigenvalue type only and
 exit 2 on a spiral triple.
 
@@ -75,11 +77,7 @@ class RunConfig:
     eps_start: float = integrate.DEFAULT_EPS
     t_max: float = integrate.DEFAULT_T_MAX
     max_crossings: int = integrate.DEFAULT_MAX_CROSSINGS
-    grid_points: int = barrier.DEFAULT_GRID_POINTS
-    cycle_grid: int = barrier.DEFAULT_CYCLE_GRID[0]
-    quad_panels: int = analysis.DEFAULT_QUAD_PANELS
     sample_count: int = hopf.DEFAULT_SAMPLE_COUNT
-    fd_step: float = hopf.DEFAULT_FD_STEP
     seed: int = 0
     out_dir: str = "."
     formats: tuple[str, ...] = ("json", "csv")
@@ -88,6 +86,9 @@ class RunConfig:
         for name in ("rel_tol", "conv_tol", "eps_start", "t_max"):
             if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be positive and finite")
+        for name in ("max_crossings", "sample_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if not self.formats:
             raise ValueError("formats must be nonempty")
         for f in self.formats:
@@ -378,7 +379,7 @@ def cmd_verify(args) -> int:
     cfg = build_config(args)
     params = _build(args)
     if params.stability is StabilityType.CENTER_TYPE_I:
-        report = barrier.case1_check(params, c=args.c, grid_points=cfg.grid_points)
+        report = barrier.case1_check(params, c=args.c)
         payload = {"params": params, "case": 1, **_fields(report)}
         print(f"invariant region ({params.n},{params.p},{params.k}) with c={fmt17(report.c)}:")
         print(f"  F(0) = {fmt17(report.f0)}")
@@ -390,8 +391,7 @@ def cmd_verify(args) -> int:
         print("verify: -c applies only to the real-eigenvalue type", file=sys.stderr)
         return EXIT_USAGE
     else:
-        report = barrier.case2_check(params, grid_points=cfg.grid_points,
-                                     cycle_grid=(cfg.cycle_grid, cfg.cycle_grid))
+        report = barrier.case2_check(params)
         payload = {"params": params, "case": 2, **_fields(report)}
         print(f"spiral certificates ({params.n},{params.p},{params.k}):")
         print(f"  min F(s) = {fmt17(report.fs_min)} at s = {fmt17(report.fs_argmin)}")
@@ -433,8 +433,7 @@ def cmd_density(args) -> int:
     traj = _shoot(params, cfg)
     if radii:
         profile = radial.to_profile(traj)
-        thetas = [analysis.theta_of_radius(profile, params, r, n_panels=cfg.quad_panels)
-                  for r in radii]
+        thetas = [analysis.theta_of_radius(profile, params, r) for r in radii]
         payload = {
             "params": params,
             "radii": radii,
@@ -446,7 +445,7 @@ def cmd_density(args) -> int:
             print(f"Theta({fmt17(r)}) = {fmt17(th)}")
         print(f"Theta_infinity = {fmt17(payload['theta_infinity'])}")
         return EXIT_OK
-    report = analysis.density_report(traj, n_panels=cfg.quad_panels)
+    report = analysis.density_report(traj)
     _write_json(cfg, "density.json", report)
     gaps, errors = report.log10_gaps, report.log10_gap_errors
     print(f"density ({params.n},{params.p},{params.k}): {len(gaps)} crossings")
@@ -466,13 +465,13 @@ def cmd_maps_check(args) -> int:
     pts = hopf.random_sphere_points(params.n + 1, cfg.sample_count, seed=cfg.seed)
     sv_dev = sum_dev = 0.0
     for x in pts:
-        sv = hopf.numeric_singular_values(hopf.hopf_map, x, h=cfg.fd_step)
+        sv = hopf.numeric_singular_values(hopf.hopf_map, x)
         sv_dev = max(sv_dev, float(np.max(np.abs(sv - np.array([2.0, 2.0, 0.0])))))
         sum_dev = max(sum_dev, abs(hopf.angle_sum(sv, params.theta) - params.n))
     payload = {
         "params": params,
         "samples": cfg.sample_count,
-        "fd_step": cfg.fd_step,
+        "fd_step": hopf.DEFAULT_FD_STEP,
         "seed": cfg.seed,
         "max_singular_value_deviation": sv_dev,
         "max_angle_sum_deviation": sum_dev,
@@ -493,10 +492,7 @@ _FLAGS = {
     "eps_start": "--eps",
     "t_max": "--t-max",
     "max_crossings": "--max-crossings",
-    "grid_points": "--grid-points",
-    "quad_panels": "--quad-panels",
     "sample_count": "--samples",
-    "fd_step": "--step",
     "seed": "--seed",
     "out_dir": "--out-dir",
     "formats": "--formats",
@@ -540,7 +536,7 @@ def make_parser() -> argparse.ArgumentParser:
                        help="slope for crossing detection (default: phi0)")
 
     p_ver = _add_command(sub, "verify", cmd_verify, "run the certificate suite for the type",
-                         ("formats", "grid_points"))
+                         ("formats",))
     p_ver.add_argument("-c", type=float, default=None,
                        help="barrier constant override (real-eigenvalue type)")
 
@@ -549,12 +545,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_den = _add_command(sub, "density", cmd_density,
                          "density report (spiral type) or Theta(R) sweep",
-                         ("formats", *_SHOOT_FIELDS, "quad_panels"))
+                         ("formats", *_SHOOT_FIELDS))
     p_den.add_argument("--radii", help="comma list of radii for a Theta(R) sweep")
 
     _add_command(sub, "maps-check", cmd_maps_check,
                  "witness-map singular values and angle sum",
-                 ("formats", "sample_count", "fd_step", "seed"), triple=None)
+                 ("formats", "sample_count", "seed"), triple=None)
 
     return parser
 

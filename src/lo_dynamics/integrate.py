@@ -10,7 +10,8 @@ phi itself, with f1(phi)*phi evaluated in the cancellation-free factored
 form, so the inward spiral stays accurate relative to its own amplitude
 down to ~1e-290.
 
-Integrator: embedded Dormand-Prince 5(4) pair with PI step-size control.
+Integrator: embedded Dormand-Prince 5(4) pair with PI step-size control
+against the purely relative error scale rel_tol * max(|u|, |psi|).
 The field is dynsys.offset_field, a scalar closure returning dpsi/dt; du/dt
 is psi itself, so each stage's u-derivative is that stage's psi argument.
 Each attempted step calls the field 6 times: the 7th stage, taken at the
@@ -68,7 +69,6 @@ _DP_A = (
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 DEFAULT_REL_TOL = 1e-10
-DEFAULT_ABS_TOL = 1e-12
 DEFAULT_CONV_TOL = 1e-8
 DEFAULT_EPS = 1e-6
 DEFAULT_T_MAX = 400.0
@@ -185,7 +185,7 @@ class Trajectory:
     `tail_samples` the number of closed-form samples at the end.
     """
 
-    def __init__(self, params, t, u, psi, dpsi, eps_start, tolerances, terminated_by,
+    def __init__(self, params, t, u, psi, dpsi, eps_start, rel_tol, terminated_by,
                  rejected=0, tail_samples=0):
         self.params = params
         self.t = np.asarray(t, dtype=float)
@@ -195,7 +195,7 @@ class Trajectory:
         for arr in (self.t, self.u, self.psi, self.dpsi):
             arr.setflags(write=False)
         self.eps_start = eps_start
-        self.tolerances = tolerances
+        self.rel_tol = rel_tol
         self.terminated_by = terminated_by
         steps = np.diff(self.t)
         if not np.all(steps > 0.0):
@@ -286,12 +286,12 @@ def _linear_tail(lin: P1Linearization, t0, u0, psi0, h, t_max):
     return t, u, psi, a * u + b * psi
 
 
-def _advance(params, t0, u0, psi0, t_max, rel_tol, abs_tol, *,
+def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
              conv_tol=None, max_crossings=None, tail=None):
     """Adaptive DP5(4) driver in deviation coordinates.
 
-    Error is measured against abs_tol + rel_tol * |state|, where |state| is
-    the max-norm over both components and over the step's two end states;
+    Error is measured against rel_tol * |state|, where |state| is the
+    max-norm over both components and over the step's two end states;
     using the joint norm keeps the scale well defined when psi passes
     through zero.
 
@@ -373,13 +373,14 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, abs_tol, *,
             err = inf
         else:
             # comparisons in place of abs, max and isfinite, each giving the
-            # same result on NaN; a non-finite new state gets err = inf
+            # same result on NaN; a non-finite new state or FSAL stage gets
+            # err = inf
             amp_new = u_new if u_new >= 0.0 else -u_new
             abs_psi = psi_new if psi_new >= 0.0 else -psi_new
-            if amp_new < inf and abs_psi < inf:
+            if amp_new < inf and abs_psi < inf and -inf < k7p < inf:
                 if abs_psi > amp_new:
                     amp_new = abs_psi
-                scale = abs_tol + rel_tol * (amp_new if amp_new > amp else amp)
+                scale = rel_tol * (amp_new if amp_new > amp else amp)
                 if not 0.0 < scale < inf:
                     scale = 5e-324
                 err_u = (e1 * psi + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u
@@ -465,7 +466,6 @@ def shoot_unstable_manifold(params: LomseParams,
                             t_max: float = DEFAULT_T_MAX,
                             max_crossings: int = DEFAULT_MAX_CROSSINGS,
                             rel_tol: float = DEFAULT_REL_TOL,
-                            abs_tol: float = 0.0,
                             conv_tol: float = DEFAULT_CONV_TOL) -> Trajectory:
     """Launch from eps * V1/|V1| off the saddle and integrate forward.
 
@@ -476,19 +476,19 @@ def shoot_unstable_manifold(params: LomseParams,
     Termination: distance to (phi0, 0) below conv_tol for the real-eigenvalue
     type; max_crossings psi sign changes for the spiral type; t_max otherwise.
     Spiral runs continue in closed form below splice_amplitude.
-
-    abs_tol defaults to 0 (pure relative control): the spiral must stay
-    accurate relative to its own amplitude far below any fixed absolute
-    tolerance, while for states of order one the behaviour is identical
-    to the (1e-10, 1e-12) pair.
+    rel_tol must be positive and finite, and t_max must exceed t_start.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise EpsNonpositive(f"eps must be > 0, got {eps}")
+    if not 0.0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     mu1 = params.k - 1
     norm_v1 = math.sqrt(1.0 + mu1 * mu1)
     phi_start = eps / norm_v1
     psi_start = eps * mu1 / norm_v1
     t_start = math.log(eps) / mu1
+    if not t_max > t_start:
+        raise ValueError(f"t_max={t_max} must exceed the launch time log(eps)/(k-1)={t_start}")
 
     type_one = params.stability is StabilityType.CENTER_TYPE_I
     ts, us, psis, dpsis, reason, rejected, tail_samples = _advance(
@@ -498,29 +498,23 @@ def shoot_unstable_manifold(params: LomseParams,
         psi_start,
         t_max,
         rel_tol,
-        abs_tol,
         conv_tol=conv_tol if type_one else None,
         max_crossings=None if type_one else max_crossings,
         tail=None if type_one else linearize_p1(params),
     )
-    return Trajectory(params, ts, us, psis, dpsis, eps, (rel_tol, abs_tol), reason, rejected,
-                      tail_samples)
+    return Trajectory(params, ts, us, psis, dpsis, eps, rel_tol, reason, rejected, tail_samples)
 
 
 def adaptive_integrate(params: LomseParams,
                        state0: PhaseState,
                        t_end: float,
-                       rel_tol: float = DEFAULT_REL_TOL,
-                       abs_tol: float = DEFAULT_ABS_TOL) -> Trajectory:
+                       rel_tol: float = DEFAULT_REL_TOL) -> Trajectory:
     """Adaptive integration from an arbitrary interior state to t_end."""
     if t_end <= state0.t:
         raise ValueError(f"t_end={t_end} must exceed state0.t={state0.t}")
     ts, us, psis, dpsis, reason, rejected, _ = _advance(
-        params, state0.t, state0.phi - params.phi0, state0.psi,
-        t_end, rel_tol, abs_tol,
-    )
-    return Trajectory(params, ts, us, psis, dpsis, None, (rel_tol, abs_tol), reason,
-                      rejected)
+        params, state0.t, state0.phi - params.phi0, state0.psi, t_end, rel_tol)
+    return Trajectory(params, ts, us, psis, dpsis, None, rel_tol, reason, rejected)
 
 
 def detect_psi_zeros(traj: Trajectory) -> list[PsiZero]:

@@ -76,6 +76,19 @@ def test_radius_out_of_range(p322, cone322):
         graph_volume(cone322, p322, 1e4)
 
 
+@pytest.mark.parametrize("n_panels", [0, -4])
+def test_volume_core_needs_a_panel(p322, p324, cone322, traj324, n_panels):
+    # a Simpson rule with no panel samples nothing and would divide by zero
+    interp = _ProfileInterp(cone322)
+    with pytest.raises(ValueError, match="n_panels must be at least 1"):
+        _volume_core(interp, p322, interp.cut_x(2.0), n_panels)
+    for volume in (graph_volume, theta_of_radius):
+        with pytest.raises(ValueError, match="n_panels must be at least 1"):
+            volume(cone322, p322, 2.0, n_panels=n_panels)
+    with pytest.raises(ValueError, match="n_panels must be at least 1"):
+        density_report(traj324, n_panels=n_panels)
+
+
 def test_theta_infinity_identity():
     for npk in [(3, 2, 2), (3, 2, 4), (5, 4, 6), (15, 8, 2)]:
         params = build_params(*npk)

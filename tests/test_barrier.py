@@ -218,3 +218,31 @@ def test_y_plus_x_identity(p324):
                     - 2.0 * f2(phi, p324) * psi * (1.0 + phi * phi + psi * psi)
                     + 4.0 * f1(phi, p324) * phi * phi * psi)
         assert y2 + x2 == pytest.approx(expected, rel=1e-11, abs=1e-11)
+
+
+# a certificate that samples nothing cannot pass: each sampling resolution
+# below its minimum raises instead of returning an empty margin
+
+@pytest.mark.parametrize("grid_points", [0, -5])
+def test_case1_check_needs_a_grid_point(p322, grid_points):
+    with pytest.raises(ValueError, match="grid_points must be at least 1"):
+        case1_check(p322, grid_points=grid_points)
+
+
+@pytest.mark.parametrize("grid_points", [0, -5])
+def test_case2_step1_check_needs_a_grid_point(p324, grid_points):
+    with pytest.raises(ValueError, match="grid_points must be at least 1"):
+        case2_step1_check(p324, grid_points=grid_points)
+    with pytest.raises(ValueError, match="grid_points must be at least 1"):
+        case2_check(p324, grid_points=grid_points, cycle_grid=(0, 0))
+
+
+@pytest.mark.parametrize("grid", [(0, 0), (1, 200), (200, 0), (-3, 5)])
+def test_no_limit_cycle_check_needs_two_phi_and_one_psi(p324, grid):
+    # an empty grid would report max Y2+X2 = -inf, a PASS; one phi value
+    # divides by n_phi - 1 = 0
+    with pytest.raises(ValueError, match="grid must be at least"):
+        no_limit_cycle_check(p324, grid=grid)
+    with pytest.raises(ValueError, match="grid must be at least"):
+        case2_check(p324, grid_points=10, cycle_grid=grid)
+    assert no_limit_cycle_check(p324, grid=(2, 1)) < 0.0

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -28,6 +30,7 @@ from lo_dynamics.cli import (
     write_svg,
 )
 from lo_dynamics import CrossingReport, crossing_report, detect_psi_zeros
+from lo_dynamics.params import StabilityType
 from lo_dynamics.radial import ode1_residual
 
 
@@ -135,8 +138,7 @@ def test_verify_544(tmp_path, capsys):
 
 
 def test_verify_type2(tmp_path, capsys):
-    assert run(["verify", "3", "2", "4", "--out-dir", str(tmp_path),
-                "--grid-points", "2000"]) == EXIT_OK
+    assert run(["verify", "3", "2", "4", "--out-dir", str(tmp_path)]) == EXIT_OK
     payload = json.loads((tmp_path / "barrier.json").read_text())
     assert payload["case"] == 2
     assert payload["fs_min"] == pytest.approx(32.0 / 27.0, abs=1e-10)
@@ -156,7 +158,7 @@ def test_density_wrong_type_exit(tmp_path):
 
 def test_density_radius_sweep_type1(tmp_path, capsys):
     assert run(["density", "3", "2", "2", "--out-dir", str(tmp_path),
-                "--radii", "0.5,1.0,2.0", "--quad-panels", "2048"]) == EXIT_OK
+                "--radii", "0.5,1.0,2.0"]) == EXIT_OK
     payload = json.loads((tmp_path / "density.json").read_text())
     assert len(payload["thetas"]) == 3
     assert payload["thetas"] == sorted(payload["thetas"])
@@ -185,8 +187,8 @@ def test_density_546_resolves_every_gap(tmp_path, capsys):
 def test_density_unresolved_exits_barrier_failure(tmp_path, capsys, monkeypatch):
     real = analysis.density_report
 
-    def unresolved(traj, n_panels):
-        return dataclasses.replace(real(traj, n_panels), strictly_below_cone=None)
+    def unresolved(traj):
+        return dataclasses.replace(real(traj), strictly_below_cone=None)
 
     monkeypatch.setattr(analysis, "density_report", unresolved)
     argv = ["density", "3", "2", "4", "--max-crossings", "4", "--out-dir", str(tmp_path)]
@@ -206,7 +208,7 @@ def test_removed_knobs_are_usage_errors(key, tmp_path, capsys, monkeypatch):
 
 def test_density_type2(tmp_path, capsys):
     assert run(["density", "3", "2", "4", "--out-dir", str(tmp_path),
-                "--max-crossings", "12", "--quad-panels", "4096"]) == EXIT_OK
+                "--max-crossings", "12"]) == EXIT_OK
     payload = json.loads((tmp_path / "density.json").read_text())
     assert payload["strictly_below_cone"] is True
     assert payload["thetas"][0] < payload["theta_infinity"]
@@ -261,6 +263,29 @@ def test_run_config_validation():
             RunConfig(eps_start=float(bad)).validate()
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["maps-check", "--samples", "0"], "sample_count"),
+    (["maps-check", "--samples=-3"], "sample_count"),
+    (["orbit", "3", "2", "4", "--max-crossings", "0"], "max_crossings"),
+    (["density", "3", "2", "4", "--max-crossings=-1"], "max_crossings"),
+])
+def test_counts_below_one_are_usage_errors(argv, key, tmp_path, capsys):
+    # no sample would report deviation 0 and exit 0
+    out = tmp_path / "out"
+    assert run([*argv, "--out-dir", str(out)]) == EXIT_USAGE
+    assert f"error: {key} must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_t_max_before_the_launch_names_t_max(tmp_path, capsys):
+    # eps 2 launches at t = log 2 > 0.5, so the run would have one state
+    out = tmp_path / "out"
+    assert run(["orbit", "3", "2", "2", "--eps", "2", "--t-max", "0.5",
+                "--out-dir", str(out)]) == EXIT_USAGE
+    assert "error: t_max=0.5 must exceed the launch time" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_step_size_underflow_exits_integration_failure(tmp_path, capsys):
     # no step meets an error test far below the rounding of the state
     assert run(["orbit", "3", "2", "2", "--rel-tol", "1e-300",
@@ -298,6 +323,93 @@ def test_orbit_exits_with_a_documented_code(tmp_path_factory, triple, rel_tol, e
                 "--max-crossings", str(max_crossings), "--formats", "json",
                 "--out-dir", str(out)])
     assert code in (0, 2, 3, 4, 5, 6)
+
+
+# ----------------------------------------------------------------------
+# verify, density and maps-check under random flags and config files
+
+_JUNK = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "", "abc", "2.5", "1e400", ",json"])
+
+
+def _one_in(n: int, rare, common):
+    """rare about one time in n, common otherwise.  hypothesis draws the
+    ends of a range, and the branches of one_of, more often than the rest,
+    so rare sits in the middle."""
+    return st.sampled_from(range(n)).flatmap(lambda i: rare if i == n // 2 else common)
+
+
+def _usually(good):
+    """A text from good, or one time in ten a junk one."""
+    return _one_in(10, _JUNK, good)
+
+
+# a value text for each config key but out_dir, which the flag always sets
+_KEY_VALUES = {
+    "rel_tol": _usually(st.one_of(_log_uniform(-12.0, -3.0), st.just(1e-300)).map(repr)),
+    "conv_tol": _usually(_log_uniform(-12.0, 0.0).map(repr)),
+    "eps_start": _usually(_log_uniform(-12.0, 3.0).map(repr)),
+    "t_max": _usually(_log_uniform(-2.0, 2.6).map(repr)),
+    "max_crossings": _usually(st.integers(1, 60).map(str)),
+    "sample_count": _usually(st.integers(1, 40).map(str)),
+    "seed": _usually(st.integers(0, 2 ** 40).map(str)),
+    "formats": _usually(st.sampled_from(["json", "csv", "svg", "json,csv,svg"])),
+}
+assert set(_KEY_VALUES) == {f.name for f in dataclasses.fields(RunConfig)} - {"out_dir"}
+_FOREIGN_KEYS = st.one_of(
+    st.sampled_from(["grid_points", "cycle_grid", "quad_panels", "fd_step",
+                     "jobs", "abs_tol", "event_tol"]),
+    st.from_regex(r"[a-z][a-z_]{0,11}", fullmatch=True).filter(
+        lambda k: k not in _KEY_VALUES and k != "out_dir"),
+)
+_KNOWN_LINE = st.sampled_from(sorted(_KEY_VALUES)).flatmap(
+    lambda k: _KEY_VALUES[k].map(lambda v: f"{k} = {v}"))
+# up to three known keys, and one time in eight a removed or unknown one
+_CONFIG_LINES = st.tuples(
+    st.lists(_KNOWN_LINE, max_size=3),
+    _one_in(8, _FOREIGN_KEYS.map(lambda k: [f"{k} = 1"]), st.just([])),
+).map(lambda parts: parts[0] + parts[1])
+
+_SPIRALS = [p.triple() for p in enumerate_admissible(31, 20)
+            if p.stability is StabilityType.SPIRAL_TYPE_II]
+_RADII = st.lists(_usually(st.one_of(_log_uniform(-3.0, 4.0), st.floats(-2.0, 0.0)).map(repr)),
+                  min_size=1, max_size=3).map(",".join)
+# (triples, the flags the command takes, its former sampling-resolution flag)
+_COMMANDS = {
+    "verify": (_TRIPLES, {"-c": _usually(st.floats(0.05, 1.0).map(repr))}, "--grid-points"),
+    "density": (st.one_of(_TRIPLES, st.sampled_from(_SPIRALS)),
+                {"--rel-tol": _KEY_VALUES["rel_tol"], "--conv-tol": _KEY_VALUES["conv_tol"],
+                 "--eps": _KEY_VALUES["eps_start"], "--t-max": _KEY_VALUES["t_max"],
+                 "--max-crossings": _KEY_VALUES["max_crossings"], "--radii": _RADII},
+                "--quad-panels"),
+    "maps-check": (None, {"--samples": _KEY_VALUES["sample_count"],
+                          "--seed": _KEY_VALUES["seed"]}, "--step"),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(sorted(_COMMANDS)), data=st.data(), config=_CONFIG_LINES)
+def test_commands_exit_with_a_documented_code(tmp_path_factory, command, data, config):
+    # the command's flags (one time in eight also the removed one) and a
+    # config file; every run ends in an exit code, never an exception
+    triples, flag_values, removed = _COMMANDS[command]
+    out = tmp_path_factory.mktemp(command)
+    argv = [command]
+    if triples is not None:
+        argv += [*map(str, data.draw(triples)),
+                 *data.draw(st.sampled_from([[], ["--allow-inadmissible"]]))]
+    flags = data.draw(st.fixed_dictionaries(
+        {}, optional={**flag_values, "--formats": _KEY_VALUES["formats"]}))
+    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    argv += data.draw(_one_in(8, st.just([f"{removed}=200"]), st.just([])))
+    cfg = out / "run.cfg"
+    cfg.write_text("".join(f"{line}\n" for line in config))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run([*argv, "--config", str(cfg), "--out-dir", str(out / "out")])
+    assert code in (0, 2, 3, 4, 5, 6)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_USAGE:
+        assert err.getvalue()
 
 
 def test_write_csv_matches_csv_writer(tmp_path):
@@ -345,7 +457,7 @@ def test_json_key_order(tmp_path):
     events = json.loads((tmp_path / "events.json").read_text())
     assert list(events) == ["target", "psi_zeros", "phi_hits"]
     for triple in (["3", "2", "2"], ["3", "2", "4"]):
-        assert run(["verify", *triple, "--out-dir", str(tmp_path), "--grid-points", "200"]) == EXIT_OK
+        assert run(["verify", *triple, "--out-dir", str(tmp_path)]) == EXIT_OK
         barrier_json = json.loads((tmp_path / "barrier.json").read_text())
         assert list(barrier_json)[:2] == ["params", "case"]
 

@@ -3,6 +3,8 @@ output, and the flags it does not read are usage errors."""
 
 import argparse
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -23,20 +25,40 @@ OPTION_FLAGS = {
     "classify": {"--allow-inadmissible", "--config", "--out-dir", "--sweep"},
     "orbit": {"--allow-inadmissible", "--config", "--conv-tol", "--eps", "--formats",
               "--max-crossings", "--out-dir", "--rel-tol", "--t-max", "--target-phi"},
-    "verify": {"--allow-inadmissible", "--config", "--formats", "--grid-points",
-               "--out-dir", "-c"},
+    "verify": {"--allow-inadmissible", "--config", "--formats", "--out-dir", "-c"},
     "geometry": {"--allow-inadmissible", "--config", "--formats", "--out-dir"},
     "density": {"--allow-inadmissible", "--config", "--conv-tol", "--eps", "--formats",
-                "--max-crossings", "--out-dir", "--quad-panels", "--radii", "--rel-tol",
-                "--t-max"},
-    "maps-check": {"--config", "--formats", "--out-dir", "--samples", "--seed", "--step"},
+                "--max-crossings", "--out-dir", "--radii", "--rel-tol", "--t-max"},
+    "maps-check": {"--config", "--formats", "--out-dir", "--samples", "--seed"},
 }
 
 
 def test_option_flags_per_command():
     flags = {name: _option_flags(cmd) for name, cmd in _commands().items()}
     assert flags == OPTION_FLAGS
-    assert sum(map(len, flags.values())) == 41
+    assert sum(map(len, flags.values())) == 38
+
+
+def _readme_flag_table() -> dict[str, set[str]]:
+    """README's table of each command's flags, plus the --config and
+    --out-dir that its text says every command takes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| command | flags |", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    return {re.match(r" `([\w-]+)", cmd).group(1):
+            set(re.findall(r"`(-[\w-]+)", flags)) | {"--config", "--out-dir"}
+            for cmd, flags in rows}
+
+
+def test_readme_flag_table_matches_parser():
+    assert _readme_flag_table() == {name: _option_flags(cmd)
+                                    for name, cmd in _commands().items()}
+
+
+def test_run_config_fields():
+    assert [f.name for f in dataclasses.fields(RunConfig)] == [
+        "rel_tol", "conv_tol", "eps_start", "t_max", "max_crossings", "sample_count",
+        "seed", "out_dir", "formats"]
 
 
 # ----------------------------------------------------------------------
@@ -50,7 +72,7 @@ def _config_flags() -> list[tuple[str, str]]:
 
 
 _ORBIT = ["orbit", "3", "2", "2"]
-_DENSITY = ["density", "3", "2", "4", "--max-crossings", "4", "--quad-panels", "512"]
+_DENSITY = ["density", "3", "2", "4", "--max-crossings", "4"]
 _MAPS = ["maps-check", "--samples", "5"]
 
 # (command, flag) -> (base command line, a value of the flag that differs from the base)
@@ -61,20 +83,16 @@ FLAG_CASES = {
     ("orbit", "--t-max"): (_ORBIT, "5"),
     ("orbit", "--max-crossings"): (["orbit", "3", "2", "4"], "4"),
     ("orbit", "--formats"): (_ORBIT, "json"),
-    ("verify", "--grid-points"): (["verify", "3", "2", "2"], "200"),
     ("verify", "--formats"): (["verify", "3", "2", "2"], "csv"),
     ("geometry", "--formats"): (["geometry", "3", "2", "2"], "csv"),
     ("density", "--rel-tol"): (_DENSITY, "1e-8"),
     ("density", "--eps"): (_DENSITY, "1e-5"),
     ("density", "--t-max"): (_DENSITY, "8"),
     ("density", "--max-crossings"): (_DENSITY, "3"),
-    ("density", "--quad-panels"): (_DENSITY, "256"),
     ("density", "--formats"): (_DENSITY, "csv"),
     # conv_tol ends type-I orbits only: a looser one cuts the profile short of R = 100
-    ("density", "--conv-tol"): (["density", "3", "2", "2", "--radii", "1,100",
-                                 "--quad-panels", "512"], "1e-2"),
+    ("density", "--conv-tol"): (["density", "3", "2", "2", "--radii", "1,100"], "1e-2"),
     ("maps-check", "--samples"): (_MAPS, "6"),
-    ("maps-check", "--step"): (_MAPS, "1e-4"),
     ("maps-check", "--seed"): (_MAPS, "1"),
     ("maps-check", "--formats"): (_MAPS, "csv"),
 }
@@ -103,7 +121,8 @@ def test_flag_cases_are_all_taken():
 
 
 # ----------------------------------------------------------------------
-# flags every command took before, whether it read them or not
+# flags every command took before, whether it read them or not; the
+# sampling resolutions --grid-points and --quad-panels are now taken by none
 
 _FORMER_COMMON = ("--config", "--out-dir", "--formats", "--seed", "--rel-tol", "--conv-tol",
                   "--eps", "--t-max", "--max-crossings", "--grid-points", "--quad-panels")
@@ -112,7 +131,7 @@ _UNREAD = sorted((name, flag) for name, flags in OPTION_FLAGS.items()
 
 
 def test_unread_flag_count():
-    assert len(_UNREAD) == 36
+    assert len(_UNREAD) == 38
 
 
 @pytest.mark.parametrize("command,flag", _UNREAD)
@@ -122,6 +141,43 @@ def test_unread_flags_are_usage_errors(command, flag, tmp_path, capsys):
     assert main([command, *triple, flag, value, "--out-dir", str(tmp_path)]) == EXIT_USAGE
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+# ----------------------------------------------------------------------
+# the sampling resolutions are module constants: their former flags and
+# config keys exit 2 and write nothing
+
+_REMOVED_FLAGS = {
+    ("verify", "--grid-points"): ["verify", "3", "2", "2"],
+    ("density", "--quad-panels"): _DENSITY,
+    ("maps-check", "--step"): _MAPS,
+}
+_REMOVED_KEYS = {
+    "grid_points": ["verify", "3", "2", "2"],
+    "cycle_grid": ["verify", "3", "2", "4"],
+    "quad_panels": _DENSITY,
+    "fd_step": _MAPS,
+}
+
+
+@pytest.mark.parametrize("command,flag", sorted(_REMOVED_FLAGS))
+def test_removed_flags_are_usage_errors(command, flag, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*_REMOVED_FLAGS[command, flag], flag, "200", "--out-dir", str(out)]) \
+        == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", sorted(_REMOVED_KEYS))
+def test_removed_keys_are_usage_errors(key, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 200\n")
+    out = tmp_path / "out"
+    argv = [*_REMOVED_KEYS[key], "--config", str(cfg), "--out-dir", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_c_on_spiral_triple_is_usage_error(tmp_path, capsys):

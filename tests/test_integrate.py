@@ -97,6 +97,23 @@ def test_eps_nonpositive(p322):
         shoot_unstable_manifold(p322, eps=0.0)
     with pytest.raises(EpsNonpositive):
         shoot_unstable_manifold(p322, eps=-1e-6)
+    with pytest.raises(EpsNonpositive):
+        shoot_unstable_manifold(p322, eps=math.nan)
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-10, math.nan, math.inf])
+def test_shoot_rejects_a_bad_rel_tol(p324, rel_tol):
+    # NaN would end in a step-size underflow, inf in an 8.88 TiB tail grid
+    with pytest.raises(ValueError, match="rel_tol must be positive and finite"):
+        shoot_unstable_manifold(p324, rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("eps, t_max", [(2.0, 0.5), (2.0, math.log(2.0)), (1e-6, -20.0),
+                                        (1e-6, math.nan)])
+def test_shoot_needs_t_max_past_the_launch(p322, eps, t_max):
+    # the launch time is log(eps)/(k-1): log 2 for eps 2, -13.8 for eps 1e-6
+    with pytest.raises(ValueError, match="t_max=.* must exceed the launch time"):
+        shoot_unstable_manifold(p322, eps=eps, t_max=t_max)
 
 
 def test_type1_no_psi_zeros(traj322):
@@ -106,7 +123,7 @@ def test_type1_no_psi_zeros(traj322):
 def test_psi_zero_refinement_on_synthetic_sine(p322):
     t = np.arange(0.1, 10.0, 0.05)
     traj = Trajectory(p322, t, np.zeros_like(t), np.sin(t), np.cos(t),
-                      None, (0.0, 0.0), Termination.MAX_TIME)
+                      None, 0.0, Termination.MAX_TIME)
     zeros = detect_psi_zeros(traj)
     expected = [math.pi, 2 * math.pi, 3 * math.pi]
     assert len(zeros) == 3
@@ -228,8 +245,7 @@ def test_asymptotic_slope(p324, traj324):
 
 
 def test_tolerances_recorded(traj322):
-    rel, abs_ = traj322.tolerances
-    assert rel == 1e-10 and abs_ == 0.0
+    assert traj322.rel_tol == 1e-10
 
 
 # closed-form tail samples after the DP5 steps; type-I runs have none
@@ -300,10 +316,11 @@ def test_rhs_evals_count_field_calls(monkeypatch, p324):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("stage", [2, 4, 6])
+@pytest.mark.parametrize("stage", [2, 4, 6, 7])
 def test_nonfinite_stage_is_rejected(monkeypatch, p322, stage, bad):
     # field call `stage` of the first attempt (call 1 is the initial k1)
-    # returns a non-finite dpsi; stage 6 spoils psi_new alone.  The attempt
+    # returns a non-finite dpsi; stage 6 spoils psi_new alone, stage 7 (the
+    # FSAL stage at the new state) only the error estimate.  The attempt
     # is rejected with err = inf, so the retry takes 0.2 of the first step
     import lo_dynamics.integrate as integrate
 
@@ -367,8 +384,7 @@ def test_event_scans_match_sample_loop(request, fixture):
 
 def _hand_built(params, t, u, psi):
     t = np.asarray(t, dtype=float)
-    return Trajectory(params, t, u, psi, np.zeros_like(t), None, (0.0, 0.0),
-                      Termination.MAX_TIME)
+    return Trajectory(params, t, u, psi, np.zeros_like(t), None, 0.0, Termination.MAX_TIME)
 
 
 def test_phi_hits_exact_zero_samples(p322):

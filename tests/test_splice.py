@@ -159,14 +159,11 @@ def _continuation(traj):
     """DP5 from the splice state to the same stop rules, without a tail."""
     s = traj.stats.accepted
     before = int(_strict_sign_change(traj.psi[:s + 1]).sum())
-    rel_tol, abs_tol = traj.tolerances
     ts, us, psis, dpsis, reason, rejected, tail = _advance(
         traj.params, float(traj.t[s]), float(traj.u[s]), float(traj.psi[s]),
-        integrate.DEFAULT_T_MAX, rel_tol, abs_tol,
-        max_crossings=DEFAULT_MAX_CROSSINGS - before)
+        integrate.DEFAULT_T_MAX, traj.rel_tol, max_crossings=DEFAULT_MAX_CROSSINGS - before)
     assert tail == 0
-    return Trajectory(traj.params, ts, us, psis, dpsis, None, traj.tolerances, reason,
-                      rejected)
+    return Trajectory(traj.params, ts, us, psis, dpsis, None, traj.rel_tol, reason, rejected)
 
 
 def test_tail_matches_dp5_continuation(spirals):
