@@ -77,7 +77,7 @@ def test_radius_out_of_range(p322, cone322):
 
 
 @pytest.mark.parametrize("n_panels", [0, -4])
-def test_volume_core_needs_a_panel(p322, p324, cone322, traj324, n_panels):
+def test_volume_core_needs_a_panel(p322, cone322, traj324, n_panels):
     # a Simpson rule with no panel samples nothing and would divide by zero
     interp = _ProfileInterp(cone322)
     with pytest.raises(ValueError, match="n_panels must be at least 1"):
