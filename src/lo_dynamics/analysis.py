@@ -141,6 +141,8 @@ class _ProfileInterp:
 
     def cut_x(self, R: float) -> float:
         """x with r^2 + rho(r)^2 = R^2; unique by the monotonicity check."""
+        if not 0.0 < R < math.inf:  # NaN fails too
+            raise RadiusOutOfRange(f"R must be positive and finite, got {R}")
         target = 2.0 * math.log(R)
 
         def g(x):
@@ -205,8 +207,6 @@ def _volume_core(interp: _ProfileInterp, params: LomseParams, x_cut: float,
 def graph_volume(profile: Profile, params: LomseParams, R: float,
                  n_panels: int = DEFAULT_QUAD_PANELS) -> float:
     """Volume of the graph inside the ambient ball of radius R."""
-    if R <= 0.0:
-        raise RadiusOutOfRange(f"R must be > 0, got {R}")
     interp = _ProfileInterp(profile)
     x_cut = interp.cut_x(R)
     core = _volume_core(interp, params, x_cut, n_panels)
@@ -216,8 +216,6 @@ def graph_volume(profile: Profile, params: LomseParams, R: float,
 def theta_of_radius(profile: Profile, params: LomseParams, R: float,
                     n_panels: int = DEFAULT_QUAD_PANELS) -> float:
     """Density Theta(R); evaluated in scaled form, stable for any span."""
-    if R <= 0.0:
-        raise RadiusOutOfRange(f"R must be > 0, got {R}")
     n = params.n
     interp = _ProfileInterp(profile)
     x_cut = interp.cut_x(R)

@@ -54,7 +54,7 @@ class BarrierCase2Report:
     g_grid_margin: float  # min over phi of I - II + III*IV
     fs_min: float
     fs_argmin: float
-    cycle_margin: float | None  # max of Y2 + X2 over the lemma grid
+    cycle_margin: float  # max of Y2 + X2 over the lemma grid
     passed: bool
 
 
@@ -207,36 +207,6 @@ def step1_margin(s: float, params: LomseParams) -> float:
     return term_i - term_ii + term_iii * term_iv
 
 
-def case2_step1_check(params: LomseParams,
-                      grid_points: int = DEFAULT_GRID_POINTS) -> BarrierCase2Report:
-    """Step-1 certificate: envelope minimum plus the grid sweep of
-    I - II + III*IV over phi in (0, phi0).  cycle_margin is left unset;
-    no_limit_cycle_check supplies it."""
-    _require_type2(params)
-    if params.n - params.p != 1:
-        raise DomainError(f"step-1 certificate requires n - p = 1, got "
-                          f"({params.n},{params.p})")
-    if grid_points < 1:
-        raise ValueError(f"grid_points must be at least 1, got {grid_points}")
-    s_star, f_min = fs_minimum()
-    phi0 = params.phi0
-    lam2 = params.lambda_sq
-    s_end = 1.0 + lam2 * phi0 * phi0
-    margin = math.inf
-    for i in range(1, grid_points + 1):
-        phi = phi0 * i / (grid_points + 1)
-        s = s_end / (1.0 + lam2 * phi * phi) - 1.0
-        margin = min(margin, step1_margin(s, params))
-    return BarrierCase2Report(
-        params=params,
-        g_grid_margin=margin,
-        fs_min=f_min,
-        fs_argmin=s_star,
-        cycle_margin=None,
-        passed=(margin > 0.0) and abs(f_min - FS_MIN_EXACT) < 1e-10,
-    )
-
-
 def cycle_region_threshold(params: LomseParams) -> float:
     """sqrt((3p - n - 1)/(3(n - p))): the slope above which downward
     half-loops strictly shrink."""
@@ -284,14 +254,31 @@ def no_limit_cycle_check(params: LomseParams,
 def case2_check(params: LomseParams,
                 grid_points: int = DEFAULT_GRID_POINTS,
                 cycle_grid: tuple[int, int] = DEFAULT_CYCLE_GRID) -> BarrierCase2Report:
-    """Full spiral-case suite: Step 1 plus the no-limit-cycle margin."""
-    partial = case2_step1_check(params, grid_points=grid_points)
+    """Full spiral-case suite: the Step-1 certificate (envelope minimum plus
+    the grid sweep of I - II + III*IV over phi in (0, phi0)) and the
+    no-limit-cycle margin."""
+    _require_type2(params)
+    if params.n - params.p != 1:
+        raise DomainError(f"step-1 certificate requires n - p = 1, got "
+                          f"({params.n},{params.p})")
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be at least 1, got {grid_points}")
+    s_star, f_min = fs_minimum()
+    phi0 = params.phi0
+    lam2 = params.lambda_sq
+    s_end = 1.0 + lam2 * phi0 * phi0
+    margin = math.inf
+    for i in range(1, grid_points + 1):
+        phi = phi0 * i / (grid_points + 1)
+        s = s_end / (1.0 + lam2 * phi * phi) - 1.0
+        margin = min(margin, step1_margin(s, params))
     cycle_margin = no_limit_cycle_check(params, grid=cycle_grid)
     return BarrierCase2Report(
         params=params,
-        g_grid_margin=partial.g_grid_margin,
-        fs_min=partial.fs_min,
-        fs_argmin=partial.fs_argmin,
+        g_grid_margin=margin,
+        fs_min=f_min,
+        fs_argmin=s_star,
         cycle_margin=cycle_margin,
-        passed=partial.passed and cycle_margin < 0.0,
+        passed=(margin > 0.0 and abs(f_min - FS_MIN_EXACT) < 1e-10
+                and cycle_margin < 0.0),
     )

@@ -12,15 +12,14 @@ Exit codes (public contract):
 
 Configuration: a flat key = value text file (one pair per line, '#'
 comments allowed), pointed to by --config or the LO_DYNAMICS_CONFIG
-environment variable; command-line flags win over the file.  Keys match
-the RunConfig field names; the formats value is a comma list such as
-"json,csv,svg".  One file serves every subcommand: each ignores the keys
-it does not read and takes flags only for the ones it reads (see its
---help); any other flag, and any unknown key, exits 2.  Sampling
-resolutions (certificate grids, Simpson panels, finite-difference step)
-are the modules' DEFAULT_* constants, not settings.  verify -c and the
---conv-tol of orbit and density act on the real-eigenvalue type only and
-exit 2 on a spiral triple.
+environment variable; flags win over the file.  Keys match the RunConfig
+field names.  Each subcommand parses and checks only the fields it reads
+(make_parser lists them) and skips the file's other fields; an unknown
+key or flag exits 2, and classify reads no file.  Sampling resolutions
+are the modules' DEFAULT_* constants, not settings.  verify -c and
+--conv-tol act on the real-eigenvalue type only, --max-crossings on the
+spiral type only: on the other type the flag exits 2 and the config key
+is ignored.
 
 All numbers are serialized with 17 significant digits; CSV columns are
 fixed (trajectory.csv: t,phi,psi; profile.csv: r,rho,rho_r,rho_rr,residual)
@@ -36,7 +35,6 @@ import json
 import math
 import os
 import sys
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +47,7 @@ from .errors import (
     InadmissibleTriple,
     InsufficientHits,
     NotTypeII,
+    RadiusOutOfRange,
     StepSizeUnderflow,
 )
 from .integrate import (
@@ -112,8 +111,6 @@ def load_config_file(path: str | Path) -> dict[str, str]:
 
 def _coerce(cfg: RunConfig, key: str, value: str) -> None:
     """Set field key of cfg from its text, as a config file or a flag gives it."""
-    if not hasattr(cfg, key):
-        raise ValueError(f"unknown config key {key!r}")
     if key == "formats":
         setattr(cfg, key, tuple(v.strip() for v in value.split(",") if v.strip()))
         return
@@ -125,13 +122,18 @@ def _coerce(cfg: RunConfig, key: str, value: str) -> None:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
+    """The settings of args.fields, the RunConfig fields the command reads,
+    from its config file and then its flags; the file's other keys are
+    skipped unparsed if they name a field and refused if not."""
     cfg = RunConfig()
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
-    if path:
-        for key, value in load_config_file(path).items():
+    path = args.config or os.environ.get(CONFIG_ENV_VAR)
+    for key, value in (load_config_file(path) if path else {}).items():
+        if key not in vars(cfg):
+            raise ValueError(f"unknown config key {key!r}")
+        if key in args.fields:
             _coerce(cfg, key, value)
-    for key in vars(cfg):
-        flag = getattr(args, key, None)
+    for key in args.fields:
+        flag = getattr(args, key)
         if flag is not None:
             _coerce(cfg, key, flag)
     cfg.validate()
@@ -181,27 +183,6 @@ def dumps_json(obj) -> str:
     """JSON text of obj; a dataclass is written as its fields in declaration
     order, LomseParams as its triple {n, p, k}."""
     return _json_encode(obj) + "\n"
-
-
-def from_dict(cls, d):
-    """Inverse of dumps_json after json.loads: rebuild a value of type cls,
-    a report dataclass or any type hint nested in one."""
-    if d is None:
-        return None
-    if cls is LomseParams:
-        return build_params(int(d["n"]), int(d["p"]), int(d["k"]), allow_inadmissible=True)
-    if dataclasses.is_dataclass(cls):
-        hints = typing.get_type_hints(cls)
-        return cls(**{f.name: from_dict(hints[f.name], d[f.name])
-                      for f in dataclasses.fields(cls)})
-    origin, args = typing.get_origin(cls), typing.get_args(cls)
-    if origin is list:
-        return [from_dict(args[0], v) for v in d]
-    if origin is tuple:
-        return tuple(from_dict(a, v) for a, v in zip(args, d))
-    if args:  # X | None with a value present
-        return from_dict(args[0], d)
-    return cls(d)
 
 
 # ----------------------------------------------------------------------
@@ -263,9 +244,29 @@ def write_svg(path: Path, series: list[tuple[list[float], list[float], str]],
 # ----------------------------------------------------------------------
 # commands
 
+# flags that act on one stability type only: given for a triple of the
+# other type they exit 2, while their config keys are ignored there, as
+# shoot_unstable_manifold drops the setting that does not apply
+_TYPE_ONLY = {
+    "--conv-tol": StabilityType.CENTER_TYPE_I,
+    "-c": StabilityType.CENTER_TYPE_I,
+    "--max-crossings": StabilityType.SPIRAL_TYPE_II,
+}
+_TYPE_NAMES = {StabilityType.CENTER_TYPE_I: "real-eigenvalue",
+               StabilityType.SPIRAL_TYPE_II: "spiral"}
+
+
 def _build(args) -> LomseParams:
-    return build_params(args.n, args.p, args.k,
-                        allow_inadmissible=getattr(args, "allow_inadmissible", False))
+    """The triple of args; a flag of _TYPE_ONLY given for the other type
+    is a usage error."""
+    params = build_params(args.n, args.p, args.k,
+                          allow_inadmissible=getattr(args, "allow_inadmissible", False))
+    for flag, kind in _TYPE_ONLY.items():
+        dest = flag.lstrip("-").replace("-", "_")  # argparse's rule
+        if params.stability is not kind and getattr(args, dest, None) is not None:
+            raise ValueError(f"{args.command}: {flag} applies only to the "
+                             f"{_TYPE_NAMES[kind]} type")
+    return params
 
 
 _SHOOT_FIELDS = ("rel_tol", "conv_tol", "eps_start", "t_max", "max_crossings")
@@ -278,22 +279,16 @@ def _shoot(params: LomseParams, cfg: RunConfig) -> Trajectory:
                                    rel_tol=cfg.rel_tol, conv_tol=cfg.conv_tol)
 
 
-def _conv_tol_misused(args, params: LomseParams) -> bool:
-    """Report --conv-tol on a spiral triple, whose runs never read it."""
-    if args.conv_tol is None or params.stability is StabilityType.CENTER_TYPE_I:
-        return False
-    print(f"{args.command}: --conv-tol applies only to the real-eigenvalue type",
-          file=sys.stderr)
-    return True
+def _output_dir(cfg: RunConfig) -> Path:
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _write_json(cfg: RunConfig, name: str, payload) -> Path:
-    """Create the output directory and, if json is among the formats, write
-    payload there as name; returns the directory."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if "json" in cfg.formats:
-        (out / name).write_text(dumps_json(payload), encoding="utf-8")
+    """Write payload as name in the output directory; returns the directory."""
+    out = _output_dir(cfg)
+    (out / name).write_text(dumps_json(payload), encoding="utf-8")
     return out
 
 
@@ -309,7 +304,6 @@ _CLASSIFY_HEADER = (f"{'n':>3} {'p':>3} {'k':>3}  adm  "
 
 
 def cmd_classify(args) -> int:
-    build_config(args)  # rejects a bad config file or flag value
     if args.sweep:
         n_max, k_max = args.sweep
         print(_CLASSIFY_HEADER)
@@ -352,14 +346,12 @@ def _orbit_svgs(out: Path, traj: Trajectory, profile: radial.Profile) -> None:
 def cmd_orbit(args) -> int:
     cfg = build_config(args)
     params = _build(args)
-    if _conv_tol_misused(args, params):
-        return EXIT_USAGE
     traj = _shoot(params, cfg)
     target = args.target_phi if args.target_phi is not None else params.phi0
     report = crossing_report(traj, target)
     profile = radial.to_profile(traj)
 
-    out = _write_json(cfg, "events.json", report)
+    out = _write_json(cfg, "events.json", report) if "json" in cfg.formats else _output_dir(cfg)
     if "csv" in cfg.formats:
         write_csv(out / "trajectory.csv", ["t", "phi", "psi"],
                   zip(traj.t.tolist(), traj.phi.tolist(), traj.psi.tolist()))
@@ -387,9 +379,6 @@ def cmd_verify(args) -> int:
         print(f"  G(lambda^2 phi0^2) = {fmt17(report.g_end)}")
         print(f"  grid margin = {fmt17(report.grid_margin)}")
         ok = report.passed and report.grid_margin > 0.0
-    elif args.c is not None:
-        print("verify: -c applies only to the real-eigenvalue type", file=sys.stderr)
-        return EXIT_USAGE
     else:
         report = barrier.case2_check(params)
         payload = {"params": params, "case": 2, **_fields(report)}
@@ -427,13 +416,14 @@ def _radius(text: str) -> float:
 def cmd_density(args) -> int:
     cfg = build_config(args)
     params = _build(args)
-    if _conv_tol_misused(args, params):
-        return EXIT_USAGE
-    radii = [_radius(v) for v in args.radii.split(",")] if args.radii else None
+    radii = None if args.radii is None else [_radius(v) for v in args.radii.split(",")]
     traj = _shoot(params, cfg)
-    if radii:
+    if radii is not None:
         profile = radial.to_profile(traj)
-        thetas = [analysis.theta_of_radius(profile, params, r) for r in radii]
+        try:
+            thetas = [analysis.theta_of_radius(profile, params, r) for r in radii]
+        except RadiusOutOfRange as exc:
+            raise ValueError(f"radii: {exc}") from None
         payload = {
             "params": params,
             "radii": radii,
@@ -502,18 +492,19 @@ _FLAGS = {
 def _add_command(sub, name: str, func, help: str, fields: tuple[str, ...],
                  triple: str | None = "required") -> argparse.ArgumentParser:
     """Add subcommand name with the triple n p k ("required", "optional" or
-    None), --config, and the flags of out_dir and of fields, the RunConfig
-    fields it reads; build_config coerces their string values."""
+    None) and the flags of fields, the RunConfig fields it reads, which a
+    --config file may set too; build_config reads these and no others."""
     cmd = sub.add_parser(name, help=help)
     if triple:
         for arg in ("n", "p", "k"):
             cmd.add_argument(arg, type=int, nargs="?" if triple == "optional" else None)
         cmd.add_argument("--allow-inadmissible", action="store_true")
-    cmd.add_argument("--config", help=f"config file (or set {CONFIG_ENV_VAR})")
-    for field in ("out_dir", *fields):
+    if fields:
+        cmd.add_argument("--config", help=f"config file (or set {CONFIG_ENV_VAR})")
+    for field in fields:
         cmd.add_argument(_FLAGS[field], dest=field,
                          help="comma list from json,csv,svg" if field == "formats" else None)
-    cmd.set_defaults(func=func)
+    cmd.set_defaults(func=func, fields=fields)
     return cmd
 
 
@@ -524,33 +515,35 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # classify writes no files, but callers such as perfbench pass --out-dir to every command
     p_cls = _add_command(sub, "classify", cmd_classify,
                          "admissibility, constants and stability type", (), triple="optional")
     p_cls.add_argument("--sweep", nargs=2, type=int, metavar=("N_MAX", "K_MAX"))
+    # classify reads no setting and writes no files, but callers such as
+    # perfbench pass --out-dir to every command
+    p_cls.add_argument("--out-dir", help="ignored: classify writes no files")
 
     p_orb = _add_command(sub, "orbit", cmd_orbit,
                          "shoot the connecting orbit and emit data files",
-                         ("formats", *_SHOOT_FIELDS))
+                         ("out_dir", "formats", *_SHOOT_FIELDS))
     p_orb.add_argument("--target-phi", dest="target_phi", type=float,
                        help="slope for crossing detection (default: phi0)")
 
     p_ver = _add_command(sub, "verify", cmd_verify, "run the certificate suite for the type",
-                         ("formats",))
+                         ("out_dir",))
     p_ver.add_argument("-c", type=float, default=None,
                        help="barrier constant override (real-eigenvalue type)")
 
     _add_command(sub, "geometry", cmd_geometry, "closed-form geometric invariants",
-                 ("formats",))
+                 ("out_dir",))
 
     p_den = _add_command(sub, "density", cmd_density,
                          "density report (spiral type) or Theta(R) sweep",
-                         ("formats", *_SHOOT_FIELDS))
+                         ("out_dir", *_SHOOT_FIELDS))
     p_den.add_argument("--radii", help="comma list of radii for a Theta(R) sweep")
 
     _add_command(sub, "maps-check", cmd_maps_check,
                  "witness-map singular values and angle sum",
-                 ("formats", "sample_count", "seed"), triple=None)
+                 ("out_dir", "sample_count", "seed"), triple=None)
 
     return parser
 

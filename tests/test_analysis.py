@@ -76,6 +76,13 @@ def test_radius_out_of_range(p322, cone322):
         graph_volume(cone322, p322, 1e4)
 
 
+@pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_radius_must_be_positive_and_finite(p322, cone322, R):
+    for volume in (graph_volume, theta_of_radius):
+        with pytest.raises(RadiusOutOfRange, match="R must be positive and finite"):
+            volume(cone322, p322, R)
+
+
 @pytest.mark.parametrize("n_panels", [0, -4])
 def test_volume_core_needs_a_panel(p322, cone322, traj324, n_panels):
     # a Simpson rule with no panel samples nothing and would divide by zero

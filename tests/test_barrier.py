@@ -14,7 +14,6 @@ from lo_dynamics.barrier import (
     case1_iv_unreduced,
     case1_polynomial,
     case2_check,
-    case2_step1_check,
     cycle_region_threshold,
     default_c,
     fs_envelope,
@@ -163,16 +162,16 @@ def test_fs_envelope_limits():
 @pytest.mark.parametrize("npk", [(3, 2, 4), (5, 4, 6)])
 def test_case2_step1(npk):
     params = build_params(*npk)
-    report = case2_step1_check(params, grid_points=2000)
+    report = case2_check(params, grid_points=2000, cycle_grid=(2, 1))
     assert report.g_grid_margin > 0.0
     assert report.fs_min == pytest.approx(FS_MIN_EXACT, abs=1e-10)
-    assert report.cycle_margin is None
+    assert report.cycle_margin < 0.0
     assert report.passed
 
 
 def test_case2_rejects_type1(p322):
     with pytest.raises(NotTypeII):
-        case2_step1_check(p322)
+        case2_check(p322)
     with pytest.raises(NotTypeII):
         no_limit_cycle_check(p322)
 
@@ -231,8 +230,7 @@ def test_case1_check_needs_a_grid_point(p322, grid_points):
 
 @pytest.mark.parametrize("grid_points", [0, -5])
 def test_case2_step1_check_needs_a_grid_point(p324, grid_points):
-    with pytest.raises(ValueError, match="grid_points must be at least 1"):
-        case2_step1_check(p324, grid_points=grid_points)
+    # grid_points is the step-1 sweep's; it is checked before the cycle grid
     with pytest.raises(ValueError, match="grid_points must be at least 1"):
         case2_check(p324, grid_points=grid_points, cycle_grid=(0, 0))
 

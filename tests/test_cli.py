@@ -3,16 +3,17 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lo_dynamics
-from lo_dynamics import analysis, barrier, enumerate_admissible, geometry
+from lo_dynamics import analysis, barrier, build_params, enumerate_admissible, geometry
 from lo_dynamics.cli import (
     EXIT_BARRIER_FAILURE,
     EXIT_BLOWUP,
@@ -23,14 +24,13 @@ from lo_dynamics.cli import (
     RunConfig,
     dumps_json,
     fmt17,
-    from_dict,
     load_config_file,
     main,
     write_csv,
     write_svg,
 )
-from lo_dynamics import CrossingReport, crossing_report, detect_psi_zeros
-from lo_dynamics.params import StabilityType
+from lo_dynamics import crossing_report, detect_psi_zeros
+from lo_dynamics.params import LomseParams, StabilityType
 from lo_dynamics.radial import ode1_residual
 
 
@@ -199,11 +199,15 @@ def test_density_unresolved_exits_barrier_failure(tmp_path, capsys, monkeypatch)
 
 @pytest.mark.parametrize("key", ["jobs", "abs_tol", "event_tol"])
 def test_removed_knobs_are_usage_errors(key, tmp_path, capsys, monkeypatch):
-    assert run(["classify", "3", "2", "2", "--" + key.replace("_", "-"), "2"]) == EXIT_USAGE
+    # geometry: classify reads no config file
+    out = str(tmp_path / "out")
+    assert run(["geometry", "3", "2", "2", "--" + key.replace("_", "-"), "2",
+                "--out-dir", out]) == EXIT_USAGE
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = 2\n")
     monkeypatch.setenv("LO_DYNAMICS_CONFIG", str(cfg))
-    assert run(["classify", "3", "2", "2"]) == EXIT_USAGE
+    assert run(["geometry", "3", "2", "2", "--out-dir", out]) == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
 
 
 def test_density_type2(tmp_path, capsys):
@@ -299,8 +303,9 @@ def _log_uniform(lo: float, hi: float):
 
 
 # the (31, 20) table, plus any domain-valid triple run off-table
+_TABLE = [p.triple() for p in enumerate_admissible(31, 20)]
 _TRIPLES = st.one_of(
-    st.sampled_from([p.triple() for p in enumerate_admissible(31, 20)]),
+    st.sampled_from(_TABLE),
     st.integers(2, 31).flatmap(lambda n: st.tuples(
         st.just(n), st.integers(1, n - 1), st.integers(2, 20))),
 )
@@ -311,22 +316,23 @@ _TRIPLES = st.one_of(
        rel_tol=st.one_of(_log_uniform(-12.0, -3.0), st.just(1e-300)),
        eps=_log_uniform(-12.0, 3.0),
        t_max=_log_uniform(-2.0, 2.6),
-       max_crossings=st.integers(1, 60))
+       max_crossings=st.one_of(st.none(), st.integers(1, 60)))
 def test_orbit_exits_with_a_documented_code(tmp_path_factory, triple, rel_tol, eps, t_max,
                                             max_crossings):
     # every run of the shooting loop ends in an exit code, never an exception:
-    # 2 (t_max before the launch time leaves one sample), 4 (blowup for a
-    # large eps, step underflow for a tiny rel_tol) and 0 are the ones seen
+    # 2 (t_max before the launch time leaves one sample, or --max-crossings
+    # on a type-I triple), 4 (blowup for a large eps, step underflow for a
+    # tiny rel_tol) and 0 are the ones seen
     out = tmp_path_factory.mktemp("orbit")
+    crossings = [] if max_crossings is None else ["--max-crossings", str(max_crossings)]
     code = run(["orbit", *map(str, triple), "--allow-inadmissible",
                 "--rel-tol", repr(rel_tol), "--eps", repr(eps), "--t-max", repr(t_max),
-                "--max-crossings", str(max_crossings), "--formats", "json",
-                "--out-dir", str(out)])
+                *crossings, "--formats", "json", "--out-dir", str(out)])
     assert code in (0, 2, 3, 4, 5, 6)
 
 
 # ----------------------------------------------------------------------
-# verify, density and maps-check under random flags and config files
+# verify, geometry, density and maps-check under random flags and config files
 
 _JUNK = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "", "abc", "2.5", "1e400", ",json"])
 
@@ -371,45 +377,77 @@ _CONFIG_LINES = st.tuples(
 
 _SPIRALS = [p.triple() for p in enumerate_admissible(31, 20)
             if p.stability is StabilityType.SPIRAL_TYPE_II]
-_RADII = st.lists(_usually(st.one_of(_log_uniform(-3.0, 4.0), st.floats(-2.0, 0.0)).map(repr)),
-                  min_size=1, max_size=3).map(",".join)
-# (triples, the flags the command takes, its former sampling-resolution flag)
+# radii inside and outside (0, inf), and at times no radius at all
+_RADII = st.lists(st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-0.5"]),
+                            _log_uniform(-3.0, 4.0).map(repr)),
+                  max_size=3).map(",".join)
+# the flags for one stability type only, by the type they do not apply to
+_WRONG_TYPE = {StabilityType.CENTER_TYPE_I: {"--max-crossings"},
+               StabilityType.SPIRAL_TYPE_II: {"--conv-tol", "-c"}}
+# (triples, the flags the command takes, flags it no longer takes)
 _COMMANDS = {
-    "verify": (_TRIPLES, {"-c": _usually(st.floats(0.05, 1.0).map(repr))}, "--grid-points"),
+    "verify": (_TRIPLES, {"-c": _usually(st.floats(0.05, 1.0).map(repr))},
+               ["--grid-points=200", "--formats=json"]),
+    "geometry": (_TRIPLES, {}, ["--formats=json"]),
     "density": (st.one_of(_TRIPLES, st.sampled_from(_SPIRALS)),
                 {"--rel-tol": _KEY_VALUES["rel_tol"], "--conv-tol": _KEY_VALUES["conv_tol"],
                  "--eps": _KEY_VALUES["eps_start"], "--t-max": _KEY_VALUES["t_max"],
                  "--max-crossings": _KEY_VALUES["max_crossings"], "--radii": _RADII},
-                "--quad-panels"),
+                ["--quad-panels=200", "--formats=csv"]),
     "maps-check": (None, {"--samples": _KEY_VALUES["sample_count"],
-                          "--seed": _KEY_VALUES["seed"]}, "--step"),
+                          "--seed": _KEY_VALUES["seed"]}, ["--step=200", "--formats=json"]),
 }
 
 
 @settings(max_examples=60, deadline=None)
 @given(command=st.sampled_from(sorted(_COMMANDS)), data=st.data(), config=_CONFIG_LINES)
 def test_commands_exit_with_a_documented_code(tmp_path_factory, command, data, config):
-    # the command's flags (one time in eight also the removed one) and a
-    # config file; every run ends in an exit code, never an exception
+    # the command's flags (one time in eight also one it no longer takes,
+    # or one for the other stability type) and a config file; every run
+    # ends in an exit code, never an exception, and a run that exits 0
+    # prints no nan or inf
     triples, flag_values, removed = _COMMANDS[command]
     out = tmp_path_factory.mktemp(command)
     argv = [command]
+    wrong = set()
     if triples is not None:
-        argv += [*map(str, data.draw(triples)),
-                 *data.draw(st.sampled_from([[], ["--allow-inadmissible"]]))]
+        triple = data.draw(triples)
+        wrong = _WRONG_TYPE[build_params(*triple, allow_inadmissible=True).stability]
+        argv += [*map(str, triple), *data.draw(st.sampled_from([[], ["--allow-inadmissible"]]))]
     flags = data.draw(st.fixed_dictionaries(
-        {}, optional={**flag_values, "--formats": _KEY_VALUES["formats"]}))
+        {}, optional={f: v for f, v in flag_values.items() if f not in wrong}))
     argv += [f"{flag}={value}" for flag, value in flags.items()]
-    argv += data.draw(_one_in(8, st.just([f"{removed}=200"]), st.just([])))
+    rare = removed + [f"{flag}=1" for flag in sorted(wrong & flag_values.keys())]
+    argv += data.draw(_one_in(8, st.sampled_from(rare).map(lambda f: [f]), st.just([])))
     cfg = out / "run.cfg"
     cfg.write_text("".join(f"{line}\n" for line in config))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    stdout, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
         code = run([*argv, "--config", str(cfg), "--out-dir", str(out / "out")])
     assert code in (0, 2, 3, 4, 5, 6)
     assert "Traceback" not in err.getvalue()
     if code == EXIT_USAGE:
         assert err.getvalue()
+    if code == EXIT_OK:
+        assert not re.search(r"\b(nan|inf)\b", stdout.getvalue()), stdout.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(triple=st.sampled_from(_TABLE), radii=_RADII)
+@example(triple=(3, 2, 2), radii="nan,1")  # printed Theta(nan) and exited 0
+def test_radii_sweep_prints_finite_densities(tmp_path_factory, triple, radii):
+    # the Theta(R) sweep alone, which the fuzz above seldom reaches: it
+    # prints finite densities or exits 2 naming radii
+    out = tmp_path_factory.mktemp("radii")
+    stdout, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        code = run(["density", *map(str, triple), f"--radii={radii}", "--out-dir", str(out)])
+    if code == EXIT_OK:
+        assert not re.search(r"\b(nan|inf)\b", stdout.getvalue()), stdout.getvalue()
+    else:
+        assert code == EXIT_USAGE
+        assert "error: radii" in err.getvalue()
+        assert not any(out.iterdir())
 
 
 def test_write_csv_matches_csv_writer(tmp_path):
@@ -432,24 +470,30 @@ def test_fmt17_round_trip():
         assert float(fmt17(x)) == x
 
 
+def _as_json(obj):
+    """obj as dumps_json writes it: a dataclass as its fields, LomseParams
+    as {n, p, k}, a tuple as a list."""
+    if isinstance(obj, LomseParams):
+        return {"n": obj.n, "p": obj.p, "k": obj.k}
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _as_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (list, tuple)):
+        return [_as_json(v) for v in obj]
+    return obj
+
+
 def test_json_report_round_trips(p322, p324, traj324):
-    rep = crossing_report(traj324)
-    assert from_dict(CrossingReport, json.loads(dumps_json(rep))) == rep
-
-    b1 = barrier.case1_check(p322, grid_points=200)
-    assert from_dict(barrier.BarrierCase1Report, json.loads(dumps_json(b1))) == b1
-
-    b2 = barrier.case2_check(p324, grid_points=200, cycle_grid=(40, 40))
-    assert from_dict(barrier.BarrierCase2Report, json.loads(dumps_json(b2))) == b2
-
-    geo = geometry.geometry_report(p322)
-    assert from_dict(geometry.GeometryReport, json.loads(dumps_json(geo))) == geo
-
-    fam = analysis.dirichlet_solutions(traj324, p324.phi0)
-    assert from_dict(analysis.SolutionFamilyReport, json.loads(dumps_json(fam))) == fam
-
-    den = analysis.density_report(traj324, n_panels=1024)
-    assert from_dict(analysis.DensityReport, json.loads(dumps_json(den))) == den
+    # every float comes back bit for bit from its 17 digits
+    reports = [
+        crossing_report(traj324),
+        barrier.case1_check(p322, grid_points=200),
+        barrier.case2_check(p324, grid_points=200, cycle_grid=(40, 40)),
+        geometry.geometry_report(p322),
+        analysis.dirichlet_solutions(traj324, p324.phi0),
+        analysis.density_report(traj324, n_panels=1024),
+    ]
+    for rep in reports:
+        assert json.loads(dumps_json(rep)) == _as_json(rep), type(rep).__name__
 
 
 def test_json_key_order(tmp_path):

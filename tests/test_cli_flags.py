@@ -22,31 +22,31 @@ def _option_flags(cmd: argparse.ArgumentParser) -> set[str]:
 
 
 OPTION_FLAGS = {
-    "classify": {"--allow-inadmissible", "--config", "--out-dir", "--sweep"},
+    "classify": {"--allow-inadmissible", "--out-dir", "--sweep"},
     "orbit": {"--allow-inadmissible", "--config", "--conv-tol", "--eps", "--formats",
               "--max-crossings", "--out-dir", "--rel-tol", "--t-max", "--target-phi"},
-    "verify": {"--allow-inadmissible", "--config", "--formats", "--out-dir", "-c"},
-    "geometry": {"--allow-inadmissible", "--config", "--formats", "--out-dir"},
-    "density": {"--allow-inadmissible", "--config", "--conv-tol", "--eps", "--formats",
+    "verify": {"--allow-inadmissible", "--config", "--out-dir", "-c"},
+    "geometry": {"--allow-inadmissible", "--config", "--out-dir"},
+    "density": {"--allow-inadmissible", "--config", "--conv-tol", "--eps",
                 "--max-crossings", "--out-dir", "--radii", "--rel-tol", "--t-max"},
-    "maps-check": {"--config", "--formats", "--out-dir", "--samples", "--seed"},
+    "maps-check": {"--config", "--out-dir", "--samples", "--seed"},
 }
 
 
 def test_option_flags_per_command():
     flags = {name: _option_flags(cmd) for name, cmd in _commands().items()}
     assert flags == OPTION_FLAGS
-    assert sum(map(len, flags.values())) == 38
+    assert sum(map(len, flags.values())) == 33
 
 
 def _readme_flag_table() -> dict[str, set[str]]:
-    """README's table of each command's flags, plus the --config and
-    --out-dir that its text says every command takes."""
+    """README's table of each command's flags, plus the --out-dir that its
+    text says every command takes."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("| command | flags |", 1)[1].split("\n\n", 1)[0]
     rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
     return {re.match(r" `([\w-]+)", cmd).group(1):
-            set(re.findall(r"`(-[\w-]+)", flags)) | {"--config", "--out-dir"}
+            set(re.findall(r"`(-[\w-]+)", flags)) | {"--out-dir"}
             for cmd, flags in rows}
 
 
@@ -83,18 +83,14 @@ FLAG_CASES = {
     ("orbit", "--t-max"): (_ORBIT, "5"),
     ("orbit", "--max-crossings"): (["orbit", "3", "2", "4"], "4"),
     ("orbit", "--formats"): (_ORBIT, "json"),
-    ("verify", "--formats"): (["verify", "3", "2", "2"], "csv"),
-    ("geometry", "--formats"): (["geometry", "3", "2", "2"], "csv"),
     ("density", "--rel-tol"): (_DENSITY, "1e-8"),
     ("density", "--eps"): (_DENSITY, "1e-5"),
     ("density", "--t-max"): (_DENSITY, "8"),
     ("density", "--max-crossings"): (_DENSITY, "3"),
-    ("density", "--formats"): (_DENSITY, "csv"),
     # conv_tol ends type-I orbits only: a looser one cuts the profile short of R = 100
     ("density", "--conv-tol"): (["density", "3", "2", "2", "--radii", "1,100"], "1e-2"),
     ("maps-check", "--samples"): (_MAPS, "6"),
     ("maps-check", "--seed"): (_MAPS, "1"),
-    ("maps-check", "--formats"): (_MAPS, "csv"),
 }
 
 
@@ -122,7 +118,8 @@ def test_flag_cases_are_all_taken():
 
 # ----------------------------------------------------------------------
 # flags every command took before, whether it read them or not; the
-# sampling resolutions --grid-points and --quad-panels are now taken by none
+# sampling resolutions --grid-points and --quad-panels are now taken by
+# none, --formats by orbit only and --config by all but classify
 
 _FORMER_COMMON = ("--config", "--out-dir", "--formats", "--seed", "--rel-tol", "--conv-tol",
                   "--eps", "--t-max", "--max-crossings", "--grid-points", "--quad-panels")
@@ -131,7 +128,7 @@ _UNREAD = sorted((name, flag) for name, flags in OPTION_FLAGS.items()
 
 
 def test_unread_flag_count():
-    assert len(_UNREAD) == 38
+    assert len(_UNREAD) == 43
 
 
 @pytest.mark.parametrize("command,flag", _UNREAD)
@@ -139,7 +136,7 @@ def test_unread_flags_are_usage_errors(command, flag, tmp_path, capsys):
     triple = [] if command == "maps-check" else ["3", "2", "2"]
     value = "json" if flag == "--formats" else "1"
     assert main([command, *triple, flag, value, "--out-dir", str(tmp_path)]) == EXIT_USAGE
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -180,6 +177,17 @@ def test_removed_keys_are_usage_errors(key, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_run_config_method_is_an_unknown_key(tmp_path, capsys):
+    # "validate" named an attribute but no field, and ended in a TypeError
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("validate = 1\n")
+    out = tmp_path / "out"
+    assert main(["geometry", "3", "2", "2", "--config", str(cfg), "--out-dir", str(out)]) \
+        == EXIT_USAGE
+    assert "unknown config key 'validate'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_c_on_spiral_triple_is_usage_error(tmp_path, capsys):
     argv = ["verify", "3", "2", "4", "-c", "0.3", "--out-dir", str(tmp_path)]
     assert main(argv) == EXIT_USAGE
@@ -194,6 +202,62 @@ def test_conv_tol_on_spiral_triple_is_usage_error(command, tmp_path, capsys):
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert f"{command}: --conv-tol applies only to the real-eigenvalue type" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["orbit", "3", "2", "2"],
+                                  ["density", "3", "2", "2", "--radii", "1"]])
+def test_max_crossings_on_type_one_triple_is_usage_error(argv, tmp_path, capsys):
+    # a type-I orbit ends at the cone, never after a count of crossings
+    out = tmp_path / "out"
+    assert main([*argv, "--max-crossings", "3", "--out-dir", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{argv[0]}: --max-crossings applies only to the spiral type" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["orbit", "3", "2", "2", "--formats", "json"], "max_crossings = 1"),
+    (["orbit", "3", "2", "4", "--formats", "json"], "conv_tol = 0.5"),
+])
+def test_type_only_keys_are_ignored_on_the_other_type(argv, line, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\n")
+    before = _outputs(argv, tmp_path / "base", capsys)
+    assert before[0] == EXIT_OK
+    assert _outputs([*argv, "--config", str(cfg)], tmp_path / "cfg", capsys) == before
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["verify", "3", "2", "2"], "rel_tol = nan"),
+    (["geometry", "3", "2", "2"], "formats = bmp"),
+    (["density", "3", "2", "2", "--radii", "1"], "seed = x"),
+    (_MAPS, "max_crossings = 0"),
+])
+def test_unread_keys_are_neither_parsed_nor_checked(argv, line, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\n")
+    before = _outputs(argv, tmp_path / "base", capsys)
+    assert before[0] == EXIT_OK
+    assert _outputs([*argv, "--config", str(cfg)], tmp_path / "cfg", capsys) == before
+
+
+def test_classify_reads_no_config(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("no_such_key = 1\n")
+    monkeypatch.setenv("LO_DYNAMICS_CONFIG", str(cfg))
+    assert main(["classify", "3", "2", "2"]) == EXIT_OK
+    assert "center(I)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("radii", ["nan,1", "inf", "-inf", "0", "1,-2", ""])
+def test_radii_must_be_positive_and_finite(radii, tmp_path, capsys):
+    # nan once gave Theta(nan) = 1.0000000000019997 and exit 0; "" the
+    # spiral report, exit 6 on this type-I triple
+    out = tmp_path / "out"
+    assert main(["density", "3", "2", "2", f"--radii={radii}", "--out-dir", str(out)]) \
+        == EXIT_USAGE
+    assert "error: radii" in capsys.readouterr().err
     assert not out.exists()
 
 
