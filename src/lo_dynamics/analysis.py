@@ -1,15 +1,16 @@
-"""Dirichlet solution multiplicity from orbit data, graph volumes, and the
-density comparison that certifies the spiral-type cones non-minimizing.
+"""Graph densities, and the density comparison that certifies the
+spiral-type cones non-minimizing.
 
-Every time t* with phi(t*) = phi_b yields one analytic solution on the
-unit disk with boundary slope phi_b, obtained by rescaling the entire
-graph by d = e^{t*}.  The density of the graph at radius R is
+Every time t* with phi(t*) = phi_b (integrate.detect_phi_hits) yields one
+analytic solution on the unit disk with boundary slope phi_b, obtained by
+rescaling the entire graph by d = e^{t*}.  The density of the graph at
+radius R is
 
     Theta(R) = Vol(M inside ball R) / (omega_ball^{n+1} R^{n+1}),
 
 nondecreasing in R by the monotonicity of density for minimal
-submanifolds, and its limit is the cone density Theta_inf.  graph_volume
-and theta_of_radius use composite Simpson quadrature in x = log r with
+submanifolds, and its limit is the cone density Theta_inf.
+theta_of_radius uses composite Simpson quadrature in x = log r with
 the integrand factored as g(x) e^{(n+1)x}; the exponential is scaled out
 analytically so that profiles spanning hundreds of e-folds stay in
 floating range.
@@ -41,7 +42,7 @@ import numpy as np
 from .dynsys import linearize_p1, p1_quadratic_bound, spiral_flow_growth
 from .errors import InsufficientHits, NotMonotone, NotTypeII, RadiusOutOfRange
 from .geometry import los_volume, unit_ball_volume, unit_sphere_volume
-from .integrate import Trajectory, _hermite, detect_phi_hits, detect_psi_zeros
+from .integrate import Trajectory, _hermite, detect_phi_hits
 from .params import LomseParams, StabilityType
 from .radial import Profile, rescale_profile, to_profile
 
@@ -59,22 +60,6 @@ _GL_WEIGHTS = 0.5 * np.array([[_W5B, _W5A, 128.0 / 225.0, _W5A, _W5B, 0.0, 0.0],
                               [0.0, 0.0, 8.0 / 9.0, 0.0, 0.0, 5.0 / 9.0, 5.0 / 9.0]])
 _CHUNK = 4096  # segments per evaluation, bounding the temporaries
 _LN10 = math.log(10.0)
-
-
-@dataclass(frozen=True)
-class SolutionFamilyReport:
-    """The equivariant family of analytic solutions generated by one orbit.
-
-    The report enumerates only this family; it makes no claim about
-    solutions outside it, which is why the count is flagged as a lower
-    bound whenever the boundary slope falls inside the oscillation band.
-    """
-
-    params: LomseParams
-    boundary_slope: float
-    dilations: list[float]
-    count_is_lower_bound: bool
-    includes_singular_cone: bool
 
 
 @dataclass(frozen=True)
@@ -129,12 +114,9 @@ class _ProfileInterp:
                        self.dpsi[i], self.dpsi[i + 1])
         return phi, psi
 
-    def phi_at(self, xq: np.ndarray) -> np.ndarray:
-        return self.phi_psi_at(xq)[0]
-
     def phi_at_scalar(self, x: float) -> float:
-        """phi_at for one float x: the same operations on floats, so the
-        same bits, without the per-call cost of 1-element arrays."""
+        """phi_psi_at's phi for one float x: the same operations on floats,
+        so the same bits, without the per-call cost of 1-element arrays."""
         i = min(max(int(self.x.searchsorted(x, side="right")) - 1, 0), len(self.x) - 2)
         return _hermite(x, float(self.x[i]), float(self.x[i + 1]), float(self.phi[i]),
                         float(self.phi[i + 1]), float(self.psi[i]), float(self.psi[i + 1]))
@@ -204,15 +186,6 @@ def _volume_core(interp: _ProfileInterp, params: LomseParams, x_cut: float,
     return core + tail
 
 
-def graph_volume(profile: Profile, params: LomseParams, R: float,
-                 n_panels: int = DEFAULT_QUAD_PANELS) -> float:
-    """Volume of the graph inside the ambient ball of radius R."""
-    interp = _ProfileInterp(profile)
-    x_cut = interp.cut_x(R)
-    core = _volume_core(interp, params, x_cut, n_panels)
-    return unit_sphere_volume(params.n) * core * math.exp((params.n + 1.0) * x_cut)
-
-
 def theta_of_radius(profile: Profile, params: LomseParams, R: float,
                     n_panels: int = DEFAULT_QUAD_PANELS) -> float:
     """Density Theta(R); evaluated in scaled form, stable for any span."""
@@ -230,29 +203,6 @@ def theta_infinity(params: LomseParams) -> float:
     """Cone density: Vol(graph sphere) / ((n+1) * vol of unit ball in R^{n+1})."""
     n = params.n
     return los_volume(params) / ((n + 1.0) * unit_ball_volume(n + 1))
-
-
-def dirichlet_solutions(traj: Trajectory, phi_b: float) -> SolutionFamilyReport:
-    """Enumerate the dilation family with boundary slope phi_b on this orbit."""
-    if phi_b <= 0.0:
-        raise ValueError(f"boundary slope must be > 0, got {phi_b}")
-    params = traj.params
-    hits = detect_phi_hits(traj, phi_b)
-    spiral = params.stability is StabilityType.SPIRAL_TYPE_II
-    lower_bound = False
-    if spiral:
-        zeros = detect_psi_zeros(traj)
-        if len(zeros) >= 2:
-            phi_1 = zeros[0].phi_offset + params.phi0
-            phi_2 = zeros[1].phi_offset + params.phi0
-            lower_bound = phi_2 <= phi_b <= phi_1
-    return SolutionFamilyReport(
-        params=params,
-        boundary_slope=phi_b,
-        dilations=[h.dilation for h in hits],
-        count_is_lower_bound=bool(lower_bound),
-        includes_singular_cone=bool(abs(phi_b - params.phi0) < 1e-10),
-    )
 
 
 def _segment_logs(traj: Trajectory, i: np.ndarray, start) -> tuple[np.ndarray, np.ndarray]:

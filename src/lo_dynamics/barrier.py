@@ -5,12 +5,14 @@ by the graph of h(phi) = f1(phi) phi / (c (n-p)) is forward invariant
 when the cubic F(s) = I(s) + II(s) + III(s) IV(s) satisfies F(0) >= 0,
 G(0) > 0 and G(lambda^2 phi0^2) > 0, where F(s) = F(0) + s G(s) and s is
 the substitution s = (1 + lambda^2 phi0^2)/(1 + lambda^2 phi^2) - 1.
-The three quantities have printed closed forms; this module evaluates
-them twice, once from the closed forms and once by assembling the cubic
-from its four factors, and additionally sweeps the raw slope inequality
-h'(phi) > (X2/X1)(phi, h(phi)) on a phi grid.  The grids complement the
-closed forms: the inequalities hold analytically, so a negative grid
-margin indicates an implementation bug, not a mathematical failure.
+The three quantities have printed closed forms.  case1_check evaluates
+them from the closed forms and sweeps the raw slope inequality
+h'(phi) > (X2/X1)(phi, h(phi)) on a phi grid.  case1_from_polynomial
+evaluates them a second way, by assembling the cubic from its four
+factors; only the tests and perfbench's checks run it, against the
+closed forms.  The grids complement the closed forms: the inequalities
+hold analytically, so a negative grid margin indicates an implementation
+bug, not a mathematical failure.
 
 Spiral case: the same construction with g(phi) = (2 f1(phi) + 1/5) phi
 controls the orbit until the first slope crossing (Step 1), and the
@@ -115,7 +117,7 @@ def case1_polynomial(params: LomseParams, c: float) -> np.ndarray:
     IV(s)  = 1 + (S - s)(1 + s/c)/lambda^2
 
     IV here is the proof's lower bound of the exact slope expression (the
-    1/(1+s) factor dropped); see case1_iv_unreduced for the exact one.
+    1/(1+s) factor dropped).
     """
     n, p = params.n, params.p
     lam2 = params.lambda_sq
@@ -128,13 +130,6 @@ def case1_polynomial(params: LomseParams, c: float) -> np.ndarray:
     poly_iv = np.array([1.0 + S / lam2, (S / c - 1.0) / lam2, -1.0 / (c * lam2)])
     prod = np.convolve(poly_iii, poly_iv)
     return poly_i + poly_ii + prod
-
-
-def case1_iv_unreduced(s: float, params: LomseParams, c: float) -> float:
-    """The exact IV(s) with the 1/(1+s) factor kept; diagnostics only."""
-    lam2 = params.lambda_sq
-    S = (lam2 * params.p - params.n) / (params.n - params.p)
-    return 1.0 + (S - s) * (1.0 + s / c) ** 2 / (lam2 * (1.0 + s))
 
 
 def case1_from_polynomial(params: LomseParams, c: float) -> tuple[float, float, float]:

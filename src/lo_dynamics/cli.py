@@ -281,7 +281,11 @@ def _shoot(params: LomseParams, cfg: RunConfig) -> Trajectory:
 
 def _output_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ValueError(f"out_dir {cfg.out_dir!r} is not a usable directory: "
+                         f"{exc.strerror}") from None
     return out
 
 
@@ -313,6 +317,12 @@ def cmd_classify(args) -> int:
     if args.n is None or args.p is None or args.k is None:
         print("classify: provide n p k or --sweep N_MAX K_MAX", file=sys.stderr)
         return EXIT_USAGE
+    for name in ("n", "p", "k"):
+        text = getattr(args, name)
+        try:
+            setattr(args, name, int(text))
+        except ValueError:
+            raise ValueError(f"argument {name}: invalid int value: {text!r}") from None
     params = _build(args)
     print(_CLASSIFY_HEADER)
     print(_classify_row(params))
@@ -496,8 +506,11 @@ def _add_command(sub, name: str, func, help: str, fields: tuple[str, ...],
     --config file may set too; build_config reads these and no others."""
     cmd = sub.add_parser(name, help=help)
     if triple:
+        # an optional triple is text that the command parses: argparse gives
+        # an unknown option's value to n, and a bad n would hide the option
+        kind = {"nargs": "?"} if triple == "optional" else {"type": int}
         for arg in ("n", "p", "k"):
-            cmd.add_argument(arg, type=int, nargs="?" if triple == "optional" else None)
+            cmd.add_argument(arg, **kind)
         cmd.add_argument("--allow-inadmissible", action="store_true")
     if fields:
         cmd.add_argument("--config", help=f"config file (or set {CONFIG_ENV_VAR})")

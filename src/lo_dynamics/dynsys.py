@@ -11,8 +11,8 @@ with
     f2(phi) = n - p + p / (1 + lambda^2 phi^2).
 
 The field vanishes exactly at (0,0) and (+-phi0, 0), is odd under
-(phi,psi) -> (-phi,-psi), and its linearizations at the two nonnegative
-equilibria are available in closed form below.
+(phi,psi) -> (-phi,-psi), and its linearization at (phi0, 0) is available
+in closed form below.
 """
 
 from __future__ import annotations
@@ -20,31 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .params import LomseParams
-
-
-@dataclass
-class PhaseState:
-    """A point (phi, psi) of the reduced phase plane at logarithmic radius t."""
-
-    phi: float
-    psi: float
-    t: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.phi) and math.isfinite(self.psi) and math.isfinite(self.t)):
-            raise ValueError(f"non-finite phase state ({self.phi}, {self.psi}, {self.t})")
-
-
-@dataclass(frozen=True)
-class OriginLinearization:
-    matrix_a: np.ndarray  # [[0,1],[k(k+n-1)-n, -n-1]]
-    mu1: float  # k - 1
-    mu2: float  # -n - k
-    v1: np.ndarray  # (1, mu1)
-    v2: np.ndarray  # (1, mu2)
 
 
 @dataclass(frozen=True)
@@ -88,23 +64,11 @@ def offset_field(params: LomseParams):
     return dpsi
 
 
-def _unpack(state) -> tuple[float, float]:
-    if isinstance(state, PhaseState):
-        return state.phi, state.psi
-    phi, psi = state[0], state[1]
-    return float(phi), float(psi)
-
-
 def vector_field_xy(phi: float, psi: float, params: LomseParams) -> tuple[float, float]:
     """(X1, X2) at (phi, psi); the compact single code path shared with the
     barrier module."""
     x2 = -psi - (f2(phi, params) * psi - f1(phi, params) * phi) * (1.0 + (phi + psi) ** 2)
     return psi, x2
-
-
-def vector_field(state, params: LomseParams) -> tuple[float, float]:
-    phi, psi = _unpack(state)
-    return vector_field_xy(phi, psi, params)
 
 
 def reverse_field_xy(phi: float, psi: float, params: LomseParams) -> tuple[float, float]:
@@ -126,18 +90,6 @@ def f2_prime(phi: float, params: LomseParams) -> float:
     lam2 = params.lambda_sq
     d = 1.0 + lam2 * phi * phi
     return -2.0 * params.p * lam2 * phi / (d * d)
-
-
-def jacobian(state, params: LomseParams) -> np.ndarray:
-    """Closed-form Jacobian of the vector field; finite differences are used
-    only as a test oracle against this."""
-    phi, psi = _unpack(state)
-    b = f2(phi, params) * psi - f1(phi, params) * phi
-    c = 1.0 + (phi + psi) ** 2
-    db_dphi = f2_prime(phi, params) * psi - f1_prime(phi, params) * phi - f1(phi, params)
-    d21 = -db_dphi * c - b * 2.0 * (phi + psi)
-    d22 = -1.0 - f2(phi, params) * c - b * 2.0 * (phi + psi)
-    return np.array([[0.0, 1.0], [d21, d22]])
 
 
 def p1_quadratic_bound(params: LomseParams) -> float:
@@ -171,21 +123,6 @@ def spiral_flow_growth(lin: P1Linearization) -> float:
     absolute row sum."""
     alpha, omega = lin.mu3.real, lin.mu3.imag
     return 1.0 + max(abs(alpha) + 1.0, abs(lin.a) + abs(lin.b - alpha)) / omega
-
-
-def linearize_origin(params: LomseParams) -> OriginLinearization:
-    n, k = params.n, params.k
-    mu1 = float(k - 1)
-    mu2 = float(-n - k)
-    a21 = float(params.big_k - n)  # lambda^2 p - n
-    matrix = np.array([[0.0, 1.0], [a21, float(-n - 1)]])
-    return OriginLinearization(
-        matrix_a=matrix,
-        mu1=mu1,
-        mu2=mu2,
-        v1=np.array([1.0, mu1]),
-        v2=np.array([1.0, mu2]),
-    )
 
 
 def linearize_p1(params: LomseParams) -> P1Linearization:

@@ -100,26 +100,3 @@ def geometry_report(params: LomseParams) -> GeometryReport:
 def los_volume(params: LomseParams) -> float:
     """Volume of the minimal graph sphere: volume_ratio * omega_n."""
     return volume_ratio(params) * unit_sphere_volume(params.n)
-
-
-def volume_element_factor(params: LomseParams, theta: float) -> float:
-    """prod_j sqrt(cos^2 theta + sin^2 theta lambda_j^2) over the singular
-    value list (lambda,)*p + (0,)*(n-p); the constant density of the twisted
-    metric's volume form against the round one."""
-    c2 = math.cos(theta) ** 2
-    s2 = math.sin(theta) ** 2
-    lam2 = params.lambda_sq
-    p, n = params.p, params.n
-    return (c2 + s2 * lam2) ** (p / 2.0) * c2 ** ((n - p) / 2.0)
-
-
-def volume_element_check(params: LomseParams, theta: float | None = None) -> float:
-    """Relative discrepancy between the volume-form product integrated as a
-    constant over the sphere and the closed-form volume; ~1e-16 at the
-    minimal angle, away from zero at any other theta."""
-    if theta is None:
-        theta = params.theta
-    if not 0.0 < theta < math.pi / 2.0:
-        raise ValueError(f"theta must be in (0, pi/2), got {theta}")
-    prod = volume_element_factor(params, theta)
-    return abs(prod / volume_ratio(params) - 1.0)

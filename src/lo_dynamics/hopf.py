@@ -127,14 +127,3 @@ def condition_b_check(map_fn, params: LomseParams,
     for x in pts:
         worst = max(worst, abs(condition_b_sum(map_fn, x, params.theta, h) - params.n))
     return worst
-
-
-def cone_graph_eval(y, params: LomseParams) -> np.ndarray:
-    """The degree-1 homogeneous cone graph map tan(theta) |y| H(y/|y|);
-    Lipschitz but not C^1 at the origin.  Intended for (3,2,2) parameters,
-    whose witness the Hopf map is."""
-    y = np.asarray(y, dtype=float)
-    norm = np.linalg.norm(y)
-    if norm == 0.0:
-        return np.zeros(3)
-    return params.phi0 * norm * hopf_map(y / norm)

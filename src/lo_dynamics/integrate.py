@@ -32,8 +32,8 @@ evaluations (1 + 6 per attempt), the smallest and largest accepted step
 and the number of closed-form tail samples.
 Dense output is cubic Hermite on (state, derivative) at step endpoints;
 events are refined by bisection on the interpolant to 1e-12 in t.
-A classical fixed-step RK4 in plain (phi, psi) coordinates serves as the
-independent oracle and shares no code with the adaptive path.
+The tests check this path against a classical fixed-step RK4 in plain
+(phi, psi) coordinates (tests/oracles.py), which shares no code with it.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ import numpy as np
 
 from .dynsys import (
     P1Linearization,
-    PhaseState,
     linearize_p1,
     offset_field,
     p1_quadratic_bound,
@@ -243,9 +242,6 @@ class Trajectory:
 
     def phi_at(self, t: float) -> float:
         return self.params.phi0 + self.u_at(t)
-
-    def interpolate(self, t: float) -> PhaseState:
-        return PhaseState(self.phi_at(t), self.psi_at(t), t)
 
 
 def splice_amplitude(params: LomseParams, rel_tol: float) -> float:
@@ -505,18 +501,6 @@ def shoot_unstable_manifold(params: LomseParams,
     return Trajectory(params, ts, us, psis, dpsis, eps, rel_tol, reason, rejected, tail_samples)
 
 
-def adaptive_integrate(params: LomseParams,
-                       state0: PhaseState,
-                       t_end: float,
-                       rel_tol: float = DEFAULT_REL_TOL) -> Trajectory:
-    """Adaptive integration from an arbitrary interior state to t_end."""
-    if t_end <= state0.t:
-        raise ValueError(f"t_end={t_end} must exceed state0.t={state0.t}")
-    ts, us, psis, dpsis, reason, rejected, _ = _advance(
-        params, state0.t, state0.phi - params.phi0, state0.psi, t_end, rel_tol)
-    return Trajectory(params, ts, us, psis, dpsis, None, rel_tol, reason, rejected)
-
-
 def detect_psi_zeros(traj: Trajectory) -> list[PsiZero]:
     """Refine every sign change of psi on the dense output; increasing t."""
     if len(traj) < 2:
@@ -539,10 +523,11 @@ def detect_phi_hits(traj: Trajectory, target: float) -> list[PhiHit]:
     """All refined solutions of phi(t) = target along the trajectory.
 
     A sample exactly on the target is a hit unless the sample before it is
-    one too; a sign change between samples is refined by bisection.
+    one too; a sign change between samples is refined by bisection.  The
+    target must be positive and finite.
     """
-    if target <= 0.0:
-        raise ValueError(f"target must be > 0, got {target}")
+    if not 0.0 < target < math.inf:  # NaN fails too
+        raise ValueError(f"target must be positive and finite, got {target}")
     if len(traj) < 2:
         return []
     u_target = target - traj.params.phi0
@@ -574,44 +559,3 @@ def crossing_report(traj: Trajectory, target: float | None = None) -> CrossingRe
         phi_hits=detect_phi_hits(traj, target),
         target=target,
     )
-
-
-def reference_integrate(params: LomseParams,
-                        state0: PhaseState,
-                        t_end: float,
-                        h: float = 1e-5) -> PhaseState:
-    """Classical fixed-step RK4 oracle in plain (phi, psi) coordinates.
-
-    Used only as an independent cross-check of the adaptive path; shares
-    no code with it (textbook f1/f2, no deviation variables).
-    """
-    if h <= 0.0:
-        raise ValueError(f"h must be > 0, got {h}")
-    if t_end < state0.t:
-        raise ValueError("backward integration not supported")
-    n, p = params.n, params.p
-    lam2 = params.lambda_sq
-    n_minus_p = float(n - p)
-    blowup_at = _BLOWUP_FACTOR * params.phi0
-
-    def f(phi, psi):
-        den = 1.0 + lam2 * phi * phi
-        f1v = (lam2 - 1.0) * p / den - n_minus_p
-        f2v = n_minus_p + p / den
-        return psi, -psi - (f2v * psi - f1v * phi) * (1.0 + (phi + psi) ** 2)
-
-    t, phi, psi = state0.t, state0.phi, state0.psi
-    remaining = t_end - t
-    n_steps = max(1, math.ceil(remaining / h)) if remaining > 0.0 else 0
-    if n_steps:
-        hh = remaining / n_steps
-        for _ in range(n_steps):
-            k1u, k1p = f(phi, psi)
-            k2u, k2p = f(phi + 0.5 * hh * k1u, psi + 0.5 * hh * k1p)
-            k3u, k3p = f(phi + 0.5 * hh * k2u, psi + 0.5 * hh * k2p)
-            k4u, k4p = f(phi + hh * k3u, psi + hh * k3p)
-            phi += hh * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
-            psi += hh * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
-            if abs(phi) > blowup_at or abs(psi) > blowup_at:
-                raise BlowupDetected("reference RK4 left the bounded region")
-    return PhaseState(phi, psi, t_end)

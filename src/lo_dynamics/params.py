@@ -116,10 +116,6 @@ def _classify(n: int, k: int) -> StabilityType:
     return StabilityType.CENTER_TYPE_I
 
 
-def classify_stability(params: LomseParams) -> StabilityType:
-    return _classify(params.n, params.k)
-
-
 def build_params(n: int, p: int, k: int, allow_inadmissible: bool = False) -> LomseParams:
     """Construct LomseParams, rejecting triples outside the admissibility
     table unless allow_inadmissible is set.

@@ -1,0 +1,258 @@
+"""Oracles and paper-formula checks that only the tests use, kept out of the
+package so they stay independent of the code they check; a plain module, not
+conftest.py, so that `python tests/test_acceptance.py` imports it too."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import mpmath
+import numpy as np
+
+from lo_dynamics.dynsys import f1, f1_prime, f2, f2_prime, vector_field_xy
+from lo_dynamics.errors import BlowupDetected, LengthMismatch
+from lo_dynamics.geometry import volume_ratio
+from lo_dynamics.hopf import hopf_map
+from lo_dynamics.integrate import _BLOWUP_FACTOR, DEFAULT_REL_TOL, Trajectory, _advance
+from lo_dynamics.params import LomseParams
+from lo_dynamics.radial import Profile
+
+
+@dataclass
+class PhaseState:
+    """A point (phi, psi) of the reduced phase plane at logarithmic radius t."""
+
+    phi: float
+    psi: float
+    t: float = 0.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.phi) and math.isfinite(self.psi) and math.isfinite(self.t)):
+            raise ValueError(f"non-finite phase state ({self.phi}, {self.psi}, {self.t})")
+
+
+def reference_integrate(params: LomseParams,
+                        state0: PhaseState,
+                        t_end: float,
+                        h: float = 1e-5) -> PhaseState:
+    """Classical fixed-step RK4 oracle in plain (phi, psi) coordinates.
+
+    Used only as an independent cross-check of the adaptive path; shares
+    no code with it (textbook f1/f2, no deviation variables).
+    """
+    if h <= 0.0:
+        raise ValueError(f"h must be > 0, got {h}")
+    if t_end < state0.t:
+        raise ValueError("backward integration not supported")
+    n, p = params.n, params.p
+    lam2 = params.lambda_sq
+    n_minus_p = float(n - p)
+    blowup_at = _BLOWUP_FACTOR * params.phi0
+
+    def f(phi, psi):
+        den = 1.0 + lam2 * phi * phi
+        f1v = (lam2 - 1.0) * p / den - n_minus_p
+        f2v = n_minus_p + p / den
+        return psi, -psi - (f2v * psi - f1v * phi) * (1.0 + (phi + psi) ** 2)
+
+    t, phi, psi = state0.t, state0.phi, state0.psi
+    remaining = t_end - t
+    n_steps = max(1, math.ceil(remaining / h)) if remaining > 0.0 else 0
+    if n_steps:
+        hh = remaining / n_steps
+        for _ in range(n_steps):
+            k1u, k1p = f(phi, psi)
+            k2u, k2p = f(phi + 0.5 * hh * k1u, psi + 0.5 * hh * k1p)
+            k3u, k3p = f(phi + 0.5 * hh * k2u, psi + 0.5 * hh * k2p)
+            k4u, k4p = f(phi + hh * k3u, psi + hh * k3p)
+            phi += hh * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
+            psi += hh * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
+            if abs(phi) > blowup_at or abs(psi) > blowup_at:
+                raise BlowupDetected("reference RK4 left the bounded region")
+    return PhaseState(phi, psi, t_end)
+
+
+def advance_from(params: LomseParams, state0: PhaseState, t_end: float) -> Trajectory:
+    """The package's adaptive DP5 path from an interior state to t_end."""
+    ts, us, psis, dpsis, reason, rejected, _ = _advance(
+        params, state0.t, state0.phi - params.phi0, state0.psi, t_end, DEFAULT_REL_TOL)
+    return Trajectory(params, ts, us, psis, dpsis, None, DEFAULT_REL_TOL, reason, rejected)
+
+
+@dataclass(frozen=True)
+class OriginLinearization:
+    matrix_a: np.ndarray  # [[0,1],[k(k+n-1)-n, -n-1]]
+    mu1: float  # k - 1
+    mu2: float  # -n - k
+    v1: np.ndarray  # (1, mu1)
+    v2: np.ndarray  # (1, mu2)
+
+
+def linearize_origin(params: LomseParams) -> OriginLinearization:
+    n, k = params.n, params.k
+    mu1 = float(k - 1)
+    mu2 = float(-n - k)
+    a21 = float(params.big_k - n)  # lambda^2 p - n
+    matrix = np.array([[0.0, 1.0], [a21, float(-n - 1)]])
+    return OriginLinearization(
+        matrix_a=matrix,
+        mu1=mu1,
+        mu2=mu2,
+        v1=np.array([1.0, mu1]),
+        v2=np.array([1.0, mu2]),
+    )
+
+
+def jacobian(phi: float, psi: float, params: LomseParams) -> np.ndarray:
+    """Closed-form Jacobian of the vector field at (phi, psi)."""
+    b = f2(phi, params) * psi - f1(phi, params) * phi
+    c = 1.0 + (phi + psi) ** 2
+    db_dphi = f2_prime(phi, params) * psi - f1_prime(phi, params) * phi - f1(phi, params)
+    d21 = -db_dphi * c - b * 2.0 * (phi + psi)
+    d22 = -1.0 - f2(phi, params) * c - b * 2.0 * (phi + psi)
+    return np.array([[0.0, 1.0], [d21, d22]])
+
+
+def fd_jacobian(phi, psi, params, h=1e-5):
+    """Central-difference Jacobian of vector_field_xy at (phi, psi)."""
+    j = np.empty((2, 2))
+    for col, (dphi, dpsi) in enumerate([(h, 0.0), (0.0, h)]):
+        fp = vector_field_xy(phi + dphi, psi + dpsi, params)
+        fm = vector_field_xy(phi - dphi, psi - dpsi, params)
+        j[0, col] = (fp[0] - fm[0]) / (2 * h)
+        j[1, col] = (fp[1] - fm[1]) / (2 * h)
+    return j
+
+
+@dataclass(frozen=True)
+class ProfileSample:
+    r: float
+    rho: float
+    rho_r: float
+    rho_rr: float
+
+
+def profile_rows(profile: Profile) -> list[ProfileSample]:
+    """The rows of a profile as samples, in order."""
+    return [ProfileSample(*row) for row in zip(profile.r.tolist(), profile.rho.tolist(),
+                                               profile.rho_r.tolist(), profile.rho_rr.tolist())]
+
+
+def to_profile_per_sample(traj) -> list[ProfileSample]:
+    """The profile transform one sample at a time, as it was written before
+    profiles became columns; the reference for the columnar transform."""
+    out = []
+    phi0 = traj.params.phi0
+    for t, u, psi, dpsi in zip(traj.t, traj.u, traj.psi, traj.dpsi):
+        r = math.exp(t)
+        phi = phi0 + u
+        out.append(ProfileSample(r=r, rho=r * phi, rho_r=phi + psi,
+                                 rho_rr=(dpsi + psi) / r))
+    return out
+
+
+def state_to_sample(phi: float, psi: float, t: float, params: LomseParams) -> ProfileSample:
+    """Profile sample of a single phase state, with rho_rr from the field."""
+    r = math.exp(t)
+    _, x2 = vector_field_xy(phi, psi, params)
+    return ProfileSample(r=r, rho=r * phi, rho_r=phi + psi, rho_rr=(x2 + psi) / r)
+
+
+def recover_state(sample: ProfileSample) -> tuple[float, float, float]:
+    """(phi, psi, t) back from a profile sample; inverse of the transform."""
+    phi = sample.rho / sample.r
+    return phi, sample.rho_r - phi, math.log(sample.r)
+
+
+def cone_profile(params: LomseParams, radii) -> Profile:
+    """Exact cone rho = phi0 * r sampled at the given radii."""
+    phi0 = params.phi0
+    r = np.asarray(radii, dtype=float)
+    return Profile(r=r, rho=phi0 * r, rho_r=np.full(len(r), phi0), rho_rr=np.zeros(len(r)))
+
+
+def ode_general_residual(sample: ProfileSample, sing_values: list[float], n: int) -> float:
+    """Residual of the general constant-singular-value radial ODE.
+
+    With the list (lambda,)*p + (0,)*(n-p) this agrees with ode1_residual
+    to rounding.  n is the expected list length.
+    """
+    if len(sing_values) != n:
+        raise LengthMismatch(f"expected {n} singular values, got {len(sing_values)}")
+    r = sample.r
+    if r <= 0.0:
+        raise ValueError(f"r must be > 0, got {r}")
+    rho, rho_r, rho_rr = sample.rho, sample.rho_r, sample.rho_rr
+    total = rho_rr / (1.0 + rho_r * rho_r)
+    for lam_i in sing_values:
+        li2 = lam_i * lam_i
+        total += (rho_r / r - li2 * rho / (r * r)) / (1.0 + li2 * rho * rho / (r * r))
+    return total
+
+
+def volume_element_factor(params: LomseParams, theta: float) -> float:
+    """prod_j sqrt(cos^2 theta + sin^2 theta lambda_j^2) over the singular
+    value list (lambda,)*p + (0,)*(n-p); the constant density of the twisted
+    metric's volume form against the round one."""
+    c2 = math.cos(theta) ** 2
+    s2 = math.sin(theta) ** 2
+    lam2 = params.lambda_sq
+    p, n = params.p, params.n
+    return (c2 + s2 * lam2) ** (p / 2.0) * c2 ** ((n - p) / 2.0)
+
+
+def volume_element_check(params: LomseParams, theta: float | None = None) -> float:
+    """Relative discrepancy between the volume-form product integrated as a
+    constant over the sphere and the closed-form volume; ~1e-16 at the
+    minimal angle, away from zero at any other theta."""
+    if theta is None:
+        theta = params.theta
+    if not 0.0 < theta < math.pi / 2.0:
+        raise ValueError(f"theta must be in (0, pi/2), got {theta}")
+    prod = volume_element_factor(params, theta)
+    return abs(prod / volume_ratio(params) - 1.0)
+
+
+def cone_graph_eval(y, params: LomseParams) -> np.ndarray:
+    """The degree-1 homogeneous cone graph map tan(theta) |y| H(y/|y|);
+    Lipschitz but not C^1 at the origin.  Intended for (3,2,2) parameters,
+    whose witness the Hopf map is."""
+    y = np.asarray(y, dtype=float)
+    norm = np.linalg.norm(y)
+    if norm == 0.0:
+        return np.zeros(3)
+    return params.phi0 * norm * hopf_map(y / norm)
+
+
+def case1_iv_unreduced(s: float, params: LomseParams, c: float) -> float:
+    """The exact IV(s) of the case-1 certificate with the 1/(1+s) factor
+    kept; barrier.case1_polynomial uses its lower bound."""
+    lam2 = params.lambda_sq
+    S = (lam2 * params.p - params.n) / (params.n - params.p)
+    return 1.0 + (S - s) * (1.0 + s / c) ** 2 / (lam2 * (1.0 + s))
+
+
+def mpmath_orbit(traj):
+    """mpmath odefun (Taylor) solution of traj's launch in offset variables
+    (u, psi), at the caller's working precision, with the exact phi0 and
+    lambda^2 it uses; call it inside mpmath.workdps."""
+    params = traj.params
+    n, p, big_k = params.n, params.p, params.big_k
+    lam2 = mpmath.mpf(params.lambda_sq_num) / params.lambda_sq_den
+    phi0 = mpmath.sqrt(mpmath.mpf(p * (big_k - n)) / (big_k * (n - p)))
+
+    def field(_, y):
+        u, psi = y
+        phi = phi0 + u
+        den = 1 + lam2 * phi * phi
+        f1_phi = -(n - p) * lam2 * u * (phi + phi0) / den * phi
+        f2 = (n - p) + p / den
+        return [psi, -psi - (f2 * psi - f1_phi) * (1 + (phi + psi) ** 2)]
+
+    eps = mpmath.mpf(traj.eps_start)
+    mu1 = params.k - 1
+    norm_v1 = mpmath.sqrt(1 + mu1 * mu1)
+    sol = mpmath.odefun(field, mpmath.log(eps) / mu1,
+                        [eps / norm_v1 - phi0, eps * mu1 / norm_v1])
+    return sol, phi0, lam2

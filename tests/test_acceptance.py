@@ -13,23 +13,16 @@ import math
 import numpy as np
 
 from lo_dynamics import (
-    PhaseState,
     Termination,
-    adaptive_integrate,
     build_params,
     detect_phi_hits,
     detect_psi_zeros,
     enumerate_admissible,
-    linearize_origin,
-    linearize_p1,
-    reference_integrate,
     shoot_unstable_manifold,
-    vector_field_xy,
 )
-from lo_dynamics.analysis import density_report, dirichlet_solutions, theta_infinity, theta_of_radius
+from lo_dynamics.analysis import density_report, theta_infinity, theta_of_radius
 from lo_dynamics.barrier import (
     barrier_h,
-    case1_check,
     case1_closed_forms,
     default_c,
     fs_minimum,
@@ -38,7 +31,17 @@ from lo_dynamics.barrier import (
 from lo_dynamics.geometry import geometry_report, los_volume, unit_ball_volume
 from lo_dynamics.hopf import condition_b_sum, hopf_map, numeric_singular_values, random_sphere_points
 from lo_dynamics.params import StabilityType
-from lo_dynamics.radial import cone_profile, ode1_residual, ode_general_residual, to_profile
+from lo_dynamics.radial import ode1_residual, to_profile
+from oracles import (
+    PhaseState,
+    advance_from,
+    cone_profile,
+    fd_jacobian,
+    linearize_origin,
+    ode_general_residual,
+    profile_rows,
+    reference_integrate,
+)
 
 _CACHE = {}
 
@@ -72,15 +75,6 @@ def test_criterion_01_exact_constants():
     _ok(1, "classical angle constants exact")
 
 
-def _fd_jacobian(phi, psi, params, h=1e-5):
-    j = np.empty((2, 2))
-    for col, (dp, dq) in enumerate([(h, 0.0), (0.0, h)]):
-        fp = vector_field_xy(phi + dp, psi + dq, params)
-        fm = vector_field_xy(phi - dp, psi - dq, params)
-        j[:, col] = [(fp[0] - fm[0]) / (2 * h), (fp[1] - fm[1]) / (2 * h)]
-    return j
-
-
 def test_criterion_02_eigenvalue_structure():
     # step 1e-6: the cubic term of the field grows like (lambda^2)^2 p, so at
     # k = 20 the truncation error of a 1e-5 central difference alone exceeds
@@ -91,7 +85,7 @@ def test_criterion_02_eigenvalue_structure():
         assert lin.mu1 == params.k - 1
         assert lin.mu2 == -params.n - params.k
         assert lin.mu1 > 0.0 > lin.mu2
-        assert np.max(np.abs(_fd_jacobian(0.0, 0.0, params, h=1e-6) - lin.matrix_a)) < 1e-6
+        assert np.max(np.abs(fd_jacobian(0.0, 0.0, params, h=1e-6) - lin.matrix_a)) < 1e-6
     _ok(2, "eigenvalue structure, saddle via FD Jacobian")
 
 
@@ -180,7 +174,7 @@ def test_criterion_09_ode_residuals():
         traj = _shot(*npk)
         params = traj.params
         sv = [params.lam] * params.p + [0.0] * (params.n - params.p)
-        for s in to_profile(traj):
+        for s in profile_rows(to_profile(traj)):
             res = ode1_residual(s, params)
             assert abs(res) < 1e-6 * (1.0 + abs(s.rho_rr))
             general = ode_general_residual(s, sv, params.n)
@@ -192,14 +186,14 @@ def test_criterion_10_multiplicity():
     params = _params(3, 2, 4)
     short = shoot_unstable_manifold(params, t_max=60.0, max_crossings=10 ** 6)
     long = shoot_unstable_manifold(params, t_max=120.0, max_crossings=10 ** 6)
-    n_short = len(dirichlet_solutions(short, params.phi0).dilations)
-    n_long = len(dirichlet_solutions(long, params.phi0).dilations)
+    n_short = len(detect_phi_hits(short, params.phi0))
+    n_long = len(detect_phi_hits(long, params.phi0))
     assert n_short >= 10
     assert n_long > n_short
     traj = _shot(3, 2, 4)
     phi_1 = detect_psi_zeros(traj)[0].phi
-    inside = dirichlet_solutions(traj, params.phi0 + 0.4 * (phi_1 - params.phi0))
-    assert len(inside.dilations) >= 2
+    inside = detect_phi_hits(traj, params.phi0 + 0.4 * (phi_1 - params.phi0))
+    assert len(inside) >= 2
     _ok(10, "dilation family grows without bound; interior band has >= 2")
 
 
@@ -256,9 +250,9 @@ def test_criterion_14_oracle_equivalence():
         params = _params(*npk)
         s0 = PhaseState(0.1, 0.05, 0.0)
         ref = reference_integrate(params, s0, 5.0, h=1e-5)
-        adaptive = adaptive_integrate(params, s0, 5.0).interpolate(5.0)
-        assert abs(adaptive.phi - ref.phi) < 1e-8
-        assert abs(adaptive.psi - ref.psi) < 1e-8
+        adaptive = advance_from(params, s0, 5.0)
+        assert abs(adaptive.phi_at(5.0) - ref.phi) < 1e-8
+        assert abs(adaptive.psi_at(5.0) - ref.psi) < 1e-8
     _ok(14, "adaptive path matches fixed-step RK4 oracle")
 
 

@@ -15,14 +15,20 @@ from lo_dynamics.analysis import (
     _ProfileInterp,
     _volume_core,
     density_report,
-    dirichlet_solutions,
-    graph_volume,
     theta_infinity,
     theta_of_radius,
 )
 from lo_dynamics.errors import InsufficientHits, NotTypeII, RadiusOutOfRange
 from lo_dynamics.geometry import los_volume, unit_ball_volume, unit_sphere_volume
-from lo_dynamics.radial import Profile, ProfileSample, cone_profile, to_profile
+from lo_dynamics.radial import Profile, to_profile
+from oracles import ProfileSample, cone_profile, to_profile_per_sample
+
+
+def graph_volume(profile, params, R, n_panels=DEFAULT_QUAD_PANELS):
+    """Volume of the graph inside the ball of radius R, from Theta(R)."""
+    n = params.n
+    return (theta_of_radius(profile, params, R, n_panels=n_panels)
+            * unit_ball_volume(n + 1) * R ** (n + 1))
 
 
 def _cone_volume_exact(params, R):
@@ -78,9 +84,8 @@ def test_radius_out_of_range(p322, cone322):
 
 @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_radius_must_be_positive_and_finite(p322, cone322, R):
-    for volume in (graph_volume, theta_of_radius):
-        with pytest.raises(RadiusOutOfRange, match="R must be positive and finite"):
-            volume(cone322, p322, R)
+    with pytest.raises(RadiusOutOfRange, match="R must be positive and finite"):
+        theta_of_radius(cone322, p322, R)
 
 
 @pytest.mark.parametrize("n_panels", [0, -4])
@@ -89,9 +94,8 @@ def test_volume_core_needs_a_panel(p322, cone322, traj324, n_panels):
     interp = _ProfileInterp(cone322)
     with pytest.raises(ValueError, match="n_panels must be at least 1"):
         _volume_core(interp, p322, interp.cut_x(2.0), n_panels)
-    for volume in (graph_volume, theta_of_radius):
-        with pytest.raises(ValueError, match="n_panels must be at least 1"):
-            volume(cone322, p322, 2.0, n_panels=n_panels)
+    with pytest.raises(ValueError, match="n_panels must be at least 1"):
+        theta_of_radius(cone322, p322, 2.0, n_panels=n_panels)
     with pytest.raises(ValueError, match="n_panels must be at least 1"):
         density_report(traj324, n_panels=n_panels)
 
@@ -116,7 +120,7 @@ def test_cone_theta_constant(p324):
 def test_theta_nondecreasing_along_orbit(fixture, request):
     traj = request.getfixturevalue(fixture)
     profile = to_profile(traj)
-    r2 = np.array([s.r ** 2 + s.rho ** 2 for s in profile])
+    r2 = profile.r ** 2 + profile.rho ** 2
     radii = np.sqrt(np.geomspace(r2[2], r2[-1] * 0.999, 50))
     thetas = [theta_of_radius(profile, traj.params, R) for R in radii]
     diffs = np.diff(thetas)
@@ -151,41 +155,43 @@ def test_density_needs_hits(p324):
         density_report(short)
 
 
+def _in_band(traj, phi_b):
+    """phi_2 <= phi_b <= phi_1 at the first two psi zeros, where the orbit's
+    family is only a lower bound on the solutions with boundary slope phi_b."""
+    zeros = detect_psi_zeros(traj)
+    return len(zeros) >= 2 and zeros[1].phi <= phi_b <= zeros[0].phi
+
+
 def test_dirichlet_type1_unique(p322, traj322):
-    report = dirichlet_solutions(traj322, 0.5 * p322.phi0)
-    assert len(report.dilations) == 1
-    assert not report.count_is_lower_bound
-    assert not report.includes_singular_cone
+    phi_b = 0.5 * p322.phi0
+    assert len(detect_phi_hits(traj322, phi_b)) == 1
+    assert not _in_band(traj322, phi_b)
 
 
 def test_dirichlet_type2_at_cone_slope(p324, traj324):
-    report = dirichlet_solutions(traj324, p324.phi0)
-    assert len(report.dilations) >= 10
-    assert report.count_is_lower_bound
-    assert report.includes_singular_cone
+    assert len(detect_phi_hits(traj324, p324.phi0)) >= 10
+    assert _in_band(traj324, p324.phi0)
 
 
 def test_dirichlet_above_cone_slope(p324, traj324):
     phi_1 = detect_psi_zeros(traj324)[0].phi
     phi_b = p324.phi0 + 0.3 * (phi_1 - p324.phi0)
-    report = dirichlet_solutions(traj324, phi_b)
-    assert len(report.dilations) >= 2
-    assert report.count_is_lower_bound
-    assert not report.includes_singular_cone
+    assert len(detect_phi_hits(traj324, phi_b)) >= 2
+    assert _in_band(traj324, phi_b)
 
 
 def test_dilations_reproduce_boundary_data(p324, traj324):
     phi_b = p324.phi0
-    report = dirichlet_solutions(traj324, phi_b)
-    for d in report.dilations:
-        t = math.log(d)
+    for hit in detect_phi_hits(traj324, phi_b):
+        t = math.log(hit.dilation)
         rho_over_d = traj324.phi_at(t)  # rho(d)/d = phi(log d)
         assert abs(rho_over_d - phi_b) < 1e-9
 
 
 def test_dirichlet_rejects_nonpositive_slope(traj322):
-    with pytest.raises(ValueError):
-        dirichlet_solutions(traj322, 0.0)
+    for phi_b in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="target must be positive and finite"):
+            detect_phi_hits(traj322, phi_b)
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +217,7 @@ class _PerSampleInterp(_ProfileInterp):
         target = 2.0 * math.log(R)
 
         def g(x):
-            return 2.0 * x + math.log1p(float(self.phi_at(np.array([x]))[0]) ** 2) - target
+            return 2.0 * x + math.log1p(float(self.phi_psi_at(np.array([x]))[0][0]) ** 2) - target
 
         a, b = float(self.x[0]), float(self.x[-1])
         ga, gb = g(a), g(b)
@@ -236,7 +242,7 @@ def _theta_per_sample(samples, params, R, n_panels=DEFAULT_QUAD_PANELS):
     interp = _PerSampleInterp(samples)
     x_cut = interp.cut_x(R)
     core = _volume_core(interp, params, x_cut, n_panels)
-    phi_cut = float(interp.phi_at(np.array([x_cut]))[0])
+    phi_cut = float(interp.phi_psi_at(np.array([x_cut]))[0][0])
     ratio = (1.0 + phi_cut * phi_cut) ** (-(n + 1.0) / 2.0)
     return unit_sphere_volume(n) / unit_ball_volume(n + 1) * core * ratio
 
@@ -247,7 +253,7 @@ def _rescaled_per_sample(samples, d):
 
 
 @pytest.mark.parametrize("triple", [(3, 2, 4), (3, 2, 10), (5, 4, 20)])
-def test_density_report_matches_per_sample_code(triple, to_profile_per_sample):
+def test_density_report_matches_per_sample_code(triple):
     # the per-sample Simpson densities of the rescaled profiles are the
     # independent route: where a Simpson gap Theta_inf - Theta_i exceeds 1e-8
     # and its own error, measured by halving the panels, is below 1e-4 of it,
@@ -276,28 +282,13 @@ def test_density_report_matches_per_sample_code(triple, to_profile_per_sample):
 
 
 @pytest.mark.parametrize("fixture", ["traj322", "traj542"])
-def test_theta_of_radius_matches_per_sample_code(fixture, request, to_profile_per_sample):
+def test_theta_of_radius_matches_per_sample_code(fixture, request):
     traj = request.getfixturevalue(fixture)
     profile = to_profile(traj)
     samples = to_profile_per_sample(traj)
     for R in (0.5, 1.0, 2.0):
         assert theta_of_radius(profile, traj.params, R) == \
             _theta_per_sample(samples, traj.params, R)
-
-
-def test_density_report_builds_no_samples(monkeypatch, p324, traj324):
-    built = []
-    init = ProfileSample.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(ProfileSample, "__init__", counting_init)
-    density_report(traj324)
-    assert built == []
-    to_profile(traj324)[0]  # the counter sees a row read
-    assert built == [1]
 
 
 def _separate_lookup_hermite(x, xq, y, m):
@@ -322,5 +313,4 @@ def test_phi_psi_at_matches_separate_lookups(fixture, request):
     phi, psi = interp.phi_psi_at(xq)
     assert np.array_equal(phi, _separate_lookup_hermite(x, xq, interp.phi, interp.psi))
     assert np.array_equal(psi, _separate_lookup_hermite(x, xq, interp.psi, interp.dpsi))
-    assert np.array_equal(interp.phi_at(xq), phi)
     assert [interp.phi_at_scalar(float(v)) for v in xq[::97]] == phi[::97].tolist()

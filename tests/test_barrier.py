@@ -11,7 +11,6 @@ from lo_dynamics.barrier import (
     case1_check,
     case1_closed_forms,
     case1_from_polynomial,
-    case1_iv_unreduced,
     case1_polynomial,
     case2_check,
     cycle_region_threshold,
@@ -24,6 +23,7 @@ from lo_dynamics.barrier import (
 from lo_dynamics.dynsys import f1, f2, vector_field_xy, reverse_field_xy
 from lo_dynamics.errors import COutOfRange, NotTypeI, NotTypeII
 from lo_dynamics.params import StabilityType
+from oracles import case1_iv_unreduced
 
 
 def test_default_c_values(p322, p542, p544):

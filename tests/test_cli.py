@@ -32,6 +32,7 @@ from lo_dynamics.cli import (
 from lo_dynamics import crossing_report, detect_psi_zeros
 from lo_dynamics.params import LomseParams, StabilityType
 from lo_dynamics.radial import ode1_residual
+from oracles import to_profile_per_sample
 
 
 def run(args):
@@ -64,6 +65,29 @@ def test_classify_allow_inadmissible(capsys):
     assert "no" in capsys.readouterr().out
 
 
+# each command that writes files, with a cheap argument list
+_WRITERS = [["orbit", "3", "2", "2", "--formats", "csv"], ["verify", "3", "2", "2"],
+            ["geometry", "3", "2", "2"], ["density", "3", "2", "2", "--radii", "1"],
+            ["maps-check", "--samples", "2"]]
+
+
+@pytest.mark.parametrize("argv, out, message", [
+    (["classify", "--config", "F"], "out", "unrecognized arguments: --config"),
+    (["classify", "x", "2", "2"], "out", "argument n: invalid int value: 'x'"),
+    (["classify", "3", "2", "2.0"], "out", "argument k: invalid int value: '2.0'"),
+    *((["orbit", "3", "2", "4", f"--target-phi={target}"], "out",
+       "target must be positive and finite") for target in ("nan", "inf", "-inf", "0", "-1")),
+    *((argv, out, f"out_dir {out!r} is not a usable directory")
+      for argv in _WRITERS for out in ("afile", "afile/sub")),
+])
+def test_usage_errors_name_the_argument(argv, out, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("afile").write_text("kept\n")
+    assert run([*argv, "--out-dir", out]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert os.listdir() == ["afile"] and Path("afile").read_text() == "kept\n"
+
+
 def test_orbit_type1_empty_zeros(tmp_path, capsys):
     assert run(["orbit", "3", "2", "2", "--out-dir", str(tmp_path)]) == EXIT_OK
     events = json.loads((tmp_path / "events.json").read_text())
@@ -87,7 +111,7 @@ def test_orbit_type2_events(tmp_path):
     assert dils == sorted(dils)
 
 
-def test_orbit_profile_files_match_per_sample_code(tmp_path, traj324, to_profile_per_sample):
+def test_orbit_profile_files_match_per_sample_code(tmp_path, traj324):
     # the files as they were written from a list of samples: one residual
     # per sample, the plot cut at the first sample past the 4th psi zero
     assert run(["orbit", "3", "2", "4", "--out-dir", str(tmp_path),
@@ -332,7 +356,7 @@ def test_orbit_exits_with_a_documented_code(tmp_path_factory, triple, rel_tol, e
 
 
 # ----------------------------------------------------------------------
-# verify, geometry, density and maps-check under random flags and config files
+# the commands but classify under random flags and config files
 
 _JUNK = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "", "abc", "2.5", "1e400", ",json"])
 
@@ -384,15 +408,20 @@ _RADII = st.lists(st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-0.5"])
 # the flags for one stability type only, by the type they do not apply to
 _WRONG_TYPE = {StabilityType.CENTER_TYPE_I: {"--max-crossings"},
                StabilityType.SPIRAL_TYPE_II: {"--conv-tol", "-c"}}
+_SHOOT_FLAGS = {"--rel-tol": _KEY_VALUES["rel_tol"], "--conv-tol": _KEY_VALUES["conv_tol"],
+                "--eps": _KEY_VALUES["eps_start"], "--t-max": _KEY_VALUES["t_max"],
+                "--max-crossings": _KEY_VALUES["max_crossings"]}
 # (triples, the flags the command takes, flags it no longer takes)
 _COMMANDS = {
+    "orbit": (st.one_of(_TRIPLES, st.sampled_from(_SPIRALS)),
+              {**_SHOOT_FLAGS, "--formats": _KEY_VALUES["formats"],
+               "--target-phi": _one_in(2, _JUNK, _log_uniform(-2.0, 1.0).map(repr))},
+              ["--quad-panels=200", "--radii=1"]),
     "verify": (_TRIPLES, {"-c": _usually(st.floats(0.05, 1.0).map(repr))},
                ["--grid-points=200", "--formats=json"]),
     "geometry": (_TRIPLES, {}, ["--formats=json"]),
     "density": (st.one_of(_TRIPLES, st.sampled_from(_SPIRALS)),
-                {"--rel-tol": _KEY_VALUES["rel_tol"], "--conv-tol": _KEY_VALUES["conv_tol"],
-                 "--eps": _KEY_VALUES["eps_start"], "--t-max": _KEY_VALUES["t_max"],
-                 "--max-crossings": _KEY_VALUES["max_crossings"], "--radii": _RADII},
+                {**_SHOOT_FLAGS, "--radii": _RADII},
                 ["--quad-panels=200", "--formats=csv"]),
     "maps-check": (None, {"--samples": _KEY_VALUES["sample_count"],
                           "--seed": _KEY_VALUES["seed"]}, ["--step=200", "--formats=json"]),
@@ -405,7 +434,7 @@ def test_commands_exit_with_a_documented_code(tmp_path_factory, command, data, c
     # the command's flags (one time in eight also one it no longer takes,
     # or one for the other stability type) and a config file; every run
     # ends in an exit code, never an exception, and a run that exits 0
-    # prints no nan or inf
+    # prints no nan or inf and writes JSON that parses
     triples, flag_values, removed = _COMMANDS[command]
     out = tmp_path_factory.mktemp(command)
     argv = [command]
@@ -430,6 +459,8 @@ def test_commands_exit_with_a_documented_code(tmp_path_factory, command, data, c
         assert err.getvalue()
     if code == EXIT_OK:
         assert not re.search(r"\b(nan|inf)\b", stdout.getvalue()), stdout.getvalue()
+        for f in (out / "out").glob("*.json"):
+            json.loads(f.read_text(encoding="utf-8"))
 
 
 @settings(max_examples=60, deadline=None)
@@ -489,7 +520,6 @@ def test_json_report_round_trips(p322, p324, traj324):
         barrier.case1_check(p322, grid_points=200),
         barrier.case2_check(p324, grid_points=200, cycle_grid=(40, 40)),
         geometry.geometry_report(p322),
-        analysis.dirichlet_solutions(traj324, p324.phi0),
         analysis.density_report(traj324, n_panels=1024),
     ]
     for rep in reports:

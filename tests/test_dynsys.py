@@ -5,16 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lo_dynamics import (
-    PhaseState,
-    build_params,
-    enumerate_admissible,
-    linearize_origin,
-    linearize_p1,
-    vector_field,
-    vector_field_xy,
-)
-from lo_dynamics.dynsys import f1, f1_prime, f2, jacobian, offset_field, reverse_field_xy
+from lo_dynamics import build_params, enumerate_admissible, linearize_p1, vector_field_xy
+from lo_dynamics.dynsys import f1, f1_prime, f2, offset_field, reverse_field_xy
+from oracles import PhaseState, fd_jacobian, jacobian, linearize_origin
 
 
 def raw_display_field(phi, psi, params):
@@ -42,8 +35,8 @@ def test_f2_at_zero(p322, p546):
 
 
 def test_field_vanishes_at_equilibria(p322):
-    assert vector_field((0.0, 0.0), p322) == (0.0, 0.0)
-    x1, x2 = vector_field(PhaseState(p322.phi0, 0.0), p322)
+    assert vector_field_xy(0.0, 0.0, p322) == (0.0, 0.0)
+    x1, x2 = vector_field_xy(p322.phi0, 0.0, p322)
     assert x1 == 0.0 and abs(x2) < 1e-14
 
 
@@ -180,29 +173,19 @@ def test_p1_discriminant_formula():
         assert lin.b ** 2 + 4 * lin.a == pytest.approx(disc, rel=1e-12)
 
 
-def _fd_jacobian(phi, psi, params, h=1e-5):
-    j = np.empty((2, 2))
-    for col, (dphi, dpsi) in enumerate([(h, 0.0), (0.0, h)]):
-        fp = vector_field_xy(phi + dphi, psi + dpsi, params)
-        fm = vector_field_xy(phi - dphi, psi - dpsi, params)
-        j[0, col] = (fp[0] - fm[0]) / (2 * h)
-        j[1, col] = (fp[1] - fm[1]) / (2 * h)
-    return j
-
-
 def test_fd_jacobian_at_equilibria(p322):
     lin = linearize_origin(p322)
-    assert np.max(np.abs(_fd_jacobian(0.0, 0.0, p322) - lin.matrix_a)) < 1e-6
+    assert np.max(np.abs(fd_jacobian(0.0, 0.0, p322) - lin.matrix_a)) < 1e-6
     p1 = linearize_p1(p322)
     expected = np.array([[0.0, 1.0], [p1.a, p1.b]])
-    assert np.max(np.abs(_fd_jacobian(p322.phi0, 0.0, p322) - expected)) < 1e-6
+    assert np.max(np.abs(fd_jacobian(p322.phi0, 0.0, p322) - expected)) < 1e-6
 
 
 def test_closed_form_jacobian_matches_fd(p324):
     rng = np.random.default_rng(3)
     for phi, psi in rng.uniform(-1.5, 1.5, size=(50, 2)):
-        closed = jacobian((phi, psi), p324)
-        assert np.max(np.abs(closed - _fd_jacobian(phi, psi, p324))) < 1e-6
+        closed = jacobian(phi, psi, p324)
+        assert np.max(np.abs(closed - fd_jacobian(phi, psi, p324))) < 1e-6
 
 
 def test_reverse_field_matches_display(p324):

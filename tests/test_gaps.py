@@ -24,6 +24,7 @@ from lo_dynamics.analysis import (
 )
 from lo_dynamics.geometry import unit_ball_volume, unit_sphere_volume
 from lo_dynamics.integrate import DEFAULT_REL_TOL
+from oracles import mpmath_orbit
 
 
 def test_whole_orbit_identity(table_trajs):
@@ -132,7 +133,7 @@ def test_error_bars_cover_a_10_point_reference(spirals):
             assert abs(gap - reference) <= 10.0 ** report.log10_gap_errors[i], (triple, i)
 
 
-def test_mpmath_gaps_324(spirals, mpmath_orbit):
+def test_mpmath_gaps_324(spirals):
     # gaps 1-3 of (3,2,4) from a 20-digit Taylor integration of the same
     # launch: tanh-sinh quadrature of the gap integrand between the exact
     # crossings 1-6, plus gap 6 from the report (below 1e-23, about 1e-9 of

@@ -9,9 +9,8 @@ from lo_dynamics.geometry import (
     los_volume,
     unit_ball_volume,
     unit_sphere_volume,
-    volume_element_check,
-    volume_element_factor,
 )
+from oracles import volume_element_check, volume_element_factor
 
 
 def test_gamma_half_values():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +7,13 @@ from lo_dynamics.errors import NotOnSphere, StepOutOfRange
 from lo_dynamics.hopf import (
     condition_b_check,
     condition_b_sum,
-    cone_graph_eval,
     hopf_map,
     map_differential,
     numeric_singular_values,
     random_sphere_points,
     sphere_tangent_basis,
 )
+from oracles import cone_graph_eval
 
 
 def identity_s2(x):

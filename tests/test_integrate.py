@@ -4,23 +4,21 @@ import numpy as np
 import pytest
 
 from lo_dynamics import (
-    PhaseState,
     PhiHit,
     PsiZero,
     StabilityType,
     Termination,
     Trajectory,
-    adaptive_integrate,
     build_params,
     crossing_report,
     detect_phi_hits,
     detect_psi_zeros,
-    reference_integrate,
     shoot_unstable_manifold,
 )
 from lo_dynamics.barrier import barrier_h, default_c
 from lo_dynamics.errors import BlowupDetected, EpsNonpositive
 from lo_dynamics.integrate import DEFAULT_MAX_CROSSINGS, _bisect
+from oracles import PhaseState, advance_from, reference_integrate
 
 
 def test_type1_converges(p322, traj322):
@@ -179,10 +177,9 @@ def test_reference_integrate_convergence_order(p322):
 def test_adaptive_matches_rk4(p324):
     s0 = PhaseState(0.1, 0.05, 0.0)
     ref = reference_integrate(p324, s0, 3.0, h=2e-5)
-    traj = adaptive_integrate(p324, s0, 3.0)
-    out = traj.interpolate(3.0)
-    assert abs(out.phi - ref.phi) < 1e-8
-    assert abs(out.psi - ref.psi) < 1e-8
+    traj = advance_from(p324, s0, 3.0)
+    assert abs(traj.phi_at(3.0) - ref.phi) < 1e-8
+    assert abs(traj.psi_at(3.0) - ref.psi) < 1e-8
 
 
 def test_type1_orbit_inside_barrier_region(p322, traj322):
@@ -213,7 +210,7 @@ def test_type1_containment_large_n(npk):
 
 def test_blowup_detected(p322):
     with pytest.raises(BlowupDetected):
-        adaptive_integrate(p322, PhaseState(2000.0 * p322.phi0, 0.0, 0.0), 1.0)
+        advance_from(p322, PhaseState(2000.0 * p322.phi0, 0.0, 0.0), 1.0)
 
 
 def test_eps_halving_stability(p324, traj324):
@@ -227,9 +224,9 @@ def test_eps_halving_stability(p324, traj324):
 
 def test_interpolation_matches_samples(traj322):
     for i in [0, len(traj322) // 2, len(traj322) - 1]:
-        state = traj322.interpolate(traj322.t[i])
-        assert state.phi == pytest.approx(traj322.phi[i], abs=1e-14)
-        assert state.psi == pytest.approx(traj322.psi[i], abs=1e-14)
+        t = traj322.t[i]
+        assert traj322.phi_at(t) == pytest.approx(traj322.phi[i], abs=1e-14)
+        assert traj322.psi_at(t) == pytest.approx(traj322.psi[i], abs=1e-14)
 
 
 def test_trajectory_arrays_immutable(traj322):
@@ -310,7 +307,7 @@ def test_rhs_evals_count_field_calls(monkeypatch, p324):
         return wrapped
 
     monkeypatch.setattr(integrate, "offset_field", counting)
-    traj = adaptive_integrate(p324, PhaseState(1.0, -3.0, 0.0), 2.0)
+    traj = advance_from(p324, PhaseState(1.0, -3.0, 0.0), 2.0)
     assert traj.stats.rejected == 2
     assert traj.stats.rhs_evals == len(calls) == 1 + 6 * (len(traj) - 1 + 2)
 
@@ -337,7 +334,7 @@ def test_nonfinite_stage_is_rejected(monkeypatch, p322, stage, bad):
         return wrapped
 
     monkeypatch.setattr(integrate, "offset_field", poisoned)
-    traj = adaptive_integrate(p322, PhaseState(0.5, 0.3, 0.0), 1.0)
+    traj = advance_from(p322, PhaseState(0.5, 0.3, 0.0), 1.0)
     assert traj.stats.rejected >= 1
     assert traj.t[1] == 1e-3 * 0.2
 

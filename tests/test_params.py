@@ -8,7 +8,6 @@ from lo_dynamics import (
     StabilityType,
     build_params,
     check_admissibility,
-    classify_stability,
     enumerate_admissible,
     stability_discriminant,
 )
@@ -113,7 +112,7 @@ def test_discriminant_sign_matches_explicit_lists():
     for params in enumerate_admissible(31, 20):
         spiral_by_list = (params.n, params.p) == (3, 2) and params.k >= 4 or \
                          (params.n, params.p) == (5, 4) and params.k >= 6
-        spiral = classify_stability(params) is StabilityType.SPIRAL_TYPE_II
+        spiral = params.stability is StabilityType.SPIRAL_TYPE_II
         assert spiral == spiral_by_list, params.triple()
 
 

@@ -34,6 +34,7 @@ from lo_dynamics.integrate import (
     _strict_sign_change,
     splice_amplitude,
 )
+from oracles import mpmath_orbit
 
 _SPIRAL_PARAMS = [p for p in enumerate_admissible(31, 20)
                   if p.stability is StabilityType.SPIRAL_TYPE_II]
@@ -205,7 +206,7 @@ def test_spliced_zeros_match_fine_dp5(triple, spirals, dp5_only):
         assert abs(a.phi_offset - b.phi_offset) <= 3e-8 * abs(b.phi_offset)
 
 
-def test_mpmath_zeros_straddling_the_splice(spirals, mpmath_orbit):
+def test_mpmath_zeros_straddling_the_splice(spirals):
     # Taylor integration at 20 digits of the same launch in offset
     # variables; zeros 1-5 come before the splice, 6-8 after it
     traj = spirals[(3, 2, 4)]
