@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynsys import linearize_p1, p1_quadratic_bound, spiral_flow_growth
-from .errors import InsufficientHits, NotMonotone, NotTypeII, RadiusOutOfRange
+from .errors import IntegrationFailure, NotApplicable
 from .geometry import los_volume, unit_ball_volume, unit_sphere_volume
 from .integrate import Trajectory, _hermite, detect_phi_hits
 from .params import LomseParams, StabilityType
@@ -102,7 +102,7 @@ class _ProfileInterp:
         self.dpsi = r * profile.rho_rr - self.psi
         rr = r * r + rho * rho
         if not np.all(np.diff(rr) > 0.0):
-            raise NotMonotone("r^2 + rho^2 is not strictly increasing along the profile")
+            raise IntegrationFailure("r^2 + rho^2 is not strictly increasing along the profile")
         self.r2rho2 = rr
 
     def phi_psi_at(self, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +124,7 @@ class _ProfileInterp:
     def cut_x(self, R: float) -> float:
         """x with r^2 + rho(r)^2 = R^2; unique by the monotonicity check."""
         if not 0.0 < R < math.inf:  # NaN fails too
-            raise RadiusOutOfRange(f"R must be positive and finite, got {R}")
+            raise ValueError(f"R must be positive and finite, got {R}")
         target = 2.0 * math.log(R)
 
         def g(x):
@@ -133,7 +133,7 @@ class _ProfileInterp:
         a, b = float(self.x[0]), float(self.x[-1])
         ga, gb = g(a), g(b)
         if ga > 1e-12 or gb < -1e-12:
-            raise RadiusOutOfRange(
+            raise ValueError(
                 f"R={R} outside profile span [{math.sqrt(self.r2rho2[0])}, "
                 f"{math.sqrt(self.r2rho2[-1])}]"
             )
@@ -163,7 +163,7 @@ def _volume_core(interp: _ProfileInterp, params: LomseParams, x_cut: float,
     lam2 = params.lambda_sq
     x0 = float(interp.x[0])
     if x_cut < x0:
-        raise RadiusOutOfRange("cut radius below the first profile sample")
+        raise ValueError("cut radius below the first profile sample")
 
     def g_of(xq: np.ndarray) -> np.ndarray:
         phi, psi = interp.phi_psi_at(xq)
@@ -334,10 +334,10 @@ def density_report(traj: Trajectory, n_panels: int = DEFAULT_QUAD_PANELS) -> Den
     """
     params = traj.params
     if params.stability is not StabilityType.SPIRAL_TYPE_II:
-        raise NotTypeII(f"({params.n},{params.p},{params.k}) is not of the spiral type")
+        raise NotApplicable(f"({params.n},{params.p},{params.k}) is not of the spiral type")
     hits = detect_phi_hits(traj, params.phi0)
     if len(hits) < 2:
-        raise InsufficientHits(f"need >= 2 slope crossings, found {len(hits)}")
+        raise NotApplicable(f"need >= 2 slope crossings, found {len(hits)}")
     log_gaps, log_errs = gap_logs(traj, [hit.t for hit in hits])
     t_inf = theta_infinity(params)
     R = math.sqrt(1.0 + params.phi0 ** 2)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynsys import f1, f1_prime, reverse_field_xy, vector_field_xy
-from .errors import COutOfRange, DomainError, NotTypeI, NotTypeII
+from .errors import NotApplicable
 from .params import LomseParams, StabilityType
 
 DEFAULT_GRID_POINTS = 10_000
@@ -47,7 +47,7 @@ class BarrierCase1Report:
     g0: float  # G(0)
     g_end: float  # G(lambda^2 phi0^2)
     grid_margin: float  # min over phi of h'(phi) - (X2/X1)(phi, h(phi))
-    passed: bool  # F(0) >= 0, G(0) > 0, G(lambda^2 phi0^2) > 0
+    passed: bool  # F(0) >= 0, G(0) > 0, G(lambda^2 phi0^2) > 0 and grid_margin > 0
 
 
 @dataclass(frozen=True)
@@ -60,19 +60,22 @@ class BarrierCase2Report:
     passed: bool
 
 
-def _require_type1(params: LomseParams) -> None:
-    if params.stability is not StabilityType.CENTER_TYPE_I:
-        raise NotTypeI(f"({params.n},{params.p},{params.k}) has a spiral equilibrium")
+def _require(params: LomseParams, kind: StabilityType) -> None:
+    if params.stability is not kind:
+        other = "spiral" if kind is StabilityType.CENTER_TYPE_I else "non-spiral"
+        raise NotApplicable(f"({params.n},{params.p},{params.k}) has a {other} equilibrium")
 
 
-def _require_type2(params: LomseParams) -> None:
-    if params.stability is not StabilityType.SPIRAL_TYPE_II:
-        raise NotTypeII(f"({params.n},{params.p},{params.k}) has a non-spiral equilibrium")
+def _require_finite(what: str, *values: float) -> None:
+    """Refuse the certificate of what if its values left the float range
+    (a huge k, a tiny c)."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"the certificate of {what} leaves the float range")
 
 
 def default_c(params: LomseParams) -> float:
     """Barrier constant used in the invariant-region certificate."""
-    _require_type1(params)
+    _require(params, StabilityType.CENTER_TYPE_I)
     triple = params.triple()
     if triple in ((3, 2, 2), (5, 4, 2)):
         return 1.0
@@ -147,21 +150,25 @@ def case1_from_polynomial(params: LomseParams, c: float) -> tuple[float, float, 
 def case1_check(params: LomseParams, c: float | None = None,
                 grid_points: int = DEFAULT_GRID_POINTS) -> BarrierCase1Report:
     """Closed-form certificate plus the raw slope inequality on a phi grid."""
-    _require_type1(params)
+    _require(params, StabilityType.CENTER_TYPE_I)
     if grid_points < 1:
         raise ValueError(f"grid_points must be at least 1, got {grid_points}")
     if c is None:
         c = default_c(params)
     if not 0.0 < c <= 1.0:
-        raise COutOfRange(f"c must be in (0, 1], got {c}")
+        raise ValueError(f"c must be in (0, 1], got {c}")
     f0, g0, g_end = case1_closed_forms(params, c)
     phi0 = params.phi0
     margin = math.inf
-    for i in range(1, grid_points + 1):
-        phi = phi0 * i / (grid_points + 1)
-        psi = barrier_h(phi, params, c)
-        x1, x2 = vector_field_xy(phi, psi, params)
-        margin = min(margin, barrier_h_prime(phi, params, c) - x2 / x1)
+    try:
+        for i in range(1, grid_points + 1):
+            phi = phi0 * i / (grid_points + 1)
+            psi = barrier_h(phi, params, c)
+            x1, x2 = vector_field_xy(phi, psi, params)
+            margin = min(margin, barrier_h_prime(phi, params, c) - x2 / x1)
+    except OverflowError:
+        margin = math.nan
+    _require_finite(f"({params.n},{params.p},{params.k}) with c={c}", f0, g0, g_end, margin)
     return BarrierCase1Report(
         params=params,
         c=c,
@@ -169,7 +176,7 @@ def case1_check(params: LomseParams, c: float | None = None,
         g0=g0,
         g_end=g_end,
         grid_margin=margin,
-        passed=(f0 >= 0.0) and (g0 > 0.0) and (g_end > 0.0),
+        passed=f0 >= 0.0 and g0 > 0.0 and g_end > 0.0 and margin > 0.0,
     )
 
 
@@ -218,7 +225,7 @@ def no_limit_cycle_check(params: LomseParams,
                         (phi^2 - threshold^2)
     is asserted pointwise along the way.
     """
-    _require_type2(params)
+    _require(params, StabilityType.SPIRAL_TYPE_II)
     n_phi, n_psi = grid
     if n_phi < 2 or n_psi < 1:
         raise ValueError(f"grid must be at least (2, 1), got {grid}")
@@ -252,10 +259,10 @@ def case2_check(params: LomseParams,
     """Full spiral-case suite: the Step-1 certificate (envelope minimum plus
     the grid sweep of I - II + III*IV over phi in (0, phi0)) and the
     no-limit-cycle margin."""
-    _require_type2(params)
+    _require(params, StabilityType.SPIRAL_TYPE_II)
     if params.n - params.p != 1:
-        raise DomainError(f"step-1 certificate requires n - p = 1, got "
-                          f"({params.n},{params.p})")
+        raise ValueError(f"step-1 certificate requires n - p = 1, got "
+                         f"({params.n},{params.p})")
     if grid_points < 1:
         raise ValueError(f"grid_points must be at least 1, got {grid_points}")
     s_star, f_min = fs_minimum()
@@ -268,6 +275,7 @@ def case2_check(params: LomseParams,
         s = s_end / (1.0 + lam2 * phi * phi) - 1.0
         margin = min(margin, step1_margin(s, params))
     cycle_margin = no_limit_cycle_check(params, grid=cycle_grid)
+    _require_finite(f"({params.n},{params.p},{params.k})", margin, cycle_margin)
     return BarrierCase2Report(
         params=params,
         g_grid_margin=margin,

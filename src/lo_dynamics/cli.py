@@ -3,12 +3,14 @@ verification, geometry and density reports, and the witness-map check.
 
 Exit codes (public contract):
     0  success
-    2  usage / invalid arguments
+    2  usage / invalid arguments, or a value whose run would leave the
+       float range (a huge k, a tiny -c, an --eps that lands on the saddle)
     3  inadmissible triple without --allow-inadmissible
     4  integration failure: blowup, or the step size underflowed
     5  certificate failure (verify: barrier; density: a crossing's density
        not strictly below the cone density, or not resolved from it)
-    6  wrong stability type for the requested report
+    6  wrong stability type for the requested report, or too few crossings
+main maps the errors classes to 3, 4 and 6, any other ValueError to 2.
 
 Configuration: a flat key = value text file (one pair per line, '#'
 comments allowed), pointed to by --config or the LO_DYNAMICS_CONFIG
@@ -41,15 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, barrier, geometry, hopf, integrate, radial
-from .errors import (
-    BlowupDetected,
-    DomainError,
-    InadmissibleTriple,
-    InsufficientHits,
-    NotTypeII,
-    RadiusOutOfRange,
-    StepSizeUnderflow,
-)
+from .errors import InadmissibleTriple, IntegrationFailure, NotApplicable
 from .integrate import (
     Trajectory,
     crossing_report,
@@ -64,6 +58,9 @@ EXIT_INADMISSIBLE = 3
 EXIT_BLOWUP = 4
 EXIT_BARRIER_FAILURE = 5
 EXIT_WRONG_TYPE = 6
+# the exit code by exception class; any other ValueError is a usage error
+_EXIT_CODES = {InadmissibleTriple: EXIT_INADMISSIBLE, IntegrationFailure: EXIT_BLOWUP,
+               NotApplicable: EXIT_WRONG_TYPE, ValueError: EXIT_USAGE}
 
 CONFIG_ENV_VAR = "LO_DYNAMICS_CONFIG"
 _FORMATS = ("json", "csv", "svg")
@@ -388,7 +385,6 @@ def cmd_verify(args) -> int:
         print(f"  G(0) = {fmt17(report.g0)}")
         print(f"  G(lambda^2 phi0^2) = {fmt17(report.g_end)}")
         print(f"  grid margin = {fmt17(report.grid_margin)}")
-        ok = report.passed and report.grid_margin > 0.0
     else:
         report = barrier.case2_check(params)
         payload = {"params": params, "case": 2, **_fields(report)}
@@ -396,10 +392,9 @@ def cmd_verify(args) -> int:
         print(f"  min F(s) = {fmt17(report.fs_min)} at s = {fmt17(report.fs_argmin)}")
         print(f"  step-1 grid margin = {fmt17(report.g_grid_margin)}")
         print(f"  no-limit-cycle margin (max Y2+X2) = {fmt17(report.cycle_margin)}")
-        ok = report.passed
     _write_json(cfg, "barrier.json", payload)
-    print("PASS" if ok else "FAIL")
-    return EXIT_OK if ok else EXIT_BARRIER_FAILURE
+    print("PASS" if report.passed else "FAIL")
+    return EXIT_OK if report.passed else EXIT_BARRIER_FAILURE
 
 
 def cmd_geometry(args) -> int:
@@ -432,7 +427,7 @@ def cmd_density(args) -> int:
         profile = radial.to_profile(traj)
         try:
             thetas = [analysis.theta_of_radius(profile, params, r) for r in radii]
-        except RadiusOutOfRange as exc:
+        except ValueError as exc:
             raise ValueError(f"radii: {exc}") from None
         payload = {
             "params": params,
@@ -569,18 +564,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except InadmissibleTriple as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    except (BlowupDetected, StepSizeUnderflow) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
-    except (NotTypeII, InsufficientHits) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WRONG_TYPE
-    except (DomainError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _EXIT_CODES.get(type(exc), EXIT_USAGE)
 
 
 if __name__ == "__main__":

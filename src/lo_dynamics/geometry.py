@@ -19,6 +19,7 @@ the exact recursion, not an approximation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .params import LomseParams
@@ -68,15 +69,22 @@ def _log_ratio_terms(params: LomseParams) -> tuple[float, float, float]:
     return log_c2, log_j, log_kn
 
 
+def _exp(log_x: float, name: str, params: LomseParams) -> float:
+    """e^log_x, refused unless it is a normal float (then so is its inverse)."""
+    if not math.log(sys.float_info.min) < log_x < math.log(sys.float_info.max):
+        raise ValueError(f"{name} of ({params.n},{params.p},{params.k}) leaves the float range")
+    return math.exp(log_x)
+
+
 def cos_alpha(params: LomseParams) -> float:
     log_c2, log_j, _ = _log_ratio_terms(params)
-    return math.exp(0.5 * log_c2 + 0.5 * params.p * log_j)
+    return _exp(0.5 * log_c2 + 0.5 * params.p * log_j, "cos_alpha", params)
 
 
 def volume_ratio(params: LomseParams) -> float:
     n, p = params.n, params.p
     log_c2, _, log_kn = _log_ratio_terms(params)
-    return math.exp(0.5 * p * log_kn + 0.5 * (n - p) * log_c2)
+    return _exp(0.5 * p * log_kn + 0.5 * (n - p) * log_c2, "volume_ratio", params)
 
 
 def geometry_report(params: LomseParams) -> GeometryReport:

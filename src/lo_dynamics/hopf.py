@@ -23,7 +23,6 @@ import math
 
 import numpy as np
 
-from .errors import NotOnSphere, StepOutOfRange
 from .params import LomseParams
 
 DEFAULT_SAMPLE_COUNT = 100
@@ -36,7 +35,7 @@ _H_LO, _H_HI = 1e-8, 1e-3
 def _check_unit(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if abs(np.linalg.norm(x) - 1.0) > _SPHERE_TOL:
-        raise NotOnSphere(f"|x| = {np.linalg.norm(x)} is not 1")
+        raise ValueError(f"|x| = {np.linalg.norm(x)} is not 1")
     return x
 
 
@@ -70,7 +69,7 @@ def map_differential(map_fn, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     projected onto the tangent space of the image sphere.
     """
     if not _H_LO < h < _H_HI:
-        raise StepOutOfRange(f"h must be in ({_H_LO}, {_H_HI}), got {h}")
+        raise ValueError(f"h must be in ({_H_LO}, {_H_HI}), got {h}")
     x = _check_unit(x)
     fx = np.asarray(map_fn(x), dtype=float)
     basis = sphere_tangent_basis(x)

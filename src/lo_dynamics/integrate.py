@@ -51,7 +51,7 @@ from .dynsys import (
     p1_quadratic_bound,
     spiral_flow_growth,
 )
-from .errors import BlowupDetected, EpsNonpositive, StepSizeUnderflow
+from .errors import IntegrationFailure
 from .params import LomseParams, StabilityType
 
 # Dormand-Prince 5(4) tableau. Row 7 equals the 5th-order weights (FSAL).
@@ -307,7 +307,7 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
     phi0 = params.phi0
     blowup_at = _BLOWUP_FACTOR * phi0
     if math.hypot(phi0 + u0, psi0) > blowup_at:
-        raise BlowupDetected(
+        raise IntegrationFailure(
             f"initial state lies outside the bounded region for "
             f"(n,p,k)=({params.n},{params.p},{params.k})"
         )
@@ -411,7 +411,7 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
             dpsis_append(k7p)
 
             if math.hypot(phi0 + u, psi) > blowup_at:
-                raise BlowupDetected(
+                raise IntegrationFailure(
                     f"state left the bounded region at t={t:.6g} for "
                     f"(n,p,k)=({params.n},{params.p},{params.k})"
                 )
@@ -452,7 +452,7 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
             h *= shrink if shrink > 0.2 else 0.2
             err_prev = 1.0
             if h < _H_MIN:
-                raise StepSizeUnderflow(f"step size underflow at t={t:.6g}")
+                raise IntegrationFailure(f"step size underflow at t={t:.6g}")
 
     return ts, us, psis, dpsis, reason, rejected, tail_samples
 
@@ -472,10 +472,11 @@ def shoot_unstable_manifold(params: LomseParams,
     Termination: distance to (phi0, 0) below conv_tol for the real-eigenvalue
     type; max_crossings psi sign changes for the spiral type; t_max otherwise.
     Spiral runs continue in closed form below splice_amplitude.
-    rel_tol must be positive and finite, and t_max must exceed t_start.
+    rel_tol must be positive and finite, t_max must exceed t_start, and eps
+    must move phi off the saddle once phi is written as phi0 + u.
     """
     if not eps > 0.0:
-        raise EpsNonpositive(f"eps must be > 0, got {eps}")
+        raise ValueError(f"eps must be > 0, got {eps}")
     if not 0.0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     mu1 = params.k - 1
@@ -485,12 +486,16 @@ def shoot_unstable_manifold(params: LomseParams,
     t_start = math.log(eps) / mu1
     if not t_max > t_start:
         raise ValueError(f"t_max={t_max} must exceed the launch time log(eps)/(k-1)={t_start}")
+    u_start = phi_start - params.phi0
+    if params.phi0 + u_start == 0.0:
+        raise ValueError(f"eps={eps} is below the resolution of phi0: the launch "
+                         "rounds onto the saddle")
 
     type_one = params.stability is StabilityType.CENTER_TYPE_I
     ts, us, psis, dpsis, reason, rejected, tail_samples = _advance(
         params,
         t_start,
-        phi_start - params.phi0,
+        u_start,
         psi_start,
         t_max,
         rel_tol,

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, InadmissibleTriple
+from .errors import InadmissibleTriple
 
 
 class StabilityType(enum.Enum):
@@ -125,13 +125,13 @@ def build_params(n: int, p: int, k: int, allow_inadmissible: bool = False) -> Lo
     the dynamics; they never correspond to an actual equivariant map.
     """
     if not (isinstance(n, int) and isinstance(p, int) and isinstance(k, int)):
-        raise DomainError(f"(n, p, k) must be integers, got ({n!r}, {p!r}, {k!r})")
+        raise ValueError(f"(n, p, k) must be integers, got ({n!r}, {p!r}, {k!r})")
     if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
+        raise ValueError(f"n must be >= 2, got {n}")
     if not 1 <= p < n:
-        raise DomainError(f"p must satisfy 1 <= p < n, got p={p}, n={n}")
+        raise ValueError(f"p must satisfy 1 <= p < n, got p={p}, n={n}")
     if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
+        raise ValueError(f"k must be >= 2, got {k}")
 
     verdict = check_admissibility(n, p, k)
     if not verdict.admissible and not allow_inadmissible:
@@ -143,7 +143,10 @@ def build_params(n: int, p: int, k: int, allow_inadmissible: bool = False) -> Lo
     K = k * (k + n - 1)
     # lambda^2 = K/p > n/p holds automatically for k >= 2.
     assert K > n
-    lam = math.sqrt(K / p)
+    try:
+        lam = math.sqrt(K / p)
+    except OverflowError:
+        raise ValueError(f"({n},{p},{k}): lambda^2 = k(k+n-1)/p leaves the float range") from None
     phi0_sq = Fraction(p * (K - n), K * (n - p))
     cos_sq = Fraction(K * (n - p), n * (K - p))
     phi0 = math.sqrt(phi0_sq)

@@ -3,8 +3,9 @@
 A phase-plane state (phi, psi) at t maps to a profile sample through
 r = e^t, rho = r*phi, rho_r = phi + psi.  The second derivative comes
 from the vector field, rho_rr = (psi_t + psi)/r with psi_t = X2, never
-from differencing samples, so the residual check below measures the
-integration error and not a differentiation artifact.
+from differencing samples.  So ode1_residual checks the r-form ODE against
+the planar field up to rounding, not the integration error: at most 4e-15
+on (3,2,2), (3,2,4) and (5,4,6), at rel_tol 1e-4 as at 1e-10.
 
 A whole profile is a `Profile`: four read-only columns r, rho, rho_r,
 rho_rr.  The columns are computed with the same IEEE operations, in the
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch
 from .integrate import Trajectory
 from .params import LomseParams
 
@@ -40,7 +40,7 @@ class Profile:
         for name in ("r", "rho", "rho_r", "rho_rr"):
             col = np.array(getattr(self, name), dtype=float)
             if col.shape != (n,):
-                raise LengthMismatch(f"column {name} has shape {col.shape}, expected ({n},)")
+                raise ValueError(f"column {name} has shape {col.shape}, expected ({n},)")
             col.setflags(write=False)
             object.__setattr__(self, name, col)
 

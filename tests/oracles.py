@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 
 from lo_dynamics.dynsys import f1, f1_prime, f2, f2_prime, vector_field_xy
-from lo_dynamics.errors import BlowupDetected, LengthMismatch
+from lo_dynamics.errors import IntegrationFailure
 from lo_dynamics.geometry import volume_ratio
 from lo_dynamics.hopf import hopf_map
 from lo_dynamics.integrate import _BLOWUP_FACTOR, DEFAULT_REL_TOL, Trajectory, _advance
@@ -69,7 +69,7 @@ def reference_integrate(params: LomseParams,
             phi += hh * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
             psi += hh * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
             if abs(phi) > blowup_at or abs(psi) > blowup_at:
-                raise BlowupDetected("reference RK4 left the bounded region")
+                raise IntegrationFailure("reference RK4 left the bounded region")
     return PhaseState(phi, psi, t_end)
 
 
@@ -179,7 +179,7 @@ def ode_general_residual(sample: ProfileSample, sing_values: list[float], n: int
     to rounding.  n is the expected list length.
     """
     if len(sing_values) != n:
-        raise LengthMismatch(f"expected {n} singular values, got {len(sing_values)}")
+        raise ValueError(f"expected {n} singular values, got {len(sing_values)}")
     r = sample.r
     if r <= 0.0:
         raise ValueError(f"r must be > 0, got {r}")

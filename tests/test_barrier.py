@@ -21,7 +21,7 @@ from lo_dynamics.barrier import (
     step1_margin,
 )
 from lo_dynamics.dynsys import f1, f2, vector_field_xy, reverse_field_xy
-from lo_dynamics.errors import COutOfRange, NotTypeI, NotTypeII
+from lo_dynamics.errors import NotApplicable
 from lo_dynamics.params import StabilityType
 from oracles import case1_iv_unreduced
 
@@ -35,14 +35,14 @@ def test_default_c_values(p322, p542, p544):
 
 
 def test_default_c_rejects_spiral(p324):
-    with pytest.raises(NotTypeI):
+    with pytest.raises(NotApplicable, match="has a spiral equilibrium"):
         default_c(p324)
 
 
 def test_c_out_of_range(p322):
-    with pytest.raises(COutOfRange):
+    with pytest.raises(ValueError, match=r"c must be in \(0, 1\]"):
         case1_check(p322, c=0.0)
-    with pytest.raises(COutOfRange):
+    with pytest.raises(ValueError, match=r"c must be in \(0, 1\]"):
         case1_check(p322, c=1.5)
 
 
@@ -133,8 +133,30 @@ def test_case1_grid_margin_positive_all_type1():
         assert report.g_end > 0.0, params.triple()
 
 
+def test_case1_verdict_includes_the_grid_margin(p322, monkeypatch):
+    # the closed forms pass; a negative grid margin alone fails the report
+    monkeypatch.setattr("lo_dynamics.barrier.barrier_h_prime", lambda phi, params, c: -1e9)
+    report = case1_check(p322, grid_points=20)
+    assert report.f0 >= 0.0 and report.g0 > 0.0 and report.g_end > 0.0
+    assert report.grid_margin < 0.0 and not report.passed
+
+
+@pytest.mark.parametrize("c", [1e-160, 1e-300, 5e-324])
+def test_case1_c_outside_the_float_range(p322, c):
+    # (phi + psi) ** 2 overflowed as a traceback, or F(0) and G(0) came out
+    # -inf and nan, which barrier.json cannot hold
+    with pytest.raises(ValueError, match=rf"\(3,2,2\) with c={c} leaves the float range"):
+        case1_check(p322, c=c, grid_points=20)
+
+
+def test_case2_k_outside_the_float_range():
+    # the step-1 margin of (3,2,1e154) came out -inf and printed FAIL
+    with pytest.raises(ValueError, match=r"\(3,2,10{154}\) leaves the float range"):
+        case2_check(build_params(3, 2, 10 ** 154), grid_points=20, cycle_grid=(4, 4))
+
+
 def test_case1_rejects_spiral(p324):
-    with pytest.raises(NotTypeI):
+    with pytest.raises(NotApplicable, match="has a spiral equilibrium"):
         case1_check(p324)
 
 
@@ -170,9 +192,9 @@ def test_case2_step1(npk):
 
 
 def test_case2_rejects_type1(p322):
-    with pytest.raises(NotTypeII):
+    with pytest.raises(NotApplicable, match="has a non-spiral equilibrium"):
         case2_check(p322)
-    with pytest.raises(NotTypeII):
+    with pytest.raises(NotApplicable, match="has a non-spiral equilibrium"):
         no_limit_cycle_check(p322)
 
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lo_dynamics
-from lo_dynamics import analysis, barrier, build_params, enumerate_admissible, geometry
+from lo_dynamics import analysis, barrier, enumerate_admissible, geometry, stability_discriminant
 from lo_dynamics.cli import (
     EXIT_BARRIER_FAILURE,
     EXIT_BLOWUP,
@@ -314,6 +314,45 @@ def test_t_max_before_the_launch_names_t_max(tmp_path, capsys):
     assert not out.exists()
 
 
+_K_400 = str(10 ** 400)
+
+
+@pytest.mark.parametrize("argv, named", [
+    *((["verify", "3", "2", "2", "-c", c], f"(3,2,2) with c={c} leaves the float range")
+      for c in ("1e-160", "1e-300", "5e-324")),
+    *(([command, "31", "30", _K_400], f"(31,30,{_K_400}): lambda^2")
+      for command in ("classify", "geometry", "verify")),
+    (["verify", "3", "2", str(10 ** 154)], f"(3,2,{10 ** 154}) leaves the float range"),
+    (["geometry", "31", "30", "100000000000"], "cos_alpha of (31,30,100000000000)"),
+    *(([command, *triple, "--eps", "1e-16"], "eps=1e-16 is below the resolution of phi0")
+      for command, triple in (("orbit", ("3", "2", "4")), ("orbit", ("3", "2", "2")),
+                              ("density", ("3", "2", "4")))),
+])
+def test_runs_outside_the_float_range_are_usage_errors(argv, named, tmp_path, capsys):
+    # each ended in a traceback (exit 1), in nan or inf in barrier.json at
+    # exit 5, or in an orbit launched on the saddle, with no crossings
+    out = tmp_path / "out"
+    assert run([*argv, "--out-dir", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and named in captured.err
+    assert not out.exists()
+
+
+def test_eps_above_the_saddle_floor_still_shoots(tmp_path):
+    assert run(["orbit", "3", "2", "4", "--eps", "1e-12", "--formats", "json",
+                "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert len(json.loads((tmp_path / "events.json").read_text())["psi_zeros"]) == 40
+
+
+def test_verify_reads_the_case1_verdict_from_the_report(tmp_path, capsys, monkeypatch):
+    # a negative grid margin fails verify through report.passed alone
+    monkeypatch.setattr(barrier, "barrier_h_prime", lambda phi, params, c: -1e9)
+    assert run(["verify", "3", "2", "2", "--out-dir", str(tmp_path)]) == EXIT_BARRIER_FAILURE
+    assert capsys.readouterr().out.endswith("FAIL\n")
+    assert json.loads((tmp_path / "barrier.json").read_text())["passed"] is False
+
+
 def test_step_size_underflow_exits_integration_failure(tmp_path, capsys):
     # no step meets an error test far below the rounding of the state
     assert run(["orbit", "3", "2", "2", "--rel-tol", "1e-300",
@@ -326,12 +365,23 @@ def _log_uniform(lo: float, hi: float):
     return st.floats(lo, hi).map(lambda e: 10.0 ** e)
 
 
+def _off_table(k):
+    """Any domain-valid triple with n <= 31 and k drawn from k."""
+    return st.integers(2, 31).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1), k))
+
+
 # the (31, 20) table, plus any domain-valid triple run off-table
 _TABLE = [p.triple() for p in enumerate_admissible(31, 20)]
-_TRIPLES = st.one_of(
-    st.sampled_from(_TABLE),
-    st.integers(2, 31).flatmap(lambda n: st.tuples(
-        st.just(n), st.integers(1, n - 1), st.integers(2, 20))),
+_TRIPLES = st.one_of(st.sampled_from(_TABLE), _off_table(st.integers(2, 20)))
+# k = 10^e up to 10^400, on and off the table: from k ~ 1e154 on,
+# k(k+n-1)/p leaves the float range.  Only for the commands that shoot no
+# orbit: the launch of a k above about 1e5 is stiff (the saddle's unstable
+# eigenvalue is k - 1), and a launch on the saddle did not end within 15 s
+_HUGE_K = st.integers(2, 400).map(lambda e: 10 ** e)
+_HUGE_TRIPLES = st.one_of(
+    st.tuples(st.sampled_from(sorted({t[:2] for t in _TABLE})), _HUGE_K).map(
+        lambda t: (*t[0], t[1])),
+    _off_table(_HUGE_K),
 )
 
 
@@ -373,11 +423,13 @@ def _usually(good):
     return _one_in(10, _JUNK, good)
 
 
-# a value text for each config key but out_dir, which the flag always sets
+# a value text for each config key but out_dir, which the flag always sets;
+# an eps below about 1e-16 launches on the saddle
 _KEY_VALUES = {
     "rel_tol": _usually(st.one_of(_log_uniform(-12.0, -3.0), st.just(1e-300)).map(repr)),
     "conv_tol": _usually(_log_uniform(-12.0, 0.0).map(repr)),
-    "eps_start": _usually(_log_uniform(-12.0, 3.0).map(repr)),
+    "eps_start": _usually(st.one_of(_log_uniform(-12.0, 3.0),
+                                    _log_uniform(-320.0, -12.0)).map(repr)),
     "t_max": _usually(_log_uniform(-2.0, 2.6).map(repr)),
     "max_crossings": _usually(st.integers(1, 60).map(str)),
     "sample_count": _usually(st.integers(1, 40).map(str)),
@@ -417,9 +469,11 @@ _COMMANDS = {
               {**_SHOOT_FLAGS, "--formats": _KEY_VALUES["formats"],
                "--target-phi": _one_in(2, _JUNK, _log_uniform(-2.0, 1.0).map(repr))},
               ["--quad-panels=200", "--radii=1"]),
-    "verify": (_TRIPLES, {"-c": _usually(st.floats(0.05, 1.0).map(repr))},
+    "verify": (st.one_of(_TRIPLES, _HUGE_TRIPLES),
+               {"-c": _usually(st.one_of(st.floats(0.05, 1.0), _log_uniform(-323.3, 0.0),
+                                         st.just(5e-324)).map(repr))},
                ["--grid-points=200", "--formats=json"]),
-    "geometry": (_TRIPLES, {}, ["--formats=json"]),
+    "geometry": (st.one_of(_TRIPLES, _HUGE_TRIPLES), {}, ["--formats=json"]),
     "density": (st.one_of(_TRIPLES, st.sampled_from(_SPIRALS)),
                 {**_SHOOT_FLAGS, "--radii": _RADII},
                 ["--quad-panels=200", "--formats=csv"]),
@@ -428,20 +482,41 @@ _COMMANDS = {
 }
 
 
-@settings(max_examples=60, deadline=None)
-@given(command=st.sampled_from(sorted(_COMMANDS)), data=st.data(), config=_CONFIG_LINES)
+def _stability(triple) -> StabilityType:
+    """The type of any domain-valid triple, k in or out of the float range."""
+    n, _, k = triple
+    return (StabilityType.SPIRAL_TYPE_II if stability_discriminant(n, k) < 0
+            else StabilityType.CENTER_TYPE_I)
+
+
+def _assert_documented(code, stdout, err, out):
+    """A run ends in a documented exit code, never an exception; a usage
+    error says what it is; a run that reports (exit 0 or 5) prints no nan
+    or inf; every JSON file written parses."""
+    assert code in (0, 2, 3, 4, 5, 6)
+    assert "Traceback" not in err
+    if code == EXIT_USAGE:
+        assert err
+    if code in (EXIT_OK, EXIT_BARRIER_FAILURE):
+        assert not re.search(r"\b(nan|inf)\b", stdout), stdout
+    for f in out.glob("*.json"):
+        json.loads(f.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), config=_CONFIG_LINES)
 def test_commands_exit_with_a_documented_code(tmp_path_factory, command, data, config):
     # the command's flags (one time in eight also one it no longer takes,
-    # or one for the other stability type) and a config file; every run
-    # ends in an exit code, never an exception, and a run that exits 0
-    # prints no nan or inf and writes JSON that parses
+    # or one for the other stability type) and a config file, each
+    # command with its own budget, so that its rare cases come up
     triples, flag_values, removed = _COMMANDS[command]
     out = tmp_path_factory.mktemp(command)
     argv = [command]
     wrong = set()
     if triples is not None:
         triple = data.draw(triples)
-        wrong = _WRONG_TYPE[build_params(*triple, allow_inadmissible=True).stability]
+        wrong = _WRONG_TYPE[_stability(triple)]
         argv += [*map(str, triple), *data.draw(st.sampled_from([[], ["--allow-inadmissible"]]))]
     flags = data.draw(st.fixed_dictionaries(
         {}, optional={f: v for f, v in flag_values.items() if f not in wrong}))
@@ -453,14 +528,19 @@ def test_commands_exit_with_a_documented_code(tmp_path_factory, command, data, c
     stdout, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
         code = run([*argv, "--config", str(cfg), "--out-dir", str(out / "out")])
-    assert code in (0, 2, 3, 4, 5, 6)
-    assert "Traceback" not in err.getvalue()
-    if code == EXIT_USAGE:
-        assert err.getvalue()
-    if code == EXIT_OK:
-        assert not re.search(r"\b(nan|inf)\b", stdout.getvalue()), stdout.getvalue()
-        for f in (out / "out").glob("*.json"):
-            json.loads(f.read_text(encoding="utf-8"))
+    _assert_documented(code, stdout.getvalue(), err.getvalue(), out / "out")
+
+
+@settings(max_examples=25, deadline=None)
+@given(triple=st.one_of(_TRIPLES, _HUGE_TRIPLES), allow=st.booleans())
+def test_classify_exits_with_a_documented_code(tmp_path_factory, triple, allow):
+    # classify takes no config file, so the test above leaves it out
+    out = tmp_path_factory.mktemp("classify")
+    stdout, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        code = run(["classify", *map(str, triple), *(["--allow-inadmissible"] if allow else []),
+                    "--out-dir", str(out)])
+    _assert_documented(code, stdout.getvalue(), err.getvalue(), out)
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,11 +4,13 @@ import pytest
 
 from lo_dynamics import build_params, enumerate_admissible
 from lo_dynamics.geometry import (
+    cos_alpha,
     gamma_half,
     geometry_report,
     los_volume,
     unit_ball_volume,
     unit_sphere_volume,
+    volume_ratio,
 )
 from oracles import volume_element_check, volume_element_factor
 
@@ -84,6 +86,20 @@ def test_monotone_in_k():
             assert rep.volume_ratio > prev_vol
         prev_cos, prev_vol = rep.cos_alpha, rep.volume_ratio
     assert prev_cos < 0.01
+
+
+def test_invariants_outside_the_float_range():
+    # cos_alpha of (31,30,1e11) underflowed to 0 and slope_w = 1/cos_alpha
+    # divided by it; volume_ratio overflows in math.exp from k ~ 1e12
+    assert geometry_report(build_params(31, 30, 10 ** 10)).slope_w == pytest.approx(
+        5.5677646133793798e300, rel=1e-12)
+    big = build_params(31, 30, 10 ** 11)
+    with pytest.raises(ValueError, match=r"cos_alpha of \(31,30,100000000000\) leaves the float"):
+        geometry_report(big)
+    with pytest.raises(ValueError, match=r"cos_alpha of \(31,30,100000000000\) leaves the float"):
+        cos_alpha(big)
+    with pytest.raises(ValueError, match=r"volume_ratio of \(31,30,10{12}\) leaves the float"):
+        volume_ratio(build_params(31, 30, 10 ** 12))
 
 
 def test_los_volume_322(p322):

@@ -16,7 +16,7 @@ from lo_dynamics import (
     shoot_unstable_manifold,
 )
 from lo_dynamics.barrier import barrier_h, default_c
-from lo_dynamics.errors import BlowupDetected, EpsNonpositive
+from lo_dynamics.errors import IntegrationFailure
 from lo_dynamics.integrate import DEFAULT_MAX_CROSSINGS, _bisect
 from oracles import PhaseState, advance_from, reference_integrate
 
@@ -91,12 +91,21 @@ def test_546_envelope(p546, traj546):
 
 
 def test_eps_nonpositive(p322):
-    with pytest.raises(EpsNonpositive):
+    with pytest.raises(ValueError, match="eps must be > 0"):
         shoot_unstable_manifold(p322, eps=0.0)
-    with pytest.raises(EpsNonpositive):
+    with pytest.raises(ValueError, match="eps must be > 0"):
         shoot_unstable_manifold(p322, eps=-1e-6)
-    with pytest.raises(EpsNonpositive):
+    with pytest.raises(ValueError, match="eps must be > 0"):
         shoot_unstable_manifold(p322, eps=math.nan)
+
+
+@pytest.mark.parametrize("triple", [(3, 2, 2), (3, 2, 4)])
+@pytest.mark.parametrize("eps", [1e-16, 1e-320])
+def test_eps_that_launches_on_the_saddle(triple, eps):
+    # eps/|V1| below half an ulp of phi0: u = -phi0 exactly, the launch is
+    # the saddle itself, and the run found no crossing at exit 0
+    with pytest.raises(ValueError, match=f"eps={eps} is below the resolution of phi0"):
+        shoot_unstable_manifold(build_params(*triple), eps=eps)
 
 
 @pytest.mark.parametrize("rel_tol", [0.0, -1e-10, math.nan, math.inf])
@@ -209,7 +218,7 @@ def test_type1_containment_large_n(npk):
 
 
 def test_blowup_detected(p322):
-    with pytest.raises(BlowupDetected):
+    with pytest.raises(IntegrationFailure, match="initial state lies outside the bounded region"):
         advance_from(p322, PhaseState(2000.0 * p322.phi0, 0.0, 0.0), 1.0)
 
 

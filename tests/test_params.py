@@ -11,7 +11,7 @@ from lo_dynamics import (
     enumerate_admissible,
     stability_discriminant,
 )
-from lo_dynamics.errors import DomainError, InadmissibleTriple
+from lo_dynamics.errors import InadmissibleTriple
 
 
 def test_322_derived_constants(p322):
@@ -41,8 +41,15 @@ def test_1582_octonionic():
 
 @pytest.mark.parametrize("n,p,k", [(3, 3, 2), (3, 4, 2), (2, 2, 2), (1, 1, 2), (3, 2, 1), (3, 0, 2)])
 def test_domain_errors(n, p, k):
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="must be|must satisfy"):
         build_params(n, p, k, allow_inadmissible=True)
+
+
+def test_lambda_sq_outside_the_float_range():
+    # k(k+n-1)/p overflowed in math.sqrt(K / p) as a traceback
+    with pytest.raises(ValueError, match=r"\(31,30,10{400}\): lambda\^2 = k\(k\+n-1\)/p"):
+        build_params(31, 30, 10 ** 400)
+    assert build_params(31, 30, 10 ** 150).lambda_sq == pytest.approx(10.0 ** 300 / 30.0)
 
 
 def test_allow_inadmissible_builds():
