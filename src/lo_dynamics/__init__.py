@@ -7,7 +7,6 @@ densities of the Dirichlet solution family built on top of the orbits."""
 from .params import (
     AdmissibilityVerdict,
     LomseParams,
-    MapFamily,
     StabilityType,
     build_params,
     check_admissibility,

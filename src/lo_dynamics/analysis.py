@@ -41,7 +41,7 @@ import numpy as np
 
 from .dynsys import linearize_p1, p1_quadratic_bound, spiral_flow_growth
 from .errors import IntegrationFailure, NotApplicable
-from .geometry import los_volume, unit_ball_volume, unit_sphere_volume
+from .geometry import volume_ratio
 from .integrate import Trajectory, _hermite, detect_phi_hits
 from .params import LomseParams, StabilityType
 from .radial import Profile, rescale_profile, to_profile
@@ -196,13 +196,14 @@ def theta_of_radius(profile: Profile, params: LomseParams, R: float,
     # (r_cut / R)^{n+1} = (1 + phi(x_cut)^2)^{-(n+1)/2}
     phi_cut = interp.phi_at_scalar(x_cut)
     ratio = (1.0 + phi_cut * phi_cut) ** (-(n + 1.0) / 2.0)
-    return unit_sphere_volume(n) / unit_ball_volume(n + 1) * core * ratio
+    # |S^n| / omega_{n+1} = n + 1
+    return (n + 1.0) * core * ratio
 
 
 def theta_infinity(params: LomseParams) -> float:
-    """Cone density: Vol(graph sphere) / ((n+1) * vol of unit ball in R^{n+1})."""
-    n = params.n
-    return los_volume(params) / ((n + 1.0) * unit_ball_volume(n + 1))
+    """Cone density Vol(graph sphere) / ((n+1) omega_{n+1}); as
+    (n+1) omega_{n+1} = |S^n|, this is geometry.volume_ratio."""
+    return volume_ratio(params)
 
 
 def _segment_logs(traj: Trajectory, i: np.ndarray, start) -> tuple[np.ndarray, np.ndarray]:
@@ -279,7 +280,7 @@ def gap_logs(traj: Trajectory, t_cuts) -> tuple[np.ndarray, np.ndarray]:
     and ln of its error bar, from one pass over the trajectory.
 
     The monotonicity identity gives Theta_inf - Theta(R) = |S^n|/omega_{n+1}
-    times the integral from t_cut to infinity of
+    = n + 1 times the integral from t_cut to infinity of
 
         psi^2 (1 + lambda^2 phi^2)^{p/2} / (sqrt(1 + (phi + psi)^2) (1 + phi^2)^{(n+3)/2})
 
@@ -307,7 +308,7 @@ def gap_logs(traj: Trajectory, t_cuts) -> tuple[np.ndarray, np.ndarray]:
     # suffix[j] sums the segments from j on and the tail
     suffix = np.logaddexp.accumulate(seg[::-1])[::-1]
     suffix_err = np.logaddexp.accumulate(err[::-1])[::-1]
-    log_c = math.log(unit_sphere_volume(params.n) / unit_ball_volume(params.n + 1))
+    log_c = math.log(params.n + 1.0)
     return (np.logaddexp(part, suffix[j + 1]) + log_c,
             np.logaddexp(part_err, suffix_err[j + 1]) + log_c)
 

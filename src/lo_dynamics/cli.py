@@ -85,6 +85,8 @@ class RunConfig:
         for name in ("max_crossings", "sample_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be at least 0")
         if not self.formats:
             raise ValueError("formats must be nonempty")
         for f in self.formats:
@@ -94,8 +96,14 @@ class RunConfig:
 
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Parse the flat key = value grammar; later keys win."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:  # missing, a directory, or no permission
+        raise ValueError(f"config file {str(path)!r} cannot be read: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"config file {str(path)!r} is not UTF-8 text") from None
     pairs: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -28,7 +28,6 @@ class P1Linearization:
     a: float  # 2n(n/(k(k+n-1)) - 1) < 0
     b: float  # -n - 1
     mu3: complex
-    mu4: complex
     spiral: bool
 
 
@@ -134,11 +133,9 @@ def linearize_p1(params: LomseParams) -> P1Linearization:
     if disc < 0.0:
         root = math.sqrt(-disc)
         mu3 = complex(b / 2.0, root / 2.0)
-        mu4 = complex(b / 2.0, -root / 2.0)
         spiral = True
     else:
         root = math.sqrt(disc)
         mu3 = complex((b + root) / 2.0, 0.0)
-        mu4 = complex((b - root) / 2.0, 0.0)
         spiral = False
-    return P1Linearization(a=a, b=b, mu3=mu3, mu4=mu4, spiral=spiral)
+    return P1Linearization(a=a, b=b, mu3=mu3, spiral=spiral)

@@ -3,17 +3,16 @@
 Everything here is a function of (n, p, K) with K = k(k+n-1):
 
     cos(alpha)  = sqrt((1-p/n)/(1-p/K)) * ((n-p)/(K-p))^(p/2)
-    V / omega_n = (K/n)^(p/2) * ((1-p/n)/(1-p/K))^((n-p)/2)
+    V / |S^n|   = (K/n)^(p/2) * ((1-p/n)/(1-p/K))^((n-p)/2)
     Jordan angles: arccos sqrt((n-p)/(K-p)) with multiplicity p,
                    theta itself with multiplicity 1, and 0 with
                    multiplicity n-p
     slope W     = sec(alpha)
 
-Powers are evaluated in log space so large k cannot overflow, and the two
-sphere/ball volume constants are kept strictly apart: the closed forms
-use the volume of the unit n-sphere, while density ratios divide by the
-volume of the unit ball in R^{n+1}.  Gamma at half-integers comes from
-the exact recursion, not an approximation.
+with V the volume of the graph sphere.  As |S^n| = (n+1) omega_{n+1},
+omega_{n+1} the volume of the unit ball in R^{n+1}, volume_ratio is the
+cone density Theta_inf = V / ((n+1) omega_{n+1}).  Powers are evaluated
+in log space so large k cannot overflow.
 """
 
 from __future__ import annotations
@@ -25,36 +24,11 @@ from dataclasses import dataclass
 from .params import LomseParams
 
 
-def gamma_half(twice_x: int) -> float:
-    """Gamma(twice_x / 2) by the exact half-integer recursion."""
-    if twice_x <= 0:
-        raise ValueError("argument must be a positive half-integer")
-    if twice_x % 2 == 0:
-        return float(math.factorial(twice_x // 2 - 1))
-    # Gamma(1/2) = sqrt(pi); Gamma(x+1) = x Gamma(x)
-    val = math.sqrt(math.pi)
-    m = 1
-    while m < twice_x:
-        val *= m / 2.0
-        m += 2
-    return val
-
-
-def unit_sphere_volume(n: int) -> float:
-    """Volume of the unit n-sphere S^n in R^{n+1}: 2 pi^((n+1)/2) / Gamma((n+1)/2)."""
-    return 2.0 * math.pi ** ((n + 1) / 2.0) / gamma_half(n + 1)
-
-
-def unit_ball_volume(d: int) -> float:
-    """Volume of the unit ball in R^d: pi^(d/2) / Gamma(d/2 + 1)."""
-    return math.pi ** (d / 2.0) / gamma_half(d + 2)
-
-
 @dataclass(frozen=True)
 class GeometryReport:
     params: LomseParams
     cos_alpha: float
-    volume_ratio: float  # V / omega_n
+    volume_ratio: float  # V / |S^n|, the cone density Theta_inf
     jordan_angles: list[tuple[float, int]]  # (angle, multiplicity)
     slope_w: float
 
@@ -104,7 +78,3 @@ def geometry_report(params: LomseParams) -> GeometryReport:
         slope_w=1.0 / ca,
     )
 
-
-def los_volume(params: LomseParams) -> float:
-    """Volume of the minimal graph sphere: volume_ratio * omega_n."""
-    return volume_ratio(params) * unit_sphere_volume(params.n)

@@ -20,6 +20,7 @@ projected onto the tangent space at the image point.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -30,6 +31,7 @@ DEFAULT_FD_STEP = 1e-5
 
 _SPHERE_TOL = 1e-9
 _H_LO, _H_HI = 1e-8, 1e-3
+_POINT_BLOCK = 4096
 
 
 def _check_unit(x: np.ndarray) -> np.ndarray:
@@ -109,11 +111,14 @@ def condition_b_sum(map_fn, x, theta: float, h: float = DEFAULT_FD_STEP) -> floa
     return angle_sum(numeric_singular_values(map_fn, x, h), theta)
 
 
-def random_sphere_points(dim: int, count: int, seed: int = 0) -> np.ndarray:
-    """count rows of uniformly distributed unit vectors in R^dim."""
+def random_sphere_points(dim: int, count: int, seed: int = 0) -> Iterator[np.ndarray]:
+    """count uniformly distributed unit vectors in R^dim, one at a time: the
+    rows of one count x dim draw, drawn and normalized _POINT_BLOCK rows at
+    a time so that memory does not grow with count."""
     rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(count, dim))
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    for start in range(0, count, _POINT_BLOCK):
+        pts = rng.normal(size=(min(_POINT_BLOCK, count - start), dim))
+        yield from pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
 def condition_b_check(map_fn, params: LomseParams,

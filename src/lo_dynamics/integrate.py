@@ -83,7 +83,6 @@ class Termination(enum.Enum):
     CONVERGED_TO_P1 = "converged_to_p1"
     MAX_TIME = "max_time"
     MAX_CROSSINGS = "max_crossings"
-    BLOWUP = "blowup"
 
 
 def _hermite(t, t0, t1, y0, y1, m0, m1):
@@ -506,21 +505,28 @@ def shoot_unstable_manifold(params: LomseParams,
     return Trajectory(params, ts, us, psis, dpsis, eps, rel_tol, reason, rejected, tail_samples)
 
 
+def _level_crossings(t, y, m, level: float):
+    """Yield (i, t*) for each strict sign change of y - level between samples
+    i and i + 1, t* bisected on the segment's Hermite cubic through (y, m)."""
+    g = y - level
+    for i in np.flatnonzero(_strict_sign_change(g)).tolist():
+        t0, t1 = float(t[i]), float(t[i + 1])
+        y0, y1, m0, m1 = float(y[i]), float(y[i + 1]), float(m[i]), float(m[i + 1])
+        yield i, _bisect(lambda s: _hermite(s, t0, t1, y0, y1, m0, m1) - level,
+                         t0, t1, float(g[i]), float(g[i + 1]))
+
+
 def detect_psi_zeros(traj: Trajectory) -> list[PsiZero]:
     """Refine every sign change of psi on the dense output; increasing t."""
     if len(traj) < 2:
         raise ValueError("need at least 2 trajectory states")
-    t, u, psi, dpsi = traj.t, traj.u, traj.psi, traj.dpsi
-    phi0 = traj.params.phi0
+    t, u, psi = traj.t, traj.u, traj.psi
     zeros: list[PsiZero] = []
-    for i in np.flatnonzero(_strict_sign_change(psi)).tolist():
-        t0, t1 = float(t[i]), float(t[i + 1])
-        p0, p1 = float(psi[i]), float(psi[i + 1])
-        m0, m1 = float(dpsi[i]), float(dpsi[i + 1])
-        tz = _bisect(lambda s: _hermite(s, t0, t1, p0, p1, m0, m1), t0, t1, p0, p1)
-        offset = _hermite(tz, t0, t1, float(u[i]), float(u[i + 1]), p0, p1)
-        zeros.append(PsiZero(t=tz, phi=phi0 + offset, phi_offset=offset,
-                             direction=-1 if p0 > 0.0 else 1))
+    for i, tz in _level_crossings(t, psi, traj.dpsi, 0.0):
+        offset = _hermite(tz, float(t[i]), float(t[i + 1]), float(u[i]), float(u[i + 1]),
+                          float(psi[i]), float(psi[i + 1]))
+        zeros.append(PsiZero(t=tz, phi=traj.params.phi0 + offset, phi_offset=offset,
+                             direction=-1 if psi[i] > 0.0 else 1))
     return zeros
 
 
@@ -536,24 +542,12 @@ def detect_phi_hits(traj: Trajectory, target: float) -> list[PhiHit]:
     if len(traj) < 2:
         return []
     u_target = target - traj.params.phi0
-    t, u, psi = traj.t, traj.u, traj.psi
-    g = u - u_target
-    on_target = g == 0.0
-    candidates = on_target.copy()
-    candidates[1:] &= ~on_target[:-1]
-    candidates[:-1] |= _strict_sign_change(g)
-    hits: list[PhiHit] = []
-    for i in np.flatnonzero(candidates).tolist():
-        if on_target[i]:
-            th = float(t[i])
-        else:
-            t0, t1 = float(t[i]), float(t[i + 1])
-            u0, u1 = float(u[i]), float(u[i + 1])
-            p0, p1 = float(psi[i]), float(psi[i + 1])
-            th = _bisect(lambda s: _hermite(s, t0, t1, u0, u1, p0, p1) - u_target,
-                         t0, t1, float(g[i]), float(g[i + 1]))
-        hits.append(PhiHit(t=th, dilation=math.exp(th)))
-    return hits
+    on_target = traj.u - u_target == 0.0
+    on_target[1:] &= ~on_target[:-1]  # the first sample of each run on it
+    # a sign change needs both samples off the target: the indices are disjoint
+    times = {i: float(traj.t[i]) for i in np.flatnonzero(on_target).tolist()}
+    times.update(_level_crossings(traj.t, traj.u, traj.psi, u_target))
+    return [PhiHit(t=th, dilation=math.exp(th)) for _, th in sorted(times.items())]
 
 
 def crossing_report(traj: Trajectory, target: float | None = None) -> CrossingReport:

@@ -25,18 +25,9 @@ class StabilityType(enum.Enum):
     SPIRAL_TYPE_II = "spiral_type_II"
 
 
-class MapFamily(enum.Enum):
-    COMPLEX_HOPF = "complex_hopf"
-    QUATERNIONIC_HOPF = "quaternionic_hopf"
-    OCTONIONIC_LINE = "octonionic_line"
-    NONE = "none"
-
-
 @dataclass(frozen=True)
 class AdmissibilityVerdict:
     admissible: bool
-    family: MapFamily
-    hopf_index: int | None  # l for the (2l+1,2l) / (4l+3,4l) families
     reason: str
 
 
@@ -90,15 +81,12 @@ def check_admissibility(n: int, p: int, k: int) -> AdmissibilityVerdict:
     """Table membership: k even, k >= 2, and (n,p) in one of the three
     families (15,8), (2l+1,2l), (4l+3,4l)."""
     if k < 2 or k % 2 != 0:
-        return AdmissibilityVerdict(False, MapFamily.NONE, None, "k_not_positive_even")
-    # (15,8) fits no other family; checked first for a fixed, deterministic order.
-    if (n, p) == (15, 8):
-        return AdmissibilityVerdict(True, MapFamily.OCTONIONIC_LINE, None, "ok")
-    if n == p + 1 and p % 2 == 0 and p >= 2:
-        return AdmissibilityVerdict(True, MapFamily.COMPLEX_HOPF, p // 2, "ok")
-    if n == p + 3 and p % 4 == 0 and p >= 4:
-        return AdmissibilityVerdict(True, MapFamily.QUATERNIONIC_HOPF, p // 4, "ok")
-    return AdmissibilityVerdict(False, MapFamily.NONE, None, "pair_not_in_families")
+        return AdmissibilityVerdict(False, "k_not_positive_even")
+    if ((n, p) == (15, 8)
+            or n == p + 1 and p % 2 == 0 and p >= 2
+            or n == p + 3 and p % 4 == 0 and p >= 4):
+        return AdmissibilityVerdict(True, "ok")
+    return AdmissibilityVerdict(False, "pair_not_in_families")
 
 
 def stability_discriminant(n: int, k: int) -> Fraction:
@@ -166,23 +154,10 @@ def build_params(n: int, p: int, k: int, allow_inadmissible: bool = False) -> Lo
 
 
 def enumerate_admissible(n_max: int, k_max: int) -> list[LomseParams]:
-    """All admissible triples with n <= n_max and k <= k_max, sorted
-    lexicographically by (n, p, k)."""
-    pairs = set()
-    l = 1
-    while 2 * l + 1 <= n_max:
-        pairs.add((2 * l + 1, 2 * l))
-        l += 1
-    l = 1
-    while 4 * l + 3 <= n_max:
-        pairs.add((4 * l + 3, 4 * l))
-        l += 1
-    if 15 <= n_max:
-        pairs.add((15, 8))
-    triples = [
-        (n, p, k)
-        for (n, p) in pairs
-        for k in range(2, k_max + 1, 2)
-    ]
-    triples.sort()
-    return [build_params(n, p, k) for n, p, k in triples]
+    """The triples check_admissibility accepts with n <= n_max and k <= k_max,
+    sorted lexicographically by (n, p, k)."""
+    return [build_params(n, p, k)
+            for n in range(2, n_max + 1)
+            for p in range(1, n)
+            if check_admissibility(n, p, 2).admissible
+            for k in range(2, k_max + 1, 2)]

@@ -191,6 +191,17 @@ def ode_general_residual(sample: ProfileSample, sing_values: list[float], n: int
     return total
 
 
+def sphere_volume(n: int) -> float:
+    """|S^n| = 2 pi^((n+1)/2) / Gamma((n+1)/2), the volume of the unit
+    n-sphere in R^{n+1}."""
+    return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
+
+
+def ball_volume(d: int) -> float:
+    """omega_d = pi^(d/2) / Gamma(d/2 + 1), the volume of the unit ball in R^d."""
+    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+
+
 def volume_element_factor(params: LomseParams, theta: float) -> float:
     """prod_j sqrt(cos^2 theta + sin^2 theta lambda_j^2) over the singular
     value list (lambda,)*p + (0,)*(n-p); the constant density of the twisted

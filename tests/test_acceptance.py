@@ -9,6 +9,7 @@ which executes the criteria in order and prints one pass/fail line each.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -24,23 +25,26 @@ from lo_dynamics.analysis import density_report, theta_infinity, theta_of_radius
 from lo_dynamics.barrier import (
     barrier_h,
     case1_closed_forms,
+    FS_ARGMIN,
+    FS_MIN,
     default_c,
-    fs_minimum,
     no_limit_cycle_check,
 )
-from lo_dynamics.geometry import geometry_report, los_volume, unit_ball_volume
+from lo_dynamics.geometry import geometry_report, volume_ratio
 from lo_dynamics.hopf import condition_b_sum, hopf_map, numeric_singular_values, random_sphere_points
 from lo_dynamics.params import StabilityType
 from lo_dynamics.radial import ode1_residual, to_profile
 from oracles import (
     PhaseState,
     advance_from,
+    ball_volume,
     cone_profile,
     fd_jacobian,
     linearize_origin,
     ode_general_residual,
     profile_rows,
     reference_integrate,
+    sphere_volume,
 )
 
 _CACHE = {}
@@ -116,9 +120,10 @@ def test_criterion_04_barrier_constants():
 
 
 def test_criterion_05_spiral_certificates():
-    s_star, f_min = fs_minimum()
-    assert abs(f_min - 32.0 / 27.0) < 1e-10
-    assert abs(s_star - 0.2) < 1e-10
+    s = Fraction(1, 5)
+    envelope = Fraction(4, 25) * ((3 + 5 * s) / (1 + s)) ** 2 * (1 + 5 * s) / (1 + 10 * s)
+    assert envelope == Fraction(32, 27) and 175 * s * s + 20 * s - 11 == 0
+    assert (FS_MIN, FS_ARGMIN) == (32.0 / 27.0, 0.2)
     for npk in [(3, 2, 4), (5, 4, 6)]:
         assert no_limit_cycle_check(_params(*npk), grid=(150, 150)) < 0.0
     _ok(5, "envelope minimum 32/27 and negative cycle margin")
@@ -219,14 +224,14 @@ def test_criterion_12_geometry_closed_forms():
     for npk in [(3, 2, 2), (3, 2, 4), (5, 4, 6), (15, 8, 2)]:
         params = _params(*npk)
         n = params.n
-        lhs = theta_infinity(params) * (n + 1) * unit_ball_volume(n + 1)
-        assert abs(lhs / los_volume(params) - 1.0) < 1e-10
+        lhs = theta_infinity(params) * (n + 1) * ball_volume(n + 1)
+        assert abs(lhs / (volume_ratio(params) * sphere_volume(n)) - 1.0) < 1e-10
     _ok(12, "geometry invariants exact; density identity")
 
 
 def test_criterion_13_hopf_witness():
     params = _params(3, 2, 2)
-    pts = random_sphere_points(4, 100, seed=0)
+    pts = list(random_sphere_points(4, 100, seed=0))
     expected = np.array([2.0, 2.0, 0.0])
     worst_sv = 0.0
     worst_sum = 0.0

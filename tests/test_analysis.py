@@ -6,6 +6,7 @@ import pytest
 from lo_dynamics import (
     build_params,
     detect_phi_hits,
+    enumerate_admissible,
     detect_psi_zeros,
     shoot_unstable_manifold,
 )
@@ -19,22 +20,28 @@ from lo_dynamics.analysis import (
     theta_of_radius,
 )
 from lo_dynamics.errors import NotApplicable
-from lo_dynamics.geometry import los_volume, unit_ball_volume, unit_sphere_volume
+from lo_dynamics.geometry import volume_ratio
 from lo_dynamics.radial import Profile, to_profile
-from oracles import ProfileSample, cone_profile, to_profile_per_sample
+from oracles import (
+    ProfileSample,
+    ball_volume,
+    cone_profile,
+    sphere_volume,
+    to_profile_per_sample,
+)
 
 
 def graph_volume(profile, params, R, n_panels=DEFAULT_QUAD_PANELS):
     """Volume of the graph inside the ball of radius R, from Theta(R)."""
     n = params.n
     return (theta_of_radius(profile, params, R, n_panels=n_panels)
-            * unit_ball_volume(n + 1) * R ** (n + 1))
+            * ball_volume(n + 1) * R ** (n + 1))
 
 
 def _cone_volume_exact(params, R):
     phi0 = params.phi0
     r_bar = R / math.sqrt(1.0 + phi0 ** 2)
-    return (unit_sphere_volume(params.n) * math.sqrt(1.0 + phi0 ** 2)
+    return (sphere_volume(params.n) * math.sqrt(1.0 + phi0 ** 2)
             * (1.0 + params.lambda_sq * phi0 ** 2) ** (params.p / 2.0)
             * r_bar ** (params.n + 1) / (params.n + 1))
 
@@ -57,8 +64,8 @@ def test_flat_disk_volume(p322):
     R = 3.0
     got = graph_volume(flat, p322, R)
     n = p322.n
-    assert got == pytest.approx(unit_sphere_volume(n) * R ** (n + 1) / (n + 1), rel=1e-8)
-    assert got == pytest.approx(unit_ball_volume(n + 1) * R ** (n + 1), rel=1e-8)
+    assert got == pytest.approx(sphere_volume(n) * R ** (n + 1) / (n + 1), rel=1e-8)
+    assert got == pytest.approx(ball_volume(n + 1) * R ** (n + 1), rel=1e-8)
 
 
 def test_quadrature_panel_refinement(p322, cone322):
@@ -101,12 +108,14 @@ def test_volume_core_needs_a_panel(p322, cone322, traj324, n_panels):
 
 
 def test_theta_infinity_identity():
-    for npk in [(3, 2, 2), (3, 2, 4), (5, 4, 6), (15, 8, 2)]:
-        params = build_params(*npk)
+    # Theta_inf (n+1) omega_{n+1} is the graph sphere's volume
+    # volume_ratio |S^n|, and theta_infinity is volume_ratio itself
+    for params in enumerate_admissible(31, 20):
         t_inf = theta_infinity(params)
+        assert t_inf == volume_ratio(params)
         n = params.n
-        assert t_inf * (n + 1) * unit_ball_volume(n + 1) == pytest.approx(
-            los_volume(params), rel=1e-10)
+        assert t_inf * (n + 1) * ball_volume(n + 1) == pytest.approx(
+            volume_ratio(params) * sphere_volume(n), rel=1e-10)
 
 
 def test_cone_theta_constant(p324):
@@ -244,7 +253,7 @@ def _theta_per_sample(samples, params, R, n_panels=DEFAULT_QUAD_PANELS):
     core = _volume_core(interp, params, x_cut, n_panels)
     phi_cut = float(interp.phi_psi_at(np.array([x_cut]))[0][0])
     ratio = (1.0 + phi_cut * phi_cut) ** (-(n + 1.0) / 2.0)
-    return unit_sphere_volume(n) / unit_ball_volume(n + 1) * core * ratio
+    return (n + 1.0) * core * ratio
 
 
 def _rescaled_per_sample(samples, d):

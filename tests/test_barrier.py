@@ -1,11 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lo_dynamics import build_params, enumerate_admissible
 from lo_dynamics.barrier import (
-    FS_MIN_EXACT,
+    FS_ARGMIN,
+    FS_MIN,
     barrier_h,
     barrier_h_prime,
     case1_check,
@@ -15,8 +17,6 @@ from lo_dynamics.barrier import (
     case2_check,
     cycle_region_threshold,
     default_c,
-    fs_envelope,
-    fs_minimum,
     no_limit_cycle_check,
     step1_margin,
 )
@@ -32,6 +32,8 @@ def test_default_c_values(p322, p542, p544):
     assert default_c(p544) == 6.0 / 7.0
     assert default_c(build_params(7, 4, 2)) == 0.5
     assert default_c(build_params(9, 8, 2)) == 0.5
+    # a triple no printed case covers takes the exploratory c = 1
+    assert default_c(build_params(4, 2, 2, allow_inadmissible=True)) == 1.0
 
 
 def test_default_c_rejects_spiral(p324):
@@ -169,16 +171,27 @@ def test_barrier_curve_consistency(p322):
         assert barrier_h_prime(phi, p322, c) == pytest.approx(fd, rel=1e-8)
 
 
+def _envelope(a, b=1):
+    """F(s) = (4/25) ((3+5s)/(1+s))^2 (1+5s)/(1+10s) at s = a/b, exact in
+    Fractions; each factor is homogeneous of degree 0 in (a, b), so (1, 0)
+    gives the limit s -> infinity."""
+    return (Fraction(4, 25) * Fraction(3 * b + 5 * a, b + a) ** 2
+            * Fraction(b + 5 * a, b + 10 * a))
+
+
 def test_fs_minimum_exact():
-    s_star, f_min = fs_minimum()
-    assert s_star == pytest.approx(0.2, abs=1e-15)
-    assert f_min == pytest.approx(FS_MIN_EXACT, abs=1e-10)
-    assert fs_envelope(0.2) == pytest.approx(32.0 / 27.0, rel=1e-14)
+    s_star = Fraction(1, 5)
+    assert FS_ARGMIN == float(s_star) and FS_MIN == float(Fraction(32, 27))
+    assert _envelope(s_star) == Fraction(32, 27)
+    # the critical point: for s > 0, F'(s) has the sign of 175 s^2 + 20 s - 11
+    assert 175 * s_star ** 2 + 20 * s_star - 11 == 0
+    assert min(_envelope(s_star - Fraction(1, 1000)),
+               _envelope(s_star + Fraction(1, 1000))) > Fraction(32, 27)
 
 
 def test_fs_envelope_limits():
-    assert fs_envelope(1e-12) == pytest.approx(36.0 / 25.0, rel=1e-9)
-    assert fs_envelope(1e12) == pytest.approx(2.0, rel=1e-9)
+    assert _envelope(0) == Fraction(36, 25)
+    assert _envelope(1, 0) == 2
 
 
 @pytest.mark.parametrize("npk", [(3, 2, 4), (5, 4, 6)])
@@ -186,7 +199,7 @@ def test_case2_step1(npk):
     params = build_params(*npk)
     report = case2_check(params, grid_points=2000, cycle_grid=(2, 1))
     assert report.g_grid_margin > 0.0
-    assert report.fs_min == pytest.approx(FS_MIN_EXACT, abs=1e-10)
+    assert (report.fs_min, report.fs_argmin) == (FS_MIN, FS_ARGMIN)
     assert report.cycle_margin < 0.0
     assert report.passed
 

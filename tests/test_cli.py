@@ -79,13 +79,30 @@ _WRITERS = [["orbit", "3", "2", "2", "--formats", "csv"], ["verify", "3", "2", "
        "target must be positive and finite") for target in ("nan", "inf", "-inf", "0", "-1")),
     *((argv, out, f"out_dir {out!r} is not a usable directory")
       for argv in _WRITERS for out in ("afile", "afile/sub")),
+    *(([*argv, "--config", "missing.cfg"], "out",
+       "config file 'missing.cfg' cannot be read: No such file or directory")
+      for argv in (["orbit", "3", "2", "2"], ["geometry", "3", "2", "2"])),
+    (["orbit", "3", "2", "2", "--config", "."], "out",
+     "config file '.' cannot be read: Is a directory"),
+    (["maps-check", "--config", "bad.cfg"], "out", "config file 'bad.cfg' is not UTF-8 text"),
+    (["maps-check", "--seed=-1"], "out", "seed must be at least 0"),
 ])
 def test_usage_errors_name_the_argument(argv, out, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     Path("afile").write_text("kept\n")
+    Path("bad.cfg").write_bytes(b"seed = \xff\n")
     assert run([*argv, "--out-dir", out]) == EXIT_USAGE
     assert message in capsys.readouterr().err
-    assert os.listdir() == ["afile"] and Path("afile").read_text() == "kept\n"
+    assert sorted(os.listdir()) == ["afile", "bad.cfg"] and Path("afile").read_text() == "kept\n"
+
+
+def test_unreadable_config_from_the_environment(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("LO_DYNAMICS_CONFIG", "missing.cfg")
+    assert run(["geometry", "3", "2", "2", "--out-dir", "out"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: config file 'missing.cfg' cannot be read: No such file or directory\n")
+    assert os.listdir() == []
 
 
 def test_orbit_type1_empty_zeros(tmp_path, capsys):

@@ -146,7 +146,8 @@ def test_linearize_p1_322(p322):
     assert lin.a == pytest.approx(-15.0 / 4.0, rel=1e-14)
     assert lin.b == -4.0
     assert not lin.spiral
-    assert lin.mu3 == pytest.approx(-1.5) and lin.mu4 == pytest.approx(-2.5)
+    # the other eigenvalue is trace - mu3 = b - mu3
+    assert lin.mu3 == pytest.approx(-1.5) and lin.b - lin.mu3 == pytest.approx(-2.5)
 
 
 def test_linearize_p1_324(p324):
@@ -154,13 +155,13 @@ def test_linearize_p1_324(p324):
     assert lin.a == pytest.approx(-21.0 / 4.0, rel=1e-14)
     assert lin.spiral
     assert lin.mu3 == pytest.approx(complex(-2.0, math.sqrt(5.0) / 2.0))
-    assert lin.mu4 == pytest.approx(complex(-2.0, -math.sqrt(5.0) / 2.0))
+    assert lin.b - lin.mu3 == pytest.approx(complex(-2.0, -math.sqrt(5.0) / 2.0))
 
 
 def test_p1_always_attracting():
     for params in enumerate_admissible(31, 20):
         lin = linearize_p1(params)
-        assert lin.mu3.real < 0 and lin.mu4.real < 0
+        assert lin.mu3.real < 0 and (lin.b - lin.mu3).real < 0
         assert lin.a < 0
         assert lin.spiral == (params.stability.value == "spiral_type_II")
 

@@ -22,9 +22,8 @@ from lo_dynamics.analysis import (
     gap_logs,
     theta_infinity,
 )
-from lo_dynamics.geometry import unit_ball_volume, unit_sphere_volume
 from lo_dynamics.integrate import DEFAULT_REL_TOL
-from oracles import mpmath_orbit
+from oracles import ball_volume, mpmath_orbit, sphere_volume
 
 
 def test_whole_orbit_identity(table_trajs):
@@ -38,7 +37,7 @@ def test_whole_orbit_identity(table_trajs):
         params = traj.params
         mu1 = params.k - 1
         phi_start = traj.eps_start / math.hypot(1.0, mu1)
-        below = (unit_sphere_volume(params.n) / unit_ball_volume(params.n + 1)
+        below = (sphere_volume(params.n) / ball_volume(params.n + 1)
                  * mu1 * phi_start ** 2 / 2.0)
         log_gap, log_err = gap_logs(traj, [traj.t[0]])
         t_inf = theta_infinity(params)
@@ -87,7 +86,7 @@ def test_tail_error_bar_covers_cut_runs(spirals):
     checked = 0
     for triple, traj in spirals.items():
         params = traj.params
-        log_c = math.log(unit_sphere_volume(params.n) / unit_ball_volume(params.n + 1))
+        log_c = math.log(sphere_volume(params.n) / ball_volume(params.n + 1))
         t_hit = detect_phi_hits(traj, params.phi0)[0].t
         for t_max in (t_hit - 1.0, t_hit, t_hit + 1.0, t_hit + 3.0):
             cut = shoot_unstable_manifold(params, t_max=t_max)

@@ -3,39 +3,23 @@ import math
 import pytest
 
 from lo_dynamics import build_params, enumerate_admissible
-from lo_dynamics.geometry import (
-    cos_alpha,
-    gamma_half,
-    geometry_report,
-    los_volume,
-    unit_ball_volume,
-    unit_sphere_volume,
-    volume_ratio,
-)
-from oracles import volume_element_check, volume_element_factor
-
-
-def test_gamma_half_values():
-    assert gamma_half(2) == 1.0  # Gamma(1)
-    assert gamma_half(1) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-    assert gamma_half(4) == 1.0  # Gamma(2)
-    assert gamma_half(8) == 6.0  # Gamma(4) = 3!
-    assert gamma_half(5) == pytest.approx(1.5 * 0.5 * math.sqrt(math.pi), rel=1e-15)
+from lo_dynamics.geometry import cos_alpha, geometry_report, volume_ratio
+from oracles import ball_volume, sphere_volume, volume_element_check, volume_element_factor
 
 
 def test_sphere_and_ball_volumes():
-    assert unit_sphere_volume(1) == pytest.approx(2 * math.pi, rel=1e-15)
-    assert unit_sphere_volume(2) == pytest.approx(4 * math.pi, rel=1e-15)
-    assert unit_sphere_volume(3) == pytest.approx(2 * math.pi ** 2, rel=1e-15)
-    assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-15)
-    assert unit_ball_volume(4) == pytest.approx(math.pi ** 2 / 2, rel=1e-15)
+    assert sphere_volume(1) == pytest.approx(2 * math.pi, rel=1e-15)
+    assert sphere_volume(2) == pytest.approx(4 * math.pi, rel=1e-15)
+    assert sphere_volume(3) == pytest.approx(2 * math.pi ** 2, rel=1e-15)
+    assert ball_volume(2) == pytest.approx(math.pi, rel=1e-15)
+    assert ball_volume(4) == pytest.approx(math.pi ** 2 / 2, rel=1e-15)
 
 
 def test_sphere_equals_boundary_of_ball():
-    # surface volume of S^n equals (n+1) times the (n+1)-ball volume
-    for n in range(1, 12):
-        assert unit_sphere_volume(n) == pytest.approx(
-            (n + 1) * unit_ball_volume(n + 1), rel=1e-14)
+    # |S^n| = (n+1) omega_{n+1}, the identity that makes volume_ratio the
+    # cone density, over every n of the table
+    for n in range(1, 32):
+        assert sphere_volume(n) == pytest.approx((n + 1) * ball_volume(n + 1), rel=1e-14)
 
 
 def test_report_322_exact(p322):
@@ -103,7 +87,8 @@ def test_invariants_outside_the_float_range():
 
 
 def test_los_volume_322(p322):
-    assert los_volume(p322) == pytest.approx(32.0 * math.pi ** 2 / 9.0, rel=1e-12)
+    assert volume_ratio(p322) * sphere_volume(3) == pytest.approx(
+        32.0 * math.pi ** 2 / 9.0, rel=1e-12)
 
 
 def test_volume_element_identity():

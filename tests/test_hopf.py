@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lo_dynamics.hopf import (
+    _POINT_BLOCK,
     condition_b_check,
     condition_b_sum,
     hopf_map,
@@ -68,6 +69,17 @@ def test_singular_values_constant_across_points():
     assert float(np.ptp(svs, axis=0).max()) < 1e-6
 
 
+def test_sphere_points_are_drawn_in_blocks():
+    # the points of one count x dim array, across block boundaries
+    count = 2 * _POINT_BLOCK + 3
+    pts = np.random.default_rng(12).normal(size=(count, 4))
+    bulk = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    assert np.array_equal(np.array(list(random_sphere_points(4, count, seed=12))), bulk)
+    # a count far beyond memory costs nothing until its points are read
+    huge = random_sphere_points(4, 10 ** 20, seed=12)
+    assert np.array_equal(np.array([next(huge) for _ in range(3)]), bulk[:3])
+
+
 def test_identity_map_singular_values():
     for x in random_sphere_points(3, 10, seed=4):
         sv = numeric_singular_values(identity_s2, x)
@@ -75,7 +87,7 @@ def test_identity_map_singular_values():
 
 
 def test_constant_map_singular_values():
-    x = random_sphere_points(4, 1, seed=5)[0]
+    x = next(random_sphere_points(4, 1, seed=5))
     sv = numeric_singular_values(constant_map, x)
     assert np.max(np.abs(sv)) < 1e-12
 
@@ -90,7 +102,7 @@ def test_step_out_of_range():
 
 def test_condition_b_hand_value(p322):
     # lambda_j = (2, 2, 0), cos^2 = 4/9: 2/(24/9) + 9/4 = 3/4 + 9/4 = 3 = n
-    x = random_sphere_points(4, 1, seed=6)[0]
+    x = next(random_sphere_points(4, 1, seed=6))
     s = condition_b_sum(hopf_map, x, p322.theta)
     assert s == pytest.approx(3.0, abs=1e-9)
 
@@ -100,7 +112,7 @@ def test_condition_b_check_small(p322):
 
 
 def test_condition_b_wrong_angle(p322):
-    x = random_sphere_points(4, 1, seed=7)[0]
+    x = next(random_sphere_points(4, 1, seed=7))
     s = condition_b_sum(hopf_map, x, p322.theta / 2.0)
     assert abs(s - 3.0) > 0.1
 
@@ -116,7 +128,7 @@ def test_condition_b_trivial_embedding():
 
 
 def test_condition_b_second_order_in_h(p322):
-    x = random_sphere_points(4, 30, seed=9)
+    x = list(random_sphere_points(4, 30, seed=9))
     def dev(h):
         return max(abs(condition_b_sum(hopf_map, pt, p322.theta, h) - 3.0)
                    for pt in x)
@@ -149,7 +161,7 @@ def test_cone_graph_homogeneous(scale, seed):
 
 
 def test_differential_shape():
-    x = random_sphere_points(4, 1, seed=11)[0]
+    x = next(random_sphere_points(4, 1, seed=11))
     jac = map_differential(hopf_map, x)
     assert jac.shape == (3, 3)
     # image increments are projected onto the tangent space at the image

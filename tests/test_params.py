@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from lo_dynamics import (
-    MapFamily,
     StabilityType,
     build_params,
     check_admissibility,
@@ -19,8 +18,7 @@ def test_322_derived_constants(p322):
     assert math.cos(p322.theta) == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert p322.phi0 == pytest.approx(math.sqrt(5.0) / 2.0, abs=1e-12)
     assert p322.admissible
-    v = check_admissibility(3, 2, 2)
-    assert v.family is MapFamily.COMPLEX_HOPF and v.hopf_index == 1
+    assert check_admissibility(3, 2, 2).admissible
 
 
 def test_odd_k_rejected():
@@ -36,7 +34,7 @@ def test_pair_in_no_family_rejected():
 def test_1582_octonionic():
     params = build_params(15, 8, 2)
     assert params.admissible
-    assert check_admissibility(15, 8, 2).family is MapFamily.OCTONIONIC_LINE
+    assert check_admissibility(15, 8, 2).admissible
 
 
 @pytest.mark.parametrize("n,p,k", [(3, 3, 2), (3, 4, 2), (2, 2, 2), (1, 1, 2), (3, 2, 1), (3, 0, 2)])
@@ -59,8 +57,9 @@ def test_allow_inadmissible_builds():
 
 
 def test_quaternionic_family():
-    v = check_admissibility(7, 4, 2)
-    assert v.admissible and v.family is MapFamily.QUATERNIONIC_HOPF and v.hopf_index == 1
+    assert check_admissibility(7, 4, 2).admissible
+    # n = p + 3 needs 4 | p
+    assert check_admissibility(9, 6, 2).reason == "pair_not_in_families"
 
 
 def test_classify_322_center():
@@ -94,6 +93,14 @@ def test_enumerate_empty():
 def test_enumerate_families_at_k2():
     triples = {p.triple() for p in enumerate_admissible(15, 2)}
     assert {(15, 8, 2), (7, 4, 2), (11, 8, 2)} <= triples
+
+
+def test_enumerate_is_the_admissibility_filter():
+    # every (n, p, k) in range, filtered by check_admissibility itself
+    expected = [(n, p, k) for n in range(1, 32) for p in range(0, n + 1)
+                for k in range(0, 21) if check_admissibility(n, p, k).admissible]
+    assert [p.triple() for p in enumerate_admissible(31, 20)] == expected
+    assert len(expected) == 230
 
 
 def test_enumerate_sorted_lexicographically():
