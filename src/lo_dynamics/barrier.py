@@ -1,27 +1,33 @@
 """Invariant-region and no-limit-cycle certificates for the reduced flow.
 
-Real-eigenvalue case: the region bounded below by the phi-axis and above
-by the graph of h(phi) = f1(phi) phi / (c (n-p)) is forward invariant
-when the cubic F(s) = I(s) + II(s) + III(s) IV(s) satisfies F(0) >= 0,
-G(0) > 0 and G(lambda^2 phi0^2) > 0, where F(s) = F(0) + s G(s) and s is
-the substitution s = (1 + lambda^2 phi0^2)/(1 + lambda^2 phi^2) - 1.
-The three quantities have printed closed forms.  case1_check evaluates
-them from the closed forms and sweeps the raw slope inequality
-h'(phi) > (X2/X1)(phi, h(phi)) on a phi grid.  case1_from_polynomial
-evaluates them a second way, by assembling the cubic from its four
-factors; only the tests and perfbench's checks run it, against the
-closed forms.  The grids complement the closed forms: the inequalities
-hold analytically, so a negative grid margin indicates an implementation
-bug, not a mathematical failure.
+Both certificates sweep the raw slope inequality
+h'(phi) > (X2/X1)(phi, h(phi)) on a phi grid in (0, phi0), over one family
+of barrier curves h(phi) = f1(phi) phi / (c (n-p)) + lift phi.
 
-Spiral case: the same construction with g(phi) = (2 f1(phi) + 1/5) phi
-controls the orbit until the first slope crossing (Step 1), and the
-certificate that oscillations shrink is the cross-determinant condition
-Y2 + X2 < 0 on the region phi >= sqrt((3p-n-1)/(3(n-p))) (the
-no-limit-cycle lemma).  The envelope function
-F(s) = (4/25) ((3+5s)/(1+s))^2 (1+5s)/(1+10s) attains its minimum 32/27
-over s > 0 at s = 1/5, the positive root of 175 s^2 + 20 s - 11, for
-every triple: case2_check reports them as FS_MIN and FS_ARGMIN.
+Real-eigenvalue case (lift = 0): the region bounded below by the phi-axis
+and above by the graph of h is forward invariant when the cubic
+F(s) = I(s) + II(s) + III(s) IV(s) satisfies F(0) >= 0, G(0) > 0 and
+G(lambda^2 phi0^2) > 0, where F(s) = F(0) + s G(s) and s is the
+substitution s = (1 + lambda^2 phi0^2)/(1 + lambda^2 phi^2) - 1.  The
+three quantities have printed closed forms, which case1_check evaluates
+beside the sweep.  case1_from_polynomial evaluates them a second way, by
+assembling the cubic from its four factors; only the tests and
+perfbench's checks run it, against the closed forms.  The grid
+complements the closed forms: the inequalities hold analytically, so a
+negative grid margin indicates an implementation bug, not a mathematical
+failure.
+
+Spiral case (n - p = 1): g(phi) = (2 f1(phi) + 1/5) phi, the member
+c = 1/2, lift = 1/5, controls the orbit until the first slope crossing
+(Step 1); the paper's reduced form I - II + III IV of its slope
+inequality equals the swept one identically.  The certificate that
+oscillations shrink is the cross-determinant condition Y2 + X2 < 0, Y
+being X reflected by (phi, psi) -> (phi, -psi), on the region
+phi >= sqrt((3p-n-1)/(3(n-p))) (the no-limit-cycle lemma).  The envelope
+function F(s) = (4/25) ((3+5s)/(1+s))^2 (1+5s)/(1+10s) attains its
+minimum 32/27 over s > 0 at s = 1/5, the positive root of
+175 s^2 + 20 s - 11, for every triple: case2_check reports them as
+FS_MIN and FS_ARGMIN.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynsys import f1, f1_prime, reverse_field_xy, vector_field_xy
+from .dynsys import f1, f1_prime, vector_field_xy
 from .errors import NotApplicable
 from .params import LomseParams, StabilityType
 
@@ -55,7 +61,7 @@ class BarrierCase1Report:
 @dataclass(frozen=True)
 class BarrierCase2Report:
     params: LomseParams
-    g_grid_margin: float  # min over phi of I - II + III*IV
+    g_grid_margin: float  # min over phi of g'(phi) - (X2/X1)(phi, g(phi))
     fs_min: float
     fs_argmin: float
     cycle_margin: float  # max of Y2 + X2 over the lemma grid
@@ -69,8 +75,7 @@ def _require(params: LomseParams, kind: StabilityType) -> None:
 
 
 def _require_finite(what: str, *values: float) -> None:
-    """Refuse the certificate of what if its values left the float range
-    (a huge k, a tiny c)."""
+    """Refuse the certificate of what if it left the float range (a huge k, a tiny c)."""
     if not all(map(math.isfinite, values)):
         raise ValueError(f"the certificate of {what} leaves the float range")
 
@@ -84,12 +89,31 @@ def default_c(params: LomseParams) -> float:
     return 0.5 if params.n >= 7 else 1.0
 
 
-def barrier_h(phi: float, params: LomseParams, c: float) -> float:
-    return f1(phi, params) * phi / (c * (params.n - params.p))
+def barrier_h(phi: float, params: LomseParams, c: float, lift: float = 0.0) -> float:
+    return f1(phi, params) * phi / (c * (params.n - params.p)) + lift * phi
 
 
-def barrier_h_prime(phi: float, params: LomseParams, c: float) -> float:
-    return (f1(phi, params) + f1_prime(phi, params) * phi) / (c * (params.n - params.p))
+def barrier_h_prime(phi: float, params: LomseParams, c: float, lift: float = 0.0) -> float:
+    return (f1(phi, params) + f1_prime(phi, params) * phi) / (c * (params.n - params.p)) + lift
+
+
+def _slope_margin(params: LomseParams, c: float, lift: float, grid_points: int,
+                 what: str) -> float:
+    """Minimum of h'(phi) - (X2/X1)(phi, h(phi)) over phi = phi0 i/(grid_points + 1),
+    i = 1..grid_points, for the barrier curve h of (c, lift); refused, naming
+    what, if it leaves the float range."""
+    phi0 = params.phi0
+    margin = math.inf
+    try:
+        for i in range(1, grid_points + 1):
+            phi = phi0 * i / (grid_points + 1)
+            psi = barrier_h(phi, params, c, lift)
+            x1, x2 = vector_field_xy(phi, psi, params)
+            margin = min(margin, barrier_h_prime(phi, params, c, lift) - x2 / x1)
+    except OverflowError:
+        margin = math.nan
+    _require_finite(what, margin)
+    return margin
 
 
 def case1_closed_forms(params: LomseParams, c: float) -> tuple[float, float, float]:
@@ -154,17 +178,9 @@ def case1_check(params: LomseParams, c: float | None = None,
     if not 0.0 < c <= 1.0:
         raise ValueError(f"c must be in (0, 1], got {c}")
     f0, g0, g_end = case1_closed_forms(params, c)
-    phi0 = params.phi0
-    margin = math.inf
-    try:
-        for i in range(1, grid_points + 1):
-            phi = phi0 * i / (grid_points + 1)
-            psi = barrier_h(phi, params, c)
-            x1, x2 = vector_field_xy(phi, psi, params)
-            margin = min(margin, barrier_h_prime(phi, params, c) - x2 / x1)
-    except OverflowError:
-        margin = math.nan
-    _require_finite(f"({params.n},{params.p},{params.k}) with c={c}", f0, g0, g_end, margin)
+    what = f"({params.n},{params.p},{params.k}) with c={c}"
+    _require_finite(what, f0, g0, g_end)
+    margin = _slope_margin(params, c, 0.0, grid_points, what)
     return BarrierCase1Report(
         params=params,
         c=c,
@@ -174,19 +190,6 @@ def case1_check(params: LomseParams, c: float | None = None,
         grid_margin=margin,
         passed=f0 >= 0.0 and g0 > 0.0 and g_end > 0.0 and margin > 0.0,
     )
-
-
-def step1_margin(s: float, params: LomseParams) -> float:
-    """I - II + III*IV of the first-step certificate at the substitution
-    value s; positive on (0, lambda^2 phi0^2) is what the certificate needs.
-    Valid for n - p = 1 only."""
-    n, p = params.n, params.p
-    lam2 = params.lambda_sq
-    term_i = 1.2 + 2.0 * s
-    term_ii = 4.0 * (lam2 * p - n - s) * (1.0 + s) / ((lam2 - 1.0) * p)
-    term_iii = (lam2 + s) / (lam2 - 1.0) - s / (2.0 * s + 0.2)
-    term_iv = 1.0 + (lam2 * p - n - s) * (1.2 + 2.0 * s) ** 2 / (lam2 * (1.0 + s))
-    return term_i - term_ii + term_iii * term_iv
 
 
 def cycle_region_threshold(params: LomseParams) -> float:
@@ -200,10 +203,12 @@ def no_limit_cycle_check(params: LomseParams,
     """Maximum of Y2 + X2 over the lemma region grid; must be negative.
 
     Grid: phi from the region threshold + 1e-6 up to 3 phi0, psi in
-    (0, 3 phi0].  The final display bound
-    (Y2+X2)/(2 psi) <= -(3 lambda^2 (n-p)/(1+lambda^2 phi^2)) phi^2
-                        (phi^2 - threshold^2)
-    is asserted pointwise along the way.
+    (0, 3 phi0].  Y2 + X2 = 2 psi q, q = -1 - f2 (1 + phi^2 + psi^2) + 2 f1 phi^2
+    falls in psi and d(2 psi q)/dpsi = 2q - 4 f2 psi^2 < 0 where q < 0, so
+    only the lowest row psi = 3 phi0 / n_psi is evaluated: it holds each phi
+    line's maximum when the lemma passes, and fails the grid when it fails.
+    The display bound (Y2+X2)/(2 psi) <= -(3 lambda^2 (n-p)/(1+lambda^2 phi^2))
+    phi^2 (phi^2 - threshold^2) is asserted along it, and so holds on every row.
     """
     _require(params, StabilityType.SPIRAL_TYPE_II)
     n_phi, n_psi = grid
@@ -214,47 +219,36 @@ def no_limit_cycle_check(params: LomseParams,
     thr = cycle_region_threshold(params)
     phi_lo = thr + 1e-6
     phi_hi = 3.0 * phi0
+    psi = 3.0 * phi0 / n_psi
     margin = -math.inf
     for i in range(n_phi):
         phi = phi_lo + (phi_hi - phi_lo) * i / (n_phi - 1)
         bound_factor = (-3.0 * lam2 * (params.n - params.p) / (1.0 + lam2 * phi * phi)
                         * phi * phi * (phi * phi - thr * thr))
-        for j in range(1, n_psi + 1):
-            psi = 3.0 * phi0 * j / n_psi
-            _, x2 = vector_field_xy(phi, psi, params)
-            _, y2 = reverse_field_xy(phi, psi, params)
-            total = y2 + x2
-            if total > 2.0 * psi * bound_factor + 1e-12:
-                raise AssertionError(
-                    f"display bound violated at phi={phi}, psi={psi}: "
-                    f"{total} > {2.0 * psi * bound_factor}"
-                )
-            margin = max(margin, total)
+        total = vector_field_xy(phi, psi, params)[1] - vector_field_xy(phi, -psi, params)[1]
+        if total > 2.0 * psi * bound_factor + 1e-12:
+            raise AssertionError(f"display bound violated at phi={phi}, psi={psi}: "
+                                 f"{total} > {2.0 * psi * bound_factor}")
+        margin = max(margin, total)
     return margin
 
 
 def case2_check(params: LomseParams,
                 grid_points: int = DEFAULT_GRID_POINTS,
                 cycle_grid: tuple[int, int] = DEFAULT_CYCLE_GRID) -> BarrierCase2Report:
-    """Full spiral-case suite: the Step-1 certificate (the grid sweep of
-    I - II + III*IV over phi in (0, phi0), reported beside the envelope
-    minimum FS_MIN) and the no-limit-cycle margin."""
+    """Full spiral-case suite: the Step-1 certificate (the slope sweep of
+    g = (2 f1 + 1/5) phi over phi in (0, phi0), reported beside the
+    envelope minimum FS_MIN) and the no-limit-cycle margin."""
     _require(params, StabilityType.SPIRAL_TYPE_II)
     if params.n - params.p != 1:
         raise ValueError(f"step-1 certificate requires n - p = 1, got "
                          f"({params.n},{params.p})")
     if grid_points < 1:
         raise ValueError(f"grid_points must be at least 1, got {grid_points}")
-    phi0 = params.phi0
-    lam2 = params.lambda_sq
-    s_end = 1.0 + lam2 * phi0 * phi0
-    margin = math.inf
-    for i in range(1, grid_points + 1):
-        phi = phi0 * i / (grid_points + 1)
-        s = s_end / (1.0 + lam2 * phi * phi) - 1.0
-        margin = min(margin, step1_margin(s, params))
+    what = f"({params.n},{params.p},{params.k})"
+    margin = _slope_margin(params, 0.5, 0.2, grid_points, what)  # (2 f1 + 1/5) phi
     cycle_margin = no_limit_cycle_check(params, grid=cycle_grid)
-    _require_finite(f"({params.n},{params.p},{params.k})", margin, cycle_margin)
+    _require_finite(what, cycle_margin)
     return BarrierCase2Report(
         params=params,
         g_grid_margin=margin,

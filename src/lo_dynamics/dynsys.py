@@ -64,19 +64,9 @@ def offset_field(params: LomseParams):
 
 
 def vector_field_xy(phi: float, psi: float, params: LomseParams) -> tuple[float, float]:
-    """(X1, X2) at (phi, psi); the compact single code path shared with the
-    barrier module."""
+    """(X1, X2) at (phi, psi); barrier takes its slopes and Y2 + X2 from it."""
     x2 = -psi - (f2(phi, params) * psi - f1(phi, params) * phi) * (1.0 + (phi + psi) ** 2)
     return psi, x2
-
-
-def reverse_field_xy(phi: float, psi: float, params: LomseParams) -> tuple[float, float]:
-    """(Y1, Y2): the downward half-loop field obtained from X by the
-    substitution (phi, psi) -> (phi, -psi) and negating the second
-    component; used by the no-limit-cycle certificate.
-    """
-    x1, x2 = vector_field_xy(phi, -psi, params)
-    return x1, -x2
 
 
 def f1_prime(phi: float, params: LomseParams) -> float:

@@ -67,7 +67,7 @@ def geometry_report(params: LomseParams) -> GeometryReport:
     ca = cos_alpha(params)
     jordan = [
         (math.acos(math.sqrt((n - p) / (K - p))), p),
-        (math.acos(math.sqrt(K * (n - p) / (n * (K - p)))), 1),  # equals theta
+        (params.theta, 1),
         (0.0, n - p),
     ]
     return GeometryReport(

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
+from lo_dynamics.barrier import cycle_region_threshold
 from lo_dynamics.dynsys import f1, f1_prime, f2, f2_prime, vector_field_xy
 from lo_dynamics.errors import IntegrationFailure
 from lo_dynamics.geometry import volume_ratio
@@ -242,6 +243,57 @@ def case1_iv_unreduced(s: float, params: LomseParams, c: float) -> float:
     lam2 = params.lambda_sq
     S = (lam2 * params.p - params.n) / (params.n - params.p)
     return 1.0 + (S - s) * (1.0 + s / c) ** 2 / (lam2 * (1.0 + s))
+
+
+def step1_margin(s: float, params: LomseParams) -> float:
+    """I - II + III*IV of the first-step certificate at the substitution
+    value s; positive on (0, lambda^2 phi0^2) is what the certificate needs.
+    Valid for n - p = 1 only."""
+    n, p = params.n, params.p
+    lam2 = params.lambda_sq
+    term_i = 1.2 + 2.0 * s
+    term_ii = 4.0 * (lam2 * p - n - s) * (1.0 + s) / ((lam2 - 1.0) * p)
+    term_iii = (lam2 + s) / (lam2 - 1.0) - s / (2.0 * s + 0.2)
+    term_iv = 1.0 + (lam2 * p - n - s) * (1.2 + 2.0 * s) ** 2 / (lam2 * (1.0 + s))
+    return term_i - term_ii + term_iii * term_iv
+
+
+def reverse_field_xy(phi: float, psi: float, params: LomseParams) -> tuple[float, float]:
+    """(Y1, Y2): the downward half-loop field obtained from X by the
+    substitution (phi, psi) -> (phi, -psi) and negating the second
+    component; used by the full-grid no-limit-cycle reference below.
+    """
+    x1, x2 = vector_field_xy(phi, -psi, params)
+    return x1, -x2
+
+
+def no_limit_cycle_full_grid(params: LomseParams, grid: tuple[int, int]) -> float:
+    """Maximum of Y2 + X2 over the whole n_phi x n_psi lemma grid of
+    barrier.no_limit_cycle_check, with the display bound asserted at every
+    point: the reference for its evaluation on the lowest psi row."""
+    n_phi, n_psi = grid
+    phi0 = params.phi0
+    lam2 = params.lambda_sq
+    thr = cycle_region_threshold(params)
+    phi_lo = thr + 1e-6
+    phi_hi = 3.0 * phi0
+    margin = -math.inf
+    for i in range(n_phi):
+        phi = phi_lo + (phi_hi - phi_lo) * i / (n_phi - 1)
+        bound_factor = (-3.0 * lam2 * (params.n - params.p) / (1.0 + lam2 * phi * phi)
+                        * phi * phi * (phi * phi - thr * thr))
+        for j in range(1, n_psi + 1):
+            psi = 3.0 * phi0 * j / n_psi
+            _, x2 = vector_field_xy(phi, psi, params)
+            _, y2 = reverse_field_xy(phi, psi, params)
+            total = y2 + x2
+            if total > 2.0 * psi * bound_factor + 1e-12:
+                raise AssertionError(
+                    f"display bound violated at phi={phi}, psi={psi}: "
+                    f"{total} > {2.0 * psi * bound_factor}"
+                )
+            margin = max(margin, total)
+    return margin
 
 
 def mpmath_orbit(traj):

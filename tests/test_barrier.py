@@ -6,6 +6,7 @@ import pytest
 
 from lo_dynamics import build_params, enumerate_admissible
 from lo_dynamics.barrier import (
+    DEFAULT_GRID_POINTS,
     FS_ARGMIN,
     FS_MIN,
     barrier_h,
@@ -18,12 +19,14 @@ from lo_dynamics.barrier import (
     cycle_region_threshold,
     default_c,
     no_limit_cycle_check,
-    step1_margin,
 )
-from lo_dynamics.dynsys import f1, f2, vector_field_xy, reverse_field_xy
+from lo_dynamics.dynsys import f1, f2, vector_field_xy
 from lo_dynamics.errors import NotApplicable
 from lo_dynamics.params import StabilityType
-from oracles import case1_iv_unreduced
+from oracles import case1_iv_unreduced, no_limit_cycle_full_grid, reverse_field_xy, step1_margin
+
+SPIRAL_TRIPLES = [params.triple() for params in enumerate_admissible(31, 20)
+                  if params.stability is StabilityType.SPIRAL_TYPE_II]
 
 
 def test_default_c_values(p322, p542, p544):
@@ -137,7 +140,8 @@ def test_case1_grid_margin_positive_all_type1():
 
 def test_case1_verdict_includes_the_grid_margin(p322, monkeypatch):
     # the closed forms pass; a negative grid margin alone fails the report
-    monkeypatch.setattr("lo_dynamics.barrier.barrier_h_prime", lambda phi, params, c: -1e9)
+    monkeypatch.setattr("lo_dynamics.barrier.barrier_h_prime",
+                        lambda phi, params, c, lift=0.0: -1e9)
     report = case1_check(p322, grid_points=20)
     assert report.f0 >= 0.0 and report.g0 > 0.0 and report.g_end > 0.0
     assert report.grid_margin < 0.0 and not report.passed
@@ -202,6 +206,68 @@ def test_case2_step1(npk):
     assert (report.fs_min, report.fs_argmin) == (FS_MIN, FS_ARGMIN)
     assert report.cycle_margin < 0.0
     assert report.passed
+
+
+@pytest.mark.parametrize("npk", SPIRAL_TRIPLES)
+def test_spiral_certificates_on_the_whole_table(npk):
+    # the lemma's lowest psi row holds the maximum of its whole grid, bit for bit
+    params = build_params(*npk)
+    assert case2_check(params).passed
+    for grid in [(200, 200), (40, 40), (4, 4)]:
+        assert no_limit_cycle_check(params, grid=grid) == no_limit_cycle_full_grid(params, grid)
+
+
+@pytest.mark.parametrize("npk", SPIRAL_TRIPLES)
+def test_step1_sweep_is_the_reduced_certificate(npk):
+    # the paper's I - II + III*IV at s(phi) is the slope margin of the step-1
+    # curve g = (2 f1 + 1/5) phi, the barrier family's member c = 1/2, lift = 1/5
+    params = build_params(*npk)
+    lam2, phi0, points = params.lambda_sq, params.phi0, DEFAULT_GRID_POINTS
+    s_end = 1.0 + lam2 * phi0 * phi0
+    swept, worst = [], 0.0
+    for i in range(1, points + 1):
+        phi = phi0 * i / (points + 1)
+        x1, x2 = vector_field_xy(phi, barrier_h(phi, params, 0.5, 0.2), params)
+        swept.append(barrier_h_prime(phi, params, 0.5, 0.2) - x2 / x1)
+        reduced = step1_margin(s_end / (1.0 + lam2 * phi * phi) - 1.0, params)
+        worst = max(worst, abs(reduced / swept[-1] - 1.0))
+    assert worst <= 1e-13
+    assert case2_check(params, cycle_grid=(2, 1)).g_grid_margin == min(swept)
+
+
+def _step1_both_sides(phi: Fraction, params):
+    """The reduced I - II + III*IV at s(phi) and the swept g' - X2(phi, g)/g,
+    with g = (2 f1 + 1/5) phi, both exact at a rational phi; also g and g'."""
+    n, p = params.n, params.p
+    lam2 = params.lambda_sq_frac
+    den = 1 + lam2 * phi * phi
+    s = (1 + lam2 * params.phi0_sq_frac) / den - 1
+    term_i = Fraction(6, 5) + 2 * s
+    term_ii = 4 * (lam2 * p - n - s) * (1 + s) / ((lam2 - 1) * p)
+    term_iii = (lam2 + s) / (lam2 - 1) - s / (2 * s + Fraction(1, 5))
+    term_iv = 1 + (lam2 * p - n - s) * (Fraction(6, 5) + 2 * s) ** 2 / (lam2 * (1 + s))
+    f1_v = (lam2 - 1) * p / den - (n - p)
+    f1_p = -2 * (lam2 - 1) * p * lam2 * phi / (den * den)
+    f2_v = n - p + p / den
+    g = (2 * f1_v + Fraction(1, 5)) * phi
+    g_prime = 2 * (f1_v + f1_p * phi) + Fraction(1, 5)
+    x2 = -g - (f2_v * g - f1_v * phi) * (1 + (phi + g) ** 2)
+    return term_i - term_ii + term_iii * term_iv, g_prime - x2 / g, g, g_prime
+
+
+@pytest.mark.parametrize("npk", [(3, 2, 4), (5, 4, 6)])
+def test_step1_reduction_is_exact(npk):
+    params = build_params(*npk)
+    phi_top = Fraction(params.phi0).limit_denominator(1000)
+    while phi_top ** 2 >= params.phi0_sq_frac:
+        phi_top -= Fraction(1, 1000)
+    for j in range(1, 25):
+        phi = phi_top * j / 24
+        reduced, swept, g, g_prime = _step1_both_sides(phi, params)
+        assert reduced == swept
+        assert barrier_h(float(phi), params, 0.5, 0.2) == pytest.approx(float(g), rel=1e-14)
+        assert barrier_h_prime(float(phi), params, 0.5, 0.2) == pytest.approx(
+            float(g_prime), rel=1e-14)
 
 
 def test_case2_rejects_type1(p322):

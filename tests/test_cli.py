@@ -344,6 +344,9 @@ _K_400 = str(10 ** 400)
     *(([command, *triple, "--eps", "1e-16"], "eps=1e-16 is below the resolution of phi0")
       for command, triple in (("orbit", ("3", "2", "4")), ("orbit", ("3", "2", "2")),
                               ("density", ("3", "2", "4")))),
+    # lambda^4 in f1' overflows in the step-1 slope sweep; the reduced form
+    # printed PASS here, its min() passing over a nan grid point
+    (["verify", "5", "4", str(10 ** 150)], f"(5,4,{10 ** 150}) leaves the float range"),
 ])
 def test_runs_outside_the_float_range_are_usage_errors(argv, named, tmp_path, capsys):
     # each ended in a traceback (exit 1), in nan or inf in barrier.json at
@@ -364,7 +367,7 @@ def test_eps_above_the_saddle_floor_still_shoots(tmp_path):
 
 def test_verify_reads_the_case1_verdict_from_the_report(tmp_path, capsys, monkeypatch):
     # a negative grid margin fails verify through report.passed alone
-    monkeypatch.setattr(barrier, "barrier_h_prime", lambda phi, params, c: -1e9)
+    monkeypatch.setattr(barrier, "barrier_h_prime", lambda phi, params, c, lift=0.0: -1e9)
     assert run(["verify", "3", "2", "2", "--out-dir", str(tmp_path)]) == EXIT_BARRIER_FAILURE
     assert capsys.readouterr().out.endswith("FAIL\n")
     assert json.loads((tmp_path / "barrier.json").read_text())["passed"] is False

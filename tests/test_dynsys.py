@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lo_dynamics import build_params, enumerate_admissible, linearize_p1, vector_field_xy
-from lo_dynamics.dynsys import f1, f1_prime, f2, offset_field, reverse_field_xy
-from oracles import PhaseState, fd_jacobian, jacobian, linearize_origin
+from lo_dynamics.dynsys import f1, f1_prime, f2, offset_field
+from oracles import PhaseState, fd_jacobian, jacobian, linearize_origin, reverse_field_xy
 
 
 def raw_display_field(phi, psi, params):
