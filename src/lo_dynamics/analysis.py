@@ -264,7 +264,7 @@ def _tail_logs(traj: Trajectory) -> tuple[float, float]:
     log_g = (p / 2.0) * math.log1p(lam2 * phi0 * phi0) - (n + 4.0) / 2.0 * math.log1p(phi0 * phi0)
     psi_sq = (abs(lin.a) * (u0 / amp) ** 2 + (psi0 / amp) ** 2) / (2.0 * abs(lin.b))
     log_tail = 2.0 * math.log(amp) + math.log(psi_sq) + log_g
-    if not lin.spiral:
+    if params.stability is not StabilityType.SPIRAL_TYPE_II:
         return log_tail, log_tail
     alpha = lin.mu3.real
     growth = spiral_flow_growth(lin)

@@ -101,7 +101,7 @@ def _slope_margin(params: LomseParams, c: float, lift: float, grid_points: int,
                  what: str) -> float:
     """Minimum of h'(phi) - (X2/X1)(phi, h(phi)) over phi = phi0 i/(grid_points + 1),
     i = 1..grid_points, for the barrier curve h of (c, lift); refused, naming
-    what, if it leaves the float range."""
+    what, if it leaves the float range or any grid point is nan."""
     phi0 = params.phi0
     margin = math.inf
     try:
@@ -109,7 +109,11 @@ def _slope_margin(params: LomseParams, c: float, lift: float, grid_points: int,
             phi = phi0 * i / (grid_points + 1)
             psi = barrier_h(phi, params, c, lift)
             x1, x2 = vector_field_xy(phi, psi, params)
-            margin = min(margin, barrier_h_prime(phi, params, c, lift) - x2 / x1)
+            value = barrier_h_prime(phi, params, c, lift) - x2 / x1
+            if not value >= margin:  # smaller, or nan, which ends the sweep
+                margin = value
+                if math.isnan(value):
+                    break
     except OverflowError:
         margin = math.nan
     _require_finite(what, margin)
@@ -200,7 +204,7 @@ def cycle_region_threshold(params: LomseParams) -> float:
 
 def no_limit_cycle_check(params: LomseParams,
                          grid: tuple[int, int] = DEFAULT_CYCLE_GRID) -> float:
-    """Maximum of Y2 + X2 over the lemma region grid; must be negative.
+    """Maximum of Y2 + X2 over the lemma region grid; must be negative (nan if a point is).
 
     Grid: phi from the region threshold + 1e-6 up to 3 phi0, psi in
     (0, 3 phi0].  Y2 + X2 = 2 psi q, q = -1 - f2 (1 + phi^2 + psi^2) + 2 f1 phi^2
@@ -229,7 +233,10 @@ def no_limit_cycle_check(params: LomseParams,
         if total > 2.0 * psi * bound_factor + 1e-12:
             raise AssertionError(f"display bound violated at phi={phi}, psi={psi}: "
                                  f"{total} > {2.0 * psi * bound_factor}")
-        margin = max(margin, total)
+        if not total <= margin:  # larger, or nan, which ends the row
+            margin = total
+            if math.isnan(total):
+                break
     return margin
 
 

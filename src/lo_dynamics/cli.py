@@ -18,10 +18,10 @@ environment variable; flags win over the file.  Keys match the RunConfig
 field names.  Each subcommand parses and checks only the fields it reads
 (make_parser lists them) and skips the file's other fields; an unknown
 key or flag exits 2, and classify reads no file.  Sampling resolutions
-are the modules' DEFAULT_* constants, not settings.  verify -c and
---conv-tol act on the real-eigenvalue type only, --max-crossings on the
-spiral type only: on the other type the flag exits 2 and the config key
-is ignored.
+are the modules' DEFAULT_* constants, not settings, and sample_count is
+at most hopf.MAX_SAMPLE_COUNT.  verify -c and --conv-tol act on the
+real-eigenvalue type only, --max-crossings on the spiral type only: on
+the other type the flag exits 2 and the config key is ignored.
 
 All numbers are serialized with 17 significant digits; CSV columns are
 fixed (trajectory.csv: t,phi,psi; profile.csv: r,rho,rho_r,rho_rr,residual)
@@ -85,6 +85,8 @@ class RunConfig:
         for name in ("max_crossings", "sample_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.sample_count > hopf.MAX_SAMPLE_COUNT:
+            raise ValueError(f"sample_count must be at most {hopf.MAX_SAMPLE_COUNT}")
         if self.seed < 0:
             raise ValueError("seed must be at least 0")
         if not self.formats:
@@ -465,12 +467,7 @@ def cmd_density(args) -> int:
 def cmd_maps_check(args) -> int:
     cfg = build_config(args)
     params = build_params(3, 2, 2)
-    pts = hopf.random_sphere_points(params.n + 1, cfg.sample_count, seed=cfg.seed)
-    sv_dev = sum_dev = 0.0
-    for x in pts:
-        sv = hopf.numeric_singular_values(hopf.hopf_map, x)
-        sv_dev = max(sv_dev, float(np.max(np.abs(sv - np.array([2.0, 2.0, 0.0])))))
-        sum_dev = max(sum_dev, abs(hopf.angle_sum(sv, params.theta) - params.n))
+    sv_dev, sum_dev = hopf.condition_b_check(params, cfg.sample_count, seed=cfg.seed)
     payload = {
         "params": params,
         "samples": cfg.sample_count,

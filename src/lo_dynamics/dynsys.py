@@ -12,7 +12,7 @@ with
 
 The field vanishes exactly at (0,0) and (+-phi0, 0), is odd under
 (phi,psi) -> (-phi,-psi), and its linearization at (phi0, 0) is available
-in closed form below.
+in closed form below; whether it is a spiral is params.stability.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import LomseParams
+from .params import LomseParams, StabilityType
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,6 @@ class P1Linearization:
     a: float  # 2n(n/(k(k+n-1)) - 1) < 0
     b: float  # -n - 1
     mu3: complex
-    spiral: bool
 
 
 def f1(phi: float, params: LomseParams) -> float:
@@ -115,17 +114,12 @@ def spiral_flow_growth(lin: P1Linearization) -> float:
 
 
 def linearize_p1(params: LomseParams) -> P1Linearization:
+    """J = [[0, 1], [a, b]] at P1 and mu3, its eigenvalue of larger real part, or of
+    positive imaginary part on the spiral branch that params.stability picks."""
     n = params.n
-    K = params.big_k
-    a = 2.0 * n * (n / K - 1.0)
+    a = 2.0 * n * (n / params.big_k - 1.0)
     b = float(-n - 1)
-    disc = b * b + 4.0 * a  # = n^2 - 6n + 1 + 8n^2/K
-    if disc < 0.0:
-        root = math.sqrt(-disc)
-        mu3 = complex(b / 2.0, root / 2.0)
-        spiral = True
-    else:
-        root = math.sqrt(disc)
-        mu3 = complex((b + root) / 2.0, 0.0)
-        spiral = False
-    return P1Linearization(a=a, b=b, mu3=mu3, spiral=spiral)
+    root = math.sqrt(abs(b * b + 4.0 * a))  # disc = n^2 - 6n + 1 + 8n^2/K
+    mu3 = (complex(b / 2.0, root / 2.0) if params.stability is StabilityType.SPIRAL_TYPE_II
+           else complex((b + root) / 2.0, 0.0))
+    return P1Linearization(a=a, b=b, mu3=mu3)

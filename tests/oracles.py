@@ -14,7 +14,7 @@ from lo_dynamics.barrier import cycle_region_threshold
 from lo_dynamics.dynsys import f1, f1_prime, f2, f2_prime, vector_field_xy
 from lo_dynamics.errors import IntegrationFailure
 from lo_dynamics.geometry import volume_ratio
-from lo_dynamics.hopf import hopf_map
+from lo_dynamics.hopf import DEFAULT_FD_STEP, angle_sum, hopf_map, numeric_singular_values
 from lo_dynamics.integrate import _BLOWUP_FACTOR, DEFAULT_REL_TOL, Trajectory, _advance
 from lo_dynamics.params import LomseParams
 from lo_dynamics.radial import Profile
@@ -235,6 +235,12 @@ def cone_graph_eval(y, params: LomseParams) -> np.ndarray:
     if norm == 0.0:
         return np.zeros(3)
     return params.phi0 * norm * hopf_map(y / norm)
+
+
+def condition_b_sum(map_fn, x, theta: float, h: float = DEFAULT_FD_STEP) -> float:
+    """angle_sum over all n singular values of map_fn at x; equals n
+    exactly at the minimality angle."""
+    return angle_sum(numeric_singular_values(map_fn, x, h), theta)
 
 
 def case1_iv_unreduced(s: float, params: LomseParams, c: float) -> float:

@@ -20,6 +20,7 @@ from lo_dynamics.barrier import (
     default_c,
     no_limit_cycle_check,
 )
+from lo_dynamics.cli import main
 from lo_dynamics.dynsys import f1, f2, vector_field_xy
 from lo_dynamics.errors import NotApplicable
 from lo_dynamics.params import StabilityType
@@ -345,3 +346,45 @@ def test_no_limit_cycle_check_needs_two_phi_and_one_psi(p324, grid):
     with pytest.raises(ValueError, match="grid must be at least"):
         case2_check(p324, grid_points=10, cycle_grid=grid)
     assert no_limit_cycle_check(p324, grid=(2, 1)) < 0.0
+
+
+def _nan_once(monkeypatch, hit):
+    """Make barrier's vector_field_xy return X2 = nan at the first point
+    (phi, psi) where hit(phi, psi, params) holds; returns that point's list."""
+    seen = []
+
+    def field(phi, psi, params):
+        x1, x2 = vector_field_xy(phi, psi, params)
+        if not seen and hit(phi, psi, params):
+            seen.append((phi, psi))
+            return x1, math.nan
+        return x1, x2
+
+    monkeypatch.setattr("lo_dynamics.barrier.vector_field_xy", field)
+    return seen
+
+
+@pytest.mark.parametrize("triple, hit", [
+    # the case-1 sweep and the step-1 sweep, halfway along (0, phi0)
+    ((3, 2, 2), lambda phi, psi, params: phi > params.phi0 / 2.0),
+    ((3, 2, 4), lambda phi, psi, params: phi > params.phi0 / 2.0),
+    # the cycle-lemma row: only it evaluates X2 at psi < 0
+    ((3, 2, 4), lambda phi, psi, params: psi < 0.0 and phi > params.phi0),
+], ids=["case1", "step1", "cycle"])
+def test_a_nan_grid_point_refuses_the_certificate(triple, hit, monkeypatch, tmp_path, capsys):
+    # min and max drop a nan, so one nan point used to leave PASS standing
+    seen = _nan_once(monkeypatch, hit)
+    with pytest.raises(ValueError, match="leaves the float range"):
+        (case1_check if triple == (3, 2, 2) else case2_check)(build_params(*triple))
+    assert len(seen) == 1
+    seen.clear()
+    out = tmp_path / "out"
+    assert main(["verify", *map(str, triple), "--out-dir", str(out)]) == 2
+    assert "PASS" not in capsys.readouterr().out and len(seen) == 1
+    assert not out.exists()
+
+
+def test_a_nan_point_ends_the_cycle_row(p324, monkeypatch):
+    seen = _nan_once(monkeypatch, lambda phi, psi, params: psi < 0.0)
+    assert math.isnan(no_limit_cycle_check(p324))
+    assert len(seen) == 1

@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lo_dynamics
-from lo_dynamics import analysis, barrier, enumerate_admissible, geometry, stability_discriminant
+from lo_dynamics import (analysis, barrier, build_params, enumerate_admissible, geometry, hopf,
+                         stability_discriminant)
 from lo_dynamics.cli import (
     EXIT_BARRIER_FAILURE,
     EXIT_BLOWUP,
@@ -263,7 +264,29 @@ def test_maps_check(tmp_path, capsys):
     assert run(["maps-check", "--out-dir", str(tmp_path), "--samples", "20"]) == EXIT_OK
     payload = json.loads((tmp_path / "maps_check.json").read_text())
     assert payload["max_angle_sum_deviation"] < 1e-5
-    assert payload["max_singular_value_deviation"] < 1e-6
+    assert payload["max_singular_value_deviation"] < 1e-8
+
+
+def test_maps_check_reports_condition_b_check(tmp_path, capsys):
+    assert run(["maps-check", "--out-dir", str(tmp_path), "--samples", "100",
+                "--seed", "3"]) == EXIT_OK
+    payload = json.loads((tmp_path / "maps_check.json").read_text())
+    sv_dev, sum_dev = hopf.condition_b_check(build_params(3, 2, 2), 100, seed=3)
+    assert payload["max_singular_value_deviation"] == sv_dev
+    assert payload["max_angle_sum_deviation"] == sum_dev
+
+
+def test_samples_above_the_bound_are_usage_errors(tmp_path, capsys):
+    # checked on the config first: without the bound, maps-check would run
+    # until it is killed
+    RunConfig(sample_count=hopf.MAX_SAMPLE_COUNT).validate()
+    with pytest.raises(ValueError, match="sample_count must be at most 10000000"):
+        RunConfig(sample_count=hopf.MAX_SAMPLE_COUNT + 1).validate()
+    out = tmp_path / "out"
+    assert run(["maps-check", "--samples", "100000000000000000000",
+                "--out-dir", str(out)]) == EXIT_USAGE
+    assert "error: sample_count must be at most 10000000" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys, monkeypatch):

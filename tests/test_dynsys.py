@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lo_dynamics import build_params, enumerate_admissible, linearize_p1, vector_field_xy
+from lo_dynamics import (StabilityType, build_params, enumerate_admissible, linearize_p1,
+                         vector_field_xy)
 from lo_dynamics.dynsys import f1, f1_prime, f2, offset_field
 from oracles import PhaseState, fd_jacobian, jacobian, linearize_origin, reverse_field_xy
 
@@ -145,7 +146,7 @@ def test_linearize_p1_322(p322):
     lin = linearize_p1(p322)
     assert lin.a == pytest.approx(-15.0 / 4.0, rel=1e-14)
     assert lin.b == -4.0
-    assert not lin.spiral
+    assert p322.stability is StabilityType.CENTER_TYPE_I and lin.mu3.imag == 0.0
     # the other eigenvalue is trace - mu3 = b - mu3
     assert lin.mu3 == pytest.approx(-1.5) and lin.b - lin.mu3 == pytest.approx(-2.5)
 
@@ -153,17 +154,33 @@ def test_linearize_p1_322(p322):
 def test_linearize_p1_324(p324):
     lin = linearize_p1(p324)
     assert lin.a == pytest.approx(-21.0 / 4.0, rel=1e-14)
-    assert lin.spiral
+    assert p324.stability is StabilityType.SPIRAL_TYPE_II and lin.mu3.imag > 0.0
     assert lin.mu3 == pytest.approx(complex(-2.0, math.sqrt(5.0) / 2.0))
     assert lin.b - lin.mu3 == pytest.approx(complex(-2.0, -math.sqrt(5.0) / 2.0))
 
 
+# the table, and the off-table pairs (n, k), n < 40 and k < 60; P1 depends on n
+# and k only, so p = n - 1 stands for every p
+_P1_CASES = [*enumerate_admissible(31, 20),
+             *(build_params(n, n - 1, k, allow_inadmissible=True)
+               for n in range(2, 40) for k in range(2, 60))]
+
+
 def test_p1_always_attracting():
-    for params in enumerate_admissible(31, 20):
+    for params in _P1_CASES:
         lin = linearize_p1(params)
         assert lin.mu3.real < 0 and (lin.b - lin.mu3).real < 0
         assert lin.a < 0
-        assert lin.spiral == (params.stability.value == "spiral_type_II")
+
+
+def test_p1_spiral_iff_the_exact_type_says_so():
+    # the branch comes from params.stability; mu3 must be a root of the
+    # characteristic polynomial mu^2 - b mu - a, and the other branch's value is not
+    for params in _P1_CASES:
+        lin = linearize_p1(params)
+        assert (lin.mu3.imag > 0) == (params.stability is StabilityType.SPIRAL_TYPE_II)
+        mu = lin.mu3
+        assert abs(mu * mu - lin.b * mu - lin.a) <= 1e-12 * (abs(lin.a) + lin.b * lin.b)
 
 
 def test_p1_discriminant_formula():

@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 from lo_dynamics.hopf import (
     _POINT_BLOCK,
     condition_b_check,
-    condition_b_sum,
     hopf_map,
     map_differential,
     numeric_singular_values,
     random_sphere_points,
     sphere_tangent_basis,
 )
-from oracles import cone_graph_eval
+from oracles import condition_b_sum, cone_graph_eval
 
 
 def identity_s2(x):
@@ -59,7 +58,14 @@ def test_singular_values_at_100_points():
     for x in random_sphere_points(4, 100, seed=0):
         sv = numeric_singular_values(hopf_map, x)
         worst = max(worst, float(np.max(np.abs(sv - expected))))
-    assert worst < 1e-6
+    assert worst < 1e-8
+
+
+def test_zero_singular_value_is_resolved():
+    # a direct SVD; the Gram matrix's eigenvalues put the zero one at about
+    # sqrt(machine epsilon), 3e-8 at these points
+    for x in random_sphere_points(4, 100, seed=0):
+        assert numeric_singular_values(hopf_map, x)[2] < 1e-12
 
 
 def test_singular_values_constant_across_points():
@@ -108,7 +114,17 @@ def test_condition_b_hand_value(p322):
 
 
 def test_condition_b_check_small(p322):
-    assert condition_b_check(hopf_map, p322, sample_count=100) < 1e-5
+    sv_dev, sum_dev = condition_b_check(p322, sample_count=100)
+    assert sv_dev < 1e-8
+    assert sum_dev < 1e-5
+
+
+def test_condition_b_check_is_the_per_point_maximum(p322):
+    pts = list(random_sphere_points(4, 30, seed=5))
+    sv_dev = max(float(np.max(np.abs(numeric_singular_values(hopf_map, x) - [2.0, 2.0, 0.0])))
+                 for x in pts)
+    sum_dev = max(abs(condition_b_sum(hopf_map, x, p322.theta) - 3.0) for x in pts)
+    assert condition_b_check(p322, 30, seed=5) == (sv_dev, sum_dev)
 
 
 def test_condition_b_wrong_angle(p322):

@@ -31,15 +31,17 @@ def _uses(stmts, strings: bool = False) -> set[str]:
     return out
 
 
-def unreached(root: Path = ROOT) -> list[str]:
+def unreached(root: Path = ROOT, perfbench: bool = True) -> list[str]:
     """`module.name` of each top-level function or class of
-    root/src/lo_dynamics that nothing outside the tests reaches."""
+    root/src/lo_dynamics that nothing outside the tests reaches; with
+    perfbench False, perfbench's names reach nothing either."""
     defs, roots = {}, set()
     for path in sorted((root / "src" / "lo_dynamics").glob("*.py")):
         body = ast.parse(path.read_text(encoding="utf-8")).body
         defs.update({f"{path.stem}.{s.name}": s for s in body if isinstance(s, _DEFS)})
         roots |= _uses(s for s in body if not isinstance(s, _DEFS))
-    for path in [*(root / "scripts").glob("*.py"), *(root / "perfbench").glob("*.py")]:
+    bench = (root / "perfbench").glob("*.py") if perfbench else []
+    for path in [*(root / "scripts").glob("*.py"), *bench]:
         if not path.name.startswith("test_"):
             roots |= _uses(ast.parse(path.read_text(encoding="utf-8")).body, strings=True)
     reached = set()
@@ -56,6 +58,13 @@ def unreached(root: Path = ROOT) -> list[str]:
 def test_every_package_definition_is_reached():
     names = unreached()
     assert not names, f"{len(names)} reached only from tests, if at all: {', '.join(names)}"
+
+
+def test_only_the_certificate_oracle_is_reached_by_the_benchmark_alone():
+    # perfbench checks each case-1 certificate against the cubic assembly;
+    # every other definition it binds by name is one the commands use too
+    assert sorted(set(unreached(perfbench=False)) - set(unreached())) == [
+        "barrier.case1_from_polynomial", "barrier.case1_polynomial"]
 
 
 def test_a_function_only_tests_call_is_found(tmp_path):
