@@ -53,7 +53,7 @@ def offset_field(params: LomseParams):
 
     # the constants are default arguments, read as fast locals; callers pass u, psi only
     def dpsi(u: float, psi: float, phi0=params.phi0, lam2=params.lambda_sq,
-             n_minus_p=n_minus_p, p=params.p, c1=n_minus_p * params.lambda_sq) -> float:
+             n_minus_p=n_minus_p, p=float(params.p), c1=n_minus_p * params.lambda_sq) -> float:
         phi = phi0 + u
         den = 1.0 + lam2 * phi * phi
         f1_phi = -c1 * u * (phi + phi0) / den * phi  # f1(phi) * phi, no cancellation

@@ -25,7 +25,13 @@ remainder is below rel_tol/10 of the state and the run stops taking DP5
 steps.  It continues with the linear flow exp(J tau) x* in closed form,
 sampled on a uniform grid spaced by the last accepted DP5 step, with
 dpsi = a u + b psi, until the loop's own stop rules end it.  The samples
-go into the same columns, so everything downstream has one code path.
+go into the same columns, each the DP5 list converted once and joined to
+the tail's arrays, so everything downstream has one code path.
+
+A run fails when |phi| exceeds 1e3 phi0, at the launch or at an accepted
+step, or when a rejected step falls below 1e-13/(k-1).  The bound is on
+phi alone, as the orbit's peak |psi| grows with k while its peak phi stays
+bounded (1.435 for (3,2,k)); the floor follows the saddle's time scale 1/(k-1).
 
 Trajectory.stats records the accepted and rejected DP5 steps, the field
 evaluations (1 + 6 per attempt), the smallest and largest accepted step
@@ -74,7 +80,7 @@ DEFAULT_T_MAX = 400.0
 DEFAULT_MAX_CROSSINGS = 40
 EVENT_TOL = 1e-12
 _H_MAX = 0.5
-_H_MIN = 1e-13
+_H_MIN = 1e-13  # over k - 1, the saddle's time scale
 _DEEP_FLOOR = 1e-290  # snap to the equilibrium before subnormal thrashing
 _BLOWUP_FACTOR = 1e3
 
@@ -303,9 +309,11 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
     """
     dpsi = offset_field(params)
     delta = splice_amplitude(params, rel_tol) if tail is not None else 0.0
+    conv_at = 0.0 if conv_tol is None else conv_tol
+    h_floor = _H_MIN / (params.k - 1)
     phi0 = params.phi0
     blowup_at = _BLOWUP_FACTOR * phi0
-    if math.hypot(phi0 + u0, psi0) > blowup_at:
+    if abs(phi0 + u0) > blowup_at:
         raise IntegrationFailure(
             f"initial state lies outside the bounded region for "
             f"(n,p,k)=({params.n},{params.p},{params.k})"
@@ -409,12 +417,13 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
             psis_append(psi)
             dpsis_append(k7p)
 
-            if math.hypot(phi0 + u, psi) > blowup_at:
+            if abs(phi0 + u) > blowup_at:
                 raise IntegrationFailure(
                     f"state left the bounded region at t={t:.6g} for "
                     f"(n,p,k)=({params.n},{params.p},{params.k})"
                 )
-            if conv_tol is not None and math.hypot(u, psi) < conv_tol:
+            # hypot(u, psi) >= amp under faithful rounding: test it only below conv_at
+            if amp < conv_at and math.hypot(u, psi) < conv_at:
                 reason = Termination.CONVERGED_TO_P1
                 break
             if amp < _DEEP_FLOOR:
@@ -437,10 +446,9 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
                 else:
                     reason = Termination.MAX_TIME
                 tail_samples = stop + 1
-                ts.extend(tt[:tail_samples].tolist())
-                us.extend(tu[:tail_samples].tolist())
-                psis.extend(tpsi[:tail_samples].tolist())
-                dpsis.extend(tdpsi[:tail_samples].tolist())
+                ts, us, psis, dpsis = (np.concatenate((np.array(col), arr[:tail_samples]))
+                                       for col, arr in zip((ts, us, psis, dpsis),
+                                                           (tt, tu, tpsi, tdpsi)))
                 break
             h *= fac
             if h > _H_MAX:
@@ -450,7 +458,7 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
             shrink = 0.9 * err ** -0.2
             h *= shrink if shrink > 0.2 else 0.2
             err_prev = 1.0
-            if h < _H_MIN:
+            if h < h_floor:
                 raise IntegrationFailure(f"step size underflow at t={t:.6g}")
 
     return ts, us, psis, dpsis, reason, rejected, tail_samples

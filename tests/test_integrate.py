@@ -16,6 +16,7 @@ from lo_dynamics import (
     shoot_unstable_manifold,
 )
 from lo_dynamics.barrier import barrier_h, default_c
+from lo_dynamics.dynsys import linearize_p1, offset_field
 from lo_dynamics.errors import IntegrationFailure
 from lo_dynamics.integrate import DEFAULT_MAX_CROSSINGS, _bisect
 from oracles import PhaseState, advance_from, reference_integrate
@@ -298,6 +299,36 @@ def test_table_work_pinned(table_trajs):
         (False, Termination.CONVERGED_TO_P1): 1,
     }
     assert ends[False, Termination.CONVERGED_TO_P1] == [(5, 4, 6)]
+
+
+def test_dpsi_column_is_the_field_bit_for_bit(table_trajs):
+    # each DP5 sample carries the field at that state (the FSAL stage), each
+    # closed-form tail sample a u + b psi; type-I runs have no tail
+    for triple, traj in table_trajs.items():
+        s = traj.stats.accepted
+        field = offset_field(traj.params)
+        dp5 = [field(u, psi) for u, psi in zip(traj.u[:s + 1].tolist(),
+                                                traj.psi[:s + 1].tolist())]
+        assert np.array(dp5).tobytes() == traj.dpsi[:s + 1].tobytes(), triple
+        lin = linearize_p1(traj.params)
+        tail = slice(s + 1, None)
+        linear = lin.a * traj.u[tail] + lin.b * traj.psi[tail]
+        assert linear.tobytes() == traj.dpsi[tail].tobytes(), triple
+
+
+@pytest.mark.parametrize("n, p", [(3, 2), (5, 4)])
+def test_first_zero_converges_in_k(n, p):
+    # the peak |psi| grows with k (to 8.7e5 at (3,2,1e9)) while the peak phi
+    # stays bounded, and the saddle's time scale is 1/(k - 1): the blow-up
+    # bound is on phi alone and the step floor scales with 1/(k - 1)
+    firsts = []
+    for e in range(2, 10):
+        zeros = detect_psi_zeros(shoot_unstable_manifold(build_params(n, p, 10 ** e)))
+        assert len(zeros) == DEFAULT_MAX_CROSSINGS, e
+        firsts.append(zeros[0].t)
+    assert all(a > b for a, b in zip(firsts, firsts[1:]))
+    # from k = 10^6 on, within 2e-6 of the k = 10^9 value (1.4e-6 and 6.8e-7 measured)
+    assert all(abs(t - firsts[-1]) < 2e-6 for t in firsts[4:])
 
 
 def test_rhs_evals_count_field_calls(monkeypatch, p324):

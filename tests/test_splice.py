@@ -143,6 +143,20 @@ def test_splice_grid_and_stop_rules(spirals):
             assert amp.min() >= _DEEP_FLOOR, triple
 
 
+def test_tail_columns_are_the_linear_tail_prefix(spirals):
+    # the columns hand the closed-form samples over after the splice state
+    # once each: none dropped, none repeated
+    for triple, traj in spirals.items():
+        s, count = traj.stats.accepted, traj.stats.tail_samples
+        assert len(traj) == s + 1 + count, triple
+        tail = _linear_tail(linearize_p1(traj.params), float(traj.t[s]), float(traj.u[s]),
+                            float(traj.psi[s]), float(traj.t[s] - traj.t[s - 1]),
+                            integrate.DEFAULT_T_MAX)
+        for name, column in zip(("t", "u", "psi", "dpsi"), tail):
+            assert len(column) >= count, (triple, name)
+            assert getattr(traj, name)[s + 1:].tobytes() == column[:count].tobytes(), (triple, name)
+
+
 def test_tail_stops_at_t_max_and_max_crossings(p324):
     timed = shoot_unstable_manifold(p324, t_max=30.0, max_crossings=10 ** 6)
     assert timed.terminated_by is Termination.MAX_TIME
