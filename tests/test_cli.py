@@ -367,11 +367,11 @@ _K_400 = str(10 ** 400)
     *(([command, *triple, "--eps", "1e-16"], "eps=1e-16 is below the resolution of phi0")
       for command, triple in (("orbit", ("3", "2", "4")), ("orbit", ("3", "2", "2")),
                               ("density", ("3", "2", "4")))),
-    # the default eps/|V1| is about 1e-16 at this k, below half an ulp of phi0
-    (["orbit", "3", "2", str(10 ** 10)], "eps=1e-06 is below the resolution of phi0"),
     # lambda^4 in f1' overflows in the step-1 slope sweep; the reduced form
     # printed PASS here, its min() passing over a nan grid point
     (["verify", "5", "4", str(10 ** 150)], f"(5,4,{10 ** 150}) leaves the float range"),
+    # the default eps/|V1| is about 1e-16 at this k, below half an ulp of phi0
+    (["orbit", "3", "2", str(10 ** 10)], "eps=1e-06 is below the resolution of phi0"),
 ])
 def test_runs_outside_the_float_range_are_usage_errors(argv, named, tmp_path, capsys):
     # each ended in a traceback (exit 1), in nan or inf in barrier.json at
