@@ -42,7 +42,7 @@ import numpy as np
 from .dynsys import linearize_p1, p1_quadratic_bound, spiral_flow_growth
 from .errors import IntegrationFailure, NotApplicable
 from .geometry import volume_ratio
-from .integrate import Trajectory, _hermite, detect_phi_hits
+from .integrate import Trajectory, _bisect, _hermite, detect_phi_hits
 from .params import LomseParams, StabilityType
 from .radial import Profile, rescale_profile, to_profile
 
@@ -114,42 +114,30 @@ class _ProfileInterp:
                        self.dpsi[i], self.dpsi[i + 1])
         return phi, psi
 
-    def phi_at_scalar(self, x: float) -> float:
-        """phi_psi_at's phi for one float x: the same operations on floats,
-        so the same bits, without the per-call cost of 1-element arrays."""
-        i = min(max(int(self.x.searchsorted(x, side="right")) - 1, 0), len(self.x) - 2)
-        return _hermite(x, float(self.x[i]), float(self.x[i + 1]), float(self.phi[i]),
-                        float(self.phi[i + 1]), float(self.psi[i]), float(self.psi[i + 1]))
-
-    def cut_x(self, R: float) -> float:
-        """x with r^2 + rho(r)^2 = R^2; unique by the monotonicity check."""
+    def cut_x(self, R: float) -> tuple[float, float]:
+        """x with r^2 + rho(r)^2 = R^2, and phi there: the samples of
+        2x + log1p(phi^2) = ln(r^2 + rho^2) rise by the monotonicity check,
+        and the one segment that holds the cut is bisected on its Hermite
+        cubic to adjacent floats, as events are, phi coming from that cubic."""
         if not 0.0 < R < math.inf:  # NaN fails too
             raise ValueError(f"R must be positive and finite, got {R}")
         target = 2.0 * math.log(R)
-
-        def g(x):
-            return 2.0 * x + math.log1p(self.phi_at_scalar(x) ** 2) - target
-
-        a, b = float(self.x[0]), float(self.x[-1])
-        ga, gb = g(a), g(b)
-        if ga > 1e-12 or gb < -1e-12:
+        levels = 2.0 * self.x + np.log1p(self.phi * self.phi)
+        if levels[0] - target > 1e-12 or levels[-1] - target < -1e-12:
             raise ValueError(
                 f"R={R} outside profile span [{math.sqrt(self.r2rho2[0])}, "
                 f"{math.sqrt(self.r2rho2[-1])}]"
             )
-        if ga >= 0.0:
-            return a
-        if gb <= 0.0:
-            return b
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            if m <= a or m >= b:
-                break
-            if g(m) < 0.0:
-                a = m
-            else:
-                b = m
-        return 0.5 * (a + b)
+        i = min(max(int(levels.searchsorted(target, side="right")) - 1, 0), len(levels) - 2)
+        seg = [float(v[j]) for v in (self.x, self.phi, self.psi) for j in (i, i + 1)]
+
+        def g(x: float) -> float:
+            return 2.0 * x + math.log1p(_hermite(x, *seg) ** 2) - target
+
+        x0, x1 = seg[:2]
+        g0, g1 = g(x0), g(x1)
+        x_cut = x0 if g0 >= 0.0 else x1 if g1 <= 0.0 else _bisect(g, x0, x1, g0, g1, tol=0.0)
+        return x_cut, _hermite(x_cut, *seg)
 
 
 def _volume_core(interp: _ProfileInterp, params: LomseParams, x_cut: float,
@@ -191,10 +179,9 @@ def theta_of_radius(profile: Profile, params: LomseParams, R: float,
     """Density Theta(R); evaluated in scaled form, stable for any span."""
     n = params.n
     interp = _ProfileInterp(profile)
-    x_cut = interp.cut_x(R)
+    x_cut, phi_cut = interp.cut_x(R)
     core = _volume_core(interp, params, x_cut, n_panels)
     # (r_cut / R)^{n+1} = (1 + phi(x_cut)^2)^{-(n+1)/2}
-    phi_cut = interp.phi_at_scalar(x_cut)
     ratio = (1.0 + phi_cut * phi_cut) ** (-(n + 1.0) / 2.0)
     # |S^n| / omega_{n+1} = n + 1
     return (n + 1.0) * core * ratio
@@ -345,7 +332,7 @@ def density_report(traj: Trajectory, n_panels: int = DEFAULT_QUAD_PANELS) -> Den
     first = rescale_profile(to_profile(traj), hits[0].dilation)
     return DensityReport(
         params=params,
-        radii=[math.hypot(h.dilation, h.dilation * traj.phi_at(h.t)) for h in hits],
+        radii=[hit.dilation * R for hit in hits],
         thetas=(t_inf - np.exp(log_gaps)).tolist(),
         theta_infinity=t_inf,
         log10_gaps=(log_gaps / _LN10).tolist(),

@@ -6,7 +6,8 @@ Exit codes (public contract):
     2  usage / invalid arguments, or a value whose run would leave the
        float range (a huge k, a tiny -c, an --eps that lands on the saddle)
     3  inadmissible triple without --allow-inadmissible
-    4  integration failure: blowup, or the step size underflowed
+    4  integration failure: |phi| left 1e3 phi0, a rejected step fell
+       below 1e-13/(k-1), or r^2 + rho^2 stopped rising along the profile
     5  certificate failure (verify: barrier; density: a crossing's density
        not strictly below the cone density, or not resolved from it)
     6  wrong stability type for the requested report, or too few crossings
@@ -15,11 +16,13 @@ main maps the errors classes to 3, 4 and 6, any other ValueError to 2.
 Configuration: a flat key = value text file (one pair per line, '#'
 comments allowed), pointed to by --config or the LO_DYNAMICS_CONFIG
 environment variable; flags win over the file.  Keys match the RunConfig
-field names.  Each subcommand parses and checks only the fields it reads
-(make_parser lists them) and skips the file's other fields; an unknown
-key or flag exits 2, and classify reads no file.  Sampling resolutions
-are the modules' DEFAULT_* constants, not settings, and sample_count is
-at most hopf.MAX_SAMPLE_COUNT.  verify -c and --conv-tol act on the
+field names.  Each subcommand parses only the fields it reads (make_parser
+lists them) and skips the file's other fields; an unknown key or flag
+exits 2, and classify reads no file.  The library function that takes a
+setting checks it (shoot_unstable_manifold, hopf.condition_b_check), so a
+bad one exits 2 before a file is written; RunConfig.validate checks only
+formats.  Sampling resolutions are the modules' DEFAULT_* constants, not
+settings.  verify -c and --conv-tol act on the
 real-eigenvalue type only, --max-crossings on the spiral type only: on
 the other type the flag exits 2 and the config key is ignored.
 
@@ -34,7 +37,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -79,16 +81,8 @@ class RunConfig:
     formats: tuple[str, ...] = ("json", "csv")
 
     def validate(self) -> None:
-        for name in ("rel_tol", "conv_tol", "eps_start", "t_max"):
-            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be positive and finite")
-        for name in ("max_crossings", "sample_count"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.sample_count > hopf.MAX_SAMPLE_COUNT:
-            raise ValueError(f"sample_count must be at most {hopf.MAX_SAMPLE_COUNT}")
-        if self.seed < 0:
-            raise ValueError("seed must be at least 0")
+        """Check formats, the one setting that no library function takes;
+        shoot_unstable_manifold and hopf.condition_b_check check the others."""
         if not self.formats:
             raise ValueError("formats must be nonempty")
         for f in self.formats:
@@ -338,10 +332,8 @@ def cmd_classify(args) -> int:
 
 def _orbit_svgs(out: Path, traj: Trajectory, profile: radial.Profile) -> None:
     params = traj.params
-    phi = traj.phi
-    psi = traj.psi
     write_svg(out / "phase.svg",
-              [(list(phi), list(psi), "#1f77b4")],
+              [(traj.phi.tolist(), traj.psi.tolist(), "#1f77b4")],
               markers=[(0.0, 0.0), (params.phi0, 0.0)])
     # limit the profile plot to the first few oscillations; the radial scale
     # grows by e^2.8 per half-turn of the spiral and a full-span linear plot
@@ -366,7 +358,8 @@ def cmd_orbit(args) -> int:
     traj = _shoot(params, cfg)
     target = args.target_phi if args.target_phi is not None else params.phi0
     report = crossing_report(traj, target)
-    profile = radial.to_profile(traj)
+    # only the csv and svg files read the profile
+    profile = radial.to_profile(traj) if {"csv", "svg"} & set(cfg.formats) else None
 
     out = _write_json(cfg, "events.json", report) if "json" in cfg.formats else _output_dir(cfg)
     if "csv" in cfg.formats:

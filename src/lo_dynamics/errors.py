@@ -3,7 +3,8 @@
     class               exit  raised when
     InadmissibleTriple  3     (n, p, k) is off the table and not allowed
     IntegrationFailure  4     |phi| left 1e3 phi0, a rejected step fell
-                              below 1e-13/(k-1), or r^2 + rho^2 stopped rising
+                              below 1e-13/(k-1), or r^2 + rho^2 stopped
+                              rising along the profile
     NotApplicable       6     the report does not apply to the triple's
                               stability type or to the orbit's crossings
 

@@ -116,7 +116,15 @@ def random_sphere_points(dim: int, count: int, seed: int = 0) -> Iterator[np.nda
 def condition_b_check(params: LomseParams, sample_count: int = DEFAULT_SAMPLE_COUNT,
                       seed: int = 0) -> tuple[float, float]:
     """Largest deviations of the Hopf map's singular values from (2, 2, 0) and
-    of their angle sum from params.n, over sample_count random points of S^3."""
+    of their angle sum from params.n, over sample_count random points of S^3.
+    sample_count must lie in [1, MAX_SAMPLE_COUNT]: no point would report a
+    perfect deviation of 0.  seed must be at least 0."""
+    if sample_count < 1:
+        raise ValueError("sample_count must be at least 1")
+    if sample_count > MAX_SAMPLE_COUNT:
+        raise ValueError(f"sample_count must be at most {MAX_SAMPLE_COUNT}")
+    if seed < 0:
+        raise ValueError("seed must be at least 0")
     sv_dev = sum_dev = 0.0
     for x in random_sphere_points(params.n + 1, sample_count, seed):
         sv = numeric_singular_values(hopf_map, x)

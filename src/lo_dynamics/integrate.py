@@ -117,7 +117,8 @@ def _strict_sign_change(v: np.ndarray) -> np.ndarray:
 
 
 def _bisect(fn, ta, tb, fa, fb, tol=EVENT_TOL):
-    """Bracketed bisection for a sign change of fn on [ta, tb]."""
+    """Bracketed bisection for a sign change of fn on [ta, tb]; tol=0.0 runs
+    until ta and tb are adjacent floats."""
     while tb - ta > tol:
         tm = 0.5 * (ta + tb)
         if tm <= ta or tm >= tb:
@@ -479,13 +480,16 @@ def shoot_unstable_manifold(params: LomseParams,
     Termination: distance to (phi0, 0) below conv_tol for the real-eigenvalue
     type; max_crossings psi sign changes for the spiral type; t_max otherwise.
     Spiral runs continue in closed form below splice_amplitude.
-    rel_tol must be positive and finite, t_max must exceed t_start, and eps
-    must move phi off the saddle once phi is written as phi0 + u.
+    eps, rel_tol, conv_tol and t_max must be positive and finite, t_max must
+    exceed t_start, max_crossings must be at least 1, and eps must move phi
+    off the saddle once phi is written as phi0 + u.  Each setting is checked
+    whichever type drops it.
     """
-    if not eps > 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    if not 0.0 < rel_tol < math.inf:
-        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
+    for name, value in (("eps", eps), ("rel_tol", rel_tol), ("conv_tol", conv_tol)):
+        if not 0.0 < value < math.inf:  # NaN fails too
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if max_crossings < 1:
+        raise ValueError("max_crossings must be at least 1")
     mu1 = params.k - 1
     norm_v1 = math.sqrt(1.0 + mu1 * mu1)
     phi_start = eps / norm_v1
@@ -493,6 +497,8 @@ def shoot_unstable_manifold(params: LomseParams,
     t_start = math.log(eps) / mu1
     if not t_max > t_start:
         raise ValueError(f"t_max={t_max} must exceed the launch time log(eps)/(k-1)={t_start}")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     u_start = phi_start - params.phi0
     if params.phi0 + u_start == 0.0:
         raise ValueError(f"eps={eps} is below the resolution of phi0: the launch "

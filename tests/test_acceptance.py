@@ -5,7 +5,9 @@ live) or standalone:
 
     python tests/test_acceptance.py
 
-which executes the criteria in order and prints one pass/fail line each.
+which executes the criteria in order and prints one pass/fail line each;
+a criterion that raises any exception fails with its type and message,
+and the run goes on to the summary, exiting 1.
 """
 
 import math
@@ -302,11 +304,29 @@ def main() -> int:
         num = int(fn.__name__.split("_")[2])
         try:
             fn()
-        except AssertionError as exc:
+        except Exception as exc:  # any exception fails its criterion; the rest still run
             failures += 1
-            print(f"criterion {num:02d} [{fn.__name__}]: FAIL ({exc})")
+            print(f"criterion {num:02d} [{fn.__name__}]: FAIL ({type(exc).__name__}: {exc})")
     print(f"{len(_ALL) - failures}/{len(_ALL)} acceptance criteria passed")
     return 1 if failures else 0
+
+
+def test_main_reports_an_exception_as_a_failure(monkeypatch, capsys):
+    # a ValueError once ended the standalone run in a traceback, with no
+    # summary and the later criteria not run
+    def test_criterion_01_raises():
+        raise ValueError("bad input")
+
+    def test_criterion_02_passes():
+        _ok(2, "passes")
+
+    monkeypatch.setitem(globals(), "_ALL", [test_criterion_01_raises, test_criterion_02_passes])
+    assert main() == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "criterion 01 [test_criterion_01_raises]: FAIL (ValueError: bad input)",
+        "criterion 02 [passes]: PASS",
+        "1/2 acceptance criteria passed",
+    ]
 
 
 if __name__ == "__main__":

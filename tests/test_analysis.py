@@ -100,7 +100,7 @@ def test_volume_core_needs_a_panel(p322, cone322, traj324, n_panels):
     # a Simpson rule with no panel samples nothing and would divide by zero
     interp = _ProfileInterp(cone322)
     with pytest.raises(ValueError, match="n_panels must be at least 1"):
-        _volume_core(interp, p322, interp.cut_x(2.0), n_panels)
+        _volume_core(interp, p322, interp.cut_x(2.0)[0], n_panels)
     with pytest.raises(ValueError, match="n_panels must be at least 1"):
         theta_of_radius(cone322, p322, 2.0, n_panels=n_panels)
     with pytest.raises(ValueError, match="n_panels must be at least 1"):
@@ -151,6 +151,16 @@ def test_density_report_324(p324, traj324):
 
 def _dilations(traj, params):
     return [h.dilation for h in detect_phi_hits(traj, params.phi0)]
+
+
+def test_density_radii_are_the_rescaled_unit_radius(spirals):
+    # at a crossing phi = phi0, so R_i = d_i sqrt(1 + phi0^2) by definition;
+    # interpolating phi there moved R_i by at most 2.3e-14 relative
+    for traj in spirals.values():
+        phi0 = traj.params.phi0
+        hits = detect_phi_hits(traj, phi0)
+        assert density_report(traj).radii == [h.dilation * math.sqrt(1 + phi0 ** 2)
+                                              for h in hits]
 
 
 def test_density_rejects_type1(traj322):
@@ -225,33 +235,42 @@ class _PerSampleInterp(_ProfileInterp):
     def cut_x(self, R):
         target = 2.0 * math.log(R)
 
-        def g(x):
-            return 2.0 * x + math.log1p(float(self.phi_psi_at(np.array([x]))[0][0]) ** 2) - target
+        def phi(x):
+            return float(self.phi_psi_at(np.array([x]))[0][0])
 
-        a, b = float(self.x[0]), float(self.x[-1])
+        def g(x):
+            return 2.0 * x + math.log1p(phi(x) ** 2) - target
+
+        levels = [2.0 * x + math.log1p(v * v) for x, v in zip(self.x.tolist(), self.phi.tolist())]
+        assert levels[0] - target <= 1e-12 and levels[-1] - target >= -1e-12
+        # the last sample at or below the target, on the last segment at most
+        i = max([j for j, level in enumerate(levels[:-1]) if level <= target], default=0)
+        a, b = float(self.x[i]), float(self.x[i + 1])
         ga, gb = g(a), g(b)
-        assert ga <= 1e-12 and gb >= -1e-12
         if ga >= 0.0:
-            return a
+            return a, phi(a)
         if gb <= 0.0:
-            return b
-        for _ in range(200):
+            return b, phi(b)
+        while True:
             m = 0.5 * (a + b)
             if m <= a or m >= b:
                 break
-            if g(m) < 0.0:
+            gm = g(m)
+            if gm == 0.0:
+                return m, phi(m)
+            if gm < 0.0:
                 a = m
             else:
                 b = m
-        return 0.5 * (a + b)
+        m = 0.5 * (a + b)
+        return m, phi(m)
 
 
 def _theta_per_sample(samples, params, R, n_panels=DEFAULT_QUAD_PANELS):
     n = params.n
     interp = _PerSampleInterp(samples)
-    x_cut = interp.cut_x(R)
+    x_cut, phi_cut = interp.cut_x(R)
     core = _volume_core(interp, params, x_cut, n_panels)
-    phi_cut = float(interp.phi_psi_at(np.array([x_cut]))[0][0])
     ratio = (1.0 + phi_cut * phi_cut) ** (-(n + 1.0) / 2.0)
     return (n + 1.0) * core * ratio
 
@@ -322,4 +341,23 @@ def test_phi_psi_at_matches_separate_lookups(fixture, request):
     phi, psi = interp.phi_psi_at(xq)
     assert np.array_equal(phi, _separate_lookup_hermite(x, xq, interp.phi, interp.psi))
     assert np.array_equal(psi, _separate_lookup_hermite(x, xq, interp.psi, interp.dpsi))
-    assert [interp.phi_at_scalar(float(v)) for v in xq[::97]] == phi[::97].tolist()
+    # cut_x takes phi at the cut from the cut's own segment: the same bits
+    for R in (0.5, 1.0, 2.0):
+        x_cut, phi_cut = interp.cut_x(R)
+        assert phi_cut == interp.phi_psi_at(np.array([x_cut]))[0][0]
+
+
+def test_cut_solves_its_level_equation(table_trajs):
+    # on every table profile at three radii across its span, the cut that
+    # theta_of_radius solves meets 2x + log1p(phi(x)^2) = 2 ln R to within
+    # a few ulp of its largest term (measured: at most 2)
+    for traj in table_trajs.values():
+        interp = _ProfileInterp(to_profile(traj))
+        lo, hi = np.log(interp.r2rho2[[0, -1]]) / 2.0
+        for f in (0.25, 0.5, 0.75):
+            R = math.exp(lo + f * (hi - lo))
+            target = 2.0 * math.log(R)
+            x_cut, phi_cut = interp.cut_x(R)
+            assert interp.x[0] <= x_cut <= interp.x[-1]
+            terms = (2.0 * x_cut, math.log1p(phi_cut * phi_cut), target)
+            assert abs(sum(terms[:2]) - target) <= 4.0 * math.ulp(max(map(abs, terms)))

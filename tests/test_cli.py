@@ -30,7 +30,7 @@ from lo_dynamics.cli import (
     write_csv,
     write_svg,
 )
-from lo_dynamics import crossing_report, detect_psi_zeros
+from lo_dynamics import crossing_report, detect_psi_zeros, shoot_unstable_manifold
 from lo_dynamics.params import LomseParams, StabilityType
 from lo_dynamics.radial import ode1_residual
 from oracles import to_profile_per_sample
@@ -276,12 +276,15 @@ def test_maps_check_reports_condition_b_check(tmp_path, capsys):
     assert payload["max_angle_sum_deviation"] == sum_dev
 
 
-def test_samples_above_the_bound_are_usage_errors(tmp_path, capsys):
-    # checked on the config first: without the bound, maps-check would run
-    # until it is killed
-    RunConfig(sample_count=hopf.MAX_SAMPLE_COUNT).validate()
+def test_samples_above_the_bound_are_usage_errors(tmp_path, capsys, monkeypatch):
+    # checked before the first point: without the bound, maps-check would
+    # run until it is killed
+    params = build_params(3, 2, 2)
+    with monkeypatch.context() as m:  # the bound itself passes, over no point
+        m.setattr(hopf, "random_sphere_points", lambda dim, count, seed: iter(()))
+        assert hopf.condition_b_check(params, hopf.MAX_SAMPLE_COUNT) == (0.0, 0.0)
     with pytest.raises(ValueError, match="sample_count must be at most 10000000"):
-        RunConfig(sample_count=hopf.MAX_SAMPLE_COUNT + 1).validate()
+        hopf.condition_b_check(params, hopf.MAX_SAMPLE_COUNT + 1)
     out = tmp_path / "out"
     assert run(["maps-check", "--samples", "100000000000000000000",
                 "--out-dir", str(out)]) == EXIT_USAGE
@@ -324,11 +327,13 @@ def test_run_config_validation():
     cfg = RunConfig(formats=("bmp",))
     with pytest.raises(ValueError):
         cfg.validate()
-    with pytest.raises(ValueError):
-        RunConfig(rel_tol=0.0).validate()
+    # the shoot settings are checked where they are taken
+    params = build_params(3, 2, 2)
+    with pytest.raises(ValueError, match="rel_tol must be positive and finite"):
+        shoot_unstable_manifold(params, rel_tol=0.0)
     for bad in ("nan", "inf"):
-        with pytest.raises(ValueError):
-            RunConfig(eps_start=float(bad)).validate()
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            shoot_unstable_manifold(params, eps=float(bad))
 
 
 @pytest.mark.parametrize("argv, key", [
@@ -342,6 +347,33 @@ def test_counts_below_one_are_usage_errors(argv, key, tmp_path, capsys):
     out = tmp_path / "out"
     assert run([*argv, "--out-dir", str(out)]) == EXIT_USAGE
     assert f"error: {key} must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    *((["orbit", "3", "2", "2", flag, value], message)
+      for flag, value, message in (
+          ("--conv-tol", "nan", "conv_tol must be positive and finite, got nan"),
+          ("--rel-tol", "0", "rel_tol must be positive and finite, got 0.0"),
+          ("--eps", "inf", "eps must be positive and finite, got inf"),
+          ("--t-max", "inf", "t_max must be positive and finite, got inf"))),
+    (["density", "3", "2", "4", "--t-max", "-1"], "t_max must be positive and finite"),
+])
+def test_bad_shoot_settings_are_usage_errors(argv, message, tmp_path, capsys):
+    # shoot_unstable_manifold checks them before the first step and the
+    # command writes nothing
+    out = tmp_path / "out"
+    assert run([*argv, "--out-dir", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
+def test_an_inadmissible_triple_outranks_a_bad_setting(tmp_path, capsys):
+    # the triple is built before a library function checks the setting
+    out = tmp_path / "out"
+    assert run(["orbit", "4", "2", "2", "--conv-tol", "nan", "--out-dir", str(out)]) \
+        == EXIT_INADMISSIBLE
     assert not out.exists()
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lo_dynamics.hopf import (
+    MAX_SAMPLE_COUNT,
     _POINT_BLOCK,
     condition_b_check,
     hopf_map,
@@ -117,6 +118,17 @@ def test_condition_b_check_small(p322):
     sv_dev, sum_dev = condition_b_check(p322, sample_count=100)
     assert sv_dev < 1e-8
     assert sum_dev < 1e-5
+
+
+@pytest.mark.parametrize("setting, message", [
+    *(({"sample_count": bad}, "sample_count must be at least 1") for bad in (0, -5)),
+    ({"sample_count": MAX_SAMPLE_COUNT + 1}, "sample_count must be at most 10000000"),
+    ({"seed": -1}, "seed must be at least 0"),
+])
+def test_condition_b_check_rejects_a_bad_setting(p322, setting, message):
+    # no point at all reported a perfect deviation of (0.0, 0.0)
+    with pytest.raises(ValueError, match=message):
+        condition_b_check(p322, **setting)
 
 
 def test_condition_b_check_is_the_per_point_maximum(p322):

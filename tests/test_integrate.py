@@ -92,12 +92,28 @@ def test_546_envelope(p546, traj546):
 
 
 def test_eps_nonpositive(p322):
-    with pytest.raises(ValueError, match="eps must be > 0"):
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
         shoot_unstable_manifold(p322, eps=0.0)
-    with pytest.raises(ValueError, match="eps must be > 0"):
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
         shoot_unstable_manifold(p322, eps=-1e-6)
-    with pytest.raises(ValueError, match="eps must be > 0"):
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
         shoot_unstable_manifold(p322, eps=math.nan)
+
+
+@pytest.mark.parametrize("triple", [(3, 2, 2), (3, 2, 4)])
+@pytest.mark.parametrize("setting, message", [
+    *(({"conv_tol": bad}, "conv_tol must be positive and finite")
+      for bad in (math.nan, 0.0, -1.0)),
+    *(({"max_crossings": bad}, "max_crossings must be at least 1") for bad in (0, -3)),
+    ({"eps": math.inf}, "eps must be positive and finite"),
+    ({"t_max": math.inf}, "t_max must be positive and finite"),
+])
+def test_shoot_rejects_a_bad_setting(triple, setting, message):
+    # checked whichever type drops the setting; a type-I run at conv_tol nan
+    # integrated to t_max and ended max_time, and a spiral run at
+    # max_crossings 0 ended max_crossings after one step
+    with pytest.raises(ValueError, match=message):
+        shoot_unstable_manifold(build_params(*triple), **setting)
 
 
 @pytest.mark.parametrize("triple", [(3, 2, 2), (3, 2, 4)])
