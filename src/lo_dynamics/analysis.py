@@ -13,7 +13,8 @@ submanifolds, and its limit is the cone density Theta_inf.
 theta_of_radius uses composite Simpson quadrature in x = log r with
 the integrand factored as g(x) e^{(n+1)x}; the exponential is scaled out
 analytically so that profiles spanning hundreds of e-folds stay in
-floating range.
+floating range.  (phi, psi) come from integrate._dense, the one Hermite
+reader; the cut and gap_logs find their segments with integrate._segments.
 
 The certificate Theta_i < Theta_inf at the slope crossings does not form
 Theta_i: after the first crossings the gap lies far below one ulp of
@@ -42,7 +43,7 @@ import numpy as np
 from .dynsys import linearize_p1, p1_quadratic_bound, spiral_flow_growth
 from .errors import IntegrationFailure, NotApplicable
 from .geometry import volume_ratio
-from .integrate import Trajectory, _bisect, _hermite, detect_phi_hits
+from .integrate import Trajectory, _bisect, _dense, _hermite, _segments, detect_phi_hits
 from .params import LomseParams, StabilityType
 from .radial import Profile, rescale_profile, to_profile
 
@@ -87,32 +88,28 @@ class _ProfileInterp:
     """Cubic Hermite interpolant of (phi, psi) in x = log r built from
     profile samples; phi and psi vary slowly in x, so interpolating them
     (rather than rho, which grows like e^x) keeps the relative error tied
-    to the step size and not to the radial growth."""
+    to the step size and not to the radial growth.  Steps below an ulp of
+    r = e^t repeat a radius; the first sample of each run of equal radii
+    is kept."""
 
     def __init__(self, profile: Profile):
-        if len(profile) < 2:
+        dr = np.diff(profile.r)
+        if not np.all(dr >= 0.0):  # NaN fails too
+            raise ValueError("profile radii must not decrease")
+        keep = slice(None) if np.all(dr > 0.0) else np.insert(dr > 0.0, 0, True)
+        r, rho, rho_r, rho_rr = (col[keep] for col in (profile.r, profile.rho,
+                                                      profile.rho_r, profile.rho_rr))
+        if len(r) < 2:
             raise ValueError("need at least 2 profile samples")
-        r, rho = profile.r, profile.rho
-        if not np.all(np.diff(r) > 0.0):
-            raise ValueError("profile radii must be strictly increasing")
         self.x = np.log(r)
         self.phi = rho / r
-        self.psi = profile.rho_r - self.phi
+        self.psi = rho_r - self.phi
         # d(psi)/dx = r rho_rr - psi
-        self.dpsi = r * profile.rho_rr - self.psi
+        self.dpsi = r * rho_rr - self.psi
         rr = r * r + rho * rho
         if not np.all(np.diff(rr) > 0.0):
             raise IntegrationFailure("r^2 + rho^2 is not strictly increasing along the profile")
         self.r2rho2 = rr
-
-    def phi_psi_at(self, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """phi and psi at the points xq, each point located once."""
-        i = np.clip(np.searchsorted(self.x, xq, side="right") - 1, 0, len(self.x) - 2)
-        x0, x1 = self.x[i], self.x[i + 1]
-        phi = _hermite(xq, x0, x1, self.phi[i], self.phi[i + 1], self.psi[i], self.psi[i + 1])
-        psi = _hermite(xq, x0, x1, self.psi[i], self.psi[i + 1],
-                       self.dpsi[i], self.dpsi[i + 1])
-        return phi, psi
 
     def cut_x(self, R: float) -> tuple[float, float]:
         """x with r^2 + rho(r)^2 = R^2, and phi there: the samples of
@@ -128,7 +125,7 @@ class _ProfileInterp:
                 f"R={R} outside profile span [{math.sqrt(self.r2rho2[0])}, "
                 f"{math.sqrt(self.r2rho2[-1])}]"
             )
-        i = min(max(int(levels.searchsorted(target, side="right")) - 1, 0), len(levels) - 2)
+        i = int(_segments(levels, target))
         seg = [float(v[j]) for v in (self.x, self.phi, self.psi) for j in (i, i + 1)]
 
         def g(x: float) -> float:
@@ -154,7 +151,7 @@ def _volume_core(interp: _ProfileInterp, params: LomseParams, x_cut: float,
         raise ValueError("cut radius below the first profile sample")
 
     def g_of(xq: np.ndarray) -> np.ndarray:
-        phi, psi = interp.phi_psi_at(xq)
+        phi, psi = _dense(interp.x, xq, (interp.phi, interp.psi), (interp.psi, interp.dpsi))
         rho_r = phi + psi
         return np.sqrt(1.0 + rho_r * rho_r) * (1.0 + lam2 * phi * phi) ** (p / 2.0)
 
@@ -289,7 +286,7 @@ def gap_logs(traj: Trajectory, t_cuts) -> tuple[np.ndarray, np.ndarray]:
             i = np.arange(lo, min(lo + _CHUNK, n_seg))
             seg[i], err[i] = _segment_logs(traj, i, 0.0)
         seg[-1], err[-1] = _tail_logs(traj)
-        j = np.clip(np.searchsorted(traj.t, t_cuts, side="right") - 1, 0, n_seg - 1)
+        j = _segments(traj.t, t_cuts)
         start = (t_cuts - traj.t[j]) / (traj.t[j + 1] - traj.t[j])
         part, part_err = _segment_logs(traj, j, start)
     # suffix[j] sums the segments from j on and the tail

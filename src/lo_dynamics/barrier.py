@@ -102,6 +102,8 @@ def _slope_margin(params: LomseParams, c: float, lift: float, grid_points: int,
     """Minimum of h'(phi) - (X2/X1)(phi, h(phi)) over phi = phi0 i/(grid_points + 1),
     i = 1..grid_points, for the barrier curve h of (c, lift); refused, naming
     what, if it leaves the float range or any grid point is nan."""
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be at least 1, got {grid_points}")
     phi0 = params.phi0
     margin = math.inf
     try:
@@ -175,8 +177,6 @@ def case1_check(params: LomseParams, c: float | None = None,
                 grid_points: int = DEFAULT_GRID_POINTS) -> BarrierCase1Report:
     """Closed-form certificate plus the raw slope inequality on a phi grid."""
     _require(params, StabilityType.CENTER_TYPE_I)
-    if grid_points < 1:
-        raise ValueError(f"grid_points must be at least 1, got {grid_points}")
     if c is None:
         c = default_c(params)
     if not 0.0 < c <= 1.0:
@@ -250,8 +250,6 @@ def case2_check(params: LomseParams,
     if params.n - params.p != 1:
         raise ValueError(f"step-1 certificate requires n - p = 1, got "
                          f"({params.n},{params.p})")
-    if grid_points < 1:
-        raise ValueError(f"grid_points must be at least 1, got {grid_points}")
     what = f"({params.n},{params.p},{params.k})"
     margin = _slope_margin(params, 0.5, 0.2, grid_points, what)  # (2 f1 + 1/5) phi
     cycle_margin = no_limit_cycle_check(params, grid=cycle_grid)

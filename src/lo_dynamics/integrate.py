@@ -36,8 +36,10 @@ bounded (1.435 for (3,2,k)); the floor follows the saddle's time scale 1/(k-1).
 Trajectory.stats records the accepted and rejected DP5 steps, the field
 evaluations (1 + 6 per attempt), the smallest and largest accepted step
 and the number of closed-form tail samples.
-Dense output is cubic Hermite on (state, derivative) at step endpoints;
-events are refined by bisection on the interpolant to 1e-12 in t.
+Dense output is cubic Hermite on (value, slope) at the samples, read by
+one evaluator, _dense, which locates each point once (_segments) for all
+its column pairs; events are refined by bisection on the interpolant of
+the segment that holds them, to 1e-12 in t.
 The tests check this path against a classical fixed-step RK4 in plain
 (phi, psi) coordinates (tests/oracles.py), which shares no code with it.
 """
@@ -103,6 +105,21 @@ def _hermite(t, t0, t1, y0, y1, m0, m1):
         + (-2.0 * s3 + 3.0 * s2) * y1
         + (s3 - s2) * h * m1
     )
+
+
+def _segments(knots: np.ndarray, q):
+    """Index i of the segment [knots[i], knots[i + 1]] that holds each point
+    of q: the last knot falls in the last segment, and points outside the
+    span in the end segments."""
+    return np.clip(np.searchsorted(knots, q, side="right") - 1, 0, len(knots) - 2)
+
+
+def _dense(knots: np.ndarray, q, *pairs) -> tuple:
+    """The cubic Hermite value at q of each (values, slopes) column pair on
+    knots, each point of q located once for all pairs."""
+    i = _segments(knots, q)
+    t0, t1 = knots[i], knots[i + 1]
+    return tuple(_hermite(q, t0, t1, y[i], y[i + 1], m[i], m[i + 1]) for y, m in pairs)
 
 
 def _strict_sign_change(v: np.ndarray) -> np.ndarray:
@@ -182,8 +199,8 @@ class Trajectory:
     """Dense, ordered output of one integration run.
 
     Stores (t_i, u_i, psi_i) at every accepted step together with the psi
-    derivative, which makes a cubic Hermite interpolant available on every
-    segment.  phi values are reconstructed as phi0 + u; the offsets keep
+    derivative, so _dense reads (u, psi) with slopes (psi, dpsi) between
+    samples.  phi values are reconstructed as phi0 + u; the offsets keep
     full relative precision long after phi0 + u rounds to phi0.
     Completed trajectories are immutable.  `stats` counts the steps taken;
     `rejected` is the number of rejected step attempts that led to them and
@@ -229,25 +246,6 @@ class Trajectory:
     @property
     def t_end(self) -> float:
         return float(self.t[-1])
-
-    def _segment(self, t: float) -> int:
-        if not self.t[0] <= t <= self.t[-1]:
-            raise ValueError(f"t={t} outside trajectory span [{self.t[0]}, {self.t[-1]}]")
-        i = int(np.searchsorted(self.t, t, side="right")) - 1
-        return min(max(i, 0), len(self.t) - 2)
-
-    def u_at(self, t: float) -> float:
-        i = self._segment(t)
-        return _hermite(t, self.t[i], self.t[i + 1], self.u[i], self.u[i + 1],
-                        self.psi[i], self.psi[i + 1])
-
-    def psi_at(self, t: float) -> float:
-        i = self._segment(t)
-        return _hermite(t, self.t[i], self.t[i + 1], self.psi[i], self.psi[i + 1],
-                        self.dpsi[i], self.dpsi[i + 1])
-
-    def phi_at(self, t: float) -> float:
-        return self.params.phi0 + self.u_at(t)
 
 
 def splice_amplitude(params: LomseParams, rel_tol: float) -> float:
@@ -532,8 +530,6 @@ def _level_crossings(t, y, m, level: float):
 
 def detect_psi_zeros(traj: Trajectory) -> list[PsiZero]:
     """Refine every sign change of psi on the dense output; increasing t."""
-    if len(traj) < 2:
-        raise ValueError("need at least 2 trajectory states")
     t, u, psi = traj.t, traj.u, traj.psi
     zeros: list[PsiZero] = []
     for i, tz in _level_crossings(t, psi, traj.dpsi, 0.0):
@@ -553,8 +549,6 @@ def detect_phi_hits(traj: Trajectory, target: float) -> list[PhiHit]:
     """
     if not 0.0 < target < math.inf:  # NaN fails too
         raise ValueError(f"target must be positive and finite, got {target}")
-    if len(traj) < 2:
-        return []
     u_target = target - traj.params.phi0
     on_target = traj.u - u_target == 0.0
     on_target[1:] &= ~on_target[:-1]  # the first sample of each run on it

@@ -15,7 +15,7 @@ from lo_dynamics.dynsys import f1, f1_prime, f2, f2_prime, vector_field_xy
 from lo_dynamics.errors import IntegrationFailure
 from lo_dynamics.geometry import volume_ratio
 from lo_dynamics.hopf import DEFAULT_FD_STEP, angle_sum, hopf_map, numeric_singular_values
-from lo_dynamics.integrate import _BLOWUP_FACTOR, DEFAULT_REL_TOL, Trajectory, _advance
+from lo_dynamics.integrate import _BLOWUP_FACTOR, DEFAULT_REL_TOL, Trajectory, _advance, _dense
 from lo_dynamics.params import LomseParams
 from lo_dynamics.radial import Profile
 
@@ -79,6 +79,15 @@ def advance_from(params: LomseParams, state0: PhaseState, t_end: float) -> Traje
     ts, us, psis, dpsis, reason, rejected, _ = _advance(
         params, state0.t, state0.phi - params.phi0, state0.psi, t_end, DEFAULT_REL_TOL)
     return Trajectory(params, ts, us, psis, dpsis, None, DEFAULT_REL_TOL, reason, rejected)
+
+
+def orbit_at(traj: Trajectory, t: float) -> PhaseState:
+    """(phi, psi) of traj at t in its span, read through the package's dense
+    output (integrate._dense), so the tests check the reader the package uses."""
+    if not traj.t[0] <= t <= traj.t[-1]:
+        raise ValueError(f"t={t} outside trajectory span [{traj.t[0]}, {traj.t[-1]}]")
+    u, psi = _dense(traj.t, t, (traj.u, traj.psi), (traj.psi, traj.dpsi))
+    return PhaseState(float(traj.params.phi0 + u), float(psi), t)
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,13 @@ from lo_dynamics.analysis import (
 )
 from lo_dynamics.errors import NotApplicable
 from lo_dynamics.geometry import volume_ratio
+from lo_dynamics.integrate import _dense
 from lo_dynamics.radial import Profile, to_profile
 from oracles import (
     ProfileSample,
     ball_volume,
     cone_profile,
+    orbit_at,
     sphere_volume,
     to_profile_per_sample,
 )
@@ -105,6 +107,29 @@ def test_volume_core_needs_a_panel(p322, cone322, traj324, n_panels):
         theta_of_radius(cone322, p322, 2.0, n_panels=n_panels)
     with pytest.raises(ValueError, match="n_panels must be at least 1"):
         density_report(traj324, n_panels=n_panels)
+
+
+def test_repeated_radii_keep_the_first_sample(p322, cone322):
+    # DP5 steps below an ulp of r = e^t repeat a radius (density 5 4 1e9);
+    # the interpolant keeps the first sample of each run, so Theta(R) is
+    # that of the profile without the repeats, whatever the repeats hold
+    i = [11, 2001, 2001]  # one repeat of r[10] and two of r[2000]
+    repeated = Profile(r=np.insert(cone322.r, i, cone322.r[[10, 2000, 2000]]),
+                       rho=np.insert(cone322.rho, i, 7.0),
+                       rho_r=np.insert(cone322.rho_r, i, -7.0),
+                       rho_rr=np.insert(cone322.rho_rr, i, 7.0))
+    assert len(repeated) == len(cone322) + 3
+    for R in (0.5, 2.0, 11.0):
+        assert theta_of_radius(repeated, p322, R) == theta_of_radius(cone322, p322, R)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.5])
+def test_profile_radii_must_not_decrease(p322, cone322, bad):
+    r = cone322.r.copy()
+    r[100] = bad  # 0.5 lies below r[99] and above r[101]
+    profile = Profile(r=r, rho=cone322.rho, rho_r=cone322.rho_r, rho_rr=cone322.rho_rr)
+    with pytest.raises(ValueError, match="profile radii must not decrease"):
+        theta_of_radius(profile, p322, 2.0)
 
 
 def test_theta_infinity_identity():
@@ -203,7 +228,7 @@ def test_dilations_reproduce_boundary_data(p324, traj324):
     phi_b = p324.phi0
     for hit in detect_phi_hits(traj324, phi_b):
         t = math.log(hit.dilation)
-        rho_over_d = traj324.phi_at(t)  # rho(d)/d = phi(log d)
+        rho_over_d = orbit_at(traj324, t).phi  # rho(d)/d = phi(log d)
         assert abs(rho_over_d - phi_b) < 1e-9
 
 
@@ -236,7 +261,7 @@ class _PerSampleInterp(_ProfileInterp):
         target = 2.0 * math.log(R)
 
         def phi(x):
-            return float(self.phi_psi_at(np.array([x]))[0][0])
+            return float(_dense(self.x, np.array([x]), (self.phi, self.psi))[0][0])
 
         def g(x):
             return 2.0 * x + math.log1p(phi(x) ** 2) - target
@@ -333,18 +358,18 @@ def _separate_lookup_hermite(x, xq, y, m):
 
 
 @pytest.mark.parametrize("fixture", ["traj322", "traj324"])
-def test_phi_psi_at_matches_separate_lookups(fixture, request):
+def test_dense_matches_separate_lookups(fixture, request):
     interp = _ProfileInterp(to_profile(request.getfixturevalue(fixture)))
     x = interp.x
     xq = np.concatenate([np.linspace(x[0], x[-1], DEFAULT_QUAD_PANELS + 1),
                          [x[0] - 1.0, x[-1] + 1.0]])
-    phi, psi = interp.phi_psi_at(xq)
+    phi, psi = _dense(x, xq, (interp.phi, interp.psi), (interp.psi, interp.dpsi))
     assert np.array_equal(phi, _separate_lookup_hermite(x, xq, interp.phi, interp.psi))
     assert np.array_equal(psi, _separate_lookup_hermite(x, xq, interp.psi, interp.dpsi))
     # cut_x takes phi at the cut from the cut's own segment: the same bits
     for R in (0.5, 1.0, 2.0):
         x_cut, phi_cut = interp.cut_x(R)
-        assert phi_cut == interp.phi_psi_at(np.array([x_cut]))[0][0]
+        assert phi_cut == _dense(x, np.array([x_cut]), (interp.phi, interp.psi))[0][0]
 
 
 def test_cut_solves_its_level_equation(table_trajs):

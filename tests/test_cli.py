@@ -451,10 +451,9 @@ def _off_table(k):
 _TABLE = [p.triple() for p in enumerate_admissible(31, 20)]
 _TRIPLES = st.one_of(st.sampled_from(_TABLE), _off_table(st.integers(2, 20)))
 # k = 10^e up to 10^400, on and off the table: from k ~ 1e154 on,
-# k(k+n-1)/p leaves the float range.  Only for the commands that shoot no
-# orbit: orbits shoot up to k = 1e9 (test_first_zero_converges_in_k), but
-# at --rel-tol 1e-12 one such run takes seconds (8.6 s for (31,30,1e9) on
-# a 2-core VM), beyond this fuzz's budget
+# k(k+n-1)/p leaves the float range.  For the commands that shoot no
+# orbit; orbit and density draw k up to 1e9, where bounded orbits still
+# shoot, in test_huge_k_shoots_exit_with_a_documented_code
 _HUGE_K = st.integers(2, 400).map(lambda e: 10 ** e)
 _HUGE_TRIPLES = st.one_of(
     st.tuples(st.sampled_from(sorted({t[:2] for t in _TABLE})), _HUGE_K).map(
@@ -637,6 +636,45 @@ def test_radii_sweep_prints_finite_densities(tmp_path_factory, triple, radii):
         assert code == EXIT_USAGE
         assert "error: radii" in err.getvalue()
         assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("e", range(2, 10))
+@pytest.mark.parametrize("pair", [(3, 2), (5, 4)])
+def test_bounded_orbits_shoot_at_huge_k(tmp_path, pair, e):
+    # at default settings orbit shoots and density reports (exit 5 only on
+    # an unresolved gap); density 5 4 1e9 exited 2 on the repeated radii of
+    # steps below an ulp of r = e^t
+    triple = [*map(str, pair), str(10 ** e)]
+    assert run(["orbit", *triple, "--out-dir", str(tmp_path / "orbit")]) == EXIT_OK
+    assert run(["density", *triple, "--out-dir", str(tmp_path / "density")]) in (
+        EXIT_OK, EXIT_BARRIER_FAILURE)
+
+
+# k = 10^e up to 10^9, where bounded orbits shoot (test_first_zero_converges_in_k),
+# at rel_tol >= 1e-10: at the default 1e-10 each such shoot took 0.01-0.06 s
+# on a 2-core VM, while at 1e-12 one can take seconds (8.6 s for (31,30,1e9))
+_SHOOTABLE_K = st.integers(2, 9).map(lambda e: 10 ** e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["orbit", "density"]),
+       triple=st.one_of(st.tuples(st.sampled_from(sorted({t[:2] for t in _TABLE})),
+                                  _SHOOTABLE_K).map(lambda t: (*t[0], t[1])),
+                        _off_table(_SHOOTABLE_K)),
+       rel_tol=_log_uniform(-10.0, -3.0),
+       eps=_log_uniform(-12.0, 3.0),
+       t_max=_log_uniform(-2.0, 2.6),
+       radii=st.one_of(st.none(), _RADII))
+def test_huge_k_shoots_exit_with_a_documented_code(tmp_path_factory, command, triple, rel_tol,
+                                                   eps, t_max, radii):
+    out = tmp_path_factory.mktemp(command)
+    extra = [f"--radii={radii}"] if command == "density" and radii is not None else []
+    stdout, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        code = run([command, *map(str, triple), "--allow-inadmissible",
+                    "--rel-tol", repr(rel_tol), "--eps", repr(eps), "--t-max", repr(t_max),
+                    *extra, "--out-dir", str(out)])
+    _assert_documented(code, stdout.getvalue(), err.getvalue(), out)
 
 
 def test_write_csv_matches_csv_writer(tmp_path):

@@ -18,8 +18,8 @@ from lo_dynamics import (
 from lo_dynamics.barrier import barrier_h, default_c
 from lo_dynamics.dynsys import linearize_p1, offset_field
 from lo_dynamics.errors import IntegrationFailure
-from lo_dynamics.integrate import DEFAULT_MAX_CROSSINGS, _bisect
-from oracles import PhaseState, advance_from, reference_integrate
+from lo_dynamics.integrate import DEFAULT_MAX_CROSSINGS, _bisect, _dense, _segments
+from oracles import PhaseState, advance_from, orbit_at, reference_integrate
 
 
 def test_type1_converges(p322, traj322):
@@ -203,9 +203,9 @@ def test_reference_integrate_convergence_order(p322):
 def test_adaptive_matches_rk4(p324):
     s0 = PhaseState(0.1, 0.05, 0.0)
     ref = reference_integrate(p324, s0, 3.0, h=2e-5)
-    traj = advance_from(p324, s0, 3.0)
-    assert abs(traj.phi_at(3.0) - ref.phi) < 1e-8
-    assert abs(traj.psi_at(3.0) - ref.psi) < 1e-8
+    state = orbit_at(advance_from(p324, s0, 3.0), 3.0)
+    assert abs(state.phi - ref.phi) < 1e-8
+    assert abs(state.psi - ref.psi) < 1e-8
 
 
 def test_type1_orbit_inside_barrier_region(p322, traj322):
@@ -250,9 +250,9 @@ def test_eps_halving_stability(p324, traj324):
 
 def test_interpolation_matches_samples(traj322):
     for i in [0, len(traj322) // 2, len(traj322) - 1]:
-        t = traj322.t[i]
-        assert traj322.phi_at(t) == pytest.approx(traj322.phi[i], abs=1e-14)
-        assert traj322.psi_at(t) == pytest.approx(traj322.psi[i], abs=1e-14)
+        state = orbit_at(traj322, float(traj322.t[i]))
+        assert state.phi == pytest.approx(traj322.phi[i], abs=1e-14)
+        assert state.psi == pytest.approx(traj322.psi[i], abs=1e-14)
 
 
 def test_trajectory_arrays_immutable(traj322):
@@ -396,7 +396,7 @@ def test_nonfinite_stage_is_rejected(monkeypatch, p322, stage, bad):
 
 
 def _loop_phi_hits(traj, target):
-    """Sample-by-sample scan through the public interpolant: the reference."""
+    """Sample-by-sample scan through the package's dense output: the reference."""
     u_target = target - traj.params.phi0
     g = traj.u - u_target
     t = traj.t
@@ -406,7 +406,7 @@ def _loop_phi_hits(traj, target):
             if i == 0 or g[i - 1] != 0.0:
                 hits.append(PhiHit(t=float(t[i]), dilation=math.exp(t[i])))
         elif g[i] < 0.0 < g[i + 1] or g[i + 1] < 0.0 < g[i]:
-            tz = float(_bisect(lambda s: traj.u_at(s) - u_target,
+            tz = float(_bisect(lambda s: _dense(t, s, (traj.u, traj.psi))[0] - u_target,
                                t[i], t[i + 1], g[i], g[i + 1]))
             hits.append(PhiHit(t=tz, dilation=math.exp(tz)))
     if len(t) >= 2 and g[-1] == 0.0 and g[-2] != 0.0:
@@ -419,8 +419,9 @@ def _loop_psi_zeros(traj):
     psi, t = traj.psi, traj.t
     for i in range(len(t) - 1):
         if psi[i] < 0.0 < psi[i + 1] or psi[i + 1] < 0.0 < psi[i]:
-            tz = float(_bisect(traj.psi_at, t[i], t[i + 1], psi[i], psi[i + 1]))
-            offset = float(traj.u_at(tz))
+            tz = float(_bisect(lambda s: _dense(t, s, (psi, traj.dpsi))[0],
+                               t[i], t[i + 1], psi[i], psi[i + 1]))
+            offset = float(_dense(t, tz, (traj.u, psi))[0])
             zeros.append(PsiZero(t=tz, phi=traj.params.phi0 + offset, phi_offset=offset,
                                  direction=-1 if psi[i] > 0.0 else 1))
     return zeros
@@ -433,6 +434,19 @@ def test_event_scans_match_sample_loop(request, fixture):
     assert detect_psi_zeros(traj) == _loop_psi_zeros(traj)
     for target in (phi0, 0.5 * phi0, 0.999 * phi0):
         assert detect_phi_hits(traj, target) == _loop_phi_hits(traj, target)
+
+
+def test_segments_match_a_per_point_lookup(traj324):
+    # the last knot falls in the last segment, points outside the span in
+    # the end segments
+    t = traj324.t
+    mids = 0.5 * (t[:-1] + t[1:])
+    q = np.concatenate([t, mids, [t[0] - 1.0, t[-1] + 1.0, -np.inf, np.inf]])
+    expected = [min(max(int(np.searchsorted(t, v, side="right")) - 1, 0), len(t) - 2)
+                for v in q.tolist()]
+    assert _segments(t, q).tolist() == expected
+    assert expected[len(t) - 1] == len(t) - 2 and expected[-4:] == [0, len(t) - 2] * 2
+    assert [int(_segments(t, v)) for v in q[:5].tolist()] == expected[:5]
 
 
 def _hand_built(params, t, u, psi):
@@ -457,8 +471,16 @@ def test_phi_hits_exact_zero_samples(p322):
 def test_phi_hits_exact_zero_first_sample(p322):
     traj = _hand_built(p322, [0.5, 1.0, 1.5], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0])
     assert detect_phi_hits(traj, p322.phi0) == [PhiHit(t=0.5, dilation=math.exp(0.5))]
-    single = _hand_built(p322, [0.5], [0.0], [0.0])
-    assert detect_phi_hits(single, p322.phi0) == []
+
+
+@pytest.mark.parametrize("u", [0.0, -1e-300, 0.25])
+def test_one_state_trajectory_events(p322, u):
+    # one rule for both event kinds: a lone state has no segment, so no sign
+    # change; it is a phi hit exactly when it lies on the target
+    single = _hand_built(p322, [0.5], [u], [1.0])
+    assert detect_psi_zeros(single) == []
+    expected = [PhiHit(t=0.5, dilation=math.exp(0.5))] if u == 0.0 else []
+    assert detect_phi_hits(single, p322.phi0) == expected
 
 
 def test_sign_changes_below_product_underflow(p322):
