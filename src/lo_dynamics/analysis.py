@@ -10,7 +10,8 @@ radius R is
 
 nondecreasing in R by the monotonicity of density for minimal
 submanifolds, and its limit is the cone density Theta_inf.
-theta_of_radius uses composite Simpson quadrature in x = log r with
+thetas_of_radii (theta_of_radius for one R) uses composite Simpson
+quadrature in x = log r, on one interpolant of the profile, with
 the integrand factored as g(x) e^{(n+1)x}; the exponential is scaled out
 analytically so that profiles spanning hundreds of e-folds stay in
 floating range.  (phi, psi) come from integrate._dense, the one Hermite
@@ -26,11 +27,12 @@ Theta_inf.  It integrates the gap itself, from the monotonicity identity
 
 whose integrand is positive off the cone, so every gap is positive and
 the gaps decrease by construction.  gap_logs integrates it once over the
-trajectory's Hermite segments and keeps logarithms, since psi^2
-underflows below amplitudes of about 1e-162; the part past the last
-sample comes in closed form from the linearization at P1.  One Simpson
-Theta_1 on the first rescaled profile is reported beside the gaps as the
-independent route.
+trajectory's DP5 Hermite segments and keeps logarithms, since psi^2
+underflows below amplitudes of about 1e-162; from the splice state on,
+where the orbit is the linear flow at P1, each gap comes in closed form
+from that flow's state at the cut, with the error the flow carries from
+the splice state in its bar.  One Simpson Theta_1 on the first rescaled
+profile is reported beside the gaps as the independent route.
 """
 
 from __future__ import annotations
@@ -43,7 +45,15 @@ import numpy as np
 from .dynsys import linearize_p1, p1_quadratic_bound, spiral_flow_growth
 from .errors import IntegrationFailure, NotApplicable
 from .geometry import volume_ratio
-from .integrate import Trajectory, _bisect, _dense, _hermite, _segments, detect_phi_hits
+from .integrate import (
+    Trajectory,
+    _bisect,
+    _dense,
+    _hermite,
+    _linear_flow,
+    _segments,
+    detect_phi_hits,
+)
 from .params import LomseParams, StabilityType
 from .radial import Profile, rescale_profile, to_profile
 
@@ -69,9 +79,13 @@ class DensityReport:
 
     log10_gaps[i] is log10(Theta_inf - Theta_i) and log10_gap_errors[i] the
     log10 of its error bar; thetas[i] = Theta_inf - gap_i, which rounds to
-    Theta_inf once the gap falls below an ulp of it.  strictly_below_cone
-    is True when every gap exceeds its error bar, False when a gap is not
-    positive, and None (unresolved) otherwise.
+    Theta_inf once the gap falls below an ulp of it.  The bar covers the
+    quadrature on the DP5 segments before the splice and the closed-form
+    bound past it (gap_logs).  It leaves out the DP5 path's own error: cut
+    at each orbit's own crossing, gap 1 of (3,2,4) differs from a fine RK4
+    re-integration, and from mpmath, by 3.6e-8 relative.
+    strictly_below_cone is True when every gap exceeds its error bar,
+    False when a gap is not positive, and None (unresolved) otherwise.
     """
 
     params: LomseParams
@@ -174,14 +188,23 @@ def _volume_core(interp: _ProfileInterp, params: LomseParams, x_cut: float,
 def theta_of_radius(profile: Profile, params: LomseParams, R: float,
                     n_panels: int = DEFAULT_QUAD_PANELS) -> float:
     """Density Theta(R); evaluated in scaled form, stable for any span."""
+    return thetas_of_radii(profile, params, [R], n_panels)[0]
+
+
+def thetas_of_radii(profile: Profile, params: LomseParams, radii,
+                    n_panels: int = DEFAULT_QUAD_PANELS) -> list[float]:
+    """Theta(R) at each of the radii, from one interpolant of the profile."""
     n = params.n
     interp = _ProfileInterp(profile)
-    x_cut, phi_cut = interp.cut_x(R)
-    core = _volume_core(interp, params, x_cut, n_panels)
-    # (r_cut / R)^{n+1} = (1 + phi(x_cut)^2)^{-(n+1)/2}
-    ratio = (1.0 + phi_cut * phi_cut) ** (-(n + 1.0) / 2.0)
-    # |S^n| / omega_{n+1} = n + 1
-    return (n + 1.0) * core * ratio
+    thetas = []
+    for R in radii:
+        x_cut, phi_cut = interp.cut_x(R)
+        core = _volume_core(interp, params, x_cut, n_panels)
+        # (r_cut / R)^{n+1} = (1 + phi(x_cut)^2)^{-(n+1)/2}
+        ratio = (1.0 + phi_cut * phi_cut) ** (-(n + 1.0) / 2.0)
+        # |S^n| / omega_{n+1} = n + 1
+        thetas.append((n + 1.0) * core * ratio)
+    return thetas
 
 
 def theta_infinity(params: LomseParams) -> float:
@@ -220,43 +243,73 @@ def _segment_logs(traj: Trajectory, i: np.ndarray, start) -> tuple[np.ndarray, n
     return log_len + np.log(s5), log_len + np.log(np.abs(s5 - s3))
 
 
-def _tail_logs(traj: Trajectory) -> tuple[float, float]:
-    """ln of the gap integrand's integral past t_end, from the linear flow
-    at P1, and ln of a bound on its error.
+def _tail_logs(params: LomseParams, u, psi, splice=None):
+    """ln of the gap integrand's integral along the orbit from each state
+    (u, psi) on, from the linear flow at P1, and ln of a bound on its error.
 
     With J = [[0, 1], [a, b]] Hurwitz, P = diag(a/(2b), -1/(2b)) solves
-    J^T P + P J = -diag(0, 1), so the linear flow exp(J tau) x* has
-    integral of psi^2 = x*^T P x* = (|a| u*^2 + psi*^2) / (2|b|); the
+    J^T P + P J = -diag(0, 1), so the linear flow exp(J tau) x has
+    integral of psi^2 = Q(x) = x^T P x = (|a| u^2 + psi^2) / (2|b|); the
     other factors of the integrand are taken at P1.  Along the true flow
-    the same P gives integral of psi^2 = x*^T P x* + integral of 2 psi
-    r / (2|b|), with r the field's quadratic remainder, |r| <= c2 |x|^2.
-    On a spiral P1, |x| <= G e^{alpha tau} |x*| (spiral_flow_growth), so
-    the relative error is at most 2 c2 G^3 |x*| / (3 |alpha| min(|a|, 1)),
-    and the other factors add at most L G |x*| with L the sum of the
-    absolute derivatives of their logarithm at P1.  The bound doubles
-    the sum of both to cover the higher-order terms, as splice_amplitude
-    does; it is the tail itself on a real-eigenvalue P1.
+    the same P gives integral of psi^2 = Q(x) + integral of 2 psi r /
+    (2|b|), with r the field's quadratic remainder, |r| <= c2 |x|^2.  On a
+    spiral P1, |exp(J tau) x| <= G e^{alpha tau} |x| (spiral_flow_growth),
+    so the relative error is at most 2 c2 G^3 |x| / (3 |alpha| min(|a|, 1)), and
+    the other factors add at most L G |x| with L the sum of the absolute
+    derivatives of their logarithm at P1.  The bound doubles the sum of
+    both to cover the higher-order terms, as splice_amplitude does; it is
+    the tail itself on a real-eigenvalue P1.
+
+    splice, the state x* = (u*, psi*) when each x is exp(J tau) x* and not
+    a state of the orbit, adds the error that x inherits from x*.  With
+    mu = alpha + i omega, v = (1, mu) and w = (mu - b, 1) / (2 i omega) are
+    right and left eigenvectors of J with w^T v = 1 and w^T conj(v) = 0, so
+    every real x = 2 Re(z v) with z = w^T x, and |x| <= 2 V |z| for
+    V = max(1, |mu|).  The linear flow has z = e^{mu tau} z*; the true flow
+    has z' = mu z + w_2 r, |w_2| = 1/(2 omega), |r| <= 4 c2 V^2 |z|^2.  With
+    C = 2 c2 V^2 / omega and eta = C |z*| / |alpha| < 1 this gives |z| <=
+    e^{alpha tau} |z*| / (1 - eta), and the integral of |e^{-mu s} w_2 r|
+    ds <= C |z*|^2 / (1 - eta)^2 times the integral of e^{alpha s} ds, so
+    |e^{-mu tau} z - z*| <= eta |z*| / (1 - eta)^2: the true state at tau
+    is x + d with |d| <= D = 2 V eta |w^T x| / (1 - eta)^2.  Then
+    |Q(x + d) - Q(x)| <= 2 |P x|_1 D + (|a| + 1) D^2 / (2|b|), which is
+    taken relative to Q(x) at each x and doubled, as above.  The error
+    bound at x alone, which scales with |x| << |x*|, does not cover it.
     """
-    params = traj.params
     n, p, phi0 = params.n, params.p, params.phi0
     lam2 = params.lambda_sq
     lin = linearize_p1(params)
-    u0, psi0 = float(traj.u[-1]), float(traj.psi[-1])
-    amp = max(abs(u0), abs(psi0))
-    if amp == 0.0:
-        return -math.inf, -math.inf
+    u, psi = np.asarray(u, dtype=float), np.asarray(psi, dtype=float)
+    amp = np.maximum(np.abs(u), np.abs(psi))
+    scale = np.where(amp > 0.0, amp, 1.0)
+    u1, psi1 = u / scale, psi / scale  # the direction of x, in the max-norm
+    abs_a, abs_b = abs(lin.a), abs(lin.b)
+    q1 = abs_a * u1 * u1 + psi1 * psi1  # 2|b| Q(x) / amp^2
     log_g = (p / 2.0) * math.log1p(lam2 * phi0 * phi0) - (n + 4.0) / 2.0 * math.log1p(phi0 * phi0)
-    psi_sq = (abs(lin.a) * (u0 / amp) ** 2 + (psi0 / amp) ** 2) / (2.0 * abs(lin.b))
-    log_tail = 2.0 * math.log(amp) + math.log(psi_sq) + log_g
+    with np.errstate(divide="ignore"):
+        log_tail = np.where(amp > 0.0, 2.0 * np.log(scale) + np.log(q1 / (2.0 * abs_b)) + log_g,
+                            -math.inf)
     if params.stability is not StabilityType.SPIRAL_TYPE_II:
         return log_tail, log_tail
-    alpha = lin.mu3.real
+    alpha, omega = lin.mu3.real, lin.mu3.imag
     growth = spiral_flow_growth(lin)
+    c2 = p1_quadratic_bound(params)
     c = phi0 / (1.0 + phi0 * phi0)
     dlog_g = abs(p * lam2 * phi0 / (1.0 + lam2 * phi0 * phi0) - (n + 4.0) * c) + c
-    rel = 2.0 * amp * growth * (2.0 * p1_quadratic_bound(params) * growth * growth
-                                / (3.0 * abs(alpha) * min(abs(lin.a), 1.0)) + dlog_g)
-    return log_tail, log_tail + math.log(rel)
+    rel = 2.0 * amp * growth * (2.0 * c2 * growth * growth / (3.0 * abs(alpha) * min(abs_a, 1.0))
+                                + dlog_g)
+    if splice is not None:
+        big_v = max(1.0, abs(lin.mu3))
+        w1 = (lin.mu3 - lin.b) / (2j * omega)
+        w2 = 1.0 / (2j * omega)
+        eta = (2.0 * c2 * big_v * big_v / omega) * abs(w1 * splice[0] + w2 * splice[1]) / abs(alpha)
+        carry = 2.0 * big_v * eta / (1.0 - eta) ** 2 if eta < 1.0 else math.inf
+        d1 = carry * np.abs(w1 * u1 + w2 * psi1)  # D / amp
+        with np.errstate(invalid="ignore"):
+            rel = rel + 2.0 * (2.0 * (abs_a * np.abs(u1) + np.abs(psi1)) * d1
+                               + (abs_a + 1.0) * d1 * d1) / q1
+    with np.errstate(divide="ignore"):
+        return log_tail, np.where(amp > 0.0, log_tail + np.log(rel), -math.inf)
 
 
 def gap_logs(traj: Trajectory, t_cuts) -> tuple[np.ndarray, np.ndarray]:
@@ -268,33 +321,46 @@ def gap_logs(traj: Trajectory, t_cuts) -> tuple[np.ndarray, np.ndarray]:
 
         psi^2 (1 + lambda^2 phi^2)^{p/2} / (sqrt(1 + (phi + psi)^2) (1 + phi^2)^{(n+3)/2})
 
-    where r^2 (1 + phi^2) = R^2 at t_cut.  Each segment's integral is kept
-    as a logarithm and the segments are summed from the end; the part from
-    a cut to the end of its segment comes on top, and the part past t_end
-    from _tail_logs.  The error bar adds the segments' 3-point/5-point
-    differences and the tail's bound.
+    where r^2 (1 + phi^2) = R^2 at t_cut.  The DP5 segments, those before
+    the splice index s = stats.accepted, are integrated by quadrature,
+    each kept as a logarithm and summed from the end; the part from the
+    splice state on comes from _tail_logs.  A cut before the splice adds
+    the part from the cut to the end of its segment; a cut past it takes
+    _tail_logs at the linear flow's state there, with the error carried
+    from the splice state.  So the error bar covers the quadrature before
+    the splice (the 3-point/5-point differences) and the closed-form bound
+    past it.  It leaves out the DP5 path's own error (see DensityReport).
     """
     params = traj.params
     t_cuts = np.asarray(t_cuts, dtype=float)
     if not np.all((traj.t[0] <= t_cuts) & (t_cuts <= traj.t[-1])):
         raise ValueError(f"cut times must lie in the trajectory span [{traj.t[0]}, {traj.t[-1]}]")
-    n_seg = len(traj) - 1
-    seg = np.empty(n_seg + 1)
-    err = np.empty(n_seg + 1)
+    s = traj.stats.accepted
+    x_s = (float(traj.u[s]), float(traj.psi[s]))
+    seg = np.empty(s + 1)
+    err = np.empty(s + 1)
+    j = _segments(traj.t, t_cuts)
+    flow = j >= s
+    log_gap = np.empty(len(t_cuts))
+    log_err = np.empty(len(t_cuts))
     with np.errstate(divide="ignore"):
-        for lo in range(0, n_seg, _CHUNK):
-            i = np.arange(lo, min(lo + _CHUNK, n_seg))
+        for lo in range(0, s, _CHUNK):
+            i = np.arange(lo, min(lo + _CHUNK, s))
             seg[i], err[i] = _segment_logs(traj, i, 0.0)
-        seg[-1], err[-1] = _tail_logs(traj)
-        j = _segments(traj.t, t_cuts)
-        start = (t_cuts - traj.t[j]) / (traj.t[j + 1] - traj.t[j])
-        part, part_err = _segment_logs(traj, j, start)
-    # suffix[j] sums the segments from j on and the tail
+        seg[s], err[s] = _tail_logs(params, *x_s)
+        jd = j[~flow]
+        start = (t_cuts[~flow] - traj.t[jd]) / (traj.t[jd + 1] - traj.t[jd])
+        part, part_err = _segment_logs(traj, jd, start)
+    # suffix[j] sums the DP5 segments from j on and the tail from the splice
     suffix = np.logaddexp.accumulate(seg[::-1])[::-1]
     suffix_err = np.logaddexp.accumulate(err[::-1])[::-1]
+    log_gap[~flow] = np.logaddexp(part, suffix[jd + 1])
+    log_err[~flow] = np.logaddexp(part_err, suffix_err[jd + 1])
+    if np.any(flow):
+        x = _linear_flow(linearize_p1(params), *x_s, t_cuts[flow] - traj.t[s])
+        log_gap[flow], log_err[flow] = _tail_logs(params, *x, splice=x_s)
     log_c = math.log(params.n + 1.0)
-    return (np.logaddexp(part, suffix[j + 1]) + log_c,
-            np.logaddexp(part_err, suffix_err[j + 1]) + log_c)
+    return log_gap + log_c, log_err + log_c
 
 
 def _verdict(log_gaps: np.ndarray, log_errs: np.ndarray) -> bool | None:

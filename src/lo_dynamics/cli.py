@@ -429,7 +429,7 @@ def cmd_density(args) -> int:
     if radii is not None:
         profile = radial.to_profile(traj)
         try:
-            thetas = [analysis.theta_of_radius(profile, params, r) for r in radii]
+            thetas = analysis.thetas_of_radii(profile, params, radii)
         except ValueError as exc:
             raise ValueError(f"radii: {exc}") from None
         payload = {

@@ -26,7 +26,8 @@ steps.  It continues with the linear flow exp(J tau) x* in closed form,
 sampled on a uniform grid spaced by the last accepted DP5 step, with
 dpsi = a u + b psi, until the loop's own stop rules end it.  The samples
 go into the same columns, each the DP5 list converted once and joined to
-the tail's arrays, so everything downstream has one code path.
+the tail's arrays.  The flow formula is written once (_flow_terms,
+_linear_flow); the splice index is stats.accepted.
 
 A run fails when |phi| exceeds 1e3 phi0, at the launch or at an accepted
 step, or when a rejected step falls below 1e-13/(k-1).  The bound is on
@@ -39,7 +40,9 @@ and the number of closed-form tail samples.
 Dense output is cubic Hermite on (value, slope) at the samples, read by
 one evaluator, _dense, which locates each point once (_segments) for all
 its column pairs; events are refined by bisection on the interpolant of
-the segment that holds them, to 1e-12 in t.
+the segment that holds them, to 1e-12 in t.  Past the splice, psi zeros
+and phi0 hits come from the linear flow's phase instead, and the gaps
+(analysis.gap_logs) from its state at the cut.
 The tests check this path against a classical fixed-step RK4 in plain
 (phi, psi) coordinates (tests/oracles.py), which shares no code with it.
 """
@@ -259,18 +262,36 @@ def splice_amplitude(params: LomseParams, rel_tol: float) -> float:
     return rel_tol / (20.0 * p1_quadratic_bound(params))
 
 
-def _linear_tail(lin: P1Linearization, t0, u0, psi0, h, t_max):
-    """exp(J tau) (u0, psi0) at t0 + h, t0 + 2h, ... around a spiral P1.
+def _flow_terms(lin: P1Linearization, u0, psi0):
+    """The rows (y0, c) of the linear flow around a spiral P1, one for u and
+    one for psi: along exp(J tau) (u0, psi0) each is
 
-    J = [[0, 1], [a, b]] has eigenvalues alpha +- i omega, so
+        e^{alpha tau} (y0 cos(omega tau) + c sin(omega tau) / omega),
+
+    as J = [[0, 1], [a, b]] has eigenvalues alpha +- i omega, so that
     exp(J tau) x = e^{alpha tau} (x cos(omega tau) + (J - alpha I) x
-    sin(omega tau) / omega), and dpsi = a u + b psi is exact.  The grid ends
-    with a sample at t_max exactly, or at least one step after the max-norm
-    bound e^{alpha tau} spiral_flow_growth max(|u0|, |psi0|) has fallen to
-    _DEEP_FLOOR, whichever comes first.
-    """
-    a, b = lin.a, lin.b
+    sin(omega tau) / omega).  Each row vanishes exactly at omega tau =
+    atan2(-omega y0, c) + j pi, j an integer."""
+    alpha = lin.mu3.real
+    return (u0, psi0 - alpha * u0), (psi0, lin.a * u0 + (lin.b - alpha) * psi0)
+
+
+def _linear_flow(lin: P1Linearization, u0, psi0, tau):
+    """(u, psi) = exp(J tau) (u0, psi0) at the times tau, an array."""
     alpha, omega = lin.mu3.real, lin.mu3.imag
+    decay = np.exp(alpha * tau)
+    cos = np.cos(omega * tau)
+    sin = np.sin(omega * tau) / omega
+    return tuple(decay * (y0 * cos + c * sin) for y0, c in _flow_terms(lin, u0, psi0))
+
+
+def _linear_tail(lin: P1Linearization, t0, u0, psi0, h, t_max):
+    """_linear_flow from (u0, psi0) at t0 + h, t0 + 2h, ..., with dpsi = a u +
+    b psi exact.  The grid ends with a sample at t_max exactly, or at least
+    one step after the max-norm bound e^{alpha tau} spiral_flow_growth
+    max(|u0|, |psi0|) has fallen to _DEEP_FLOOR, whichever comes first.
+    """
+    alpha = lin.mu3.real
     tau_floor = math.log(_DEEP_FLOOR / (spiral_flow_growth(lin) * max(abs(u0), abs(psi0)))) / alpha
     tau = h * np.arange(1, math.floor(min(t_max - t0, tau_floor) / h) + 2)
     t = t0 + tau
@@ -278,12 +299,8 @@ def _linear_tail(lin: P1Linearization, t0, u0, psi0, h, t_max):
         keep = t < t_max
         t = np.append(t[keep], t_max)
         tau = np.append(tau[keep], t_max - t0)
-    decay = np.exp(alpha * tau)
-    cos = np.cos(omega * tau)
-    sin = np.sin(omega * tau) / omega
-    u = decay * (u0 * cos + (psi0 - alpha * u0) * sin)
-    psi = decay * (psi0 * cos + (a * u0 + (b - alpha) * psi0) * sin)
-    return t, u, psi, a * u + b * psi
+    u, psi = _linear_flow(lin, u0, psi0, tau)
+    return t, u, psi, lin.a * u + lin.b * psi
 
 
 def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
@@ -517,35 +534,64 @@ def shoot_unstable_manifold(params: LomseParams,
     return Trajectory(params, ts, us, psis, dpsis, eps, rel_tol, reason, rejected, tail_samples)
 
 
-def _level_crossings(t, y, m, level: float):
-    """Yield (i, t*) for each strict sign change of y - level between samples
-    i and i + 1, t* bisected on the segment's Hermite cubic through (y, m)."""
+def _level_crossings(traj: Trajectory, y, m, level: float, row=None):
+    """(i, t*) for each strict sign change of y - level between samples i
+    and i + 1, t* bisected on the segment's Hermite cubic through (y, m).
+
+    With row (0 for u, 1 for psi; level 0), a segment of the linear tail,
+    from the splice state at index stats.accepted on, takes t* in closed
+    form: the zero of that row of the flow (_flow_terms) nearest to the
+    segment's middle, clamped into the segment, so each zero stays in the
+    bracket that its sign change gives.
+    """
+    t = traj.t
     g = y - level
-    for i in np.flatnonzero(_strict_sign_change(g)).tolist():
-        t0, t1 = float(t[i]), float(t[i + 1])
-        y0, y1, m0, m1 = float(y[i]), float(y[i + 1]), float(m[i]), float(m[i + 1])
-        yield i, _bisect(lambda s: _hermite(s, t0, t1, y0, y1, m0, m1) - level,
-                         t0, t1, float(g[i]), float(g[i + 1]))
+    i = np.flatnonzero(_strict_sign_change(g))
+    s = traj.stats.accepted
+    dense = i if row is None else i[i < s]
+    out = []
+    for k in dense.tolist():
+        t0, t1 = float(t[k]), float(t[k + 1])
+        y0, y1, m0, m1 = float(y[k]), float(y[k + 1]), float(m[k]), float(m[k + 1])
+        out.append((k, _bisect(lambda x: _hermite(x, t0, t1, y0, y1, m0, m1) - level,
+                               t0, t1, float(g[k]), float(g[k + 1]))))
+    tail = i[len(dense):]
+    if len(tail):
+        lin = linearize_p1(traj.params)
+        omega = lin.mu3.imag
+        t_s = float(t[s])
+        y0, c = _flow_terms(lin, float(traj.u[s]), float(traj.psi[s]))[row]
+        theta = math.atan2(-omega * y0, c)
+        t0, t1 = t[tail], t[tail + 1]
+        j = np.rint((omega * (0.5 * (t0 + t1) - t_s) - theta) / math.pi)
+        out += zip(tail.tolist(), np.clip(t_s + (theta + j * math.pi) / omega, t0, t1).tolist())
+    return out
 
 
 def detect_psi_zeros(traj: Trajectory) -> list[PsiZero]:
-    """Refine every sign change of psi on the dense output; increasing t."""
+    """Refine every sign change of psi; increasing t.  phi is read where
+    the time came from: the Hermite cubic of u, or the linear tail's flow."""
     t, u, psi = traj.t, traj.u, traj.psi
-    zeros: list[PsiZero] = []
-    for i, tz in _level_crossings(t, psi, traj.dpsi, 0.0):
-        offset = _hermite(tz, float(t[i]), float(t[i + 1]), float(u[i]), float(u[i + 1]),
-                          float(psi[i]), float(psi[i + 1]))
-        zeros.append(PsiZero(t=tz, phi=traj.params.phi0 + offset, phi_offset=offset,
-                             direction=-1 if psi[i] > 0.0 else 1))
-    return zeros
+    s = traj.stats.accepted
+    crossings = _level_crossings(traj, psi, traj.dpsi, 0.0, row=1)
+    offsets = [_hermite(tz, float(t[i]), float(t[i + 1]), float(u[i]), float(u[i + 1]),
+                        float(psi[i]), float(psi[i + 1])) for i, tz in crossings if i < s]
+    tail = [tz for i, tz in crossings if i >= s]
+    if tail:
+        offsets += _linear_flow(linearize_p1(traj.params), float(u[s]), float(psi[s]),
+                                np.array(tail) - float(t[s]))[0].tolist()
+    return [PsiZero(t=tz, phi=traj.params.phi0 + offset, phi_offset=offset,
+                    direction=-1 if psi[i] > 0.0 else 1)
+            for (i, tz), offset in zip(crossings, offsets)]
 
 
 def detect_phi_hits(traj: Trajectory, target: float) -> list[PhiHit]:
     """All refined solutions of phi(t) = target along the trajectory.
 
     A sample exactly on the target is a hit unless the sample before it is
-    one too; a sign change between samples is refined by bisection.  The
-    target must be positive and finite.
+    one too; a sign change between samples is refined by bisection, or at
+    target phi0 on the linear tail taken in closed form.  The target must
+    be positive and finite.
     """
     if not 0.0 < target < math.inf:  # NaN fails too
         raise ValueError(f"target must be positive and finite, got {target}")
@@ -554,7 +600,8 @@ def detect_phi_hits(traj: Trajectory, target: float) -> list[PhiHit]:
     on_target[1:] &= ~on_target[:-1]  # the first sample of each run on it
     # a sign change needs both samples off the target: the indices are disjoint
     times = {i: float(traj.t[i]) for i in np.flatnonzero(on_target).tolist()}
-    times.update(_level_crossings(traj.t, traj.u, traj.psi, u_target))
+    times.update(_level_crossings(traj, traj.u, traj.psi, u_target,
+                                  row=0 if u_target == 0.0 else None))
     return [PhiHit(t=th, dilation=math.exp(th)) for _, th in sorted(times.items())]
 
 

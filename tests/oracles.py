@@ -311,10 +311,11 @@ def no_limit_cycle_full_grid(params: LomseParams, grid: tuple[int, int]) -> floa
     return margin
 
 
-def mpmath_orbit(traj):
+def mpmath_orbit(traj, start=None):
     """mpmath odefun (Taylor) solution of traj's launch in offset variables
     (u, psi), at the caller's working precision, with the exact phi0 and
-    lambda^2 it uses; call it inside mpmath.workdps."""
+    lambda^2 it uses; call it inside mpmath.workdps.  start, a sample index,
+    starts it from that stored state instead of the launch."""
     params = traj.params
     n, p, big_k = params.n, params.p, params.big_k
     lam2 = mpmath.mpf(params.lambda_sq_num) / params.lambda_sq_den
@@ -328,6 +329,9 @@ def mpmath_orbit(traj):
         f2 = (n - p) + p / den
         return [psi, -psi - (f2 * psi - f1_phi) * (1 + (phi + psi) ** 2)]
 
+    if start is not None:
+        state = [mpmath.mpf(float(col[start])) for col in (traj.u, traj.psi)]
+        return mpmath.odefun(field, mpmath.mpf(float(traj.t[start])), state), phi0, lam2
     eps = mpmath.mpf(traj.eps_start)
     mu1 = params.k - 1
     norm_v1 = mpmath.sqrt(1 + mu1 * mu1)

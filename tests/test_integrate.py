@@ -18,7 +18,13 @@ from lo_dynamics import (
 from lo_dynamics.barrier import barrier_h, default_c
 from lo_dynamics.dynsys import linearize_p1, offset_field
 from lo_dynamics.errors import IntegrationFailure
-from lo_dynamics.integrate import DEFAULT_MAX_CROSSINGS, _bisect, _dense, _segments
+from lo_dynamics.integrate import (
+    DEFAULT_MAX_CROSSINGS,
+    EVENT_TOL,
+    _bisect,
+    _dense,
+    _segments,
+)
 from oracles import PhaseState, advance_from, orbit_at, reference_integrate
 
 
@@ -341,10 +347,35 @@ def test_first_zero_converges_in_k(n, p):
     for e in range(2, 10):
         zeros = detect_psi_zeros(shoot_unstable_manifold(build_params(n, p, 10 ** e)))
         assert len(zeros) == DEFAULT_MAX_CROSSINGS, e
-        firsts.append(zeros[0].t)
-    assert all(a > b for a, b in zip(firsts, firsts[1:]))
+        firsts.append(zeros[0])
+    times = [z.t for z in firsts]
+    assert all(a > b for a, b in zip(times, times[1:]))
     # from k = 10^6 on, within 2e-6 of the k = 10^9 value (1.4e-6 and 6.8e-7 measured)
-    assert all(abs(t - firsts[-1]) < 2e-6 for t in firsts[4:])
+    assert all(abs(t - times[-1]) < 2e-6 for t in times[4:])
+    # the offsets phi - phi0 there too, within 7e-9 relative (measured:
+    # 3.5e-9 on (3,2,10^6) and 6.8e-10 on (5,4,10^6); offsets 2.09e-2 and 5.46e-5)
+    last = firsts[-1].phi_offset
+    assert all(abs(z.phi_offset - last) <= 7e-9 * abs(last) for z in firsts[4:])
+
+
+@pytest.mark.parametrize("n, p, omega_inf", [(3, 2, math.sqrt(2.0)), (5, 4, 1.0)])
+def test_tail_ratios_converge_in_k(n, p, omega_inf):
+    # past the splice consecutive phi0 hits lie pi/omega(k) apart, so their
+    # dilations divide by e^{pi/omega(k)} (measured within 2.1e-14); as
+    # omega^2 = omega_inf^2 - 2 n^2 / K with K = k (k + n - 1), that factor
+    # exceeds e^{pi/omega_inf} by about pi n^2 / (K omega_inf^3) (0.8% more
+    # at k = 100)
+    limit = math.exp(math.pi / omega_inf)
+    for e in range(2, 10):
+        params = build_params(n, p, 10 ** e)
+        traj = shoot_unstable_manifold(params)
+        omega = linearize_p1(params).mu3.imag
+        t_splice = traj.t[traj.stats.accepted]
+        tail = [h.dilation for h in detect_phi_hits(traj, params.phi0) if h.t > t_splice]
+        assert len(tail) >= 30, e
+        exact = math.exp(math.pi / omega)
+        assert all(abs(b / a / exact - 1.0) <= 1e-13 for a, b in zip(tail, tail[1:])), e
+        assert 0.0 <= exact / limit - 1.0 <= 2.0 * math.pi * n * n / (params.big_k * omega_inf ** 3)
 
 
 def test_rhs_evals_count_field_calls(monkeypatch, p324):
@@ -395,13 +426,14 @@ def test_nonfinite_stage_is_rejected(monkeypatch, p322, stage, bad):
     assert traj.t[1] == 1e-3 * 0.2
 
 
-def _loop_phi_hits(traj, target):
-    """Sample-by-sample scan through the package's dense output: the reference."""
+def _loop_phi_hits(traj, target, segments=None):
+    """Sample-by-sample scan through the package's dense output: the reference.
+    segments (a range) limits the scan to sign changes on those segments."""
     u_target = target - traj.params.phi0
     g = traj.u - u_target
     t = traj.t
     hits = []
-    for i in range(len(t) - 1):
+    for i in segments or range(len(t) - 1):
         if g[i] == 0.0:
             if i == 0 or g[i - 1] != 0.0:
                 hits.append(PhiHit(t=float(t[i]), dilation=math.exp(t[i])))
@@ -409,15 +441,15 @@ def _loop_phi_hits(traj, target):
             tz = float(_bisect(lambda s: _dense(t, s, (traj.u, traj.psi))[0] - u_target,
                                t[i], t[i + 1], g[i], g[i + 1]))
             hits.append(PhiHit(t=tz, dilation=math.exp(tz)))
-    if len(t) >= 2 and g[-1] == 0.0 and g[-2] != 0.0:
+    if segments is None and len(t) >= 2 and g[-1] == 0.0 and g[-2] != 0.0:
         hits.append(PhiHit(t=float(t[-1]), dilation=math.exp(t[-1])))
     return hits
 
 
-def _loop_psi_zeros(traj):
+def _loop_psi_zeros(traj, segments=None):
     zeros = []
     psi, t = traj.psi, traj.t
-    for i in range(len(t) - 1):
+    for i in segments or range(len(t) - 1):
         if psi[i] < 0.0 < psi[i + 1] or psi[i + 1] < 0.0 < psi[i]:
             tz = float(_bisect(lambda s: _dense(t, s, (psi, traj.dpsi))[0],
                                t[i], t[i + 1], psi[i], psi[i + 1]))
@@ -427,12 +459,55 @@ def _loop_psi_zeros(traj):
     return zeros
 
 
+def _eig_tail_roots(traj, row):
+    """(t, u) at each zero of row (0: u, 1: psi) of the linear flow from the
+    splice state that falls on a tail segment with a sign change of that
+    row, written apart from the package: with numpy's eigenpair (mu, v) of
+    J, mu = alpha + i omega, the flow is 2 Re(z e^{mu tau} v), so row r
+    vanishes where omega tau + arg(z v_r) = pi/2 mod pi."""
+    s = traj.stats.accepted
+    lin = linearize_p1(traj.params)
+    vals, vecs = np.linalg.eig(np.array([[0.0, 1.0], [lin.a, lin.b]]))
+    mu, v = vals[np.argmax(vals.imag)], vecs[:, np.argmax(vals.imag)]
+    z = np.linalg.solve(np.array([v, v.conj()]).T,
+                        np.array([traj.u[s], traj.psi[s]], dtype=complex))[0]
+    y = traj.u if row == 0 else traj.psi
+    out = []
+    for i in range(s, len(traj) - 1):
+        if y[i] < 0.0 < y[i + 1] or y[i + 1] < 0.0 < y[i]:
+            mid = 0.5 * (traj.t[i] + traj.t[i + 1]) - traj.t[s]
+            j = round((mu.imag * mid + np.angle(z * v[row]) - math.pi / 2.0) / math.pi)
+            tau = (math.pi / 2.0 + j * math.pi - np.angle(z * v[row])) / mu.imag
+            out.append((traj.t[s] + tau, 2.0 * (z * np.exp(mu * tau) * v[0]).real))
+    return out
+
+
 @pytest.mark.parametrize("fixture", ["traj322", "traj324", "traj542", "traj546"])
 def test_event_scans_match_sample_loop(request, fixture):
+    # segments before the splice match the loop bit for bit; on the linear
+    # tail the psi zeros and the phi0 hits come in closed form, and agree
+    # with numpy's eigenpair within the event tolerance 1e-12 (measured:
+    # 7.7e-13 in time and 2.4e-12 relative in offset, on (5,4,6), whose
+    # eigenpair is the worst conditioned)
     traj = request.getfixturevalue(fixture)
     phi0 = traj.params.phi0
-    assert detect_psi_zeros(traj) == _loop_psi_zeros(traj)
-    for target in (phi0, 0.5 * phi0, 0.999 * phi0):
+    s = traj.stats.accepted
+    head = range(s)
+    zeros = detect_psi_zeros(traj)
+    hits = detect_phi_hits(traj, phi0)
+    for events, loop, row in ((zeros, _loop_psi_zeros(traj, head), 1),
+                              (hits, _loop_phi_hits(traj, phi0, head), 0)):
+        assert events[:len(loop)] == loop
+        tail = _eig_tail_roots(traj, row) if traj.stats.tail_samples else []
+        assert len(tail) >= (26 if traj.stats.tail_samples else 0)
+        assert len(events) == len(loop) + len(tail)
+        for event, (t_ref, u_ref) in zip(events[len(loop):], tail):
+            assert abs(event.t - t_ref) <= EVENT_TOL
+            if row == 1:
+                assert abs(event.phi_offset - u_ref) <= 5e-12 * abs(u_ref)
+    if traj.stats.tail_samples == 0:
+        assert zeros == _loop_psi_zeros(traj) and hits == _loop_phi_hits(traj, phi0)
+    for target in (0.5 * phi0, 0.999 * phi0):
         assert detect_phi_hits(traj, target) == _loop_phi_hits(traj, target)
 
 
