@@ -21,8 +21,8 @@ lists them) and skips the file's other fields; an unknown key or flag
 exits 2, and classify reads no file.  The library function that takes a
 setting checks it (shoot_unstable_manifold, hopf.condition_b_check), so a
 bad one exits 2 before a file is written; RunConfig.validate checks only
-formats.  Sampling resolutions are the modules' DEFAULT_* constants, not
-settings.  verify -c and --conv-tol act on the
+formats.  Sampling resolutions, the end of a real-eigenvalue run among
+them, are the modules' constants, not settings.  verify -c acts on the
 real-eigenvalue type only, --max-crossings on the spiral type only: on
 the other type the flag exits 2 and the config key is ignored.
 
@@ -66,12 +66,12 @@ _EXIT_CODES = {InadmissibleTriple: EXIT_INADMISSIBLE, IntegrationFailure: EXIT_B
 
 CONFIG_ENV_VAR = "LO_DYNAMICS_CONFIG"
 _FORMATS = ("json", "csv", "svg")
+_SVG_WIDTH, _SVG_HEIGHT = 800, 600
 
 
 @dataclass
 class RunConfig:
     rel_tol: float = integrate.DEFAULT_REL_TOL
-    conv_tol: float = integrate.DEFAULT_CONV_TOL
     eps_start: float = integrate.DEFAULT_EPS
     t_max: float = integrate.DEFAULT_T_MAX
     max_crossings: int = integrate.DEFAULT_MAX_CROSSINGS
@@ -199,9 +199,9 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def write_svg(path: Path, series: list[tuple[list[float], list[float], str]],
-              markers: list[tuple[float, float]] | None = None,
-              width: int = 800, height: int = 600) -> None:
-    """Static polyline plot; viewBox from data extents plus a 5% margin."""
+              markers: list[tuple[float, float]] | None = None) -> None:
+    """Static polyline plot, _SVG_WIDTH x _SVG_HEIGHT; viewBox from data
+    extents plus a 5% margin."""
     xs_all = [x for xs, _, _ in series for x in xs]
     ys_all = [y for _, ys, _ in series for y in ys]
     if markers:
@@ -217,20 +217,20 @@ def write_svg(path: Path, series: list[tuple[list[float], list[float], str]],
     y_hi += 0.05 * dy
 
     def sx(x):
-        return (x - x_lo) / (x_hi - x_lo) * width
+        return (x - x_lo) / (x_hi - x_lo) * _SVG_WIDTH
 
     def sy(y):
-        return height - (y - y_lo) / (y_hi - y_lo) * height
+        return _SVG_HEIGHT - (y - y_lo) / (y_hi - y_lo) * _SVG_HEIGHT
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
+        f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
     ]
     if y_lo < 0.0 < y_hi:
-        parts.append(f'<line x1="0" y1="{sy(0):.6g}" x2="{width}" y2="{sy(0):.6g}" '
+        parts.append(f'<line x1="0" y1="{sy(0):.6g}" x2="{_SVG_WIDTH}" y2="{sy(0):.6g}" '
                      'stroke="#cccccc" stroke-width="1"/>')
     if x_lo < 0.0 < x_hi:
-        parts.append(f'<line x1="{sx(0):.6g}" y1="0" x2="{sx(0):.6g}" y2="{height}" '
+        parts.append(f'<line x1="{sx(0):.6g}" y1="0" x2="{sx(0):.6g}" y2="{_SVG_HEIGHT}" '
                      'stroke="#cccccc" stroke-width="1"/>')
     for xs, ys, color in series:
         pts = " ".join(f"{sx(x):.6g},{sy(y):.6g}" for x, y in zip(xs, ys))
@@ -249,7 +249,6 @@ def write_svg(path: Path, series: list[tuple[list[float], list[float], str]],
 # other type they exit 2, while their config keys are ignored there, as
 # shoot_unstable_manifold drops the setting that does not apply
 _TYPE_ONLY = {
-    "--conv-tol": StabilityType.CENTER_TYPE_I,
     "-c": StabilityType.CENTER_TYPE_I,
     "--max-crossings": StabilityType.SPIRAL_TYPE_II,
 }
@@ -270,14 +269,14 @@ def _build(args) -> LomseParams:
     return params
 
 
-_SHOOT_FIELDS = ("rel_tol", "conv_tol", "eps_start", "t_max", "max_crossings")
+_SHOOT_FIELDS = ("rel_tol", "eps_start", "t_max", "max_crossings")
 
 
 def _shoot(params: LomseParams, cfg: RunConfig) -> Trajectory:
     """The connecting orbit with the settings of cfg it reads, _SHOOT_FIELDS."""
     return shoot_unstable_manifold(params, eps=cfg.eps_start, t_max=cfg.t_max,
                                    max_crossings=cfg.max_crossings,
-                                   rel_tol=cfg.rel_tol, conv_tol=cfg.conv_tol)
+                                   rel_tol=cfg.rel_tol)
 
 
 def _output_dir(cfg: RunConfig) -> Path:
@@ -481,7 +480,6 @@ def cmd_maps_check(args) -> int:
 
 _FLAGS = {
     "rel_tol": "--rel-tol",
-    "conv_tol": "--conv-tol",
     "eps_start": "--eps",
     "t_max": "--t-max",
     "max_crossings": "--max-crossings",

@@ -12,9 +12,10 @@ rescaling to the unit sphere doubles horizontal lengths.  Any isometric
 conjugate of this formula is an equally valid witness, so all checks
 here are conjugation invariant (norms, singular values, angle sums).
 
-Jacobians are finite-difference: central differences along unit tangent
-directions, renormalized to stay on the sphere, with the image increment
-projected onto the tangent space at the image point.  Their singular
+Jacobians are finite-difference: central differences of the fixed step
+DEFAULT_FD_STEP along unit tangent directions, renormalized to stay on
+the sphere, with the image increment projected onto the tangent space at
+the image point.  Their singular
 values are a direct SVD; through J^T J the zero one would sit at sqrt(eps).
 """
 
@@ -32,7 +33,6 @@ MAX_SAMPLE_COUNT = 10 ** 7  # about 35 minutes at 0.2 ms a point
 DEFAULT_FD_STEP = 1e-5
 
 _SPHERE_TOL = 1e-9
-_H_LO, _H_HI = 1e-8, 1e-3
 _POINT_BLOCK = 4096
 
 
@@ -65,15 +65,14 @@ def sphere_tangent_basis(x: np.ndarray) -> np.ndarray:
     return q[:, 1:]
 
 
-def map_differential(map_fn, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+def map_differential(map_fn, x) -> np.ndarray:
     """Finite-difference pushforward matrix between tangent spaces.
 
     Column j is the image of the j-th tangent basis vector: central
-    difference of map_fn along the renormalized great-circle chord,
-    projected onto the tangent space of the image sphere.
+    difference of map_fn, with step DEFAULT_FD_STEP, along the renormalized
+    great-circle chord, projected onto the tangent space of the image sphere.
     """
-    if not _H_LO < h < _H_HI:
-        raise ValueError(f"h must be in ({_H_LO}, {_H_HI}), got {h}")
+    h = DEFAULT_FD_STEP
     x = _check_unit(x)
     fx = np.asarray(map_fn(x), dtype=float)
     basis = sphere_tangent_basis(x)
@@ -90,9 +89,9 @@ def map_differential(map_fn, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def numeric_singular_values(map_fn, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+def numeric_singular_values(map_fn, x) -> np.ndarray:
     """Singular values of the tangent-space differential, sorted descending."""
-    return np.linalg.svd(map_differential(map_fn, x, h), compute_uv=False)
+    return np.linalg.svd(map_differential(map_fn, x), compute_uv=False)
 
 
 def angle_sum(sv: np.ndarray, theta: float) -> float:

@@ -79,7 +79,6 @@ _DP_A = (
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 DEFAULT_REL_TOL = 1e-10
-DEFAULT_CONV_TOL = 1e-8
 DEFAULT_EPS = 1e-6
 DEFAULT_T_MAX = 400.0
 DEFAULT_MAX_CROSSINGS = 40
@@ -87,6 +86,7 @@ EVENT_TOL = 1e-12
 _H_MAX = 0.5
 _H_MIN = 1e-13  # over k - 1, the saddle's time scale
 _DEEP_FLOOR = 1e-290  # snap to the equilibrium before subnormal thrashing
+_TYPE_I_STOP = 1e-8  # a real-eigenvalue run ends once hypot(u, psi) is below this
 _BLOWUP_FACTOR = 1e3
 
 
@@ -304,7 +304,7 @@ def _linear_tail(lin: P1Linearization, t0, u0, psi0, h, t_max):
 
 
 def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
-             conv_tol=None, max_crossings=None, tail=None):
+             stop_radius=0.0, max_crossings=None, tail=None):
     """Adaptive DP5(4) driver in deviation coordinates.
 
     Error is measured against rel_tol * |state|, where |state| is the
@@ -316,6 +316,7 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
     that stage's psi argument.  An attempt makes 6 field calls, the 7th
     stage at the 5th-order solution being the next attempt's first (FSAL).
 
+    The run ends at the first accepted state with hypot(u, psi) < stop_radius.
     With tail, the spiral linearization at P1 (which needs max_crossings),
     the run leaves the DP5 loop at the first accepted state of amplitude
     below splice_amplitude and appends _linear_tail samples spaced by the
@@ -325,7 +326,6 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
     """
     dpsi = offset_field(params)
     delta = splice_amplitude(params, rel_tol) if tail is not None else 0.0
-    conv_at = 0.0 if conv_tol is None else conv_tol
     h_floor = _H_MIN / (params.k - 1)
     phi0 = params.phi0
     blowup_at = _BLOWUP_FACTOR * phi0
@@ -438,8 +438,8 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
                     f"state left the bounded region at t={t:.6g} for "
                     f"(n,p,k)=({params.n},{params.p},{params.k})"
                 )
-            # hypot(u, psi) >= amp under faithful rounding: test it only below conv_at
-            if amp < conv_at and math.hypot(u, psi) < conv_at:
+            # hypot(u, psi) >= amp under faithful rounding: test it only below stop_radius
+            if amp < stop_radius and math.hypot(u, psi) < stop_radius:
                 reason = Termination.CONVERGED_TO_P1
                 break
             if amp < _DEEP_FLOOR:
@@ -484,23 +484,23 @@ def shoot_unstable_manifold(params: LomseParams,
                             eps: float = DEFAULT_EPS,
                             t_max: float = DEFAULT_T_MAX,
                             max_crossings: int = DEFAULT_MAX_CROSSINGS,
-                            rel_tol: float = DEFAULT_REL_TOL,
-                            conv_tol: float = DEFAULT_CONV_TOL) -> Trajectory:
+                            rel_tol: float = DEFAULT_REL_TOL) -> Trajectory:
     """Launch from eps * V1/|V1| off the saddle and integrate forward.
 
     The start time is calibrated as t_start = log(eps)/(k-1) so that the
     O(e^{(k-1)t}) growth of phi matches t: near launch phi ~ e^{(k-1)t}
     up to the constant 1/|V1|.
 
-    Termination: distance to (phi0, 0) below conv_tol for the real-eigenvalue
-    type; max_crossings psi sign changes for the spiral type; t_max otherwise.
+    Termination: distance to (phi0, 0) below _TYPE_I_STOP = 1e-8 for the
+    real-eigenvalue type, a fixed sampling end rather than a setting;
+    max_crossings psi sign changes for the spiral type; t_max otherwise.
     Spiral runs continue in closed form below splice_amplitude.
-    eps, rel_tol, conv_tol and t_max must be positive and finite, t_max must
+    eps, rel_tol and t_max must be positive and finite, t_max must
     exceed t_start, max_crossings must be at least 1, and eps must move phi
     off the saddle once phi is written as phi0 + u.  Each setting is checked
     whichever type drops it.
     """
-    for name, value in (("eps", eps), ("rel_tol", rel_tol), ("conv_tol", conv_tol)):
+    for name, value in (("eps", eps), ("rel_tol", rel_tol)):
         if not 0.0 < value < math.inf:  # NaN fails too
             raise ValueError(f"{name} must be positive and finite, got {value}")
     if max_crossings < 1:
@@ -527,7 +527,7 @@ def shoot_unstable_manifold(params: LomseParams,
         psi_start,
         t_max,
         rel_tol,
-        conv_tol=conv_tol if type_one else None,
+        stop_radius=_TYPE_I_STOP if type_one else 0.0,
         max_crossings=None if type_one else max_crossings,
         tail=None if type_one else linearize_p1(params),
     )

@@ -5,16 +5,18 @@ conftest.py, so that `python tests/test_acceptance.py` imports it too."""
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
+from lo_dynamics import hopf
 from lo_dynamics.barrier import cycle_region_threshold
 from lo_dynamics.dynsys import f1, f1_prime, f2, f2_prime, vector_field_xy
 from lo_dynamics.errors import IntegrationFailure
 from lo_dynamics.geometry import volume_ratio
-from lo_dynamics.hopf import DEFAULT_FD_STEP, angle_sum, hopf_map, numeric_singular_values
+from lo_dynamics.hopf import angle_sum, hopf_map, numeric_singular_values
 from lo_dynamics.integrate import _BLOWUP_FACTOR, DEFAULT_REL_TOL, Trajectory, _advance, _dense
 from lo_dynamics.params import LomseParams
 from lo_dynamics.radial import Profile
@@ -246,10 +248,22 @@ def cone_graph_eval(y, params: LomseParams) -> np.ndarray:
     return params.phi0 * norm * hopf_map(y / norm)
 
 
-def condition_b_sum(map_fn, x, theta: float, h: float = DEFAULT_FD_STEP) -> float:
+def condition_b_sum(map_fn, x, theta: float) -> float:
     """angle_sum over all n singular values of map_fn at x; equals n
     exactly at the minimality angle."""
-    return angle_sum(numeric_singular_values(map_fn, x, h), theta)
+    return angle_sum(numeric_singular_values(map_fn, x), theta)
+
+
+@contextmanager
+def fd_step(h: float):
+    """hopf.DEFAULT_FD_STEP set to h inside the block, so that the order
+    checks run the package's own differential at other steps."""
+    saved = hopf.DEFAULT_FD_STEP
+    hopf.DEFAULT_FD_STEP = h
+    try:
+        yield
+    finally:
+        hopf.DEFAULT_FD_STEP = saved
 
 
 def case1_iv_unreduced(s: float, params: LomseParams, c: float) -> float:

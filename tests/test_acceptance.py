@@ -43,6 +43,7 @@ from oracles import (
     condition_b_sum,
     cone_profile,
     fd_jacobian,
+    fd_step,
     linearize_origin,
     ode_general_residual,
     orbit_at,
@@ -247,8 +248,8 @@ def test_criterion_13_hopf_witness():
     assert worst_sum < 1e-5
     probe = pts[:20]
     def dev(h):
-        return max(abs(condition_b_sum(hopf_map, x, params.theta, h) - 3.0)
-                   for x in probe)
+        with fd_step(h):
+            return max(abs(condition_b_sum(hopf_map, x, params.theta) - 3.0) for x in probe)
     ratio = dev(8e-4) / dev(4e-4)
     assert 2.5 < ratio < 6.0
     _ok(13, "witness singular values (2,2,0), angle sum n, O(h^2)")

@@ -353,7 +353,7 @@ def test_counts_below_one_are_usage_errors(argv, key, tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     *((["orbit", "3", "2", "2", flag, value], message)
       for flag, value, message in (
-          ("--conv-tol", "nan", "conv_tol must be positive and finite, got nan"),
+          ("--rel-tol", "nan", "rel_tol must be positive and finite, got nan"),
           ("--rel-tol", "0", "rel_tol must be positive and finite, got 0.0"),
           ("--eps", "inf", "eps must be positive and finite, got inf"),
           ("--t-max", "inf", "t_max must be positive and finite, got inf"))),
@@ -372,7 +372,7 @@ def test_bad_shoot_settings_are_usage_errors(argv, message, tmp_path, capsys):
 def test_an_inadmissible_triple_outranks_a_bad_setting(tmp_path, capsys):
     # the triple is built before a library function checks the setting
     out = tmp_path / "out"
-    assert run(["orbit", "4", "2", "2", "--conv-tol", "nan", "--out-dir", str(out)]) \
+    assert run(["orbit", "4", "2", "2", "--rel-tol", "nan", "--out-dir", str(out)]) \
         == EXIT_INADMISSIBLE
     assert not out.exists()
 
@@ -504,7 +504,6 @@ def _usually(good):
 # an eps below about 1e-16 launches on the saddle
 _KEY_VALUES = {
     "rel_tol": _usually(st.one_of(_log_uniform(-12.0, -3.0), st.just(1e-300)).map(repr)),
-    "conv_tol": _usually(_log_uniform(-12.0, 0.0).map(repr)),
     "eps_start": _usually(st.one_of(_log_uniform(-12.0, 3.0),
                                     _log_uniform(-320.0, -12.0)).map(repr)),
     "t_max": _usually(_log_uniform(-2.0, 2.6).map(repr)),
@@ -515,7 +514,7 @@ _KEY_VALUES = {
 }
 assert set(_KEY_VALUES) == {f.name for f in dataclasses.fields(RunConfig)} - {"out_dir"}
 _FOREIGN_KEYS = st.one_of(
-    st.sampled_from(["grid_points", "cycle_grid", "quad_panels", "fd_step",
+    st.sampled_from(["grid_points", "cycle_grid", "quad_panels", "fd_step", "conv_tol",
                      "jobs", "abs_tol", "event_tol"]),
     st.from_regex(r"[a-z][a-z_]{0,11}", fullmatch=True).filter(
         lambda k: k not in _KEY_VALUES and k != "out_dir"),
@@ -536,16 +535,15 @@ _RADII = st.lists(st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-0.5"])
                   max_size=3).map(",".join)
 # the flags for one stability type only, by the type they do not apply to
 _WRONG_TYPE = {StabilityType.CENTER_TYPE_I: {"--max-crossings"},
-               StabilityType.SPIRAL_TYPE_II: {"--conv-tol", "-c"}}
-_SHOOT_FLAGS = {"--rel-tol": _KEY_VALUES["rel_tol"], "--conv-tol": _KEY_VALUES["conv_tol"],
-                "--eps": _KEY_VALUES["eps_start"], "--t-max": _KEY_VALUES["t_max"],
-                "--max-crossings": _KEY_VALUES["max_crossings"]}
+               StabilityType.SPIRAL_TYPE_II: {"-c"}}
+_SHOOT_FLAGS = {"--rel-tol": _KEY_VALUES["rel_tol"], "--eps": _KEY_VALUES["eps_start"],
+                "--t-max": _KEY_VALUES["t_max"], "--max-crossings": _KEY_VALUES["max_crossings"]}
 # (triples, the flags the command takes, flags it no longer takes)
 _COMMANDS = {
     "orbit": (st.one_of(_TRIPLES, st.sampled_from(_SPIRALS)),
               {**_SHOOT_FLAGS, "--formats": _KEY_VALUES["formats"],
                "--target-phi": _one_in(2, _JUNK, _log_uniform(-2.0, 1.0).map(repr))},
-              ["--quad-panels=200", "--radii=1"]),
+              ["--quad-panels=200", "--conv-tol=1e-8", "--radii=1"]),
     "verify": (st.one_of(_TRIPLES, _HUGE_TRIPLES),
                {"-c": _usually(st.one_of(st.floats(0.05, 1.0), _log_uniform(-323.3, 0.0),
                                          st.just(5e-324)).map(repr))},
@@ -553,7 +551,7 @@ _COMMANDS = {
     "geometry": (st.one_of(_TRIPLES, _HUGE_TRIPLES), {}, ["--formats=json"]),
     "density": (st.one_of(_TRIPLES, st.sampled_from(_SPIRALS)),
                 {**_SHOOT_FLAGS, "--radii": _RADII},
-                ["--quad-panels=200", "--formats=csv"]),
+                ["--quad-panels=200", "--conv-tol=1e-8", "--formats=csv"]),
     "maps-check": (None, {"--samples": _KEY_VALUES["sample_count"],
                           "--seed": _KEY_VALUES["seed"]}, ["--step=200", "--formats=json"]),
 }

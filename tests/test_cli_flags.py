@@ -23,12 +23,12 @@ def _option_flags(cmd: argparse.ArgumentParser) -> set[str]:
 
 OPTION_FLAGS = {
     "classify": {"--allow-inadmissible", "--out-dir", "--sweep"},
-    "orbit": {"--allow-inadmissible", "--config", "--conv-tol", "--eps", "--formats",
-              "--max-crossings", "--out-dir", "--rel-tol", "--t-max", "--target-phi"},
+    "orbit": {"--allow-inadmissible", "--config", "--eps", "--formats", "--max-crossings",
+              "--out-dir", "--rel-tol", "--t-max", "--target-phi"},
     "verify": {"--allow-inadmissible", "--config", "--out-dir", "-c"},
     "geometry": {"--allow-inadmissible", "--config", "--out-dir"},
-    "density": {"--allow-inadmissible", "--config", "--conv-tol", "--eps",
-                "--max-crossings", "--out-dir", "--radii", "--rel-tol", "--t-max"},
+    "density": {"--allow-inadmissible", "--config", "--eps", "--max-crossings",
+                "--out-dir", "--radii", "--rel-tol", "--t-max"},
     "maps-check": {"--config", "--out-dir", "--samples", "--seed"},
 }
 
@@ -36,7 +36,7 @@ OPTION_FLAGS = {
 def test_option_flags_per_command():
     flags = {name: _option_flags(cmd) for name, cmd in _commands().items()}
     assert flags == OPTION_FLAGS
-    assert sum(map(len, flags.values())) == 33
+    assert sum(map(len, flags.values())) == 31
 
 
 def _readme_flag_table() -> dict[str, set[str]]:
@@ -57,8 +57,8 @@ def test_readme_flag_table_matches_parser():
 
 def test_run_config_fields():
     assert [f.name for f in dataclasses.fields(RunConfig)] == [
-        "rel_tol", "conv_tol", "eps_start", "t_max", "max_crossings", "sample_count",
-        "seed", "out_dir", "formats"]
+        "rel_tol", "eps_start", "t_max", "max_crossings", "sample_count", "seed",
+        "out_dir", "formats"]
 
 
 # ----------------------------------------------------------------------
@@ -78,7 +78,6 @@ _MAPS = ["maps-check", "--samples", "5"]
 # (command, flag) -> (base command line, a value of the flag that differs from the base)
 FLAG_CASES = {
     ("orbit", "--rel-tol"): (_ORBIT, "1e-8"),
-    ("orbit", "--conv-tol"): (_ORBIT, "1e-4"),
     ("orbit", "--eps"): (_ORBIT, "1e-5"),
     ("orbit", "--t-max"): (_ORBIT, "5"),
     ("orbit", "--max-crossings"): (["orbit", "3", "2", "4"], "4"),
@@ -87,8 +86,6 @@ FLAG_CASES = {
     ("density", "--eps"): (_DENSITY, "1e-5"),
     ("density", "--t-max"): (_DENSITY, "8"),
     ("density", "--max-crossings"): (_DENSITY, "3"),
-    # conv_tol ends type-I orbits only: a looser one cuts the profile short of R = 100
-    ("density", "--conv-tol"): (["density", "3", "2", "2", "--radii", "1,100"], "1e-2"),
     ("maps-check", "--samples"): (_MAPS, "6"),
     ("maps-check", "--seed"): (_MAPS, "1"),
 }
@@ -128,7 +125,7 @@ _UNREAD = sorted((name, flag) for name, flags in OPTION_FLAGS.items()
 
 
 def test_unread_flag_count():
-    assert len(_UNREAD) == 43
+    assert len(_UNREAD) == 45
 
 
 @pytest.mark.parametrize("command,flag", _UNREAD)
@@ -141,8 +138,9 @@ def test_unread_flags_are_usage_errors(command, flag, tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# the sampling resolutions are module constants: their former flags and
-# config keys exit 2 and write nothing
+# the sampling resolutions, the end of a real-eigenvalue run among them,
+# are module constants: their former flags and config keys exit 2 and
+# write nothing (the unread-flag test above covers --conv-tol)
 
 _REMOVED_FLAGS = {
     ("verify", "--grid-points"): ["verify", "3", "2", "2"],
@@ -154,6 +152,7 @@ _REMOVED_KEYS = {
     "cycle_grid": ["verify", "3", "2", "4"],
     "quad_panels": _DENSITY,
     "fd_step": _MAPS,
+    "conv_tol": _ORBIT,
 }
 
 
@@ -177,6 +176,19 @@ def test_removed_keys_are_usage_errors(key, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("triple, inside, past", [((7, 4, 20), "2.9e3", "3.1e3"),
+                                                  ((31, 30, 2), "3.2e9", "3.4e9")])
+def test_type_one_radii_end_with_the_fixed_stop(triple, inside, past, tmp_path, capsys):
+    # the profile ends where its run met hypot(u, psi) < 1e-8, at R = 2 993
+    # and 3.317e9; no setting moves that end, and a radius past it exits 2
+    argv = ["density", *map(str, triple), "--radii"]
+    assert main([*argv, inside, "--out-dir", str(tmp_path / "inside")]) == EXIT_OK
+    out = tmp_path / "past"
+    assert main([*argv, past, "--out-dir", str(out)]) == EXIT_USAGE
+    assert f"radii: R={float(past)} outside profile span" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_run_config_method_is_an_unknown_key(tmp_path, capsys):
     # "validate" named an attribute but no field, and ended in a TypeError
     cfg = tmp_path / "run.cfg"
@@ -195,16 +207,6 @@ def test_verify_c_on_spiral_triple_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "barrier.json").exists()
 
 
-@pytest.mark.parametrize("command", ["orbit", "density"])
-def test_conv_tol_on_spiral_triple_is_usage_error(command, tmp_path, capsys):
-    out = tmp_path / "out"
-    argv = [command, "3", "2", "4", "--conv-tol", "0.5", "--out-dir", str(out)]
-    assert main(argv) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert f"{command}: --conv-tol applies only to the real-eigenvalue type" in err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("argv", [["orbit", "3", "2", "2"],
                                   ["density", "3", "2", "2", "--radii", "1"]])
 def test_max_crossings_on_type_one_triple_is_usage_error(argv, tmp_path, capsys):
@@ -218,7 +220,6 @@ def test_max_crossings_on_type_one_triple_is_usage_error(argv, tmp_path, capsys)
 
 @pytest.mark.parametrize("argv,line", [
     (["orbit", "3", "2", "2", "--formats", "json"], "max_crossings = 1"),
-    (["orbit", "3", "2", "4", "--formats", "json"], "conv_tol = 0.5"),
 ])
 def test_type_only_keys_are_ignored_on_the_other_type(argv, line, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"

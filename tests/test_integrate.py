@@ -108,16 +108,16 @@ def test_eps_nonpositive(p322):
 
 @pytest.mark.parametrize("triple", [(3, 2, 2), (3, 2, 4)])
 @pytest.mark.parametrize("setting, message", [
-    *(({"conv_tol": bad}, "conv_tol must be positive and finite")
+    *(({"rel_tol": bad}, "rel_tol must be positive and finite")
       for bad in (math.nan, 0.0, -1.0)),
     *(({"max_crossings": bad}, "max_crossings must be at least 1") for bad in (0, -3)),
     ({"eps": math.inf}, "eps must be positive and finite"),
     ({"t_max": math.inf}, "t_max must be positive and finite"),
 ])
 def test_shoot_rejects_a_bad_setting(triple, setting, message):
-    # checked whichever type drops the setting; a type-I run at conv_tol nan
-    # integrated to t_max and ended max_time, and a spiral run at
-    # max_crossings 0 ended max_crossings after one step
+    # checked on both types, also by the type that drops the setting: a
+    # type-I run ignores max_crossings, and a spiral run at max_crossings 0
+    # once ended max_crossings after one step
     with pytest.raises(ValueError, match=message):
         shoot_unstable_manifold(build_params(*triple), **setting)
 
@@ -321,6 +321,18 @@ def test_table_work_pinned(table_trajs):
         (False, Termination.CONVERGED_TO_P1): 1,
     }
     assert ends[False, Termination.CONVERGED_TO_P1] == [(5, 4, 6)]
+
+
+def test_type_one_runs_end_at_the_fixed_stop(table_trajs):
+    # each real-eigenvalue run of the table ends at its first state with
+    # hypot(u, psi) < 1e-8, a fixed rule that no setting moves
+    type_one = [traj for traj in table_trajs.values()
+                if traj.params.stability is StabilityType.CENTER_TYPE_I]
+    assert len(type_one) == 213
+    for traj in type_one:
+        assert traj.terminated_by is Termination.CONVERGED_TO_P1, traj.params.triple()
+        radius = [math.hypot(u, psi) for u, psi in zip(traj.u.tolist(), traj.psi.tolist())]
+        assert radius[-1] < 1e-8 <= min(radius[:-1]), traj.params.triple()
 
 
 def test_dpsi_column_is_the_field_bit_for_bit(table_trajs):
