@@ -26,7 +26,8 @@ them, are the modules' constants, not settings.  verify -c acts on the
 real-eigenvalue type only, --max-crossings on the spiral type only: on
 the other type the flag exits 2 and the config key is ignored.
 
-All numbers are serialized with 17 significant digits; CSV columns are
+stdout and CSV carry numbers at 17 significant digits, JSON in Python's
+shortest round-trip text (an integral float keeps its .0); CSV columns are
 fixed (trajectory.csv: t,phi,psi; profile.csv: r,rho,rho_r,rho_rr,residual)
 and always carry headers.  SVG plots are static polyline renderings with
 a viewBox computed from the data extents plus a 5% margin.
@@ -142,7 +143,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 # ----------------------------------------------------------------------
-# serialization (17 significant digits everywhere)
+# serialization (stdout and CSV: 17 significant digits; JSON: the
+# shortest round-trip text)
 
 def fmt17(x: float) -> str:
     return format(float(x), ".17g")
@@ -152,38 +154,20 @@ def _fields(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
-def _json_encode(obj, indent: int = 0) -> str:
-    pad = "  " * indent
+def _plain(obj) -> dict:
+    """json.dumps's default: LomseParams as its triple {n, p, k}, any other
+    dataclass as its fields in declaration order."""
     if isinstance(obj, LomseParams):
-        obj = {"n": obj.n, "p": obj.p, "k": obj.k}
-    elif dataclasses.is_dataclass(obj):
-        obj = _fields(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {_json_encode(v, indent + 1)}'
-            for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(f"{pad}  {_json_encode(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return fmt17(obj)
-    return json.dumps(obj)
+        return {"n": obj.n, "p": obj.p, "k": obj.k}
+    if dataclasses.is_dataclass(obj):
+        return _fields(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def dumps_json(obj) -> str:
-    """JSON text of obj; a dataclass is written as its fields in declaration
-    order, LomseParams as its triple {n, p, k}."""
-    return _json_encode(obj) + "\n"
+    """JSON text of obj, indented by 2; floats in their shortest round-trip
+    form, dataclasses through _plain."""
+    return json.dumps(obj, indent=2, default=_plain) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -308,6 +292,8 @@ _CLASSIFY_HEADER = (f"{'n':>3} {'p':>3} {'k':>3}  adm  "
 
 
 def cmd_classify(args) -> int:
+    if args.sweep and args.n is not None:  # argparse fills n first
+        raise ValueError("classify: give n p k or --sweep N_MAX K_MAX, not both")
     if args.sweep:
         n_max, k_max = args.sweep
         print(_CLASSIFY_HEADER)

@@ -5,9 +5,9 @@ value lambda with lambda^2 = k(k+n-1)/p, the cone angle theta, the cone
 slope phi0 = tan(theta), and the stability type of the equilibrium
 (phi0, 0) of the reduced planar system.
 
-lambda^2 is kept as an exact integer pair (k(k+n-1), p) because every
-downstream formula consumes lambda^2; derived floats are computed from
-exact rationals in a single rounding step.
+K = k(k+n-1) is kept as an exact integer and lambda^2 as the float K/p,
+rounded once, because every downstream formula consumes lambda^2; derived
+floats are computed from exact rationals in a single rounding step.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ class LomseParams:
     """The (n, p, k) triple with all derived constants.
 
     Invariants (enforced at construction):
-      lambda_sq == k(k+n-1)/p exactly as a rational,
-      lambda_sq > n/p strictly,
+      lambda_sq_frac == k(k+n-1)/p exactly, lambda_sq its rounding,
+      lambda_sq_frac > n/p strictly,
       phi0 == tan(theta),
       phi0^2 == (p - n/lambda^2)/(n - p),
       cos(theta)^2 == (1 - p/n)/(1 - p/(k(k+n-1))).
@@ -46,8 +46,8 @@ class LomseParams:
     n: int
     p: int
     k: int
-    lambda_sq_num: int  # k(k+n-1)
-    lambda_sq_den: int  # p
+    big_k: int  # k(k+n-1), the Laplace eigenvalue of the component functions
+    lambda_sq: float  # big_k / p, rounded once
     lam: float
     theta: float
     phi0: float
@@ -55,17 +55,8 @@ class LomseParams:
     admissible: bool
 
     @property
-    def big_k(self) -> int:
-        """k(k+n-1), the Laplace eigenvalue of the component functions."""
-        return self.lambda_sq_num
-
-    @property
-    def lambda_sq(self) -> float:
-        return self.lambda_sq_num / self.lambda_sq_den
-
-    @property
     def lambda_sq_frac(self) -> Fraction:
-        return Fraction(self.lambda_sq_num, self.lambda_sq_den)
+        return Fraction(self.big_k, self.p)
 
     @property
     def phi0_sq_frac(self) -> Fraction:
@@ -132,19 +123,20 @@ def build_params(n: int, p: int, k: int, allow_inadmissible: bool = False) -> Lo
     # lambda^2 = K/p > n/p holds automatically for k >= 2.
     assert K > n
     try:
-        lam = math.sqrt(K / p)
+        lambda_sq = K / p
     except OverflowError:
         raise ValueError(f"({n},{p},{k}): lambda^2 = k(k+n-1)/p leaves the float range") from None
     phi0_sq = Fraction(p * (K - n), K * (n - p))
     cos_sq = Fraction(K * (n - p), n * (K - p))
+    lam = math.sqrt(lambda_sq)
     phi0 = math.sqrt(phi0_sq)
     theta = math.acos(math.sqrt(cos_sq))
     return LomseParams(
         n=n,
         p=p,
         k=k,
-        lambda_sq_num=K,
-        lambda_sq_den=p,
+        big_k=K,
+        lambda_sq=lambda_sq,
         lam=lam,
         theta=theta,
         phi0=phi0,

@@ -332,7 +332,7 @@ def mpmath_orbit(traj, start=None):
     starts it from that stored state instead of the launch."""
     params = traj.params
     n, p, big_k = params.n, params.p, params.big_k
-    lam2 = mpmath.mpf(params.lambda_sq_num) / params.lambda_sq_den
+    lam2 = mpmath.mpf(big_k) / p
     phi0 = mpmath.sqrt(mpmath.mpf(p * (big_k - n)) / (big_k * (n - p)))
 
     def field(_, y):

@@ -61,6 +61,13 @@ def test_classify_sweep(capsys):
     assert len(lines) == 4
 
 
+def test_classify_with_a_triple_and_sweep_is_usage_error(capsys):
+    assert run(["classify", "3", "2", "2", "--sweep", "31", "20"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_classify_allow_inadmissible(capsys):
     assert run(["classify", "4", "2", "2", "--allow-inadmissible"]) == EXIT_OK
     assert "no" in capsys.readouterr().out
@@ -707,8 +714,18 @@ def _as_json(obj):
     return obj
 
 
+def _typed(obj):
+    """obj with each leaf paired with its type, so that == tells 1 from 1.0."""
+    if isinstance(obj, dict):
+        return {k: _typed(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_typed(v) for v in obj]
+    return (float if isinstance(obj, float) else type(obj), obj)
+
+
 def test_json_report_round_trips(p322, p324, traj324):
-    # every float comes back bit for bit from its 17 digits
+    # every float comes back bit for bit, and as a float, from its shortest
+    # round-trip text; case1_check's c is 1.0 for (3,2,2)
     reports = [
         crossing_report(traj324),
         barrier.case1_check(p322, grid_points=200),
@@ -717,7 +734,7 @@ def test_json_report_round_trips(p322, p324, traj324):
         analysis.density_report(traj324, n_panels=1024),
     ]
     for rep in reports:
-        assert json.loads(dumps_json(rep)) == _as_json(rep), type(rep).__name__
+        assert _typed(json.loads(dumps_json(rep))) == _typed(_as_json(rep)), type(rep).__name__
 
 
 def test_json_key_order(tmp_path):
@@ -728,6 +745,38 @@ def test_json_key_order(tmp_path):
         assert run(["verify", *triple, "--out-dir", str(tmp_path)]) == EXIT_OK
         barrier_json = json.loads((tmp_path / "barrier.json").read_text())
         assert list(barrier_json)[:2] == ["params", "case"]
+
+
+# the commands whose JSON files the format tests read, one of each kind
+_JSON_COMMANDS = [
+    ["verify", "3", "2", "2"], ["verify", "3", "2", "4"], ["verify", "5", "4", "4"],
+    ["geometry", "3", "2", "2"], ["orbit", "3", "2", "4"], ["orbit", "5", "4", "6"],
+    ["density", "3", "2", "4"], ["density", "3", "2", "2", "--radii", "0.5,1,2"],
+    ["maps-check"],
+]
+
+
+@pytest.mark.parametrize("argv", _JSON_COMMANDS, ids=lambda argv: "-".join(argv))
+def test_json_files_are_json_dumps_text(argv, tmp_path, capsys):
+    assert run([*argv, "--out-dir", str(tmp_path)]) == EXIT_OK
+    files = sorted(tmp_path.glob("*.json"))
+    assert len(files) == 1
+    text = files[0].read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_integral_floats_load_as_floats(tmp_path, capsys):
+    assert run(["verify", "3", "2", "2", "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert _typed(json.loads((tmp_path / "barrier.json").read_text())["c"]) == (float, 1.0)
+    assert run(["geometry", "3", "2", "2", "--out-dir", str(tmp_path)]) == EXIT_OK
+    angles = json.loads((tmp_path / "geometry.json").read_text())["jordan_angles"]
+    assert (float, 0.0) in [_typed(angle) for angle, _ in angles]
+    assert run(["density", "3", "2", "2", "--radii", "0.5,1,2",
+                "--out-dir", str(tmp_path)]) == EXIT_OK
+    radii = json.loads((tmp_path / "density.json").read_text())["radii"]
+    assert _typed(radii) == [(float, 0.5), (float, 1.0), (float, 2.0)]
+    assert run(["maps-check", "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert "\"fd_step\": 1e-05," in (tmp_path / "maps_check.json").read_text()
 
 
 def test_determinism_same_bytes(tmp_path):

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from lo_dynamics import enumerate_admissible
 from lo_dynamics.cli import EXIT_BLOWUP, EXIT_OK, EXIT_USAGE
+from lo_dynamics.params import StabilityType
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -32,3 +34,17 @@ def test_gallery_returns_first_failing_exit_code(monkeypatch, tmp_path, codes, e
     monkeypatch.setattr("sys.argv", ["run_orbit_gallery.py", "--out", str(tmp_path)])
     assert gallery.main() == expected
     assert len(seen) == calls
+
+
+def test_sweep_table_prints_one_row_per_triple(monkeypatch, capsys):
+    sweep = _load("sweep_table")
+    monkeypatch.setattr("sys.argv", ["sweep_table.py", "--n-max", "7", "--k-max", "4"])
+    sweep.main()
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[:4] == ["n", "p", "k", "type"]
+    table = enumerate_admissible(7, 4)
+    assert len(rows) == len(table)
+    for row, params in zip(rows, table):
+        n, p, k, kind = row.split()[:4]
+        assert (int(n), int(p), int(k)) == params.triple()
+        assert kind == ("I" if params.stability is StabilityType.CENTER_TYPE_I else "II")
