@@ -301,8 +301,7 @@ def cmd_classify(args) -> int:
             print(_classify_row(p))
         return EXIT_OK
     if args.n is None or args.p is None or args.k is None:
-        print("classify: provide n p k or --sweep N_MAX K_MAX", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("classify: provide n p k or --sweep N_MAX K_MAX")
     for name in ("n", "p", "k"):
         text = getattr(args, name)
         try:

@@ -23,11 +23,15 @@ splice_amplitude, delta = rel_tol / (20 c2) with c2 the bound of the
 field's quadratic remainder at P1 (dynsys.p1_quadratic_bound), the
 remainder is below rel_tol/10 of the state and the run stops taking DP5
 steps.  It continues with the linear flow exp(J tau) x* in closed form,
-sampled on a uniform grid spaced by the last accepted DP5 step, with
-dpsi = a u + b psi, until the loop's own stop rules end it.  The samples
-go into the same columns, each the DP5 list converted once and joined to
-the tail's arrays.  The flow formula is written once (_flow_terms,
-_linear_flow); the splice index is stats.accepted.
+evaluated on a fine grid spaced by the last accepted DP5 step h, with
+dpsi = a u + b psi, until the loop's own stop rules end it on that grid.
+The grid ends two samples past the last psi zero the run can count.  Of
+it the columns keep every m-th sample, m = max(1, floor(pi / (2 omega
+h))), about one per quarter-turn, and the stop sample: each row of the
+flow vanishes pi/omega apart, so a kept segment holds at most one psi
+zero and one phi0 hit, and the zeros still equal the sample sign
+changes.  The flow formula is written once (_flow_terms, _linear_flow);
+the splice index is stats.accepted.
 
 A run fails when |phi| exceeds 1e3 phi0, at the launch or at an accepted
 step, or when a rejected step falls below 1e-13/(k-1).  The bound is on
@@ -40,8 +44,10 @@ and the number of closed-form tail samples.
 Dense output is cubic Hermite on (value, slope) at the samples, read by
 one evaluator, _dense, which locates each point once (_segments) for all
 its column pairs; events are refined by bisection on the interpolant of
-the segment that holds them, to 1e-12 in t.  Past the splice, psi zeros
-and phi0 hits come from the linear flow's phase instead, and the gaps
+the segment that holds them, to 1e-12 in t.  Past the splice, where the
+quarter-turn samples leave the cubic far from the flow, psi zeros and
+phi0 hits come from the linear flow's phase instead, hits of any other
+phi by bisection on the flow between its u extrema, and the gaps
 (analysis.gap_logs) from its state at the cut.
 The tests check this path against a classical fixed-step RK4 in plain
 (phi, psi) coordinates (tests/oracles.py), which shares no code with it.
@@ -180,7 +186,8 @@ class StepStats:
     attempt cut short by an overflowing stage counts in full.  h_min and
     h_max are the smallest and largest accepted DP5 steps, None when no
     step was accepted.  tail_samples counts the samples of the closed-form
-    spiral tail that follow the DP5 steps (0 when the run never spliced).
+    spiral tail that follow the DP5 steps, about one per quarter-turn (0
+    when the run never spliced).
     """
 
     accepted: int
@@ -285,15 +292,31 @@ def _linear_flow(lin: P1Linearization, u0, psi0, tau):
     return tuple(decay * (y0 * cos + c * sin) for y0, c in _flow_terms(lin, u0, psi0))
 
 
-def _linear_tail(lin: P1Linearization, t0, u0, psi0, h, t_max):
+def _flow_zeros(lin: P1Linearization, u0, psi0, row, span):
+    """The tau in (0, span), increasing, where one row (0: u, 1: psi) of the
+    flow from (u0, psi0) vanishes: omega tau = theta + j pi (_flow_terms)."""
+    omega = lin.mu3.imag
+    y0, c = _flow_terms(lin, u0, psi0)[row]
+    theta = math.atan2(-omega * y0, c)
+    j = np.arange(math.floor(-theta / math.pi) + 1, math.ceil((omega * span - theta) / math.pi))
+    return (theta + j * math.pi) / omega
+
+
+def _linear_tail(lin: P1Linearization, t0, u0, psi0, h, t_max, zeros=None):
     """_linear_flow from (u0, psi0) at t0 + h, t0 + 2h, ..., with dpsi = a u +
     b psi exact.  The grid ends with a sample at t_max exactly, or at least
     one step after the max-norm bound e^{alpha tau} spiral_flow_growth
-    max(|u0|, |psi0|) has fallen to _DEEP_FLOOR, whichever comes first.
+    max(|u0|, |psi0|) has fallen to _DEEP_FLOOR, or with zeros given, at the
+    second sample after the flow's zeros-th psi zero, whichever comes first.
     """
     alpha = lin.mu3.real
     tau_floor = math.log(_DEEP_FLOOR / (spiral_flow_growth(lin) * max(abs(u0), abs(psi0)))) / alpha
-    tau = h * np.arange(1, math.floor(min(t_max - t0, tau_floor) / h) + 2)
+    tau_end = min(t_max - t0, tau_floor)
+    if zeros is not None:
+        taus = _flow_zeros(lin, u0, psi0, 1, tau_end)
+        if len(taus) >= zeros:
+            tau_end = taus[zeros - 1] + h
+    tau = h * np.arange(1, math.floor(tau_end / h) + 2)
     t = t0 + tau
     if t[-1] >= t_max:
         keep = t < t_max
@@ -319,10 +342,11 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
     The run ends at the first accepted state with hypot(u, psi) < stop_radius.
     With tail, the spiral linearization at P1 (which needs max_crossings),
     the run leaves the DP5 loop at the first accepted state of amplitude
-    below splice_amplitude and appends _linear_tail samples spaced by the
-    last accepted step, cut by the loop's stop rules: the deep floor,
-    max_crossings sign changes of psi and t_max, tested in that order on
-    each sample.
+    below splice_amplitude and continues on the _linear_tail grid spaced
+    by the last accepted step h, cut by the loop's stop rules: the deep
+    floor, max_crossings sign changes of psi and t_max, tested in that
+    order on each grid sample.  It keeps every m-th grid sample, m =
+    max(1, floor(pi / (2 omega h))), and the stop sample.
     """
     dpsi = offset_field(params)
     delta = splice_amplitude(params, rel_tol) if tail is not None else 0.0
@@ -449,7 +473,9 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
                 reason = Termination.MAX_CROSSINGS
                 break
             if amp < delta and t < t_max:
-                tt, tu, tpsi, tdpsi = _linear_tail(tail, t, u, psi, t - t_prev, t_max)
+                h = t - t_prev
+                tt, tu, tpsi, tdpsi = _linear_tail(tail, t, u, psi, h, t_max,
+                                                   max_crossings - crossings)
                 count = crossings + np.cumsum(
                     _strict_sign_change(np.concatenate(([psi], tpsi))))
                 floor = np.maximum(np.abs(tu), np.abs(tpsi)) < _DEEP_FLOOR
@@ -461,8 +487,11 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
                     reason = Termination.MAX_CROSSINGS
                 else:
                     reason = Termination.MAX_TIME
-                tail_samples = stop + 1
-                ts, us, psis, dpsis = (np.concatenate((np.array(col), arr[:tail_samples]))
+                # every m-th sample, about one per quarter-turn, and the stop
+                m = max(1, math.floor(math.pi / (2.0 * tail.mu3.imag * h)))
+                keep = np.append(np.arange(m - 1, stop, m), stop)
+                tail_samples = len(keep)
+                ts, us, psis, dpsis = (np.concatenate((np.array(col), arr[keep]))
                                        for col, arr in zip((ts, us, psis, dpsis),
                                                            (tt, tu, tpsi, tdpsi)))
                 break
@@ -534,46 +563,54 @@ def shoot_unstable_manifold(params: LomseParams,
     return Trajectory(params, ts, us, psis, dpsis, eps, rel_tol, reason, rejected, tail_samples)
 
 
-def _level_crossings(traj: Trajectory, y, m, level: float, row=None):
-    """(i, t*) for each strict sign change of y - level between samples i
-    and i + 1, t* bisected on the segment's Hermite cubic through (y, m).
+def _level_crossings(traj: Trajectory, y, m, level: float, row: int):
+    """(i, t*) for each crossing of level by y, the state's row row (0: u,
+    1: psi), with t* in segment i; increasing t.
 
-    With row (0 for u, 1 for psi; level 0), a segment of the linear tail,
-    from the splice state at index stats.accepted on, takes t* in closed
-    form: the zero of that row of the flow (_flow_terms) nearest to the
-    segment's middle, clamped into the segment, so each zero stays in the
-    bracket that its sign change gives.
+    Before the splice index s = stats.accepted, each strict sign change of
+    y - level is bisected on its segment's Hermite cubic through (y, m).
+    Past it the crossings come from the linear flow from the splice state,
+    whatever the sample spacing: at level 0 the zeros of the row in closed
+    form (_flow_zeros); at any other level on u, each sign change of u -
+    level between consecutive extrema of u, the psi zeros, between which u
+    is monotone, bisected on _linear_flow's u row.  One sample segment may
+    hold several such crossings.
     """
     t = traj.t
     g = y - level
-    i = np.flatnonzero(_strict_sign_change(g))
-    s = traj.stats.accepted
-    dense = i if row is None else i[i < s]
+    i = np.flatnonzero(_strict_sign_change(g[:traj.stats.accepted + 1]))
     out = []
-    for k in dense.tolist():
+    for k in i.tolist():
         t0, t1 = float(t[k]), float(t[k + 1])
         y0, y1, m0, m1 = float(y[k]), float(y[k + 1]), float(m[k]), float(m[k + 1])
         out.append((k, _bisect(lambda x: _hermite(x, t0, t1, y0, y1, m0, m1) - level,
                                t0, t1, float(g[k]), float(g[k + 1]))))
-    tail = i[len(dense):]
-    if len(tail):
-        lin = linearize_p1(traj.params)
-        omega = lin.mu3.imag
-        t_s = float(t[s])
-        y0, c = _flow_terms(lin, float(traj.u[s]), float(traj.psi[s]))[row]
-        theta = math.atan2(-omega * y0, c)
-        t0, t1 = t[tail], t[tail + 1]
-        j = np.rint((omega * (0.5 * (t0 + t1) - t_s) - theta) / math.pi)
-        out += zip(tail.tolist(), np.clip(t_s + (theta + j * math.pi) / omega, t0, t1).tolist())
-    return out
+    s = traj.stats.accepted
+    if s == len(t) - 1:
+        return out
+    lin = linearize_p1(traj.params)
+    t_s = float(t[s])
+    x_s = (float(traj.u[s]), float(traj.psi[s]))
+    span = float(t[-1]) - t_s
+    if level == 0.0:
+        taus = _flow_zeros(lin, *x_s, row, span)
+    else:
+        ends = np.concatenate(([0.0], _flow_zeros(lin, *x_s, 1, span), [span]))
+        ge = _linear_flow(lin, *x_s, ends)[0] - level
+        taus = np.array([_bisect(lambda x: float(_linear_flow(lin, *x_s, x)[0]) - level,
+                                 float(ends[k]), float(ends[k + 1]), float(ge[k]), float(ge[k + 1]))
+                         for k in np.flatnonzero(_strict_sign_change(ge)).tolist()])
+    times = t_s + taus
+    return out + list(zip(_segments(t, times).tolist(), times.tolist()))
 
 
 def detect_psi_zeros(traj: Trajectory) -> list[PsiZero]:
-    """Refine every sign change of psi; increasing t.  phi is read where
-    the time came from: the Hermite cubic of u, or the linear tail's flow."""
+    """Every zero of psi, increasing t: refined sign changes up to the
+    splice, the flow's zeros past it.  phi is read where the time came
+    from: the Hermite cubic of u, or the linear tail's flow."""
     t, u, psi = traj.t, traj.u, traj.psi
     s = traj.stats.accepted
-    crossings = _level_crossings(traj, psi, traj.dpsi, 0.0, row=1)
+    crossings = _level_crossings(traj, psi, traj.dpsi, 0.0, 1)
     offsets = [_hermite(tz, float(t[i]), float(t[i + 1]), float(u[i]), float(u[i + 1]),
                         float(psi[i]), float(psi[i + 1])) for i, tz in crossings if i < s]
     tail = [tz for i, tz in crossings if i >= s]
@@ -588,21 +625,21 @@ def detect_psi_zeros(traj: Trajectory) -> list[PsiZero]:
 def detect_phi_hits(traj: Trajectory, target: float) -> list[PhiHit]:
     """All refined solutions of phi(t) = target along the trajectory.
 
-    A sample exactly on the target is a hit unless the sample before it is
-    one too; a sign change between samples is refined by bisection, or at
-    target phi0 on the linear tail taken in closed form.  The target must
-    be positive and finite.
+    A sample up to the splice exactly on the target is a hit unless the
+    sample before it is one too; a sign change between those samples is
+    refined by bisection.  Past the splice the hits come from the linear
+    flow alone (_level_crossings).  The target must be positive and finite.
     """
     if not 0.0 < target < math.inf:  # NaN fails too
         raise ValueError(f"target must be positive and finite, got {target}")
     u_target = target - traj.params.phi0
-    on_target = traj.u - u_target == 0.0
+    head = slice(traj.stats.accepted + 1)
+    on_target = traj.u[head] - u_target == 0.0
     on_target[1:] &= ~on_target[:-1]  # the first sample of each run on it
-    # a sign change needs both samples off the target: the indices are disjoint
-    times = {i: float(traj.t[i]) for i in np.flatnonzero(on_target).tolist()}
-    times.update(_level_crossings(traj, traj.u, traj.psi, u_target,
-                                  row=0 if u_target == 0.0 else None))
-    return [PhiHit(t=th, dilation=math.exp(th)) for _, th in sorted(times.items())]
+    # a sign change needs both samples off the target: no time is found twice
+    times = traj.t[head][on_target].tolist() + [
+        th for _, th in _level_crossings(traj, traj.u, traj.psi, u_target, 0)]
+    return [PhiHit(t=th, dilation=math.exp(th)) for th in sorted(times)]
 
 
 def crossing_report(traj: Trajectory, target: float | None = None) -> CrossingReport:

@@ -68,6 +68,14 @@ def test_classify_with_a_triple_and_sweep_is_usage_error(capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("triple", [["3"], ["3", "2"]])
+def test_classify_partial_triple_is_usage_error(triple, capsys):
+    assert run(["classify", *triple]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: classify: provide n p k or --sweep N_MAX K_MAX\n"
+
+
 def test_classify_allow_inadmissible(capsys):
     assert run(["classify", "4", "2", "2", "--allow-inadmissible"]) == EXIT_OK
     assert "no" in capsys.readouterr().out

@@ -100,34 +100,52 @@ def test_tail_error_bar_covers_cut_runs(spirals):
 
 
 def test_error_bars_cover_a_10_point_reference(spirals):
-    # gaps 1-3 by a 10-point Gauss-Legendre rule per Hermite segment, in
-    # plain floats (psi^2 does not underflow this early), written apart from
-    # gap_logs; the part past t_end, below 1e-190, is left out
-    # (measured: the 5-point gaps differ from it by at most 6.8e-15 relative,
-    # 4.4e-2 of their bars)
+    # gaps 1-3 by a 10-point Gauss-Legendre rule in plain floats (psi^2 does
+    # not underflow this early), written apart from gap_logs: per Hermite
+    # segment up to the splice, and past it on the linear flow from the
+    # splice state, from numpy's eigenpair (mu, v) of J as 2 Re(z e^{mu tau}
+    # v), 16 pieces per tail segment; the part past t_end, below 1e-190, is
+    # left out (measured: the 5-point gaps differ from it by at most
+    # 7.0e-15 relative, 4.4e-2 of their bars; the flow's part is at most
+    # 6.4e-12 of a gap)
     x, w = np.polynomial.legendre.leggauss(10)
     for triple in [(3, 2, 4), (3, 2, 10)]:
         traj = spirals[triple]
         params = traj.params
         n, p, lam2 = params.n, params.p, params.lambda_sq
         report = density_report(traj)
-        t = traj.t
+        t, s = traj.t, traj.stats.accepted
+
+        def integral(a, b, phi, psi):
+            f = (psi ** 2 * (1 + lam2 * phi ** 2) ** (p / 2)
+                 / (np.sqrt(1 + (phi + psi) ** 2) * (1 + phi ** 2) ** ((n + 3) / 2)))
+            return np.sum((b - a) / 2.0 * (w @ f))
+
+        lin = linearize_p1(params)
+        vals, vecs = np.linalg.eig(np.array([[0.0, 1.0], [lin.a, lin.b]]))
+        mu, v = vals[np.argmax(vals.imag)], vecs[:, np.argmax(vals.imag)]
+        z = np.linalg.solve(np.array([v, v.conj()]).T,
+                            np.array([traj.u[s], traj.psi[s]], dtype=complex))[0]
+        edges = np.append(np.linspace(t[s:-1], t[s + 1:], 16, endpoint=False).T.ravel(), t[-1])
+        a, b = edges[:-1], edges[1:]
+        flow = z * np.exp(mu * ((a + b) / 2.0 + (b - a) / 2.0 * x[:, None] - t[s]))
+        tail = integral(a, b, params.phi0 + 2.0 * (flow * v[0]).real, 2.0 * (flow * v[1]).real)
         for i, hit in enumerate(detect_phi_hits(traj, params.phi0)[:3]):
-            j = np.arange(np.searchsorted(t, hit.t, side="right") - 1, len(t) - 1)
+            assert hit.t < t[s]
+            j = np.arange(np.searchsorted(t, hit.t, side="right") - 1, s)
             a = np.concatenate([[hit.t], t[j[1:]]])
             b = t[j + 1]
             h = b - t[j]
-            s = ((a + b) / 2.0 + (b - a) / 2.0 * x[:, None] - t[j]) / h
+            s_ = ((a + b) / 2.0 + (b - a) / 2.0 * x[:, None] - t[j]) / h
 
             def hermite(y, m):
-                return ((2 * s ** 3 - 3 * s ** 2 + 1) * y[j] + (s ** 3 - 2 * s ** 2 + s) * h * m[j]
-                        + (3 * s ** 2 - 2 * s ** 3) * y[j + 1] + (s ** 3 - s ** 2) * h * m[j + 1])
+                return ((2 * s_ ** 3 - 3 * s_ ** 2 + 1) * y[j]
+                        + (s_ ** 3 - 2 * s_ ** 2 + s_) * h * m[j]
+                        + (3 * s_ ** 2 - 2 * s_ ** 3) * y[j + 1] + (s_ ** 3 - s_ ** 2) * h * m[j + 1])
 
             phi = params.phi0 + hermite(traj.u, traj.psi)
             psi = hermite(traj.psi, traj.dpsi)
-            f = (psi ** 2 * (1 + lam2 * phi ** 2) ** (p / 2)
-                 / (np.sqrt(1 + (phi + psi) ** 2) * (1 + phi ** 2) ** ((n + 3) / 2)))
-            reference = (n + 1) * np.sum((b - a) / 2.0 * (w @ f))
+            reference = (n + 1) * (integral(a, b, phi, psi) + tail)
             gap = 10.0 ** report.log10_gaps[i]
             assert abs(gap - reference) <= 10.0 ** report.log10_gap_errors[i], (triple, i)
 

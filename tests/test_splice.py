@@ -6,6 +6,7 @@ The agreement bounds are set from measurement at the default rel_tol of
 triples of each test; each test's comment gives that value.
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -18,12 +19,14 @@ from lo_dynamics import (
     Termination,
     Trajectory,
     build_params,
+    crossing_report,
     detect_phi_hits,
     detect_psi_zeros,
     enumerate_admissible,
     linearize_p1,
     shoot_unstable_manifold,
 )
+from lo_dynamics.analysis import density_report
 from lo_dynamics.dynsys import offset_field
 from lo_dynamics.integrate import (
     _DEEP_FLOOR,
@@ -116,6 +119,28 @@ def test_spliced_run_keeps_the_dp5_prefix(triple, spirals, dp5_only):
     assert dp5.stats.tail_samples == 0
 
 
+def _fine_tail(traj):
+    """The fine tail grid of a spliced run, rebuilt: _linear_tail from the
+    splice state, spaced by the last DP5 step h, up to t_max.  Returns its
+    columns, the index of its first sample where a stop rule holds (the
+    deep floor, max_crossings sign changes of psi counted from the launch,
+    t_max), the reason, and m = max(1, floor(pi / (2 omega h))), the stride
+    of the samples the run keeps."""
+    s = traj.stats.accepted
+    h = float(traj.t[s] - traj.t[s - 1])
+    lin = linearize_p1(traj.params)
+    fine = _linear_tail(lin, float(traj.t[s]), float(traj.u[s]), float(traj.psi[s]), h,
+                        integrate.DEFAULT_T_MAX)
+    t, u, psi, _ = fine
+    count = np.cumsum(_strict_sign_change(np.concatenate((traj.psi[:s + 1], psi))))[s:]
+    floor = np.maximum(np.abs(u), np.abs(psi)) < _DEEP_FLOOR
+    full = count >= DEFAULT_MAX_CROSSINGS
+    stop = int(np.flatnonzero(floor | full | (t >= integrate.DEFAULT_T_MAX))[0])
+    reason = (Termination.CONVERGED_TO_P1 if floor[stop] else
+              Termination.MAX_CROSSINGS if full[stop] else Termination.MAX_TIME)
+    return fine, stop, reason, max(1, math.floor(math.pi / (2.0 * lin.mu3.imag * h)))
+
+
 def test_splice_grid_and_stop_rules(spirals):
     for triple, traj in spirals.items():
         params, stats = traj.params, traj.stats
@@ -125,36 +150,143 @@ def test_splice_grid_and_stop_rules(spirals):
         delta = splice_amplitude(params, DEFAULT_REL_TOL)
         assert amp[s] < delta <= amp[:s].min(), triple
         assert stats.tail_samples == len(traj) - 1 - s > 0, triple
+        # the kept samples lie m DP5 steps apart, m h at most a quarter-turn
+        # and (m + 1) h more than one, and the stop sample follows within m h
+        fine, stop, reason, m = _fine_tail(traj)
         h = traj.t[s] - traj.t[s - 1]
-        np.testing.assert_allclose(np.diff(traj.t[s:]), h, rtol=1e-9)
         lin = linearize_p1(params)
+        assert m * h <= math.pi / (2.0 * lin.mu3.imag) < (m + 1) * h, triple
+        gaps = np.diff(traj.t[s:])
+        np.testing.assert_allclose(gaps[:-1], m * h, rtol=1e-9)
+        assert 0.0 < gaps[-1] <= m * h * (1.0 + 1e-9), triple
         tail = slice(s + 1, None)
         assert np.array_equal(traj.dpsi[tail], lin.a * traj.u[tail] + lin.b * traj.psi[tail])
+        # the stop rules act on the fine grid, and its stop sample ends the run
+        assert traj.terminated_by is reason, triple
+        assert traj.t_end == fine[0][stop], triple
         changes = _strict_sign_change(traj.psi)
+        fine_amp = np.maximum(np.abs(fine[1][:stop + 1]), np.abs(fine[2][:stop + 1]))
         if triple == (5, 4, 6):
             # stops at the first sample below the deep floor
             assert traj.terminated_by is Termination.CONVERGED_TO_P1
-            assert amp[-1] < _DEEP_FLOOR <= amp[:-1].min()
+            assert amp[-1] < _DEEP_FLOOR <= min(amp[:-1].min(), fine_amp[:-1].min())
             assert changes.sum() < DEFAULT_MAX_CROSSINGS
         else:
             # stops at the first sample past the 40th sign change
             assert traj.terminated_by is Termination.MAX_CROSSINGS, triple
             assert changes.sum() == DEFAULT_MAX_CROSSINGS and changes[-1], triple
-            assert amp.min() >= _DEEP_FLOOR, triple
+            assert min(amp.min(), fine_amp.min()) >= _DEEP_FLOOR, triple
 
 
 def test_tail_columns_are_the_linear_tail_prefix(spirals):
-    # the columns hand the closed-form samples over after the splice state
-    # once each: none dropped, none repeated
+    # the columns hand over every m-th sample of the fine grid after the
+    # splice state up to its stop, and the stop sample, once each: none
+    # dropped, none repeated.  The run generates a prefix of that grid,
+    # ending at the second sample past the flow's last psi zero it can count
     for triple, traj in spirals.items():
         s, count = traj.stats.accepted, traj.stats.tail_samples
+        fine, stop, _, m = _fine_tail(traj)
         assert len(traj) == s + 1 + count, triple
-        tail = _linear_tail(linearize_p1(traj.params), float(traj.t[s]), float(traj.u[s]),
-                            float(traj.psi[s]), float(traj.t[s] - traj.t[s - 1]),
-                            integrate.DEFAULT_T_MAX)
-        for name, column in zip(("t", "u", "psi", "dpsi"), tail):
-            assert len(column) >= count, (triple, name)
-            assert getattr(traj, name)[s + 1:].tobytes() == column[:count].tobytes(), (triple, name)
+        for name, column in zip(("t", "u", "psi", "dpsi"), fine):
+            kept = np.append(column[m - 1:stop:m], column[stop])
+            assert getattr(traj, name)[s + 1:].tobytes() == kept.tobytes(), (triple, name)
+        before = int(_strict_sign_change(traj.psi[:s + 1]).sum())
+        short = _linear_tail(linearize_p1(traj.params), float(traj.t[s]), float(traj.u[s]),
+                             float(traj.psi[s]), float(traj.t[s] - traj.t[s - 1]),
+                             integrate.DEFAULT_T_MAX, DEFAULT_MAX_CROSSINGS - before)
+        assert stop < len(short[0]) <= len(fine[0]), triple
+        if traj.terminated_by is Termination.MAX_CROSSINGS:
+            assert len(short[0]) == stop + 2, triple
+        for column, full in zip(short, fine):
+            assert column.tobytes() == full[:len(column)].tobytes(), triple
+
+
+def test_tail_events_lie_inside_their_segments(spirals):
+    # a tail segment spans at most a quarter-turn, so it holds at most one
+    # zero of each row of the flow, and each closed-form psi zero and phi0
+    # hit lies strictly inside the sign change that brackets it: the clamp
+    # in _level_crossings never acts
+    for triple, traj in spirals.items():
+        s, t = traj.stats.accepted, traj.t
+        for events, y in ((detect_psi_zeros(traj), traj.psi),
+                          (detect_phi_hits(traj, traj.params.phi0), traj.u)):
+            i = np.flatnonzero(_strict_sign_change(y))
+            i = i[i >= s]
+            assert len(i) >= 26, triple
+            tail = np.array([e.t for e in events[len(events) - len(i):]])
+            assert np.all((t[i] < tail) & (tail < t[i + 1])), triple
+            assert tail[0] > t[s] >= events[len(events) - len(i) - 1].t, triple
+
+
+def test_reports_match_on_the_fine_tail(spirals):
+    # past the splice the events and the gaps come from the flow, not from
+    # the samples: the run rebuilt with every sample of the fine grid gives
+    # the same crossing_report, at phi0 and off it, and density_report,
+    # bit for bit
+    for triple, traj in spirals.items():
+        s, phi0 = traj.stats.accepted, traj.params.phi0
+        fine, stop, reason, _ = _fine_tail(traj)
+        columns = [np.concatenate((getattr(traj, name)[:s + 1], column[:stop + 1]))
+                   for name, column in zip(("t", "u", "psi", "dpsi"), fine)]
+        rebuilt = Trajectory(traj.params, *columns, traj.eps_start, traj.rel_tol, reason,
+                             traj.stats.rejected, stop + 1)
+        assert len(rebuilt) > len(traj) + 10 * traj.stats.tail_samples, triple
+        assert rebuilt.stats == dataclasses.replace(traj.stats, tail_samples=stop + 1)
+        for target in (phi0, phi0 + 2e-14):
+            assert crossing_report(rebuilt, target) == crossing_report(traj, target), triple
+        assert density_report(rebuilt) == density_report(traj), triple
+
+
+def _eig_u(traj):
+    """u(t) past the splice from numpy's eigenpair (mu, v) of J, written
+    apart from the package: the flow from the splice state x* = 2 Re(z v)
+    is 2 Re(z e^{mu tau} v)."""
+    s = traj.stats.accepted
+    lin = linearize_p1(traj.params)
+    vals, vecs = np.linalg.eig(np.array([[0.0, 1.0], [lin.a, lin.b]]))
+    mu, v = vals[np.argmax(vals.imag)], vecs[:, np.argmax(vals.imag)]
+    z = np.linalg.solve(np.array([v, v.conj()]).T,
+                        np.array([traj.u[s], traj.psi[s]], dtype=complex))[0]
+    return lambda t: 2.0 * (z * v[0] * np.exp(mu * (t - traj.t[s]))).real
+
+
+def _eig_roots(traj, level):
+    """The times past the splice where _eig_u equals level: sign changes on
+    a scan of 200 000 steps, each bisected to adjacent floats."""
+    u = _eig_u(traj)
+    grid = np.linspace(traj.t[traj.stats.accepted], traj.t_end, 200_001)
+    g = u(grid) - level
+    roots = []
+    for i in np.flatnonzero(_strict_sign_change(g)).tolist():
+        a, b, ga = grid[i], grid[i + 1], g[i]
+        while a < 0.5 * (a + b) < b:
+            mid = 0.5 * (a + b)
+            gm = u(mid) - level
+            if (gm < 0.0) == (ga < 0.0):
+                a, ga = mid, gm
+            else:
+                b = mid
+        roots.append(0.5 * (a + b))
+    return roots
+
+
+def test_off_target_tail_hits_match_an_eigen_root(spirals):
+    # a target other than phi0 is found past the splice on the flow's u row,
+    # bracketed between the flow's extrema (measured: 2.0e-13 in t from the
+    # eigen root at phi0 + 2e-14).  Near an extremum of u two hits fall in
+    # one sample segment, and both are kept
+    traj = spirals[(3, 2, 4)]
+    phi0, s = traj.params.phi0, traj.stats.accepted
+    extremum = [z for z in detect_psi_zeros(traj) if z.t > traj.t[s]][0]
+    near_peak = phi0 + 0.99 * extremum.phi_offset
+    assert 0.9 < (near_peak - phi0) / extremum.phi_offset < 1.0
+    for target, count in ((phi0 + 2e-14, 1), (near_peak, 2)):
+        hits = [h.t for h in detect_phi_hits(traj, target) if h.t > traj.t[s]]
+        roots = _eig_roots(traj, target - phi0)
+        assert len(hits) == len(roots) == count
+        assert max(abs(a - b) for a, b in zip(hits, roots)) <= 1e-11
+    i = np.searchsorted(traj.t, hits, side="right") - 1
+    assert i[0] == i[1] and hits[0] < extremum.t < hits[1]
 
 
 def test_tail_stops_at_t_max_and_max_crossings(p324):
