@@ -8,8 +8,9 @@ Exit codes (public contract):
     3  inadmissible triple without --allow-inadmissible
     4  integration failure: |phi| left 1e3 phi0, a rejected step fell
        below 1e-13/(k-1), or r^2 + rho^2 stopped rising along the profile
-    5  certificate failure (verify: barrier; density: a crossing's density
-       not strictly below the cone density, or not resolved from it)
+    5  certificate failure (verify: barrier; density: a crossing's density,
+       or a --radii density, not strictly below the cone density, or not
+       resolved from it)
     6  wrong stability type for the requested report, or too few crossings
 main maps the errors classes to 3, 4 and 6, any other ValueError to 2.
 
@@ -426,6 +427,12 @@ def cmd_density(args) -> int:
         for r, th in zip(radii, thetas):
             print(f"Theta({fmt17(r)}) = {fmt17(th)}")
         print(f"Theta_infinity = {fmt17(payload['theta_infinity'])}")
+        # Theta rises to Theta_infinity: a value not below it is unresolved
+        above = [fmt17(r) for r, th in zip(radii, thetas) if not th < payload["theta_infinity"]]
+        if above:
+            print(f"unresolved: Theta(R) not below Theta_infinity at R = {', '.join(above)}",
+                  file=sys.stderr)
+            return EXIT_BARRIER_FAILURE
         return EXIT_OK
     report = analysis.density_report(traj)
     _write_json(cfg, "density.json", report)

@@ -23,15 +23,11 @@ splice_amplitude, delta = rel_tol / (20 c2) with c2 the bound of the
 field's quadratic remainder at P1 (dynsys.p1_quadratic_bound), the
 remainder is below rel_tol/10 of the state and the run stops taking DP5
 steps.  It continues with the linear flow exp(J tau) x* in closed form,
-evaluated on a fine grid spaced by the last accepted DP5 step h, with
-dpsi = a u + b psi, until the loop's own stop rules end it on that grid.
-The grid ends two samples past the last psi zero the run can count.  Of
-it the columns keep every m-th sample, m = max(1, floor(pi / (2 omega
-h))), about one per quarter-turn, and the stop sample: each row of the
-flow vanishes pi/omega apart, so a kept segment holds at most one psi
-zero and one phi0 hit, and the zeros still equal the sample sign
-changes.  The flow formula is written once (_flow_terms, _linear_flow);
-the splice index is stats.accepted.
+with dpsi = a u + b psi, sampled once per quarter-turn of the flow's own
+phase with each psi zero in the middle of its sample segment, so that
+the zeros equal the sample sign changes; the loop's stop rules act on
+these samples (_linear_tail).  The flow formula is written once
+(_flow_terms, _linear_flow); the splice index is stats.accepted.
 
 A run fails when |phi| exceeds 1e3 phi0, at the launch or at an accepted
 step, or when a rejected step falls below 1e-13/(k-1).  The bound is on
@@ -186,8 +182,8 @@ class StepStats:
     attempt cut short by an overflowing stage counts in full.  h_min and
     h_max are the smallest and largest accepted DP5 steps, None when no
     step was accepted.  tail_samples counts the samples of the closed-form
-    spiral tail that follow the DP5 steps, about one per quarter-turn (0
-    when the run never spliced).
+    spiral tail that follow the DP5 steps, one per quarter-turn of the
+    flow's phase (0 when the run never spliced).
     """
 
     accepted: int
@@ -302,28 +298,39 @@ def _flow_zeros(lin: P1Linearization, u0, psi0, row, span):
     return (theta + j * math.pi) / omega
 
 
-def _linear_tail(lin: P1Linearization, t0, u0, psi0, h, t_max, zeros=None):
-    """_linear_flow from (u0, psi0) at t0 + h, t0 + 2h, ..., with dpsi = a u +
-    b psi exact.  The grid ends with a sample at t_max exactly, or at least
-    one step after the max-norm bound e^{alpha tau} spiral_flow_growth
-    max(|u0|, |psi0|) has fallen to _DEEP_FLOOR, or with zeros given, at the
-    second sample after the flow's zeros-th psi zero, whichever comes first.
+def _linear_tail(lin: P1Linearization, t0, u0, psi0, t_max, zeros):
+    """The closed-form tail from (u0, psi0) at t0 and the reason it stops:
+    (t, u, psi, dpsi = a u + b psi, reason).
+
+    The samples lie at t0 + z1 + (i - 1/2) q after t0, q = pi / (2 omega)
+    and z1 the flow's first psi zero (_flow_zeros), so each psi zero sits
+    in the middle of its sample segment.  They end at the first where a
+    stop rule holds, in this order: max-norm below _DEEP_FLOOR; zeros psi
+    zeros behind it; t_max, which takes the place of the first sample at or
+    past it.  The flow is evaluated up to the first sample past the
+    zeros-th zero, t_max or the time where the max-norm bound e^{alpha tau}
+    spiral_flow_growth max(|u0|, |psi0|) falls below _DEEP_FLOOR.
     """
-    alpha = lin.mu3.real
+    alpha, q = lin.mu3.real, math.pi / (2.0 * lin.mu3.imag)
+    z1 = float(_flow_zeros(lin, u0, psi0, 1, 4.0 * q)[0])
     tau_floor = math.log(_DEEP_FLOOR / (spiral_flow_growth(lin) * max(abs(u0), abs(psi0)))) / alpha
-    tau_end = min(t_max - t0, tau_floor)
-    if zeros is not None:
-        taus = _flow_zeros(lin, u0, psi0, 1, tau_end)
-        if len(taus) >= zeros:
-            tau_end = taus[zeros - 1] + h
-    tau = h * np.arange(1, math.floor(tau_end / h) + 2)
+    last = min(2 * zeros - 1, math.ceil((min(t_max - t0 + q, tau_floor) - z1) / q + 0.5))
+    tau = z1 + (np.arange(-1, last + 1) - 0.5) * q  # reaching q past t_max, not short of it
+    tau = tau[t0 + tau > t0]
     t = t0 + tau
     if t[-1] >= t_max:
-        keep = t < t_max
-        t = np.append(t[keep], t_max)
-        tau = np.append(tau[keep], t_max - t0)
+        t = np.append(t[t < t_max], t_max)
+        tau = np.append(tau[:len(t) - 1], t_max - t0)
     u, psi = _linear_flow(lin, u0, psi0, tau)
-    return t, u, psi, lin.a * u + lin.b * psi
+    below = np.flatnonzero(np.maximum(np.abs(u), np.abs(psi)) < _DEEP_FLOOR)
+    reason = Termination.CONVERGED_TO_P1  # on a sample, or past tau_floor by the bound
+    if len(below):
+        t, u, psi = t[:below[0] + 1], u[:below[0] + 1], psi[:below[0] + 1]
+    elif len(_flow_zeros(lin, u0, psi0, 1, t[-1] - t0)) >= zeros:
+        reason = Termination.MAX_CROSSINGS
+    elif t[-1] == t_max:
+        reason = Termination.MAX_TIME
+    return t, u, psi, lin.a * u + lin.b * psi, reason
 
 
 def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
@@ -342,11 +349,10 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
     The run ends at the first accepted state with hypot(u, psi) < stop_radius.
     With tail, the spiral linearization at P1 (which needs max_crossings),
     the run leaves the DP5 loop at the first accepted state of amplitude
-    below splice_amplitude and continues on the _linear_tail grid spaced
-    by the last accepted step h, cut by the loop's stop rules: the deep
-    floor, max_crossings sign changes of psi and t_max, tested in that
-    order on each grid sample.  It keeps every m-th grid sample, m =
-    max(1, floor(pi / (2 omega h))), and the stop sample.
+    below splice_amplitude and ends with _linear_tail from there: its
+    quarter-turn samples on the flow's phase, cut and named by the loop's
+    stop rules, the psi zeros still to count being max_crossings less the
+    sign changes so far.
     """
     dpsi = offset_field(params)
     delta = splice_amplitude(params, rel_tol) if tail is not None else 0.0
@@ -446,7 +452,6 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
                 if fac > 10.0:
                     fac = 10.0
             err_prev = 1e-4 if 1e-4 > err else err
-            t_prev = t
             t = t_max if is_last else t + h
             if (psi < 0.0 < psi_new) or (psi_new < 0.0 < psi):
                 crossings += 1
@@ -473,27 +478,10 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
                 reason = Termination.MAX_CROSSINGS
                 break
             if amp < delta and t < t_max:
-                h = t - t_prev
-                tt, tu, tpsi, tdpsi = _linear_tail(tail, t, u, psi, h, t_max,
-                                                   max_crossings - crossings)
-                count = crossings + np.cumsum(
-                    _strict_sign_change(np.concatenate(([psi], tpsi))))
-                floor = np.maximum(np.abs(tu), np.abs(tpsi)) < _DEEP_FLOOR
-                full = count >= max_crossings
-                stop = int(np.flatnonzero(floor | full | (tt >= t_max))[0])
-                if floor[stop]:
-                    reason = Termination.CONVERGED_TO_P1
-                elif full[stop]:
-                    reason = Termination.MAX_CROSSINGS
-                else:
-                    reason = Termination.MAX_TIME
-                # every m-th sample, about one per quarter-turn, and the stop
-                m = max(1, math.floor(math.pi / (2.0 * tail.mu3.imag * h)))
-                keep = np.append(np.arange(m - 1, stop, m), stop)
-                tail_samples = len(keep)
-                ts, us, psis, dpsis = (np.concatenate((np.array(col), arr[keep]))
-                                       for col, arr in zip((ts, us, psis, dpsis),
-                                                           (tt, tu, tpsi, tdpsi)))
+                *columns, reason = _linear_tail(tail, t, u, psi, t_max, max_crossings - crossings)
+                tail_samples = len(columns[0])
+                ts, us, psis, dpsis = (np.concatenate((head, column)) for head, column
+                                       in zip((ts, us, psis, dpsis), columns))
                 break
             h *= fac
             if h > _H_MAX:

@@ -17,7 +17,19 @@ from lo_dynamics.dynsys import f1, f1_prime, f2, f2_prime, vector_field_xy
 from lo_dynamics.errors import IntegrationFailure
 from lo_dynamics.geometry import volume_ratio
 from lo_dynamics.hopf import angle_sum, hopf_map, numeric_singular_values
-from lo_dynamics.integrate import _BLOWUP_FACTOR, DEFAULT_REL_TOL, Trajectory, _advance, _dense
+from lo_dynamics.dynsys import linearize_p1
+from lo_dynamics.integrate import (
+    _BLOWUP_FACTOR,
+    _DEEP_FLOOR,
+    DEFAULT_MAX_CROSSINGS,
+    DEFAULT_REL_TOL,
+    Termination,
+    Trajectory,
+    _advance,
+    _dense,
+    _linear_flow,
+    _strict_sign_change,
+)
 from lo_dynamics.params import LomseParams
 from lo_dynamics.radial import Profile
 
@@ -81,6 +93,32 @@ def advance_from(params: LomseParams, state0: PhaseState, t_end: float) -> Traje
     ts, us, psis, dpsis, reason, rejected, _ = _advance(
         params, state0.t, state0.phi - params.phi0, state0.psi, t_end, DEFAULT_REL_TOL)
     return Trajectory(params, ts, us, psis, dpsis, None, DEFAULT_REL_TOL, reason, rejected)
+
+
+def fine_tail(traj: Trajectory, t_end: float, max_crossings: int = DEFAULT_MAX_CROSSINGS):
+    """The spiral tail of traj on a fine grid: the linear flow from its
+    splice state at t_s = t[s], s = stats.accepted, at t_s + h, t_s + 2h,
+    ... spaced by the last DP5 step h, with a last sample at t_end exactly,
+    and dpsi = a u + b psi.  Returns the columns (t, u, psi, dpsi), the
+    index of the first sample where a stop rule holds, tested in this order
+    on each sample (max-norm below integrate._DEEP_FLOOR; max_crossings sign
+    changes of psi counted from the launch; t_end), and the Termination it
+    names."""
+    s = traj.stats.accepted
+    t_s, h = float(traj.t[s]), float(traj.t[s] - traj.t[s - 1])
+    lin = linearize_p1(traj.params)
+    tau = h * np.arange(1, math.floor((t_end - t_s) / h) + 2)
+    keep = t_s + tau < t_end
+    t = np.append(t_s + tau[keep], t_end)
+    u, psi = _linear_flow(lin, float(traj.u[s]), float(traj.psi[s]),
+                          np.append(tau[keep], t_end - t_s))
+    count = np.cumsum(_strict_sign_change(np.concatenate((traj.psi[:s + 1], psi))))[s:]
+    floor = np.maximum(np.abs(u), np.abs(psi)) < _DEEP_FLOOR
+    full = count >= max_crossings
+    stop = int(np.flatnonzero(floor | full | (t >= t_end))[0])
+    reason = (Termination.CONVERGED_TO_P1 if floor[stop] else
+              Termination.MAX_CROSSINGS if full[stop] else Termination.MAX_TIME)
+    return (t, u, psi, lin.a * u + lin.b * psi), stop, reason
 
 
 def orbit_at(traj: Trajectory, t: float) -> PhaseState:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -219,6 +220,49 @@ def test_density_radius_sweep_type1(tmp_path, capsys):
     payload = json.loads((tmp_path / "density.json").read_text())
     assert len(payload["thetas"]) == 3
     assert payload["thetas"] == sorted(payload["thetas"])
+    assert max(payload["thetas"]) < payload["theta_infinity"]
+    assert capsys.readouterr().err == ""
+
+
+def _sweep_values(stdout):
+    """The printed Theta(R) values and Theta_infinity of a --radii sweep."""
+    values = [float(v) for v in re.findall(r"^Theta\S* = (\S+)$", stdout, re.M)]
+    return values[:-1], values[-1]
+
+
+@pytest.mark.parametrize("argv", [["3", "2", "4", "--radii", "1e10,1e20,1e40"],
+                                  ["31", "30", "2", "--radii", "1e5,1e9"]])
+def test_radii_above_the_cone_density_exit_5(argv, tmp_path, capsys):
+    # Theta(R) rises to Theta_inf, but the Simpson sweep puts these values
+    # above it (measured: by 1.7e-10 to 2.7e-8 relative on (3,2,4), 4.2e-7
+    # and 1.6e-6 on (31,30,2)), so they are unresolved: stdout and
+    # density.json as for any sweep, one stderr line naming the radii, exit 5
+    assert run(["density", *argv, "--out-dir", str(tmp_path)]) == EXIT_BARRIER_FAILURE
+    out, err = capsys.readouterr()
+    payload = json.loads((tmp_path / "density.json").read_text())
+    thetas, t_inf = _sweep_values(out)
+    assert thetas == payload["thetas"] and t_inf == payload["theta_infinity"]
+    assert all(th > t_inf for th in thetas)
+    radii = ", ".join(fmt17(float(r)) for r in argv[-1].split(","))
+    assert err == f"unresolved: Theta(R) not below Theta_infinity at R = {radii}\n"
+
+
+def test_radii_past_the_splice_are_below_the_cone_or_exit_5(spirals, tmp_path, capsys):
+    # on every spiral triple, radii past the splice either print Theta(R)
+    # below Theta_inf or exit 5 naming the others
+    for triple, traj in spirals.items():
+        s, phi0 = traj.stats.accepted, traj.params.phi0
+        t = np.linspace(traj.t[s], traj.t_end, 4)[1:-1]
+        radii = ",".join(repr(float(r)) for r in np.exp(t) * np.hypot(1.0, phi0))
+        code = run(["density", *map(str, triple), "--radii", radii, "--out-dir", str(tmp_path)])
+        out, err = capsys.readouterr()
+        thetas, t_inf = _sweep_values(out)
+        above = [fmt17(float(r)) for r, th in zip(radii.split(","), thetas) if not th < t_inf]
+        if above:
+            assert code == EXIT_BARRIER_FAILURE, triple
+            assert err == f"unresolved: Theta(R) not below Theta_infinity at R = {', '.join(above)}\n"
+        else:
+            assert code == EXIT_OK and err == "", triple
 
 
 def test_verify_spiral_needs_unit_codimension(tmp_path, capsys):
@@ -236,9 +280,9 @@ def test_density_546_resolves_every_gap(tmp_path, capsys):
     payload = json.loads((tmp_path / "density.json").read_text())
     assert payload["strictly_below_cone"] is True
     gaps, errors = payload["log10_gaps"], payload["log10_gap_errors"]
-    assert len(gaps) == 28
+    assert len(gaps) == 29
     assert all(e < g for g, e in zip(gaps, errors))
-    assert "resolved gaps = 28 of 28" in capsys.readouterr().out
+    assert "resolved gaps = 29 of 29" in capsys.readouterr().out
 
 
 def test_density_unresolved_exits_barrier_failure(tmp_path, capsys, monkeypatch):
@@ -638,17 +682,21 @@ def test_classify_exits_with_a_documented_code(tmp_path_factory, triple, allow):
 @example(triple=(3, 2, 2), radii="nan,1")  # printed Theta(nan) and exited 0
 def test_radii_sweep_prints_finite_densities(tmp_path_factory, triple, radii):
     # the Theta(R) sweep alone, which the fuzz above seldom reaches: it
-    # prints finite densities or exits 2 naming radii
+    # prints finite densities, below Theta_inf or with exit 5, or exits 2
+    # naming radii
     out = tmp_path_factory.mktemp("radii")
     stdout, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
         code = run(["density", *map(str, triple), f"--radii={radii}", "--out-dir", str(out)])
-    if code == EXIT_OK:
-        assert not re.search(r"\b(nan|inf)\b", stdout.getvalue()), stdout.getvalue()
-    else:
-        assert code == EXIT_USAGE
+    if code == EXIT_USAGE:
         assert "error: radii" in err.getvalue()
         assert not any(out.iterdir())
+    else:
+        assert not re.search(r"\b(nan|inf)\b", stdout.getvalue()), stdout.getvalue()
+        thetas, t_inf = _sweep_values(stdout.getvalue())
+        below = all(th < t_inf for th in thetas)
+        assert code == (EXIT_OK if below else EXIT_BARRIER_FAILURE)
+        assert (err.getvalue() == "") == below
 
 
 @pytest.mark.parametrize("e", range(2, 10))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lo_dynamics.cli import EXIT_OK, EXIT_USAGE, RunConfig, main, make_parser
+from lo_dynamics.cli import EXIT_BARRIER_FAILURE, EXIT_OK, EXIT_USAGE, RunConfig, main, make_parser
 
 
 def _commands() -> dict[str, argparse.ArgumentParser]:
@@ -180,9 +180,12 @@ def test_removed_keys_are_usage_errors(key, tmp_path, capsys):
                                                   ((31, 30, 2), "3.2e9", "3.4e9")])
 def test_type_one_radii_end_with_the_fixed_stop(triple, inside, past, tmp_path, capsys):
     # the profile ends where its run met hypot(u, psi) < 1e-8, at R = 2 993
-    # and 3.317e9; no setting moves that end, and a radius past it exits 2
+    # and 3.317e9; no setting moves that end, and a radius past it exits 2.
+    # One inside it is reported; there the Simpson sweep lies above
+    # Theta_inf (by 2.4e-11 and 1.8e-6 relative), so it exits 5
     argv = ["density", *map(str, triple), "--radii"]
-    assert main([*argv, inside, "--out-dir", str(tmp_path / "inside")]) == EXIT_OK
+    assert main([*argv, inside, "--out-dir", str(tmp_path / "inside")]) == EXIT_BARRIER_FAILURE
+    assert (tmp_path / "inside" / "density.json").exists()
     out = tmp_path / "past"
     assert main([*argv, past, "--out-dir", str(out)]) == EXIT_USAGE
     assert f"radii: R={float(past)} outside profile span" in capsys.readouterr().err

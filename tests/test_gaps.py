@@ -53,7 +53,7 @@ def test_spiral_gaps_positive_decreasing_and_resolved(spirals):
         report = density_report(traj)
         gaps = np.array(report.log10_gaps)
         errors = np.array(report.log10_gap_errors)
-        assert len(gaps) == (28 if triple == (5, 4, 6) else 40), triple
+        assert len(gaps) == (29 if triple == (5, 4, 6) else 40), triple
         assert np.all(np.isfinite(gaps)), triple
         assert np.all(np.diff(gaps) < 0.0), triple
         # every gap above its error bar by at least 8.1 decades (measured, on (5,4,16))

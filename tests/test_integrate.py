@@ -277,7 +277,7 @@ def test_tolerances_recorded(traj322):
     assert traj322.rel_tol == 1e-10
 
 
-# closed-form tail samples after the DP5 steps, about one per quarter-turn;
+# closed-form tail samples after the DP5 steps, one per quarter-turn of the flow;
 # type-I runs have none
 _TAIL_SAMPLES = {"traj324": 70, "traj546": 56}
 
@@ -311,7 +311,7 @@ def test_table_work_pinned(table_trajs):
     assert sum(s.accepted for s in stats) == 273_467
     assert sum(s.accepted for s, one in zip(stats, type_one) if one) == 253_462
     assert sum(s.rejected for s in stats) == 638
-    assert sum(s.tail_samples for s in stats) == 1_194
+    assert sum(s.tail_samples for s in stats) == 1_197
     assert sum(s.rhs_evals for s in stats) == 1_644_860
     ends = {}
     for (triple, traj), one in zip(table_trajs.items(), type_one):
@@ -594,7 +594,7 @@ def test_table_spiral_zeros_equal_sign_changes(table_trajs):
             # the 1e-290 floor comes before the 40th crossing; the last
             # zeros lie where products of psi samples underflow
             assert traj.terminated_by is Termination.CONVERGED_TO_P1
-            assert len(zeros) == 28
+            assert len(zeros) == 29
             assert abs(zeros[-1].phi_offset) < 1e-200
         else:
             assert traj.terminated_by is Termination.MAX_CROSSINGS, triple
