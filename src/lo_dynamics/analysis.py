@@ -10,12 +10,12 @@ radius R is
 
 nondecreasing in R by the monotonicity of density for minimal
 submanifolds, and its limit is the cone density Theta_inf.
-thetas_of_radii (theta_of_radius for one R) uses composite Simpson
-quadrature in x = log r, on one interpolant of the profile, with
-the integrand factored as g(x) e^{(n+1)x}; the exponential is scaled out
-analytically so that profiles spanning hundreds of e-folds stay in
-floating range.  (phi, psi) come from integrate._dense, the one Hermite
-reader; the cut and gap_logs find their segments with integrate._segments.
+thetas_of_radii (theta_of_radius for one R) integrates in x = log r by
+Gauss-Legendre on the segments of one Hermite interpolant of the profile,
+with the integrand factored as g(x) e^{(n+1)x}; the exponential is scaled
+out analytically so that profiles spanning hundreds of e-folds stay in
+floating range.  The cut and gap_logs find their segments with
+integrate._segments.
 
 The certificate Theta_i < Theta_inf at the slope crossings does not form
 Theta_i: after the first crossings the gap lies far below one ulp of
@@ -31,8 +31,8 @@ trajectory's DP5 Hermite segments and keeps logarithms, since psi^2
 underflows below amplitudes of about 1e-162; from the splice state on,
 where the orbit is the linear flow at P1, each gap comes in closed form
 from that flow's state at the cut, with the error the flow carries from
-the splice state in its bar.  One Simpson Theta_1 on the first rescaled
-profile is reported beside the gaps as the independent route.
+the splice state in its bar.  One Theta_1 from the volume of the first
+rescaled profile is reported beside the gaps as the independent route.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .geometry import volume_ratio
 from .integrate import (
     Trajectory,
     _bisect,
-    _dense,
     _hermite,
     _linear_flow,
     _segments,
@@ -57,7 +56,7 @@ from .integrate import (
 from .params import LomseParams, StabilityType
 from .radial import Profile, rescale_profile, to_profile
 
-DEFAULT_QUAD_PANELS = 8192
+DEFAULT_QUAD_PANELS = 8192  # unused: the benchmark's count of quadrature points reads it
 # the 5- and 3-point Gauss-Legendre rules on [0, 1] in closed form: seven
 # nodes, as the two share the midpoint, and one row of weights per rule
 # (numpy.polynomial would cost every import of the package about 1 MB)
@@ -83,7 +82,8 @@ class DensityReport:
     quadrature on the DP5 segments before the splice and the closed-form
     bound past it (gap_logs).  It leaves out the DP5 path's own error: cut
     at each orbit's own crossing, gap 1 of (3,2,4) differs from a fine RK4
-    re-integration, and from mpmath, by 3.6e-8 relative.
+    re-integration, and from mpmath, by 3.6e-8 relative.  theta_1_volume
+    is Theta_1 by theta_of_radius, the independent route.
     strictly_below_cone is True when every gap exceeds its error bar,
     False when a gap is not positive, and None (unresolved) otherwise.
     """
@@ -94,7 +94,7 @@ class DensityReport:
     theta_infinity: float
     log10_gaps: list[float]
     log10_gap_errors: list[float]
-    theta_1_simpson: float
+    theta_1_volume: float
     strictly_below_cone: bool | None
 
 
@@ -151,55 +151,62 @@ class _ProfileInterp:
         return x_cut, _hermite(x_cut, *seg)
 
 
-def _volume_core(interp: _ProfileInterp, params: LomseParams, x_cut: float,
-                 n_panels: int) -> float:
+def _volume_core(interp: _ProfileInterp, params: LomseParams, x_cut: float) -> float:
     """integral of g(x) e^{(n+1)(x - x_cut)} dx over [x0, x_cut] plus the
-    power-law tail below the first sample, with
-    g = sqrt(1 + rho_r^2) (1 + lambda^2 phi^2)^{p/2}."""
-    if n_panels < 1:
-        raise ValueError(f"n_panels must be at least 1, got {n_panels}")
+    power-law tail below the first sample, g = sqrt(1 + rho_r^2) (1 +
+    lambda^2 phi^2)^{p/2}: the 5-point Gauss-Legendre rule on the
+    interpolant's segments, each split evenly into panels no wider than
+    0.5/(n+1) (a quarter-turn segment past a spiral's splice spans several
+    e-folds of the exponential), in the segment's unit variable."""
     n, p = params.n, params.p
     lam2 = params.lambda_sq
-    x0 = float(interp.x[0])
-    if x_cut < x0:
-        raise ValueError("cut radius below the first profile sample")
+    x = interp.x
 
-    def g_of(xq: np.ndarray) -> np.ndarray:
-        phi, psi = _dense(interp.x, xq, (interp.phi, interp.psi), (interp.psi, interp.dpsi))
+    def g(phi, psi):
         rho_r = phi + psi
         return np.sqrt(1.0 + rho_r * rho_r) * (1.0 + lam2 * phi * phi) ** (p / 2.0)
 
-    if x_cut == x0:
-        core = 0.0
-    else:
-        m = n_panels + (n_panels % 2)  # Simpson needs an even panel count
-        xs = np.linspace(x0, x_cut, m + 1)
-        w = np.ones(m + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        h = (x_cut - x0) / m
-        integrand = g_of(xs) * np.exp((n + 1.0) * (xs - x_cut))
-        core = float(np.sum(w * integrand)) * h / 3.0
+    end = int(_segments(x, x_cut)) + 1
+    core = 0.0
+    for lo in range(0, end, _CHUNK):
+        seg = np.arange(lo, min(lo + _CHUNK, end))
+        seg = seg[x[seg + 1] > x[seg]]  # distinct radii can round to one log r: width 0
+        h = x[seg + 1] - x[seg]
+        frac = np.minimum((x_cut - x[seg]) / h, 1.0)  # the share of each below the cut
+        m = np.maximum(np.ceil(2.0 * (n + 1.0) * frac * h), 1.0).astype(np.intp)
+        i = np.repeat(seg, m)
+        k = np.arange(len(i)) - np.repeat(np.cumsum(m) - m, m)  # panel number in its segment
+        width = np.repeat(frac / m, m)
+        s = width * (k + _GL_NODES[:5, None])
+        hi = np.repeat(h, m)
+        phi = _hermite(s, 0.0, 1.0, interp.phi[i], interp.phi[i + 1],
+                       hi * interp.psi[i], hi * interp.psi[i + 1])
+        psi = _hermite(s, 0.0, 1.0, interp.psi[i], interp.psi[i + 1],
+                       hi * interp.dpsi[i], hi * interp.dpsi[i + 1])
+        f = g(phi, psi) * np.exp((n + 1.0) * (x[i] + hi * s - x_cut))
+        core += float((_GL_WEIGHTS[0, :5] @ f) @ (width * hi))
     # below the first sample the integrand is ~ f(r0) (r/r0)^n
-    tail = float(g_of(np.array([x0]))[0]) * math.exp((n + 1.0) * (x0 - x_cut)) / (n + 1.0)
+    tail = float(g(interp.phi[0], interp.psi[0])) * math.exp((n + 1.0) * (x[0] - x_cut)) / (n + 1.0)
     return core + tail
 
 
 def theta_of_radius(profile: Profile, params: LomseParams, R: float,
                     n_panels: int = DEFAULT_QUAD_PANELS) -> float:
-    """Density Theta(R); evaluated in scaled form, stable for any span."""
-    return thetas_of_radii(profile, params, [R], n_panels)[0]
+    """Density Theta(R); evaluated in scaled form, stable for any span.
+    n_panels is unused, kept (and checked) for the benchmark, which reads it."""
+    if n_panels < 1:
+        raise ValueError(f"n_panels must be at least 1, got {n_panels}")
+    return thetas_of_radii(profile, params, [R])[0]
 
 
-def thetas_of_radii(profile: Profile, params: LomseParams, radii,
-                    n_panels: int = DEFAULT_QUAD_PANELS) -> list[float]:
+def thetas_of_radii(profile: Profile, params: LomseParams, radii) -> list[float]:
     """Theta(R) at each of the radii, from one interpolant of the profile."""
     n = params.n
     interp = _ProfileInterp(profile)
     thetas = []
     for R in radii:
         x_cut, phi_cut = interp.cut_x(R)
-        core = _volume_core(interp, params, x_cut, n_panels)
+        core = _volume_core(interp, params, x_cut)
         # (r_cut / R)^{n+1} = (1 + phi(x_cut)^2)^{-(n+1)/2}
         ratio = (1.0 + phi_cut * phi_cut) ** (-(n + 1.0) / 2.0)
         # |S^n| / omega_{n+1} = n + 1
@@ -379,9 +386,9 @@ def density_report(traj: Trajectory, n_panels: int = DEFAULT_QUAD_PANELS) -> Den
     inside the fixed ball of radius sqrt(1 + phi0^2).
 
     Crossing i cuts the graph at t_cut = t_i, where phi = phi0, so each gap
-    is one suffix of gap_logs.  theta_1_simpson is Theta_1 by composite
-    Simpson with n_panels panels on the first rescaled profile, an
-    independent route reported beside the gaps.
+    is one suffix of gap_logs.  theta_1_volume is Theta_1 from the volume
+    of the first rescaled profile (theta_of_radius), an independent route
+    reported beside the gaps.  n_panels is unused, as in theta_of_radius.
     """
     params = traj.params
     if params.stability is not StabilityType.SPIRAL_TYPE_II:
@@ -400,6 +407,6 @@ def density_report(traj: Trajectory, n_panels: int = DEFAULT_QUAD_PANELS) -> Den
         theta_infinity=t_inf,
         log10_gaps=(log_gaps / _LN10).tolist(),
         log10_gap_errors=(log_errs / _LN10).tolist(),
-        theta_1_simpson=theta_of_radius(first, params, R, n_panels=n_panels),
+        theta_1_volume=theta_of_radius(first, params, R, n_panels=n_panels),
         strictly_below_cone=_verdict(log_gaps, log_errs),
     )

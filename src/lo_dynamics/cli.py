@@ -439,7 +439,7 @@ def cmd_density(args) -> int:
     gaps, errors = report.log10_gaps, report.log10_gap_errors
     print(f"density ({params.n},{params.p},{params.k}): {len(gaps)} crossings")
     print(f"  Theta_1 = {fmt17(report.thetas[0])}")
-    print(f"  Theta_1_simpson = {fmt17(report.theta_1_simpson)}")
+    print(f"  Theta_1_volume = {fmt17(report.theta_1_volume)}")
     print(f"  Theta_infinity = {fmt17(report.theta_infinity)}")
     for i in (0, len(gaps) - 1):
         print(f"  log10_gap_{i + 1} = {fmt17(gaps[i])} (error bar 10^{fmt17(errors[i])})")

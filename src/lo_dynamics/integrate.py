@@ -37,10 +37,10 @@ bounded (1.435 for (3,2,k)); the floor follows the saddle's time scale 1/(k-1).
 Trajectory.stats records the accepted and rejected DP5 steps, the field
 evaluations (1 + 6 per attempt), the smallest and largest accepted step
 and the number of closed-form tail samples.
-Dense output is cubic Hermite on (value, slope) at the samples, read by
-one evaluator, _dense, which locates each point once (_segments) for all
-its column pairs; events are refined by bisection on the interpolant of
-the segment that holds them, to 1e-12 in t.  Past the splice, where the
+Dense output is cubic Hermite on (value, slope) at the samples
+(_hermite), on the segment the one segment rule picks (_segments); events
+are refined by bisection on the interpolant of the segment that holds
+them, to 1e-12 in t.  Past the splice, where the
 quarter-turn samples leave the cubic far from the flow, psi zeros and
 phi0 hits come from the linear flow's phase instead, hits of any other
 phi by bisection on the flow between its u extrema, and the gaps
@@ -117,14 +117,6 @@ def _segments(knots: np.ndarray, q):
     of q: the last knot falls in the last segment, and points outside the
     span in the end segments."""
     return np.clip(np.searchsorted(knots, q, side="right") - 1, 0, len(knots) - 2)
-
-
-def _dense(knots: np.ndarray, q, *pairs) -> tuple:
-    """The cubic Hermite value at q of each (values, slopes) column pair on
-    knots, each point of q located once for all pairs."""
-    i = _segments(knots, q)
-    t0, t1 = knots[i], knots[i + 1]
-    return tuple(_hermite(q, t0, t1, y[i], y[i + 1], m[i], m[i + 1]) for y, m in pairs)
 
 
 def _strict_sign_change(v: np.ndarray) -> np.ndarray:
@@ -205,8 +197,8 @@ class Trajectory:
     """Dense, ordered output of one integration run.
 
     Stores (t_i, u_i, psi_i) at every accepted step together with the psi
-    derivative, so _dense reads (u, psi) with slopes (psi, dpsi) between
-    samples.  phi values are reconstructed as phi0 + u; the offsets keep
+    derivative, so the Hermite dense output reads (u, psi) with slopes
+    (psi, dpsi) between samples.  phi values are reconstructed as phi0 + u; the offsets keep
     full relative precision long after phi0 + u rounds to phi0.
     Completed trajectories are immutable.  `stats` counts the steps taken;
     `rejected` is the number of rejected step attempts that led to them and

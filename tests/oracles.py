@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 
 from lo_dynamics import hopf
+from lo_dynamics.analysis import _ProfileInterp
 from lo_dynamics.barrier import cycle_region_threshold
 from lo_dynamics.dynsys import f1, f1_prime, f2, f2_prime, vector_field_xy
 from lo_dynamics.errors import IntegrationFailure
@@ -26,8 +27,9 @@ from lo_dynamics.integrate import (
     Termination,
     Trajectory,
     _advance,
-    _dense,
+    _hermite,
     _linear_flow,
+    _segments,
     _strict_sign_change,
 )
 from lo_dynamics.params import LomseParams
@@ -121,12 +123,21 @@ def fine_tail(traj: Trajectory, t_end: float, max_crossings: int = DEFAULT_MAX_C
     return (t, u, psi, lin.a * u + lin.b * psi), stop, reason
 
 
+def dense(knots: np.ndarray, q, *pairs) -> tuple:
+    """The cubic Hermite value at q of each (values, slopes) column pair on
+    knots, on the segment the package's segment rule (integrate._segments)
+    picks and with its Hermite evaluator (integrate._hermite)."""
+    i = _segments(knots, q)
+    t0, t1 = knots[i], knots[i + 1]
+    return tuple(_hermite(q, t0, t1, y[i], y[i + 1], m[i], m[i + 1]) for y, m in pairs)
+
+
 def orbit_at(traj: Trajectory, t: float) -> PhaseState:
-    """(phi, psi) of traj at t in its span, read through the package's dense
-    output (integrate._dense), so the tests check the reader the package uses."""
+    """(phi, psi) of traj at t in its span, read through the Hermite dense
+    output on the samples (dense)."""
     if not traj.t[0] <= t <= traj.t[-1]:
         raise ValueError(f"t={t} outside trajectory span [{traj.t[0]}, {traj.t[-1]}]")
-    u, psi = _dense(traj.t, t, (traj.u, traj.psi), (traj.psi, traj.dpsi))
+    u, psi = dense(traj.t, t, (traj.u, traj.psi), (traj.psi, traj.dpsi))
     return PhaseState(float(traj.params.phi0 + u), float(psi), t)
 
 
@@ -239,6 +250,43 @@ def ode_general_residual(sample: ProfileSample, sing_values: list[float], n: int
         li2 = lam_i * lam_i
         total += (rho_r / r - li2 * rho / (r * r)) / (1.0 + li2 * rho * rho / (r * r))
     return total
+
+
+def interp_simpson_theta(interp: _ProfileInterp, params: LomseParams, R: float,
+                         n_panels: int) -> float:
+    """Theta(R) by composite Simpson over n_panels uniform panels in x = log r
+    from the first sample to the interpolant's cut (interp.cut_x), plus the
+    power-law piece below the first sample, on uniform nodes that share
+    nothing with the package's Gauss-Legendre panels: its oracle.  The
+    integrand g(x) e^{(n+1)x} is scaled by e^{-(n+1) x_cut}, with
+    g = sqrt(1 + rho_r^2) (1 + lambda^2 phi^2)^{p/2}."""
+    n, p = params.n, params.p
+    lam2 = params.lambda_sq
+    x_cut, phi_cut = interp.cut_x(R)
+    x0 = float(interp.x[0])
+
+    def g_of(xq: np.ndarray) -> np.ndarray:
+        phi, psi = dense(interp.x, xq, (interp.phi, interp.psi), (interp.psi, interp.dpsi))
+        rho_r = phi + psi
+        return np.sqrt(1.0 + rho_r * rho_r) * (1.0 + lam2 * phi * phi) ** (p / 2.0)
+
+    core = 0.0
+    if x_cut > x0:
+        m = n_panels + (n_panels % 2)  # Simpson needs an even panel count
+        xs = np.linspace(x0, x_cut, m + 1)
+        w = np.ones(m + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        h = (x_cut - x0) / m
+        core = float(np.sum(w * g_of(xs) * np.exp((n + 1.0) * (xs - x_cut)))) * h / 3.0
+    tail = float(g_of(np.array([x0]))[0]) * math.exp((n + 1.0) * (x0 - x_cut)) / (n + 1.0)
+    # (r_cut / R)^{n+1} = (1 + phi_cut^2)^{-(n+1)/2}, and |S^n| / omega_{n+1} = n + 1
+    return (n + 1.0) * (core + tail) * (1.0 + phi_cut * phi_cut) ** (-(n + 1.0) / 2.0)
+
+
+def simpson_theta(profile: Profile, params: LomseParams, R: float, n_panels: int) -> float:
+    """interp_simpson_theta on the package's interpolant of profile."""
+    return interp_simpson_theta(_ProfileInterp(profile), params, R, n_panels)
 
 
 def sphere_volume(n: int) -> float:

@@ -33,8 +33,8 @@ from lo_dynamics.cli import (
 )
 from lo_dynamics import crossing_report, detect_psi_zeros, shoot_unstable_manifold
 from lo_dynamics.params import LomseParams, StabilityType
-from lo_dynamics.radial import ode1_residual
-from oracles import to_profile_per_sample
+from lo_dynamics.radial import ode1_residual, to_profile
+from oracles import simpson_theta, to_profile_per_sample
 
 
 def run(args):
@@ -230,21 +230,32 @@ def _sweep_values(stdout):
     return values[:-1], values[-1]
 
 
-@pytest.mark.parametrize("argv", [["3", "2", "4", "--radii", "1e10,1e20,1e40"],
-                                  ["31", "30", "2", "--radii", "1e5,1e9"]])
-def test_radii_above_the_cone_density_exit_5(argv, tmp_path, capsys):
-    # Theta(R) rises to Theta_inf, but the Simpson sweep puts these values
-    # above it (measured: by 1.7e-10 to 2.7e-8 relative on (3,2,4), 4.2e-7
-    # and 1.6e-6 on (31,30,2)), so they are unresolved: stdout and
-    # density.json as for any sweep, one stderr line naming the radii, exit 5
-    assert run(["density", *argv, "--out-dir", str(tmp_path)]) == EXIT_BARRIER_FAILURE
+@pytest.mark.parametrize("argv, resolved", [(["3", "2", "4", "--radii", "1e10,1e20,1e40"], 0),
+                                            (["31", "30", "2", "--radii", "1e5,1e9"], 1)])
+def test_radii_near_the_cone_density_match_the_oracle(argv, resolved, tmp_path, capsys):
+    # Theta(R) rises to Theta_inf.  Past (3,2,4)'s splice and at (31,30,2)'s
+    # R = 1e9, near its run's end, the true gap lies within rounding of
+    # Theta_inf; at R = 1e5 it is 6.2e-9 of it, and that value is resolved.
+    # Each value agrees with the 524 288-panel Simpson oracle to 1e-13
+    # (measured: at most 3.2e-14). A value not below Theta_inf is printed
+    # and written as any other, and named on stderr with exit 5
+    code = run(["density", *argv, "--out-dir", str(tmp_path)])
     out, err = capsys.readouterr()
     payload = json.loads((tmp_path / "density.json").read_text())
     thetas, t_inf = _sweep_values(out)
     assert thetas == payload["thetas"] and t_inf == payload["theta_infinity"]
-    assert all(th > t_inf for th in thetas)
-    radii = ", ".join(fmt17(float(r)) for r in argv[-1].split(","))
-    assert err == f"unresolved: Theta(R) not below Theta_infinity at R = {radii}\n"
+    params = build_params(*map(int, argv[:3]))
+    profile = to_profile(shoot_unstable_manifold(params))
+    radii = [float(r) for r in argv[-1].split(",")]
+    for R, th in zip(radii, thetas):
+        assert abs(th / simpson_theta(profile, params, R, 524288) - 1.0) < 1e-13, R
+    assert all(th < t_inf for th in thetas[:resolved])
+    above = [fmt17(R) for R, th in zip(radii, thetas) if not th < t_inf]
+    if above:
+        assert code == EXIT_BARRIER_FAILURE
+        assert err == f"unresolved: Theta(R) not below Theta_infinity at R = {', '.join(above)}\n"
+    else:
+        assert code == EXIT_OK and err == ""
 
 
 def test_radii_past_the_splice_are_below_the_cone_or_exit_5(spirals, tmp_path, capsys):
@@ -701,10 +712,13 @@ def test_radii_sweep_prints_finite_densities(tmp_path_factory, triple, radii):
 
 @pytest.mark.parametrize("e", range(2, 10))
 @pytest.mark.parametrize("pair", [(3, 2), (5, 4)])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bounded_orbits_shoot_at_huge_k(tmp_path, pair, e):
     # at default settings orbit shoots and density reports (exit 5 only on
     # an unresolved gap); density 5 4 1e9 exited 2 on the repeated radii of
-    # steps below an ulp of r = e^t
+    # steps below an ulp of r = e^t. Distinct radii there can also round to
+    # one log r, a segment of width 0 that the volume quadrature must skip
+    # rather than divide by
     triple = [*map(str, pair), str(10 ** e)]
     assert run(["orbit", *triple, "--out-dir", str(tmp_path / "orbit")]) == EXIT_OK
     assert run(["density", *triple, "--out-dir", str(tmp_path / "density")]) in (

@@ -22,10 +22,9 @@ from lo_dynamics.integrate import (
     DEFAULT_MAX_CROSSINGS,
     EVENT_TOL,
     _bisect,
-    _dense,
     _segments,
 )
-from oracles import PhaseState, advance_from, orbit_at, reference_integrate
+from oracles import PhaseState, advance_from, dense, orbit_at, reference_integrate
 
 
 def test_type1_converges(p322, traj322):
@@ -440,7 +439,7 @@ def test_nonfinite_stage_is_rejected(monkeypatch, p322, stage, bad):
 
 
 def _loop_phi_hits(traj, target, segments=None):
-    """Sample-by-sample scan through the package's dense output: the reference.
+    """Sample-by-sample scan through the Hermite dense output: the reference.
     segments (a range) limits the scan to sign changes on those segments."""
     u_target = target - traj.params.phi0
     g = traj.u - u_target
@@ -451,7 +450,7 @@ def _loop_phi_hits(traj, target, segments=None):
             if i == 0 or g[i - 1] != 0.0:
                 hits.append(PhiHit(t=float(t[i]), dilation=math.exp(t[i])))
         elif g[i] < 0.0 < g[i + 1] or g[i + 1] < 0.0 < g[i]:
-            tz = float(_bisect(lambda s: _dense(t, s, (traj.u, traj.psi))[0] - u_target,
+            tz = float(_bisect(lambda s: dense(t, s, (traj.u, traj.psi))[0] - u_target,
                                t[i], t[i + 1], g[i], g[i + 1]))
             hits.append(PhiHit(t=tz, dilation=math.exp(tz)))
     if segments is None and len(t) >= 2 and g[-1] == 0.0 and g[-2] != 0.0:
@@ -464,9 +463,9 @@ def _loop_psi_zeros(traj, segments=None):
     psi, t = traj.psi, traj.t
     for i in segments or range(len(t) - 1):
         if psi[i] < 0.0 < psi[i + 1] or psi[i + 1] < 0.0 < psi[i]:
-            tz = float(_bisect(lambda s: _dense(t, s, (psi, traj.dpsi))[0],
+            tz = float(_bisect(lambda s: dense(t, s, (psi, traj.dpsi))[0],
                                t[i], t[i + 1], psi[i], psi[i + 1]))
-            offset = float(_dense(t, tz, (traj.u, psi))[0])
+            offset = float(dense(t, tz, (traj.u, psi))[0])
             zeros.append(PsiZero(t=tz, phi=traj.params.phi0 + offset, phi_offset=offset,
                                  direction=-1 if psi[i] > 0.0 else 1))
     return zeros
