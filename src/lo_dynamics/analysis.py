@@ -27,7 +27,8 @@ Theta_inf.  It integrates the gap itself, from the monotonicity identity
 
 whose integrand is positive off the cone, so every gap is positive and
 the gaps decrease by construction.  gap_logs integrates it once over the
-trajectory's DP5 Hermite segments and keeps logarithms, since psi^2
+trajectory's Hermite segments up to the splice (DP5 steps and P1 series
+samples) and keeps logarithms, since psi^2
 underflows below amplitudes of about 1e-162; from the splice state on,
 where the orbit is the linear flow at P1, each gap comes in closed form
 from that flow's state at the cut, with the error the flow carries from
@@ -79,10 +80,13 @@ class DensityReport:
     log10_gaps[i] is log10(Theta_inf - Theta_i) and log10_gap_errors[i] the
     log10 of its error bar; thetas[i] = Theta_inf - gap_i, which rounds to
     Theta_inf once the gap falls below an ulp of it.  The bar covers the
-    quadrature on the DP5 segments before the splice and the closed-form
+    quadrature on the sample segments before the splice and the closed-form
     bound past it (gap_logs).  It leaves out the DP5 path's own error: cut
     at each orbit's own crossing, gap 1 of (3,2,4) differs from a fine RK4
-    re-integration, and from mpmath, by 3.6e-8 relative.  theta_1_volume
+    re-integration, and from mpmath, by 3.6e-8 relative.  The P1 series'
+    truncation, which carries the orbit from the hand-off to the splice, is
+    at most rel_tol/10 of the state by construction (its invariance
+    defect, integrate._series_stretch), below that DP5 error.  theta_1_volume
     is Theta_1 by theta_of_radius, the independent route.
     strictly_below_cone is True when every gap exceeds its error bar,
     False when a gap is not positive, and None (unresolved) otherwise.
@@ -328,8 +332,9 @@ def gap_logs(traj: Trajectory, t_cuts) -> tuple[np.ndarray, np.ndarray]:
 
         psi^2 (1 + lambda^2 phi^2)^{p/2} / (sqrt(1 + (phi + psi)^2) (1 + phi^2)^{(n+3)/2})
 
-    where r^2 (1 + phi^2) = R^2 at t_cut.  The DP5 segments, those before
-    the splice index s = stats.accepted, are integrated by quadrature,
+    where r^2 (1 + phi^2) = R^2 at t_cut.  The sample segments before the
+    splice index s = splice_index, DP5 steps and series samples, are
+    integrated by quadrature,
     each kept as a logarithm and summed from the end; the part from the
     splice state on comes from _tail_logs.  A cut before the splice adds
     the part from the cut to the end of its segment; a cut past it takes
@@ -342,7 +347,7 @@ def gap_logs(traj: Trajectory, t_cuts) -> tuple[np.ndarray, np.ndarray]:
     t_cuts = np.asarray(t_cuts, dtype=float)
     if not np.all((traj.t[0] <= t_cuts) & (t_cuts <= traj.t[-1])):
         raise ValueError(f"cut times must lie in the trajectory span [{traj.t[0]}, {traj.t[-1]}]")
-    s = traj.stats.accepted
+    s = traj.splice_index
     x_s = (float(traj.u[s]), float(traj.psi[s]))
     seg = np.empty(s + 1)
     err = np.empty(s + 1)
@@ -358,7 +363,7 @@ def gap_logs(traj: Trajectory, t_cuts) -> tuple[np.ndarray, np.ndarray]:
         jd = j[~flow]
         start = (t_cuts[~flow] - traj.t[jd]) / (traj.t[jd + 1] - traj.t[jd])
         part, part_err = _segment_logs(traj, jd, start)
-    # suffix[j] sums the DP5 segments from j on and the tail from the splice
+    # suffix[j] sums the segments from j on and the tail from the splice
     suffix = np.logaddexp.accumulate(seg[::-1])[::-1]
     suffix_err = np.logaddexp.accumulate(err[::-1])[::-1]
     log_gap[~flow] = np.logaddexp(part, suffix[jd + 1])

@@ -18,16 +18,23 @@ Each attempted step calls the field 6 times: the 7th stage, taken at the
 5th-order solution, is the first stage of the next step (FSAL), so a run
 makes 1 + 6 x attempts calls.
 
-Spiral tail: once a spiral run's amplitude max(|u|, |psi|) falls below
-splice_amplitude, delta = rel_tol / (20 c2) with c2 the bound of the
-field's quadratic remainder at P1 (dynsys.p1_quadratic_bound), the
-remainder is below rel_tol/10 of the state and the run stops taking DP5
-steps.  It continues with the linear flow exp(J tau) x* in closed form,
-with dpsi = a u + b psi, sampled once per quarter-turn of the flow's own
-phase with each psi zero in the middle of its sample segment, so that
-the zeros equal the sample sign changes; the loop's stop rules act on
-these samples (_linear_tail).  The flow formula is written once
-(_flow_terms, _linear_flow); the splice index is stats.accepted.
+A spiral run has three stretches.  DP5 runs until the first accepted
+state of max-norm below _SERIES_AMPLITUDE = 1e-2 whose linear guess z
+lies within the radius of dynsys.p1_conjugacy's series at rel_tol, where
+the estimated invariance defect is at most rel_tol/10 of the state (the
+hand-off).  The series stretch follows: x(tau) = Phi(e^{mu tau} z*), z*
+by Newton's method from the hand-off state, sampled on a uniform grid no
+coarser than DP5's steps there, with the field at each sample
+(_series_stretch).  Its first sample below splice_amplitude, delta =
+rel_tol / (20 c2) with c2 the bound of the field's quadratic remainder at
+P1 (dynsys.p1_quadratic_bound), where the remainder is below rel_tol/10
+of the state, is the splice.  The linear tail follows: the linear flow
+exp(J tau) x* in closed form, with dpsi = a u + b psi, sampled once per
+quarter-turn of the flow's own phase with each psi zero in the middle of
+its sample segment, so that the zeros equal the sample sign changes
+(_linear_tail).  The loop's stop rules act on every sample.  The flow
+formula is written once (_flow_terms, _linear_flow); the splice index is
+Trajectory.splice_index.
 
 A run fails when |phi| exceeds 1e3 phi0, at the launch or at an accepted
 step, or when a rejected step falls below 1e-13/(k-1).  The bound is on
@@ -36,11 +43,11 @@ bounded (1.435 for (3,2,k)); the floor follows the saddle's time scale 1/(k-1).
 
 Trajectory.stats records the accepted and rejected DP5 steps, the field
 evaluations (1 + 6 per attempt), the smallest and largest accepted step
-and the number of closed-form tail samples.
-Dense output is cubic Hermite on (value, slope) at the samples
-(_hermite), on the segment the one segment rule picks (_segments); events
-are refined by bisection on the interpolant of the segment that holds
-them, to 1e-12 in t.  Past the splice, where the
+and the numbers of series and closed-form tail samples.
+Dense output is cubic Hermite on (value, slope) at the samples, DP5 and
+series samples alike (_hermite), on the segment the one segment rule
+picks (_segments); events are refined by bisection on the interpolant of
+the segment that holds them, to 1e-12 in t.  Past the splice, where the
 quarter-turn samples leave the cubic far from the flow, psi zeros and
 phi0 hits come from the linear flow's phase instead, hits of any other
 phi by bisection on the flow between its u extrema, and the gaps
@@ -58,9 +65,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynsys import (
+    _DEGREE,
+    P1Conjugacy,
     P1Linearization,
     linearize_p1,
     offset_field,
+    p1_conjugacy,
     p1_quadratic_bound,
     spiral_flow_growth,
 )
@@ -90,6 +100,11 @@ _H_MIN = 1e-13  # over k - 1, the saddle's time scale
 _DEEP_FLOOR = 1e-290  # snap to the equilibrium before subnormal thrashing
 _TYPE_I_STOP = 1e-8  # a real-eigenvalue run ends once hypot(u, psi) is below this
 _BLOWUP_FACTOR = 1e3
+_SERIES_AMPLITUDE = 1e-2  # a spiral run may leave DP5 for the P1 series below this
+# the series samples' spacing times |mu3| / rel_tol^(1/5); DP5's mean step
+# over the same stretch measured 3.28-3.53 on the (31, 20) spirals at
+# rel_tol 1e-6, 1e-10 and 1e-12
+_SERIES_STEP = 3.0
 
 
 class Termination(enum.Enum):
@@ -173,9 +188,10 @@ class StepStats:
     evaluations per attempted step plus the one at the start (FSAL); an
     attempt cut short by an overflowing stage counts in full.  h_min and
     h_max are the smallest and largest accepted DP5 steps, None when no
-    step was accepted.  tail_samples counts the samples of the closed-form
-    spiral tail that follow the DP5 steps, one per quarter-turn of the
-    flow's phase (0 when the run never spliced).
+    step was accepted.  series_samples counts the samples of a spiral run's
+    P1 series stretch that follow the DP5 steps, tail_samples those of the
+    closed-form linear tail that follows it, one per quarter-turn of the
+    flow's phase (each 0 when the run never reached it).
     """
 
     accepted: int
@@ -183,6 +199,7 @@ class StepStats:
     rhs_evals: int
     h_min: float | None
     h_max: float | None
+    series_samples: int
     tail_samples: int
 
 
@@ -196,17 +213,18 @@ class CrossingReport:
 class Trajectory:
     """Dense, ordered output of one integration run.
 
-    Stores (t_i, u_i, psi_i) at every accepted step together with the psi
+    Stores (t_i, u_i, psi_i) at every sample, the DP5 steps, then a spiral
+    run's series samples and linear tail samples, together with the psi
     derivative, so the Hermite dense output reads (u, psi) with slopes
-    (psi, dpsi) between samples.  phi values are reconstructed as phi0 + u; the offsets keep
-    full relative precision long after phi0 + u rounds to phi0.
-    Completed trajectories are immutable.  `stats` counts the steps taken;
-    `rejected` is the number of rejected step attempts that led to them and
-    `tail_samples` the number of closed-form samples at the end.
+    (psi, dpsi) between samples.  phi values are reconstructed as phi0 + u;
+    the offsets keep full relative precision long after phi0 + u rounds to
+    phi0.  Completed trajectories are immutable.  `stats` counts the work
+    (StepStats); splice_index is the index of the last sample before the
+    linear tail, the last sample when there is none.
     """
 
     def __init__(self, params, t, u, psi, dpsi, eps_start, rel_tol, terminated_by,
-                 rejected=0, tail_samples=0):
+                 rejected=0, tail_samples=0, series_samples=0):
         self.params = params
         self.t = np.asarray(t, dtype=float)
         self.u = np.asarray(u, dtype=float)
@@ -223,7 +241,8 @@ class Trajectory:
         for arr in (self.t, self.u, self.psi, self.dpsi):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("trajectory states must be finite")
-        accepted = len(steps) - tail_samples
+        self.splice_index = len(steps) - tail_samples
+        accepted = self.splice_index - series_samples
         dp5_steps = steps[:accepted]
         self.stats = StepStats(
             accepted=accepted,
@@ -231,6 +250,7 @@ class Trajectory:
             rhs_evals=1 + 6 * (accepted + rejected),
             h_min=float(dp5_steps.min()) if accepted else None,
             h_max=float(dp5_steps.max()) if accepted else None,
+            series_samples=series_samples,
             tail_samples=tail_samples,
         )
 
@@ -325,8 +345,50 @@ def _linear_tail(lin: P1Linearization, t0, u0, psi0, t_max, zeros):
     return t, u, psi, lin.a * u + lin.b * psi, reason
 
 
+def _series_stretch(conj: P1Conjugacy, t0, u0, psi0, t_max, rel_tol, delta, zeros, dpsi):
+    """The orbit from the hand-off state (u0, psi0) at t0 on the P1 series,
+    then on the linear tail: (t, u, psi, dpsi, reason, series samples, tail
+    samples).
+
+    z* = conj.invert(u0, psi0), and the samples x(tau) = Phi(e^{mu tau}
+    z*) lie on the uniform grid tau = i h, h = _SERIES_STEP rel_tol^(1/5) /
+    |mu|, each carrying dpsi, the field, at its state.  They end at the
+    first where a stop rule holds, in the DP5 loop's order: zeros psi sign
+    changes behind it; the max-norm below delta short of t_max, the splice,
+    where _linear_tail takes over with the zeros still to count; t_max,
+    which takes the place of the first sample at or past it.  They are
+    evaluated up to the first sample past t_max or past the time where the
+    series' bound sum_m max|row_m| |z*|^d e^{alpha tau} on the max-norm
+    falls below delta.
+    """
+    lin = conj.lin
+    h = _SERIES_STEP * rel_tol ** 0.2 / abs(lin.mu3)
+    z0 = conj.invert(u0, psi0)
+    reach = float(np.abs(conj.rows).max(axis=1) @ abs(z0) ** _DEGREE)
+    span = min(math.log(reach / delta) / -lin.mu3.real, t_max - t0)
+    tau = h * np.arange(1, max(math.floor(span / h), 0) + 2)
+    t = t0 + tau
+    if t[-1] >= t_max:
+        t = np.append(t[t < t_max], t_max)
+        tau = np.append(tau[:len(t) - 1], t_max - t0)
+    u, psi = conj.states(z0 * np.exp(lin.mu3 * tau))
+    count = np.cumsum(_strict_sign_change(np.concatenate(([psi0], psi))))
+    splice = (np.maximum(np.abs(u), np.abs(psi)) < delta) & (t < t_max)
+    stop = int(np.flatnonzero((count >= zeros) | splice | (t >= t_max))[0])
+    columns = (t[:stop + 1], u[:stop + 1], psi[:stop + 1])
+    columns += (dpsi(*columns[1:]),)
+    if count[stop] >= zeros:
+        return (*columns, Termination.MAX_CROSSINGS, stop + 1, 0)
+    if not splice[stop]:
+        return (*columns, Termination.MAX_TIME, stop + 1, 0)
+    *tail, reason = _linear_tail(lin, *(float(c[stop]) for c in (t, u, psi)), t_max,
+                                 zeros - int(count[stop]))
+    return (*(np.concatenate(pair) for pair in zip(columns, tail)), reason, stop + 1,
+            len(tail[0]))
+
+
 def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
-             stop_radius=0.0, max_crossings=None, tail=None):
+             stop_radius=0.0, max_crossings=None, spiral=False):
     """Adaptive DP5(4) driver in deviation coordinates.
 
     Error is measured against rel_tol * |state|, where |state| is the
@@ -339,15 +401,18 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
     stage at the 5th-order solution being the next attempt's first (FSAL).
 
     The run ends at the first accepted state with hypot(u, psi) < stop_radius.
-    With tail, the spiral linearization at P1 (which needs max_crossings),
-    the run leaves the DP5 loop at the first accepted state of amplitude
-    below splice_amplitude and ends with _linear_tail from there: its
-    quarter-turn samples on the flow's phase, cut and named by the loop's
-    stop rules, the psi zeros still to count being max_crossings less the
-    sign changes so far.
+    A spiral run (which needs max_crossings) leaves the DP5 loop at the
+    first accepted state short of t_max with max-norm below
+    _SERIES_AMPLITUDE and |z| within the P1 series' radius at rel_tol
+    (dynsys.P1Conjugacy.radius), z its linear guess, and continues on the
+    series (_series_stretch) and from the splice on with _linear_tail:
+    samples cut and named by the loop's stop rules, the psi zeros still to
+    count being max_crossings less the sign changes so far.  The series is
+    built at the first state below _SERIES_AMPLITUDE, not before.
     """
     dpsi = offset_field(params)
-    delta = splice_amplitude(params, rel_tol) if tail is not None else 0.0
+    series_at = _SERIES_AMPLITUDE if spiral else 0.0
+    conj = None
     h_floor = _H_MIN / (params.k - 1)
     phi0 = params.phi0
     blowup_at = _BLOWUP_FACTOR * phi0
@@ -377,7 +442,7 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
     err_prev = 1.0
     crossings = 0
     rejected = 0
-    tail_samples = 0
+    series_samples = tail_samples = 0
     reason = None
     # PI controller exponents for an order-4 error estimate
     alpha, beta = 0.17, 0.04
@@ -469,12 +534,18 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
             if max_crossings is not None and crossings >= max_crossings:
                 reason = Termination.MAX_CROSSINGS
                 break
-            if amp < delta and t < t_max:
-                *columns, reason = _linear_tail(tail, t, u, psi, t_max, max_crossings - crossings)
-                tail_samples = len(columns[0])
-                ts, us, psis, dpsis = (np.concatenate((head, column)) for head, column
-                                       in zip((ts, us, psis, dpsis), columns))
-                break
+            if amp < series_at and t < t_max:
+                if conj is None:
+                    conj = p1_conjugacy(params)
+                    bound = conj.radius(rel_tol) * conj.lin.mu3.imag
+                # |z| of the linear guess z = (psi - conj(mu) u) / (i omega)
+                if abs(psi - conj.lin.mu3.conjugate() * u) < bound:
+                    *columns, reason, series_samples, tail_samples = _series_stretch(
+                        conj, t, u, psi, t_max, rel_tol, splice_amplitude(params, rel_tol),
+                        max_crossings - crossings, dpsi)
+                    ts, us, psis, dpsis = (np.concatenate((head, column)) for head, column
+                                           in zip((ts, us, psis, dpsis), columns))
+                    break
             h *= fac
             if h > _H_MAX:
                 h = _H_MAX
@@ -486,7 +557,7 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
             if h < h_floor:
                 raise IntegrationFailure(f"step size underflow at t={t:.6g}")
 
-    return ts, us, psis, dpsis, reason, rejected, tail_samples
+    return ts, us, psis, dpsis, reason, rejected, series_samples, tail_samples
 
 
 def shoot_unstable_manifold(params: LomseParams,
@@ -529,7 +600,7 @@ def shoot_unstable_manifold(params: LomseParams,
                          "rounds onto the saddle")
 
     type_one = params.stability is StabilityType.CENTER_TYPE_I
-    ts, us, psis, dpsis, reason, rejected, tail_samples = _advance(
+    ts, us, psis, dpsis, reason, rejected, series_samples, tail_samples = _advance(
         params,
         t_start,
         u_start,
@@ -538,34 +609,36 @@ def shoot_unstable_manifold(params: LomseParams,
         rel_tol,
         stop_radius=_TYPE_I_STOP if type_one else 0.0,
         max_crossings=None if type_one else max_crossings,
-        tail=None if type_one else linearize_p1(params),
+        spiral=not type_one,
     )
-    return Trajectory(params, ts, us, psis, dpsis, eps, rel_tol, reason, rejected, tail_samples)
+    return Trajectory(params, ts, us, psis, dpsis, eps, rel_tol, reason, rejected, tail_samples,
+                      series_samples)
 
 
 def _level_crossings(traj: Trajectory, y, m, level: float, row: int):
     """(i, t*) for each crossing of level by y, the state's row row (0: u,
     1: psi), with t* in segment i; increasing t.
 
-    Before the splice index s = stats.accepted, each strict sign change of
+    Before the splice index s = splice_index, each strict sign change of
     y - level is bisected on its segment's Hermite cubic through (y, m).
     Past it the crossings come from the linear flow from the splice state,
     whatever the sample spacing: at level 0 the zeros of the row in closed
-    form (_flow_zeros); at any other level on u, each sign change of u -
-    level between consecutive extrema of u, the psi zeros, between which u
-    is monotone, bisected on _linear_flow's u row.  One sample segment may
+    form (_flow_zeros), the last segment's as its samples' signs say; at
+    any other level on u, each sign change of u - level between consecutive
+    extrema of u, the psi zeros, between which u is monotone, bisected on
+    _linear_flow's u row.  One sample segment may
     hold several such crossings.
     """
     t = traj.t
     g = y - level
-    i = np.flatnonzero(_strict_sign_change(g[:traj.stats.accepted + 1]))
+    i = np.flatnonzero(_strict_sign_change(g[:traj.splice_index + 1]))
     out = []
     for k in i.tolist():
         t0, t1 = float(t[k]), float(t[k + 1])
         y0, y1, m0, m1 = float(y[k]), float(y[k + 1]), float(m[k]), float(m[k + 1])
         out.append((k, _bisect(lambda x: _hermite(x, t0, t1, y0, y1, m0, m1) - level,
                                t0, t1, float(g[k]), float(g[k + 1]))))
-    s = traj.stats.accepted
+    s = traj.splice_index
     if s == len(t) - 1:
         return out
     lin = linearize_p1(traj.params)
@@ -574,6 +647,11 @@ def _level_crossings(traj: Trajectory, y, m, level: float, row: int):
     span = float(t[-1]) - t_s
     if level == 0.0:
         taus = _flow_zeros(lin, *x_s, row, span)
+        # a last sample placed on a zero (t_max) has that zero's sign only to
+        # rounding: the sign of y there, not the closed form, decides
+        in_last = bool(len(taus)) and taus[-1] > t[-2] - t_s
+        if _strict_sign_change(y[-2:])[0] != in_last:
+            taus = taus[:-1] if in_last else np.append(taus, span)
     else:
         ends = np.concatenate(([0.0], _flow_zeros(lin, *x_s, 1, span), [span]))
         ge = _linear_flow(lin, *x_s, ends)[0] - level
@@ -589,7 +667,7 @@ def detect_psi_zeros(traj: Trajectory) -> list[PsiZero]:
     splice, the flow's zeros past it.  phi is read where the time came
     from: the Hermite cubic of u, or the linear tail's flow."""
     t, u, psi = traj.t, traj.u, traj.psi
-    s = traj.stats.accepted
+    s = traj.splice_index
     crossings = _level_crossings(traj, psi, traj.dpsi, 0.0, 1)
     offsets = [_hermite(tz, float(t[i]), float(t[i + 1]), float(u[i]), float(u[i + 1]),
                         float(psi[i]), float(psi[i + 1])) for i, tz in crossings if i < s]
@@ -613,7 +691,7 @@ def detect_phi_hits(traj: Trajectory, target: float) -> list[PhiHit]:
     if not 0.0 < target < math.inf:  # NaN fails too
         raise ValueError(f"target must be positive and finite, got {target}")
     u_target = target - traj.params.phi0
-    head = slice(traj.stats.accepted + 1)
+    head = slice(traj.splice_index + 1)
     on_target = traj.u[head] - u_target == 0.0
     on_target[1:] &= ~on_target[:-1]  # the first sample of each run on it
     # a sign change needs both samples off the target: no time is found twice

@@ -92,21 +92,21 @@ def reference_integrate(params: LomseParams,
 
 def advance_from(params: LomseParams, state0: PhaseState, t_end: float) -> Trajectory:
     """The package's adaptive DP5 path from an interior state to t_end."""
-    ts, us, psis, dpsis, reason, rejected, _ = _advance(
+    ts, us, psis, dpsis, reason, rejected, _, _ = _advance(
         params, state0.t, state0.phi - params.phi0, state0.psi, t_end, DEFAULT_REL_TOL)
     return Trajectory(params, ts, us, psis, dpsis, None, DEFAULT_REL_TOL, reason, rejected)
 
 
 def fine_tail(traj: Trajectory, t_end: float, max_crossings: int = DEFAULT_MAX_CROSSINGS):
     """The spiral tail of traj on a fine grid: the linear flow from its
-    splice state at t_s = t[s], s = stats.accepted, at t_s + h, t_s + 2h,
-    ... spaced by the last DP5 step h, with a last sample at t_end exactly,
+    splice state at t_s = t[s], s = splice_index, at t_s + h, t_s + 2h,
+    ... spaced by the last sample step h, with a last sample at t_end exactly,
     and dpsi = a u + b psi.  Returns the columns (t, u, psi, dpsi), the
     index of the first sample where a stop rule holds, tested in this order
     on each sample (max-norm below integrate._DEEP_FLOOR; max_crossings sign
     changes of psi counted from the launch; t_end), and the Termination it
     names."""
-    s = traj.stats.accepted
+    s = traj.splice_index
     t_s, h = float(traj.t[s]), float(traj.t[s] - traj.t[s - 1])
     lin = linearize_p1(traj.params)
     tau = h * np.arange(1, math.floor((t_end - t_s) / h) + 2)

@@ -395,7 +395,7 @@ def test_theta_matches_the_simpson_oracle_on_the_table(table_trajs):
         profile = to_profile(traj)
         interp = _ProfileInterp(profile)
         spiral = traj.params.stability is StabilityType.SPIRAL_TYPE_II
-        end = traj.stats.accepted if spiral else len(traj) - 1
+        end = traj.splice_index if spiral else len(traj) - 1
         lo, hi = np.log(interp.r2rho2[[0, end]]) / 2.0
         R = math.exp(lo + (0.25, 0.5, 0.75)[n % 3] * (hi - lo))
         oracle = simpson_theta(profile, traj.params, R, 65536)
@@ -409,7 +409,7 @@ def test_theta_past_the_splice_matches_the_simpson_oracle(spirals):
     # splice to the run's end (measured: at most 4.8e-14)
     for traj in spirals.values():
         profile, params = to_profile(traj), traj.params
-        t = 0.5 * (traj.t[traj.stats.accepted] + traj.t_end)
+        t = 0.5 * (traj.t[traj.splice_index] + traj.t_end)
         R = math.exp(t) * math.hypot(1.0, params.phi0)
         oracle = simpson_theta(profile, params, R, 524288)
         assert abs(theta_of_radius(profile, params, R) / oracle - 1.0) < 1e-13, params

@@ -262,7 +262,7 @@ def test_radii_past_the_splice_are_below_the_cone_or_exit_5(spirals, tmp_path, c
     # on every spiral triple, radii past the splice either print Theta(R)
     # below Theta_inf or exit 5 naming the others
     for triple, traj in spirals.items():
-        s, phi0 = traj.stats.accepted, traj.params.phi0
+        s, phi0 = traj.splice_index, traj.params.phi0
         t = np.linspace(traj.t[s], traj.t_end, 4)[1:-1]
         radii = ",".join(repr(float(r)) for r in np.exp(t) * np.hypot(1.0, phi0))
         code = run(["density", *map(str, triple), "--radii", radii, "--out-dir", str(tmp_path)])

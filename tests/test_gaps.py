@@ -71,7 +71,7 @@ def test_deep_gaps_decay_at_the_linear_rate(spirals):
         lin = linearize_p1(traj.params)
         step = 2.0 * lin.mu3.real * math.pi / (lin.mu3.imag * math.log(10.0))
         hits = detect_phi_hits(traj, traj.params.phi0)
-        deep = np.array([h.t for h in hits[:-1]]) > traj.t[traj.stats.accepted]
+        deep = np.array([h.t for h in hits[:-1]]) > traj.t[traj.splice_index]
         assert deep.sum() >= 26, triple
         steps = np.diff(density_report(traj).log10_gaps)[deep]
         assert np.max(np.abs(steps - step)) <= 5.5e-13, triple
@@ -114,7 +114,7 @@ def test_error_bars_cover_a_10_point_reference(spirals):
         params = traj.params
         n, p, lam2 = params.n, params.p, params.lambda_sq
         report = density_report(traj)
-        t, s = traj.t, traj.stats.accepted
+        t, s = traj.t, traj.splice_index
 
         def integral(a, b, phi, psi):
             f = (psi ** 2 * (1 + lam2 * phi ** 2) ** (p / 2)
@@ -193,7 +193,7 @@ def test_mpmath_tail_gaps(triple, spirals):
     traj = spirals[triple]
     params = traj.params
     n, p = params.n, params.p
-    s = traj.stats.accepted
+    s = traj.splice_index
     report = density_report(traj)
     hits = detect_phi_hits(traj, params.phi0)
     tail = [i for i, hit in enumerate(hits) if hit.t > traj.t[s]][:3]

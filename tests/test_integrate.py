@@ -276,8 +276,9 @@ def test_tolerances_recorded(traj322):
     assert traj322.rel_tol == 1e-10
 
 
-# closed-form tail samples after the DP5 steps, one per quarter-turn of the flow;
-# type-I runs have none
+# P1 series samples after the DP5 steps, then closed-form tail samples, one per
+# quarter-turn of the flow; type-I runs have neither
+_SERIES_SAMPLES = {"traj324": 946, "traj546": 826}
 _TAIL_SAMPLES = {"traj324": 70, "traj546": 56}
 
 
@@ -285,17 +286,18 @@ _TAIL_SAMPLES = {"traj324": 70, "traj546": 56}
 # stops at the deep floor before 40 crossings
 @pytest.mark.parametrize("fixture, accepted, reason", [
     ("traj322", 727, Termination.CONVERGED_TO_P1),
-    ("traj324", 1104, Termination.MAX_CROSSINGS),
+    ("traj324", 281, Termination.MAX_CROSSINGS),
     ("traj542", 823, Termination.CONVERGED_TO_P1),
-    ("traj546", 1071, Termination.CONVERGED_TO_P1),
+    ("traj546", 358, Termination.CONVERGED_TO_P1),
 ])
 def test_step_sequence_pinned(request, fixture, accepted, reason):
     traj = request.getfixturevalue(fixture)
     stats = traj.stats
     assert traj.terminated_by is reason
     assert stats.accepted == accepted
+    assert stats.series_samples == _SERIES_SAMPLES.get(fixture, 0)
     assert stats.tail_samples == _TAIL_SAMPLES.get(fixture, 0)
-    assert stats.accepted + stats.tail_samples == len(traj) - 1
+    assert stats.accepted + stats.series_samples + stats.tail_samples == len(traj) - 1
     assert stats.rejected == 0
     assert stats.rhs_evals == 1 + 6 * (stats.accepted + stats.rejected)
     steps = np.diff(traj.t)[:stats.accepted]
@@ -307,11 +309,13 @@ def test_table_work_pinned(table_trajs):
     stats = [traj.stats for traj in table_trajs.values()]
     type_one = [traj.params.stability is StabilityType.CENTER_TYPE_I
                 for traj in table_trajs.values()]
-    assert sum(s.accepted for s in stats) == 273_467
+    assert sum(s.accepted for s in stats) == 260_271
     assert sum(s.accepted for s, one in zip(stats, type_one) if one) == 253_462
+    assert sum(s.accepted for s, one in zip(stats, type_one) if not one) == 6_809
     assert sum(s.rejected for s in stats) == 638
+    assert sum(s.series_samples for s in stats) == 15_246
     assert sum(s.tail_samples for s in stats) == 1_197
-    assert sum(s.rhs_evals for s in stats) == 1_644_860
+    assert sum(s.rhs_evals for s in stats) == 1_565_684
     ends = {}
     for (triple, traj), one in zip(table_trajs.items(), type_one):
         ends.setdefault((one, traj.terminated_by), []).append(triple)
@@ -337,13 +341,20 @@ def test_type_one_runs_end_at_the_fixed_stop(table_trajs):
 
 def test_dpsi_column_is_the_field_bit_for_bit(table_trajs):
     # each DP5 sample carries the field at that state (the FSAL stage), each
-    # closed-form tail sample a u + b psi; type-I runs have no tail
+    # series sample the field at its state evaluated on arrays, within 2 ulp
+    # of its larger term as in test_field_broadcasts_over_arrays (numpy's
+    # x**2 is x*x, Python's libm pow), each closed-form tail sample a u + b
+    # psi; type-I runs have neither
     for triple, traj in table_trajs.items():
-        s = traj.stats.accepted
+        a, s = traj.stats.accepted, traj.splice_index
+        assert s - a == traj.stats.series_samples, triple
         field = offset_field(traj.params)
-        dp5 = [field(u, psi) for u, psi in zip(traj.u[:s + 1].tolist(),
-                                                traj.psi[:s + 1].tolist())]
-        assert np.array(dp5).tobytes() == traj.dpsi[:s + 1].tobytes(), triple
+        scalar = np.array([field(u, psi) for u, psi in zip(traj.u[:s + 1].tolist(),
+                                                           traj.psi[:s + 1].tolist())])
+        assert scalar[:a + 1].tobytes() == traj.dpsi[:a + 1].tobytes(), triple
+        psi = traj.psi[a + 1:s + 1]
+        scale = np.maximum(np.abs(psi), np.abs(scalar[a + 1:] + psi))
+        assert np.all(np.abs(traj.dpsi[a + 1:s + 1] - scalar[a + 1:]) <= 2.0 * np.spacing(scale))
         lin = linearize_p1(traj.params)
         tail = slice(s + 1, None)
         linear = lin.a * traj.u[tail] + lin.b * traj.psi[tail]
@@ -382,7 +393,7 @@ def test_tail_ratios_converge_in_k(n, p, omega_inf):
         params = build_params(n, p, 10 ** e)
         traj = shoot_unstable_manifold(params)
         omega = linearize_p1(params).mu3.imag
-        t_splice = traj.t[traj.stats.accepted]
+        t_splice = traj.t[traj.splice_index]
         tail = [h.dilation for h in detect_phi_hits(traj, params.phi0) if h.t > t_splice]
         assert len(tail) >= 30, e
         exact = math.exp(math.pi / omega)
@@ -477,7 +488,7 @@ def _eig_tail_roots(traj, row):
     row, written apart from the package: with numpy's eigenpair (mu, v) of
     J, mu = alpha + i omega, the flow is 2 Re(z e^{mu tau} v), so row r
     vanishes where omega tau + arg(z v_r) = pi/2 mod pi."""
-    s = traj.stats.accepted
+    s = traj.splice_index
     lin = linearize_p1(traj.params)
     vals, vecs = np.linalg.eig(np.array([[0.0, 1.0], [lin.a, lin.b]]))
     mu, v = vals[np.argmax(vals.imag)], vecs[:, np.argmax(vals.imag)]
@@ -503,7 +514,7 @@ def test_event_scans_match_sample_loop(request, fixture):
     # eigenpair is the worst conditioned)
     traj = request.getfixturevalue(fixture)
     phi0 = traj.params.phi0
-    s = traj.stats.accepted
+    s = traj.splice_index
     head = range(s)
     zeros = detect_psi_zeros(traj)
     hits = detect_phi_hits(traj, phi0)

@@ -46,8 +46,9 @@ _SPIRAL_PARAMS = [p for p in enumerate_admissible(31, 20)
 
 @pytest.fixture
 def dp5_only(monkeypatch):
-    """shoot_unstable_manifold with the splice switched off: DP5 to the end."""
-    monkeypatch.setattr(integrate, "splice_amplitude", lambda params, rel_tol: 0.0)
+    """shoot_unstable_manifold with the series and the splice switched off:
+    DP5 to the end."""
+    monkeypatch.setattr(integrate, "_SERIES_AMPLITUDE", 0.0)
     return shoot_unstable_manifold
 
 
@@ -106,26 +107,26 @@ def test_linear_tail_is_the_matrix_exponential(triple):
 def test_type_one_runs_never_splice(table_trajs):
     for triple, traj in table_trajs.items():
         if traj.params.stability is StabilityType.CENTER_TYPE_I:
-            assert traj.stats.tail_samples == 0, triple
-            assert traj.stats.accepted == len(traj) - 1, triple
+            assert traj.stats.series_samples == traj.stats.tail_samples == 0, triple
+            assert traj.stats.accepted == traj.splice_index == len(traj) - 1, triple
 
 
 @pytest.mark.parametrize("triple", [(3, 2, 4), (5, 4, 6), (5, 4, 20)])
 def test_spliced_run_keeps_the_dp5_prefix(triple, spirals, dp5_only):
     traj = spirals[triple]
     dp5 = dp5_only(traj.params)
-    s = traj.stats.accepted
+    s = traj.stats.accepted  # the hand-off state, the last DP5 state
     for name in ("t", "u", "psi", "dpsi"):
         assert np.array_equal(getattr(traj, name)[:s + 1], getattr(dp5, name)[:s + 1]), name
-    assert dp5.stats.tail_samples == 0
+    assert dp5.stats.series_samples == dp5.stats.tail_samples == 0
 
 
 def test_splice_grid_and_stop_rules(spirals):
     for triple, traj in spirals.items():
         params, stats = traj.params, traj.stats
-        s, t = stats.accepted, traj.t
+        s, t = traj.splice_index, traj.t
         amp = _amp(traj)
-        # the splice state is the first DP5 state below delta
+        # the splice state is the first series sample below delta
         delta = splice_amplitude(params, DEFAULT_REL_TOL)
         assert amp[s] < delta <= amp[:s].min(), triple
         assert stats.tail_samples == len(traj) - 1 - s > 0, triple
@@ -171,7 +172,7 @@ def test_tail_columns_are_the_linear_tail_prefix(spirals):
     # after the splice: none dropped, none repeated.  z1 is checked against
     # numpy's eigenpair of J
     for triple, traj in spirals.items():
-        s, count = traj.stats.accepted, traj.stats.tail_samples
+        s, count = traj.splice_index, traj.stats.tail_samples
         lin = linearize_p1(traj.params)
         alpha, omega = lin.mu3.real, lin.mu3.imag
         t_s, u_s, psi_s = float(traj.t[s]), float(traj.u[s]), float(traj.psi[s])
@@ -215,7 +216,7 @@ def test_tail_events_lie_inside_their_segments(spirals):
     # hit lies strictly inside the sign change that brackets it: the clamp
     # in _level_crossings never acts
     for triple, traj in spirals.items():
-        s, t = traj.stats.accepted, traj.t
+        s, t = traj.splice_index, traj.t
         for events, y in ((detect_psi_zeros(traj), traj.psi),
                           (detect_phi_hits(traj, traj.params.phi0), traj.u)):
             i = np.flatnonzero(_strict_sign_change(y))
@@ -228,19 +229,19 @@ def test_tail_events_lie_inside_their_segments(spirals):
 
 def test_reports_match_on_the_fine_tail(spirals):
     # past the splice the events and the gaps come from the flow, not from
-    # the samples: the run rebuilt on the fine grid spaced by the last DP5
-    # step, up to the same end, gives the same crossing_report, at phi0 and
-    # off it, and density_report, bit for bit.  The fine grid's own stop
-    # scan names the same reason, at or before that end, and its sign
-    # changes of psi are the run's zeros
+    # the samples: the run rebuilt on the fine grid spaced by the last
+    # series sample step, up to the same end, gives the same
+    # crossing_report, at phi0 and off it, and density_report, bit for bit.
+    # The fine grid's own stop scan names the same reason, at or before that
+    # end, and its sign changes of psi are the run's zeros
     for triple, traj in spirals.items():
-        s, phi0 = traj.stats.accepted, traj.params.phi0
+        s, phi0 = traj.splice_index, traj.params.phi0
         fine, stop, reason = fine_tail(traj, traj.t_end)
         assert reason is traj.terminated_by, triple
         columns = [np.concatenate((getattr(traj, name)[:s + 1], column))
                    for name, column in zip(("t", "u", "psi", "dpsi"), fine)]
         rebuilt = Trajectory(traj.params, *columns, traj.eps_start, traj.rel_tol, reason,
-                             traj.stats.rejected, len(fine[0]))
+                             traj.stats.rejected, len(fine[0]), traj.stats.series_samples)
         assert len(rebuilt) > len(traj) + 10 * traj.stats.tail_samples, triple
         assert rebuilt.stats == dataclasses.replace(traj.stats, tail_samples=len(fine[0]))
         for target in (phi0, phi0 + 2e-14):
@@ -254,7 +255,7 @@ def _eig_row(traj, row):
     """Row row (0: u, 1: psi) of the flow past the splice from numpy's
     eigenpair (mu, v) of J, written apart from the package: the flow from
     the splice state x* = 2 Re(z v) is 2 Re(z e^{mu tau} v)."""
-    s = traj.stats.accepted
+    s = traj.splice_index
     lin = linearize_p1(traj.params)
     vals, vecs = np.linalg.eig(np.array([[0.0, 1.0], [lin.a, lin.b]]))
     mu, v = vals[np.argmax(vals.imag)], vecs[:, np.argmax(vals.imag)]
@@ -267,7 +268,7 @@ def _eig_roots(traj, level):
     """The times past the splice where u (_eig_row) equals level: sign changes on
     a scan of 200 000 steps, each bisected to adjacent floats."""
     u = _eig_row(traj, 0)
-    grid = np.linspace(traj.t[traj.stats.accepted], traj.t_end, 200_001)
+    grid = np.linspace(traj.t[traj.splice_index], traj.t_end, 200_001)
     g = u(grid) - level
     roots = []
     for i in np.flatnonzero(_strict_sign_change(g)).tolist():
@@ -289,7 +290,7 @@ def test_off_target_tail_hits_match_an_eigen_root(spirals):
     # eigen root at phi0 + 2e-14).  Near an extremum of u two hits fall in
     # one sample segment, and both are kept
     traj = spirals[(3, 2, 4)]
-    phi0, s = traj.params.phi0, traj.stats.accepted
+    phi0, s = traj.params.phi0, traj.splice_index
     extremum = [z for z in detect_psi_zeros(traj) if z.t > traj.t[s]][0]
     near_peak = phi0 + 0.99 * extremum.phi_offset
     assert 0.9 < (near_peak - phi0) / extremum.phi_offset < 1.0
@@ -331,7 +332,7 @@ def test_zeros_equal_sign_changes_when_stopped_inside_the_tail(triple, spirals):
     # every zero is a sample sign change, whichever rule stops the tail and
     # wherever t_max falls: on, just before or just after a zero or a sample
     traj = spirals[triple]
-    params, s = traj.params, traj.stats.accepted
+    params, s = traj.params, traj.splice_index
     tail = [z.t for z in detect_psi_zeros(traj) if z.t > traj.t[s]]
     samples = traj.t[s + 1:s + 12].tolist()
     ulp = math.ulp(tail[6])
@@ -356,7 +357,7 @@ def test_tail_ratios_are_exact(spirals):
         params = traj.params
         hits = detect_phi_hits(traj, params.phi0)
         assert all(a.t < b.t for a, b in zip(hits, hits[1:])), triple
-        t_splice = traj.t[traj.stats.accepted]
+        t_splice = traj.t[traj.splice_index]
         tail = [h.dilation for h in hits if h.t > t_splice]
         assert len(tail) >= 26, triple
         exact = math.exp(math.pi / linearize_p1(params).mu3.imag)
@@ -365,12 +366,12 @@ def test_tail_ratios_are_exact(spirals):
 
 def _continuation(traj):
     """DP5 from the splice state to the same stop rules, without a tail."""
-    s = traj.stats.accepted
+    s = traj.splice_index
     before = int(_strict_sign_change(traj.psi[:s + 1]).sum())
-    ts, us, psis, dpsis, reason, rejected, tail = _advance(
+    ts, us, psis, dpsis, reason, rejected, series, tail = _advance(
         traj.params, float(traj.t[s]), float(traj.u[s]), float(traj.psi[s]),
         integrate.DEFAULT_T_MAX, traj.rel_tol, max_crossings=DEFAULT_MAX_CROSSINGS - before)
-    assert tail == 0
+    assert series == tail == 0
     return Trajectory(traj.params, ts, us, psis, dpsis, None, traj.rel_tol, reason, rejected)
 
 
@@ -384,7 +385,7 @@ def test_tail_matches_dp5_continuation(spirals):
     for triple, traj in spirals.items():
         cont = _continuation(traj)
         assert cont.terminated_by is traj.terminated_by, triple
-        t_splice = traj.t[traj.stats.accepted]
+        t_splice = traj.t[traj.splice_index]
         tail_zeros = [z for z in detect_psi_zeros(traj) if z.t > t_splice]
         cont_zeros = detect_psi_zeros(cont)
         extra = 1 if triple == (5, 4, 6) else 0
@@ -403,13 +404,15 @@ def test_tail_matches_dp5_continuation(spirals):
 
 @pytest.mark.parametrize("triple", [(3, 2, 4), (5, 4, 6), (5, 4, 12), (5, 4, 20)])
 def test_spliced_zeros_match_fine_dp5(triple, spirals, dp5_only):
-    # against DP5 at rel_tol 1e-13 the spliced zero offsets agree to 4.7e-9
-    # relative on (5,4,6) and 3.5e-9 on the others, while default DP5
-    # without the splice is off by up to 9.2e-8 (5,4,6) and 5.6e-8 (5,4,12).
-    # Past the splice the zeros and their offsets come from the linear
-    # flow's phase, so the cubic Hermite error of the tail samples does not
-    # enter.  The reference for (5,4,6) stops on its own 1e-290 floor after
-    # 28 zeros, one short of the spliced run
+    # against DP5 at rel_tol 1e-13 the spliced zero offsets agree to 4.4e-9
+    # relative on (5,4,20) and 1.1e-9 on (5,4,6), while default DP5 without
+    # the series and the splice is off by up to 9.2e-8 (5,4,6) and 5.6e-8
+    # (5,4,12).  Zeros 1-5 of (3,2,4), 1 of (5,4,6) and 1-2 of (5,4,12) and
+    # (5,4,20) lie in the series stretch (at most 4.4e-9).  Past the splice
+    # the zeros and their offsets come from the linear flow's phase, so the
+    # cubic Hermite error of the tail samples does not enter.  The reference
+    # for (5,4,6) stops on its own 1e-290 floor after 28 zeros, one short of
+    # the spliced run
     traj = spirals[triple]
     ref = detect_psi_zeros(dp5_only(traj.params, rel_tol=1e-13))
     zeros = detect_psi_zeros(traj)
@@ -429,7 +432,7 @@ def test_546_last_zero_matches_mpmath(spirals):
     # time, 2.1e-12 relative in the gap, whose bar is 4.1e-10 of it
     traj = spirals[(5, 4, 6)]
     params = traj.params
-    n, p, s = params.n, params.p, traj.stats.accepted
+    n, p, s = params.n, params.p, traj.splice_index
     zeros = detect_psi_zeros(traj)
     hits = detect_phi_hits(traj, params.phi0)
     report = density_report(traj)
@@ -464,10 +467,10 @@ def test_546_last_zero_matches_mpmath(spirals):
 
 def test_mpmath_zeros_straddling_the_splice(spirals):
     # Taylor integration at 20 digits of the same launch in offset
-    # variables; zeros 1-5 come before the splice, 6-8 after it
+    # variables; zeros 1-5 lie in the series stretch, 6-8 past the splice
     traj = spirals[(3, 2, 4)]
     zeros = detect_psi_zeros(traj)[:8]
-    t_splice = traj.t[traj.stats.accepted]
+    t_splice = traj.t[traj.splice_index]
     assert zeros[4].t < t_splice < zeros[5].t
     with mpmath.workdps(20):
         sol, _, _ = mpmath_orbit(traj)
