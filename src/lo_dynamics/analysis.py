@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynsys import linearize_p1, p1_quadratic_bound, spiral_flow_growth
+from .dynsys import linearize_p1, p1_quadratic_bound
 from .errors import IntegrationFailure, NotApplicable
 from .geometry import volume_ratio
 from .integrate import (
@@ -107,19 +107,19 @@ class _ProfileInterp:
     profile samples; phi and psi vary slowly in x, so interpolating them
     (rather than rho, which grows like e^x) keeps the relative error tied
     to the step size and not to the radial growth.  Steps below an ulp of
-    r = e^t repeat a radius; the first sample of each run of equal radii
-    is kept."""
+    r = e^t, or of log r, repeat a radius or its logarithm; the first sample
+    of each run of equal log r is kept."""
 
     def __init__(self, profile: Profile):
-        dr = np.diff(profile.r)
-        if not np.all(dr >= 0.0):  # NaN fails too
+        if not np.all(np.diff(profile.r) >= 0.0):  # NaN fails too
             raise ValueError("profile radii must not decrease")
-        keep = slice(None) if np.all(dr > 0.0) else np.insert(dr > 0.0, 0, True)
-        r, rho, rho_r, rho_rr = (col[keep] for col in (profile.r, profile.rho,
-                                                      profile.rho_r, profile.rho_rr))
+        x = np.log(profile.r)
+        dx = np.diff(x)
+        keep = slice(None) if np.all(dx > 0.0) else np.insert(dx > 0.0, 0, True)
+        r, rho, rho_r, rho_rr, self.x = (col[keep] for col in (
+            profile.r, profile.rho, profile.rho_r, profile.rho_rr, x))
         if len(r) < 2:
             raise ValueError("need at least 2 profile samples")
-        self.x = np.log(r)
         self.phi = rho / r
         self.psi = rho_r - self.phi
         # d(psi)/dx = r rho_rr - psi
@@ -174,7 +174,6 @@ def _volume_core(interp: _ProfileInterp, params: LomseParams, x_cut: float) -> f
     core = 0.0
     for lo in range(0, end, _CHUNK):
         seg = np.arange(lo, min(lo + _CHUNK, end))
-        seg = seg[x[seg + 1] > x[seg]]  # distinct radii can round to one log r: width 0
         h = x[seg + 1] - x[seg]
         frac = np.minimum((x_cut - x[seg]) / h, 1.0)  # the share of each below the cut
         m = np.maximum(np.ceil(2.0 * (n + 1.0) * frac * h), 1.0).astype(np.intp)
@@ -264,28 +263,26 @@ def _tail_logs(params: LomseParams, u, psi, splice=None):
     other factors of the integrand are taken at P1.  Along the true flow
     the same P gives integral of psi^2 = Q(x) + integral of 2 psi r /
     (2|b|), with r the field's quadratic remainder, |r| <= c2 |x|^2.  On a
-    spiral P1, |exp(J tau) x| <= G e^{alpha tau} |x| (spiral_flow_growth),
-    so the relative error is at most 2 c2 G^3 |x| / (3 |alpha| min(|a|, 1)), and
-    the other factors add at most L G |x| with L the sum of the absolute
-    derivatives of their logarithm at P1.  The bound doubles the sum of
-    both to cover the higher-order terms, as splice_amplitude does; it is
-    the tail itself on a real-eigenvalue P1.
+    spiral P1 the linear flow from x stays below E e^{alpha tau} in the
+    max-norm, E = V |z| the envelope of its coordinate z (P1Linearization),
+    V = max(1, |mu|), so the relative error is at most 2 c2 E^3 / (3 |alpha|
+    min(|a|, 1) |x|^2), and the other factors add at most L E with L the sum
+    of the absolute derivatives of their logarithm at P1.  The bound doubles
+    the sum of both to cover the higher-order terms, as splice_amplitude
+    does; it is the tail itself on a real-eigenvalue P1.
 
-    splice, the state x* = (u*, psi*) when each x is exp(J tau) x* and not
-    a state of the orbit, adds the error that x inherits from x*.  With
-    mu = alpha + i omega, v = (1, mu) and w = (mu - b, 1) / (2 i omega) are
-    right and left eigenvectors of J with w^T v = 1 and w^T conj(v) = 0, so
-    every real x = 2 Re(z v) with z = w^T x, and |x| <= 2 V |z| for
-    V = max(1, |mu|).  The linear flow has z = e^{mu tau} z*; the true flow
-    has z' = mu z + w_2 r, |w_2| = 1/(2 omega), |r| <= 4 c2 V^2 |z|^2.  With
-    C = 2 c2 V^2 / omega and eta = C |z*| / |alpha| < 1 this gives |z| <=
-    e^{alpha tau} |z*| / (1 - eta), and the integral of |e^{-mu s} w_2 r|
-    ds <= C |z*|^2 / (1 - eta)^2 times the integral of e^{alpha s} ds, so
-    |e^{-mu tau} z - z*| <= eta |z*| / (1 - eta)^2: the true state at tau
-    is x + d with |d| <= D = 2 V eta |w^T x| / (1 - eta)^2.  Then
-    |Q(x + d) - Q(x)| <= 2 |P x|_1 D + (|a| + 1) D^2 / (2|b|), which is
-    taken relative to Q(x) at each x and doubled, as above.  The error
-    bound at x alone, which scales with |x| << |x*|, does not cover it.
+    splice, the coordinate z* of the splice state x* when each x is exp(J
+    tau) x* and not a state of the orbit, adds the error that x inherits from
+    x*.  The linear flow has z = e^{mu tau} z*, the true flow z' = mu z + r /
+    (i omega), as r enters psi' alone, with |r| <= c2 V^2 |z|^2.  With C =
+    c2 V^2 / omega and eta = C |z*| / |alpha| < 1 this gives |z| <= e^{alpha
+    tau} |z*| / (1 - eta), and the integral of |e^{-mu s} r / omega| ds <= C
+    |z*|^2 / (1 - eta)^2 times the integral of e^{alpha s} ds, so |e^{-mu
+    tau} z - z*| <= eta |z*| / (1 - eta)^2: the true state at tau is x + d
+    with |d| <= D = eta E / (1 - eta)^2.  Then |Q(x + d) - Q(x)| <= 2 |P
+    x|_1 D + (|a| + 1) D^2 / (2|b|), which is taken relative to Q(x) at each
+    x and doubled, as above.  The error bound at x alone, which scales with
+    |x| << |x*|, does not cover it.
     """
     n, p, phi0 = params.n, params.p, params.phi0
     lam2 = params.lambda_sq
@@ -302,20 +299,16 @@ def _tail_logs(params: LomseParams, u, psi, splice=None):
                             -math.inf)
     if params.stability is not StabilityType.SPIRAL_TYPE_II:
         return log_tail, log_tail
-    alpha, omega = lin.mu3.real, lin.mu3.imag
-    growth = spiral_flow_growth(lin)
+    alpha = lin.mu3.real
+    env = lin.envelope(lin.coordinate(u1, psi1))  # E / amp
     c2 = p1_quadratic_bound(params)
     c = phi0 / (1.0 + phi0 * phi0)
     dlog_g = abs(p * lam2 * phi0 / (1.0 + lam2 * phi0 * phi0) - (n + 4.0) * c) + c
-    rel = 2.0 * amp * growth * (2.0 * c2 * growth * growth / (3.0 * abs(alpha) * min(abs_a, 1.0))
-                                + dlog_g)
+    rel = 2.0 * amp * env * (2.0 * c2 * env * env / (3.0 * abs(alpha) * min(abs_a, 1.0))
+                             + dlog_g)
     if splice is not None:
-        big_v = max(1.0, abs(lin.mu3))
-        w1 = (lin.mu3 - lin.b) / (2j * omega)
-        w2 = 1.0 / (2j * omega)
-        eta = (2.0 * c2 * big_v * big_v / omega) * abs(w1 * splice[0] + w2 * splice[1]) / abs(alpha)
-        carry = 2.0 * big_v * eta / (1.0 - eta) ** 2 if eta < 1.0 else math.inf
-        d1 = carry * np.abs(w1 * u1 + w2 * psi1)  # D / amp
+        eta = c2 * lin.envelope(1.0) ** 2 * abs(splice) / (lin.mu3.imag * abs(alpha))
+        d1 = eta * env / (1.0 - eta) ** 2 if eta < 1.0 else math.inf  # D / amp
         with np.errstate(invalid="ignore"):
             rel = rel + 2.0 * (2.0 * (abs_a * np.abs(u1) + np.abs(psi1)) * d1
                                + (abs_a + 1.0) * d1 * d1) / q1
@@ -369,8 +362,10 @@ def gap_logs(traj: Trajectory, t_cuts) -> tuple[np.ndarray, np.ndarray]:
     log_gap[~flow] = np.logaddexp(part, suffix[jd + 1])
     log_err[~flow] = np.logaddexp(part_err, suffix_err[jd + 1])
     if np.any(flow):
-        x = _linear_flow(linearize_p1(params), *x_s, t_cuts[flow] - traj.t[s])
-        log_gap[flow], log_err[flow] = _tail_logs(params, *x, splice=x_s)
+        lin = linearize_p1(params)
+        z_s = lin.coordinate(*x_s)
+        x = _linear_flow(lin, z_s, t_cuts[flow] - traj.t[s])
+        log_gap[flow], log_err[flow] = _tail_logs(params, *x, splice=z_s)
     log_c = math.log(params.n + 1.0)
     return log_gap + log_c, log_err + log_c
 

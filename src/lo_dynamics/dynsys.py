@@ -50,9 +50,22 @@ _PRODUCT_PLAN = [
 
 @dataclass(frozen=True)
 class P1Linearization:
+    """J = [[0, 1], [a, b]] at P1 and mu3.  At a spiral P1, mu3 = alpha +
+    i omega, the coordinate z writes the state as x = (Re z, Re mu3 z) and
+    the linear flow exp(J tau) x as z e^{mu3 tau}, as mu3^2 = b mu3 + a."""
+
     a: float  # 2n(n/(k(k+n-1)) - 1) < 0
     b: float  # -n - 1
     mu3: complex
+
+    def coordinate(self, u, psi):
+        """z = (psi - conj(mu3) u) / (i omega) of states (u, psi), floats or arrays."""
+        return (psi - self.mu3.conjugate() * u) / (1j * self.mu3.imag)
+
+    def envelope(self, z):
+        """max(1, |mu3|) |z|, the largest max-norm the state reaches over one
+        turn of the flow's phase: |exp(J tau) x| <= envelope e^{alpha tau}."""
+        return max(1.0, abs(self.mu3)) * abs(z)
 
 
 @dataclass(frozen=True)
@@ -89,11 +102,10 @@ class P1Conjugacy:
 
     def invert(self, u: float, psi: float) -> complex:
         """z with Phi(z) = (u, psi), by Newton's method from the linear
-        guess z = (psi - conj(mu) u) / (i omega).  Phi's differential is
-        dx = Re(2 A dz / z), with A the series of x with each term weighted
-        by its power of z; the zbar terms give the conjugate half."""
-        mu = self.lin.mu3
-        z = (psi - mu.conjugate() * u) / (1j * mu.imag)
+        guess, the coordinate of (u, psi).  Phi's differential is dx = Re(2
+        A dz / z), with A the series of x with each term weighted by its
+        power of z; the zbar terms give the conjugate half."""
+        z = self.lin.coordinate(u, psi)
         rows = np.hstack((self.rows, self.rows * _POWER_Z[:, None]))
         for _ in range(_NEWTON_STEPS):
             u_z, psi_z, a0, a1 = _series_sum(rows, np.array([z]))[:, 0].tolist()
@@ -193,19 +205,9 @@ def p1_quadratic_bound(params: LomseParams) -> float:
     return 0.5 * (abs(x2_uu) + 2.0 * abs(x2_up) + abs(x2_pp))
 
 
-def spiral_flow_growth(lin: P1Linearization) -> float:
-    """G with |exp(J tau) x| <= G e^{alpha tau} |x| in the max-norm around a
-    spiral P1 (eigenvalues alpha +- i omega): exp(J tau) x = e^{alpha tau}
-    (x cos(omega tau) + (J - alpha I) x sin(omega tau) / omega), and the
-    max-norm of J - alpha I = [[-alpha, 1], [a, b - alpha]] is its larger
-    absolute row sum."""
-    alpha, omega = lin.mu3.real, lin.mu3.imag
-    return 1.0 + max(abs(alpha) + 1.0, abs(lin.a) + abs(lin.b - alpha)) / omega
-
-
 def linearize_p1(params: LomseParams) -> P1Linearization:
-    """J = [[0, 1], [a, b]] at P1 and mu3, its eigenvalue of larger real part, or of
-    positive imaginary part on the spiral branch that params.stability picks."""
+    """J at P1 and mu3, its eigenvalue of larger real part, or of positive
+    imaginary part on the spiral branch that params.stability picks."""
     n = params.n
     a = 2.0 * n * (n / params.big_k - 1.0)
     b = float(-n - 1)

@@ -19,8 +19,9 @@ Each attempted step calls the field 6 times: the 7th stage, taken at the
 makes 1 + 6 x attempts calls.
 
 A spiral run has three stretches.  DP5 runs until the first accepted
-state of max-norm below _SERIES_AMPLITUDE = 1e-2 whose linear guess z
-lies within the radius of dynsys.p1_conjugacy's series at rel_tol, where
+state of max-norm below _SERIES_AMPLITUDE = 1e-2 whose coordinate z
+(dynsys.P1Linearization) lies within the radius of dynsys.p1_conjugacy's
+series at rel_tol, where
 the estimated invariance defect is at most rel_tol/10 of the state (the
 hand-off).  The series stretch follows: x(tau) = Phi(e^{mu tau} z*), z*
 by Newton's method from the hand-off state, sampled on a uniform grid no
@@ -29,12 +30,11 @@ coarser than DP5's steps there, with the field at each sample
 rel_tol / (20 c2) with c2 the bound of the field's quadratic remainder at
 P1 (dynsys.p1_quadratic_bound), where the remainder is below rel_tol/10
 of the state, is the splice.  The linear tail follows: the linear flow
-exp(J tau) x* in closed form, with dpsi = a u + b psi, sampled once per
-quarter-turn of the flow's own phase with each psi zero in the middle of
-its sample segment, so that the zeros equal the sample sign changes
-(_linear_tail).  The loop's stop rules act on every sample.  The flow
-formula is written once (_flow_terms, _linear_flow); the splice index is
-Trajectory.splice_index.
+z* e^{mu tau} from the splice state's coordinate z* (_linear_flow), with
+dpsi = a u + b psi, sampled once per quarter-turn of the flow's own phase
+with each psi zero in the middle of its sample segment, so that the zeros
+equal the sample sign changes (_linear_tail).  The loop's stop rules act
+on every sample.  The splice index is Trajectory.splice_index.
 
 A run fails when |phi| exceeds 1e3 phi0, at the launch or at an accepted
 step, or when a rejected step falls below 1e-13/(k-1).  The bound is on
@@ -72,7 +72,6 @@ from .dynsys import (
     offset_field,
     p1_conjugacy,
     p1_quadratic_bound,
-    spiral_flow_growth,
 )
 from .errors import IntegrationFailure
 from .params import LomseParams, StabilityType
@@ -277,42 +276,26 @@ def splice_amplitude(params: LomseParams, rel_tol: float) -> float:
     return rel_tol / (20.0 * p1_quadratic_bound(params))
 
 
-def _flow_terms(lin: P1Linearization, u0, psi0):
-    """The rows (y0, c) of the linear flow around a spiral P1, one for u and
-    one for psi: along exp(J tau) (u0, psi0) each is
-
-        e^{alpha tau} (y0 cos(omega tau) + c sin(omega tau) / omega),
-
-    as J = [[0, 1], [a, b]] has eigenvalues alpha +- i omega, so that
-    exp(J tau) x = e^{alpha tau} (x cos(omega tau) + (J - alpha I) x
-    sin(omega tau) / omega).  Each row vanishes exactly at omega tau =
-    atan2(-omega y0, c) + j pi, j an integer."""
-    alpha = lin.mu3.real
-    return (u0, psi0 - alpha * u0), (psi0, lin.a * u0 + (lin.b - alpha) * psi0)
+def _linear_flow(lin: P1Linearization, z, tau):
+    """(u, psi) = exp(J tau) x at the times tau, an array, from the state x
+    of coordinate z (P1Linearization): (Re w, Re mu w), w = z e^{mu tau}."""
+    w = z * np.exp(lin.mu3 * tau)
+    return w.real, (lin.mu3 * w).real
 
 
-def _linear_flow(lin: P1Linearization, u0, psi0, tau):
-    """(u, psi) = exp(J tau) (u0, psi0) at the times tau, an array."""
-    alpha, omega = lin.mu3.real, lin.mu3.imag
-    decay = np.exp(alpha * tau)
-    cos = np.cos(omega * tau)
-    sin = np.sin(omega * tau) / omega
-    return tuple(decay * (y0 * cos + c * sin) for y0, c in _flow_terms(lin, u0, psi0))
-
-
-def _flow_zeros(lin: P1Linearization, u0, psi0, row, span):
+def _flow_zeros(lin: P1Linearization, z, row, span):
     """The tau in (0, span), increasing, where one row (0: u, 1: psi) of the
-    flow from (u0, psi0) vanishes: omega tau = theta + j pi (_flow_terms)."""
-    omega = lin.mu3.imag
-    y0, c = _flow_terms(lin, u0, psi0)[row]
-    theta = math.atan2(-omega * y0, c)
+    flow from the state of coordinate z vanishes: Re(w e^{mu tau}) = 0, w =
+    z or mu z, at omega tau = pi/2 - arg w + j pi, j an integer."""
+    omega, w = lin.mu3.imag, lin.mu3 * z if row else z
+    theta = math.pi / 2.0 - math.atan2(w.imag, w.real)
     j = np.arange(math.floor(-theta / math.pi) + 1, math.ceil((omega * span - theta) / math.pi))
     return (theta + j * math.pi) / omega
 
 
-def _linear_tail(lin: P1Linearization, t0, u0, psi0, t_max, zeros):
-    """The closed-form tail from (u0, psi0) at t0 and the reason it stops:
-    (t, u, psi, dpsi = a u + b psi, reason).
+def _linear_tail(lin: P1Linearization, t0, z, t_max, zeros):
+    """The closed-form tail from the state of coordinate z at t0 and the
+    reason it stops: (t, u, psi, dpsi = a u + b psi, reason).
 
     The samples lie at t0 + z1 + (i - 1/2) q after t0, q = pi / (2 omega)
     and z1 the flow's first psi zero (_flow_zeros), so each psi zero sits
@@ -321,11 +304,11 @@ def _linear_tail(lin: P1Linearization, t0, u0, psi0, t_max, zeros):
     zeros behind it; t_max, which takes the place of the first sample at or
     past it.  The flow is evaluated up to the first sample past the
     zeros-th zero, t_max or the time where the max-norm bound e^{alpha tau}
-    spiral_flow_growth max(|u0|, |psi0|) falls below _DEEP_FLOOR.
+    lin.envelope(z) falls below _DEEP_FLOOR.
     """
     alpha, q = lin.mu3.real, math.pi / (2.0 * lin.mu3.imag)
-    z1 = float(_flow_zeros(lin, u0, psi0, 1, 4.0 * q)[0])
-    tau_floor = math.log(_DEEP_FLOOR / (spiral_flow_growth(lin) * max(abs(u0), abs(psi0)))) / alpha
+    z1 = float(_flow_zeros(lin, z, 1, 4.0 * q)[0])
+    tau_floor = math.log(_DEEP_FLOOR / lin.envelope(z)) / alpha
     last = min(2 * zeros - 1, math.ceil((min(t_max - t0 + q, tau_floor) - z1) / q + 0.5))
     tau = z1 + (np.arange(-1, last + 1) - 0.5) * q  # reaching q past t_max, not short of it
     tau = tau[t0 + tau > t0]
@@ -333,12 +316,12 @@ def _linear_tail(lin: P1Linearization, t0, u0, psi0, t_max, zeros):
     if t[-1] >= t_max:
         t = np.append(t[t < t_max], t_max)
         tau = np.append(tau[:len(t) - 1], t_max - t0)
-    u, psi = _linear_flow(lin, u0, psi0, tau)
+    u, psi = _linear_flow(lin, z, tau)
     below = np.flatnonzero(np.maximum(np.abs(u), np.abs(psi)) < _DEEP_FLOOR)
     reason = Termination.CONVERGED_TO_P1  # on a sample, or past tau_floor by the bound
     if len(below):
         t, u, psi = t[:below[0] + 1], u[:below[0] + 1], psi[:below[0] + 1]
-    elif len(_flow_zeros(lin, u0, psi0, 1, t[-1] - t0)) >= zeros:
+    elif len(_flow_zeros(lin, z, 1, t[-1] - t0)) >= zeros:
         reason = Termination.MAX_CROSSINGS
     elif t[-1] == t_max:
         reason = Termination.MAX_TIME
@@ -381,8 +364,8 @@ def _series_stretch(conj: P1Conjugacy, t0, u0, psi0, t_max, rel_tol, delta, zero
         return (*columns, Termination.MAX_CROSSINGS, stop + 1, 0)
     if not splice[stop]:
         return (*columns, Termination.MAX_TIME, stop + 1, 0)
-    *tail, reason = _linear_tail(lin, *(float(c[stop]) for c in (t, u, psi)), t_max,
-                                 zeros - int(count[stop]))
+    z = lin.coordinate(float(u[stop]), float(psi[stop]))
+    *tail, reason = _linear_tail(lin, float(t[stop]), z, t_max, zeros - int(count[stop]))
     return (*(np.concatenate(pair) for pair in zip(columns, tail)), reason, stop + 1,
             len(tail[0]))
 
@@ -404,7 +387,7 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
     A spiral run (which needs max_crossings) leaves the DP5 loop at the
     first accepted state short of t_max with max-norm below
     _SERIES_AMPLITUDE and |z| within the P1 series' radius at rel_tol
-    (dynsys.P1Conjugacy.radius), z its linear guess, and continues on the
+    (dynsys.P1Conjugacy.radius), z its coordinate, and continues on the
     series (_series_stretch) and from the splice on with _linear_tail:
     samples cut and named by the loop's stop rules, the psi zeros still to
     count being max_crossings less the sign changes so far.  The series is
@@ -537,9 +520,8 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
             if amp < series_at and t < t_max:
                 if conj is None:
                     conj = p1_conjugacy(params)
-                    bound = conj.radius(rel_tol) * conj.lin.mu3.imag
-                # |z| of the linear guess z = (psi - conj(mu) u) / (i omega)
-                if abs(psi - conj.lin.mu3.conjugate() * u) < bound:
+                    radius = conj.radius(rel_tol)
+                if abs(conj.lin.coordinate(u, psi)) < radius:
                     *columns, reason, series_samples, tail_samples = _series_stretch(
                         conj, t, u, psi, t_max, rel_tol, splice_amplitude(params, rel_tol),
                         max_crossings - crossings, dpsi)
@@ -643,19 +625,19 @@ def _level_crossings(traj: Trajectory, y, m, level: float, row: int):
         return out
     lin = linearize_p1(traj.params)
     t_s = float(t[s])
-    x_s = (float(traj.u[s]), float(traj.psi[s]))
+    z = lin.coordinate(float(traj.u[s]), float(traj.psi[s]))
     span = float(t[-1]) - t_s
     if level == 0.0:
-        taus = _flow_zeros(lin, *x_s, row, span)
+        taus = _flow_zeros(lin, z, row, span)
         # a last sample placed on a zero (t_max) has that zero's sign only to
         # rounding: the sign of y there, not the closed form, decides
         in_last = bool(len(taus)) and taus[-1] > t[-2] - t_s
         if _strict_sign_change(y[-2:])[0] != in_last:
             taus = taus[:-1] if in_last else np.append(taus, span)
     else:
-        ends = np.concatenate(([0.0], _flow_zeros(lin, *x_s, 1, span), [span]))
-        ge = _linear_flow(lin, *x_s, ends)[0] - level
-        taus = np.array([_bisect(lambda x: float(_linear_flow(lin, *x_s, x)[0]) - level,
+        ends = np.concatenate(([0.0], _flow_zeros(lin, z, 1, span), [span]))
+        ge = _linear_flow(lin, z, ends)[0] - level
+        taus = np.array([_bisect(lambda x: float(_linear_flow(lin, z, x)[0]) - level,
                                  float(ends[k]), float(ends[k + 1]), float(ge[k]), float(ge[k + 1]))
                          for k in np.flatnonzero(_strict_sign_change(ge)).tolist()])
     times = t_s + taus
@@ -673,7 +655,8 @@ def detect_psi_zeros(traj: Trajectory) -> list[PsiZero]:
                         float(psi[i]), float(psi[i + 1])) for i, tz in crossings if i < s]
     tail = [tz for i, tz in crossings if i >= s]
     if tail:
-        offsets += _linear_flow(linearize_p1(traj.params), float(u[s]), float(psi[s]),
+        lin = linearize_p1(traj.params)
+        offsets += _linear_flow(lin, lin.coordinate(float(u[s]), float(psi[s])),
                                 np.array(tail) - float(t[s]))[0].tolist()
     return [PsiZero(t=tz, phi=traj.params.phi0 + offset, phi_offset=offset,
                     direction=-1 if psi[i] > 0.0 else 1)

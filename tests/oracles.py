@@ -112,7 +112,7 @@ def fine_tail(traj: Trajectory, t_end: float, max_crossings: int = DEFAULT_MAX_C
     tau = h * np.arange(1, math.floor((t_end - t_s) / h) + 2)
     keep = t_s + tau < t_end
     t = np.append(t_s + tau[keep], t_end)
-    u, psi = _linear_flow(lin, float(traj.u[s]), float(traj.psi[s]),
+    u, psi = _linear_flow(lin, lin.coordinate(float(traj.u[s]), float(traj.psi[s])),
                           np.append(tau[keep], t_end - t_s))
     count = np.cumsum(_strict_sign_change(np.concatenate((traj.psi[:s + 1], psi))))[s:]
     floor = np.maximum(np.abs(u), np.abs(psi)) < _DEEP_FLOOR

@@ -20,7 +20,7 @@ from lo_dynamics.analysis import (
 )
 from lo_dynamics.errors import NotApplicable
 from lo_dynamics.geometry import volume_ratio
-from lo_dynamics.radial import Profile, to_profile
+from lo_dynamics.radial import Profile, rescale_profile, to_profile
 from oracles import (
     ProfileSample,
     ball_volume,
@@ -110,17 +110,33 @@ def test_volume_core_needs_a_panel(p322, cone322, traj324, n_panels):
 
 
 def test_repeated_radii_keep_the_first_sample(p322, cone322):
-    # DP5 steps below an ulp of r = e^t repeat a radius (density 5 4 1e9);
-    # the interpolant keeps the first sample of each run, so Theta(R) is
-    # that of the profile without the repeats, whatever the repeats hold
-    i = [11, 2001, 2001]  # one repeat of r[10] and two of r[2000]
-    repeated = Profile(r=np.insert(cone322.r, i, cone322.r[[10, 2000, 2000]]),
+    # DP5 steps below an ulp of r = e^t repeat a radius, and distinct radii
+    # can share one log r (density 5 4 1e9); the interpolant keeps the first
+    # sample of each run of equal log r, so Theta(R) is that of the profile
+    # without the repeats, whatever the repeats hold
+    i = [11, 1001, 2001, 2001]  # a repeat of r[10], r[1000]'s next float, two of r[2000]
+    extra = cone322.r[[10, 1000, 2000, 2000]]
+    extra[1] = np.nextafter(extra[1], math.inf)
+    assert extra[1] > cone322.r[1000] and np.log(extra[1]) == np.log(cone322.r[1000])
+    repeated = Profile(r=np.insert(cone322.r, i, extra),
                        rho=np.insert(cone322.rho, i, 7.0),
                        rho_r=np.insert(cone322.rho_r, i, -7.0),
                        rho_rr=np.insert(cone322.rho_rr, i, 7.0))
-    assert len(repeated) == len(cone322) + 3
+    assert len(repeated) == len(cone322) + 4
     for R in (0.5, 2.0, 11.0):
         assert theta_of_radius(repeated, p322, R) == theta_of_radius(cone322, p322, R)
+
+
+def test_radii_sharing_a_log_radius_5_4_1e9():
+    # the first rescaled profile of (5,4,10^9) has distinct radii sharing
+    # one log r near its start, and this R cuts it there: the cut's cubic
+    # once divided by the zero width of such a segment
+    params = build_params(5, 4, 10 ** 9)
+    traj = shoot_unstable_manifold(params)
+    first = rescale_profile(to_profile(traj), detect_phi_hits(traj, params.phi0)[0].dilation)
+    assert np.any((np.diff(first.r) > 0.0) & (np.diff(np.log(first.r)) == 0.0))
+    theta = theta_of_radius(first, params, 0.07147138634964101)
+    assert 1.0 <= theta <= theta_of_radius(first, params, 0.0716) < theta_infinity(params)
 
 
 @pytest.mark.parametrize("bad", [math.nan, 0.5])

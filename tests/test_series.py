@@ -89,9 +89,8 @@ def test_hand_off_rule(spirals):
     for triple, traj in spirals.items():
         a, s = traj.stats.accepted, traj.splice_index
         conj = p1_conjugacy(traj.params)
-        mu = conj.lin.mu3
         amp = np.maximum(np.abs(traj.u), np.abs(traj.psi))
-        guess = np.abs(traj.psi[:a + 1] - mu.conjugate() * traj.u[:a + 1]) / mu.imag
+        guess = np.abs(conj.lin.coordinate(traj.u[:a + 1], traj.psi[:a + 1]))
         ready = (amp[:a + 1] < _SERIES_AMPLITUDE) & (guess < conj.radius(DEFAULT_REL_TOL))
         assert np.flatnonzero(ready).tolist() == [a], triple
         delta = splice_amplitude(traj.params, DEFAULT_REL_TOL)

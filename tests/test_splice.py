@@ -6,6 +6,7 @@ The agreement bounds are set from measurement at the default rel_tol of
 triples of each test; each test's comment gives that value.
 """
 
+import cmath
 import dataclasses
 import math
 
@@ -89,7 +90,7 @@ def test_linear_tail_is_the_matrix_exponential(triple):
     params = build_params(*triple)
     lin = linearize_p1(params)
     u0, psi0 = 1e-13, -2e-13
-    t, u, psi, dpsi, reason = _linear_tail(lin, 10.0, u0, psi0, 20.0, 10 ** 6)
+    t, u, psi, dpsi, reason = _linear_tail(lin, 10.0, lin.coordinate(u0, psi0), 20.0, 10 ** 6)
     assert reason is Termination.MAX_TIME and t[-1] == 20.0
     assert 10.0 < t[0] and np.all(np.diff(t) > 0.0)
     np.testing.assert_allclose(np.diff(t)[:-1], math.pi / (2.0 * lin.mu3.imag), rtol=1e-12)
@@ -174,10 +175,12 @@ def test_tail_columns_are_the_linear_tail_prefix(spirals):
     for triple, traj in spirals.items():
         s, count = traj.splice_index, traj.stats.tail_samples
         lin = linearize_p1(traj.params)
-        alpha, omega = lin.mu3.real, lin.mu3.imag
+        omega = lin.mu3.imag
         t_s, u_s, psi_s = float(traj.t[s]), float(traj.u[s]), float(traj.psi[s])
-        # psi = e^{alpha tau} (psi_s cos(omega tau) + c sin(omega tau) / omega)
-        theta = math.atan2(-omega * psi_s, lin.a * u_s + (lin.b - alpha) * psi_s)
+        # psi = Re(mu z e^{mu tau}), z the splice state's coordinate, vanishes
+        # at omega tau = pi/2 - arg(mu z) + j pi
+        z = lin.coordinate(u_s, psi_s)
+        theta = math.pi / 2.0 - cmath.phase(lin.mu3 * z)
         z1 = (theta + math.floor(-theta / math.pi + 1.0) * math.pi) / omega
         assert 0.0 < z1 <= math.pi / omega, triple
         assert abs(_eig_row(traj, 1)(t_s + z1)) <= 1e-12 * max(abs(u_s), abs(psi_s)), triple
@@ -185,7 +188,7 @@ def test_tail_columns_are_the_linear_tail_prefix(spirals):
         first = math.floor(0.5 - z1 / q) + 1
         tau = z1 + (np.arange(first, first + count) - 0.5) * q
         assert tau[0] > 0.0 and tau[0] - q <= 0.0, triple
-        u, psi = _linear_flow(lin, u_s, psi_s, tau)
+        u, psi = _linear_flow(lin, z, tau)
         for name, column in zip(("t", "u", "psi", "dpsi"),
                                 (t_s + tau, u, psi, lin.a * u + lin.b * psi)):
             assert getattr(traj, name)[s + 1:].tobytes() == column.tobytes(), (triple, name)
@@ -196,9 +199,9 @@ def test_tail_evaluates_the_flow_at_its_samples_only(p324, monkeypatch):
     # floor's bound, so no flow state past it is computed
     sizes = []
 
-    def counted(lin, u0, psi0, tau):
+    def counted(lin, z, tau):
         sizes.append(np.size(tau))
-        return _linear_flow(lin, u0, psi0, tau)
+        return _linear_flow(lin, z, tau)
 
     runs = [(p324, {}), (p324, {"t_max": 30.0, "max_crossings": 10 ** 6}),
             (p324, {"max_crossings": 20}), (build_params(5, 4, 6), {})]
