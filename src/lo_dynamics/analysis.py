@@ -28,12 +28,12 @@ Theta_inf.  It integrates the gap itself, from the monotonicity identity
 whose integrand is positive off the cone, so every gap is positive and
 the gaps decrease by construction.  gap_logs integrates it once over the
 trajectory's Hermite segments up to the splice (DP5 steps and P1 series
-samples) and keeps logarithms, since psi^2
-underflows below amplitudes of about 1e-162; from the splice state on,
-where the orbit is the linear flow at P1, each gap comes in closed form
-from that flow's state at the cut, with the error the flow carries from
-the splice state in its bar.  One Theta_1 from the volume of the first
-rescaled profile is reported beside the gaps as the independent route.
+samples) and keeps logarithms, since psi^2 underflows below amplitudes
+of about 1e-162; past the splice each gap comes in closed form from the
+tail's state at the cut, the linear part of the coordinate w the
+trajectory continues from the hand-off, with the error it carries in its
+bar.  One Theta_1 from the volume of the first rescaled profile is
+reported beside the gaps as the independent route.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class DensityReport:
     re-integration, and from mpmath, by 3.6e-8 relative.  The P1 series'
     truncation, which carries the orbit from the hand-off to the splice, is
     at most rel_tol/10 of the state by construction (its invariance
-    defect, integrate._series_stretch), below that DP5 error.  theta_1_volume
+    defect, integrate._closed_form), below that DP5 error.  theta_1_volume
     is Theta_1 by theta_of_radius, the independent route.
     strictly_below_cone is True when every gap exceeds its error bar,
     False when a gap is not positive, and None (unresolved) otherwise.
@@ -271,18 +271,23 @@ def _tail_logs(params: LomseParams, u, psi, splice=None):
     the sum of both to cover the higher-order terms, as splice_amplitude
     does; it is the tail itself on a real-eigenvalue P1.
 
-    splice, the coordinate z* of the splice state x* when each x is exp(J
-    tau) x* and not a state of the orbit, adds the error that x inherits from
-    x*.  The linear flow has z = e^{mu tau} z*, the true flow z' = mu z + r /
-    (i omega), as r enters psi' alone, with |r| <= c2 V^2 |z|^2.  With C =
-    c2 V^2 / omega and eta = C |z*| / |alpha| < 1 this gives |z| <= e^{alpha
-    tau} |z*| / (1 - eta), and the integral of |e^{-mu s} r / omega| ds <= C
+    splice, the tail coordinate z* (the orbit's w at the splice, continued
+    from the hand-off) when each x = (Re z, Re mu z) is the linear part of z
+    = e^{mu tau} z* and not a state of the orbit, adds the error that x
+    carries.  The true flow from x* = (Re z*, Re mu z*) has z' = mu z + r /
+    (i omega), as r enters psi' alone, with |r| <= c2 V^2 |z|^2.  With C = c2 V^2 /
+    omega and eta = C |z*| / |alpha| < 1 this gives |z| <= e^{alpha tau}
+    |z*| / (1 - eta), and the integral of |e^{-mu s} r / omega| ds <= C
     |z*|^2 / (1 - eta)^2 times the integral of e^{alpha s} ds, so |e^{-mu
     tau} z - z*| <= eta |z*| / (1 - eta)^2: the true state at tau is x + d
-    with |d| <= D = eta E / (1 - eta)^2.  Then |Q(x + d) - Q(x)| <= 2 |P
-    x|_1 D + (|a| + 1) D^2 / (2|b|), which is taken relative to Q(x) at each
-    x and doubled, as above.  The error bound at x alone, which scales with
-    |x| << |x*|, does not cover it.
+    with |d| <= D = eta E / (1 - eta)^2.  The orbit itself is Phi(z) on
+    P1's series, whose distance to x, of degree 2 and up in z, falls faster
+    than D along the flow and measured at most 0.039 D over one turn at
+    |z| = |z*| on the (31, 20) spirals (tests/test_splice.py), so D covers
+    it too.  Then |Q(x + d)
+    - Q(x)| <= 2 |P x|_1 D + (|a| + 1) D^2 / (2|b|), taken relative to Q(x)
+    at each x and doubled, as above.  The bound at x alone, which scales
+    with |x| << |x*|, does not cover it.
     """
     n, p, phi0 = params.n, params.p, params.phi0
     lam2 = params.lambda_sq
@@ -327,12 +332,12 @@ def gap_logs(traj: Trajectory, t_cuts) -> tuple[np.ndarray, np.ndarray]:
 
     where r^2 (1 + phi^2) = R^2 at t_cut.  The sample segments before the
     splice index s = splice_index, DP5 steps and series samples, are
-    integrated by quadrature,
-    each kept as a logarithm and summed from the end; the part from the
-    splice state on comes from _tail_logs.  A cut before the splice adds
-    the part from the cut to the end of its segment; a cut past it takes
-    _tail_logs at the linear flow's state there, with the error carried
-    from the splice state.  So the error bar covers the quadrature before
+    integrated by quadrature, each kept as a logarithm and summed from the
+    end; the part from the splice state on comes from _tail_logs.  A cut
+    before the splice adds the part from the cut to the end of its segment;
+    a cut past it takes _tail_logs at the tail's state there, the linear
+    part of the flow of traj.tail_coordinate, with the error it carries
+    (_tail_logs' splice).  So the error bar covers the quadrature before
     the splice (the 3-point/5-point differences) and the closed-form bound
     past it.  It leaves out the DP5 path's own error (see DensityReport).
     """
@@ -341,18 +346,15 @@ def gap_logs(traj: Trajectory, t_cuts) -> tuple[np.ndarray, np.ndarray]:
     if not np.all((traj.t[0] <= t_cuts) & (t_cuts <= traj.t[-1])):
         raise ValueError(f"cut times must lie in the trajectory span [{traj.t[0]}, {traj.t[-1]}]")
     s = traj.splice_index
-    x_s = (float(traj.u[s]), float(traj.psi[s]))
-    seg = np.empty(s + 1)
-    err = np.empty(s + 1)
+    seg, err = np.empty(s + 1), np.empty(s + 1)
     j = _segments(traj.t, t_cuts)
     flow = j >= s
-    log_gap = np.empty(len(t_cuts))
-    log_err = np.empty(len(t_cuts))
+    log_gap, log_err = np.empty(len(t_cuts)), np.empty(len(t_cuts))
     with np.errstate(divide="ignore"):
         for lo in range(0, s, _CHUNK):
             i = np.arange(lo, min(lo + _CHUNK, s))
             seg[i], err[i] = _segment_logs(traj, i, 0.0)
-        seg[s], err[s] = _tail_logs(params, *x_s)
+        seg[s], err[s] = _tail_logs(params, traj.u[s], traj.psi[s])
         jd = j[~flow]
         start = (t_cuts[~flow] - traj.t[jd]) / (traj.t[jd + 1] - traj.t[jd])
         part, part_err = _segment_logs(traj, jd, start)
@@ -362,10 +364,9 @@ def gap_logs(traj: Trajectory, t_cuts) -> tuple[np.ndarray, np.ndarray]:
     log_gap[~flow] = np.logaddexp(part, suffix[jd + 1])
     log_err[~flow] = np.logaddexp(part_err, suffix_err[jd + 1])
     if np.any(flow):
-        lin = linearize_p1(params)
-        z_s = lin.coordinate(*x_s)
-        x = _linear_flow(lin, z_s, t_cuts[flow] - traj.t[s])
-        log_gap[flow], log_err[flow] = _tail_logs(params, *x, splice=z_s)
+        w = traj.tail_coordinate
+        x = _linear_flow(linearize_p1(params), w, t_cuts[flow] - traj.t[s])
+        log_gap[flow], log_err[flow] = _tail_logs(params, *x, splice=w)
     log_c = math.log(params.n + 1.0)
     return log_gap + log_c, log_err + log_c
 

@@ -18,23 +18,20 @@ Each attempted step calls the field 6 times: the 7th stage, taken at the
 5th-order solution, is the first stage of the next step (FSAL), so a run
 makes 1 + 6 x attempts calls.
 
-A spiral run has three stretches.  DP5 runs until the first accepted
-state of max-norm below _SERIES_AMPLITUDE = 1e-2 whose coordinate z
+A spiral run has two parts.  DP5 runs until the first accepted state of
+max-norm below _SERIES_AMPLITUDE = 1e-2 whose coordinate z
 (dynsys.P1Linearization) lies within the radius of dynsys.p1_conjugacy's
-series at rel_tol, where
-the estimated invariance defect is at most rel_tol/10 of the state (the
-hand-off).  The series stretch follows: x(tau) = Phi(e^{mu tau} z*), z*
-by Newton's method from the hand-off state, sampled on a uniform grid no
-coarser than DP5's steps there, with the field at each sample
-(_series_stretch).  Its first sample below splice_amplitude, delta =
-rel_tol / (20 c2) with c2 the bound of the field's quadratic remainder at
-P1 (dynsys.p1_quadratic_bound), where the remainder is below rel_tol/10
-of the state, is the splice.  The linear tail follows: the linear flow
-z* e^{mu tau} from the splice state's coordinate z* (_linear_flow), with
-dpsi = a u + b psi, sampled once per quarter-turn of the flow's own phase
-with each psi zero in the middle of its sample segment, so that the zeros
-equal the sample sign changes (_linear_tail).  The loop's stop rules act
-on every sample.  The splice index is Trajectory.splice_index.
+series at rel_tol, where the estimated invariance defect is at most
+rel_tol/10 of the state (the hand-off).  From there the orbit is one
+closed form in the coordinate w = z* e^{mu tau} of P1's conjugacy, z* by
+Newton's method from the hand-off state (_closed_form): the series Phi(w),
+with the field at each sample, on a uniform grid no coarser than DP5's
+steps there, down to its first sample below splice_amplitude, where the
+field's quadratic remainder is below rel_tol/10 of the state (the
+splice); then the linear part (Re w, Re mu w), once per quarter-turn of
+w's phase with each psi zero in the middle of its sample segment, so that
+the zeros equal the sample sign changes (the tail).  The stop rules act
+on every sample.  Trajectory keeps the splice index and w there.
 
 A run fails when |phi| exceeds 1e3 phi0, at the launch or at an accepted
 step, or when a rejected step falls below 1e-13/(k-1).  The bound is on
@@ -49,8 +46,8 @@ series samples alike (_hermite), on the segment the one segment rule
 picks (_segments); events are refined by bisection on the interpolant of
 the segment that holds them, to 1e-12 in t.  Past the splice, where the
 quarter-turn samples leave the cubic far from the flow, psi zeros and
-phi0 hits come from the linear flow's phase instead, hits of any other
-phi by bisection on the flow between its u extrema, and the gaps
+phi0 hits come from w's phase instead, hits of any other phi by
+bisection on the linear part between its u extrema, and the gaps
 (analysis.gap_logs) from its state at the cut.
 The tests check this path against a classical fixed-step RK4 in plain
 (phi, psi) coordinates (tests/oracles.py), which shares no code with it.
@@ -187,10 +184,10 @@ class StepStats:
     evaluations per attempted step plus the one at the start (FSAL); an
     attempt cut short by an overflowing stage counts in full.  h_min and
     h_max are the smallest and largest accepted DP5 steps, None when no
-    step was accepted.  series_samples counts the samples of a spiral run's
-    P1 series stretch that follow the DP5 steps, tail_samples those of the
-    closed-form linear tail that follows it, one per quarter-turn of the
-    flow's phase (each 0 when the run never reached it).
+    step was accepted.  series_samples and tail_samples count the samples
+    of a spiral run's closed form in w that follow the DP5 steps: the P1
+    series' up to the splice, then the linear part's, one per quarter-turn
+    of w's phase (each 0 when the run never reached it).
     """
 
     accepted: int
@@ -219,27 +216,25 @@ class Trajectory:
     the offsets keep full relative precision long after phi0 + u rounds to
     phi0.  Completed trajectories are immutable.  `stats` counts the work
     (StepStats); splice_index is the index of the last sample before the
-    linear tail, the last sample when there is none.
+    linear tail, the last sample when there is none.  tail_coordinate is w
+    there, whose linear part the tail samples; None exactly without a tail.
     """
 
     def __init__(self, params, t, u, psi, dpsi, eps_start, rel_tol, terminated_by,
-                 rejected=0, tail_samples=0, series_samples=0):
-        self.params = params
-        self.t = np.asarray(t, dtype=float)
-        self.u = np.asarray(u, dtype=float)
-        self.psi = np.asarray(psi, dtype=float)
-        self.dpsi = np.asarray(dpsi, dtype=float)
-        for arr in (self.t, self.u, self.psi, self.dpsi):
+                 rejected=0, tail_samples=0, series_samples=0, tail_coordinate=None):
+        self.params, self.eps_start, self.rel_tol = params, eps_start, rel_tol
+        self.terminated_by, self.tail_coordinate = terminated_by, tail_coordinate
+        columns = [np.asarray(x, dtype=float) for x in (t, u, psi, dpsi)]
+        for arr in columns:
             arr.setflags(write=False)
-        self.eps_start = eps_start
-        self.rel_tol = rel_tol
-        self.terminated_by = terminated_by
+        self.t, self.u, self.psi, self.dpsi = columns
         steps = np.diff(self.t)
         if not np.all(steps > 0.0):
             raise ValueError("trajectory times must be strictly increasing")
-        for arr in (self.t, self.u, self.psi, self.dpsi):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("trajectory states must be finite")
+        if not all(np.all(np.isfinite(arr)) for arr in columns):
+            raise ValueError("trajectory states must be finite")
+        if (tail_coordinate is None) != (tail_samples == 0):
+            raise ValueError("a trajectory has a tail coordinate exactly when it has a tail")
         self.splice_index = len(steps) - tail_samples
         accepted = self.splice_index - series_samples
         dp5_steps = steps[:accepted]
@@ -266,7 +261,7 @@ class Trajectory:
 
 
 def splice_amplitude(params: LomseParams, rel_tol: float) -> float:
-    """The amplitude delta below which a spiral run continues in closed form.
+    """The amplitude delta below which a spiral run's linear tail takes over.
 
     Within max(|u|, |psi|) <= delta the field's quadratic remainder
     |F(x) - J x| stays below rel_tol/10 of max(|u|, |psi|): its Taylor bound
@@ -293,81 +288,68 @@ def _flow_zeros(lin: P1Linearization, z, row, span):
     return (theta + j * math.pi) / omega
 
 
-def _linear_tail(lin: P1Linearization, t0, z, t_max, zeros):
-    """The closed-form tail from the state of coordinate z at t0 and the
-    reason it stops: (t, u, psi, dpsi = a u + b psi, reason).
+def _closed_form(conj: P1Conjugacy, t0, u0, psi0, t_max, rel_tol, delta, zeros, dpsi):
+    """The orbit from the hand-off state (u0, psi0) at t0 in the coordinate
+    w = z* e^{mu tau} of P1's conjugacy, z* = conj.invert(u0, psi0): (t, u,
+    psi, dpsi, reason, series samples, tail samples, w at the splice or None).
 
-    The samples lie at t0 + z1 + (i - 1/2) q after t0, q = pi / (2 omega)
-    and z1 the flow's first psi zero (_flow_zeros), so each psi zero sits
-    in the middle of its sample segment.  They end at the first where a
-    stop rule holds, in this order: max-norm below _DEEP_FLOOR; zeros psi
-    zeros behind it; t_max, which takes the place of the first sample at or
-    past it.  The flow is evaluated up to the first sample past the
-    zeros-th zero, t_max or the time where the max-norm bound e^{alpha tau}
-    lin.envelope(z) falls below _DEEP_FLOOR.
+    The series samples Phi(w), with the field dpsi, at tau = i h, h =
+    _SERIES_STEP rel_tol^(1/5) / |mu|, up to the splice (t_s, w_s): the
+    first sample below delta short of t_max and of zeros psi sign changes.
+    The tail samples the linear part (Re w, Re mu w) of w = w_s e^{mu tau}
+    past t_s, with dpsi = a u + b psi, at tau = z1 + (i - 1/2) q, q = pi /
+    (2 omega), z1 the first psi zero (_flow_zeros), so each psi zero sits
+    mid-segment.  In each part t_max takes the place of the first sample at
+    or past it, and the samples end at the first where a stop rule holds,
+    in the DP5 loop's order: max-norm below _DEEP_FLOOR; zeros psi sign
+    changes; t_max.  The series is evaluated to the first sample past t_max
+    or past where its bound sum_m max|row_m| |z*|^d e^{alpha tau} falls
+    below delta, the tail to the first past t_max, its zeros-th zero or
+    where its bound e^{alpha tau} lin.envelope(w_s) falls below _DEEP_FLOOR.
     """
-    alpha, q = lin.mu3.real, math.pi / (2.0 * lin.mu3.imag)
-    z1 = float(_flow_zeros(lin, z, 1, 4.0 * q)[0])
-    tau_floor = math.log(_DEEP_FLOOR / lin.envelope(z)) / alpha
-    last = min(2 * zeros - 1, math.ceil((min(t_max - t0 + q, tau_floor) - z1) / q + 0.5))
-    tau = z1 + (np.arange(-1, last + 1) - 0.5) * q  # reaching q past t_max, not short of it
-    tau = tau[t0 + tau > t0]
-    t = t0 + tau
-    if t[-1] >= t_max:
-        t = np.append(t[t < t_max], t_max)
-        tau = np.append(tau[:len(t) - 1], t_max - t0)
-    u, psi = _linear_flow(lin, z, tau)
-    below = np.flatnonzero(np.maximum(np.abs(u), np.abs(psi)) < _DEEP_FLOOR)
-    reason = Termination.CONVERGED_TO_P1  # on a sample, or past tau_floor by the bound
-    if len(below):
-        t, u, psi = t[:below[0] + 1], u[:below[0] + 1], psi[:below[0] + 1]
-    elif len(_flow_zeros(lin, z, 1, t[-1] - t0)) >= zeros:
-        reason = Termination.MAX_CROSSINGS
-    elif t[-1] == t_max:
-        reason = Termination.MAX_TIME
-    return t, u, psi, lin.a * u + lin.b * psi, reason
+    lin, mu = conj.lin, conj.lin.mu3
 
+    def until_t_max(start, tau):  # (t, tau), t_max taking the place of the first t at or past it
+        t = start + tau
+        if t[-1] >= t_max:
+            t, tau = np.append(t[t < t_max], t_max), np.append(tau[t < t_max], t_max - start)
+        return t, tau
 
-def _series_stretch(conj: P1Conjugacy, t0, u0, psi0, t_max, rel_tol, delta, zeros, dpsi):
-    """The orbit from the hand-off state (u0, psi0) at t0 on the P1 series,
-    then on the linear tail: (t, u, psi, dpsi, reason, series samples, tail
-    samples).
+    def counted(psi):  # the psi sign changes from the hand-off state up to each sample
+        return np.cumsum(_strict_sign_change(np.concatenate(([psi0], psi))))
 
-    z* = conj.invert(u0, psi0), and the samples x(tau) = Phi(e^{mu tau}
-    z*) lie on the uniform grid tau = i h, h = _SERIES_STEP rel_tol^(1/5) /
-    |mu|, each carrying dpsi, the field, at its state.  They end at the
-    first where a stop rule holds, in the DP5 loop's order: zeros psi sign
-    changes behind it; the max-norm below delta short of t_max, the splice,
-    where _linear_tail takes over with the zeros still to count; t_max,
-    which takes the place of the first sample at or past it.  They are
-    evaluated up to the first sample past t_max or past the time where the
-    series' bound sum_m max|row_m| |z*|^d e^{alpha tau} on the max-norm
-    falls below delta.
-    """
-    lin = conj.lin
-    h = _SERIES_STEP * rel_tol ** 0.2 / abs(lin.mu3)
+    h = _SERIES_STEP * rel_tol ** 0.2 / abs(mu)
     z0 = conj.invert(u0, psi0)
     reach = float(np.abs(conj.rows).max(axis=1) @ abs(z0) ** _DEGREE)
-    span = min(math.log(reach / delta) / -lin.mu3.real, t_max - t0)
-    tau = h * np.arange(1, max(math.floor(span / h), 0) + 2)
-    t = t0 + tau
-    if t[-1] >= t_max:
-        t = np.append(t[t < t_max], t_max)
-        tau = np.append(tau[:len(t) - 1], t_max - t0)
-    u, psi = conj.states(z0 * np.exp(lin.mu3 * tau))
-    count = np.cumsum(_strict_sign_change(np.concatenate(([psi0], psi))))
-    splice = (np.maximum(np.abs(u), np.abs(psi)) < delta) & (t < t_max)
-    stop = int(np.flatnonzero((count >= zeros) | splice | (t >= t_max))[0])
-    columns = (t[:stop + 1], u[:stop + 1], psi[:stop + 1])
-    columns += (dpsi(*columns[1:]),)
-    if count[stop] >= zeros:
-        return (*columns, Termination.MAX_CROSSINGS, stop + 1, 0)
-    if not splice[stop]:
-        return (*columns, Termination.MAX_TIME, stop + 1, 0)
-    z = lin.coordinate(float(u[stop]), float(psi[stop]))
-    *tail, reason = _linear_tail(lin, float(t[stop]), z, t_max, zeros - int(count[stop]))
-    return (*(np.concatenate(pair) for pair in zip(columns, tail)), reason, stop + 1,
-            len(tail[0]))
+    span = min(math.log(reach / delta) / -mu.real, t_max - t0)
+    t, tau = until_t_max(t0, h * np.arange(1, max(math.floor(span / h), 0) + 2))
+    w = z0 * np.exp(mu * tau)
+    u, psi = conj.states(w)
+    count = counted(psi)
+    splice = np.flatnonzero((np.maximum(np.abs(u), np.abs(psi)) < delta) & (t < t_max)
+                            & (count < zeros))
+    s, w_s = len(t), None
+    if len(splice):
+        s = int(splice[0]) + 1
+        t_s, w_s, q = float(t[s - 1]), complex(w[s - 1]), math.pi / (2.0 * mu.imag)
+        z1 = float(_flow_zeros(lin, w_s, 1, 4.0 * q)[0])
+        tau_floor = math.log(_DEEP_FLOOR / lin.envelope(w_s)) / mu.real
+        last = min(2 * (zeros - int(count[s - 1])) - 1,
+                   math.ceil((min(t_max - t_s + q, tau_floor) - z1) / q + 0.5))
+        tau = z1 + (np.arange(-1, last + 1) - 0.5) * q  # reaching q past t_max, not short of it
+        tail_t, tau = until_t_max(t_s, tau[t_s + tau > t_s])
+        t = np.concatenate((t[:s], tail_t))
+        u, psi = (np.concatenate((x[:s], y))
+                  for x, y in zip((u, psi), _linear_flow(lin, w_s, tau)))
+    rules = np.stack((np.maximum(np.abs(u), np.abs(psi)) < _DEEP_FLOOR, counted(psi) >= zeros,
+                      t >= t_max))
+    ends = np.flatnonzero(rules.any(axis=0))
+    stop = int(ends[0]) if len(ends) else len(t) - 1  # a tail converged by its floor bound
+    reason = (Termination.CONVERGED_TO_P1, Termination.MAX_CROSSINGS,
+              Termination.MAX_TIME)[int(np.argmax(rules[:, stop]))]
+    t, u, psi, s = t[:stop + 1], u[:stop + 1], psi[:stop + 1], min(s, stop + 1)
+    dpsi = np.concatenate((dpsi(u[:s], psi[:s]), lin.a * u[s:] + lin.b * psi[s:]))
+    return t, u, psi, dpsi, reason, s, stop + 1 - s, w_s
 
 
 def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
@@ -387,11 +369,12 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
     A spiral run (which needs max_crossings) leaves the DP5 loop at the
     first accepted state short of t_max with max-norm below
     _SERIES_AMPLITUDE and |z| within the P1 series' radius at rel_tol
-    (dynsys.P1Conjugacy.radius), z its coordinate, and continues on the
-    series (_series_stretch) and from the splice on with _linear_tail:
-    samples cut and named by the loop's stop rules, the psi zeros still to
-    count being max_crossings less the sign changes so far.  The series is
-    built at the first state below _SERIES_AMPLITUDE, not before.
+    (dynsys.P1Conjugacy.radius), z its coordinate, and continues in closed
+    form (_closed_form): samples cut and named by the loop's stop rules,
+    the psi zeros still to count being max_crossings less the sign changes
+    so far.  The series is built at the first state below
+    _SERIES_AMPLITUDE, not before.  Returns the columns, the reason, the
+    rejected steps, the series and tail sample counts and w at the splice.
     """
     dpsi = offset_field(params)
     series_at = _SERIES_AMPLITUDE if spiral else 0.0
@@ -426,7 +409,7 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
     crossings = 0
     rejected = 0
     series_samples = tail_samples = 0
-    reason = None
+    reason = w_s = None
     # PI controller exponents for an order-4 error estimate
     alpha, beta = 0.17, 0.04
 
@@ -522,7 +505,7 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
                     conj = p1_conjugacy(params)
                     radius = conj.radius(rel_tol)
                 if abs(conj.lin.coordinate(u, psi)) < radius:
-                    *columns, reason, series_samples, tail_samples = _series_stretch(
+                    *columns, reason, series_samples, tail_samples, w_s = _closed_form(
                         conj, t, u, psi, t_max, rel_tol, splice_amplitude(params, rel_tol),
                         max_crossings - crossings, dpsi)
                     ts, us, psis, dpsis = (np.concatenate((head, column)) for head, column
@@ -539,7 +522,7 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
             if h < h_floor:
                 raise IntegrationFailure(f"step size underflow at t={t:.6g}")
 
-    return ts, us, psis, dpsis, reason, rejected, series_samples, tail_samples
+    return ts, us, psis, dpsis, reason, rejected, series_samples, tail_samples, w_s
 
 
 def shoot_unstable_manifold(params: LomseParams,
@@ -582,7 +565,7 @@ def shoot_unstable_manifold(params: LomseParams,
                          "rounds onto the saddle")
 
     type_one = params.stability is StabilityType.CENTER_TYPE_I
-    ts, us, psis, dpsis, reason, rejected, series_samples, tail_samples = _advance(
+    ts, us, psis, dpsis, reason, rejected, series_samples, tail_samples, w_s = _advance(
         params,
         t_start,
         u_start,
@@ -594,7 +577,7 @@ def shoot_unstable_manifold(params: LomseParams,
         spiral=not type_one,
     )
     return Trajectory(params, ts, us, psis, dpsis, eps, rel_tol, reason, rejected, tail_samples,
-                      series_samples)
+                      series_samples, w_s)
 
 
 def _level_crossings(traj: Trajectory, y, m, level: float, row: int):
@@ -603,13 +586,12 @@ def _level_crossings(traj: Trajectory, y, m, level: float, row: int):
 
     Before the splice index s = splice_index, each strict sign change of
     y - level is bisected on its segment's Hermite cubic through (y, m).
-    Past it the crossings come from the linear flow from the splice state,
+    Past it they come from the tail's linear flow from traj.tail_coordinate,
     whatever the sample spacing: at level 0 the zeros of the row in closed
     form (_flow_zeros), the last segment's as its samples' signs say; at
     any other level on u, each sign change of u - level between consecutive
     extrema of u, the psi zeros, between which u is monotone, bisected on
-    _linear_flow's u row.  One sample segment may
-    hold several such crossings.
+    _linear_flow's u row.  One sample segment may hold several of them.
     """
     t = traj.t
     g = y - level
@@ -620,12 +602,10 @@ def _level_crossings(traj: Trajectory, y, m, level: float, row: int):
         y0, y1, m0, m1 = float(y[k]), float(y[k + 1]), float(m[k]), float(m[k + 1])
         out.append((k, _bisect(lambda x: _hermite(x, t0, t1, y0, y1, m0, m1) - level,
                                t0, t1, float(g[k]), float(g[k + 1]))))
-    s = traj.splice_index
-    if s == len(t) - 1:
+    s, z = traj.splice_index, traj.tail_coordinate
+    if z is None:
         return out
-    lin = linearize_p1(traj.params)
-    t_s = float(t[s])
-    z = lin.coordinate(float(traj.u[s]), float(traj.psi[s]))
+    lin, t_s = linearize_p1(traj.params), float(t[s])
     span = float(t[-1]) - t_s
     if level == 0.0:
         taus = _flow_zeros(lin, z, row, span)
@@ -647,16 +627,14 @@ def _level_crossings(traj: Trajectory, y, m, level: float, row: int):
 def detect_psi_zeros(traj: Trajectory) -> list[PsiZero]:
     """Every zero of psi, increasing t: refined sign changes up to the
     splice, the flow's zeros past it.  phi is read where the time came
-    from: the Hermite cubic of u, or the linear tail's flow."""
-    t, u, psi = traj.t, traj.u, traj.psi
-    s = traj.splice_index
+    from: the Hermite cubic of u, or the tail's linear flow."""
+    t, u, psi, s = traj.t, traj.u, traj.psi, traj.splice_index
     crossings = _level_crossings(traj, psi, traj.dpsi, 0.0, 1)
     offsets = [_hermite(tz, float(t[i]), float(t[i + 1]), float(u[i]), float(u[i + 1]),
                         float(psi[i]), float(psi[i + 1])) for i, tz in crossings if i < s]
     tail = [tz for i, tz in crossings if i >= s]
     if tail:
-        lin = linearize_p1(traj.params)
-        offsets += _linear_flow(lin, lin.coordinate(float(u[s]), float(psi[s])),
+        offsets += _linear_flow(linearize_p1(traj.params), traj.tail_coordinate,
                                 np.array(tail) - float(t[s]))[0].tolist()
     return [PsiZero(t=tz, phi=traj.params.phi0 + offset, phi_offset=offset,
                     direction=-1 if psi[i] > 0.0 else 1)

@@ -116,7 +116,7 @@ def build_params(n: int, p: int, k: int, allow_inadmissible: bool = False) -> Lo
     if not verdict.admissible and not allow_inadmissible:
         raise InadmissibleTriple(
             f"({n},{p},{k}) is not admissible ({verdict.reason}); "
-            "pass allow_inadmissible=True to explore the dynamics anyway"
+            "pass --allow-inadmissible (allow_inadmissible=True) to explore the dynamics anyway"
         )
 
     K = k * (k + n - 1)

@@ -92,14 +92,14 @@ def reference_integrate(params: LomseParams,
 
 def advance_from(params: LomseParams, state0: PhaseState, t_end: float) -> Trajectory:
     """The package's adaptive DP5 path from an interior state to t_end."""
-    ts, us, psis, dpsis, reason, rejected, _, _ = _advance(
+    ts, us, psis, dpsis, reason, rejected, *_ = _advance(
         params, state0.t, state0.phi - params.phi0, state0.psi, t_end, DEFAULT_REL_TOL)
     return Trajectory(params, ts, us, psis, dpsis, None, DEFAULT_REL_TOL, reason, rejected)
 
 
 def fine_tail(traj: Trajectory, t_end: float, max_crossings: int = DEFAULT_MAX_CROSSINGS):
-    """The spiral tail of traj on a fine grid: the linear flow from its
-    splice state at t_s = t[s], s = splice_index, at t_s + h, t_s + 2h,
+    """The spiral tail of traj on a fine grid: the linear flow from its tail
+    coordinate at t_s = t[s], s = splice_index, at t_s + h, t_s + 2h,
     ... spaced by the last sample step h, with a last sample at t_end exactly,
     and dpsi = a u + b psi.  Returns the columns (t, u, psi, dpsi), the
     index of the first sample where a stop rule holds, tested in this order
@@ -112,8 +112,7 @@ def fine_tail(traj: Trajectory, t_end: float, max_crossings: int = DEFAULT_MAX_C
     tau = h * np.arange(1, math.floor((t_end - t_s) / h) + 2)
     keep = t_s + tau < t_end
     t = np.append(t_s + tau[keep], t_end)
-    u, psi = _linear_flow(lin, lin.coordinate(float(traj.u[s]), float(traj.psi[s])),
-                          np.append(tau[keep], t_end - t_s))
+    u, psi = _linear_flow(lin, traj.tail_coordinate, np.append(tau[keep], t_end - t_s))
     count = np.cumsum(_strict_sign_change(np.concatenate((traj.psi[:s + 1], psi))))[s:]
     floor = np.maximum(np.abs(u), np.abs(psi)) < _DEEP_FLOOR
     full = count >= max_crossings
@@ -252,6 +251,14 @@ def ode_general_residual(sample: ProfileSample, sing_values: list[float], n: int
     return total
 
 
+# the narrowest interpolant segment below the cut, in ulps of its x, that
+# interp_simpson_theta takes: the oracle's uses in the tests have at least
+# 2.9e11, while the first rescaled profile of (5,4,10^9) at R =
+# 0.07147138634964101, which it got wrong by a factor 26, has 373 of its
+# 1 088 segments there below 1e-13 (225 ulps), the narrowest one ulp
+_MIN_SEGMENT_ULPS = 1e6
+
+
 def interp_simpson_theta(interp: _ProfileInterp, params: LomseParams, R: float,
                          n_panels: int) -> float:
     """Theta(R) by composite Simpson over n_panels uniform panels in x = log r
@@ -259,11 +266,20 @@ def interp_simpson_theta(interp: _ProfileInterp, params: LomseParams, R: float,
     power-law piece below the first sample, on uniform nodes that share
     nothing with the package's Gauss-Legendre panels: its oracle.  The
     integrand g(x) e^{(n+1)x} is scaled by e^{-(n+1) x_cut}, with
-    g = sqrt(1 + rho_r^2) (1 + lambda^2 phi^2)^{p/2}."""
+    g = sqrt(1 + rho_r^2) (1 + lambda^2 phi^2)^{p/2}.
+
+    Nodes placed by their float x cannot resolve a segment only a few ulps
+    of x wide, where the profile may turn sharply (psi reaches 2e7 on such
+    segments of (5,4,10^9)); a profile with a segment below the cut
+    narrower than _MIN_SEGMENT_ULPS ulps is refused with ValueError."""
     n, p = params.n, params.p
     lam2 = params.lambda_sq
     x_cut, phi_cut = interp.cut_x(R)
     x0 = float(interp.x[0])
+    knots = interp.x[:int(_segments(interp.x, x_cut)) + 2]  # those of the segments to the cut
+    if np.any(np.diff(knots) < _MIN_SEGMENT_ULPS * np.spacing(np.abs(knots[:-1]))):
+        raise ValueError(f"a profile segment below the cut is narrower than "
+                         f"{_MIN_SEGMENT_ULPS:g} ulps of x: float nodes cannot resolve it")
 
     def g_of(xq: np.ndarray) -> np.ndarray:
         phi, psi = dense(interp.x, xq, (interp.phi, interp.psi), (interp.psi, interp.dpsi))

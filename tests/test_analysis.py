@@ -139,6 +139,23 @@ def test_radii_sharing_a_log_radius_5_4_1e9():
     assert 1.0 <= theta <= theta_of_radius(first, params, 0.0716) < theta_infinity(params)
 
 
+def test_simpson_oracle_refuses_unresolvable_segments():
+    # the same profile and R: the oracle gave 2 433 at 65 536 panels and 154
+    # at 1 048 576, against 93.61, as segments below the cut as narrow as
+    # one ulp of x hold psi up to 2e7, beyond any float node grid; it now
+    # refuses the profile instead
+    params = build_params(5, 4, 10 ** 9)
+    traj = shoot_unstable_manifold(params)
+    first = rescale_profile(to_profile(traj), detect_phi_hits(traj, params.phi0)[0].dilation)
+    interp = _ProfileInterp(first)
+    x_cut = interp.cut_x(0.07147138634964101)[0]
+    widths = np.diff(interp.x[interp.x <= x_cut])
+    assert widths.min() == np.spacing(2.64) and np.sum(widths < 1e-13) > 300
+    for n_panels in (65536, 1048576):
+        with pytest.raises(ValueError, match="float nodes cannot resolve it"):
+            simpson_theta(first, params, 0.07147138634964101, n_panels)
+
+
 @pytest.mark.parametrize("bad", [math.nan, 0.5])
 def test_profile_radii_must_not_decrease(p322, cone322, bad):
     r = cone322.r.copy()

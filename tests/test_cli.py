@@ -52,6 +52,13 @@ def test_classify_inadmissible_exit_code(capsys):
     assert run(["classify", "3", "2", "3"]) == EXIT_INADMISSIBLE
 
 
+def test_inadmissible_triple_error_names_the_flag(capsys):
+    # a CLI user needs the flag, a library caller the keyword: both are named
+    assert run(["classify", "3", "2", "3"]) == EXIT_INADMISSIBLE
+    out, err = capsys.readouterr()
+    assert out == "" and "--allow-inadmissible" in err and "allow_inadmissible=True" in err
+
+
 def test_classify_bad_domain_exit_code(capsys):
     assert run(["classify", "3", "4", "2"]) == EXIT_USAGE
 

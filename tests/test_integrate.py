@@ -484,16 +484,18 @@ def _loop_psi_zeros(traj, segments=None):
 
 def _eig_tail_roots(traj, row):
     """(t, u) at each zero of row (0: u, 1: psi) of the linear flow from the
-    splice state that falls on a tail segment with a sign change of that
-    row, written apart from the package: with numpy's eigenpair (mu, v) of
-    J, mu = alpha + i omega, the flow is 2 Re(z e^{mu tau} v), so row r
-    vanishes where omega tau + arg(z v_r) = pi/2 mod pi."""
+    tail's first state (Re w, Re mu w), w the tail coordinate, that falls on
+    a tail segment with a sign change of that row, written apart from the
+    package: with numpy's eigenpair (mu, v) of J, mu = alpha + i omega, the
+    flow is 2 Re(z e^{mu tau} v), so row r vanishes where omega tau + arg(z
+    v_r) = pi/2 mod pi."""
     s = traj.splice_index
     lin = linearize_p1(traj.params)
     vals, vecs = np.linalg.eig(np.array([[0.0, 1.0], [lin.a, lin.b]]))
     mu, v = vals[np.argmax(vals.imag)], vecs[:, np.argmax(vals.imag)]
+    w = traj.tail_coordinate
     z = np.linalg.solve(np.array([v, v.conj()]).T,
-                        np.array([traj.u[s], traj.psi[s]], dtype=complex))[0]
+                        np.array([w.real, (lin.mu3 * w).real], dtype=complex))[0]
     y = traj.u if row == 0 else traj.psi
     out = []
     for i in range(s, len(traj) - 1):
@@ -509,9 +511,9 @@ def _eig_tail_roots(traj, row):
 def test_event_scans_match_sample_loop(request, fixture):
     # segments before the splice match the loop bit for bit; on the linear
     # tail the psi zeros and the phi0 hits come in closed form, and agree
-    # with numpy's eigenpair within the event tolerance 1e-12 (measured:
-    # 7.7e-13 in time and 2.4e-12 relative in offset, on (5,4,6), whose
-    # eigenpair is the worst conditioned)
+    # with numpy's eigenpair, from the tail's first state, within the event
+    # tolerance 1e-12 (measured: 8.0e-13 in time and 2.3e-12 relative in
+    # offset, on (5,4,6), whose eigenpair is the worst conditioned)
     traj = request.getfixturevalue(fixture)
     phi0 = traj.params.phi0
     s = traj.splice_index

@@ -28,14 +28,14 @@ from lo_dynamics import (
     shoot_unstable_manifold,
 )
 from lo_dynamics.analysis import density_report
-from lo_dynamics.dynsys import offset_field
+from lo_dynamics.dynsys import offset_field, p1_conjugacy, p1_quadratic_bound
 from lo_dynamics.integrate import (
     _DEEP_FLOOR,
     DEFAULT_MAX_CROSSINGS,
     DEFAULT_REL_TOL,
     _advance,
+    _closed_form,
     _linear_flow,
-    _linear_tail,
     _strict_sign_change,
     splice_amplitude,
 )
@@ -87,18 +87,25 @@ def test_splice_amplitude_bounds_field_remainder(params, rel_tol):
 
 @pytest.mark.parametrize("triple", [(3, 2, 4), (5, 4, 6)])
 def test_linear_tail_is_the_matrix_exponential(triple):
+    # from a hand-off state below delta the first series sample is the
+    # splice, and the tail is exp(J tau) applied to the linear part (Re w,
+    # Re mu w) of the coordinate w it stores there
     params = build_params(*triple)
     lin = linearize_p1(params)
     u0, psi0 = 1e-13, -2e-13
-    t, u, psi, dpsi, reason = _linear_tail(lin, 10.0, lin.coordinate(u0, psi0), 20.0, 10 ** 6)
+    t, u, psi, dpsi, reason, series, tail, w_s = _closed_form(
+        p1_conjugacy(params), 10.0, u0, psi0, 20.0, DEFAULT_REL_TOL,
+        splice_amplitude(params, DEFAULT_REL_TOL), 10 ** 6, offset_field(params))
     assert reason is Termination.MAX_TIME and t[-1] == 20.0
-    assert 10.0 < t[0] and np.all(np.diff(t) > 0.0)
+    assert series == 1 and tail == len(t) - 1 > 0
+    t_s, t, u, psi, dpsi = t[0], t[1:], u[1:], psi[1:], dpsi[1:]
+    assert 10.0 < t_s < t[0] and np.all(np.diff(t) > 0.0)
     np.testing.assert_allclose(np.diff(t)[:-1], math.pi / (2.0 * lin.mu3.imag), rtol=1e-12)
     assert np.array_equal(dpsi, lin.a * u + lin.b * psi)
     jac = np.array([[0.0, 1.0], [lin.a, lin.b]])
     vals, vecs = np.linalg.eig(jac)
-    coef = np.linalg.solve(vecs, np.array([u0, psi0], dtype=complex))
-    tau = t - 10.0
+    coef = np.linalg.solve(vecs, np.array([w_s.real, (lin.mu3 * w_s).real], dtype=complex))
+    tau = t - t_s
     exact = (vecs @ (coef[:, None] * np.exp(np.outer(vals, tau)))).real
     amp = np.maximum(np.abs(exact[0]), np.abs(exact[1]))
     assert np.max(np.abs(u - exact[0]) / amp) < 1e-13
@@ -167,19 +174,19 @@ def test_splice_grid_and_stop_rules(spirals):
 
 
 def test_tail_columns_are_the_linear_tail_prefix(spirals):
-    # the columns past the splice are _linear_flow from the splice state at
-    # the phases z1 + (i - 1/2) q, bit for bit, with z1 the flow's first psi
-    # zero from its closed form and i counted here from the first sample
-    # after the splice: none dropped, none repeated.  z1 is checked against
-    # numpy's eigenpair of J
+    # the columns past the splice are _linear_flow from the stored tail
+    # coordinate at the phases z1 + (i - 1/2) q, bit for bit, with z1 the
+    # flow's first psi zero from its closed form and i counted here from the
+    # first sample after the splice: none dropped, none repeated.  z1 is
+    # checked against numpy's eigenpair of J
     for triple, traj in spirals.items():
         s, count = traj.splice_index, traj.stats.tail_samples
         lin = linearize_p1(traj.params)
         omega = lin.mu3.imag
         t_s, u_s, psi_s = float(traj.t[s]), float(traj.u[s]), float(traj.psi[s])
-        # psi = Re(mu z e^{mu tau}), z the splice state's coordinate, vanishes
-        # at omega tau = pi/2 - arg(mu z) + j pi
-        z = lin.coordinate(u_s, psi_s)
+        # psi = Re(mu z e^{mu tau}), z the tail coordinate, vanishes at
+        # omega tau = pi/2 - arg(mu z) + j pi
+        z = traj.tail_coordinate
         theta = math.pi / 2.0 - cmath.phase(lin.mu3 * z)
         z1 = (theta + math.floor(-theta / math.pi + 1.0) * math.pi) / omega
         assert 0.0 < z1 <= math.pi / omega, triple
@@ -192,6 +199,51 @@ def test_tail_columns_are_the_linear_tail_prefix(spirals):
         for name, column in zip(("t", "u", "psi", "dpsi"),
                                 (t_s + tau, u, psi, lin.a * u + lin.b * psi)):
             assert getattr(traj, name)[s + 1:].tobytes() == column.tobytes(), (triple, name)
+
+
+def test_tail_continues_the_hand_off_coordinate(spirals):
+    # one coordinate w = z* e^{mu (t - t_h)} from the hand-off sample at t_h,
+    # z* = P1Conjugacy.invert of it, to the end: the stored tail coordinate
+    # is w at the splice time t_s (measured within 7.1e-15 relative), the
+    # splice sample is Phi(w) there, and each tail sample is the linear part
+    # (Re w, Re mu w) (within 7.1e-14 of its max-norm, the rounding of t -
+    # t_s).  So the tail starts at L(w_s), not at the splice sample Phi(w_s);
+    # over one turn at |w| = |w_s| the two differ by at most 0.039 of the
+    # carried term D = eta E / (1 - eta)^2 of analysis._tail_logs (measured:
+    # 0.039 on (3,2,6)-(3,2,20), 0.013 on (5,4,6)), whose bar thus covers
+    # the continued tail as well
+    for triple, traj in spirals.items():
+        conj = p1_conjugacy(traj.params)
+        lin, mu = conj.lin, conj.lin.mu3
+        a, s = traj.stats.accepted, traj.splice_index
+        w_s = traj.tail_coordinate
+        z0 = conj.invert(float(traj.u[a]), float(traj.psi[a]))
+        assert abs(w_s - z0 * cmath.exp(mu * (traj.t[s] - traj.t[a]))) <= 1.5e-14 * abs(w_s)
+        x_s = conj.states(np.array([w_s]))[:, 0]
+        amp = _amp(traj)
+        assert np.max(np.abs(x_s - [traj.u[s], traj.psi[s]])) <= 1e-15 * amp[s], triple
+        w = w_s * np.exp(mu * (traj.t[s + 1:] - traj.t[s]))
+        for column, row in ((traj.u, w.real), (traj.psi, (mu * w).real)):
+            assert np.all(np.abs(column[s + 1:] - row) <= 1.5e-13 * amp[s + 1:]), triple
+        ring = w_s * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False))
+        u, psi = conj.states(ring)
+        gap = np.max(np.maximum(np.abs(u - ring.real), np.abs(psi - (mu * ring).real)))
+        v = lin.envelope(1.0)
+        eta = p1_quadratic_bound(traj.params) * v * v * abs(w_s) / (mu.imag * abs(mu.real))
+        assert gap <= 0.08 * eta * v * abs(w_s) / (1.0 - eta) ** 2, triple
+
+
+def test_a_tail_needs_its_coordinate(traj324):
+    # the tail's events and gaps read the stored coordinate, so a trajectory
+    # with tail samples and none, or one without a tail and a coordinate, is
+    # refused
+    traj = traj324
+    columns = (traj.t, traj.u, traj.psi, traj.dpsi)
+    stats = traj.stats
+    for tail, coordinate in ((stats.tail_samples, None), (0, traj.tail_coordinate)):
+        with pytest.raises(ValueError, match="tail coordinate"):
+            Trajectory(traj.params, *columns, traj.eps_start, traj.rel_tol, traj.terminated_by,
+                       stats.rejected, tail, stats.series_samples, coordinate)
 
 
 def test_tail_evaluates_the_flow_at_its_samples_only(p324, monkeypatch):
@@ -244,7 +296,8 @@ def test_reports_match_on_the_fine_tail(spirals):
         columns = [np.concatenate((getattr(traj, name)[:s + 1], column))
                    for name, column in zip(("t", "u", "psi", "dpsi"), fine)]
         rebuilt = Trajectory(traj.params, *columns, traj.eps_start, traj.rel_tol, reason,
-                             traj.stats.rejected, len(fine[0]), traj.stats.series_samples)
+                             traj.stats.rejected, len(fine[0]), traj.stats.series_samples,
+                             traj.tail_coordinate)
         assert len(rebuilt) > len(traj) + 10 * traj.stats.tail_samples, triple
         assert rebuilt.stats == dataclasses.replace(traj.stats, tail_samples=len(fine[0]))
         for target in (phi0, phi0 + 2e-14):
@@ -257,13 +310,15 @@ def test_reports_match_on_the_fine_tail(spirals):
 def _eig_row(traj, row):
     """Row row (0: u, 1: psi) of the flow past the splice from numpy's
     eigenpair (mu, v) of J, written apart from the package: the flow from
-    the splice state x* = 2 Re(z v) is 2 Re(z e^{mu tau} v)."""
+    the tail's first state x* = 2 Re(z v), the linear part of the tail
+    coordinate w (Re w, Re mu w), is 2 Re(z e^{mu tau} v)."""
     s = traj.splice_index
     lin = linearize_p1(traj.params)
     vals, vecs = np.linalg.eig(np.array([[0.0, 1.0], [lin.a, lin.b]]))
     mu, v = vals[np.argmax(vals.imag)], vecs[:, np.argmax(vals.imag)]
+    w = traj.tail_coordinate
     z = np.linalg.solve(np.array([v, v.conj()]).T,
-                        np.array([traj.u[s], traj.psi[s]], dtype=complex))[0]
+                        np.array([w.real, (lin.mu3 * w).real], dtype=complex))[0]
     return lambda t: 2.0 * (z * v[row] * np.exp(mu * (t - traj.t[s]))).real
 
 
@@ -289,7 +344,7 @@ def _eig_roots(traj, level):
 
 def test_off_target_tail_hits_match_an_eigen_root(spirals):
     # a target other than phi0 is found past the splice on the flow's u row,
-    # bracketed between the flow's extrema (measured: 2.0e-13 in t from the
+    # bracketed between the flow's extrema (measured: 3.0e-13 in t from the
     # eigen root at phi0 + 2e-14).  Near an extremum of u two hits fall in
     # one sample segment, and both are kept
     traj = spirals[(3, 2, 4)]
@@ -371,10 +426,10 @@ def _continuation(traj):
     """DP5 from the splice state to the same stop rules, without a tail."""
     s = traj.splice_index
     before = int(_strict_sign_change(traj.psi[:s + 1]).sum())
-    ts, us, psis, dpsis, reason, rejected, series, tail = _advance(
+    ts, us, psis, dpsis, reason, rejected, series, tail, w_s = _advance(
         traj.params, float(traj.t[s]), float(traj.u[s]), float(traj.psi[s]),
         integrate.DEFAULT_T_MAX, traj.rel_tol, max_crossings=DEFAULT_MAX_CROSSINGS - before)
-    assert series == tail == 0
+    assert series == tail == 0 and w_s is None
     return Trajectory(traj.params, ts, us, psis, dpsis, None, traj.rel_tol, reason, rejected)
 
 
@@ -427,12 +482,13 @@ def test_spliced_zeros_match_fine_dp5(triple, spirals, dp5_only):
 def test_546_last_zero_matches_mpmath(spirals):
     # zero 29 of (5,4,6), its phi0 hit and its gap, past the DP5-only
     # references above, against the linear flow exp(J tau) x* from the
-    # splice state at 40 digits, J from the exact parameters: a findroot
+    # tail's first state x* = (Re w, Re mu w), w the tail coordinate, at 40
+    # digits, J and mu from the exact parameters: a findroot
     # root of each row, and the gap there as the closed form (n + 1) x^T P x
     # times the integrand's other factors at P1 (test_mpmath_tail_gaps),
-    # exact to the state's 1e-290 at the hit.  Measured: 3.7e-13 in the
-    # zero's time, 1.1e-12 relative in its offset, 3.8e-13 in the hit's
-    # time, 2.1e-12 relative in the gap, whose bar is 4.1e-10 of it
+    # exact to the state's 1e-290 at the hit.  Measured: 3.9e-13 in the
+    # zero's time, 1.2e-12 relative in its offset, 3.4e-13 in the hit's
+    # time, 1.5e-12 relative in the gap, whose bar is 4.1e-10 of it
     traj = spirals[(5, 4, 6)]
     params = traj.params
     n, p, s = params.n, params.p, traj.splice_index
@@ -448,7 +504,8 @@ def test_546_last_zero_matches_mpmath(spirals):
         a = 2 * n * (mpmath.mpf(n) / params.big_k - 1)
         b = mpmath.mpf(-n - 1)
         alpha, omega = b / 2, mpmath.sqrt(-(b * b + 4 * a)) / 2
-        u0, psi0, t_s = (mpmath.mpf(float(col[s])) for col in (traj.u, traj.psi, traj.t))
+        w, t_s = traj.tail_coordinate, mpmath.mpf(float(traj.t[s]))
+        u0, psi0 = mpmath.mpf(w.real), alpha * w.real - omega * w.imag
 
         def linear(t):
             tau = t - t_s
