@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -29,7 +30,7 @@ _NEWTON_STEPS = 8  # at most; each squares the relative error, |z| / 0.3 or so a
 
 
 def _flat(d: int, j: int) -> int:
-    """Position of the coefficient of z^(d-j) zbar^j in the flat order
+    """Position of the coefficient of z1^(d-j) z2^j in the flat order
     (d, j) = (0, 0), (1, 0), (1, 1), (2, 0), ..."""
     return d * (d + 1) // 2 + j
 
@@ -37,97 +38,134 @@ def _flat(d: int, j: int) -> int:
 _SERIES_SIZE = _flat(P1_SERIES_ORDER + 1, 0)
 _DEGREE = np.array([d for d in range(P1_SERIES_ORDER + 1) for _ in range(d + 1)])
 _POWER_Z = np.array([d - j for d in range(P1_SERIES_ORDER + 1) for j in range(d + 1)])
-# one entry per coefficient (d, j), 2 <= d, j <= d/2, of a product of two
-# series without constant terms: d, j, the flat index of (d, j) and of its
-# mirror (d, d - j), and the flat index pairs of the factors' terms (k, i)
-# and (d - k, j - i), 1 <= k < d
-_PRODUCT_PLAN = [
-    (d, j, _flat(d, j), _flat(d, d - j),
+# one entry per coefficient (d, j), 2 <= d, of a product of two series
+# without constant terms: d, j, the flat index of (d, j) and of its mirror
+# (d, d - j), and the flat index pairs of the factors' terms (k, i) and
+# (d - k, j - i), 1 <= k < d.  At a spiral P1 only j <= d/2 is solved,
+# (d, d - j) being the conjugate; at a node every (d, j), with no mirror
+_NODE_PLAN = [
+    (d, j, _flat(d, j), None,
      tuple((_flat(k, i), _flat(d - k, j - i)) for k in range(1, d)
            for i in range(max(0, j - d + k), min(k, j) + 1)))
-    for d in range(2, P1_SERIES_ORDER + 1) for j in range(d // 2 + 1)]
+    for d in range(2, P1_SERIES_ORDER + 1) for j in range(d + 1)]
+_SPIRAL_PLAN = [(d, j, f, _flat(d, d - j), pairs) for d, j, f, _, pairs in _NODE_PLAN
+                if 2 * j <= d]
+# dPhi/dz1 and dPhi/dz2 as series of one order less: the flat indices of
+# the entries (d, j) and (d, j + 1) that their entry (d - 1, j) takes, and
+# the factors d - j and j + 1
+_LOWER = [(d, j) for d in range(1, P1_SERIES_ORDER + 1) for j in range(d)]
+_DERIVATIVES = [(np.array([_flat(d, j + 1) if dz2 else _flat(d, j) for d, j in _LOWER]),
+                 np.array([j + 1.0 if dz2 else d - j for d, j in _LOWER]))
+                for dz2 in (False, True)]
 
 
 @dataclass(frozen=True)
 class P1Linearization:
-    """J = [[0, 1], [a, b]] at P1 and mu3.  At a spiral P1, mu3 = alpha +
-    i omega, the coordinate z writes the state as x = (Re z, Re mu3 z) and
-    the linear flow exp(J tau) x as z e^{mu3 tau}, as mu3^2 = b mu3 + a."""
+    """J = [[0, 1], [a, b]] at P1 and its eigenvalues mu3 and mu4, the roots
+    of mu^2 = b mu + a: at a spiral P1 mu3 = alpha + i omega and mu4 its
+    conjugate, at a node (type I) the slow and the fast real root.  The
+    coordinates (z1, z2) write the state as x = (z1 (1, mu3) + z2 (1,
+    mu4)) / 2 and the linear flow exp(J tau) x as (z1 e^{mu3 tau}, z2
+    e^{mu4 tau}); at a spiral z2 = conj(z1), x = (Re z, Re mu3 z) with z
+    = z1, and the linear flow is z e^{mu3 tau}."""
 
     a: float  # 2n(n/(k(k+n-1)) - 1) < 0
     b: float  # -n - 1
     mu3: complex
+    mu4: complex
+
+    @property
+    def spiral(self) -> bool:
+        return self.mu3.imag != 0.0
+
+    def coordinates(self, u, psi):
+        """(z1, z2) = ((psi - mu4 u) / h, (psi - mu3 u) / -h), h = (mu3 -
+        mu4) / 2 (i omega at a spiral), of states (u, psi), floats or arrays."""
+        half = 0.5 * (self.mu3 - self.mu4)
+        return (psi - self.mu4 * u) / half, (psi - self.mu3 * u) / -half
 
     def coordinate(self, u, psi):
-        """z = (psi - conj(mu3) u) / (i omega) of states (u, psi), floats or arrays."""
-        return (psi - self.mu3.conjugate() * u) / (1j * self.mu3.imag)
+        """z = z1 = (psi - conj(mu3) u) / (i omega) of states (u, psi) at a
+        spiral P1, floats or arrays."""
+        return self.coordinates(u, psi)[0]
 
     def envelope(self, z):
         """max(1, |mu3|) |z|, the largest max-norm the state reaches over one
-        turn of the flow's phase: |exp(J tau) x| <= envelope e^{alpha tau}."""
+        turn of a spiral's phase: |exp(J tau) x| <= envelope e^{alpha tau}."""
         return max(1.0, abs(self.mu3)) * abs(z)
 
 
 @dataclass(frozen=True)
 class P1Conjugacy:
-    """x = Phi(z, zbar) with z' = mu z, conjugating the field near a spiral
-    P1 to its linear flow, truncated at total degree P1_SERIES_ORDER.
+    """x = Phi(z1, z2) with z1' = mu3 z1, z2' = mu4 z2, conjugating the field
+    near P1 to its linear flow, truncated at total degree P1_SERIES_ORDER.
 
-    rows[m] = (U_m, lam_m U_m) are the coefficients of z^(d-j) zbar^j in u
-    and psi, in the flat order of _flat, with lam_m = (d - j) mu + j
-    conj(mu); the row of (d, d - j) is the conjugate of the row of (d, j),
-    so Phi is real, and U_(1,0) = 1/2 makes Phi(z) = Re(z (1, mu)) + O(z^2).
-    defect is D with |DPhi mu z - F(Phi(z))| about D |z|^(order + 1), the
-    invariance residual's first omitted order (p1_conjugacy).
+    rows[m] = (U_m, lam_m U_m) are the coefficients of z1^(d-j) z2^j in u
+    and psi, in the flat order of _flat, with lam_m = (d - j) mu3 + j mu4;
+    U_(1,0) = U_(1,1) = 1/2 makes Phi(z) = x of P1Linearization's
+    coordinates + O(z^2).  At a spiral P1 the row of (d, d - j) is the
+    conjugate of the row of (d, j) and z2 = conj(z1), so Phi is real; at a
+    node the rows and the coordinates are real.  defect is D with |DPhi
+    (mu3 z1, mu4 z2) - F(Phi(z))| about D |z|^(order + 1), |z| = max(|z1|,
+    |z2|), the invariance residual's first omitted order (p1_conjugacy).
     """
 
     lin: P1Linearization
     rows: np.ndarray
     defect: float
 
-    def states(self, z: np.ndarray) -> np.ndarray:
-        """The rows (u, psi) of Phi at the points z, a 1-d array."""
-        return _series_sum(self.rows, z).real
+    def states(self, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+        """The rows (u, psi) of Phi at the points (z1, z2), 1-d arrays."""
+        return _series_sum(self.rows, z1, z2).real
 
     def radius(self, rel_tol: float) -> float:
         """|z| within which the estimated defect D |z|^(order + 1) is at
         most rel_tol/10 of |Phi(z)| in the max-norm, that norm taken as its
-        linear part's least on the circle: Re(z (1, mu)) = |z| M (cos, sin)
-        with M = [[1, 0], [alpha, -omega]], whose least singular value is at
-        least |det M| / |M|_F = omega / sqrt(1 + |mu|^2), and the max-norm
-        is at least the 2-norm over sqrt(2)."""
-        mu = self.lin.mu3
-        least = mu.imag / math.sqrt(2.0 * (1.0 + abs(mu) ** 2))
+        linear part's least: x = M (z1, z2) / 2 with M = [[1, 1], [mu3,
+        mu4]], whose least singular value is at least |det M| / |M|_F =
+        |mu3 - mu4| / sqrt(2 + |mu3|^2 + |mu4|^2); |(z1, z2)| is sqrt(2)
+        |z| at a spiral and at least |z| at a node, and the max-norm is at
+        least the 2-norm over sqrt(2)."""
+        mu3, mu4 = self.lin.mu3, self.lin.mu4
+        least = abs(mu3 - mu4) / math.sqrt(2.0 + abs(mu3) ** 2 + abs(mu4) ** 2) / 2.0
+        if not self.lin.spiral:
+            least /= math.sqrt(2.0)
         return (rel_tol / 10.0 * least / self.defect) ** (1.0 / P1_SERIES_ORDER)
 
-    def invert(self, u: float, psi: float) -> complex:
-        """z with Phi(z) = (u, psi), by Newton's method from the linear
-        guess, the coordinate of (u, psi).  Phi's differential is dx = Re(2
-        A dz / z), with A the series of x with each term weighted by its
-        power of z; the zbar terms give the conjugate half."""
-        z = self.lin.coordinate(u, psi)
-        rows = np.hstack((self.rows, self.rows * _POWER_Z[:, None]))
+    def invert(self, u: float, psi: float):
+        """(z1, z2) with Phi(z1, z2) = (u, psi), by Newton's method from the
+        linear guess, the coordinates of (u, psi).  Each step solves
+        dPhi/dz1 dz1 + dPhi/dz2 dz2 = (u, psi) - Phi(z1, z2) by Cramer's
+        rule, the two columns being series of one order less
+        (_DERIVATIVES); at a spiral z2 is kept the conjugate of z1."""
+        z1, z2 = self.lin.coordinates(u, psi)
+        rows = np.zeros((_SERIES_SIZE, 6), dtype=self.rows.dtype)
+        rows[:, :2] = self.rows
+        for col, (src, factor) in zip((2, 4), _DERIVATIVES):
+            rows[:len(src), col:col + 2] = self.rows[src] * factor[:, None]
         for _ in range(_NEWTON_STEPS):
-            u_z, psi_z, a0, a1 = _series_sum(rows, np.array([z]))[:, 0].tolist()
-            k0, k1 = 2.0 * a0 / z, 2.0 * a1 / z
+            u_z, psi_z, a0, a1, b0, b1 = _series_sum(
+                rows, np.array([z1]), np.array([z2]))[:, 0].tolist()
             r0, r1 = u - u_z.real, psi - psi_z.real
-            det = k0.imag * k1.real - k0.real * k1.imag
-            step = complex(k0.imag * r1 - k1.imag * r0, k0.real * r1 - k1.real * r0) / det
-            z += step
-            if abs(step) <= 1e-10 * abs(z):  # the error left is about its square
-                break
-        return z
+            det = a0 * b1 - a1 * b0
+            step1, step2 = (r0 * b1 - r1 * b0) / det, (a0 * r1 - a1 * r0) / det
+            z1 += step1
+            z2 = z1.conjugate() if self.lin.spiral else z2 + step2
+            if max(abs(step1), abs(step2)) <= 1e-10 * max(abs(z1), abs(z2)):
+                break  # the error left is about its square
+        return z1, z2
 
 
-def _series_sum(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum over m of rows[m] z^(d-j) zbar^j at the points z, a 1-d array:
-    one row per column of rows, one column per point.  The monomials of
-    order d come from those of order d - 1 by one product each, and are
-    summed order by order, so no more than two orders are held at once."""
-    mono = np.ones((1, len(z)), dtype=complex)
-    total = np.zeros((rows.shape[1], len(z)), dtype=complex)
+def _series_sum(rows: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """sum over m of rows[m] z1^(d-j) z2^j, from order 0, at the points (z1,
+    z2), 1-d arrays: one row per column of rows, one column per point.  The
+    monomials of order d come from those of order d - 1 by one product
+    each, and are summed order by order, so no more than two orders are
+    held at once."""
+    mono = np.ones((1, len(z1)), dtype=np.result_type(z1, z2, rows))
+    total = rows[:1].T @ mono
     for d in range(1, P1_SERIES_ORDER + 1):
-        mono = np.concatenate((mono * z, mono[-1:] * z.conjugate()))
+        mono = np.concatenate((mono * z1, mono[-1:] * z2))
         total += rows[_flat(d, 0):_flat(d + 1, 0)].T @ mono
     return total
 
@@ -162,6 +200,19 @@ def offset_field(params: LomseParams):
         return -psi - ((n_minus_p + p / den) * psi - f1_phi) * (1.0 + (phi + psi) ** 2)
 
     return dpsi
+
+
+def offset_field_at(params: LomseParams, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """offset_field at the states (u, psi), 1-d arrays, bit for bit as its
+    scalar calls: numpy's x ** 2 is x * x, which rounds (phi + psi)^2 apart
+    from libm pow at about 0.03% of states; those are evaluated one by one."""
+    dpsi = offset_field(params)
+    field = dpsi(u, psi)
+    x = params.phi0 + u + psi
+    pow_x = np.fromiter(map(math.pow, x.tolist(), repeat(2.0)), float, len(x))
+    for i in np.flatnonzero(pow_x != x * x).tolist():
+        field[i] = dpsi(float(u[i]), float(psi[i]))
+    return field
 
 
 def vector_field_xy(phi: float, psi: float, params: LomseParams) -> tuple[float, float]:
@@ -206,32 +257,39 @@ def p1_quadratic_bound(params: LomseParams) -> float:
 
 
 def linearize_p1(params: LomseParams) -> P1Linearization:
-    """J at P1 and mu3, its eigenvalue of larger real part, or of positive
-    imaginary part on the spiral branch that params.stability picks."""
+    """J at P1 and its eigenvalues: mu3 of larger real part, or of positive
+    imaginary part on the spiral branch that params.stability picks, and
+    mu4 = b - mu3."""
     n = params.n
     a = 2.0 * n * (n / params.big_k - 1.0)
     b = float(-n - 1)
     root = math.sqrt(abs(b * b + 4.0 * a))  # disc = n^2 - 6n + 1 + 8n^2/K
-    mu3 = (complex(b / 2.0, root / 2.0) if params.stability is StabilityType.SPIRAL_TYPE_II
-           else complex((b + root) / 2.0, 0.0))
-    return P1Linearization(a=a, b=b, mu3=mu3)
+    if params.stability is StabilityType.SPIRAL_TYPE_II:
+        mu3 = complex(b / 2.0, root / 2.0)
+        return P1Linearization(a=a, b=b, mu3=mu3, mu4=mu3.conjugate())
+    return P1Linearization(a=a, b=b, mu3=(b + root) / 2.0, mu4=(b - root) / 2.0)
 
 
 def p1_conjugacy(params: LomseParams) -> P1Conjugacy:
-    """The conjugacy x = Phi(z, zbar), z' = mu z, at a spiral P1 (Poincare's
-    theorem: a focus has no resonances), to order P1_SERIES_ORDER.
+    """The conjugacy x = Phi(z1, z2), z1' = mu3 z1, z2' = mu4 z2, at P1, to
+    order P1_SERIES_ORDER (the parameterization method: Haro et al., The
+    Parameterization Method for Invariant Manifolds, 2016; Cabre, Fontich
+    and de la Llave, Indiana Univ. Math. J. 52, 2003).  Both P1 types lie in
+    the Poincare domain; a focus has no resonances, and a node's only
+    possible ones, mu4 = d mu3, leave small divisors on the table's nearly
+    resonant triples but no zero one.
 
-    With u = U(z, zbar) = sum U_m z^(d-j) zbar^j, psi = u' has coefficients
+    With u = U(z1, z2) = sum U_m z1^(d-j) z2^j, psi = u' has coefficients
     lam_m U_m and psi' coefficients lam_m^2 U_m, so psi' = X2(u, psi) reads
-    (lam_m^2 - b lam_m - a) U_m = [X2 - a u - b psi]_m order by order (Haro
-    et al., The Parameterization Method for Invariant Manifolds, 2016).  X2
-    = -psi - B C takes six series operations: S^2, (S + psi)^2 and U (S^2
-    + phi0 S) with S = phi0 + U, the reciprocal G = (p psi + (n-p) lam^2
+    (lam_m - mu3)(lam_m - mu4) U_m = [X2 - a u - b psi]_m order by order.
+    X2 = -psi - B C takes six series operations: S^2, (S + psi)^2 and U
+    (S^2 + phi0 S) with S = phi0 + U, the reciprocal G = (p psi + (n-p) lam^2
     U (S^2 + phi0 S)) / D of D = 1 + lam^2 S^2 as D G = numerator, B = (n-p)
     psi + G, and B C with C = 1 + (S + psi)^2.  At order d every product
     term pairs orders 1 to d - 1, all known, and the new U_d enters each
     series linearly: its part is added once U_d is solved, with no second
-    pass.  Only j <= d/2 is computed; (d, d - j) is the conjugate.
+    pass.  At a spiral P1 only j <= d/2 is computed, (d, d - j) being the
+    conjugate; at a node every coefficient is computed, and all are real.
 
     Each series keeps its coefficients from order 1 on (the order-0 ones,
     phi0 and its powers, are folded into the constants): Q = S^2 + phi0 S,
@@ -240,14 +298,15 @@ def p1_conjugacy(params: LomseParams) -> P1Conjugacy:
     A_(N-1), times the divisor's bound at order N + 1.
     """
     lin = linearize_p1(params)
-    a, b, mu = lin.a, lin.b, lin.mu3
+    a, b, mu3, mu4, spiral = lin.a, lin.b, lin.mu3, lin.mu4, lin.spiral
     phi0, lam2 = params.phi0, params.lambda_sq
     n_minus_p, p = float(params.n - params.p), float(params.p)
     c1 = n_minus_p * lam2
     d0, c0 = 1.0 + lam2 * phi0 * phi0, 1.0 + phi0 * phi0
+    zero = 0j if spiral else 0.0
     u_coef, e_coef, q_coef, d_coef, g_coef, b_coef, c_coef = (
-        [0j] * _SERIES_SIZE for _ in range(7))
-    lam = (_DEGREE - _POWER_Z) * mu.conjugate() + _POWER_Z * mu
+        [zero] * _SERIES_SIZE for _ in range(7))
+    lam = _POWER_Z * mu3 + (_DEGREE - _POWER_Z) * mu4
 
     def solved(f, mirror, l, u, w, v, g0):
         # the order-d coefficient and its mirror of each series, from the
@@ -258,19 +317,27 @@ def p1_conjugacy(params: LomseParams) -> P1Conjugacy:
                           (d_coef, lam2 * (w + 2.0 * phi0 * u)), (g_coef, g),
                           (b_coef, n_minus_p * psi + g), (c_coef, v + 2.0 * phi0 * (u + psi))):
             series[f] = x
-            series[mirror] = x.conjugate()
+            if mirror is not None:
+                series[mirror] = x.conjugate()
 
-    solved(_flat(1, 0), _flat(1, 1), mu, 0.5 + 0j, 0j, 0j, 0j)
-    for d, j, f, mirror, pairs in _PRODUCT_PLAN:
-        w, v, uq, dg, bc = (sum(x[i] * y[k] for i, k in pairs) for x, y in (
-            (u_coef, u_coef), (e_coef, e_coef), (u_coef, q_coef), (d_coef, g_coef),
-            (b_coef, c_coef)))
-        l = (d - j) * mu + j * mu.conjugate()
+    for f, mirror, l in ((1, 2, mu3),) if spiral else ((1, None, mu3), (2, None, mu4)):
+        solved(f, mirror, l, 0.5, zero, zero, zero)  # the flat indices of (1, 0) and (1, 1)
+    for d, j, f, mirror, pairs in _SPIRAL_PLAN if spiral else _NODE_PLAN:
+        w = v = uq = dg = bc = zero
+        for i, k in pairs:  # [U^2]_d, [E^2]_d, [U Q]_d, [D G]_d and [B C]_d in one pass
+            u_i = u_coef[i]
+            w += u_i * u_coef[k]
+            v += e_coef[i] * e_coef[k]
+            uq += u_i * q_coef[k]
+            dg += d_coef[i] * g_coef[k]
+            bc += b_coef[i] * c_coef[k]
+        l = (d - j) * mu3 + j * mu4
         g0 = (c1 * uq - dg) / d0
+        # the divisor l^2 - b l - a = (l - mu3)(l - mu4)
         solved(f, mirror, l, -(c0 * g0 + bc) / (l * l - b * l - a), w, v, g0)
     u_coef = np.array(u_coef)
     size = [float(np.abs(u_coef[_DEGREE == d]).sum())
             for d in (P1_SERIES_ORDER - 1, P1_SERIES_ORDER)]
-    top = (P1_SERIES_ORDER + 1) * abs(mu)
+    top = (P1_SERIES_ORDER + 1) * max(abs(mu3), abs(mu4))
     defect = (top * top + abs(b) * top + abs(a)) * size[1] * size[1] / size[0]
     return P1Conjugacy(lin=lin, rows=np.stack((u_coef, lam * u_coef), axis=1), defect=defect)

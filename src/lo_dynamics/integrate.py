@@ -18,20 +18,24 @@ Each attempted step calls the field 6 times: the 7th stage, taken at the
 5th-order solution, is the first stage of the next step (FSAL), so a run
 makes 1 + 6 x attempts calls.
 
-A spiral run has two parts.  DP5 runs until the first accepted state of
-max-norm below _SERIES_AMPLITUDE = 1e-2 whose coordinate z
-(dynsys.P1Linearization) lies within the radius of dynsys.p1_conjugacy's
+Every run leaves DP5 at the first accepted state of max-norm below
+_SERIES_AMPLITUDE = 1e-2 whose coordinates (z1, z2)
+(dynsys.P1Linearization) lie within the radius of dynsys.p1_conjugacy's
 series at rel_tol, where the estimated invariance defect is at most
-rel_tol/10 of the state (the hand-off).  From there the orbit is one
-closed form in the coordinate w = z* e^{mu tau} of P1's conjugacy, z* by
-Newton's method from the hand-off state (_closed_form): the series Phi(w),
-with the field at each sample, on a uniform grid no coarser than DP5's
-steps there, down to its first sample below splice_amplitude, where the
-field's quadratic remainder is below rel_tol/10 of the state (the
-splice); then the linear part (Re w, Re mu w), once per quarter-turn of
-w's phase with each psi zero in the middle of its sample segment, so that
-the zeros equal the sample sign changes (the tail).  The stop rules act
-on every sample.  Trajectory keeps the splice index and w there.
+rel_tol/10 of the state (the hand-off), at a spiral P1 and at a node
+(type I) alike.  From there the orbit is one closed form in the
+coordinates (z1* e^{mu3 tau}, z2* e^{mu4 tau}) of P1's conjugacy, (z1*,
+z2*) by Newton's method from the hand-off state (_closed_form): the
+series, with the field at each sample, on a uniform grid no coarser than
+DP5's steps there.  A node's series runs to its first sample with
+hypot(u, psi) below _TYPE_I_STOP, the run's end.  A spiral's runs down
+to its first sample below splice_amplitude, where the field's quadratic
+remainder is below rel_tol/10 of the state (the splice); then the
+linear part (Re w, Re mu w) of w = z1* e^{mu3 tau}, once per
+quarter-turn of w's phase with each psi zero in the middle of its
+sample segment, so that the zeros equal the sample sign changes (the
+tail).  The stop rules act on every sample.  Trajectory keeps the splice
+index and w there.
 
 A run fails when |phi| exceeds 1e3 phi0, at the launch or at an accepted
 step, or when a rejected step falls below 1e-13/(k-1).  The bound is on
@@ -67,6 +71,7 @@ from .dynsys import (
     P1Linearization,
     linearize_p1,
     offset_field,
+    offset_field_at,
     p1_conjugacy,
     p1_quadratic_bound,
 )
@@ -96,10 +101,12 @@ _H_MIN = 1e-13  # over k - 1, the saddle's time scale
 _DEEP_FLOOR = 1e-290  # snap to the equilibrium before subnormal thrashing
 _TYPE_I_STOP = 1e-8  # a real-eigenvalue run ends once hypot(u, psi) is below this
 _BLOWUP_FACTOR = 1e3
-_SERIES_AMPLITUDE = 1e-2  # a spiral run may leave DP5 for the P1 series below this
+_SERIES_AMPLITUDE = 1e-2  # a run may leave DP5 for the P1 series below this
 # the series samples' spacing times |mu3| / rel_tol^(1/5); DP5's mean step
 # over the same stretch measured 3.28-3.53 on the (31, 20) spirals at
-# rel_tol 1e-6, 1e-10 and 1e-12
+# rel_tol 1e-6, 1e-10 and 1e-12, and 3.50-3.59 on the nodes at 1e-10 and
+# 1e-12 (at 1e-6 down to 1.82, on (29,28,2), whose hand-off state still
+# carries the fast mode z2 e^{mu4 tau})
 _SERIES_STEP = 3.0
 
 
@@ -185,9 +192,10 @@ class StepStats:
     attempt cut short by an overflowing stage counts in full.  h_min and
     h_max are the smallest and largest accepted DP5 steps, None when no
     step was accepted.  series_samples and tail_samples count the samples
-    of a spiral run's closed form in w that follow the DP5 steps: the P1
-    series' up to the splice, then the linear part's, one per quarter-turn
-    of w's phase (each 0 when the run never reached it).
+    of the closed form that follow the DP5 steps: the P1 series' up to a
+    spiral's splice or to a node's end, then a spiral's linear part, one
+    per quarter-turn of w's phase (each 0 when the run never reached it;
+    tail_samples is 0 at a node).
     """
 
     accepted: int
@@ -209,9 +217,9 @@ class CrossingReport:
 class Trajectory:
     """Dense, ordered output of one integration run.
 
-    Stores (t_i, u_i, psi_i) at every sample, the DP5 steps, then a spiral
-    run's series samples and linear tail samples, together with the psi
-    derivative, so the Hermite dense output reads (u, psi) with slopes
+    Stores (t_i, u_i, psi_i) at every sample, the DP5 steps, then the P1
+    series samples and a spiral run's linear tail samples, together with
+    the psi derivative, so the Hermite dense output reads (u, psi) with slopes
     (psi, dpsi) between samples.  phi values are reconstructed as phi0 + u;
     the offsets keep full relative precision long after phi0 + u rounds to
     phi0.  Completed trajectories are immutable.  `stats` counts the work
@@ -288,26 +296,32 @@ def _flow_zeros(lin: P1Linearization, z, row, span):
     return (theta + j * math.pi) / omega
 
 
-def _closed_form(conj: P1Conjugacy, t0, u0, psi0, t_max, rel_tol, delta, zeros, dpsi):
-    """The orbit from the hand-off state (u0, psi0) at t0 in the coordinate
-    w = z* e^{mu tau} of P1's conjugacy, z* = conj.invert(u0, psi0): (t, u,
-    psi, dpsi, reason, series samples, tail samples, w at the splice or None).
+def _closed_form(params, conj: P1Conjugacy, t0, u0, psi0, t_max, rel_tol, zeros=math.inf,
+                 stop_radius=0.0):
+    """The orbit from the hand-off state (u0, psi0) at t0 in the coordinates
+    (w1, w2) = (z1 e^{mu3 tau}, z2 e^{mu4 tau}) of P1's conjugacy, (z1, z2) =
+    conj.invert(u0, psi0): (t, u, psi, dpsi, reason, series samples, tail
+    samples, w1 at the splice or None).
 
-    The series samples Phi(w), with the field dpsi, at tau = i h, h =
-    _SERIES_STEP rel_tol^(1/5) / |mu|, up to the splice (t_s, w_s): the
-    first sample below delta short of t_max and of zeros psi sign changes.
-    The tail samples the linear part (Re w, Re mu w) of w = w_s e^{mu tau}
-    past t_s, with dpsi = a u + b psi, at tau = z1 + (i - 1/2) q, q = pi /
-    (2 omega), z1 the first psi zero (_flow_zeros), so each psi zero sits
-    mid-segment.  In each part t_max takes the place of the first sample at
-    or past it, and the samples end at the first where a stop rule holds,
-    in the DP5 loop's order: max-norm below _DEEP_FLOOR; zeros psi sign
-    changes; t_max.  The series is evaluated to the first sample past t_max
-    or past where its bound sum_m max|row_m| |z*|^d e^{alpha tau} falls
-    below delta, the tail to the first past t_max, its zeros-th zero or
-    where its bound e^{alpha tau} lin.envelope(w_s) falls below _DEEP_FLOOR.
+    The series samples Phi(w1, w2), with the field at each
+    (dynsys.offset_field_at), at tau = i h, h = _SERIES_STEP rel_tol^(1/5)
+    / |mu3|, up to the splice (t_s, w_s): the first sample below delta =
+    splice_amplitude short of t_max and of zeros psi sign changes; a node
+    (delta 0) has none.  At a spiral the tail samples the linear
+    part (Re w, Re mu w) of w = w_s e^{mu tau} past t_s, with dpsi = a u +
+    b psi, at tau = tau1 + (i - 1/2) q, q = pi / (2 omega), tau1 the first
+    psi zero (_flow_zeros), so each psi zero sits mid-segment.  In each part
+    t_max takes the place of the first sample at or past it, and the samples
+    end at the first where a stop rule holds, in the DP5 loop's order:
+    hypot(u, psi) below stop_radius or max-norm below _DEEP_FLOOR; zeros
+    psi sign changes; t_max.  The series is evaluated to the first sample
+    past t_max or past where its bound sum_m max|row_m| |z|^d e^{Re mu3
+    tau}, |z| = max(|z1|, |z2|), falls below delta or stop_radius /
+    sqrt(2), the tail to the first past t_max, its zeros-th zero or where
+    its bound e^{alpha tau} lin.envelope(w_s) falls below _DEEP_FLOOR.
     """
     lin, mu = conj.lin, conj.lin.mu3
+    delta = splice_amplitude(params, rel_tol) if lin.spiral else 0.0
 
     def until_t_max(start, tau):  # (t, tau), t_max taking the place of the first t at or past it
         t = start + tau
@@ -319,41 +333,42 @@ def _closed_form(conj: P1Conjugacy, t0, u0, psi0, t_max, rel_tol, delta, zeros, 
         return np.cumsum(_strict_sign_change(np.concatenate(([psi0], psi))))
 
     h = _SERIES_STEP * rel_tol ** 0.2 / abs(mu)
-    z0 = conj.invert(u0, psi0)
-    reach = float(np.abs(conj.rows).max(axis=1) @ abs(z0) ** _DEGREE)
-    span = min(math.log(reach / delta) / -mu.real, t_max - t0)
+    z1, z2 = conj.invert(u0, psi0)
+    reach = float(np.abs(conj.rows).max(axis=1) @ max(abs(z1), abs(z2)) ** _DEGREE)
+    span = min(math.log(reach / max(delta, stop_radius / math.sqrt(2.0))) / -mu.real, t_max - t0)
     t, tau = until_t_max(t0, h * np.arange(1, max(math.floor(span / h), 0) + 2))
-    w = z0 * np.exp(mu * tau)
-    u, psi = conj.states(w)
-    count = counted(psi)
-    splice = np.flatnonzero((np.maximum(np.abs(u), np.abs(psi)) < delta) & (t < t_max)
-                            & (count < zeros))
+    w = z1 * np.exp(mu * tau)
+    u, psi = conj.states(w, z2 * np.exp(lin.mu4 * tau))
+    amp, count = np.maximum(np.abs(u), np.abs(psi)), counted(psi)
+    splice = np.flatnonzero((amp < delta) & (t < t_max) & (count < zeros))
     s, w_s = len(t), None
     if len(splice):
         s = int(splice[0]) + 1
         t_s, w_s, q = float(t[s - 1]), complex(w[s - 1]), math.pi / (2.0 * mu.imag)
-        z1 = float(_flow_zeros(lin, w_s, 1, 4.0 * q)[0])
+        tau1 = float(_flow_zeros(lin, w_s, 1, 4.0 * q)[0])
         tau_floor = math.log(_DEEP_FLOOR / lin.envelope(w_s)) / mu.real
         last = min(2 * (zeros - int(count[s - 1])) - 1,
-                   math.ceil((min(t_max - t_s + q, tau_floor) - z1) / q + 0.5))
-        tau = z1 + (np.arange(-1, last + 1) - 0.5) * q  # reaching q past t_max, not short of it
+                   math.ceil((min(t_max - t_s + q, tau_floor) - tau1) / q + 0.5))
+        tau = tau1 + (np.arange(-1, last + 1) - 0.5) * q  # reaching q past t_max, not short of it
         tail_t, tau = until_t_max(t_s, tau[t_s + tau > t_s])
         t = np.concatenate((t[:s], tail_t))
         u, psi = (np.concatenate((x[:s], y))
                   for x, y in zip((u, psi), _linear_flow(lin, w_s, tau)))
-    rules = np.stack((np.maximum(np.abs(u), np.abs(psi)) < _DEEP_FLOOR, counted(psi) >= zeros,
-                      t >= t_max))
+        amp, count = np.maximum(np.abs(u), np.abs(psi)), counted(psi)
+    rules = np.stack(((amp < _DEEP_FLOOR) | (np.hypot(u, psi) < stop_radius),
+                      count >= zeros, t >= t_max))
     ends = np.flatnonzero(rules.any(axis=0))
     stop = int(ends[0]) if len(ends) else len(t) - 1  # a tail converged by its floor bound
     reason = (Termination.CONVERGED_TO_P1, Termination.MAX_CROSSINGS,
               Termination.MAX_TIME)[int(np.argmax(rules[:, stop]))]
     t, u, psi, s = t[:stop + 1], u[:stop + 1], psi[:stop + 1], min(s, stop + 1)
-    dpsi = np.concatenate((dpsi(u[:s], psi[:s]), lin.a * u[s:] + lin.b * psi[s:]))
+    dpsi = np.concatenate((offset_field_at(params, u[:s], psi[:s]),
+                           lin.a * u[s:] + lin.b * psi[s:]))
     return t, u, psi, dpsi, reason, s, stop + 1 - s, w_s
 
 
 def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
-             stop_radius=0.0, max_crossings=None, spiral=False):
+             stop_radius=0.0, max_crossings=None, series=False):
     """Adaptive DP5(4) driver in deviation coordinates.
 
     Error is measured against rel_tol * |state|, where |state| is the
@@ -365,19 +380,20 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
     that stage's psi argument.  An attempt makes 6 field calls, the 7th
     stage at the 5th-order solution being the next attempt's first (FSAL).
 
-    The run ends at the first accepted state with hypot(u, psi) < stop_radius.
-    A spiral run (which needs max_crossings) leaves the DP5 loop at the
-    first accepted state short of t_max with max-norm below
-    _SERIES_AMPLITUDE and |z| within the P1 series' radius at rel_tol
-    (dynsys.P1Conjugacy.radius), z its coordinate, and continues in closed
-    form (_closed_form): samples cut and named by the loop's stop rules,
-    the psi zeros still to count being max_crossings less the sign changes
-    so far.  The series is built at the first state below
+    The run ends at the first accepted state with hypot(u, psi) <
+    stop_radius.  With series, the run leaves the DP5 loop at the first
+    accepted state short of t_max with max-norm below _SERIES_AMPLITUDE
+    and both coordinates within the P1 series' radius at rel_tol
+    (dynsys.P1Conjugacy.radius), by their linear guess, and continues in
+    closed form (_closed_form): samples cut and named by the loop's stop
+    rules, stop_radius among them, the psi zeros still to count being
+    max_crossings less the sign changes so far (none without
+    max_crossings).  The series is built at the first state below
     _SERIES_AMPLITUDE, not before.  Returns the columns, the reason, the
     rejected steps, the series and tail sample counts and w at the splice.
     """
     dpsi = offset_field(params)
-    series_at = _SERIES_AMPLITUDE if spiral else 0.0
+    series_at = _SERIES_AMPLITUDE if series else 0.0
     conj = None
     h_floor = _H_MIN / (params.k - 1)
     phi0 = params.phi0
@@ -504,10 +520,11 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
                 if conj is None:
                     conj = p1_conjugacy(params)
                     radius = conj.radius(rel_tol)
-                if abs(conj.lin.coordinate(u, psi)) < radius:
+                z1, z2 = conj.lin.coordinates(u, psi)
+                if abs(z1) < radius and abs(z2) < radius:
                     *columns, reason, series_samples, tail_samples, w_s = _closed_form(
-                        conj, t, u, psi, t_max, rel_tol, splice_amplitude(params, rel_tol),
-                        max_crossings - crossings, dpsi)
+                        params, conj, t, u, psi, t_max, rel_tol, math.inf if max_crossings
+                        is None else max_crossings - crossings, stop_radius)
                     ts, us, psis, dpsis = (np.concatenate((head, column)) for head, column
                                            in zip((ts, us, psis, dpsis), columns))
                     break
@@ -539,7 +556,8 @@ def shoot_unstable_manifold(params: LomseParams,
     Termination: distance to (phi0, 0) below _TYPE_I_STOP = 1e-8 for the
     real-eigenvalue type, a fixed sampling end rather than a setting;
     max_crossings psi sign changes for the spiral type; t_max otherwise.
-    Spiral runs continue in closed form below splice_amplitude.
+    Every run continues on P1's series past the hand-off, and a spiral run
+    on its linear part below splice_amplitude.
     eps, rel_tol and t_max must be positive and finite, t_max must
     exceed t_start, max_crossings must be at least 1, and eps must move phi
     off the saddle once phi is written as phi0 + u.  Each setting is checked
@@ -574,7 +592,7 @@ def shoot_unstable_manifold(params: LomseParams,
         rel_tol,
         stop_radius=_TYPE_I_STOP if type_one else 0.0,
         max_crossings=None if type_one else max_crossings,
-        spiral=not type_one,
+        series=True,
     )
     return Trajectory(params, ts, us, psis, dpsis, eps, rel_tol, reason, rejected, tail_samples,
                       series_samples, w_s)

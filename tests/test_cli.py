@@ -734,7 +734,7 @@ def test_bounded_orbits_shoot_at_huge_k(tmp_path, pair, e):
 
 # k = 10^e up to 10^9, where bounded orbits shoot (test_first_zero_converges_in_k),
 # at rel_tol >= 1e-10: at the default 1e-10 each such shoot took 0.01-0.06 s
-# on a 2-core VM, while at 1e-12 one can take seconds (8.6 s for (31,30,1e9))
+# on a 2-core VM, while at 1e-12 one can take seconds (5.7 s for (31,30,1e9))
 _SHOOTABLE_K = st.integers(2, 9).map(lambda e: 10 ** e)
 
 

@@ -129,7 +129,7 @@ def test_carried_error_bar_covers_the_true_flow(params):
         z_lin = lin.coordinate(*x0)
         x = _linear_flow(lin, z_lin, tau)
         log_gap, log_err = _tail_logs(params, *x, splice=z_lin)
-        log_true = _tail_logs(params, *_linear_flow(lin, conj.invert(*x0), tau))[0]
+        log_true = _tail_logs(params, *_linear_flow(lin, conj.invert(*x0)[0], tau))[0]
         ratio = np.abs(np.expm1(log_true - log_gap)) / np.exp(log_err - log_gap)
         assert np.all(ratio <= 1.0), angle
         worst = max(worst, float(ratio.max()))

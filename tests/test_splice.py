@@ -94,8 +94,7 @@ def test_linear_tail_is_the_matrix_exponential(triple):
     lin = linearize_p1(params)
     u0, psi0 = 1e-13, -2e-13
     t, u, psi, dpsi, reason, series, tail, w_s = _closed_form(
-        p1_conjugacy(params), 10.0, u0, psi0, 20.0, DEFAULT_REL_TOL,
-        splice_amplitude(params, DEFAULT_REL_TOL), 10 ** 6, offset_field(params))
+        params, p1_conjugacy(params), 10.0, u0, psi0, 20.0, DEFAULT_REL_TOL, 10 ** 6)
     assert reason is Termination.MAX_TIME and t[-1] == 20.0
     assert series == 1 and tail == len(t) - 1 > 0
     t_s, t, u, psi, dpsi = t[0], t[1:], u[1:], psi[1:], dpsi[1:]
@@ -113,10 +112,15 @@ def test_linear_tail_is_the_matrix_exponential(triple):
 
 
 def test_type_one_runs_never_splice(table_trajs):
+    # a type-I run hands off to the P1 series as a spiral run does, but has
+    # no splice: no tail samples, no tail coordinate, and its series
+    # samples run to its last sample
     for triple, traj in table_trajs.items():
         if traj.params.stability is StabilityType.CENTER_TYPE_I:
-            assert traj.stats.series_samples == traj.stats.tail_samples == 0, triple
-            assert traj.stats.accepted == traj.splice_index == len(traj) - 1, triple
+            assert traj.stats.series_samples > 0, triple
+            assert traj.stats.tail_samples == 0 and traj.tail_coordinate is None, triple
+            assert (traj.stats.accepted + traj.stats.series_samples == traj.splice_index
+                    == len(traj) - 1), triple
 
 
 @pytest.mark.parametrize("triple", [(3, 2, 4), (5, 4, 6), (5, 4, 20)])
@@ -217,16 +221,16 @@ def test_tail_continues_the_hand_off_coordinate(spirals):
         lin, mu = conj.lin, conj.lin.mu3
         a, s = traj.stats.accepted, traj.splice_index
         w_s = traj.tail_coordinate
-        z0 = conj.invert(float(traj.u[a]), float(traj.psi[a]))
+        z0, _ = conj.invert(float(traj.u[a]), float(traj.psi[a]))
         assert abs(w_s - z0 * cmath.exp(mu * (traj.t[s] - traj.t[a]))) <= 1.5e-14 * abs(w_s)
-        x_s = conj.states(np.array([w_s]))[:, 0]
+        x_s = conj.states(np.array([w_s]), np.array([w_s.conjugate()]))[:, 0]
         amp = _amp(traj)
         assert np.max(np.abs(x_s - [traj.u[s], traj.psi[s]])) <= 1e-15 * amp[s], triple
         w = w_s * np.exp(mu * (traj.t[s + 1:] - traj.t[s]))
         for column, row in ((traj.u, w.real), (traj.psi, (mu * w).real)):
             assert np.all(np.abs(column[s + 1:] - row) <= 1.5e-13 * amp[s + 1:]), triple
         ring = w_s * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False))
-        u, psi = conj.states(ring)
+        u, psi = conj.states(ring, ring.conjugate())
         gap = np.max(np.maximum(np.abs(u - ring.real), np.abs(psi - (mu * ring).real)))
         v = lin.envelope(1.0)
         eta = p1_quadratic_bound(traj.params) * v * v * abs(w_s) / (mu.imag * abs(mu.real))
