@@ -12,18 +12,19 @@ with
 
 The field vanishes exactly at (0,0) and (+-phi0, 0), is odd under
 (phi,psi) -> (-phi,-psi), and its linearization at (phi0, 0) is available
-in closed form below; whether it is a spiral is params.stability.
+in closed form below; whether it is a spiral is params.stability.  The
+field squares phi + psi as a product, rounding alike on floats and numpy
+arrays; P1's eigenvalues split the exact discriminant without cancellation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
-from .params import LomseParams, StabilityType
+from .params import LomseParams, StabilityType, stability_discriminant
 
 P1_SERIES_ORDER = 8
 _NEWTON_STEPS = 8  # at most; each squares the relative error, |z| / 0.3 or so at first
@@ -181,13 +182,15 @@ def f2(phi: float, params: LomseParams) -> float:
 
 
 def offset_field(params: LomseParams):
-    """dpsi/dt(u, psi) as a scalar closure over the parameters, u = phi - phi0.
+    """dpsi/dt(u, psi) as a closure over the parameters, u = phi - phi0, on
+    floats or arrays alike.
 
     The other component, du/dt, is psi itself and is not returned.
     f1(phi) phi is evaluated as -(n-p) lambda^2 u (phi + phi0) phi / (1 +
     lambda^2 phi^2), exact because f1(phi0) = 0; accurate relative to u
-    however small u is.  (phi + psi) ** 2 is Python's float power (libm
-    pow), which can differ from (phi + psi) * (phi + psi) in the last bit.
+    however small u is.  (phi + psi)^2 is the product s * s of s = phi +
+    psi, correctly rounded, so a call on arrays equals the scalar calls bit
+    for bit.
     """
     n_minus_p = float(params.n - params.p)
 
@@ -197,27 +200,16 @@ def offset_field(params: LomseParams):
         phi = phi0 + u
         den = 1.0 + lam2 * phi * phi
         f1_phi = -c1 * u * (phi + phi0) / den * phi  # f1(phi) * phi, no cancellation
-        return -psi - ((n_minus_p + p / den) * psi - f1_phi) * (1.0 + (phi + psi) ** 2)
+        s = phi + psi
+        return -psi - ((n_minus_p + p / den) * psi - f1_phi) * (1.0 + s * s)
 
     return dpsi
 
 
-def offset_field_at(params: LomseParams, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """offset_field at the states (u, psi), 1-d arrays, bit for bit as its
-    scalar calls: numpy's x ** 2 is x * x, which rounds (phi + psi)^2 apart
-    from libm pow at about 0.03% of states; those are evaluated one by one."""
-    dpsi = offset_field(params)
-    field = dpsi(u, psi)
-    x = params.phi0 + u + psi
-    pow_x = np.fromiter(map(math.pow, x.tolist(), repeat(2.0)), float, len(x))
-    for i in np.flatnonzero(pow_x != x * x).tolist():
-        field[i] = dpsi(float(u[i]), float(psi[i]))
-    return field
-
-
 def vector_field_xy(phi: float, psi: float, params: LomseParams) -> tuple[float, float]:
     """(X1, X2) at (phi, psi); barrier takes its slopes and Y2 + X2 from it."""
-    x2 = -psi - (f2(phi, params) * psi - f1(phi, params) * phi) * (1.0 + (phi + psi) ** 2)
+    s = phi + psi
+    x2 = -psi - (f2(phi, params) * psi - f1(phi, params) * phi) * (1.0 + s * s)
     return psi, x2
 
 
@@ -258,16 +250,22 @@ def p1_quadratic_bound(params: LomseParams) -> float:
 
 def linearize_p1(params: LomseParams) -> P1Linearization:
     """J at P1 and its eigenvalues: mu3 of larger real part, or of positive
-    imaginary part on the spiral branch that params.stability picks, and
-    mu4 = b - mu3."""
-    n = params.n
-    a = 2.0 * n * (n / params.big_k - 1.0)
+    imaginary part on the spiral branch that params.stability picks.
+
+    a = 2n(n - K)/K is rounded once, and root = sqrt|b^2 + 4a| from the
+    exact params.stability_discriminant.  At a spiral mu3 = (b + i root)/2
+    and mu4 is its conjugate; at a node mu4 = (b - root)/2 and the slow
+    root is mu3 = -a/mu4, the roots' product being -a, where (b + root)/2
+    would cancel."""
+    n, K = params.n, params.big_k
+    a = 2 * n * (n - K) / K
     b = float(-n - 1)
-    root = math.sqrt(abs(b * b + 4.0 * a))  # disc = n^2 - 6n + 1 + 8n^2/K
+    root = math.sqrt(abs(stability_discriminant(n, params.k)))
     if params.stability is StabilityType.SPIRAL_TYPE_II:
         mu3 = complex(b / 2.0, root / 2.0)
         return P1Linearization(a=a, b=b, mu3=mu3, mu4=mu3.conjugate())
-    return P1Linearization(a=a, b=b, mu3=(b + root) / 2.0, mu4=(b - root) / 2.0)
+    mu4 = (b - root) / 2.0
+    return P1Linearization(a=a, b=b, mu3=-a / mu4, mu4=mu4)
 
 
 def p1_conjugacy(params: LomseParams) -> P1Conjugacy:

@@ -71,7 +71,6 @@ from .dynsys import (
     P1Linearization,
     linearize_p1,
     offset_field,
-    offset_field_at,
     p1_conjugacy,
     p1_quadratic_bound,
 )
@@ -303,8 +302,8 @@ def _closed_form(params, conj: P1Conjugacy, t0, u0, psi0, t_max, rel_tol, zeros=
     conj.invert(u0, psi0): (t, u, psi, dpsi, reason, series samples, tail
     samples, w1 at the splice or None).
 
-    The series samples Phi(w1, w2), with the field at each
-    (dynsys.offset_field_at), at tau = i h, h = _SERIES_STEP rel_tol^(1/5)
+    The series samples Phi(w1, w2), with the field at each (offset_field
+    on the arrays), at tau = i h, h = _SERIES_STEP rel_tol^(1/5)
     / |mu3|, up to the splice (t_s, w_s): the first sample below delta =
     splice_amplitude short of t_max and of zeros psi sign changes; a node
     (delta 0) has none.  At a spiral the tail samples the linear
@@ -362,7 +361,7 @@ def _closed_form(params, conj: P1Conjugacy, t0, u0, psi0, t_max, rel_tol, zeros=
     reason = (Termination.CONVERGED_TO_P1, Termination.MAX_CROSSINGS,
               Termination.MAX_TIME)[int(np.argmax(rules[:, stop]))]
     t, u, psi, s = t[:stop + 1], u[:stop + 1], psi[:stop + 1], min(s, stop + 1)
-    dpsi = np.concatenate((offset_field_at(params, u[:s], psi[:s]),
+    dpsi = np.concatenate((offset_field(params)(u[:s], psi[:s]),
                            lin.a * u[s:] + lin.b * psi[s:]))
     return t, u, psi, dpsi, reason, s, stop + 1 - s, w_s
 

@@ -427,6 +427,18 @@ def no_limit_cycle_full_grid(params: LomseParams, grid: tuple[int, int]) -> floa
     return margin
 
 
+def mpmath_p1_eigenvalues(params: LomseParams):
+    """mu3 and mu4 of J = [[0, 1], [a, b]] at P1 from the exact a = 2n(n -
+    K)/K and b = -n - 1, at the caller's working precision: (b +- sqrt(b^2
+    + 4a)) / 2, mu3 of larger real part or of positive imaginary part; call
+    it inside mpmath.workdps."""
+    n, big_k = params.n, params.big_k
+    a = mpmath.mpf(2 * n * (n - big_k)) / big_k
+    b = mpmath.mpf(-n - 1)
+    root = mpmath.sqrt(b * b + 4 * a)
+    return (b + root) / 2, (b - root) / 2
+
+
 def mpmath_orbit(traj, start=None):
     """mpmath odefun (Taylor) solution of traj's launch in offset variables
     (u, psi), at the caller's working precision, with the exact phi0 and

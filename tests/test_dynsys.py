@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from lo_dynamics import (StabilityType, build_params, enumerate_admissible, linearize_p1,
                          vector_field_xy)
 from lo_dynamics.dynsys import f1, f1_prime, f2, offset_field
-from oracles import PhaseState, fd_jacobian, jacobian, linearize_origin, reverse_field_xy
+from oracles import (PhaseState, fd_jacobian, jacobian, linearize_origin, mpmath_p1_eigenvalues,
+                     reverse_field_xy)
 
 
 def raw_display_field(phi, psi, params):
@@ -82,25 +84,34 @@ def test_offset_f1_matches_textbook(p324):
             assert dpsi(u, psi) == pytest.approx(x2, rel=1e-12, abs=1e-13)
 
 
-def test_field_broadcasts_over_arrays():
-    # numpy's x**2 is x*x while Python's float ** calls libm pow, 1 ulp apart
-    # at about 0.1% of points; X2 = -psi - B (1 + (phi+psi)^2) can cancel, so
-    # X2 and Y2 are held to 2 ulp of their larger term, the rest to 2 ulp
-    def assert_ulps(vec, scalar, scale):
-        assert np.all(np.abs(vec - scalar) <= 2.0 * np.spacing(scale))
+def test_field_broadcasts_over_arrays(table_trajs):
+    # each form of the field squares phi +- psi as a product, which numpy
+    # and Python floats round alike, so a call on arrays equals the scalar
+    # calls bit for bit.  Besides 400 random states per triple, the states
+    # of each table orbit where libm pow(x, 2) != x * x, x = phi + psi or
+    # phi - psi, are checked: there Python's x ** 2 and numpy's disagree
+    # (measured: 270 and 313 of the table's 289 615 states, 581 in all)
+    def assert_bits(fn, *states):
+        vec = np.array(fn(*states))
+        scalar = np.array([fn(*state) for state in zip(*(x.tolist() for x in states))]).T
+        assert vec.tobytes() == scalar.tobytes()
 
     rng = np.random.default_rng(11)
+    apart = 0
     for params in enumerate_admissible(31, 20):
+        traj = table_trajs[params.triple()]
+        scan = [i for i, (a, b) in enumerate(zip(traj.phi.tolist(), traj.psi.tolist()))
+                if any(math.pow(x, 2) != x * x for x in (a + b, a - b))]
+        apart += len(scan)
         phi, psi = rng.uniform(-3.0 * params.phi0, 3.0 * params.phi0, size=(2, 400))
-        pairs = list(zip(phi.tolist(), psi.tolist()))
+        phi, u, psi = (np.concatenate((x, y[scan])) for x, y in (
+            (phi, traj.phi), (phi - params.phi0, traj.u), (psi, traj.psi)))
         for fn in (f1, f2, f1_prime):
-            scalar = np.array([fn(a, params) for a, _ in pairs])
-            assert_ulps(fn(phi, params), scalar, np.abs(scalar))
+            assert_bits(lambda a, fn=fn: fn(a, params), phi)
         for fn in (vector_field_xy, reverse_field_xy):
-            v1, v2 = fn(phi, psi, params)
-            s1, s2 = np.array([fn(a, b, params) for a, b in pairs]).T
-            assert_ulps(v1, s1, np.abs(s1))
-            assert_ulps(v2, s2, np.maximum(np.abs(psi), np.abs(s2 + psi)))
+            assert_bits(lambda a, b, fn=fn: fn(a, b, params), phi, psi)
+        assert_bits(offset_field(params), u, psi)
+    assert apart >= 500
 
 
 def test_field_nonzero_away_from_equilibria(p322):
@@ -220,6 +231,17 @@ def test_p1_discriminant_formula():
         n, k = params.n, params.k
         disc = n * n - 6 * n + 1 + 8 * n * n / (k * (k + n - 1))
         assert lin.b ** 2 + 4 * lin.a == pytest.approx(disc, rel=1e-12)
+
+
+def test_p1_eigenvalues_match_mpmath():
+    # mu3 and mu4 come from the exact discriminant, a node's slow root as
+    # -a/mu4, so they lie within 2.6e-16 relative of the 30-digit roots on
+    # the whole table (measured: at most 2.53e-16, on (17,16,2))
+    with mpmath.workdps(30):
+        for params in enumerate_admissible(31, 20):
+            lin = linearize_p1(params)
+            for got, want in zip((lin.mu3, lin.mu4), mpmath_p1_eigenvalues(params)):
+                assert abs(mpmath.mpmathify(got) - want) <= 2.6e-16 * abs(want), params.triple()
 
 
 def test_fd_jacobian_at_equilibria(p322):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,7 +25,8 @@ from lo_dynamics.integrate import (
     _bisect,
     _segments,
 )
-from oracles import PhaseState, advance_from, dense, orbit_at, reference_integrate
+from oracles import (PhaseState, advance_from, dense, mpmath_p1_eigenvalues, orbit_at,
+                     reference_integrate)
 
 
 def test_type1_converges(p322, traj322):
@@ -483,13 +485,15 @@ def _eig_tail_roots(traj, row):
     """(t, u) at each zero of row (0: u, 1: psi) of the linear flow from the
     tail's first state (Re w, Re mu w), w the tail coordinate, that falls on
     a tail segment with a sign change of that row, written apart from the
-    package: with numpy's eigenpair (mu, v) of J, mu = alpha + i omega, the
-    flow is 2 Re(z e^{mu tau} v), so row r vanishes where omega tau + arg(z
-    v_r) = pi/2 mod pi."""
+    package: with the eigenpair (mu, v = (1, mu)) of J from the exact
+    parameters (mpmath, rounded once), mu = alpha + i omega, the flow is 2
+    Re(z e^{mu tau} v), so row r vanishes where omega tau + arg(z v_r) =
+    pi/2 mod pi."""
     s = traj.splice_index
     lin = linearize_p1(traj.params)
-    vals, vecs = np.linalg.eig(np.array([[0.0, 1.0], [lin.a, lin.b]]))
-    mu, v = vals[np.argmax(vals.imag)], vecs[:, np.argmax(vals.imag)]
+    with mpmath.workdps(30):
+        mu = complex(mpmath_p1_eigenvalues(traj.params)[0])
+    v = np.array([1.0, mu])
     w = traj.tail_coordinate
     z = np.linalg.solve(np.array([v, v.conj()]).T,
                         np.array([w.real, (lin.mu3 * w).real], dtype=complex))[0]
@@ -508,9 +512,9 @@ def _eig_tail_roots(traj, row):
 def test_event_scans_match_sample_loop(request, fixture):
     # segments before the splice match the loop bit for bit; on the linear
     # tail the psi zeros and the phi0 hits come in closed form, and agree
-    # with numpy's eigenpair, from the tail's first state, within the event
-    # tolerance 1e-12 (measured: 8.0e-13 in time and 2.3e-12 relative in
-    # offset, on (5,4,6), whose eigenpair is the worst conditioned)
+    # with the exact eigenpair, from the tail's first state, within the event
+    # tolerance 1e-12 (measured: 5.7e-14 in time and 6.6e-14 relative in
+    # offset, on (5,4,6) and (5,4,14))
     traj = request.getfixturevalue(fixture)
     phi0 = traj.params.phi0
     s = traj.splice_index

@@ -39,7 +39,7 @@ from lo_dynamics.integrate import (
     _strict_sign_change,
     splice_amplitude,
 )
-from oracles import fine_tail, mpmath_orbit
+from oracles import fine_tail, mpmath_orbit, mpmath_p1_eigenvalues
 
 _SPIRAL_PARAMS = [p for p in enumerate_admissible(31, 20)
                   if p.stability is StabilityType.SPIRAL_TYPE_II]
@@ -182,7 +182,7 @@ def test_tail_columns_are_the_linear_tail_prefix(spirals):
     # coordinate at the phases z1 + (i - 1/2) q, bit for bit, with z1 the
     # flow's first psi zero from its closed form and i counted here from the
     # first sample after the splice: none dropped, none repeated.  z1 is
-    # checked against numpy's eigenpair of J
+    # checked against the exact eigenpair of J
     for triple, traj in spirals.items():
         s, count = traj.splice_index, traj.stats.tail_samples
         lin = linearize_p1(traj.params)
@@ -312,14 +312,16 @@ def test_reports_match_on_the_fine_tail(spirals):
 
 
 def _eig_row(traj, row):
-    """Row row (0: u, 1: psi) of the flow past the splice from numpy's
-    eigenpair (mu, v) of J, written apart from the package: the flow from
-    the tail's first state x* = 2 Re(z v), the linear part of the tail
+    """Row row (0: u, 1: psi) of the flow past the splice from the
+    eigenpair (mu, v = (1, mu)) of J from the exact parameters (mpmath,
+    rounded once), written apart from the package: the flow from the
+    tail's first state x* = 2 Re(z v), the linear part of the tail
     coordinate w (Re w, Re mu w), is 2 Re(z e^{mu tau} v)."""
     s = traj.splice_index
     lin = linearize_p1(traj.params)
-    vals, vecs = np.linalg.eig(np.array([[0.0, 1.0], [lin.a, lin.b]]))
-    mu, v = vals[np.argmax(vals.imag)], vecs[:, np.argmax(vals.imag)]
+    with mpmath.workdps(30):
+        mu = complex(mpmath_p1_eigenvalues(traj.params)[0])
+    v = np.array([1.0, mu])
     w = traj.tail_coordinate
     z = np.linalg.solve(np.array([v, v.conj()]).T,
                         np.array([w.real, (lin.mu3 * w).real], dtype=complex))[0]
@@ -490,9 +492,9 @@ def test_546_last_zero_matches_mpmath(spirals):
     # digits, J and mu from the exact parameters: a findroot
     # root of each row, and the gap there as the closed form (n + 1) x^T P x
     # times the integrand's other factors at P1 (test_mpmath_tail_gaps),
-    # exact to the state's 1e-290 at the hit.  Measured: 3.9e-13 in the
-    # zero's time, 1.2e-12 relative in its offset, 3.4e-13 in the hit's
-    # time, 1.5e-12 relative in the gap, whose bar is 4.1e-10 of it
+    # exact to the state's 1e-290 at the hit.  Measured: 2.8e-14 (one ulp)
+    # in the zero's time, 3.4e-14 relative in its offset, 0 in the hit's
+    # time, 2.7e-13 relative in the gap, whose bar is 4.1e-10 of it
     traj = spirals[(5, 4, 6)]
     params = traj.params
     n, p, s = params.n, params.p, traj.splice_index
@@ -524,8 +526,8 @@ def test_546_last_zero_matches_mpmath(spirals):
         psi_hit = linear(t_hit)[1]
         exact = ((n + 1) * psi_hit ** 2 / (2 * abs(b)) * (1 + lam2 * phi0 ** 2) ** (mpmath.mpf(p) / 2)
                  / (1 + phi0 ** 2) ** (mpmath.mpf(n + 4) / 2))
-    assert abs(zero.t - float(t_zero)) <= 8e-13 and abs(hit.t - float(t_hit)) <= 8e-13
-    assert abs(zero.phi_offset / float(u_zero) - 1.0) <= 2.5e-12
+    assert abs(zero.t - float(t_zero)) <= 6e-14 and abs(hit.t - float(t_hit)) <= 6e-14
+    assert abs(zero.phi_offset / float(u_zero) - 1.0) <= 7e-14
     assert abs(mpmath.mpf(10) ** gap - exact) <= mpmath.mpf(10) ** bar
 
 
