@@ -455,7 +455,6 @@ def cmd_maps_check(args) -> int:
     payload = {
         "params": params,
         "samples": cfg.sample_count,
-        "fd_step": hopf.DEFAULT_FD_STEP,
         "seed": cfg.seed,
         "max_singular_value_deviation": sv_dev,
         "max_angle_sum_deviation": sum_dev,

@@ -5,19 +5,17 @@ conftest.py, so that `python tests/test_acceptance.py` imports it too."""
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
-from lo_dynamics import hopf
 from lo_dynamics.analysis import _ProfileInterp
 from lo_dynamics.barrier import cycle_region_threshold
 from lo_dynamics.dynsys import f1, f1_prime, f2, f2_prime, vector_field_xy
 from lo_dynamics.errors import IntegrationFailure
 from lo_dynamics.geometry import volume_ratio
-from lo_dynamics.hopf import angle_sum, hopf_map, numeric_singular_values
+from lo_dynamics.hopf import angle_sum, hopf_map, random_sphere_points
 from lo_dynamics.dynsys import linearize_p1
 from lo_dynamics.integrate import (
     _BLOWUP_FACTOR,
@@ -350,22 +348,112 @@ def cone_graph_eval(y, params: LomseParams) -> np.ndarray:
     return params.phi0 * norm * hopf_map(y / norm)
 
 
-def condition_b_sum(map_fn, x, theta: float) -> float:
-    """angle_sum over all n singular values of map_fn at x; equals n
-    exactly at the minimality angle."""
-    return angle_sum(numeric_singular_values(map_fn, x), theta)
+# a bound on hopf's rounding: 16 ulps of the singular value 2, 7.1e-15
+HOPF_ROUNDING = 16 * math.ulp(2.0)
 
 
-@contextmanager
-def fd_step(h: float):
-    """hopf.DEFAULT_FD_STEP set to h inside the block, so that the order
-    checks run the package's own differential at other steps."""
-    saved = hopf.DEFAULT_FD_STEP
-    hopf.DEFAULT_FD_STEP = h
-    try:
-        yield
-    finally:
-        hopf.DEFAULT_FD_STEP = saved
+def sphere_points(dim: int, count: int, seed: int = 0) -> np.ndarray:
+    """The points hopf.random_sphere_points draws, as one count x dim array."""
+    return np.concatenate(list(random_sphere_points(dim, count, seed)))
+
+
+def sphere_tangent_basis(x) -> np.ndarray:
+    """Columns: a deterministic orthonormal basis of the tangent space at x."""
+    x = np.asarray(x, dtype=float)
+    d = len(x)
+    # complete x with standard basis vectors, dropping the most parallel one
+    drop = int(np.argmax(np.abs(x)))
+    cols = [x] + [np.eye(d)[j] for j in range(d) if j != drop]
+    q, _ = np.linalg.qr(np.column_stack(cols))
+    return q[:, 1:]
+
+
+def fd_differential(map_fn, x, h: float) -> np.ndarray:
+    """Finite-difference pushforward matrix of any sphere map between
+    tangent spaces.  Column j is the image of the j-th tangent basis vector:
+    the central difference of map_fn, with step h, along the renormalized
+    great-circle chord, projected onto the tangent space of the image
+    sphere.  Its error is O(h^2) plus rounding of order eps/h."""
+    x = np.asarray(x, dtype=float)
+    fx = np.asarray(map_fn(x), dtype=float)
+    basis = sphere_tangent_basis(x)
+    cols = []
+    for j in range(basis.shape[1]):
+        v = basis[:, j]
+        xp = x + h * v
+        xm = x - h * v
+        fp = np.asarray(map_fn(xp / np.linalg.norm(xp)), dtype=float)
+        fm = np.asarray(map_fn(xm / np.linalg.norm(xm)), dtype=float)
+        dv = (fp - fm) / (2.0 * h)
+        dv = dv - fx * np.dot(fx, dv)
+        cols.append(dv)
+    return np.column_stack(cols)
+
+
+def fd_singular_values(map_fn, x, h: float) -> np.ndarray:
+    """Singular values of fd_differential, sorted descending."""
+    return np.linalg.svd(fd_differential(map_fn, x, h), compute_uv=False)
+
+
+def condition_b_sum(map_fn, x, theta: float, h: float) -> float:
+    """angle_sum over the n finite-difference singular values of map_fn at
+    x; equals n at the minimality angle, up to the differencing error."""
+    return float(angle_sum(fd_singular_values(map_fn, x, h), theta))
+
+
+def hopf_hessian() -> np.ndarray:
+    """The constant Hessians A_a of hopf_map's three components, 3 x 4 x 4,
+    so that H_a(x) = x^T A_a x / 2: polarization of H at unit vectors,
+    A_ij = 2 H((e_i + e_j)/sqrt 2) - H(e_i) - H(e_j) and A_ii = 2 H(e_i)."""
+    e = np.eye(4)
+    a = np.empty((3, 4, 4))
+    for i in range(4):
+        for j in range(4):
+            unit = (e[i] + e[j]) / np.linalg.norm(e[i] + e[j])
+            a[:, i, j] = 2.0 * hopf_map(unit) - (i != j) * (hopf_map(e[i]) + hopf_map(e[j]))
+    return a
+
+
+def hopf_graph_residual(profile: Profile, directions) -> np.ndarray:
+    """The minimal surface system g^ij d_ij F = 0, g = I + DF^T DF, for the
+    graph of F(y) = rho(|y|) H(y)/|y|^2 over R^4, at y = r * directions for
+    each row of the profile: |sum of the terms| / sum of |terms|, with
+    vector norms over F's three components.  That is zero, to rounding,
+    exactly when rho solves the radial ODE of (n, p) = (3, 2) at lambda = 2.
+
+    Every derivative is exact.  With w = y/r, u = H(w) and the Hessians A,
+    r du/dy_j = (A w)_j - 2 u w_j =: D_j and
+    r^2 d_ij u = A_ij - 2 ((A w)_i w_j + (A w)_j w_i) - 2 u delta_ij + 8 u w_i w_j,
+    so that d_ij F is the sum of the four terms
+    rho'' w_i w_j u,  rho'/r (delta_ij - w_i w_j) u,  rho'/r (w_i D_j + w_j D_i)
+    and rho/r^2 r^2 d_ij u, each of the size of rho'' or rho/r^2: none of
+    them grows as r -> 0, where rho ~ r^2."""
+    a = hopf_hessian()
+    w = np.asarray(directions, dtype=float)
+    r, rho, rho_r, rho_rr = profile.r, profile.rho, profile.rho_r, profile.rho_rr
+    u = hopf_map(w)[:, :, None, None]                       # (m, 3, 1, 1)
+    aw = np.einsum("aij,mj->mai", a, w)                     # (m, 3, 4)
+    d = aw - 2.0 * u[..., 0] * w[:, None, :]                # D = r du/dy
+    ww = (w[:, :, None] * w[:, None, :])[:, None]           # (m, 1, 4, 4)
+    eye = np.eye(4)
+
+    def sym(v):  # w_i v_j + w_j v_i, (m, 3, 4, 4)
+        return w[:, None, :, None] * v[:, :, None, :] + w[:, None, None, :] * v[:, :, :, None]
+
+    def coef(c):
+        return c[:, None, None, None]
+
+    terms = np.stack([
+        coef(rho_rr) * ww * u,
+        coef(rho_r / r) * (eye - ww) * u,
+        coef(rho_r / r) * sym(d),
+        coef(rho / (r * r)) * (a - 2.0 * sym(aw) - 2.0 * u * eye + 8.0 * u * ww),
+    ])                                                      # (4, m, 3, 4, 4)
+    jac = rho_r[:, None, None] * u[..., 0] * w[:, None, :] + (rho / r)[:, None, None] * d
+    g_inv = np.linalg.inv(eye + np.einsum("mai,maj->mij", jac, jac))
+    terms = terms * g_inv[:, None]
+    total = np.linalg.norm(terms.sum(axis=(0, 3, 4)), axis=1)
+    return total / np.linalg.norm(terms, axis=2).sum(axis=(0, 2, 3))
 
 
 def case1_iv_unreduced(s: float, params: LomseParams, c: float) -> float:

@@ -33,22 +33,23 @@ from lo_dynamics.barrier import (
     no_limit_cycle_check,
 )
 from lo_dynamics.geometry import geometry_report, volume_ratio
-from lo_dynamics.hopf import hopf_map, numeric_singular_values, random_sphere_points
+from lo_dynamics.hopf import angle_sum, hopf_map, numeric_singular_values
 from lo_dynamics.params import StabilityType
 from lo_dynamics.radial import ode1_residual, to_profile
 from oracles import (
+    HOPF_ROUNDING,
     PhaseState,
     advance_from,
     ball_volume,
     condition_b_sum,
     cone_profile,
     fd_jacobian,
-    fd_step,
     linearize_origin,
     ode_general_residual,
     orbit_at,
     profile_rows,
     reference_integrate,
+    sphere_points,
     sphere_volume,
 )
 
@@ -236,23 +237,17 @@ def test_criterion_12_geometry_closed_forms():
 
 def test_criterion_13_hopf_witness():
     params = _params(3, 2, 2)
-    pts = list(random_sphere_points(4, 100, seed=0))
-    expected = np.array([2.0, 2.0, 0.0])
-    worst_sv = 0.0
-    worst_sum = 0.0
-    for x in pts:
-        sv = numeric_singular_values(hopf_map, x)
-        worst_sv = max(worst_sv, float(np.max(np.abs(sv - expected))))
-        worst_sum = max(worst_sum, abs(condition_b_sum(hopf_map, x, params.theta) - 3.0))
-    assert worst_sv < 1e-8
-    assert worst_sum < 1e-5
+    pts = sphere_points(4, 100, seed=0)
+    sv = numeric_singular_values(pts)
+    assert np.max(np.abs(sv - [2.0, 2.0, 0.0])) < HOPF_ROUNDING
+    assert np.max(np.abs(angle_sum(sv, params.theta) - 3.0)) < HOPF_ROUNDING
+    # the finite-difference oracle converges to it at O(h^2)
     probe = pts[:20]
     def dev(h):
-        with fd_step(h):
-            return max(abs(condition_b_sum(hopf_map, x, params.theta) - 3.0) for x in probe)
+        return max(abs(condition_b_sum(hopf_map, x, params.theta, h) - 3.0) for x in probe)
     ratio = dev(8e-4) / dev(4e-4)
     assert 2.5 < ratio < 6.0
-    _ok(13, "witness singular values (2,2,0), angle sum n, O(h^2)")
+    _ok(13, "witness singular values (2,2,0), angle sum n, oracle O(h^2)")
 
 
 def test_criterion_14_oracle_equivalence():
