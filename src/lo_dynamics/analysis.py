@@ -31,8 +31,8 @@ trajectory's Hermite segments up to the splice (DP5 steps and P1 series
 samples) and keeps logarithms, since psi^2 underflows below amplitudes
 of about 1e-162; past the splice each gap comes in closed form from the
 tail's state at the cut, the linear part of the coordinate w the
-trajectory continues from the hand-off, with the error it carries in its
-bar.  One Theta_1 from the volume of the first rescaled profile is
+trajectory continues from the hand-off, and its bar from P1's
+conjugacy.  One Theta_1 from the volume of the first rescaled profile is
 reported beside the gaps as the independent route.
 """
 
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynsys import linearize_p1, p1_quadratic_bound
+from .dynsys import linearize_p1
 from .errors import IntegrationFailure, NotApplicable
 from .geometry import volume_ratio
 from .integrate import (
@@ -71,6 +71,7 @@ _GL_WEIGHTS = 0.5 * np.array([[_W5B, _W5A, 128.0 / 225.0, _W5A, _W5B, 0.0, 0.0],
                               [0.0, 0.0, 8.0 / 9.0, 0.0, 0.0, 5.0 / 9.0, 5.0 / 9.0]])
 _CHUNK = 4096  # segments per evaluation, bounding the temporaries
 _LN10 = math.log(10.0)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -80,14 +81,15 @@ class DensityReport:
     log10_gaps[i] is log10(Theta_inf - Theta_i) and log10_gap_errors[i] the
     log10 of its error bar; thetas[i] = Theta_inf - gap_i, which rounds to
     Theta_inf once the gap falls below an ulp of it.  The bar covers the
-    quadrature on the sample segments before the splice and the closed-form
-    bound past it (gap_logs).  It leaves out the DP5 path's own error: cut
-    at each orbit's own crossing, gap 1 of (3,2,4) differs from a fine RK4
-    re-integration, and from mpmath, by 3.6e-8 relative.  The P1 series'
-    truncation, which carries the orbit from the hand-off to the splice, is
-    at most rel_tol/10 of the state by construction (its invariance
-    defect, integrate._closed_form), below that DP5 error.  theta_1_volume
-    is Theta_1 by theta_of_radius, the independent route.
+    quadrature on the sample segments before the splice and, past it, the
+    series' nonlinear terms the tail drops, the other factors' variation
+    and the rounding (gap_logs, _tail_logs).  It leaves out the DP5 path's
+    own error: cut at each orbit's own crossing, gap 1 of (3,2,4) differs
+    from a fine RK4 re-integration, and from mpmath, by 3.6e-8 relative;
+    and the cubic Hermite error on the series stretch, about 1e-9.  The
+    series' truncation is at most rel_tol/10 of the state by construction
+    (its invariance defect, integrate._closed_form).  theta_1_volume is
+    Theta_1 by theta_of_radius, the independent route.
     strictly_below_cone is True when every gap exceeds its error bar,
     False when a gap is not positive, and None (unresolved) otherwise.
     """
@@ -253,71 +255,54 @@ def _segment_logs(traj: Trajectory, i: np.ndarray, start) -> tuple[np.ndarray, n
     return log_len + np.log(s5), log_len + np.log(np.abs(s5 - s3))
 
 
-def _tail_logs(params: LomseParams, u, psi, splice=None):
+def _tail_logs(params: LomseParams, u, psi, conj):
     """ln of the gap integrand's integral along the orbit from each state
     (u, psi) on, from the linear flow at P1, and ln of a bound on its error.
 
-    With J = [[0, 1], [a, b]] Hurwitz, P = diag(a/(2b), -1/(2b)) solves
-    J^T P + P J = -diag(0, 1), so the linear flow exp(J tau) x has
-    integral of psi^2 = Q(x) = x^T P x = (|a| u^2 + psi^2) / (2|b|); the
-    other factors of the integrand are taken at P1.  Along the true flow
-    the same P gives integral of psi^2 = Q(x) + integral of 2 psi r /
-    (2|b|), with r the field's quadratic remainder, |r| <= c2 |x|^2.  On a
-    spiral P1 the linear flow from x stays below E e^{alpha tau} in the
-    max-norm, E = V |z| the envelope of its coordinate z (P1Linearization),
-    V = max(1, |mu|), so the relative error is at most 2 c2 E^3 / (3 |alpha|
-    min(|a|, 1) |x|^2), and the other factors add at most L E with L the sum
-    of the absolute derivatives of their logarithm at P1.  The bound doubles
-    the sum of both to cover the higher-order terms, as splice_amplitude
-    does; it is the tail itself on a real-eigenvalue P1.
+    With J = [[0, 1], [a, b]] Hurwitz (from conj, P1's conjugacy, or the
+    parameters), P = diag(a/(2b), -1/(2b)) solves J^T P + P J = -diag(0,
+    1), so the linear flow exp(J tau) x has integral of psi^2 = Q(x) = x^T
+    P x = (|a| u^2 + psi^2) / (2|b|); the other factors of the integrand are
+    taken at P1.  The bound is the tail itself at a node or without conj.
 
-    splice, the tail coordinate z* (the orbit's w at the splice, continued
-    from the hand-off) when each x = (Re z, Re mu z) is the linear part of z
-    = e^{mu tau} z* and not a state of the orbit, adds the error that x
-    carries.  The true flow from x* = (Re z*, Re mu z*) has z' = mu z + r /
-    (i omega), as r enters psi' alone, with |r| <= c2 V^2 |z|^2.  With C = c2 V^2 /
-    omega and eta = C |z*| / |alpha| < 1 this gives |z| <= e^{alpha tau}
-    |z*| / (1 - eta), and the integral of |e^{-mu s} r / omega| ds <= C
-    |z*|^2 / (1 - eta)^2 times the integral of e^{alpha s} ds, so |e^{-mu
-    tau} z - z*| <= eta |z*| / (1 - eta)^2: the true state at tau is x + d
-    with |d| <= D = eta E / (1 - eta)^2.  The orbit itself is Phi(z) on
-    P1's series, whose distance to x, of degree 2 and up in z, falls faster
-    than D along the flow and measured at most 0.039 D over one turn at
-    |z| = |z*| on the (31, 20) spirals (tests/test_splice.py), so D covers
-    it too.  Then |Q(x + d)
-    - Q(x)| <= 2 |P x|_1 D + (|a| + 1) D^2 / (2|b|), taken relative to Q(x)
-    at each x and doubled, as above.  The bound at x alone, which scales
-    with |x| << |x*|, does not cover it.
+    At a spiral each x is the linear part L(z) = (Re z, Re mu z) of a
+    coordinate z, and the orbit from there is Phi(z e^{mu tau}).  With r =
+    |z|, V = max(1, |mu|) and N = conj.bound, |Phi - L| <= N(r e^{alpha
+    tau}) and |psi_L| <= V r e^{alpha tau} along it, so the integral of
+    |psi_Phi^2 - psi_L^2| <= (2 |psi_L| + N) N is at most R = (2 V r N(r) /
+    3 + N(r)^2 / 4) / |alpha|, N's terms being of degree 2 and up (the
+    remainder).  The other factors' logarithm, of gradient g = (g_u, g_psi)
+    at P1, moves by g . L(z e^{mu tau}) = Re((g_u + g_psi mu) z e^{mu tau})
+    plus g . (Phi - L), at most |g_u + g_psi mu| r + |g|_1 N(r), to first
+    order (the variation).  The relative bound is twice R / Q(x) plus the
+    variation, for the higher orders, plus the rounding, 8 eps |mu| /
+    |alpha| (1 + |ln gap|): tau <= ln(1/r) / |alpha| enters mu tau, and ln
+    gap the logarithms.
     """
-    n, p, phi0 = params.n, params.p, params.phi0
-    lam2 = params.lambda_sq
-    lin = linearize_p1(params)
-    u, psi = np.asarray(u, dtype=float), np.asarray(psi, dtype=float)
+    n, p, phi0, lam2 = params.n, params.p, params.phi0, params.lambda_sq
+    lin = linearize_p1(params) if conj is None else conj.lin
     amp = np.maximum(np.abs(u), np.abs(psi))
     scale = np.where(amp > 0.0, amp, 1.0)
     u1, psi1 = u / scale, psi / scale  # the direction of x, in the max-norm
     abs_a, abs_b = abs(lin.a), abs(lin.b)
-    q1 = abs_a * u1 * u1 + psi1 * psi1  # 2|b| Q(x) / amp^2
+    q1 = (abs_a * u1 * u1 + psi1 * psi1) / (2.0 * abs_b)  # Q(x) / amp^2
     log_g = (p / 2.0) * math.log1p(lam2 * phi0 * phi0) - (n + 4.0) / 2.0 * math.log1p(phi0 * phi0)
     with np.errstate(divide="ignore"):
-        log_tail = np.where(amp > 0.0, 2.0 * np.log(scale) + np.log(q1 / (2.0 * abs_b)) + log_g,
-                            -math.inf)
-    if params.stability is not StabilityType.SPIRAL_TYPE_II:
+        log_tail = np.where(amp > 0.0, 2.0 * np.log(scale) + np.log(q1) + log_g, -math.inf)
+    if conj is None or not lin.spiral:
         return log_tail, log_tail
-    alpha = lin.mu3.real
-    env = lin.envelope(lin.coordinate(u1, psi1))  # E / amp
-    c2 = p1_quadratic_bound(params)
+    alpha, v = abs(lin.mu3.real), lin.envelope(1.0)
+    r1 = np.abs(lin.coordinates(u1, psi1)[0])  # r / amp
+    r = r1 * scale
+    big_n = conj.bound(r)
+    n1 = big_n / scale  # N(r) / amp
+    # the other factors' logarithm has the gradient (g_u, -c) at P1
     c = phi0 / (1.0 + phi0 * phi0)
-    dlog_g = abs(p * lam2 * phi0 / (1.0 + lam2 * phi0 * phi0) - (n + 4.0) * c) + c
-    rel = 2.0 * amp * env * (2.0 * c2 * env * env / (3.0 * abs(alpha) * min(abs_a, 1.0))
-                             + dlog_g)
-    if splice is not None:
-        eta = c2 * lin.envelope(1.0) ** 2 * abs(splice) / (lin.mu3.imag * abs(alpha))
-        d1 = eta * env / (1.0 - eta) ** 2 if eta < 1.0 else math.inf  # D / amp
-        with np.errstate(invalid="ignore"):
-            rel = rel + 2.0 * (2.0 * (abs_a * np.abs(u1) + np.abs(psi1)) * d1
-                               + (abs_a + 1.0) * d1 * d1) / q1
-    with np.errstate(divide="ignore"):
+    g_u = p * lam2 * phi0 / (1.0 + lam2 * phi0 * phi0) - (n + 4.0) * c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = (2.0 * ((2.0 * v * r1 * n1 / 3.0 + n1 * n1 / 4.0) / (alpha * q1)
+                      + abs(g_u - c * lin.mu3) * r + (abs(g_u) + c) * big_n)
+               + 8.0 * _EPS * abs(lin.mu3) / alpha * (1.0 + np.abs(log_tail)))
         return log_tail, np.where(amp > 0.0, log_tail + np.log(rel), -math.inf)
 
 
@@ -333,15 +318,16 @@ def gap_logs(traj: Trajectory, t_cuts) -> tuple[np.ndarray, np.ndarray]:
     where r^2 (1 + phi^2) = R^2 at t_cut.  The sample segments before the
     splice index s = splice_index, DP5 steps and series samples, are
     integrated by quadrature, each kept as a logarithm and summed from the
-    end; the part from the splice state on comes from _tail_logs.  A cut
-    before the splice adds the part from the cut to the end of its segment;
-    a cut past it takes _tail_logs at the tail's state there, the linear
-    part of the flow of traj.tail_coordinate, with the error it carries
-    (_tail_logs' splice).  So the error bar covers the quadrature before
-    the splice (the 3-point/5-point differences) and the closed-form bound
-    past it.  It leaves out the DP5 path's own error (see DensityReport).
+    end, and a cut before the splice adds the part from the cut to the end
+    of its segment.  _tail_logs gives the rest: on a spiral run with a
+    conjugacy from the linear part of the coordinate w at the splice
+    (traj.tail_coordinate, or the last sample's by Newton when the run ended
+    before its splice) and of w continued to each cut past it, otherwise
+    from the last sample.  So the bar covers the quadrature before the
+    splice (the 3-point/5-point differences) and _tail_logs' bound past it,
+    not the DP5 path's own error (see DensityReport).
     """
-    params = traj.params
+    params, conj = traj.params, traj.conjugacy
     t_cuts = np.asarray(t_cuts, dtype=float)
     if not np.all((traj.t[0] <= t_cuts) & (t_cuts <= traj.t[-1])):
         raise ValueError(f"cut times must lie in the trajectory span [{traj.t[0]}, {traj.t[-1]}]")
@@ -354,19 +340,24 @@ def gap_logs(traj: Trajectory, t_cuts) -> tuple[np.ndarray, np.ndarray]:
         for lo in range(0, s, _CHUNK):
             i = np.arange(lo, min(lo + _CHUNK, s))
             seg[i], err[i] = _segment_logs(traj, i, 0.0)
-        seg[s], err[s] = _tail_logs(params, traj.u[s], traj.psi[s])
         jd = j[~flow]
         start = (t_cuts[~flow] - traj.t[jd]) / (traj.t[jd + 1] - traj.t[jd])
         part, part_err = _segment_logs(traj, jd, start)
+    # the tail from the splice state, then from each cut past it
+    x = traj.u[s:s + 1], traj.psi[s:s + 1]
+    if conj is not None and conj.lin.spiral:
+        w = traj.tail_coordinate
+        if w is None:  # a run that ended before its splice
+            w = conj.invert(float(traj.u[s]), float(traj.psi[s]))[0]
+        x = _linear_flow(conj.lin, w, np.append(0.0, t_cuts[flow] - traj.t[s]))
+    logs, errs = _tail_logs(params, *x, conj)
+    seg[s], err[s] = logs[0], errs[0]
+    log_gap[flow], log_err[flow] = logs[1:], errs[1:]
     # suffix[j] sums the segments from j on and the tail from the splice
     suffix = np.logaddexp.accumulate(seg[::-1])[::-1]
     suffix_err = np.logaddexp.accumulate(err[::-1])[::-1]
     log_gap[~flow] = np.logaddexp(part, suffix[jd + 1])
     log_err[~flow] = np.logaddexp(part_err, suffix_err[jd + 1])
-    if np.any(flow):
-        w = traj.tail_coordinate
-        x = _linear_flow(linearize_p1(params), w, t_cuts[flow] - traj.t[s])
-        log_gap[flow], log_err[flow] = _tail_logs(params, *x, splice=w)
     log_c = math.log(params.n + 1.0)
     return log_gap + log_c, log_err + log_c
 

@@ -85,15 +85,20 @@ class P1Linearization:
         half = 0.5 * (self.mu3 - self.mu4)
         return (psi - self.mu4 * u) / half, (psi - self.mu3 * u) / -half
 
-    def coordinate(self, u, psi):
-        """z = z1 = (psi - conj(mu3) u) / (i omega) of states (u, psi) at a
-        spiral P1, floats or arrays."""
-        return self.coordinates(u, psi)[0]
-
     def envelope(self, z):
         """max(1, |mu3|) |z|, the largest max-norm the state reaches over one
         turn of a spiral's phase: |exp(J tau) x| <= envelope e^{alpha tau}."""
         return max(1.0, abs(self.mu3)) * abs(z)
+
+    @property
+    def least(self) -> float:
+        """A lower bound on |x|_max / max(|z1|, |z2|): x = M (z1, z2) / 2 with M
+        = [[1, 1], [mu3, mu4]] of least singular value >= |det M| / |M|_F,
+        |x|_max >= |x|_2 / sqrt(2), and |(z1, z2)|_2 is sqrt(2) |z| at a
+        spiral and >= |z| at a node."""
+        mu3, mu4 = self.mu3, self.mu4
+        least = abs(mu3 - mu4) / math.sqrt(2.0 + abs(mu3) ** 2 + abs(mu4) ** 2) / 2.0
+        return least if self.spiral else least / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -106,13 +111,16 @@ class P1Conjugacy:
     U_(1,0) = U_(1,1) = 1/2 makes Phi(z) = x of P1Linearization's
     coordinates + O(z^2).  At a spiral P1 the row of (d, d - j) is the
     conjugate of the row of (d, j) and z2 = conj(z1), so Phi is real; at a
-    node the rows and the coordinates are real.  defect is D with |DPhi
-    (mu3 z1, mu4 z2) - F(Phi(z))| about D |z|^(order + 1), |z| = max(|z1|,
-    |z2|), the invariance residual's first omitted order (p1_conjugacy).
+    node the rows and the coordinates are real.  norms[d] = sum_j |U_(d,
+    j)|, the u row's norm at degree d; the psi row's is at most d max(|mu3|,
+    |mu4|) times it, as |lam_m| is.  defect is D with |DPhi(mu3 z1, mu4 z2)
+    - F(Phi(z))| about D |z|^(order + 1), |z| = max(|z1|, |z2|), the
+    invariance residual's first omitted order (p1_conjugacy).
     """
 
     lin: P1Linearization
     rows: np.ndarray
+    norms: np.ndarray
     defect: float
 
     def states(self, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
@@ -122,16 +130,29 @@ class P1Conjugacy:
     def radius(self, rel_tol: float) -> float:
         """|z| within which the estimated defect D |z|^(order + 1) is at
         most rel_tol/10 of |Phi(z)| in the max-norm, that norm taken as its
-        linear part's least: x = M (z1, z2) / 2 with M = [[1, 1], [mu3,
-        mu4]], whose least singular value is at least |det M| / |M|_F =
-        |mu3 - mu4| / sqrt(2 + |mu3|^2 + |mu4|^2); |(z1, z2)| is sqrt(2)
-        |z| at a spiral and at least |z| at a node, and the max-norm is at
-        least the 2-norm over sqrt(2)."""
-        mu3, mu4 = self.lin.mu3, self.lin.mu4
-        least = abs(mu3 - mu4) / math.sqrt(2.0 + abs(mu3) ** 2 + abs(mu4) ** 2) / 2.0
-        if not self.lin.spiral:
-            least /= math.sqrt(2.0)
-        return (rel_tol / 10.0 * least / self.defect) ** (1.0 / P1_SERIES_ORDER)
+        linear part's least (P1Linearization.least)."""
+        return (rel_tol / 10.0 * self.lin.least / self.defect) ** (1.0 / P1_SERIES_ORDER)
+
+    def terms(self) -> np.ndarray:
+        """max(1, d max(|mu3|, |mu4|)) norms[d], d = 0, ..., order: at least
+        the max-norm of Phi's terms of degree d where max(|z1|, |z2|) = 1."""
+        top = max(abs(self.lin.mu3), abs(self.lin.mu4))
+        return np.maximum(1.0, np.arange(P1_SERIES_ORDER + 1) * top) * self.norms
+
+    def bound(self, r, lowest: int = 2):
+        """sum over d >= lowest of terms()[d] r^d, r a float or an array:
+        where max(|z1|, |z2|) <= r, a bound on Phi's terms from degree lowest
+        on, so on |Phi(z)| with 1 and N(r) >= |Phi(z) - L(z)|, L linear, with 2."""
+        return np.power.outer(r, np.arange(lowest, P1_SERIES_ORDER + 1)) @ self.terms()[lowest:]
+
+    def splice_radius(self, rel_tol: float) -> float:
+        """The largest r with N(r) <= rel_tol/10 of least r, the linear
+        part's least max-norm at |z| = r, to rounding: N(r) / r^2 rises, so
+        from r0 = rel_tol least / (10 terms()[2]), at or above the root, one
+        step r = rel_tol least r0^2 / (10 N(r0)) lands just below it."""
+        target = rel_tol / 10.0 * self.lin.least
+        r0 = target / self.terms()[2]
+        return float(target * r0 * r0 / self.bound(r0))
 
     def invert(self, u: float, psi: float):
         """(z1, z2) with Phi(z1, z2) = (u, psi), by Newton's method from the
@@ -219,35 +240,6 @@ def f1_prime(phi: float, params: LomseParams) -> float:
     return -2.0 * (lam2 - 1.0) * params.p * lam2 * phi / (d * d)
 
 
-def f2_prime(phi: float, params: LomseParams) -> float:
-    lam2 = params.lambda_sq
-    d = 1.0 + lam2 * phi * phi
-    return -2.0 * params.p * lam2 * phi / (d * d)
-
-
-def p1_quadratic_bound(params: LomseParams) -> float:
-    """c2 with |F(x) - J x| <= c2 |x|^2 + O(|x|^3) in the max-norm near P1.
-
-    F = (psi, offset_field) at x = (u, psi), J the linearization at P1.  Only
-    dpsi/dt has a remainder; c2 is half the sum of the absolute second
-    derivatives of X2 = -psi - B C at P1, the mixed one counted twice, with
-    B = f2(phi) psi - f1(phi) phi (zero at P1) and C = 1 + (phi + psi)^2.
-    """
-    phi0 = params.phi0
-    lam2 = params.lambda_sq
-    d = 1.0 + lam2 * phi0 * phi0
-    f1pp = -2.0 * (lam2 - 1.0) * params.p * lam2 * (1.0 - 3.0 * lam2 * phi0 * phi0) / d ** 3
-    f1p = f1_prime(phi0, params)
-    f2v = f2(phi0, params)
-    c = 1.0 + phi0 * phi0
-    c_x = 2.0 * phi0  # dC/dphi = dC/dpsi at P1
-    b_u = -f1p * phi0
-    x2_uu = (f1pp * phi0 + 2.0 * f1p) * c - 2.0 * b_u * c_x
-    x2_up = -(f2_prime(phi0, params) * c + (b_u + f2v) * c_x)
-    x2_pp = -2.0 * f2v * c_x
-    return 0.5 * (abs(x2_uu) + 2.0 * abs(x2_up) + abs(x2_pp))
-
-
 def linearize_p1(params: LomseParams) -> P1Linearization:
     """J at P1 and its eigenvalues: mu3 of larger real part, or of positive
     imaginary part on the spiral branch that params.stability picks.
@@ -292,8 +284,8 @@ def p1_conjugacy(params: LomseParams) -> P1Conjugacy:
     Each series keeps its coefficients from order 1 on (the order-0 ones,
     phi0 and its powers, are folded into the constants): Q = S^2 + phi0 S,
     D, G, B, C and E = U + psi.  defect extrapolates the coefficients'
-    decay one order on: with A_d = sum_j |U_(d,j)|, A_(N+1) ~ A_N^2 /
-    A_(N-1), times the divisor's bound at order N + 1.
+    decay one order on: with A_d = sum_j |U_(d,j)| (norms), A_(N+1) ~ A_N^2
+    / A_(N-1), times the divisor's bound at order N + 1.
     """
     lin = linearize_p1(params)
     a, b, mu3, mu4, spiral = lin.a, lin.b, lin.mu3, lin.mu4, lin.spiral
@@ -334,8 +326,7 @@ def p1_conjugacy(params: LomseParams) -> P1Conjugacy:
         # the divisor l^2 - b l - a = (l - mu3)(l - mu4)
         solved(f, mirror, l, -(c0 * g0 + bc) / (l * l - b * l - a), w, v, g0)
     u_coef = np.array(u_coef)
-    size = [float(np.abs(u_coef[_DEGREE == d]).sum())
-            for d in (P1_SERIES_ORDER - 1, P1_SERIES_ORDER)]
+    norms = np.array([np.abs(u_coef[_DEGREE == d]).sum() for d in range(P1_SERIES_ORDER + 1)])
     top = (P1_SERIES_ORDER + 1) * max(abs(mu3), abs(mu4))
-    defect = (top * top + abs(b) * top + abs(a)) * size[1] * size[1] / size[0]
-    return P1Conjugacy(lin=lin, rows=np.stack((u_coef, lam * u_coef), axis=1), defect=defect)
+    defect = (top * top + abs(b) * top + abs(a)) * norms[-1] * norms[-1] / norms[-2]
+    return P1Conjugacy(lin, np.stack((u_coef, lam * u_coef), axis=1), norms, float(defect))

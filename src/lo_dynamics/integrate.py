@@ -29,13 +29,13 @@ z2*) by Newton's method from the hand-off state (_closed_form): the
 series, with the field at each sample, on a uniform grid no coarser than
 DP5's steps there.  A node's series runs to its first sample with
 hypot(u, psi) below _TYPE_I_STOP, the run's end.  A spiral's runs down
-to its first sample below splice_amplitude, where the field's quadratic
-remainder is below rel_tol/10 of the state (the splice); then the
-linear part (Re w, Re mu w) of w = z1* e^{mu3 tau}, once per
-quarter-turn of w's phase with each psi zero in the middle of its
-sample segment, so that the zeros equal the sample sign changes (the
-tail).  The stop rules act on every sample.  Trajectory keeps the splice
-index and w there.
+to its first sample with |w| inside the conjugacy's splice radius, where
+the series' nonlinear terms are at most rel_tol/10 of the linear part
+(the splice); then that linear part (Re w, Re mu w) of w = z1* e^{mu3
+tau}, once per quarter-turn of w's phase with each psi zero in the middle
+of its sample segment, so that the zeros equal the sample sign changes
+(the tail).  The stop rules act on every sample.  Trajectory keeps the
+conjugacy, the splice index and w there.
 
 A run fails when |phi| exceeds 1e3 phi0, at the launch or at an accepted
 step, or when a rejected step falls below 1e-13/(k-1).  The bound is on
@@ -65,15 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynsys import (
-    _DEGREE,
-    P1Conjugacy,
-    P1Linearization,
-    linearize_p1,
-    offset_field,
-    p1_conjugacy,
-    p1_quadratic_bound,
-)
+from .dynsys import P1Conjugacy, P1Linearization, offset_field, p1_conjugacy
 from .errors import IntegrationFailure
 from .params import LomseParams, StabilityType
 
@@ -225,12 +217,15 @@ class Trajectory:
     (StepStats); splice_index is the index of the last sample before the
     linear tail, the last sample when there is none.  tail_coordinate is w
     there, whose linear part the tail samples; None exactly without a tail.
+    conjugacy is the run's P1Conjugacy, None without a hand-off.
     """
 
     def __init__(self, params, t, u, psi, dpsi, eps_start, rel_tol, terminated_by,
-                 rejected=0, tail_samples=0, series_samples=0, tail_coordinate=None):
+                 rejected=0, tail_samples=0, series_samples=0, tail_coordinate=None,
+                 conjugacy=None):
         self.params, self.eps_start, self.rel_tol = params, eps_start, rel_tol
         self.terminated_by, self.tail_coordinate = terminated_by, tail_coordinate
+        self.conjugacy = conjugacy
         columns = [np.asarray(x, dtype=float) for x in (t, u, psi, dpsi)]
         for arr in columns:
             arr.setflags(write=False)
@@ -240,8 +235,9 @@ class Trajectory:
             raise ValueError("trajectory times must be strictly increasing")
         if not all(np.all(np.isfinite(arr)) for arr in columns):
             raise ValueError("trajectory states must be finite")
-        if (tail_coordinate is None) != (tail_samples == 0):
-            raise ValueError("a trajectory has a tail coordinate exactly when it has a tail")
+        if (tail_coordinate is None) != (tail_samples == 0) or (tail_samples and conjugacy is None):
+            raise ValueError("a trajectory has a tail coordinate exactly when it has a tail, "
+                             "and a tail needs its conjugacy")
         self.splice_index = len(steps) - tail_samples
         accepted = self.splice_index - series_samples
         dp5_steps = steps[:accepted]
@@ -265,17 +261,6 @@ class Trajectory:
     @property
     def t_end(self) -> float:
         return float(self.t[-1])
-
-
-def splice_amplitude(params: LomseParams, rel_tol: float) -> float:
-    """The amplitude delta below which a spiral run's linear tail takes over.
-
-    Within max(|u|, |psi|) <= delta the field's quadratic remainder
-    |F(x) - J x| stays below rel_tol/10 of max(|u|, |psi|): its Taylor bound
-    p1_quadratic_bound * |x|^2 reaches that at 2 delta, and the factor 2
-    covers the cubic terms and rounding.
-    """
-    return rel_tol / (20.0 * p1_quadratic_bound(params))
 
 
 def _linear_flow(lin: P1Linearization, z, tau):
@@ -303,24 +288,23 @@ def _closed_form(params, conj: P1Conjugacy, t0, u0, psi0, t_max, rel_tol, zeros=
     samples, w1 at the splice or None).
 
     The series samples Phi(w1, w2), with the field at each (offset_field
-    on the arrays), at tau = i h, h = _SERIES_STEP rel_tol^(1/5)
-    / |mu3|, up to the splice (t_s, w_s): the first sample below delta =
-    splice_amplitude short of t_max and of zeros psi sign changes; a node
-    (delta 0) has none.  At a spiral the tail samples the linear
-    part (Re w, Re mu w) of w = w_s e^{mu tau} past t_s, with dpsi = a u +
-    b psi, at tau = tau1 + (i - 1/2) q, q = pi / (2 omega), tau1 the first
-    psi zero (_flow_zeros), so each psi zero sits mid-segment.  In each part
+    on the arrays), at tau = i h, h = _SERIES_STEP rel_tol^(1/5) / |mu3|,
+    up to the splice (t_s, w_s): at a spiral the first sample with |w1|
+    below conj.splice_radius, short of t_max and of zeros psi sign changes;
+    a node has none.  At a spiral the tail samples the linear part L(w) =
+    (Re w, Re mu w) of w = w_s e^{mu tau} past t_s, with dpsi = a u + b psi,
+    at tau = tau1 + (i - 1/2) q, q = pi / (2 omega), tau1 the first psi
+    zero (_flow_zeros), so each psi zero sits mid-segment.  In each part
     t_max takes the place of the first sample at or past it, and the samples
     end at the first where a stop rule holds, in the DP5 loop's order:
-    hypot(u, psi) below stop_radius or max-norm below _DEEP_FLOOR; zeros
-    psi sign changes; t_max.  The series is evaluated to the first sample
-    past t_max or past where its bound sum_m max|row_m| |z|^d e^{Re mu3
-    tau}, |z| = max(|z1|, |z2|), falls below delta or stop_radius /
-    sqrt(2), the tail to the first past t_max, its zeros-th zero or where
+    hypot(u, psi) below stop_radius or max-norm below _DEEP_FLOOR; zeros psi
+    sign changes; t_max.  The series is evaluated to the first sample past
+    t_max or the splice or, at a node, past where its bound conj.bound(|z|,
+    1) e^{Re mu3 tau}, |z| = max(|z1|, |z2|), falls below stop_radius /
+    sqrt(2); the tail to the first past t_max, its zeros-th zero or where
     its bound e^{alpha tau} lin.envelope(w_s) falls below _DEEP_FLOOR.
     """
     lin, mu = conj.lin, conj.lin.mu3
-    delta = splice_amplitude(params, rel_tol) if lin.spiral else 0.0
 
     def until_t_max(start, tau):  # (t, tau), t_max taking the place of the first t at or past it
         t = start + tau
@@ -333,13 +317,15 @@ def _closed_form(params, conj: P1Conjugacy, t0, u0, psi0, t_max, rel_tol, zeros=
 
     h = _SERIES_STEP * rel_tol ** 0.2 / abs(mu)
     z1, z2 = conj.invert(u0, psi0)
-    reach = float(np.abs(conj.rows).max(axis=1) @ max(abs(z1), abs(z2)) ** _DEGREE)
-    span = min(math.log(reach / max(delta, stop_radius / math.sqrt(2.0))) / -mu.real, t_max - t0)
+    size = max(abs(z1), abs(z2))
+    radius = conj.splice_radius(rel_tol) if lin.spiral else 0.0
+    fall = size / radius if lin.spiral else math.sqrt(2.0) * conj.bound(size, 1) / stop_radius
+    span = min(math.log(fall) / -mu.real, t_max - t0)
     t, tau = until_t_max(t0, h * np.arange(1, max(math.floor(span / h), 0) + 2))
     w = z1 * np.exp(mu * tau)
     u, psi = conj.states(w, z2 * np.exp(lin.mu4 * tau))
     amp, count = np.maximum(np.abs(u), np.abs(psi)), counted(psi)
-    splice = np.flatnonzero((amp < delta) & (t < t_max) & (count < zeros))
+    splice = np.flatnonzero((np.abs(w) < radius) & (t < t_max) & (count < zeros))
     s, w_s = len(t), None
     if len(splice):
         s = int(splice[0]) + 1
@@ -389,7 +375,8 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
     max_crossings less the sign changes so far (none without
     max_crossings).  The series is built at the first state below
     _SERIES_AMPLITUDE, not before.  Returns the columns, the reason, the
-    rejected steps, the series and tail sample counts and w at the splice.
+    rejected steps, the series and tail sample counts, w at the splice and
+    the conjugacy handed off to (None without a hand-off).
     """
     dpsi = offset_field(params)
     series_at = _SERIES_AMPLITUDE if series else 0.0
@@ -538,7 +525,8 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
             if h < h_floor:
                 raise IntegrationFailure(f"step size underflow at t={t:.6g}")
 
-    return ts, us, psis, dpsis, reason, rejected, series_samples, tail_samples, w_s
+    return (ts, us, psis, dpsis, reason, rejected, series_samples, tail_samples, w_s,
+            conj if series_samples else None)
 
 
 def shoot_unstable_manifold(params: LomseParams,
@@ -556,7 +544,7 @@ def shoot_unstable_manifold(params: LomseParams,
     real-eigenvalue type, a fixed sampling end rather than a setting;
     max_crossings psi sign changes for the spiral type; t_max otherwise.
     Every run continues on P1's series past the hand-off, and a spiral run
-    on its linear part below splice_amplitude.
+    on its linear part past the splice (_closed_form).
     eps, rel_tol and t_max must be positive and finite, t_max must
     exceed t_start, max_crossings must be at least 1, and eps must move phi
     off the saddle once phi is written as phi0 + u.  Each setting is checked
@@ -582,7 +570,7 @@ def shoot_unstable_manifold(params: LomseParams,
                          "rounds onto the saddle")
 
     type_one = params.stability is StabilityType.CENTER_TYPE_I
-    ts, us, psis, dpsis, reason, rejected, series_samples, tail_samples, w_s = _advance(
+    ts, us, psis, dpsis, reason, rejected, series_samples, tail_samples, w_s, conj = _advance(
         params,
         t_start,
         u_start,
@@ -594,7 +582,7 @@ def shoot_unstable_manifold(params: LomseParams,
         series=True,
     )
     return Trajectory(params, ts, us, psis, dpsis, eps, rel_tol, reason, rejected, tail_samples,
-                      series_samples, w_s)
+                      series_samples, w_s, conj)
 
 
 def _level_crossings(traj: Trajectory, y, m, level: float, row: int):
@@ -622,7 +610,7 @@ def _level_crossings(traj: Trajectory, y, m, level: float, row: int):
     s, z = traj.splice_index, traj.tail_coordinate
     if z is None:
         return out
-    lin, t_s = linearize_p1(traj.params), float(t[s])
+    lin, t_s = traj.conjugacy.lin, float(t[s])
     span = float(t[-1]) - t_s
     if level == 0.0:
         taus = _flow_zeros(lin, z, row, span)
@@ -651,7 +639,7 @@ def detect_psi_zeros(traj: Trajectory) -> list[PsiZero]:
                         float(psi[i]), float(psi[i + 1])) for i, tz in crossings if i < s]
     tail = [tz for i, tz in crossings if i >= s]
     if tail:
-        offsets += _linear_flow(linearize_p1(traj.params), traj.tail_coordinate,
+        offsets += _linear_flow(traj.conjugacy.lin, traj.tail_coordinate,
                                 np.array(tail) - float(t[s]))[0].tolist()
     return [PsiZero(t=tz, phi=traj.params.phi0 + offset, phi_offset=offset,
                     direction=-1 if psi[i] > 0.0 else 1)

@@ -12,7 +12,7 @@ import numpy as np
 
 from lo_dynamics.analysis import _ProfileInterp
 from lo_dynamics.barrier import cycle_region_threshold
-from lo_dynamics.dynsys import f1, f1_prime, f2, f2_prime, vector_field_xy
+from lo_dynamics.dynsys import f1, f1_prime, f2, vector_field_xy
 from lo_dynamics.errors import IntegrationFailure
 from lo_dynamics.geometry import volume_ratio
 from lo_dynamics.hopf import angle_sum, hopf_map, random_sphere_points
@@ -160,6 +160,12 @@ def linearize_origin(params: LomseParams) -> OriginLinearization:
         v1=np.array([1.0, mu1]),
         v2=np.array([1.0, mu2]),
     )
+
+
+def f2_prime(phi: float, params: LomseParams) -> float:
+    lam2 = params.lambda_sq
+    d = 1.0 + lam2 * phi * phi
+    return -2.0 * params.p * lam2 * phi / (d * d)
 
 
 def jacobian(phi: float, psi: float, params: LomseParams) -> np.ndarray:

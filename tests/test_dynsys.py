@@ -214,7 +214,7 @@ def test_p1_coordinate_and_envelope(params):
     phase = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
     rng = np.random.default_rng(27)
     for x in rng.standard_normal((64, 2)) * 10.0 ** rng.uniform(-280.0, 0.0, (64, 1)):
-        z = lin.coordinate(*x.tolist())
+        z = lin.coordinates(*x.tolist())[0]
         env = lin.envelope(z)
         assert np.max(np.abs([z.real, (mu * z).real] - x)) <= 4e-16 * env
         c = np.linalg.solve(np.array([v, v.conj()]).T, x.astype(complex))[0]

@@ -29,7 +29,6 @@ from lo_dynamics.integrate import (
     DEFAULT_REL_TOL,
     _advance,
     _strict_sign_change,
-    splice_amplitude,
 )
 
 _SPIRAL_PARAMS = [p for p in enumerate_admissible(31, 20)
@@ -110,12 +109,13 @@ def test_hand_off_rule(table_trajs):
     # each run leaves DP5 at its first accepted state with max-norm below
     # _SERIES_AMPLITUDE and both coordinates, by the linear guess, within
     # the series' radius; a spiral's series stretch ends at its first
-    # sample below the splice amplitude, where the linear tail takes over,
-    # and a node's at its first sample with hypot(u, psi) below the fixed
-    # type-I stop, the run's end, with no splice
+    # sample with |w| inside the splice radius, where the linear tail takes
+    # over, and a node's at its first sample with hypot(u, psi) below the
+    # fixed type-I stop, the run's end, with no splice.  The run keeps the
+    # conjugacy it handed off to
     for triple, traj in table_trajs.items():
         a, s = traj.stats.accepted, traj.splice_index
-        conj = p1_conjugacy(traj.params)
+        conj = traj.conjugacy
         amp = np.maximum(np.abs(traj.u), np.abs(traj.psi))
         z1, z2 = conj.lin.coordinates(traj.u[:a + 1], traj.psi[:a + 1])
         ready = ((amp[:a + 1] < _SERIES_AMPLITUDE) & (np.abs(z1) < conj.radius(DEFAULT_REL_TOL))
@@ -123,8 +123,9 @@ def test_hand_off_rule(table_trajs):
         assert np.flatnonzero(ready).tolist() == [a], triple
         assert traj.stats.series_samples == s - a > 0, triple
         if conj.lin.spiral:
-            delta = splice_amplitude(traj.params, DEFAULT_REL_TOL)
-            assert amp[s] < delta <= amp[a:s].min(), triple
+            z = conj.invert(float(traj.u[a]), float(traj.psi[a]))[0]
+            size = abs(z) * np.exp(conj.lin.mu3.real * (traj.t[a + 1:s + 1] - traj.t[a]))
+            assert size[-1] < conj.splice_radius(DEFAULT_REL_TOL) <= size[:-1].min(), triple
             assert traj.stats.tail_samples > 0, triple
         else:
             radius = np.hypot(traj.u, traj.psi)

@@ -1,4 +1,4 @@
-"""The closed-form spiral tail: its splice amplitude, its formula, its stop
+"""The closed-form spiral tail: its splice radius, its formula, its stop
 rules, and its agreement with DP5 and with an mpmath Taylor integration.
 
 The agreement bounds are set from measurement at the default rel_tol of
@@ -28,7 +28,7 @@ from lo_dynamics import (
     shoot_unstable_manifold,
 )
 from lo_dynamics.analysis import density_report
-from lo_dynamics.dynsys import offset_field, p1_conjugacy, p1_quadratic_bound
+from lo_dynamics.dynsys import p1_conjugacy
 from lo_dynamics.integrate import (
     _DEEP_FLOOR,
     DEFAULT_MAX_CROSSINGS,
@@ -37,7 +37,6 @@ from lo_dynamics.integrate import (
     _closed_form,
     _linear_flow,
     _strict_sign_change,
-    splice_amplitude,
 )
 from oracles import fine_tail, mpmath_orbit, mpmath_p1_eigenvalues
 
@@ -64,35 +63,36 @@ def test_table_has_17_spiral_triples():
 @pytest.mark.parametrize("rel_tol", [1e-8, DEFAULT_REL_TOL])
 @pytest.mark.parametrize("params", _SPIRAL_PARAMS, ids=lambda p: str(p.triple()))
 def test_splice_amplitude_bounds_field_remainder(params, rel_tol):
-    # on and inside the max-norm square of radius delta around P1, the field
-    # departs from its linearization by at most rel_tol/10 of the amplitude
-    delta = splice_amplitude(params, rel_tol)
-    lin = linearize_p1(params)
-    field = offset_field(params)
-    theta = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
-    side = np.maximum(np.abs(np.cos(theta)), np.abs(np.sin(theta)))
+    # the splice's amplitude is a radius r in the coordinate w: on the
+    # circles |w| = r, r/2 and 1e-3 r the series' nonlinear terms Phi(w) -
+    # L(w), all the tail drops, stay within rel_tol/10 of the linear part's
+    # least max-norm (P1Linearization.least) there.  The bound N they are
+    # held to is reached at the largest r to within 2x: N(2r) exceeds the
+    # promise, and on the circle |w| = r the terms reach at least rel_tol/15
+    # of it (measured: 0.921 to 0.995 of rel_tol/10 at 1e-10, on (3,2,20)
+    # and (5,4,6)), so a radius that shrank by half would show
+    conj = p1_conjugacy(params)
+    lin, r = conj.lin, conj.splice_radius(rel_tol)
+    assert conj.bound(2.0 * r) > rel_tol / 10.0 * lin.least * 2.0 * r
+    ring = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False))
     worst = {}
     for scale in (1.0, 0.5, 1e-3):
-        ratios = []
-        for c, s, m in zip(np.cos(theta), np.sin(theta), side):
-            u, psi = scale * delta * c / m, scale * delta * s / m
-            dpsi = field(u, psi)
-            ratios.append(abs(dpsi - (lin.a * u + lin.b * psi)) / max(abs(u), abs(psi)))
-        worst[scale] = max(ratios)
+        w = scale * r * ring
+        u, psi = conj.states(w, w.conjugate())
+        nonlinear = np.maximum(np.abs(u - w.real), np.abs(psi - (lin.mu3 * w).real))
+        worst[scale] = float(nonlinear.max()) / (lin.least * scale * r)
     assert max(worst.values()) <= rel_tol / 10.0
-    # the Taylor bound is reached at the square's corners: delta is not
-    # chosen far smaller than the bound allows
-    assert worst[1.0] >= rel_tol / 40.0
+    assert worst[1.0] >= rel_tol / 15.0
 
 
 @pytest.mark.parametrize("triple", [(3, 2, 4), (5, 4, 6)])
 def test_linear_tail_is_the_matrix_exponential(triple):
-    # from a hand-off state below delta the first series sample is the
-    # splice, and the tail is exp(J tau) applied to the linear part (Re w,
-    # Re mu w) of the coordinate w it stores there
+    # from a hand-off state inside the splice radius the first series
+    # sample is the splice, and the tail is exp(J tau) applied to the
+    # linear part (Re w, Re mu w) of the coordinate w it stores there
     params = build_params(*triple)
     lin = linearize_p1(params)
-    u0, psi0 = 1e-13, -2e-13
+    u0, psi0 = 1e-14, -2e-14
     t, u, psi, dpsi, reason, series, tail, w_s = _closed_form(
         params, p1_conjugacy(params), 10.0, u0, psi0, 20.0, DEFAULT_REL_TOL, 10 ** 6)
     assert reason is Termination.MAX_TIME and t[-1] == 20.0
@@ -117,7 +117,7 @@ def test_type_one_runs_never_splice(table_trajs):
     # samples run to its last sample
     for triple, traj in table_trajs.items():
         if traj.params.stability is StabilityType.CENTER_TYPE_I:
-            assert traj.stats.series_samples > 0, triple
+            assert traj.stats.series_samples > 0 and traj.conjugacy is not None, triple
             assert traj.stats.tail_samples == 0 and traj.tail_coordinate is None, triple
             assert (traj.stats.accepted + traj.stats.series_samples == traj.splice_index
                     == len(traj) - 1), triple
@@ -135,16 +135,18 @@ def test_spliced_run_keeps_the_dp5_prefix(triple, spirals, dp5_only):
 
 def test_splice_grid_and_stop_rules(spirals):
     for triple, traj in spirals.items():
-        params, stats = traj.params, traj.stats
+        stats = traj.stats
         s, t = traj.splice_index, traj.t
         amp = _amp(traj)
-        # the splice state is the first series sample below delta
-        delta = splice_amplitude(params, DEFAULT_REL_TOL)
-        assert amp[s] < delta <= amp[:s].min(), triple
+        # the splice state is the first series sample with |w| inside the
+        # splice radius, w falling by e^{alpha h} from the sample before
+        lin = traj.conjugacy.lin
+        radius = traj.conjugacy.splice_radius(DEFAULT_REL_TOL)
+        size = abs(traj.tail_coordinate) * math.exp(-lin.mu3.real * (t[s] - t[s - 1]))
+        assert abs(traj.tail_coordinate) < radius <= size, triple
         assert stats.tail_samples == len(traj) - 1 - s > 0, triple
         # the samples lie a quarter-turn q apart, the first within q of the
         # splice state
-        lin = linearize_p1(params)
         q = math.pi / (2.0 * lin.mu3.imag)
         gaps = np.diff(t[s:])
         np.testing.assert_allclose(gaps[1:], q, rtol=1e-9)
@@ -210,14 +212,13 @@ def test_tail_continues_the_hand_off_coordinate(spirals):
     # z* = P1Conjugacy.invert of it, to the end: the stored tail coordinate
     # is w at the splice time t_s (measured within 7.1e-15 relative), the
     # splice sample is Phi(w) there, and each tail sample is the linear part
-    # (Re w, Re mu w) (within 7.1e-14 of its max-norm, the rounding of t -
-    # t_s).  So the tail starts at L(w_s), not at the splice sample Phi(w_s);
-    # over one turn at |w| = |w_s| the two differ by at most 0.039 of the
-    # carried term D = eta E / (1 - eta)^2 of analysis._tail_logs (measured:
-    # 0.039 on (3,2,6)-(3,2,20), 0.013 on (5,4,6)), whose bar thus covers
-    # the continued tail as well
+    # L(w) = (Re w, Re mu w) (within 7.1e-14 of its max-norm, the rounding
+    # of t - t_s).  So the tail starts at L(w_s), not at the splice sample
+    # Phi(w_s); over one turn at |w| = |w_s| the two differ by at most the
+    # series' bound N(|w_s|) and rel_tol/10 of the linear part's least
+    # max-norm, the splice's promise.  The run keeps the conjugacy it built
     for triple, traj in spirals.items():
-        conj = p1_conjugacy(traj.params)
+        conj = traj.conjugacy
         lin, mu = conj.lin, conj.lin.mu3
         a, s = traj.stats.accepted, traj.splice_index
         w_s = traj.tail_coordinate
@@ -232,22 +233,23 @@ def test_tail_continues_the_hand_off_coordinate(spirals):
         ring = w_s * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False))
         u, psi = conj.states(ring, ring.conjugate())
         gap = np.max(np.maximum(np.abs(u - ring.real), np.abs(psi - (mu * ring).real)))
-        v = lin.envelope(1.0)
-        eta = p1_quadratic_bound(traj.params) * v * v * abs(w_s) / (mu.imag * abs(mu.real))
-        assert gap <= 0.08 * eta * v * abs(w_s) / (1.0 - eta) ** 2, triple
+        assert gap <= min(conj.bound(abs(w_s)),
+                          DEFAULT_REL_TOL / 10.0 * lin.least * abs(w_s)), triple
 
 
 def test_a_tail_needs_its_coordinate(traj324):
-    # the tail's events and gaps read the stored coordinate, so a trajectory
-    # with tail samples and none, or one without a tail and a coordinate, is
-    # refused
+    # the tail's events and gaps read the stored coordinate and the run's
+    # conjugacy, so a trajectory with tail samples and no coordinate or no
+    # conjugacy, or one without a tail and a coordinate, is refused
     traj = traj324
     columns = (traj.t, traj.u, traj.psi, traj.dpsi)
     stats = traj.stats
-    for tail, coordinate in ((stats.tail_samples, None), (0, traj.tail_coordinate)):
+    for tail, coordinate, conj in ((stats.tail_samples, None, traj.conjugacy),
+                                   (0, traj.tail_coordinate, traj.conjugacy),
+                                   (stats.tail_samples, traj.tail_coordinate, None)):
         with pytest.raises(ValueError, match="tail coordinate"):
             Trajectory(traj.params, *columns, traj.eps_start, traj.rel_tol, traj.terminated_by,
-                       stats.rejected, tail, stats.series_samples, coordinate)
+                       stats.rejected, tail, stats.series_samples, coordinate, conj)
 
 
 def test_tail_evaluates_the_flow_at_its_samples_only(p324, monkeypatch):
@@ -301,7 +303,7 @@ def test_reports_match_on_the_fine_tail(spirals):
                    for name, column in zip(("t", "u", "psi", "dpsi"), fine)]
         rebuilt = Trajectory(traj.params, *columns, traj.eps_start, traj.rel_tol, reason,
                              traj.stats.rejected, len(fine[0]), traj.stats.series_samples,
-                             traj.tail_coordinate)
+                             traj.tail_coordinate, traj.conjugacy)
         assert len(rebuilt) > len(traj) + 10 * traj.stats.tail_samples, triple
         assert rebuilt.stats == dataclasses.replace(traj.stats, tail_samples=len(fine[0]))
         for target in (phi0, phi0 + 2e-14):
@@ -432,10 +434,10 @@ def _continuation(traj):
     """DP5 from the splice state to the same stop rules, without a tail."""
     s = traj.splice_index
     before = int(_strict_sign_change(traj.psi[:s + 1]).sum())
-    ts, us, psis, dpsis, reason, rejected, series, tail, w_s = _advance(
+    ts, us, psis, dpsis, reason, rejected, series, tail, w_s, conj = _advance(
         traj.params, float(traj.t[s]), float(traj.u[s]), float(traj.psi[s]),
         integrate.DEFAULT_T_MAX, traj.rel_tol, max_crossings=DEFAULT_MAX_CROSSINGS - before)
-    assert series == tail == 0 and w_s is None
+    assert series == tail == 0 and w_s is None and conj is None
     return Trajectory(traj.params, ts, us, psis, dpsis, None, traj.rel_tol, reason, rejected)
 
 
