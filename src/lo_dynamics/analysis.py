@@ -11,11 +11,11 @@ radius R is
 nondecreasing in R by the monotonicity of density for minimal
 submanifolds, and its limit is the cone density Theta_inf.
 thetas_of_radii (theta_of_radius for one R) integrates in x = log r by
-Gauss-Legendre on the segments of one Hermite interpolant of the profile,
-with the integrand factored as g(x) e^{(n+1)x}; the exponential is scaled
-out analytically so that profiles spanning hundreds of e-folds stay in
-floating range.  The cut and gap_logs find their segments with
-integrate._segments.
+Gauss-Legendre on the Hermite segments of the profile's own columns, with
+the integrand factored as g(x) e^{(n+1)x}; the exponential is scaled out
+analytically so that profiles spanning hundreds of e-folds stay in
+floating range.  A rescaling enters only the cut's level 2(ln R + log_d).
+The cut and gap_logs find their segments with integrate._segments.
 
 The certificate Theta_i < Theta_inf at the slope crossings does not form
 Theta_i: after the first crossings the gap lies far below one ulp of
@@ -104,69 +104,44 @@ class DensityReport:
     strictly_below_cone: bool | None
 
 
-class _ProfileInterp:
-    """Cubic Hermite interpolant of (phi, psi) in x = log r built from
-    profile samples; phi and psi vary slowly in x, so interpolating them
-    (rather than rho, which grows like e^x) keeps the relative error tied
-    to the step size and not to the radial growth.  Steps below an ulp of
-    r = e^t, or of log r, repeat a radius or its logarithm; the first sample
-    of each run of equal log r is kept."""
+def _cut(profile: Profile, R: float) -> tuple[float, float]:
+    """x with r^2 + rho(r)^2 = R^2, and phi there.  The levels 2x +
+    log1p(phi^2) = ln(r^2 + rho^2) + 2 log_d of the samples must strictly
+    rise (IntegrationFailure otherwise); the one segment whose levels
+    bracket 2(ln R + log_d) is bisected on the Hermite cubic of phi in x to
+    adjacent floats, as events are, phi coming from that cubic."""
+    levels = 2.0 * profile.x + np.log1p(profile.phi * profile.phi)
+    if not np.all(np.diff(levels) > 0.0):
+        raise IntegrationFailure("r^2 + rho^2 is not strictly increasing along the profile")
+    if not 0.0 < R < math.inf:  # NaN fails too
+        raise ValueError(f"R must be positive and finite, got {R}")
+    target = 2.0 * (math.log(R) + profile.log_d)
+    if levels[0] - target > 1e-12 or levels[-1] - target < -1e-12:
+        r, rho = profile.r, profile.rho
+        lo, hi = np.sqrt(r * r + rho * rho)[[0, -1]]
+        raise ValueError(f"R={R} outside profile span [{lo}, {hi}]")
+    i = int(_segments(levels, target))
+    seg = [float(v[j]) for v in (profile.x, profile.phi, profile.psi) for j in (i, i + 1)]
 
-    def __init__(self, profile: Profile):
-        if not np.all(np.diff(profile.r) >= 0.0):  # NaN fails too
-            raise ValueError("profile radii must not decrease")
-        x = np.log(profile.r)
-        dx = np.diff(x)
-        keep = slice(None) if np.all(dx > 0.0) else np.insert(dx > 0.0, 0, True)
-        r, rho, rho_r, rho_rr, self.x = (col[keep] for col in (
-            profile.r, profile.rho, profile.rho_r, profile.rho_rr, x))
-        if len(r) < 2:
-            raise ValueError("need at least 2 profile samples")
-        self.phi = rho / r
-        self.psi = rho_r - self.phi
-        # d(psi)/dx = r rho_rr - psi
-        self.dpsi = r * rho_rr - self.psi
-        rr = r * r + rho * rho
-        if not np.all(np.diff(rr) > 0.0):
-            raise IntegrationFailure("r^2 + rho^2 is not strictly increasing along the profile")
-        self.r2rho2 = rr
+    def g(x: float) -> float:
+        return 2.0 * x + math.log1p(_hermite(x, *seg) ** 2) - target
 
-    def cut_x(self, R: float) -> tuple[float, float]:
-        """x with r^2 + rho(r)^2 = R^2, and phi there: the samples of
-        2x + log1p(phi^2) = ln(r^2 + rho^2) rise by the monotonicity check,
-        and the one segment that holds the cut is bisected on its Hermite
-        cubic to adjacent floats, as events are, phi coming from that cubic."""
-        if not 0.0 < R < math.inf:  # NaN fails too
-            raise ValueError(f"R must be positive and finite, got {R}")
-        target = 2.0 * math.log(R)
-        levels = 2.0 * self.x + np.log1p(self.phi * self.phi)
-        if levels[0] - target > 1e-12 or levels[-1] - target < -1e-12:
-            raise ValueError(
-                f"R={R} outside profile span [{math.sqrt(self.r2rho2[0])}, "
-                f"{math.sqrt(self.r2rho2[-1])}]"
-            )
-        i = int(_segments(levels, target))
-        seg = [float(v[j]) for v in (self.x, self.phi, self.psi) for j in (i, i + 1)]
-
-        def g(x: float) -> float:
-            return 2.0 * x + math.log1p(_hermite(x, *seg) ** 2) - target
-
-        x0, x1 = seg[:2]
-        g0, g1 = g(x0), g(x1)
-        x_cut = x0 if g0 >= 0.0 else x1 if g1 <= 0.0 else _bisect(g, x0, x1, g0, g1, tol=0.0)
-        return x_cut, _hermite(x_cut, *seg)
+    x0, x1 = seg[:2]
+    g0, g1 = g(x0), g(x1)
+    x_cut = x0 if g0 >= 0.0 else x1 if g1 <= 0.0 else _bisect(g, x0, x1, g0, g1, tol=0.0)
+    return x_cut, _hermite(x_cut, *seg)
 
 
-def _volume_core(interp: _ProfileInterp, params: LomseParams, x_cut: float) -> float:
+def _volume_core(profile: Profile, params: LomseParams, x_cut: float) -> float:
     """integral of g(x) e^{(n+1)(x - x_cut)} dx over [x0, x_cut] plus the
     power-law tail below the first sample, g = sqrt(1 + rho_r^2) (1 +
-    lambda^2 phi^2)^{p/2}: the 5-point Gauss-Legendre rule on the
-    interpolant's segments, each split evenly into panels no wider than
-    0.5/(n+1) (a quarter-turn segment past a spiral's splice spans several
-    e-folds of the exponential), in the segment's unit variable."""
+    lambda^2 phi^2)^{p/2}: the 5-point Gauss-Legendre rule on the profile's
+    Hermite segments, each split evenly into panels no wider than 0.5/(n+1)
+    (a quarter-turn segment past a spiral's splice spans several e-folds of
+    the exponential), in the segment's unit variable."""
     n, p = params.n, params.p
     lam2 = params.lambda_sq
-    x = interp.x
+    x = profile.x
 
     def g(phi, psi):
         rho_r = phi + psi
@@ -184,14 +159,15 @@ def _volume_core(interp: _ProfileInterp, params: LomseParams, x_cut: float) -> f
         width = np.repeat(frac / m, m)
         s = width * (k + _GL_NODES[:5, None])
         hi = np.repeat(h, m)
-        phi = _hermite(s, 0.0, 1.0, interp.phi[i], interp.phi[i + 1],
-                       hi * interp.psi[i], hi * interp.psi[i + 1])
-        psi = _hermite(s, 0.0, 1.0, interp.psi[i], interp.psi[i + 1],
-                       hi * interp.dpsi[i], hi * interp.dpsi[i + 1])
+        phi = _hermite(s, 0.0, 1.0, profile.phi[i], profile.phi[i + 1],
+                       hi * profile.psi[i], hi * profile.psi[i + 1])
+        psi = _hermite(s, 0.0, 1.0, profile.psi[i], profile.psi[i + 1],
+                       hi * profile.dpsi[i], hi * profile.dpsi[i + 1])
         f = g(phi, psi) * np.exp((n + 1.0) * (x[i] + hi * s - x_cut))
         core += float((_GL_WEIGHTS[0, :5] @ f) @ (width * hi))
     # below the first sample the integrand is ~ f(r0) (r/r0)^n
-    tail = float(g(interp.phi[0], interp.psi[0])) * math.exp((n + 1.0) * (x[0] - x_cut)) / (n + 1.0)
+    tail = (float(g(profile.phi[0], profile.psi[0])) * math.exp((n + 1.0) * (x[0] - x_cut))
+            / (n + 1.0))
     return core + tail
 
 
@@ -205,13 +181,12 @@ def theta_of_radius(profile: Profile, params: LomseParams, R: float,
 
 
 def thetas_of_radii(profile: Profile, params: LomseParams, radii) -> list[float]:
-    """Theta(R) at each of the radii, from one interpolant of the profile."""
+    """Theta(R) at each of the radii."""
     n = params.n
-    interp = _ProfileInterp(profile)
     thetas = []
     for R in radii:
-        x_cut, phi_cut = interp.cut_x(R)
-        core = _volume_core(interp, params, x_cut)
+        x_cut, phi_cut = _cut(profile, R)
+        core = _volume_core(profile, params, x_cut)
         # (r_cut / R)^{n+1} = (1 + phi(x_cut)^2)^{-(n+1)/2}
         ratio = (1.0 + phi_cut * phi_cut) ** (-(n + 1.0) / 2.0)
         # |S^n| / omega_{n+1} = n + 1

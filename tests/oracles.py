@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from lo_dynamics.analysis import _ProfileInterp
+from lo_dynamics.analysis import _cut
 from lo_dynamics.barrier import cycle_region_threshold
 from lo_dynamics.dynsys import f1, f1_prime, f2, vector_field_xy
 from lo_dynamics.errors import IntegrationFailure
@@ -230,10 +230,11 @@ def recover_state(sample: ProfileSample) -> tuple[float, float, float]:
 
 
 def cone_profile(params: LomseParams, radii) -> Profile:
-    """Exact cone rho = phi0 * r sampled at the given radii."""
-    phi0 = params.phi0
-    r = np.asarray(radii, dtype=float)
-    return Profile(r=r, rho=phi0 * r, rho_r=np.full(len(r), phi0), rho_rr=np.zeros(len(r)))
+    """Exact cone rho = phi0 * r sampled at the given radii: the constant
+    orbit phi == phi0, psi == 0."""
+    x = np.log(np.asarray(radii, dtype=float))
+    zero = np.zeros(len(x))
+    return Profile(x=x, phi=np.full(len(x), params.phi0), psi=zero, dpsi=zero)
 
 
 def ode_general_residual(sample: ProfileSample, sing_values: list[float], n: int) -> float:
@@ -255,22 +256,25 @@ def ode_general_residual(sample: ProfileSample, sing_values: list[float], n: int
     return total
 
 
-# the narrowest interpolant segment below the cut, in ulps of its x, that
-# interp_simpson_theta takes: the oracle's uses in the tests have at least
-# 2.9e11, while the first rescaled profile of (5,4,10^9) at R =
-# 0.07147138634964101, which it got wrong by a factor 26, has 373 of its
-# 1 088 segments there below 1e-13 (225 ulps), the narrowest one ulp
+# the narrowest profile segment below the cut, in ulps of its x, that
+# simpson_theta_at_cut takes: the oracle's uses in the tests have at least
+# 2.9e11, while in x = t - ln d the first rescaled profile of (5,4,10^9) at
+# R = 0.07147138634964101, which it got wrong by a factor 26 there, has 373
+# of its 1 088 segments below 1e-13 (225 ulps of x = -2.64), the narrowest
+# one ulp
 _MIN_SEGMENT_ULPS = 1e6
 
 
-def interp_simpson_theta(interp: _ProfileInterp, params: LomseParams, R: float,
+def simpson_theta_at_cut(cols, params: LomseParams, cut: tuple[float, float],
                          n_panels: int) -> float:
-    """Theta(R) by composite Simpson over n_panels uniform panels in x = log r
-    from the first sample to the interpolant's cut (interp.cut_x), plus the
-    power-law piece below the first sample, on uniform nodes that share
-    nothing with the package's Gauss-Legendre panels: its oracle.  The
-    integrand g(x) e^{(n+1)x} is scaled by e^{-(n+1) x_cut}, with
-    g = sqrt(1 + rho_r^2) (1 + lambda^2 phi^2)^{p/2}.
+    """Theta(R) by composite Simpson over n_panels uniform panels in x
+    from the first sample to the cut (x_cut, phi_cut) at R, plus the
+    power-law piece below the first sample, on the cubic Hermite
+    interpolant of the columns x, phi, psi, dpsi of cols (a Profile, or
+    any object with them), on uniform nodes that share nothing with the
+    package's Gauss-Legendre panels: its oracle.  The integrand g(x)
+    e^{(n+1)x} is scaled by e^{-(n+1) x_cut}, with g = sqrt(1 + rho_r^2) (1
+    + lambda^2 phi^2)^{p/2}.
 
     Nodes placed by their float x cannot resolve a segment only a few ulps
     of x wide, where the profile may turn sharply (psi reaches 2e7 on such
@@ -278,15 +282,16 @@ def interp_simpson_theta(interp: _ProfileInterp, params: LomseParams, R: float,
     narrower than _MIN_SEGMENT_ULPS ulps is refused with ValueError."""
     n, p = params.n, params.p
     lam2 = params.lambda_sq
-    x_cut, phi_cut = interp.cut_x(R)
-    x0 = float(interp.x[0])
-    knots = interp.x[:int(_segments(interp.x, x_cut)) + 2]  # those of the segments to the cut
+    x_cut, phi_cut = cut
+    x = cols.x
+    x0 = float(x[0])
+    knots = x[:int(_segments(x, x_cut)) + 2]  # those of the segments to the cut
     if np.any(np.diff(knots) < _MIN_SEGMENT_ULPS * np.spacing(np.abs(knots[:-1]))):
         raise ValueError(f"a profile segment below the cut is narrower than "
                          f"{_MIN_SEGMENT_ULPS:g} ulps of x: float nodes cannot resolve it")
 
     def g_of(xq: np.ndarray) -> np.ndarray:
-        phi, psi = dense(interp.x, xq, (interp.phi, interp.psi), (interp.psi, interp.dpsi))
+        phi, psi = dense(x, xq, (cols.phi, cols.psi), (cols.psi, cols.dpsi))
         rho_r = phi + psi
         return np.sqrt(1.0 + rho_r * rho_r) * (1.0 + lam2 * phi * phi) ** (p / 2.0)
 
@@ -305,8 +310,77 @@ def interp_simpson_theta(interp: _ProfileInterp, params: LomseParams, R: float,
 
 
 def simpson_theta(profile: Profile, params: LomseParams, R: float, n_panels: int) -> float:
-    """interp_simpson_theta on the package's interpolant of profile."""
-    return interp_simpson_theta(_ProfileInterp(profile), params, R, n_panels)
+    """simpson_theta_at_cut at the package's cut of profile at R."""
+    return simpson_theta_at_cut(profile, params, _cut(profile, R), n_panels)
+
+
+def mp_theta(traj: Trajectory, R: float, dps: int = 40):
+    """Theta(R) on traj's profile by the package's rule, evaluated in mpmath
+    at dps digits on the exact samples: x = t and phi = phi0 + u summed
+    exactly, the cut bisected to dps digits on the Hermite cubic of phi in
+    the segment whose levels 2x + log1p(phi^2) bracket 2 ln R, the 5-point
+    Gauss-Legendre rule on the same panels (each segment below the cut split
+    into max(1, ceil(2(n+1) h')) equal panels, h' its width below the cut)
+    and the same power-law piece below the first sample.  So it differs
+    from analysis.thetas_of_radii by that code's rounding alone."""
+    params = traj.params
+    n, p = params.n, params.p
+    with mpmath.workdps(dps):
+        mpf = mpmath.mpf
+        lam2, phi0 = mpf(params.lambda_sq), mpf(params.phi0)
+        target = 2 * mpmath.log(mpf(R))
+
+        def level(x, phi):
+            return 2 * x + mpmath.log1p(phi * phi)
+
+        def hermite(s, y0, y1, m0, m1):  # the unit variable s, slopes times the width
+            return ((2 * s - 3) * s * s + 1) * y0 + ((s - 2) * s + 1) * s * m0 \
+                + (3 - 2 * s) * s * s * y1 + (s - 1) * s * s * m1
+
+        def g(phi, psi):
+            return mpmath.sqrt(1 + (phi + psi) ** 2) * (1 + lam2 * phi * phi) ** (mpf(p) / 2)
+
+        rows = []
+        for t, u, psi, dpsi in zip(traj.t.tolist(), traj.u.tolist(), traj.psi.tolist(),
+                                   traj.dpsi.tolist()):
+            rows.append((mpf(t), phi0 + mpf(u), mpf(psi), mpf(dpsi)))
+            if len(rows) > 1 and level(rows[-1][0], rows[-1][1]) > target:
+                break
+        assert level(rows[0][0], rows[0][1]) <= target < level(rows[-1][0], rows[-1][1])
+        (xa, pa, qa, da), (xb, pb, qb, db) = rows[-2:]
+        h = xb - xa
+
+        def phi_at(s):
+            return hermite(s, pa, pb, h * qa, h * qb)
+
+        lo, hi = mpf(0), mpf(1)
+        for _ in range(4 * dps):
+            mid = (lo + hi) / 2
+            if level(xa + mid * h, phi_at(mid)) <= target:
+                lo = mid
+            else:
+                hi = mid
+        x_cut, phi_cut = xa + lo * h, phi_at(lo)
+        r5a = mpmath.sqrt(5 - 2 * mpmath.sqrt(mpf(10) / 7)) / 3
+        r5b = mpmath.sqrt(5 + 2 * mpmath.sqrt(mpf(10) / 7)) / 3
+        w5a, w5b = (322 + 13 * mpmath.sqrt(70)) / 900, (322 - 13 * mpmath.sqrt(70)) / 900
+        rule = [((1 + r) / 2, w / 2) for r, w in ((-r5b, w5b), (-r5a, w5a), (0, mpf(128) / 225),
+                                                   (r5a, w5a), (r5b, w5b))]
+        core = mpf(0)
+        for j in range(len(rows) - 1):
+            (x0, p0, q0, d0), (x1, p1, q1, d1) = rows[j], rows[j + 1]
+            hj = x1 - x0
+            frac = lo if j == len(rows) - 2 else mpf(1)
+            m = max(int(mpmath.ceil(2 * (n + 1) * frac * hj)), 1)
+            width = frac / m
+            for k in range(m):
+                for node, weight in rule:
+                    s = width * (k + node)
+                    f = g(hermite(s, p0, p1, hj * q0, hj * q1), hermite(s, q0, q1, hj * d0, hj * d1))
+                    core += weight * f * mpmath.exp((n + 1) * (x0 + hj * s - x_cut)) * width * hj
+        x0, p0, q0, _ = rows[0]
+        tail = g(p0, q0) * mpmath.exp((n + 1) * (x0 - x_cut)) / (n + 1)
+        return (n + 1) * (core + tail) * (1 + phi_cut * phi_cut) ** (-mpf(n + 1) / 2)
 
 
 def sphere_volume(n: int) -> float:

@@ -13,24 +13,23 @@ from lo_dynamics import (
 )
 from lo_dynamics.analysis import (
     DensityReport,
-    _ProfileInterp,
+    _cut,
     density_report,
     theta_infinity,
     theta_of_radius,
 )
-from lo_dynamics.errors import NotApplicable
+from lo_dynamics.errors import IntegrationFailure, NotApplicable
 from lo_dynamics.geometry import volume_ratio
 from lo_dynamics.radial import Profile, rescale_profile, to_profile
 from oracles import (
-    ProfileSample,
     ball_volume,
     cone_profile,
     dense,
-    interp_simpson_theta,
+    mp_theta,
     orbit_at,
     simpson_theta,
+    simpson_theta_at_cut,
     sphere_volume,
-    to_profile_per_sample,
 )
 
 
@@ -60,9 +59,9 @@ def test_cone_volume_closed_form(p322, cone322):
 
 
 def test_flat_disk_volume(p322):
-    r = np.geomspace(1e-8, 10.0, 2000)
-    zero = np.zeros_like(r)
-    flat = Profile(r=r, rho=zero, rho_r=zero, rho_rr=zero)
+    x = np.log(np.geomspace(1e-8, 10.0, 2000))
+    zero = np.zeros_like(x)
+    flat = Profile(x=x, phi=zero, psi=zero, dpsi=zero)
     R = 3.0
     got = graph_volume(flat, p322, R)
     n = p322.n
@@ -109,60 +108,65 @@ def test_volume_core_needs_a_panel(p322, cone322, traj324, n_panels):
         density_report(traj324, n_panels=n_panels)
 
 
-def test_repeated_radii_keep_the_first_sample(p322, cone322):
-    # DP5 steps below an ulp of r = e^t repeat a radius, and distinct radii
-    # can share one log r (density 5 4 1e9); the interpolant keeps the first
-    # sample of each run of equal log r, so Theta(R) is that of the profile
-    # without the repeats, whatever the repeats hold
-    i = [11, 1001, 2001, 2001]  # a repeat of r[10], r[1000]'s next float, two of r[2000]
-    extra = cone322.r[[10, 1000, 2000, 2000]]
-    extra[1] = np.nextafter(extra[1], math.inf)
-    assert extra[1] > cone322.r[1000] and np.log(extra[1]) == np.log(cone322.r[1000])
-    repeated = Profile(r=np.insert(cone322.r, i, extra),
-                       rho=np.insert(cone322.rho, i, 7.0),
-                       rho_r=np.insert(cone322.rho_r, i, -7.0),
-                       rho_rr=np.insert(cone322.rho_rr, i, 7.0))
-    assert len(repeated) == len(cone322) + 4
-    for R in (0.5, 2.0, 11.0):
-        assert theta_of_radius(repeated, p322, R) == theta_of_radius(cone322, p322, R)
+def _first_rescaled_5_4_1e9():
+    params = build_params(5, 4, 10 ** 9)
+    traj = shoot_unstable_manifold(params)
+    hit = detect_phi_hits(traj, params.phi0)[0]
+    return traj, rescale_profile(to_profile(traj), hit.dilation)
 
 
 def test_radii_sharing_a_log_radius_5_4_1e9():
-    # the first rescaled profile of (5,4,10^9) has distinct radii sharing
-    # one log r near its start, and this R cuts it there: the cut's cubic
-    # once divided by the zero width of such a segment
-    params = build_params(5, 4, 10 ** 9)
-    traj = shoot_unstable_manifold(params)
-    first = rescale_profile(to_profile(traj), detect_phi_hits(traj, params.phi0)[0].dilation)
-    assert np.any((np.diff(first.r) > 0.0) & (np.diff(np.log(first.r)) == 0.0))
+    # the first rescaled profile of (5,4,10^9) has radii that round onto
+    # each other near its start, and this R cuts it there: the profile
+    # keeps every sample, as its x is the orbit's time and ln d is kept
+    # apart from it (x - ln d rounds neighbouring samples together)
+    traj, first = _first_rescaled_5_4_1e9()
+    params = traj.params
+    assert len(first) == len(traj) and np.any(np.diff(first.r) == 0.0)
+    assert not np.all(np.diff(first.x - first.log_d) > 0.0)
     theta = theta_of_radius(first, params, 0.07147138634964101)
     assert 1.0 <= theta <= theta_of_radius(first, params, 0.0716) < theta_infinity(params)
 
 
-def test_simpson_oracle_refuses_unresolvable_segments():
-    # the same profile and R: the oracle gave 2 433 at 65 536 panels and 154
-    # at 1 048 576, against 93.61, as segments below the cut as narrow as
-    # one ulp of x hold psi up to 2e7, beyond any float node grid; it now
-    # refuses the profile instead
-    params = build_params(5, 4, 10 ** 9)
-    traj = shoot_unstable_manifold(params)
-    first = rescale_profile(to_profile(traj), detect_phi_hits(traj, params.phi0)[0].dilation)
-    interp = _ProfileInterp(first)
-    x_cut = interp.cut_x(0.07147138634964101)[0]
-    widths = np.diff(interp.x[interp.x <= x_cut])
-    assert widths.min() == np.spacing(2.64) and np.sum(widths < 1e-13) > 300
-    for n_panels in (65536, 1048576):
-        with pytest.raises(ValueError, match="float nodes cannot resolve it"):
-            simpson_theta(first, params, 0.07147138634964101, n_panels)
+def test_simpson_oracle_refuses_unresolvable_segments(p322, cone322):
+    # segments a few ulps of x wide below the cut are beyond any float node
+    # grid, and the oracle refuses them; x = t - ln d would give the first
+    # rescaled profile of (5,4,10^9) 373 such segments, x = t none
+    x = np.array(cone322.x) + 100.0
+    x[1001] = np.nextafter(x[1000], math.inf)
+    narrow = Profile(x=x, phi=cone322.phi, psi=cone322.psi, dpsi=cone322.dpsi)
+    with pytest.raises(ValueError, match="float nodes cannot resolve it"):
+        simpson_theta(narrow, p322, math.exp(102.0), 65536)
+
+
+def test_simpson_oracle_resolves_the_5_4_1e9_profile():
+    # at R = 0.07147138634964101 the cut of (5,4,10^9)'s first rescaled
+    # profile lies among segments where psi reaches 2e7, 1.5e-8 after the
+    # first sample; in x = t the oracle's nodes resolve them, and its
+    # 1 048 576-panel value agrees with theta_of_radius (measured: 1.2e-10;
+    # 4.2e-7 at 65 536 panels)
+    traj, first = _first_rescaled_5_4_1e9()
+    R = 0.07147138634964101
+    oracle = simpson_theta(first, traj.params, R, 1048576)
+    assert abs(theta_of_radius(first, traj.params, R) / oracle - 1.0) < 1e-9
 
 
 @pytest.mark.parametrize("bad", [math.nan, 0.5])
 def test_profile_radii_must_not_decrease(p322, cone322, bad):
-    r = cone322.r.copy()
-    r[100] = bad  # 0.5 lies below r[99] and above r[101]
-    profile = Profile(r=r, rho=cone322.rho, rho_r=cone322.rho_r, rho_rr=cone322.rho_rr)
-    with pytest.raises(ValueError, match="profile radii must not decrease"):
-        theta_of_radius(profile, p322, 2.0)
+    x = np.array(cone322.x)
+    x[100] = math.log(bad)  # log 0.5 lies below x[99] and above x[101]
+    with pytest.raises(ValueError, match="x = log r must be strictly increasing"):
+        Profile(x=x, phi=cone322.phi, psi=cone322.psi, dpsi=cone322.dpsi)
+
+
+def test_theta_refuses_a_profile_whose_r2_rho2_stops_rising(p322):
+    # r^2 + rho^2 = e^{2x} (1 + phi^2) falls where phi drops fast enough
+    x = np.linspace(0.0, 1.0, 5)
+    phi = np.array([1.0, 1.0, 0.1, 0.1, 0.1])
+    zero = np.zeros_like(x)
+    profile = Profile(x=x, phi=phi, psi=zero, dpsi=zero)
+    with pytest.raises(IntegrationFailure, match="not strictly increasing"):
+        theta_of_radius(profile, p322, 1.5)
 
 
 def test_theta_infinity_identity():
@@ -272,27 +276,21 @@ def test_dirichlet_rejects_nonpositive_slope(traj322):
 
 
 # ----------------------------------------------------------------------
-# the density computation as it was written for lists of samples, kept as
-# the reference for the columnar one: arrays gathered sample by sample,
-# phi evaluated through 1-element arrays, a new sample list per crossing,
+# the density computation written sample by sample, kept as the reference
+# for the columnar one: the columns gathered from the trajectory one sample
+# at a time, phi evaluated through 1-element arrays, the levels as a list,
 # and the volume by the Simpson oracle
 
-class _PerSampleInterp(_ProfileInterp):
-    def __init__(self, samples):
-        r = np.array([s.r for s in samples])
-        rho = np.array([s.rho for s in samples])
-        rho_r = np.array([s.rho_r for s in samples])
-        rho_rr = np.array([s.rho_rr for s in samples])
-        assert np.all(np.diff(r) > 0.0)
-        self.x = np.log(r)
-        self.phi = rho / r
-        self.psi = rho_r - self.phi
-        self.dpsi = r * rho_rr - self.psi
-        self.r2rho2 = r * r + rho * rho
-        assert np.all(np.diff(self.r2rho2) > 0.0)
+class _PerSampleColumns:
+    def __init__(self, traj, log_d=0.0):
+        rows = [(t, traj.params.phi0 + u, psi, dpsi)
+                for t, u, psi, dpsi in zip(traj.t, traj.u, traj.psi, traj.dpsi)]
+        self.x, self.phi, self.psi, self.dpsi = (np.array(col) for col in zip(*rows))
+        self.log_d = log_d
+        assert np.all(np.diff(self.x) > 0.0)
 
     def cut_x(self, R):
-        target = 2.0 * math.log(R)
+        target = 2.0 * (math.log(R) + self.log_d)
 
         def phi(x):
             return float(dense(self.x, np.array([x]), (self.phi, self.psi))[0][0])
@@ -301,6 +299,7 @@ class _PerSampleInterp(_ProfileInterp):
             return 2.0 * x + math.log1p(phi(x) ** 2) - target
 
         levels = [2.0 * x + math.log1p(v * v) for x, v in zip(self.x.tolist(), self.phi.tolist())]
+        assert all(a < b for a, b in zip(levels, levels[1:]))
         assert levels[0] - target <= 1e-12 and levels[-1] - target >= -1e-12
         # the last sample at or below the target, on the last segment at most
         i = max([j for j, level in enumerate(levels[:-1]) if level <= target], default=0)
@@ -325,26 +324,21 @@ class _PerSampleInterp(_ProfileInterp):
         return m, phi(m)
 
 
-def _theta_per_sample(samples, params, R, n_panels):
-    return interp_simpson_theta(_PerSampleInterp(samples), params, R, n_panels)
-
-
-def _rescaled_per_sample(samples, d):
-    return [ProfileSample(r=s.r / d, rho=s.rho / d, rho_r=s.rho_r, rho_rr=s.rho_rr * d)
-            for s in samples]
+def _theta_per_sample(cols, params, R, n_panels):
+    return simpson_theta_at_cut(cols, params, cols.cut_x(R), n_panels)
 
 
 @pytest.mark.parametrize("triple", [(3, 2, 4), (3, 2, 10), (5, 4, 20)])
 def test_density_report_matches_per_sample_code(triple):
     # theta_1_volume agrees with the per-sample 65 536-panel Simpson oracle
-    # to 1e-12 (measured: at most 4.4e-16)
+    # to 1e-12 (measured: at most 6.7e-16)
     traj = shoot_unstable_manifold(build_params(*triple))
     report = density_report(traj)
-    samples = to_profile_per_sample(traj)
     params = traj.params
     R = math.sqrt(1.0 + params.phi0 ** 2)
     hits = detect_phi_hits(traj, params.phi0)
-    oracle = _theta_per_sample(_rescaled_per_sample(samples, hits[0].dilation), params, R, 65536)
+    oracle = _theta_per_sample(_PerSampleColumns(traj, math.log(hits[0].dilation)), params, R,
+                               65536)
     assert abs(report.theta_1_volume / oracle - 1.0) < 1e-12
     # the per-sample Simpson densities of the rescaled profiles are the
     # independent route: where a Simpson gap Theta_inf - Theta_i exceeds 1e-8
@@ -353,7 +347,7 @@ def test_density_report_matches_per_sample_code(triple):
     # (measured: 1.9e-6, 1.7e-6 and 4.0e-5, 2.6e-4 relative)
     compared = []
     for i, hit in enumerate(hits[:3]):
-        rescaled = _rescaled_per_sample(samples, hit.dilation)
+        rescaled = _PerSampleColumns(traj, math.log(hit.dilation))
         fine, coarse = (report.theta_infinity - _theta_per_sample(rescaled, params, R, m)
                         for m in (32768, 16384))
         gap = 10.0 ** report.log10_gaps[i]
@@ -369,10 +363,10 @@ def test_density_report_matches_per_sample_code(triple):
 def test_theta_of_radius_matches_per_sample_code(fixture, request):
     traj = request.getfixturevalue(fixture)
     profile = to_profile(traj)
-    samples = to_profile_per_sample(traj)
+    cols = _PerSampleColumns(traj)
     # within 1e-12 of the 65 536-panel oracle (measured: at most 4.9e-14)
     for R in (0.5, 1.0, 2.0):
-        oracle = _theta_per_sample(samples, traj.params, R, 65536)
+        oracle = _theta_per_sample(cols, traj.params, R, 65536)
         assert abs(theta_of_radius(profile, traj.params, R) / oracle - 1.0) < 1e-12
 
 
@@ -391,16 +385,21 @@ def _separate_lookup_hermite(x, xq, y, m):
 
 @pytest.mark.parametrize("fixture", ["traj322", "traj324"])
 def test_dense_matches_separate_lookups(fixture, request):
-    interp = _ProfileInterp(to_profile(request.getfixturevalue(fixture)))
-    x = interp.x
+    profile = to_profile(request.getfixturevalue(fixture))
+    x = profile.x
     xq = np.concatenate([np.linspace(x[0], x[-1], 8193), [x[0] - 1.0, x[-1] + 1.0]])
-    phi, psi = dense(x, xq, (interp.phi, interp.psi), (interp.psi, interp.dpsi))
-    assert np.array_equal(phi, _separate_lookup_hermite(x, xq, interp.phi, interp.psi))
-    assert np.array_equal(psi, _separate_lookup_hermite(x, xq, interp.psi, interp.dpsi))
-    # cut_x takes phi at the cut from the cut's own segment: the same bits
+    phi, psi = dense(x, xq, (profile.phi, profile.psi), (profile.psi, profile.dpsi))
+    assert np.array_equal(phi, _separate_lookup_hermite(x, xq, profile.phi, profile.psi))
+    assert np.array_equal(psi, _separate_lookup_hermite(x, xq, profile.psi, profile.dpsi))
+    # the cut takes phi there from the cut's own segment: the same bits
     for R in (0.5, 1.0, 2.0):
-        x_cut, phi_cut = interp.cut_x(R)
-        assert phi_cut == dense(x, np.array([x_cut]), (interp.phi, interp.psi))[0][0]
+        x_cut, phi_cut = _cut(profile, R)
+        assert phi_cut == dense(x, np.array([x_cut]), (profile.phi, profile.psi))[0][0]
+
+
+def _log_radii(profile):
+    """ln sqrt(r^2 + rho^2) = x + log1p(phi^2)/2 at each sample."""
+    return profile.x + np.log1p(profile.phi * profile.phi) / 2.0
 
 
 def test_cut_solves_its_level_equation(table_trajs):
@@ -408,13 +407,13 @@ def test_cut_solves_its_level_equation(table_trajs):
     # theta_of_radius solves meets 2x + log1p(phi(x)^2) = 2 ln R to within
     # a few ulp of its largest term (measured: at most 2)
     for traj in table_trajs.values():
-        interp = _ProfileInterp(to_profile(traj))
-        lo, hi = np.log(interp.r2rho2[[0, -1]]) / 2.0
+        profile = to_profile(traj)
+        lo, hi = _log_radii(profile)[[0, -1]]
         for f in (0.25, 0.5, 0.75):
             R = math.exp(lo + f * (hi - lo))
             target = 2.0 * math.log(R)
-            x_cut, phi_cut = interp.cut_x(R)
-            assert interp.x[0] <= x_cut <= interp.x[-1]
+            x_cut, phi_cut = _cut(profile, R)
+            assert profile.x[0] <= x_cut <= profile.x[-1]
             terms = (2.0 * x_cut, math.log1p(phi_cut * phi_cut), target)
             assert abs(sum(terms[:2]) - target) <= 4.0 * math.ulp(max(map(abs, terms)))
 
@@ -426,10 +425,9 @@ def test_theta_matches_the_simpson_oracle_on_the_table(table_trajs):
     # error (measured: at most 1.3e-10, on (31,30,2))
     for n, traj in enumerate(table_trajs.values()):
         profile = to_profile(traj)
-        interp = _ProfileInterp(profile)
         spiral = traj.params.stability is StabilityType.SPIRAL_TYPE_II
         end = traj.splice_index if spiral else len(traj) - 1
-        lo, hi = np.log(interp.r2rho2[[0, end]]) / 2.0
+        lo, hi = _log_radii(profile)[[0, end]]
         R = math.exp(lo + (0.25, 0.5, 0.75)[n % 3] * (hi - lo))
         oracle = simpson_theta(profile, traj.params, R, 65536)
         assert abs(theta_of_radius(profile, traj.params, R) / oracle - 1.0) < 5e-10, traj.params
@@ -451,8 +449,19 @@ def test_theta_past_the_splice_matches_the_simpson_oracle(spirals):
 def test_theta_where_the_gap_route_cancels():
     # for (31,28,4) at R = 1.049, Theta(R) = 50.8 against Theta_inf = 4.2e7,
     # so Theta_inf - gap loses 3.1e-5 relative there; the volume does not
-    # (measured: 5.8e-15 from the 524 288-panel oracle)
+    # (measured: 7.3e-15 from the 524 288-panel oracle)
     traj = shoot_unstable_manifold(build_params(31, 28, 4))
     profile = to_profile(traj)
     oracle = simpson_theta(profile, traj.params, 1.049, 524288)
     assert abs(theta_of_radius(profile, traj.params, 1.049) / oracle - 1.0) < 1e-13
+
+
+@pytest.mark.parametrize("triple", [(29, 28, 20), (27, 26, 6), (23, 22, 18), (31, 30, 12)])
+def test_theta_matches_its_rule_at_40_digits(triple):
+    # the same panels, nodes and cut in mpmath on the exact samples: what
+    # is left is the rounding of theta_of_radius, which x = t keeps small
+    # (measured: 1.3e-15, 4.0e-15, 1.3e-15, 2.9e-15; x = log(e^t) gives
+    # 1.6e-14, 8.9e-15, 1.4e-14, 8.5e-15, as e^{(n+1)x} amplifies its rounding)
+    traj = shoot_unstable_manifold(build_params(*triple))
+    theta = theta_of_radius(to_profile(traj), traj.params, 2.0)
+    assert abs(theta / mp_theta(traj, 2.0) - 1.0) < 6e-15

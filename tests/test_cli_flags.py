@@ -186,10 +186,10 @@ def test_type_one_radii_end_with_the_fixed_stop(triple, inside, past, tmp_path, 
     # the profile ends where its run met hypot(u, psi) < 1e-8, at R = 2 993
     # and 3.317e9; no setting moves that end, and a radius past it exits 2.
     # One inside it is reported and agrees with the 1 048 576-panel Simpson
-    # oracle to 1e-13 (measured: 6.9e-15 and 1.1e-14). There the true gap
+    # oracle to 1e-13 (measured: 7.1e-15 and 1.2e-14). There the true gap
     # lies within rounding of Theta_inf, so the value lies below it (exit 0)
-    # or is named unresolved (exit 5); measured: 7.3e-16 below and 9.8e-16
-    # above, relative
+    # or is named unresolved (exit 5); measured: 1.4e-15 and 8.9e-16 below,
+    # relative
     argv = ["density", *map(str, triple), "--radii"]
     code = main([*argv, inside, "--out-dir", str(tmp_path / "inside")])
     payload = json.loads((tmp_path / "inside" / "density.json").read_text())

@@ -151,6 +151,19 @@ def test_type1_no_psi_zeros(traj322):
     assert detect_psi_zeros(traj322) == []
 
 
+@pytest.mark.parametrize("t, psi, match", [
+    ([0.0, 1.0, 1.0], [0.0, 0.0, 0.0], "times must be strictly increasing"),
+    ([0.0, 2.0, 1.0], [0.0, 0.0, 0.0], "times must be strictly increasing"),
+    ([0.0, math.nan, 2.0], [0.0, 0.0, 0.0], "times must be strictly increasing"),
+    ([0.0, 1.0, 2.0], [0.0, math.inf, 0.0], "states must be finite"),
+    ([0.0, 1.0, 2.0], [0.0, math.nan, 0.0], "states must be finite"),
+])
+def test_trajectory_refusals(p322, t, psi, match):
+    zero = np.zeros(3)
+    with pytest.raises(ValueError, match=match):
+        Trajectory(p322, t, zero, psi, zero, None, 0.0, Termination.MAX_TIME)
+
+
 def test_psi_zero_refinement_on_synthetic_sine(p322):
     t = np.arange(0.1, 10.0, 0.05)
     traj = Trajectory(p322, t, np.zeros_like(t), np.sin(t), np.cos(t),

@@ -43,6 +43,12 @@ def test_domain_errors(n, p, k):
         build_params(n, p, k, allow_inadmissible=True)
 
 
+@pytest.mark.parametrize("n,p,k", [(3.0, 2, 2), (3, "2", 2), (3, 2, 2.5), (3, 2, None)])
+def test_non_integer_triple_rejected(n, p, k):
+    with pytest.raises(ValueError, match=r"\(n, p, k\) must be integers"):
+        build_params(n, p, k, allow_inadmissible=True)
+
+
 def test_lambda_sq_outside_the_float_range():
     # k(k+n-1)/p overflowed in math.sqrt(K / p) as a traceback
     with pytest.raises(ValueError, match=r"\(31,30,10{400}\): lambda\^2 = k\(k\+n-1\)/p"):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -131,8 +132,10 @@ def test_cone_profile_builder(p324):
 
 
 def test_empty_trajectory_rejected(p322):
-    with pytest.raises(ValueError):
-        to_profile(type("T", (), {"__len__": lambda self: 0})())
+    empty = SimpleNamespace(params=p322, t=np.array([]), u=np.array([]), psi=np.array([]),
+                            dpsi=np.array([]))
+    with pytest.raises(ValueError, match="need at least 2 profile samples"):
+        to_profile(empty)
 
 
 def _same_bits(a, b) -> bool:
@@ -152,6 +155,17 @@ def test_to_profile_columns_match_per_sample_transform(table_trajs):
                 (triple, name)
 
 
+def _rescaled_per_sample(traj, log_d: float) -> list[ProfileSample]:
+    """The rows of a profile rescaled to log_d, one sample at a time:
+    r = e^{t - log_d}, rho = r phi, rho_r = phi + psi, rho_rr = (dpsi + psi)/r."""
+    out = []
+    for t, u, psi, dpsi in zip(traj.t, traj.u, traj.psi, traj.dpsi):
+        r = math.exp(t - log_d)
+        phi = traj.params.phi0 + u
+        out.append(ProfileSample(r=r, rho=r * phi, rho_r=phi + psi, rho_rr=(dpsi + psi) / r))
+    return out
+
+
 def test_profile_rows_and_rescaling_match_samples(traj324):
     profile = to_profile(traj324)
     ref = to_profile_per_sample(traj324)
@@ -159,28 +173,53 @@ def test_profile_rows_and_rescaling_match_samples(traj324):
     assert profile_rows(profile) == ref
     d = 3.7
     rescaled = rescale_profile(profile, d)
-    expect = [ProfileSample(r=s.r / d, rho=s.rho / d, rho_r=s.rho_r, rho_rr=s.rho_rr * d)
-              for s in ref]
-    assert profile_rows(rescaled) == expect
+    # the rescaled profile shares the columns and reads its rows off them
+    assert rescaled.log_d == math.log(d) and rescaled.x is profile.x
+    assert profile_rows(rescaled) == _rescaled_per_sample(traj324, math.log(d))
+    assert profile_rows(rescale_profile(rescaled, 2.0)) == _rescaled_per_sample(
+        traj324, math.log(d) + math.log(2.0))
     # residuals over the columns are the per-sample residuals
     params = traj324.params
     assert _same_bits(ode1_residual(profile, params), [ode1_residual(s, params) for s in ref])
 
 
 def test_profile_columns_read_only_and_equal_length():
-    r = np.array([1.0, 2.0])
-    prof = Profile(r=r, rho=r, rho_r=[1.0, 1.0], rho_rr=[0.0, 0.0])
-    for col in (prof.r, prof.rho, prof.rho_r, prof.rho_rr):
+    x = np.array([0.0, 1.0])
+    prof = Profile(x=x, phi=[1.0, 1.0], psi=[0.0, 0.0], dpsi=[0.0, 0.0])
+    for col in (prof.x, prof.phi, prof.psi, prof.dpsi):
         assert not col.flags.writeable
-    r[0] = 5.0  # the profile holds copies
-    assert prof.r[0] == 1.0 and prof.rho[0] == 1.0
+    x[0] = -5.0  # the profile holds copies of writeable arrays
+    assert prof.x[0] == 0.0 and prof.rho[0] == 1.0
     with pytest.raises(ValueError):
-        prof.rho_r[0] = 2.0
-    with pytest.raises(ValueError, match="column rho_r has shape"):
-        Profile(r=r, rho=r, rho_r=[1.0], rho_rr=[0.0, 0.0])
+        prof.psi[0] = 2.0
+    with pytest.raises(ValueError, match="column psi has shape"):
+        Profile(x=x, phi=[1.0, 1.0], psi=[1.0], dpsi=[0.0, 0.0])
 
 
 def test_residual_rejects_nonpositive_radius_column(p322):
-    bad = Profile(r=[1.0, 0.0], rho=[1.0, 0.0], rho_r=[0.0, 0.0], rho_rr=[0.0, 0.0])
-    with pytest.raises(ValueError):
+    # e^{-800} underflows to the radius 0
+    bad = Profile(x=[-800.0, 0.0], phi=[1.0, 1.0], psi=[0.0, 0.0], dpsi=[0.0, 0.0])
+    assert bad.r[0] == 0.0
+    with pytest.raises(ValueError, match="r must be > 0"):
         ode1_residual(bad, p322)
+
+
+@pytest.mark.parametrize("columns, match", [
+    ({"x": [0.0]}, "need at least 2 profile samples"),
+    # a repeated x: x is the orbit's time, which strictly increases
+    ({"x": [0.0, 0.0]}, "strictly increasing"),
+    ({"log_d": math.nan}, "log_d must be finite"),
+    ({"log_d": math.inf}, "log_d must be finite"),
+])
+def test_profile_refusals(columns, match):
+    good = {"x": [0.0, 1.0], "phi": [1.0, 1.0], "psi": [0.0, 0.0], "dpsi": [0.0, 0.0]}
+    n = len(columns.get("x", good["x"]))
+    good = {name: col[:n] for name, col in good.items()}
+    with pytest.raises(ValueError, match=match):
+        Profile(**{**good, **columns})
+
+
+@pytest.mark.parametrize("d", [math.nan, math.inf, 0.0, -1.0])
+def test_rescaling_refuses_a_bad_dilation(traj322, d):
+    with pytest.raises(ValueError, match="dilation must be positive and finite"):
+        rescale_profile(to_profile(traj322), d)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -48,3 +49,18 @@ def test_sweep_table_prints_one_row_per_triple(monkeypatch, capsys):
         n, p, k, kind = row.split()[:4]
         assert (int(n), int(p), int(k)) == params.triple()
         assert kind == ("I" if params.stability is StabilityType.CENTER_TYPE_I else "II")
+
+
+def test_output_digest_lists_exit_codes_and_file_hashes(monkeypatch, tmp_path, capsys):
+    digest = _load("output_digest")
+    monkeypatch.setattr(digest, "COMMANDS", [["geometry", "3", "2", "2"], ["geometry", "3", "2", "9"]])
+    monkeypatch.setattr("sys.argv", ["output_digest.py", str(tmp_path / "out")])
+    assert digest.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["exit 0  00_geometry_3_2_2", "exit 3  01_geometry_3_2_9"]
+    files = sorted(p for p in (tmp_path / "out").rglob("*") if p.is_file())
+    assert [line.split("  ")[1] for line in lines[2:]] == [
+        str(p.relative_to(tmp_path / "out")) for p in files]
+    assert len(files) == 5  # geometry.json once, stdout and stderr twice
+    first = (tmp_path / "out" / "00_geometry_3_2_2" / "geometry.json").read_bytes()
+    assert lines[2] == f"{hashlib.sha256(first).hexdigest()}  00_geometry_3_2_2/geometry.json"
