@@ -27,15 +27,22 @@ rel_tol/10 of the state (the hand-off), at a spiral P1 and at a node
 coordinates (z1* e^{mu3 tau}, z2* e^{mu4 tau}) of P1's conjugacy, (z1*,
 z2*) by Newton's method from the hand-off state (_closed_form): the
 series, with the field at each sample, on a uniform grid no coarser than
-DP5's steps there.  A node's series runs to its first sample with
+DP5's steps there.  A node's series runs past its first sample with
 hypot(u, psi) below _TYPE_I_STOP, the run's end.  A spiral's runs down
 to its first sample with |w| inside the conjugacy's splice radius, where
 the series' nonlinear terms are at most rel_tol/10 of the linear part
 (the splice); then that linear part (Re w, Re mu w) of w = z1* e^{mu3
 tau}, once per quarter-turn of w's phase with each psi zero in the middle
 of its sample segment, so that the zeros equal the sample sign changes
-(the tail).  The stop rules act on every sample.  Trajectory keeps the
-conjugacy, the splice index and w there.
+(the tail).  Trajectory keeps the conjugacy, the splice index and w there.
+
+The end rules are written once (_run_end), one cut over all of a run's
+samples, tested at each in this order: max-norm below _DEEP_FLOOR or, at
+a node, hypot(u, psi) below _TYPE_I_STOP (converged_to_p1);
+max_crossings strict psi sign changes counted from the launch
+(max_crossings); t_max (max_time).  The first sample where one holds is
+the run's last; where none holds, the last sample is, converged_to_p1.
+The DP5 loop only integrates, to t_max or the hand-off.
 
 A run fails when |phi| exceeds 1e3 phi0, at the launch or at an accepted
 step, or when a rejected step falls below 1e-13/(k-1).  The bound is on
@@ -44,7 +51,7 @@ bounded (1.435 for (3,2,k)); the floor follows the saddle's time scale 1/(k-1).
 
 Trajectory.stats records the accepted and rejected DP5 steps, the field
 evaluations (1 + 6 per attempt), the smallest and largest accepted step
-and the numbers of series and closed-form tail samples.
+and the numbers of series and closed-form tail samples, of the run as kept.
 Dense output is cubic Hermite on (value, slope) at the samples, DP5 and
 series samples alike (_hermite), on the segment the one segment rule
 picks (_segments); events are refined by bisection on the interpolant of
@@ -176,7 +183,9 @@ class PhiHit:
 
 @dataclass(frozen=True)
 class StepStats:
-    """Work done by one integration run.
+    """Work done by one integration run, up to its last sample: steps and
+    samples the run computed past its end before the cut found it
+    (_run_end) do not count.
 
     accepted and rejected count DP5 steps only.  rhs_evals counts 6 field
     evaluations per attempted step plus the one at the start (FSAL); an
@@ -217,7 +226,7 @@ class Trajectory:
     (StepStats); splice_index is the index of the last sample before the
     linear tail, the last sample when there is none.  tail_coordinate is w
     there, whose linear part the tail samples; None exactly without a tail.
-    conjugacy is the run's P1Conjugacy, None without a hand-off.
+    conjugacy is the run's P1Conjugacy, None without a series sample.
     """
 
     def __init__(self, params, t, u, psi, dpsi, eps_start, rel_tol, terminated_by,
@@ -280,28 +289,49 @@ def _flow_zeros(lin: P1Linearization, z, row, span):
     return (theta + j * math.pi) / omega
 
 
-def _closed_form(params, conj: P1Conjugacy, t0, u0, psi0, t_max, rel_tol, zeros=math.inf,
-                 stop_radius=0.0):
-    """The orbit from the hand-off state (u0, psi0) at t0 in the coordinates
+def _run_end(t, u, psi, t_max, max_crossings, node):
+    """(i, reason): the index of a run's last sample and why it ends there,
+    over all its columns, DP5 steps and closed-form samples together.
+
+    The end rules, tested at each sample in this order: max-norm below
+    _DEEP_FLOOR or, at a node, hypot(u, psi) below _TYPE_I_STOP
+    (CONVERGED_TO_P1); max_crossings strict sign changes of psi counted from
+    the first sample (MAX_CROSSINGS); t at or past t_max (MAX_TIME).  The
+    first sample where one holds ends the run.  Where none holds, the last
+    sample does, CONVERGED_TO_P1: a tail sampled to its floor bound.
+    """
+    converged = np.maximum(np.abs(u), np.abs(psi)) < _DEEP_FLOOR
+    if node:
+        converged |= np.hypot(u, psi) < _TYPE_I_STOP
+    crossed = np.concatenate(([False], np.cumsum(_strict_sign_change(psi)) >= max_crossings))
+    rules = np.stack((converged, crossed, t >= t_max))
+    ends = np.flatnonzero(rules.any(axis=0))
+    if not len(ends):
+        return len(t) - 1, Termination.CONVERGED_TO_P1
+    stop = int(ends[0])
+    return stop, (Termination.CONVERGED_TO_P1, Termination.MAX_CROSSINGS,
+                  Termination.MAX_TIME)[int(np.argmax(rules[:, stop]))]
+
+
+def _closed_form(params, conj: P1Conjugacy, t0, u0, psi0, t_max, rel_tol):
+    """The orbit past the hand-off state (u0, psi0) at t0 in the coordinates
     (w1, w2) = (z1 e^{mu3 tau}, z2 e^{mu4 tau}) of P1's conjugacy, (z1, z2) =
-    conj.invert(u0, psi0): (t, u, psi, dpsi, reason, series samples, tail
-    samples, w1 at the splice or None).
+    conj.invert(u0, psi0): (t, u, psi, dpsi, series samples, w1 at the
+    splice or None).
 
     The series samples Phi(w1, w2), with the field at each (offset_field
     on the arrays), at tau = i h, h = _SERIES_STEP rel_tol^(1/5) / |mu3|,
-    up to the splice (t_s, w_s): at a spiral the first sample with |w1|
-    below conj.splice_radius, short of t_max and of zeros psi sign changes;
-    a node has none.  At a spiral the tail samples the linear part L(w) =
-    (Re w, Re mu w) of w = w_s e^{mu tau} past t_s, with dpsi = a u + b psi,
-    at tau = tau1 + (i - 1/2) q, q = pi / (2 omega), tau1 the first psi
-    zero (_flow_zeros), so each psi zero sits mid-segment.  In each part
-    t_max takes the place of the first sample at or past it, and the samples
-    end at the first where a stop rule holds, in the DP5 loop's order:
-    hypot(u, psi) below stop_radius or max-norm below _DEEP_FLOOR; zeros psi
-    sign changes; t_max.  The series is evaluated to the first sample past
-    t_max or the splice or, at a node, past where its bound conj.bound(|z|,
-    1) e^{Re mu3 tau}, |z| = max(|z1|, |z2|), falls below stop_radius /
-    sqrt(2); the tail to the first past t_max, its zeros-th zero or where
+    up to the splice (t_s, w_s): at a spiral the first sample short of
+    t_max with |w1| below conj.splice_radius; a node has none.  At a spiral
+    the tail samples the linear part L(w) = (Re w, Re mu w) of w = w_s
+    e^{mu tau} past t_s, with dpsi = a u + b psi, at tau = tau1 + (i - 1/2)
+    q, q = pi / (2 omega), tau1 the first psi zero (_flow_zeros), so each
+    psi zero sits mid-segment.  In each part t_max takes the place of the
+    first sample at or past it.  The samples reach past the run's end,
+    which the cut over the whole run (_run_end) finds: the series to the
+    first sample past t_max or the splice or, at a node, past where its
+    bound conj.bound(|z|, 1) e^{Re mu3 tau}, |z| = max(|z1|, |z2|), falls
+    below _TYPE_I_STOP / sqrt(2); the tail to the first past t_max or where
     its bound e^{alpha tau} lin.envelope(w_s) falls below _DEEP_FLOOR.
     """
     lin, mu = conj.lin, conj.lin.mu3
@@ -312,49 +342,36 @@ def _closed_form(params, conj: P1Conjugacy, t0, u0, psi0, t_max, rel_tol, zeros=
             t, tau = np.append(t[t < t_max], t_max), np.append(tau[t < t_max], t_max - start)
         return t, tau
 
-    def counted(psi):  # the psi sign changes from the hand-off state up to each sample
-        return np.cumsum(_strict_sign_change(np.concatenate(([psi0], psi))))
-
     h = _SERIES_STEP * rel_tol ** 0.2 / abs(mu)
     z1, z2 = conj.invert(u0, psi0)
     size = max(abs(z1), abs(z2))
     radius = conj.splice_radius(rel_tol) if lin.spiral else 0.0
-    fall = size / radius if lin.spiral else math.sqrt(2.0) * conj.bound(size, 1) / stop_radius
+    fall = size / radius if lin.spiral else math.sqrt(2.0) * conj.bound(size, 1) / _TYPE_I_STOP
     span = min(math.log(fall) / -mu.real, t_max - t0)
     t, tau = until_t_max(t0, h * np.arange(1, max(math.floor(span / h), 0) + 2))
     w = z1 * np.exp(mu * tau)
     u, psi = conj.states(w, z2 * np.exp(lin.mu4 * tau))
-    amp, count = np.maximum(np.abs(u), np.abs(psi)), counted(psi)
-    splice = np.flatnonzero((np.abs(w) < radius) & (t < t_max) & (count < zeros))
+    splice = np.flatnonzero((np.abs(w) < radius) & (t < t_max))
     s, w_s = len(t), None
     if len(splice):
         s = int(splice[0]) + 1
         t_s, w_s, q = float(t[s - 1]), complex(w[s - 1]), math.pi / (2.0 * mu.imag)
         tau1 = float(_flow_zeros(lin, w_s, 1, 4.0 * q)[0])
         tau_floor = math.log(_DEEP_FLOOR / lin.envelope(w_s)) / mu.real
-        last = min(2 * (zeros - int(count[s - 1])) - 1,
-                   math.ceil((min(t_max - t_s + q, tau_floor) - tau1) / q + 0.5))
+        last = math.ceil((min(t_max - t_s + q, tau_floor) - tau1) / q + 0.5)
         tau = tau1 + (np.arange(-1, last + 1) - 0.5) * q  # reaching q past t_max, not short of it
         tail_t, tau = until_t_max(t_s, tau[t_s + tau > t_s])
         t = np.concatenate((t[:s], tail_t))
         u, psi = (np.concatenate((x[:s], y))
                   for x, y in zip((u, psi), _linear_flow(lin, w_s, tau)))
-        amp, count = np.maximum(np.abs(u), np.abs(psi)), counted(psi)
-    rules = np.stack(((amp < _DEEP_FLOOR) | (np.hypot(u, psi) < stop_radius),
-                      count >= zeros, t >= t_max))
-    ends = np.flatnonzero(rules.any(axis=0))
-    stop = int(ends[0]) if len(ends) else len(t) - 1  # a tail converged by its floor bound
-    reason = (Termination.CONVERGED_TO_P1, Termination.MAX_CROSSINGS,
-              Termination.MAX_TIME)[int(np.argmax(rules[:, stop]))]
-    t, u, psi, s = t[:stop + 1], u[:stop + 1], psi[:stop + 1], min(s, stop + 1)
     dpsi = np.concatenate((offset_field(params)(u[:s], psi[:s]),
                            lin.a * u[s:] + lin.b * psi[s:]))
-    return t, u, psi, dpsi, reason, s, stop + 1 - s, w_s
+    return t, u, psi, dpsi, s, w_s
 
 
-def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
-             stop_radius=0.0, max_crossings=None, series=False):
-    """Adaptive DP5(4) driver in deviation coordinates.
+def _advance(params, t0, u0, psi0, t_max, rel_tol, max_crossings=math.inf):
+    """Adaptive DP5(4) driver in deviation coordinates, then the closed
+    form, cut at the run's end.
 
     Error is measured against rel_tol * |state|, where |state| is the
     max-norm over both components and over the step's two end states;
@@ -365,21 +382,20 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
     that stage's psi argument.  An attempt makes 6 field calls, the 7th
     stage at the 5th-order solution being the next attempt's first (FSAL).
 
-    The run ends at the first accepted state with hypot(u, psi) <
-    stop_radius.  With series, the run leaves the DP5 loop at the first
-    accepted state short of t_max with max-norm below _SERIES_AMPLITUDE
-    and both coordinates within the P1 series' radius at rel_tol
-    (dynsys.P1Conjugacy.radius), by their linear guess, and continues in
-    closed form (_closed_form): samples cut and named by the loop's stop
-    rules, stop_radius among them, the psi zeros still to count being
-    max_crossings less the sign changes so far (none without
-    max_crossings).  The series is built at the first state below
-    _SERIES_AMPLITUDE, not before.  Returns the columns, the reason, the
-    rejected steps, the series and tail sample counts, w at the splice and
-    the conjugacy handed off to (None without a hand-off).
+    The loop only integrates: it lands on t_max, or leaves at the hand-off,
+    the first accepted state short of t_max with max-norm below
+    _SERIES_AMPLITUDE and both coordinates within the P1 series' radius at
+    rel_tol (dynsys.P1Conjugacy.radius), by their linear guess, from which
+    the closed form (_closed_form) continues.  The series is built at the
+    first state below _SERIES_AMPLITUDE, not before.  One cut over all the
+    samples (_run_end), the node rule applying at a type-I P1, then keeps
+    the run up to its end.  Returns the kept columns, the reason, the
+    rejected steps that led to kept samples, the kept series and tail
+    sample counts, w at the splice (None without a kept tail) and the
+    conjugacy handed off to (None without a kept series sample).
     """
     dpsi = offset_field(params)
-    series_at = _SERIES_AMPLITUDE if series else 0.0
+    series_at = _SERIES_AMPLITUDE
     conj = None
     h_floor = _H_MIN / (params.k - 1)
     phi0 = params.phi0
@@ -408,17 +424,11 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
     amp = max(abs(u), abs(psi))  # max-norm of the accepted state, carried forward
     h = 1e-3
     err_prev = 1.0
-    crossings = 0
-    rejected = 0
-    series_samples = tail_samples = 0
-    reason = w_s = None
+    rejections = []  # per rejected attempt, the index of the sample it aimed at
     # PI controller exponents for an order-4 error estimate
     alpha, beta = 0.17, 0.04
 
-    while True:
-        if t >= t_max:
-            reason = Termination.MAX_TIME
-            break
+    while t < t_max:
         # clamp the final step and land on t_max exactly
         remaining = t_max - t
         is_last = h >= remaining
@@ -478,8 +488,6 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
                     fac = 10.0
             err_prev = 1e-4 if 1e-4 > err else err
             t = t_max if is_last else t + h
-            if (psi < 0.0 < psi_new) or (psi_new < 0.0 < psi):
-                crossings += 1
             u, psi, amp = u_new, psi_new, amp_new
             k1p = k7p
             ts_append(t)
@@ -492,41 +500,36 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, *,
                     f"state left the bounded region at t={t:.6g} for "
                     f"(n,p,k)=({params.n},{params.p},{params.k})"
                 )
-            # hypot(u, psi) >= amp under faithful rounding: test it only below stop_radius
-            if amp < stop_radius and math.hypot(u, psi) < stop_radius:
-                reason = Termination.CONVERGED_TO_P1
-                break
-            if amp < _DEEP_FLOOR:
-                reason = Termination.CONVERGED_TO_P1
-                break
-            if max_crossings is not None and crossings >= max_crossings:
-                reason = Termination.MAX_CROSSINGS
-                break
             if amp < series_at and t < t_max:
                 if conj is None:
                     conj = p1_conjugacy(params)
                     radius = conj.radius(rel_tol)
                 z1, z2 = conj.lin.coordinates(u, psi)
                 if abs(z1) < radius and abs(z2) < radius:
-                    *columns, reason, series_samples, tail_samples, w_s = _closed_form(
-                        params, conj, t, u, psi, t_max, rel_tol, math.inf if max_crossings
-                        is None else max_crossings - crossings, stop_radius)
-                    ts, us, psis, dpsis = (np.concatenate((head, column)) for head, column
-                                           in zip((ts, us, psis, dpsis), columns))
-                    break
+                    break  # the hand-off
             h *= fac
             if h > _H_MAX:
                 h = _H_MAX
         else:
-            rejected += 1
+            rejections.append(len(ts))
             shrink = 0.9 * err ** -0.2
             h *= shrink if shrink > 0.2 else 0.2
             err_prev = 1.0
             if h < h_floor:
                 raise IntegrationFailure(f"step size underflow at t={t:.6g}")
 
-    return (ts, us, psis, dpsis, reason, rejected, series_samples, tail_samples, w_s,
-            conj if series_samples else None)
+    a = len(ts) - 1  # the last DP5 state, the hand-off state when there is one
+    columns = [np.array(x) for x in (ts, us, psis, dpsis)]
+    s, w_s = 0, None
+    if t < t_max:  # the loop left at the hand-off
+        *samples, s, w_s = _closed_form(params, conj, t, u, psi, t_max, rel_tol)
+        columns = [np.concatenate(pair) for pair in zip(columns, samples)]
+    stop, reason = _run_end(*columns[:3], t_max, max_crossings,
+                            params.stability is StabilityType.CENTER_TYPE_I)
+    series, tail = min(max(stop - a, 0), s), max(stop - a - s, 0)
+    return (*(column[:stop + 1] for column in columns), reason,
+            sum(i <= stop for i in rejections), series, tail, w_s if tail else None,
+            conj if series else None)
 
 
 def shoot_unstable_manifold(params: LomseParams,
@@ -540,17 +543,17 @@ def shoot_unstable_manifold(params: LomseParams,
     O(e^{(k-1)t}) growth of phi matches t: near launch phi ~ e^{(k-1)t}
     up to the constant 1/|V1|.
 
-    Termination: distance to (phi0, 0) below _TYPE_I_STOP = 1e-8 for the
-    real-eigenvalue type, a fixed sampling end rather than a setting;
-    max_crossings psi sign changes for the spiral type; t_max otherwise.
-    Every run continues on P1's series past the hand-off, and a spiral run
-    on its linear part past the splice (_closed_form).
-    eps, rel_tol and t_max must be positive and finite, t_max must
-    exceed t_start, max_crossings must be at least 1, and eps must move phi
-    off the saddle once phi is written as phi0 + u.  Each setting is checked
-    whichever type drops it.
+    The run ends by the end rules (_run_end): distance to (phi0, 0) below
+    _TYPE_I_STOP = 1e-8 for the real-eigenvalue type, a fixed sampling end
+    rather than a setting; max_crossings psi sign changes for the spiral
+    type; t_max otherwise.  Every run continues on P1's series past the
+    hand-off, and a spiral run on its linear part past the splice
+    (_closed_form).  eps, rel_tol and t_max must be positive and finite,
+    t_max must exceed t_start, max_crossings must be at least 1, and eps
+    must move phi off the saddle once phi is written as phi0 + u.  Each
+    setting is checked whichever type drops it.
     """
-    for name, value in (("eps", eps), ("rel_tol", rel_tol)):
+    for name, value in (("eps", eps), ("rel_tol", rel_tol), ("t_max", t_max)):
         if not 0.0 < value < math.inf:  # NaN fails too
             raise ValueError(f"{name} must be positive and finite, got {value}")
     if max_crossings < 1:
@@ -562,8 +565,6 @@ def shoot_unstable_manifold(params: LomseParams,
     t_start = math.log(eps) / mu1
     if not t_max > t_start:
         raise ValueError(f"t_max={t_max} must exceed the launch time log(eps)/(k-1)={t_start}")
-    if not 0.0 < t_max < math.inf:
-        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     u_start = phi_start - params.phi0
     if params.phi0 + u_start == 0.0:
         raise ValueError(f"eps={eps} is below the resolution of phi0: the launch "
@@ -571,16 +572,8 @@ def shoot_unstable_manifold(params: LomseParams,
 
     type_one = params.stability is StabilityType.CENTER_TYPE_I
     ts, us, psis, dpsis, reason, rejected, series_samples, tail_samples, w_s, conj = _advance(
-        params,
-        t_start,
-        u_start,
-        psi_start,
-        t_max,
-        rel_tol,
-        stop_radius=_TYPE_I_STOP if type_one else 0.0,
-        max_crossings=None if type_one else max_crossings,
-        series=True,
-    )
+        params, t_start, u_start, psi_start, t_max, rel_tol,
+        math.inf if type_one else max_crossings)
     return Trajectory(params, ts, us, psis, dpsis, eps, rel_tol, reason, rejected, tail_samples,
                       series_samples, w_s, conj)
 

@@ -6,10 +6,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from unittest import mock
 
 import mpmath
 import numpy as np
 
+import lo_dynamics.integrate as integrate
 from lo_dynamics.analysis import _cut
 from lo_dynamics.barrier import cycle_region_threshold
 from lo_dynamics.dynsys import f1, f1_prime, f2, vector_field_xy
@@ -24,7 +26,6 @@ from lo_dynamics.integrate import (
     DEFAULT_REL_TOL,
     Termination,
     Trajectory,
-    _advance,
     _hermite,
     _linear_flow,
     _segments,
@@ -88,11 +89,21 @@ def reference_integrate(params: LomseParams,
     return PhaseState(phi, psi, t_end)
 
 
+def dp5_run(params: LomseParams, t0: float, u0: float, psi0: float, t_end: float,
+            rel_tol: float = DEFAULT_REL_TOL, max_crossings=math.inf) -> Trajectory:
+    """The package's adaptive DP5 loop from the state (u0, psi0) at t0 to
+    t_end, with the hand-off to P1's series turned off for the call
+    (integrate._SERIES_AMPLITUDE patched to 0): DP5 to the end, cut by the
+    package's end rules (integrate._run_end) at t_end at the latest."""
+    with mock.patch.object(integrate, "_SERIES_AMPLITUDE", 0.0):
+        ts, us, psis, dpsis, reason, rejected, *_ = integrate._advance(
+            params, t0, u0, psi0, t_end, rel_tol, max_crossings)
+    return Trajectory(params, ts, us, psis, dpsis, None, rel_tol, reason, rejected)
+
+
 def advance_from(params: LomseParams, state0: PhaseState, t_end: float) -> Trajectory:
     """The package's adaptive DP5 path from an interior state to t_end."""
-    ts, us, psis, dpsis, reason, rejected, *_ = _advance(
-        params, state0.t, state0.phi - params.phi0, state0.psi, t_end, DEFAULT_REL_TOL)
-    return Trajectory(params, ts, us, psis, dpsis, None, DEFAULT_REL_TOL, reason, rejected)
+    return dp5_run(params, state0.t, state0.phi - params.phi0, state0.psi, t_end)
 
 
 def fine_tail(traj: Trajectory, t_end: float, max_crossings: int = DEFAULT_MAX_CROSSINGS):

@@ -437,7 +437,7 @@ def test_theta_past_the_splice_matches_the_simpson_oracle(spirals):
     # past the splice a segment spans a quarter-turn, several e-folds of
     # the volume integrand, and each is split into panels: theta_of_radius
     # agrees with the 524 288-panel oracle to 1e-13 halfway from the
-    # splice to the run's end (measured: at most 4.8e-14)
+    # splice to the run's end (measured: at most 3.0e-14)
     for traj in spirals.values():
         profile, params = to_profile(traj), traj.params
         t = 0.5 * (traj.t[traj.splice_index] + traj.t_end)

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import mpmath
@@ -23,10 +25,11 @@ from lo_dynamics.integrate import (
     DEFAULT_MAX_CROSSINGS,
     EVENT_TOL,
     _bisect,
+    _run_end,
     _segments,
 )
-from oracles import (PhaseState, advance_from, dense, mpmath_p1_eigenvalues, orbit_at,
-                     reference_integrate)
+from oracles import (PhaseState, advance_from, dense, dp5_run, mpmath_p1_eigenvalues,
+                     orbit_at, reference_integrate)
 
 
 def test_type1_converges(p322, traj322):
@@ -113,12 +116,14 @@ def test_eps_nonpositive(p322):
       for bad in (math.nan, 0.0, -1.0)),
     *(({"max_crossings": bad}, "max_crossings must be at least 1") for bad in (0, -3)),
     ({"eps": math.inf}, "eps must be positive and finite"),
-    ({"t_max": math.inf}, "t_max must be positive and finite"),
+    *(({"t_max": bad}, "t_max must be positive and finite")
+      for bad in (math.inf, math.nan, -math.inf, -10.0)),
 ])
 def test_shoot_rejects_a_bad_setting(triple, setting, message):
     # checked on both types, also by the type that drops the setting: a
     # type-I run ignores max_crossings, and a spiral run at max_crossings 0
-    # once ended max_crossings after one step
+    # once ended max_crossings after one step.  A NaN, negative or infinite
+    # t_max is named as such, not as a t_max short of the launch time
     with pytest.raises(ValueError, match=message):
         shoot_unstable_manifold(build_params(*triple), **setting)
 
@@ -139,10 +144,9 @@ def test_shoot_rejects_a_bad_rel_tol(p324, rel_tol):
         shoot_unstable_manifold(p324, rel_tol=rel_tol)
 
 
-@pytest.mark.parametrize("eps, t_max", [(2.0, 0.5), (2.0, math.log(2.0)), (1e-6, -20.0),
-                                        (1e-6, math.nan)])
+@pytest.mark.parametrize("eps, t_max", [(2.0, 0.5), (2.0, math.log(2.0))])
 def test_shoot_needs_t_max_past_the_launch(p322, eps, t_max):
-    # the launch time is log(eps)/(k-1): log 2 for eps 2, -13.8 for eps 1e-6
+    # the launch time is log(eps)/(k-1): log 2 for eps 2
     with pytest.raises(ValueError, match="t_max=.* must exceed the launch time"):
         shoot_unstable_manifold(p322, eps=eps, t_max=t_max)
 
@@ -434,6 +438,91 @@ def test_rhs_evals_count_field_calls(monkeypatch, p324):
     traj = advance_from(p324, PhaseState(1.0, -3.0, 0.0), 2.0)
     assert traj.stats.rejected == 2
     assert traj.stats.rhs_evals == len(calls) == 1 + 6 * (len(traj) - 1 + 2)
+
+
+def test_rejected_steps_past_the_end_are_not_counted(monkeypatch, p324):
+    # a run may integrate past its end before the cut finds it; its stats
+    # count the kept run only.  DP5 alone from (1, -3) to t = 2 rejects 2
+    # steps near t = 1, past the first psi zero near t = 0.518: cut there,
+    # the run's field calls up to its last state's FSAL stage are its
+    # rhs_evals, with no rejected step
+    import lo_dynamics.integrate as integrate
+
+    calls = []
+    real = integrate.offset_field
+
+    def recording(params):
+        dpsi = real(params)
+
+        def wrapped(u, psi):
+            calls.append((u, psi))
+            return dpsi(u, psi)
+
+        return wrapped
+
+    assert advance_from(p324, PhaseState(1.0, -3.0, 0.0), 2.0).stats.rejected == 2
+    monkeypatch.setattr(integrate, "offset_field", recording)
+    traj = dp5_run(p324, 0.0, 1.0 - p324.phi0, -3.0, 2.0, max_crossings=1)
+    assert traj.terminated_by is Termination.MAX_CROSSINGS and traj.t_end < 0.55
+    assert traj.stats.rejected == 0
+    assert traj.stats.rhs_evals == calls.index((traj.u[-1], traj.psi[-1])) + 1 < len(calls)
+
+
+# runs that end before or near the hand-off, each pinned bit for bit: the
+# sha256 of its columns (t, u, psi, dpsi), its StepStats, its reason and
+# whether it kept no conjugacy.  (3,2,6) and (3,2,20) cross once before the
+# hand-off, (3,2,4) first in the series stretch; (3,2,2) hands off at t = 4.1
+@pytest.mark.parametrize("triple, options, digest, stats, reason, no_conjugacy", [
+    ((3, 2, 6), {"max_crossings": 1}, "0676e2689c5751213cce097db7509557",
+     (288, 2, 1741, 0.0009999999999998899, 0.09731289582889735, 0, 0),
+     Termination.MAX_CROSSINGS, True),
+    ((3, 2, 20), {"max_crossings": 1}, "f682f80908d3da3efbfa609c0d436cc2",
+     (369, 6, 2251, 0.0010000000000000009, 0.025549494012622964, 0, 0),
+     Termination.MAX_CROSSINGS, True),
+    ((3, 2, 4), {"max_crossings": 1}, "eeea8a921cf618971a3d192489be7471",
+     (281, 0, 1687, 0.001000000000000334, 0.1625544239863954, 23, 0),
+     Termination.MAX_CROSSINGS, False),
+    ((3, 2, 4), {"t_max": 2.5}, "72df88b5cf86dd4c1061047ed9eda97d",
+     (281, 0, 1687, 0.001000000000000334, 0.1625544239863954, 19, 0),
+     Termination.MAX_TIME, False),
+    ((3, 2, 2), {"t_max": 3.0}, "ca4c9f42b26265bfec597888a9d3e0a3",
+     (318, 0, 1909, 0.0009999999999994458, 0.49341577715548013, 0, 0),
+     Termination.MAX_TIME, True),
+    ((3, 2, 2), {"t_max": 6.0}, "4072dcca6f1c4ff4f46e833ee7d26c3e",
+     (355, 0, 2131, 0.0009999999999994458, 0.49341577715548013, 95, 0),
+     Termination.MAX_TIME, False),
+])
+def test_runs_ending_near_the_hand_off_are_pinned(triple, options, digest, stats, reason,
+                                                  no_conjugacy):
+    traj = shoot_unstable_manifold(build_params(*triple), **options)
+    h = hashlib.sha256()
+    for column in (traj.t, traj.u, traj.psi, traj.dpsi):
+        h.update(column.tobytes())
+    assert h.hexdigest()[:32] == digest
+    assert dataclasses.astuple(traj.stats) == stats
+    assert traj.terminated_by is reason and (traj.conjugacy is None) is no_conjugacy
+
+
+def test_run_end_rules_and_their_order():
+    # one sample where two rules hold is named by the earlier rule: the
+    # floor or the node radius, then max_crossings sign changes counted from
+    # the first sample (a zero sample is none), then t_max.  The node rule
+    # acts only at a node; where no rule holds the last sample ends the run
+    t = np.arange(5.0)
+    u = np.array([1.0, 1.0, 1.0, 0.0, 1.0])
+    psi = np.array([1.0, 0.0, -1.0, 1e-300, 1e-9])  # one sign change, at sample 3
+    assert _run_end(t, u, psi, 10.0, 1, False) == (3, Termination.CONVERGED_TO_P1)
+    assert _run_end(t, u, psi, 3.0, 1, False) == (3, Termination.CONVERGED_TO_P1)
+    psi[3] = 1.0
+    assert _run_end(t, u, psi, 3.0, 1, False) == (3, Termination.MAX_CROSSINGS)
+    assert _run_end(t, u, psi, 3.0, 2, False) == (3, Termination.MAX_TIME)
+    assert _run_end(t, u, psi, 10.0, 2, False) == (4, Termination.CONVERGED_TO_P1)
+    assert _run_end(t, u, psi, 10.0, math.inf, True) == (4, Termination.CONVERGED_TO_P1)
+    near = np.array([1.0, 1.0, 1.0, 1e-9, 1.0])  # hypot 1.4e-9 at sample 3
+    assert _run_end(t, near, near, 3.0, math.inf, False) == (3, Termination.MAX_TIME)
+    assert _run_end(t, near, near, 3.0, math.inf, True) == (3, Termination.CONVERGED_TO_P1)
+    assert _run_end(t, near, near, 10.0, math.inf, True) == (3, Termination.CONVERGED_TO_P1)
+    assert _run_end(t, near, near, 10.0, math.inf, False) == (4, Termination.CONVERGED_TO_P1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -27,9 +27,9 @@ from lo_dynamics.integrate import (
     _SERIES_AMPLITUDE,
     _TYPE_I_STOP,
     DEFAULT_REL_TOL,
-    _advance,
     _strict_sign_change,
 )
+from oracles import dp5_run
 
 _SPIRAL_PARAMS = [p for p in enumerate_admissible(31, 20)
                   if p.stability is StabilityType.SPIRAL_TYPE_II]
@@ -59,9 +59,8 @@ def _stretch_error(traj, rel_tol):
     to the splice, or to the end of a run without one, at the
     continuation's samples, relative to the continuation's max-norm there."""
     t0, u0, psi0 = _hand_off(traj)
-    ts, us, psis, *_ = _advance(traj.params, t0, u0, psi0, float(traj.t[traj.splice_index]),
-                                rel_tol)
-    ts, us, psis = (np.array(column) for column in (ts, us, psis))
+    cont = dp5_run(traj.params, t0, u0, psi0, float(traj.t[traj.splice_index]), rel_tol)
+    ts, us, psis = cont.t, cont.u, cont.psi
     conj = p1_conjugacy(traj.params)
     z1, z2 = conj.invert(u0, psi0)
     u, psi = conj.states(z1 * np.exp(conj.lin.mu3 * (ts - t0)),
@@ -163,15 +162,15 @@ def test_series_holds_its_tolerance(triple, rel_tol):
     assert 10.0 * error <= _stretch_error(traj, rel_tol)
 
 
-def test_stretch_is_no_coarser_than_dp5(table_trajs, monkeypatch):
+def test_stretch_is_no_coarser_than_dp5(table_trajs):
     # the uniform grid has at least as many samples per unit time as DP5
     # takes steps over the same span with the series switched off
     # (measured: 1.09 to 1.18 times as many on the spirals, 1.16 to 1.20 on
     # the nodes)
-    monkeypatch.setattr(integrate, "_SERIES_AMPLITUDE", 0.0)
     for triple, traj in table_trajs.items():
         a, s = traj.stats.accepted, traj.splice_index
-        dp5 = shoot_unstable_manifold(traj.params)
+        dp5 = dp5_run(traj.params, float(traj.t[0]), float(traj.u[0]), float(traj.psi[0]),
+                      float(traj.t[s]) + 1.0)
         steps = np.count_nonzero((dp5.t > traj.t[a]) & (dp5.t <= traj.t[s]))
         assert s - a >= steps, triple
         spacing = np.diff(traj.t[a:s + 1])

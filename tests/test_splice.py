@@ -33,23 +33,22 @@ from lo_dynamics.integrate import (
     _DEEP_FLOOR,
     DEFAULT_MAX_CROSSINGS,
     DEFAULT_REL_TOL,
-    _advance,
     _closed_form,
     _linear_flow,
+    _run_end,
     _strict_sign_change,
 )
-from oracles import fine_tail, mpmath_orbit, mpmath_p1_eigenvalues
+from oracles import dp5_run, fine_tail, mpmath_orbit, mpmath_p1_eigenvalues
 
 _SPIRAL_PARAMS = [p for p in enumerate_admissible(31, 20)
                   if p.stability is StabilityType.SPIRAL_TYPE_II]
 
 
-@pytest.fixture
-def dp5_only(monkeypatch):
-    """shoot_unstable_manifold with the series and the splice switched off:
-    DP5 to the end."""
-    monkeypatch.setattr(integrate, "_SERIES_AMPLITUDE", 0.0)
-    return shoot_unstable_manifold
+def _dp5_only(traj, rel_tol=DEFAULT_REL_TOL):
+    """traj's run again with the series and the splice switched off: DP5
+    from its launch to a little past its end, cut by the same end rules."""
+    return dp5_run(traj.params, float(traj.t[0]), float(traj.u[0]), float(traj.psi[0]),
+                   traj.t_end + 1.0, rel_tol, DEFAULT_MAX_CROSSINGS)
 
 
 def _amp(traj):
@@ -93,10 +92,10 @@ def test_linear_tail_is_the_matrix_exponential(triple):
     params = build_params(*triple)
     lin = linearize_p1(params)
     u0, psi0 = 1e-14, -2e-14
-    t, u, psi, dpsi, reason, series, tail, w_s = _closed_form(
-        params, p1_conjugacy(params), 10.0, u0, psi0, 20.0, DEFAULT_REL_TOL, 10 ** 6)
-    assert reason is Termination.MAX_TIME and t[-1] == 20.0
-    assert series == 1 and tail == len(t) - 1 > 0
+    t, u, psi, dpsi, series, w_s = _closed_form(
+        params, p1_conjugacy(params), 10.0, u0, psi0, 20.0, DEFAULT_REL_TOL)
+    assert _run_end(t, u, psi, 20.0, 10 ** 6, False) == (len(t) - 1, Termination.MAX_TIME)
+    assert t[-1] == 20.0 and series == 1 < len(t)
     t_s, t, u, psi, dpsi = t[0], t[1:], u[1:], psi[1:], dpsi[1:]
     assert 10.0 < t_s < t[0] and np.all(np.diff(t) > 0.0)
     np.testing.assert_allclose(np.diff(t)[:-1], math.pi / (2.0 * lin.mu3.imag), rtol=1e-12)
@@ -124,9 +123,9 @@ def test_type_one_runs_never_splice(table_trajs):
 
 
 @pytest.mark.parametrize("triple", [(3, 2, 4), (5, 4, 6), (5, 4, 20)])
-def test_spliced_run_keeps_the_dp5_prefix(triple, spirals, dp5_only):
+def test_spliced_run_keeps_the_dp5_prefix(triple, spirals):
     traj = spirals[triple]
-    dp5 = dp5_only(traj.params)
+    dp5 = _dp5_only(traj)
     s = traj.stats.accepted  # the hand-off state, the last DP5 state
     for name in ("t", "u", "psi", "dpsi"):
         assert np.array_equal(getattr(traj, name)[:s + 1], getattr(dp5, name)[:s + 1]), name
@@ -252,9 +251,12 @@ def test_a_tail_needs_its_coordinate(traj324):
                        stats.rejected, tail, stats.series_samples, coordinate, conj)
 
 
-def test_tail_evaluates_the_flow_at_its_samples_only(p324, monkeypatch):
-    # the stop follows from the zeros' closed-form times, t_max or the
-    # floor's bound, so no flow state past it is computed
+def test_tail_is_sampled_to_t_max_or_its_floor_bound(p324, monkeypatch):
+    # the flow is evaluated once, at the tail's samples up to t_max or the
+    # floor's bound whatever max_crossings is, and the cut over the whole
+    # run (_run_end) trims them: each run is a prefix of the run with the
+    # same t_max and no crossing rule, which keeps every sample (measured:
+    # 229 tail samples on (3,2,4), of which a run to 40 crossings keeps 71)
     sizes = []
 
     def counted(lin, z, tau):
@@ -268,7 +270,11 @@ def test_tail_evaluates_the_flow_at_its_samples_only(p324, monkeypatch):
         monkeypatch.setattr(integrate, "_linear_flow", counted)
         traj = shoot_unstable_manifold(params, **options)
         monkeypatch.undo()
-        assert sizes == [traj.stats.tail_samples] and sizes[0] > 0, options
+        whole = shoot_unstable_manifold(params, t_max=options.get("t_max", integrate.DEFAULT_T_MAX),
+                                        max_crossings=10 ** 6)
+        assert sizes == [whole.stats.tail_samples] and sizes[0] >= traj.stats.tail_samples > 0
+        for name in ("t", "u", "psi", "dpsi"):
+            assert np.array_equal(getattr(traj, name), getattr(whole, name)[:len(traj)]), options
 
 
 def test_tail_events_lie_inside_their_segments(spirals):
@@ -431,14 +437,12 @@ def test_tail_ratios_are_exact(spirals):
 
 
 def _continuation(traj):
-    """DP5 from the splice state to the same stop rules, without a tail."""
+    """DP5 from the splice state to the same end rules, without a tail: to
+    a little past the run's own end, so that the rules, not t_end, end it."""
     s = traj.splice_index
     before = int(_strict_sign_change(traj.psi[:s + 1]).sum())
-    ts, us, psis, dpsis, reason, rejected, series, tail, w_s, conj = _advance(
-        traj.params, float(traj.t[s]), float(traj.u[s]), float(traj.psi[s]),
-        integrate.DEFAULT_T_MAX, traj.rel_tol, max_crossings=DEFAULT_MAX_CROSSINGS - before)
-    assert series == tail == 0 and w_s is None and conj is None
-    return Trajectory(traj.params, ts, us, psis, dpsis, None, traj.rel_tol, reason, rejected)
+    return dp5_run(traj.params, float(traj.t[s]), float(traj.u[s]), float(traj.psi[s]),
+                   traj.t_end + 1.0, traj.rel_tol, DEFAULT_MAX_CROSSINGS - before)
 
 
 def test_tail_matches_dp5_continuation(spirals):
@@ -469,7 +473,7 @@ def test_tail_matches_dp5_continuation(spirals):
 
 
 @pytest.mark.parametrize("triple", [(3, 2, 4), (5, 4, 6), (5, 4, 12), (5, 4, 20)])
-def test_spliced_zeros_match_fine_dp5(triple, spirals, dp5_only):
+def test_spliced_zeros_match_fine_dp5(triple, spirals):
     # against DP5 at rel_tol 1e-13 the spliced zero offsets agree to 4.4e-9
     # relative on (5,4,20) and 1.1e-9 on (5,4,6), while default DP5 without
     # the series and the splice is off by up to 9.2e-8 (5,4,6) and 5.6e-8
@@ -480,7 +484,7 @@ def test_spliced_zeros_match_fine_dp5(triple, spirals, dp5_only):
     # for (5,4,6) stops on its own 1e-290 floor after 28 zeros, one short of
     # the spliced run
     traj = spirals[triple]
-    ref = detect_psi_zeros(dp5_only(traj.params, rel_tol=1e-13))
+    ref = detect_psi_zeros(_dp5_only(traj, 1e-13))
     zeros = detect_psi_zeros(traj)
     assert len(zeros) == len(ref) + (1 if triple == (5, 4, 6) else 0)
     for a, b in zip(zeros, ref):
