@@ -3,14 +3,14 @@ verification, geometry and density reports, and the witness-map check.
 
 Exit codes (public contract):
     0  success
-    2  usage / invalid arguments, or a value whose run would leave the
-       float range (a huge k, a tiny -c, an --eps that lands on the saddle)
+    2  usage / invalid arguments, a value whose run would leave the float
+       range (a huge k, a tiny -c, an --eps that lands on the saddle), or a
+       --radii or --target-phi value a real-eigenvalue run ends short of
     3  inadmissible triple without --allow-inadmissible
     4  integration failure: |phi| left 1e3 phi0, a rejected step fell
        below 1e-13/(k-1), or r^2 + rho^2 stopped rising along the profile
     5  certificate failure (verify: barrier; density: a crossing's density,
-       or a --radii density, not strictly below the cone density, or not
-       resolved from it)
+       or a --radii density, not strictly below the cone density)
     6  wrong stability type for the requested report, or too few crossings
 main maps the errors classes to 3, 4 and 6, any other ValueError to 2.
 
@@ -414,7 +414,7 @@ def cmd_density(args) -> int:
     if radii is not None:
         profile = radial.to_profile(traj)
         try:
-            thetas = analysis.thetas_of_radii(profile, params, radii)
+            thetas = [analysis.theta_of_radius(profile, params, R) for R in radii]
         except ValueError as exc:
             raise ValueError(f"radii: {exc}") from None
         payload = {

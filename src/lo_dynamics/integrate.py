@@ -57,9 +57,10 @@ series samples alike (_hermite), on the segment the one segment rule
 picks (_segments); events are refined by bisection on the interpolant of
 the segment that holds them, to 1e-12 in t.  Past the splice, where the
 quarter-turn samples leave the cubic far from the flow, psi zeros and
-phi0 hits come from w's phase instead, hits of any other phi by
-bisection on the linear part between its u extrema, and the gaps
-(analysis.gap_logs) from its state at the cut.
+phi0 hits come from w's phase instead, and hits of any other phi by
+bisection on the linear part between its u extrema.  state_at reads the
+state at any time of a run, the dense output up to the splice and Phi(w)
+past it; the densities (analysis) read it.
 The tests check this path against a classical fixed-step RK4 in plain
 (phi, psi) coordinates (tests/oracles.py), which shares no code with it.
 """
@@ -277,6 +278,27 @@ def _linear_flow(lin: P1Linearization, z, tau):
     of coordinate z (P1Linearization): (Re w, Re mu w), w = z e^{mu tau}."""
     w = z * np.exp(lin.mu3 * tau)
     return w.real, (lin.mu3 * w).real
+
+
+def state_at(traj: Trajectory, t) -> tuple[np.ndarray, np.ndarray]:
+    """(u, psi) of the run at the times t (an array) in its span: up to the
+    splice time the Hermite cubic of the segment that holds each time (the
+    dense output), past it the orbit the tail stands for, Phi(w, conj w)
+    of P1's conjugacy at w = w_s e^{mu (t - t_s)}, w_s the tail coordinate.
+    The run ends at the _DEEP_FLOOR, so floats hold every state it reads."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all((traj.t[0] <= t) & (t <= traj.t[-1])):
+        raise ValueError(f"times must lie in the trajectory span [{traj.t[0]}, {traj.t[-1]}]")
+    i = _segments(traj.t, t)
+    t0, t1 = traj.t[i], traj.t[i + 1]
+    u = _hermite(t, t0, t1, traj.u[i], traj.u[i + 1], traj.psi[i], traj.psi[i + 1])
+    psi = _hermite(t, t0, t1, traj.psi[i], traj.psi[i + 1], traj.dpsi[i], traj.dpsi[i + 1])
+    t_s = traj.t[traj.splice_index]
+    tail = t > t_s
+    if traj.tail_coordinate is not None and tail.any():
+        w = traj.tail_coordinate * np.exp(traj.conjugacy.lin.mu3 * (t[tail] - t_s))
+        u[tail], psi[tail] = traj.conjugacy.states(w, w.conjugate())
+    return u, psi
 
 
 def _flow_zeros(lin: P1Linearization, z, row, span):
@@ -646,10 +668,20 @@ def detect_phi_hits(traj: Trajectory, target: float) -> list[PhiHit]:
     sample before it is one too; a sign change between those samples is
     refined by bisection.  Past the splice the hits come from the linear
     flow alone (_level_crossings).  The target must be positive and finite.
+    A node run that ended converged_to_p1 stopped short of P1, so a target
+    strictly between its last phi and phi0, which the orbit still crosses,
+    is refused (ValueError) rather than answered with no hit.
     """
     if not 0.0 < target < math.inf:  # NaN fails too
         raise ValueError(f"target must be positive and finite, got {target}")
     u_target = target - traj.params.phi0
+    u_end = float(traj.u[-1])
+    if (traj.params.stability is StabilityType.CENTER_TYPE_I
+            and traj.terminated_by is Termination.CONVERGED_TO_P1
+            and min(u_end, 0.0) < u_target < max(u_end, 0.0)):
+        raise ValueError(f"target {target!r} lies between the last sample's phi "
+                         f"{traj.params.phi0 + u_end!r} and phi0 {traj.params.phi0!r}: the run "
+                         f"ended {traj.terminated_by.value} at t={traj.t_end!r} before crossing it")
     head = slice(traj.splice_index + 1)
     on_target = traj.u[head] - u_target == 0.0
     on_target[1:] &= ~on_target[:-1]  # the first sample of each run on it

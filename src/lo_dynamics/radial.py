@@ -28,13 +28,17 @@ from .params import LomseParams
 class Profile:
     """The profile rho(e^log_d r)/e^log_d, as the orbit's columns x = t
     (= log r before the rescaling), phi, psi and dpsi = psi_t: equal-length
-    read-only float arrays (a writeable one is copied), x strictly rising."""
+    read-only float arrays (a writeable one is copied), x strictly rising.
+    orbit is the run the columns come from, whose state reader
+    (integrate.state_at) answers between them; None for a profile given by
+    its columns alone, read on their Hermite cubic."""
 
     x: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
     dpsi: np.ndarray
     log_d: float = 0.0
+    orbit: Trajectory | None = None
 
     def __post_init__(self):
         n = len(self.x)
@@ -75,7 +79,8 @@ class Profile:
 
 def to_profile(traj: Trajectory) -> Profile:
     """The profile of a trajectory: its columns, phi = phi0 + u."""
-    return Profile(x=traj.t, phi=traj.params.phi0 + traj.u, psi=traj.psi, dpsi=traj.dpsi)
+    return Profile(x=traj.t, phi=traj.params.phi0 + traj.u, psi=traj.psi, dpsi=traj.dpsi,
+                   orbit=traj)
 
 
 def ode1_residual(profile: Profile, params: LomseParams):
@@ -98,8 +103,8 @@ def ode1_residual(profile: Profile, params: LomseParams):
 
 def rescale_profile(profile: Profile, d: float) -> Profile:
     """The profile rho_d(r) = rho(d r)/d, minimality being invariant under
-    this: the same columns, ln d added to log_d."""
+    this: the same columns and orbit, ln d added to log_d."""
     if not 0.0 < d < math.inf:  # NaN fails too
         raise ValueError(f"dilation must be positive and finite, got {d}")
     return Profile(x=profile.x, phi=profile.phi, psi=profile.psi, dpsi=profile.dpsi,
-                   log_d=profile.log_d + math.log(d))
+                   log_d=profile.log_d + math.log(d), orbit=profile.orbit)

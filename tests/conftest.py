@@ -59,3 +59,12 @@ def spirals(table_trajs):
     """The spiral-type trajectories of table_trajs, by triple."""
     return {triple: traj for triple, traj in table_trajs.items()
             if traj.params.stability is StabilityType.SPIRAL_TYPE_II}
+
+
+@pytest.fixture(scope="session")
+def fine_trajs():
+    """Trajectories shot at rel_tol 1e-13 of every fifth triple of (31, 20)
+    in its order and of every spiral triple, by triple."""
+    return {p.triple(): shoot_unstable_manifold(p, rel_tol=1e-13)
+            for i, p in enumerate(enumerate_admissible(31, 20))
+            if i % 5 == 0 or p.stability is StabilityType.SPIRAL_TYPE_II}

@@ -333,7 +333,7 @@ def mp_theta(traj: Trajectory, R: float, dps: int = 40):
     Gauss-Legendre rule on the same panels (each segment below the cut split
     into max(1, ceil(2(n+1) h')) equal panels, h' its width below the cut)
     and the same power-law piece below the first sample.  So it differs
-    from analysis.thetas_of_radii by that code's rounding alone."""
+    from quadrature_theta by that code's rounding alone."""
     params = traj.params
     n, p = params.n, params.p
     with mpmath.workdps(dps):
@@ -392,6 +392,222 @@ def mp_theta(traj: Trajectory, R: float, dps: int = 40):
         x0, p0, q0, _ = rows[0]
         tail = g(p0, q0) * mpmath.exp((n + 1) * (x0 - x_cut)) / (n + 1)
         return (n + 1) * (core + tail) * (1 + phi_cut * phi_cut) ** (-mpf(n + 1) / 2)
+
+
+# ----------------------------------------------------------------------
+# the volume and gap quadratures that analysis' closed forms replaced, kept
+# as their independent routes: Gauss-Legendre on the orbit's Hermite
+# segments, the gaps integrated from the monotonicity identity
+
+# the 5- and 3-point Gauss-Legendre rules on [0, 1] in closed form: seven
+# nodes, as the two share the midpoint, and one row of weights per rule
+_R5A = math.sqrt(5.0 - 2.0 * math.sqrt(10.0 / 7.0)) / 3.0
+_R5B = math.sqrt(5.0 + 2.0 * math.sqrt(10.0 / 7.0)) / 3.0
+_R3 = math.sqrt(0.6)
+_W5A = (322.0 + 13.0 * math.sqrt(70.0)) / 900.0
+_W5B = (322.0 - 13.0 * math.sqrt(70.0)) / 900.0
+GL_NODES = 0.5 + 0.5 * np.array([-_R5B, -_R5A, 0.0, _R5A, _R5B, -_R3, _R3])
+GL_WEIGHTS = 0.5 * np.array([[_W5B, _W5A, 128.0 / 225.0, _W5A, _W5B, 0.0, 0.0],
+                              [0.0, 0.0, 8.0 / 9.0, 0.0, 0.0, 5.0 / 9.0, 5.0 / 9.0]])
+_CHUNK = 4096  # segments per evaluation, bounding the temporaries
+_EPS = float(np.finfo(float).eps)
+
+
+def volume_core(profile: Profile, params: LomseParams, x_cut: float) -> float:
+    """integral of g(x) e^{(n+1)(x - x_cut)} dx over [x0, x_cut] plus the
+    power-law tail below the first sample, g = sqrt(1 + rho_r^2) (1 +
+    lambda^2 phi^2)^{p/2}: the 5-point Gauss-Legendre rule on the profile's
+    Hermite segments, each split evenly into panels no wider than 0.5/(n+1)
+    (a quarter-turn segment past a spiral's splice spans several e-folds of
+    the exponential), in the segment's unit variable."""
+    n, p = params.n, params.p
+    lam2 = params.lambda_sq
+    x = profile.x
+
+    def g(phi, psi):
+        rho_r = phi + psi
+        return np.sqrt(1.0 + rho_r * rho_r) * (1.0 + lam2 * phi * phi) ** (p / 2.0)
+
+    end = int(_segments(x, x_cut)) + 1
+    core = 0.0
+    for lo in range(0, end, _CHUNK):
+        seg = np.arange(lo, min(lo + _CHUNK, end))
+        h = x[seg + 1] - x[seg]
+        frac = np.minimum((x_cut - x[seg]) / h, 1.0)  # the share of each below the cut
+        m = np.maximum(np.ceil(2.0 * (n + 1.0) * frac * h), 1.0).astype(np.intp)
+        i = np.repeat(seg, m)
+        k = np.arange(len(i)) - np.repeat(np.cumsum(m) - m, m)  # panel number in its segment
+        width = np.repeat(frac / m, m)
+        s = width * (k + GL_NODES[:5, None])
+        hi = np.repeat(h, m)
+        phi = _hermite(s, 0.0, 1.0, profile.phi[i], profile.phi[i + 1],
+                       hi * profile.psi[i], hi * profile.psi[i + 1])
+        psi = _hermite(s, 0.0, 1.0, profile.psi[i], profile.psi[i + 1],
+                       hi * profile.dpsi[i], hi * profile.dpsi[i + 1])
+        f = g(phi, psi) * np.exp((n + 1.0) * (x[i] + hi * s - x_cut))
+        core += float((GL_WEIGHTS[0, :5] @ f) @ (width * hi))
+    # below the first sample the integrand is ~ f(r0) (r/r0)^n
+    tail = (float(g(profile.phi[0], profile.psi[0])) * math.exp((n + 1.0) * (x[0] - x_cut))
+            / (n + 1.0))
+    return core + tail
+
+
+def quadrature_theta(profile: Profile, params: LomseParams, R: float) -> float:
+    """Theta(R) from the volume inside the cut (volume_core): the
+    independent route to analysis.theta_of_radius, F at the cut."""
+    n = params.n
+    x_cut, phi_cut = _cut(profile, R)
+    # (r_cut / R)^{n+1} = (1 + phi(x_cut)^2)^{-(n+1)/2}, and |S^n| / omega_{n+1} = n + 1
+    return (n + 1.0) * volume_core(profile, params, x_cut) * (1.0 + phi_cut * phi_cut) ** (
+        -(n + 1.0) / 2.0)
+
+
+def segment_logs(traj: Trajectory, i: np.ndarray, start) -> tuple[np.ndarray, np.ndarray]:
+    """ln of the gap integrand's integral over segment i of the trajectory
+    from the fraction start of its length (0.0, or one per segment) to its
+    end, by the 5-point Gauss-Legendre rule on the Hermite dense output, and
+    ln of its distance to the 3-point rule's value.
+
+    The cubics are evaluated in the segment's unit variable s, with slopes
+    times the step, one row per node.  psi is divided by the largest of its
+    four Hermite coefficients, so psi^2 does not underflow; that scale
+    comes back as 2 ln(scale).
+    """
+    params = traj.params
+    n, p = params.n, params.p
+    lam2 = params.lambda_sq
+    h = traj.t[i + 1] - traj.t[i]
+    p0, p1 = traj.psi[i], traj.psi[i + 1]
+    m0, m1 = h * traj.dpsi[i], h * traj.dpsi[i + 1]
+    scale = np.maximum(np.maximum(np.abs(p0), np.abs(p1)), np.maximum(np.abs(m0), np.abs(m1)))
+    scale[scale == 0.0] = 1.0
+    s = start + (1.0 - start) * GL_NODES[:, None]
+    phi = params.phi0 + _hermite(s, 0.0, 1.0, traj.u[i], traj.u[i + 1], h * p0, h * p1)
+    psi_s = _hermite(s, 0.0, 1.0, p0 / scale, p1 / scale, m0 / scale, m1 / scale)
+    rho_r = phi + psi_s * scale
+    f = (psi_s * psi_s * (1.0 + lam2 * phi * phi) ** (p / 2.0)
+         / (np.sqrt(1.0 + rho_r * rho_r) * (1.0 + phi * phi) ** ((n + 3.0) / 2.0)))
+    s5, s3 = GL_WEIGHTS @ f
+    log_len = np.log((1.0 - start) * h) + 2.0 * np.log(scale)
+    return log_len + np.log(s5), log_len + np.log(np.abs(s5 - s3))
+
+
+def tail_logs(params: LomseParams, u, psi, conj):
+    """ln of the gap integrand's integral along the orbit from each state
+    (u, psi) on, from the linear flow at P1, and ln of a bound on its error.
+
+    With J = [[0, 1], [a, b]] Hurwitz (from conj, P1's conjugacy, or the
+    parameters), P = diag(a/(2b), -1/(2b)) solves J^T P + P J = -diag(0,
+    1), so the linear flow exp(J tau) x has integral of psi^2 = Q(x) = x^T
+    P x = (|a| u^2 + psi^2) / (2|b|); the other factors of the integrand are
+    taken at P1.  The bound is the tail itself at a node or without conj.
+
+    At a spiral each x is the linear part L(z) = (Re z, Re mu z) of a
+    coordinate z, and the orbit from there is Phi(z e^{mu tau}).  With r =
+    |z|, V = max(1, |mu|) and N = conj.bound, |Phi - L| <= N(r e^{alpha
+    tau}) and |psi_L| <= V r e^{alpha tau} along it, so the integral of
+    |psi_Phi^2 - psi_L^2| <= (2 |psi_L| + N) N is at most R = (2 V r N(r) /
+    3 + N(r)^2 / 4) / |alpha|, N's terms being of degree 2 and up (the
+    remainder).  The other factors' logarithm, of gradient g = (g_u, g_psi)
+    at P1, moves by g . L(z e^{mu tau}) = Re((g_u + g_psi mu) z e^{mu tau})
+    plus g . (Phi - L), at most |g_u + g_psi mu| r + |g|_1 N(r), to first
+    order (the variation).  The relative bound is twice R / Q(x) plus the
+    variation, for the higher orders, plus the rounding, 8 eps |mu| /
+    |alpha| (1 + |ln gap|): tau <= ln(1/r) / |alpha| enters mu tau, and ln
+    gap the logarithms.
+    """
+    n, p, phi0, lam2 = params.n, params.p, params.phi0, params.lambda_sq
+    lin = linearize_p1(params) if conj is None else conj.lin
+    amp = np.maximum(np.abs(u), np.abs(psi))
+    scale = np.where(amp > 0.0, amp, 1.0)
+    u1, psi1 = u / scale, psi / scale  # the direction of x, in the max-norm
+    abs_a, abs_b = abs(lin.a), abs(lin.b)
+    q1 = (abs_a * u1 * u1 + psi1 * psi1) / (2.0 * abs_b)  # Q(x) / amp^2
+    log_g = (p / 2.0) * math.log1p(lam2 * phi0 * phi0) - (n + 4.0) / 2.0 * math.log1p(phi0 * phi0)
+    with np.errstate(divide="ignore"):
+        log_tail = np.where(amp > 0.0, 2.0 * np.log(scale) + np.log(q1) + log_g, -math.inf)
+    if conj is None or not lin.spiral:
+        return log_tail, log_tail
+    alpha, v = abs(lin.mu3.real), lin.envelope(1.0)
+    r1 = np.abs(lin.coordinates(u1, psi1)[0])  # r / amp
+    r = r1 * scale
+    big_n = conj.bound(r)
+    n1 = big_n / scale  # N(r) / amp
+    # the other factors' logarithm has the gradient (g_u, -c) at P1
+    c = phi0 / (1.0 + phi0 * phi0)
+    g_u = p * lam2 * phi0 / (1.0 + lam2 * phi0 * phi0) - (n + 4.0) * c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = (2.0 * ((2.0 * v * r1 * n1 / 3.0 + n1 * n1 / 4.0) / (alpha * q1)
+                      + abs(g_u - c * lin.mu3) * r + (abs(g_u) + c) * big_n)
+               + 8.0 * _EPS * abs(lin.mu3) / alpha * (1.0 + np.abs(log_tail)))
+        return log_tail, np.where(amp > 0.0, log_tail + np.log(rel), -math.inf)
+
+
+def gap_logs(traj: Trajectory, t_cuts) -> tuple[np.ndarray, np.ndarray]:
+    """ln(Theta_inf - Theta) for the part of the graph beyond each cut time,
+    and ln of its error bar, from one pass over the trajectory.
+
+    The monotonicity identity gives Theta_inf - Theta(R) = |S^n|/omega_{n+1}
+    = n + 1 times the integral from t_cut to infinity of
+
+        psi^2 (1 + lambda^2 phi^2)^{p/2} / (sqrt(1 + (phi + psi)^2) (1 + phi^2)^{(n+3)/2})
+
+    where r^2 (1 + phi^2) = R^2 at t_cut.  The sample segments before the
+    splice index s = splice_index, DP5 steps and series samples, are
+    integrated by quadrature, each kept as a logarithm and summed from the
+    end, and a cut before the splice adds the part from the cut to the end
+    of its segment.  tail_logs gives the rest: on a spiral run with a
+    conjugacy from the linear part of the coordinate w at the splice
+    (traj.tail_coordinate, or the last sample's by Newton when the run ended
+    before its splice) and of w continued to each cut past it, otherwise
+    from the last sample.  So the bar covers the quadrature before the
+    splice (the 3-point/5-point differences) and tail_logs' bound past it,
+    not the DP5 path's own error.  The independent route to
+    analysis.density_report's closed-form gaps.
+    """
+    params, conj = traj.params, traj.conjugacy
+    t_cuts = np.asarray(t_cuts, dtype=float)
+    if not np.all((traj.t[0] <= t_cuts) & (t_cuts <= traj.t[-1])):
+        raise ValueError(f"cut times must lie in the trajectory span [{traj.t[0]}, {traj.t[-1]}]")
+    s = traj.splice_index
+    seg, err = np.empty(s + 1), np.empty(s + 1)
+    j = _segments(traj.t, t_cuts)
+    flow = j >= s
+    log_gap, log_err = np.empty(len(t_cuts)), np.empty(len(t_cuts))
+    with np.errstate(divide="ignore"):
+        for lo in range(0, s, _CHUNK):
+            i = np.arange(lo, min(lo + _CHUNK, s))
+            seg[i], err[i] = segment_logs(traj, i, 0.0)
+        jd = j[~flow]
+        start = (t_cuts[~flow] - traj.t[jd]) / (traj.t[jd + 1] - traj.t[jd])
+        part, part_err = segment_logs(traj, jd, start)
+    # the tail from the splice state, then from each cut past it
+    x = traj.u[s:s + 1], traj.psi[s:s + 1]
+    if conj is not None and conj.lin.spiral:
+        w = traj.tail_coordinate
+        if w is None:  # a run that ended before its splice
+            w = conj.invert(float(traj.u[s]), float(traj.psi[s]))[0]
+        x = _linear_flow(conj.lin, w, np.append(0.0, t_cuts[flow] - traj.t[s]))
+    logs, errs = tail_logs(params, *x, conj)
+    seg[s], err[s] = logs[0], errs[0]
+    log_gap[flow], log_err[flow] = logs[1:], errs[1:]
+    # suffix[j] sums the segments from j on and the tail from the splice
+    suffix = np.logaddexp.accumulate(seg[::-1])[::-1]
+    suffix_err = np.logaddexp.accumulate(err[::-1])[::-1]
+    log_gap[~flow] = np.logaddexp(part, suffix[jd + 1])
+    log_err[~flow] = np.logaddexp(part_err, suffix_err[jd + 1])
+    log_c = math.log(params.n + 1.0)
+    return log_gap + log_c, log_err + log_c
+
+
+def verdict(log_gaps: np.ndarray, log_errs: np.ndarray) -> bool | None:
+    """True when every gap exceeds its error bar, False when a gap is not
+    positive, None (unresolved) otherwise."""
+    if not np.all(log_gaps > -math.inf):
+        return False
+    if np.all(log_errs < log_gaps):
+        return True
+    return None
 
 
 def sphere_volume(n: int) -> float:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,13 +21,16 @@ from lo_dynamics.analysis import (
 )
 from lo_dynamics.errors import IntegrationFailure, NotApplicable
 from lo_dynamics.geometry import volume_ratio
+from lo_dynamics.integrate import state_at
 from lo_dynamics.radial import Profile, rescale_profile, to_profile
 from oracles import (
     ball_volume,
     cone_profile,
     dense,
     mp_theta,
+    mpmath_orbit,
     orbit_at,
+    quadrature_theta,
     simpson_theta,
     simpson_theta_at_cut,
     sphere_volume,
@@ -70,18 +74,18 @@ def test_flat_disk_volume(p322):
 
 
 def test_quadrature_panel_refinement(p322, cone322):
-    # the Gauss-Legendre volume against the 65 536-panel Simpson oracle
-    # (measured: 5.4e-15)
-    a = graph_volume(cone322, p322, 2.0)
-    b = simpson_theta(cone322, p322, 2.0, 65536) * ball_volume(p322.n + 1) * 2.0 ** (p322.n + 1)
+    # the Gauss-Legendre volume (oracles.quadrature_theta) against the
+    # 65 536-panel Simpson oracle (measured: 5.4e-15)
+    a = quadrature_theta(cone322, p322, 2.0)
+    b = simpson_theta(cone322, p322, 2.0, 65536)
     assert abs(b / a - 1.0) < 1e-12
 
 
 def test_quadrature_sample_refinement(p322):
     coarse = cone_profile(p322, list(np.geomspace(1e-8, 50.0, 2000)))
     fine = cone_profile(p322, list(np.geomspace(1e-8, 50.0, 4000)))
-    a = graph_volume(coarse, p322, 2.0)
-    b = graph_volume(fine, p322, 2.0)
+    a = quadrature_theta(coarse, p322, 2.0)
+    b = quadrature_theta(fine, p322, 2.0)
     assert abs(b / a - 1.0) < 1e-9
 
 
@@ -100,7 +104,7 @@ def test_radius_must_be_positive_and_finite(p322, cone322, R):
 
 @pytest.mark.parametrize("n_panels", [0, -4])
 def test_volume_core_needs_a_panel(p322, cone322, traj324, n_panels):
-    # the quadrature reads no n_panels, but the benchmark counts
+    # the closed form reads no n_panels, but the benchmark counts
     # with it, so theta_of_radius and density_report still check it
     with pytest.raises(ValueError, match="n_panels must be at least 1"):
         theta_of_radius(cone322, p322, 2.0, n_panels=n_panels)
@@ -143,12 +147,12 @@ def test_simpson_oracle_resolves_the_5_4_1e9_profile():
     # at R = 0.07147138634964101 the cut of (5,4,10^9)'s first rescaled
     # profile lies among segments where psi reaches 2e7, 1.5e-8 after the
     # first sample; in x = t the oracle's nodes resolve them, and its
-    # 1 048 576-panel value agrees with theta_of_radius (measured: 1.2e-10;
-    # 4.2e-7 at 65 536 panels)
+    # 1 048 576-panel value agrees with the Gauss-Legendre volume
+    # (oracles.quadrature_theta; measured: 1.2e-10; 4.2e-7 at 65 536 panels)
     traj, first = _first_rescaled_5_4_1e9()
     R = 0.07147138634964101
     oracle = simpson_theta(first, traj.params, R, 1048576)
-    assert abs(theta_of_radius(first, traj.params, R) / oracle - 1.0) < 1e-9
+    assert abs(quadrature_theta(first, traj.params, R) / oracle - 1.0) < 1e-9
 
 
 @pytest.mark.parametrize("bad", [math.nan, 0.5])
@@ -330,8 +334,10 @@ def _theta_per_sample(cols, params, R, n_panels):
 
 @pytest.mark.parametrize("triple", [(3, 2, 4), (3, 2, 10), (5, 4, 20)])
 def test_density_report_matches_per_sample_code(triple):
-    # theta_1_volume agrees with the per-sample 65 536-panel Simpson oracle
-    # to 1e-12 (measured: at most 6.7e-16)
+    # Theta_1 by the Gauss-Legendre volume of the first rescaled profile
+    # (oracles.quadrature_theta, the theta_1_volume the report had) agrees
+    # with the per-sample 65 536-panel Simpson oracle to 1e-12 (measured:
+    # at most 6.7e-16)
     traj = shoot_unstable_manifold(build_params(*triple))
     report = density_report(traj)
     params = traj.params
@@ -339,7 +345,8 @@ def test_density_report_matches_per_sample_code(triple):
     hits = detect_phi_hits(traj, params.phi0)
     oracle = _theta_per_sample(_PerSampleColumns(traj, math.log(hits[0].dilation)), params, R,
                                65536)
-    assert abs(report.theta_1_volume / oracle - 1.0) < 1e-12
+    first = rescale_profile(to_profile(traj), hits[0].dilation)
+    assert abs(quadrature_theta(first, params, R) / oracle - 1.0) < 1e-12
     # the per-sample Simpson densities of the rescaled profiles are the
     # independent route: where a Simpson gap Theta_inf - Theta_i exceeds 1e-8
     # and its own error, measured by halving the panels, is below 1e-4 of it,
@@ -364,10 +371,11 @@ def test_theta_of_radius_matches_per_sample_code(fixture, request):
     traj = request.getfixturevalue(fixture)
     profile = to_profile(traj)
     cols = _PerSampleColumns(traj)
-    # within 1e-12 of the 65 536-panel oracle (measured: at most 4.9e-14)
+    # the Gauss-Legendre volume within 1e-12 of the 65 536-panel oracle
+    # (measured: at most 4.9e-14)
     for R in (0.5, 1.0, 2.0):
         oracle = _theta_per_sample(cols, traj.params, R, 65536)
-        assert abs(theta_of_radius(profile, traj.params, R) / oracle - 1.0) < 1e-12
+        assert abs(quadrature_theta(profile, traj.params, R) / oracle - 1.0) < 1e-12
 
 
 def _separate_lookup_hermite(x, xq, y, m):
@@ -420,9 +428,9 @@ def test_cut_solves_its_level_equation(table_trajs):
 
 def test_theta_matches_the_simpson_oracle_on_the_table(table_trajs):
     # on every table profile, at one radius before the splice (a quarter,
-    # half or three quarters across its span, in turn), theta_of_radius
-    # agrees with the 65 536-panel Simpson oracle to that oracle's own
-    # error (measured: at most 1.3e-10, on (31,30,2))
+    # half or three quarters across its span, in turn), the Gauss-Legendre
+    # volume agrees with the 65 536-panel Simpson oracle to that oracle's
+    # own error (measured: at most 1.3e-10, on (31,30,2))
     for n, traj in enumerate(table_trajs.values()):
         profile = to_profile(traj)
         spiral = traj.params.stability is StabilityType.SPIRAL_TYPE_II
@@ -430,38 +438,125 @@ def test_theta_matches_the_simpson_oracle_on_the_table(table_trajs):
         lo, hi = _log_radii(profile)[[0, end]]
         R = math.exp(lo + (0.25, 0.5, 0.75)[n % 3] * (hi - lo))
         oracle = simpson_theta(profile, traj.params, R, 65536)
-        assert abs(theta_of_radius(profile, traj.params, R) / oracle - 1.0) < 5e-10, traj.params
+        assert abs(quadrature_theta(profile, traj.params, R) / oracle - 1.0) < 5e-10, traj.params
 
 
 def test_theta_past_the_splice_matches_the_simpson_oracle(spirals):
     # past the splice a segment spans a quarter-turn, several e-folds of
-    # the volume integrand, and each is split into panels: theta_of_radius
-    # agrees with the 524 288-panel oracle to 1e-13 halfway from the
-    # splice to the run's end (measured: at most 3.0e-14)
+    # the volume integrand, and each is split into panels: the
+    # Gauss-Legendre volume agrees with the 524 288-panel oracle to 1e-13
+    # halfway from the splice to the run's end (measured: at most 3.0e-14)
     for traj in spirals.values():
         profile, params = to_profile(traj), traj.params
         t = 0.5 * (traj.t[traj.splice_index] + traj.t_end)
         R = math.exp(t) * math.hypot(1.0, params.phi0)
         oracle = simpson_theta(profile, params, R, 524288)
-        assert abs(theta_of_radius(profile, params, R) / oracle - 1.0) < 1e-13, params
+        assert abs(quadrature_theta(profile, params, R) / oracle - 1.0) < 1e-13, params
 
 
 def test_theta_where_the_gap_route_cancels():
     # for (31,28,4) at R = 1.049, Theta(R) = 50.8 against Theta_inf = 4.2e7,
     # so Theta_inf - gap loses 3.1e-5 relative there; the volume does not
-    # (measured: 7.3e-15 from the 524 288-panel oracle)
+    # (oracles.quadrature_theta; measured: 7.3e-15 from the 524 288-panel
+    # oracle)
     traj = shoot_unstable_manifold(build_params(31, 28, 4))
     profile = to_profile(traj)
     oracle = simpson_theta(profile, traj.params, 1.049, 524288)
-    assert abs(theta_of_radius(profile, traj.params, 1.049) / oracle - 1.0) < 1e-13
+    assert abs(quadrature_theta(profile, traj.params, 1.049) / oracle - 1.0) < 1e-13
 
 
 @pytest.mark.parametrize("triple", [(29, 28, 20), (27, 26, 6), (23, 22, 18), (31, 30, 12)])
 def test_theta_matches_its_rule_at_40_digits(triple):
     # the same panels, nodes and cut in mpmath on the exact samples: what
-    # is left is the rounding of theta_of_radius, which x = t keeps small
+    # is left is the rounding of the Gauss-Legendre volume
+    # (oracles.quadrature_theta), which x = t keeps small
     # (measured: 1.3e-15, 4.0e-15, 1.3e-15, 2.9e-15; x = log(e^t) gives
     # 1.6e-14, 8.9e-15, 1.4e-14, 8.5e-15, as e^{(n+1)x} amplifies its rounding)
     traj = shoot_unstable_manifold(build_params(*triple))
-    theta = theta_of_radius(to_profile(traj), traj.params, 2.0)
+    theta = quadrature_theta(to_profile(traj), traj.params, 2.0)
     assert abs(theta / mp_theta(traj, 2.0) - 1.0) < 6e-15
+
+
+# ----------------------------------------------------------------------
+# Theta(R) in closed form, F at the cut, against the volume quadrature
+# (oracles.quadrature_theta), the mpmath orbit and its own rules
+
+
+def test_closed_form_matches_the_volume_at_rel_tol_1e_13(fine_trajs):
+    # at R = 0.3, 0.5, 1, 2, 10 and 1000 where each profile spans R, on
+    # orbits shot at rel_tol 1e-13: the two routes differ by the orbit's
+    # discretization, which the volume integrates and the closed form reads
+    # at the cut (measured: at most 2.3e-10, on (9,8,12) at R = 1, where
+    # Theta climbs from 1 toward Theta_inf; 1.25e-7 at the default rel_tol)
+    compared = 0
+    for traj in fine_trajs.values():
+        profile, params = to_profile(traj), traj.params
+        lo, hi = _log_radii(profile)[[0, -1]]
+        for R in (0.3, 0.5, 1.0, 2.0, 10.0, 1000.0):
+            if lo < math.log(R) < hi:
+                theta = theta_of_radius(profile, params, R)
+                assert abs(theta / quadrature_theta(profile, params, R) - 1.0) < 4.5e-10, (
+                    params.triple(), R)
+                compared += 1
+    assert compared == 358
+
+
+def _f(params, phi, psi):
+    """F(phi, psi) as the flux of the position through the conormal."""
+    n, p, lam2 = params.n, params.p, params.lambda_sq
+    slope = phi + psi
+    return ((1.0 + lam2 * phi ** 2) ** (p / 2.0) * (1.0 + phi * slope)
+            / (math.sqrt(1.0 + slope ** 2) * (1.0 + phi ** 2) ** ((n + 1.0) / 2.0)))
+
+
+def test_theta_far_below_the_cone_is_f_at_the_cut():
+    # for (31,28,4) at R = 1.049 Theta = 50.8 against Theta_inf = 4.2e7:
+    # Theta_inf less the deficit would lose 3.1e-5 relative, so Theta(R)
+    # is F itself at the cut, which agrees with the volume on the orbit
+    # shot at rel_tol 1e-13 to 1e-12 (measured: 3.1e-13)
+    params = build_params(31, 28, 4)
+    traj = shoot_unstable_manifold(params, rel_tol=1e-13)
+    profile = to_profile(traj)
+    theta = theta_of_radius(profile, params, 1.049)
+    assert theta < theta_infinity(params) / 2.0
+    u, psi = (float(v[0]) for v in state_at(traj, _cut(profile, 1.049)[0]))
+    assert theta == pytest.approx(_f(params, params.phi0 + u, psi), rel=4e-16)
+    assert abs(theta / quadrature_theta(profile, params, 1.049) - 1.0) < 1e-12
+
+
+def test_theta_past_the_splice_is_below_the_cone_and_rises(spirals):
+    # past the splice every state lies off P1, so every Theta(R) lies below
+    # Theta_inf, the deepest ones the float just below it, and Theta(R)
+    # never falls as R grows
+    for traj in spirals.values():
+        profile, params = to_profile(traj), traj.params
+        t_inf = theta_infinity(params)
+        t = np.linspace(traj.t[traj.splice_index], traj.t_end, 12)[1:-1]
+        thetas = [theta_of_radius(profile, params, R)
+                  for R in np.exp(t) * math.hypot(1.0, params.phi0)]
+        assert all(th < t_inf for th in thetas) and thetas == sorted(thetas), params.triple()
+        assert thetas[-1] == math.nextafter(t_inf, 0.0)
+
+
+def test_boundary_identity_on_an_mpmath_orbit(traj324):
+    # along the true orbit of (3,2,4) (oracles.mpmath_orbit, 20 digits),
+    # from the launch t0 to t1 = 0.5: (n + 1) times the integral of
+    # e^{(n+1) t} l, l = S W, equals [e^{(n+1) t} G]_{t0}^{t1}, G = W (1 +
+    # phi (phi + psi)) / S = l - psi l_psi, to the orbit's precision
+    # (measured: 1.7e-21 relative)
+    params = traj324.params
+    n, p = params.n, params.p
+    with mpmath.workdps(20):
+        sol, phi0, lam2 = mpmath_orbit(traj324)
+        t0, t1 = mpmath.log(mpmath.mpf(traj324.eps_start)) / (params.k - 1), mpmath.mpf(0.5)
+
+        def parts(t):
+            u, psi = sol(t)
+            phi = phi0 + u
+            s, w = mpmath.sqrt(1 + (phi + psi) ** 2), (1 + lam2 * phi * phi) ** (mpmath.mpf(p) / 2)
+            return s * w, w * (1 + phi * (phi + psi)) / s
+
+        volume = (n + 1) * mpmath.quad(lambda t: mpmath.exp((n + 1) * (t - t1)) * parts(t)[0],
+                                       mpmath.linspace(t0, t1, 9))
+        flux = parts(t1)[1] - mpmath.exp((n + 1) * (t0 - t1)) * parts(t0)[1]
+        assert abs(volume / flux - 1) < mpmath.mpf(10) ** -18

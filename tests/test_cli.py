@@ -34,7 +34,7 @@ from lo_dynamics.cli import (
 from lo_dynamics import crossing_report, detect_psi_zeros, shoot_unstable_manifold
 from lo_dynamics.params import LomseParams, StabilityType
 from lo_dynamics.radial import ode1_residual, to_profile
-from oracles import HOPF_ROUNDING, simpson_theta, to_profile_per_sample
+from oracles import HOPF_ROUNDING, quadrature_theta, simpson_theta, to_profile_per_sample
 
 
 def run(args):
@@ -231,6 +231,22 @@ def test_density_radius_sweep_type1(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_node_targets_and_radii_past_the_run_end_are_usage_errors(tmp_path, capsys):
+    # (3,2,2)'s run ends at hypot(u, psi) < 1e-8, short of P1: a target
+    # between its last phi and phi0 (here phi0 (1 - 1e-12)), which the
+    # orbit crosses once, and a radius past its last sample exit 2 naming
+    # the run's end, rather than printing 0 hits or a density
+    assert run(["orbit", "3", "2", "2", "--target-phi", "1.118033988748777",
+                "--out-dir", str(tmp_path / "orbit")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: target 1.118033988748777 lies between")
+    assert "converged_to_p1" in err
+    assert run(["density", "3", "2", "2", "--radii", "1e12",
+                "--out-dir", str(tmp_path / "density")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "outside profile span" in err and "(the run ended converged_to_p1)" in err
+
+
 def _sweep_values(stdout):
     """The printed Theta(R) values and Theta_infinity of a --radii sweep."""
     values = [float(v) for v in re.findall(r"^Theta\S* = (\S+)$", stdout, re.M)]
@@ -242,10 +258,16 @@ def _sweep_values(stdout):
 def test_radii_near_the_cone_density_match_the_oracle(argv, resolved, tmp_path, capsys):
     # Theta(R) rises to Theta_inf.  Past (3,2,4)'s splice and at (31,30,2)'s
     # R = 1e9, near its run's end, the true gap lies within rounding of
-    # Theta_inf; at R = 1e5 it is 6.2e-9 of it, and that value is resolved.
-    # Each value agrees with the 524 288-panel Simpson oracle to 1e-13
-    # (measured: at most 3.2e-14). A value not below Theta_inf is printed
-    # and written as any other, and named on stderr with exit 5
+    # Theta_inf, and Theta(R) is the float just below it; at R = 1e5 it is
+    # 6.2e-9 of it.  So every value is below Theta_inf and nondecreasing, and
+    # the command exits 0.  The Gauss-Legendre volume (the independent
+    # route, oracles.quadrature_theta) agrees with the 524 288-panel Simpson
+    # oracle to 1e-13 (measured: at most 3.2e-14); the printed closed form
+    # agrees with that volume on the orbit shot at rel_tol 1e-13 to 1e-13
+    # (measured: at most 1.4e-14), while the volume at the default rel_tol
+    # is 2.3e-12 off at (31,30,2)'s R = 1e5, 3.8e-4 of its gap, and the
+    # closed form 8.4e-15, 1.4e-6 of it.  A value not below Theta_inf would be printed and
+    # written as any other, and named on stderr with exit 5
     code = run(["density", *argv, "--out-dir", str(tmp_path)])
     out, err = capsys.readouterr()
     payload = json.loads((tmp_path / "density.json").read_text())
@@ -253,9 +275,13 @@ def test_radii_near_the_cone_density_match_the_oracle(argv, resolved, tmp_path, 
     assert thetas == payload["thetas"] and t_inf == payload["theta_infinity"]
     params = build_params(*map(int, argv[:3]))
     profile = to_profile(shoot_unstable_manifold(params))
+    fine = to_profile(shoot_unstable_manifold(params, rel_tol=1e-13))
     radii = [float(r) for r in argv[-1].split(",")]
     for R, th in zip(radii, thetas):
-        assert abs(th / simpson_theta(profile, params, R, 524288) - 1.0) < 1e-13, R
+        assert abs(quadrature_theta(profile, params, R)
+                   / simpson_theta(profile, params, R, 524288) - 1.0) < 1e-13, R
+        assert abs(th / quadrature_theta(fine, params, R) - 1.0) < 1e-13, R
+    assert all(th < t_inf for th in thetas) and thetas == sorted(thetas)
     assert all(th < t_inf for th in thetas[:resolved])
     above = [fmt17(R) for R, th in zip(radii, thetas) if not th < t_inf]
     if above:

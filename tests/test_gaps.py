@@ -1,6 +1,9 @@
-"""The density gaps Theta_inf - Theta from the monotonicity identity: the
-whole-orbit identity on the table, the verdicts and the linear decay of
-the gaps on every spiral triple, the tail's error bar, and mpmath.
+"""The density gaps Theta_inf - Theta: the closed form psi^2 B(phi0, psi)
+at each crossing (analysis.density_report) and the integral of the
+monotonicity identity along the orbit (oracles.gap_logs), the independent
+route: the whole-orbit identity on the table, the verdicts and the linear
+decay of the gaps on every spiral triple, the tail's error bar, the two
+routes against each other, and mpmath.
 
 Bounds set from measurement are within a factor of two above the largest
 value measured; each test's comment gives that value.
@@ -14,18 +17,12 @@ import pytest
 
 from lo_dynamics import (StabilityType, detect_phi_hits, enumerate_admissible, linearize_p1,
                          shoot_unstable_manifold)
-from lo_dynamics.analysis import (
-    _GL_NODES,
-    _GL_WEIGHTS,
-    _tail_logs,
-    _verdict,
-    density_report,
-    gap_logs,
-    theta_infinity,
-)
+from lo_dynamics import analysis
+from lo_dynamics.analysis import density_report, theta_infinity
 from lo_dynamics.dynsys import p1_conjugacy
 from lo_dynamics.integrate import DEFAULT_REL_TOL, _linear_flow
-from oracles import ball_volume, mpmath_orbit, sphere_volume
+from oracles import (GL_NODES, GL_WEIGHTS, ball_volume, gap_logs, mpmath_orbit, sphere_volume,
+                     tail_logs, verdict)
 
 
 def test_whole_orbit_identity(table_trajs):
@@ -58,10 +55,36 @@ def test_spiral_gaps_positive_decreasing_and_resolved(spirals):
         assert len(gaps) == (29 if triple == (5, 4, 6) else 40), triple
         assert np.all(np.isfinite(gaps)), triple
         assert np.all(np.diff(gaps) < 0.0), triple
-        # every gap above its error bar by at least 9.38 decades (measured, on (5,4,6))
+        # every closed-form gap above its error bar by at least 11.4
+        # decades (measured, on (3,2,10))
         assert np.all(gaps - errors > 6.0), triple
         assert report.strictly_below_cone is True
         assert report.thetas == sorted(report.thetas)
+        # the integral route resolves every gap too, and its verdict is
+        # True: each gap above its bar by at least 9.38 decades (measured,
+        # on (5,4,6))
+        log_gaps, log_errs = gap_logs(traj, [h.t for h in detect_phi_hits(traj, traj.params.phi0)])
+        assert np.all((log_gaps - log_errs) / math.log(10.0) > 6.0), triple
+        assert verdict(log_gaps, log_errs) is True, triple
+
+
+def test_a_crossing_on_p1_is_not_below_the_cone(traj324, monkeypatch):
+    # strictly_below_cone rests on psi_i != 0 at every crossing, each gap
+    # psi_i^2 B(phi0, psi_i) then being positive: a crossing read with psi
+    # = 0, on P1 itself, has gap 0, and the verdict is False
+    real = analysis.state_at
+
+    def on_p1(traj, t):  # the crossings' call; theta_1_volume's reads one time
+        u, psi = real(traj, t)
+        if len(psi) > 1:
+            psi[3] = 0.0
+        return u, psi
+
+    monkeypatch.setattr(analysis, "state_at", on_p1)
+    report = density_report(traj324)
+    assert report.strictly_below_cone is False
+    assert report.log10_gaps[3] == -math.inf and report.thetas[3] == report.theta_infinity
+    assert all(g > -math.inf for i, g in enumerate(report.log10_gaps) if i != 3)
 
 
 def test_deep_gaps_decay_at_the_linear_rate(spirals):
@@ -142,7 +165,7 @@ def test_carried_error_bar_covers_the_true_flow(params):
             phi = phi0 + u[:-1]
             factors = ((1.0 + lam2 * phi * phi) ** (p / 2.0)
                        / (np.sqrt(1.0 + (phi + psi[:-1]) ** 2) * (1.0 + phi * phi) ** ((n + 3.0) / 2.0)))
-            log_tail, log_err = (float(v[0]) for v in _tail_logs(
+            log_tail, log_err = (float(v[0]) for v in tail_logs(
                 params, *_linear_flow(lin, w, np.zeros(1)), conj))
             for k, f in enumerate((factors / g0, 1.0)):
                 integral = (step / 2.0 * weights @ (psi[:-1] ** 2 * f).reshape(12, -1)).sum()
@@ -154,8 +177,9 @@ def test_carried_error_bar_covers_the_true_flow(params):
 
 
 def test_error_bars_cover_a_10_point_reference(spirals):
-    # gaps 1-3 by a 10-point Gauss-Legendre rule in plain floats (psi^2 does
-    # not underflow this early), written apart from gap_logs: per Hermite
+    # the integral route's gaps 1-3 (oracles.gap_logs) and their bars, by a
+    # 10-point Gauss-Legendre rule in plain floats (psi^2 does not underflow
+    # this early), written apart from gap_logs: per Hermite
     # segment up to the splice, and past it on the linear flow from the
     # splice state, from numpy's eigenpair (mu, v) of J as 2 Re(z e^{mu tau}
     # v), 16 pieces per tail segment; the part past t_end, below 1e-190, is
@@ -167,7 +191,8 @@ def test_error_bars_cover_a_10_point_reference(spirals):
         traj = spirals[triple]
         params = traj.params
         n, p, lam2 = params.n, params.p, params.lambda_sq
-        report = density_report(traj)
+        hits = detect_phi_hits(traj, params.phi0)[:3]
+        log_gaps, log_errs = gap_logs(traj, [hit.t for hit in hits])
         t, s = traj.t, traj.splice_index
 
         def integral(a, b, phi, psi):
@@ -184,7 +209,7 @@ def test_error_bars_cover_a_10_point_reference(spirals):
         a, b = edges[:-1], edges[1:]
         flow = z * np.exp(mu * ((a + b) / 2.0 + (b - a) / 2.0 * x[:, None] - t[s]))
         tail = integral(a, b, params.phi0 + 2.0 * (flow * v[0]).real, 2.0 * (flow * v[1]).real)
-        for i, hit in enumerate(detect_phi_hits(traj, params.phi0)[:3]):
+        for i, hit in enumerate(hits):
             assert hit.t < t[s]
             j = np.arange(np.searchsorted(t, hit.t, side="right") - 1, s)
             a = np.concatenate([[hit.t], t[j[1:]]])
@@ -200,8 +225,7 @@ def test_error_bars_cover_a_10_point_reference(spirals):
             phi = params.phi0 + hermite(traj.u, traj.psi)
             psi = hermite(traj.psi, traj.dpsi)
             reference = (n + 1) * (integral(a, b, phi, psi) + tail)
-            gap = 10.0 ** report.log10_gaps[i]
-            assert abs(gap - reference) <= 10.0 ** report.log10_gap_errors[i], (triple, i)
+            assert abs(math.exp(log_gaps[i]) - reference) <= math.exp(log_errs[i]), (triple, i)
 
 
 def test_mpmath_gaps_324(spirals):
@@ -337,9 +361,9 @@ def test_deep_gaps_match_an_exact_evaluation(triple, spirals):
 
 def test_verdict_is_three_valued():
     gaps = np.array([-4.0, -9.0, -14.0])
-    assert _verdict(gaps, gaps - 12.0) is True
-    assert _verdict(gaps, np.array([-16.0, -9.0, -26.0])) is None
-    assert _verdict(np.array([-4.0, -math.inf]), np.array([-16.0, -math.inf])) is False
+    assert verdict(gaps, gaps - 12.0) is True
+    assert verdict(gaps, np.array([-16.0, -9.0, -26.0])) is None
+    assert verdict(np.array([-4.0, -math.inf]), np.array([-16.0, -math.inf])) is False
 
 
 def test_gap_cuts_outside_the_orbit_are_rejected(traj324):
@@ -349,9 +373,24 @@ def test_gap_cuts_outside_the_orbit_are_rejected(traj324):
 
 
 def test_gauss_legendre_rules():
-    for k, weights in ((5, _GL_WEIGHTS[0]), (3, _GL_WEIGHTS[1])):
+    for k, weights in ((5, GL_WEIGHTS[0]), (3, GL_WEIGHTS[1])):
         x, w = np.polynomial.legendre.leggauss(k)
         used = weights > 0.0
-        order = np.argsort(_GL_NODES[used])
-        assert np.allclose(_GL_NODES[used][order], 0.5 + 0.5 * x, rtol=0.0, atol=1e-15)
+        order = np.argsort(GL_NODES[used])
+        assert np.allclose(GL_NODES[used][order], 0.5 + 0.5 * x, rtol=0.0, atol=1e-15)
         assert np.allclose(weights[used][order], 0.5 * w, rtol=0.0, atol=1e-15)
+
+
+def test_closed_form_gaps_match_the_integral_route_at_rel_tol_1e_13(fine_trajs):
+    # psi_i^2 B(phi0, psi_i) against the gap integral along the orbit
+    # (oracles.gap_logs) on every spiral shot at rel_tol 1e-13: the routes
+    # differ by the orbit's discretization, largest at gap 1 (measured: at
+    # most 7.4e-11, on (3,2,12); 1.5e-8 on (3,2,10) at the default rel_tol)
+    spirals = [traj for traj in fine_trajs.values()
+               if traj.params.stability is StabilityType.SPIRAL_TYPE_II]
+    assert len(spirals) == 17
+    for traj in spirals:
+        report = density_report(traj)
+        log_gaps = gap_logs(traj, [h.t for h in detect_phi_hits(traj, traj.params.phi0)])[0]
+        distance = np.abs(np.expm1(np.array(report.log10_gaps) * math.log(10.0) - log_gaps))
+        assert np.all(distance < 1.4e-10), traj.params.triple()

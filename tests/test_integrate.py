@@ -25,8 +25,10 @@ from lo_dynamics.integrate import (
     DEFAULT_MAX_CROSSINGS,
     EVENT_TOL,
     _bisect,
+    _linear_flow,
     _run_end,
     _segments,
+    state_at,
 )
 from oracles import (PhaseState, advance_from, dense, dp5_run, mpmath_p1_eigenvalues,
                      orbit_at, reference_integrate)
@@ -716,3 +718,86 @@ def test_table_spiral_zeros_equal_sign_changes(table_trajs):
         else:
             assert traj.terminated_by is Termination.MAX_CROSSINGS, triple
             assert len(zeros) == DEFAULT_MAX_CROSSINGS, triple
+
+
+@pytest.mark.parametrize("fixture", ["traj322", "traj324", "traj546"])
+def test_state_reader_is_the_dense_output_up_to_the_splice(fixture, request):
+    # up to the splice time state_at is the Hermite dense output, bit for
+    # bit, at the samples and between them; outside the span it refuses
+    traj = request.getfixturevalue(fixture)
+    t_s = traj.t[traj.splice_index]
+    t = np.concatenate((traj.t[:traj.splice_index + 1], np.linspace(traj.t[0], t_s, 1001)))
+    u, psi = state_at(traj, t)
+    want = dense(traj.t, t, (traj.u, traj.psi), (traj.psi, traj.dpsi))
+    assert np.array_equal(u, want[0]) and np.array_equal(psi, want[1])
+    for bad in (traj.t[0] - 1e-9, traj.t_end + 1e-9, math.nan):
+        with pytest.raises(ValueError, match="must lie in the trajectory span"):
+            state_at(traj, [bad])
+
+
+def test_state_reader_past_the_splice_is_the_conjugacy(spirals):
+    # past the splice the tail samples the linear part L(w) of w = w_s
+    # e^{mu tau}, and state_at reads Phi(w): the two differ by Phi's terms
+    # of degree 2 and up, at most the conjugacy's bound N(|w|) in the
+    # max-norm, plus the rounding of the linear part, and u not at all once
+    # |w|^2 underflows (past |w| = 1e-170, reached by 8 of the 17)
+    deep_runs = 0
+    for traj in spirals.values():
+        s, conj = traj.splice_index, traj.conjugacy
+        tau = traj.t[s + 1:] - traj.t[s]
+        w = traj.tail_coordinate * np.exp(conj.lin.mu3 * tau)
+        u, psi = state_at(traj, traj.t[s + 1:])
+        lin_u, lin_psi = _linear_flow(conj.lin, traj.tail_coordinate, tau)
+        distance = np.maximum(np.abs(u - lin_u), np.abs(psi - lin_psi))
+        rounding = 4.0 * np.finfo(float).eps * conj.lin.envelope(1.0) * np.abs(w)
+        assert np.all(distance <= conj.bound(np.abs(w)) + rounding), traj.params.triple()
+        deep = np.abs(w) < 1e-170
+        assert np.array_equal(u[deep], lin_u[deep]), traj.params.triple()
+        deep_runs += bool(deep.any())
+    assert deep_runs == 8
+
+
+def test_node_targets_past_the_run_end_are_refused(traj322):
+    # a node run ends at hypot(u, psi) < 1e-8, short of P1: phi0 (1 - 1e-12)
+    # lies between its last phi and phi0, which the true orbit crosses once,
+    # so it is refused rather than answered with no hit; phi0 itself keeps
+    # returning none, and a target below the last phi its one hit
+    phi0 = traj322.params.phi0
+    with pytest.raises(ValueError, match="ended converged_to_p1"):
+        detect_phi_hits(traj322, phi0 * (1.0 - 1e-12))
+    with pytest.raises(ValueError, match="before crossing it"):
+        crossing_report(traj322, float(np.nextafter(phi0, 0.0)))
+    assert detect_phi_hits(traj322, phi0) == []
+    assert len(detect_phi_hits(traj322, traj322.phi[-1] * (1.0 - 1e-12))) == 1
+    # a run cut at t_max keeps answering: it ended max_time
+    cut = shoot_unstable_manifold(traj322.params, t_max=2.0)
+    assert cut.terminated_by is Termination.MAX_TIME
+    assert detect_phi_hits(cut, phi0 * (1.0 - 1e-12)) == []
+
+
+def test_node_solution_count_law(table_trajs):
+    # at a node, phi = phi_b has one solution for phi_b below phi0 and none
+    # above: on all 213 table nodes at phi0 (1 -+ 10^-m), m = 1..15, one
+    # hit below and none above, and no psi zero.  A target the run ends
+    # short of is refused, and only such a target: its last phi lies
+    # below phi0, and every target below that phi has its hit (refused:
+    # none at m <= 8, 176 nodes at m = 9 and all 213 from m = 10, 1 454 of
+    # the 3 195 targets below phi0)
+    nodes = [traj for traj in table_trajs.values()
+             if traj.params.stability is StabilityType.CENTER_TYPE_I]
+    assert len(nodes) == 213
+    refused = 0
+    for traj in nodes:
+        phi0 = traj.params.phi0
+        assert detect_psi_zeros(traj) == [] and traj.phi[-1] < phi0, traj.params.triple()
+        for m in range(1, 16):
+            below, above = phi0 * (1.0 - 10.0 ** -m), phi0 * (1.0 + 10.0 ** -m)
+            assert detect_phi_hits(traj, above) == [], (traj.params.triple(), m)
+            try:
+                hits = detect_phi_hits(traj, below)
+            except ValueError:
+                assert traj.phi[-1] < below < phi0, (traj.params.triple(), m)
+                refused += 1
+            else:
+                assert len(hits) == 1, (traj.params.triple(), m)
+    assert refused == 1454
