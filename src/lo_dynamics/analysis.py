@@ -74,18 +74,19 @@ class DensityReport:
     log10_gaps[i] is log10(Theta_inf - Theta_i) = log10(psi_i^2 B(phi0,
     psi_i)), psi_i read at crossing i (integrate.state_at), and
     log10_gap_errors[i] the log10 of its error bar; thetas[i] = Theta_inf -
-    gap_i, which rounds to Theta_inf once the gap falls below an ulp of it.
+    gap_i, or the float just below Theta_inf where that rounds onto it (a
+    gap below half an ulp), as theta_of_radius reads it: every crossing off
+    P1 prints strictly below the cone.
     The bar is twice a relative error of psi_i plus the rounding: past the
     splice the conjugacy's bound on the terms of Phi(w) beyond its linear
     part, the tail whose phase places the crossing, over |psi_i|; and 8 eps
     |mu3| / |alpha| (1 + |ln gap|), the rounding of w's phase and of the
     logarithms.  It leaves out the error of the path itself, DP5 and its
     dense output: cut at each orbit's own crossing, gap 1 of (3,2,4)
-    differs from mpmath by 3.6e-8 relative.  theta_1_volume is Theta_1
+    differs from mpmath by 4.5e-9 relative.  theta_1_volume is Theta_1
     by theta_of_radius on the first rescaled profile: F at the cut of
     radius sqrt(1 + phi0^2), which falls on crossing 1, so it differs from
-    thetas[0] by the cut's bisection and the rounding, and lies below
-    Theta_inf where thetas[0] rounds onto it.
+    thetas[0] by the cut's bisection and the rounding.
     strictly_below_cone is True when every psi_i is nonzero, each gap then
     being positive by the cone comparison (see the module docstring).
     """
@@ -232,7 +233,9 @@ def density_report(traj: Trajectory, n_panels: int = DEFAULT_QUAD_PANELS) -> Den
     return DensityReport(
         params=params,
         radii=[hit.dilation * R for hit in hits],
-        thetas=(t_inf - np.exp(log_gaps)).tolist(),
+        thetas=np.where(log_gaps > -math.inf, np.minimum(t_inf - np.exp(log_gaps),
+                                                         math.nextafter(t_inf, 0.0)),
+                        t_inf).tolist(),
         theta_infinity=t_inf,
         log10_gaps=(log_gaps / _LN10).tolist(),
         log10_gap_errors=(log_errs / _LN10).tolist(),

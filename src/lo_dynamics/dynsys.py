@@ -113,25 +113,41 @@ class P1Conjugacy:
     conjugate of the row of (d, j) and z2 = conj(z1), so Phi is real; at a
     node the rows and the coordinates are real.  norms[d] = sum_j |U_(d,
     j)|, the u row's norm at degree d; the psi row's is at most d max(|mu3|,
-    |mu4|) times it, as |lam_m| is.  defect is D with |DPhi(mu3 z1, mu4 z2)
-    - F(Phi(z))| about D |z|^(order + 1), |z| = max(|z1|, |z2|), the
-    invariance residual's first omitted order (p1_conjugacy).
+    |mu4|) times it, as |lam_m| is.  scale bounds the divisor at order +
+    1 and weights holds |U_(d,j)| of the last two orders in Horner's order
+    for the defect estimate (p1_conjugacy): j = d, ..., 0, then j = 0,
+    ..., d.
     """
 
     lin: P1Linearization
     rows: np.ndarray
     norms: np.ndarray
-    defect: float
+    scale: float
+    weights: tuple
 
     def states(self, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
         """The rows (u, psi) of Phi at the points (z1, z2), 1-d arrays."""
         return _series_sum(self.rows, z1, z2).real
 
-    def radius(self, rel_tol: float) -> float:
-        """|z| within which the estimated defect D |z|^(order + 1) is at
-        most rel_tol/10 of |Phi(z)| in the max-norm, that norm taken as its
-        linear part's least (P1Linearization.least)."""
-        return (rel_tol / 10.0 * self.lin.least / self.defect) ** (1.0 / P1_SERIES_ORDER)
+    def defect(self, r1: float, r2: float) -> float:
+        """The estimated invariance defect |DPhi(mu3 z1, mu4 z2) - F(Phi(z))|
+        at |z1| = r1, |z2| = r2: scale N_(order+1), the first omitted order
+        extrapolated from the last two, N_(order+1) ~ N_order^2 /
+        N_(order-1), with N_d = sum_j |U_(d,j)| r1^(d-j) r2^j, each summed by
+        Horner's rule in the smaller of r1, r2 over the larger.  At a spiral
+        r1 = r2 = |z| and it is D |z|^(order + 1), D = scale norms[order]^2
+        / norms[order - 1]."""
+        big, small = (r1, r2) if r1 >= r2 else (r2, r1)
+        if big == 0.0:
+            return 0.0
+        ratio = small / big
+        low = high = 0.0
+        rows = self.weights[r1 < r2]
+        for w in rows[0]:
+            low = low * ratio + w
+        for w in rows[1]:
+            high = high * ratio + w
+        return self.scale * high * high / low * big ** (P1_SERIES_ORDER + 1)
 
     def terms(self) -> np.ndarray:
         """max(1, d max(|mu3|, |mu4|)) norms[d], d = 0, ..., order: at least
@@ -182,13 +198,15 @@ def _series_sum(rows: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     """sum over m of rows[m] z1^(d-j) z2^j, from order 0, at the points (z1,
     z2), 1-d arrays: one row per column of rows, one column per point.  The
     monomials of order d come from those of order d - 1 by one product
-    each, and are summed order by order, so no more than two orders are
-    held at once."""
-    mono = np.ones((1, len(z1)), dtype=np.result_type(z1, z2, rows))
-    total = rows[:1].T @ mono
+    each, written in place over them, and are summed order by order, so one
+    order is held at a time."""
+    mono = np.empty((P1_SERIES_ORDER + 1, len(z1)), dtype=np.result_type(z1, z2, rows))
+    mono[0] = 1.0
+    total = rows[:1].T @ mono[:1]
     for d in range(1, P1_SERIES_ORDER + 1):
-        mono = np.concatenate((mono * z1, mono[-1:] * z2))
-        total += rows[_flat(d, 0):_flat(d + 1, 0)].T @ mono
+        np.multiply(mono[d - 1], z2, out=mono[d])
+        mono[:d] *= z1
+        total += rows[_flat(d, 0):_flat(d + 1, 0)].T @ mono[:d + 1]
     return total
 
 
@@ -260,6 +278,48 @@ def linearize_p1(params: LomseParams) -> P1Linearization:
     return P1Linearization(a=a, b=b, mu3=-a / mu4, mu4=mu4)
 
 
+def unstable_manifold_series(params: LomseParams, order: int, reach: float = 0.0) -> list:
+    """The odd coefficients x_1, x_3, ... of phi(s) = sum x_j s^j, s =
+    e^{(k-1)t}, the saddle's unstable manifold, to order `order` (the
+    parameterization method at the saddle, as p1_conjugacy at P1, with the
+    one eigenvalue mu1 = k - 1): x_1 = 1/|V1|, psi = phi' has coefficients
+    psi_j = j mu1 x_j.  Even orders vanish, the field being odd; with
+    reach > 0 the build stops at the first odd order whose term x_j s^j and
+    the one before it are below 2^-53 of x_1 s at s = reach.
+
+    X2 = -psi + B C with E = phi + psi, H = (lambda^2 - 1) phi - psi, G =
+    1/(1 + lambda^2 phi^2), B = -(n-p) E + p G H and C = 1 + E^2; phi^2, G
+    and C are even, E, H and B odd.  psi' = X2 at order j reads x_j (j^2
+    mu1^2 + (n+1) j mu1 - (K - n)) = p [G H]_j + [B C]_j less their x_j
+    parts, which hold only orders below j; the divisor is (j - 1) mu1 ((j +
+    1) mu1 + n + 1), written so, as K - n = mu1^2 + (n+1) mu1, and vanishes
+    only at j = 1.  Index m holds order 2m + 1 of an odd series and 2m of
+    an even one."""
+    n, p, mu1, lam2 = params.n, float(params.p), float(params.k - 1), params.lambda_sq
+    x = [1.0 / math.sqrt(1.0 + mu1 * mu1)]
+    e, h = [(1.0 + mu1) * x[0]], [(lam2 - 1.0 - mu1) * x[0]]
+    b = [-(n - p) * e[0] + p * h[0]]
+    q, g, c = [0.0], [1.0], [1.0]  # phi^2, G and C; q[0] is not used
+    small = 0
+    for m in range(1, (order - 1) // 2 + 1):
+        j = 2 * m + 1
+        q.append(sum(x[i] * x[m - 1 - i] for i in range(m)))
+        g.append(-lam2 * sum(q[i] * g[m - i] for i in range(1, m + 1)))
+        c.append(sum(e[i] * e[m - 1 - i] for i in range(m)))
+        gh = sum(g[i] * h[m - i] for i in range(1, m + 1))
+        bc = sum(b[m - i] * c[i] for i in range(1, m + 1))
+        xj = (p * gh + bc) / ((j - 1) * mu1 * ((j + 1) * mu1 + n + 1))
+        x.append(xj)
+        e.append((1.0 + j * mu1) * xj)
+        h.append((lam2 - 1.0 - j * mu1) * xj)
+        b.append(-(n - p) * e[m] + p * (h[m] + gh))
+        if reach > 0.0:
+            small = small + 1 if abs(xj) * reach ** (2 * m) <= 2.0 ** -53 * x[0] else 0
+            if small == 2:
+                break
+    return x
+
+
 def p1_conjugacy(params: LomseParams) -> P1Conjugacy:
     """The conjugacy x = Phi(z1, z2), z1' = mu3 z1, z2' = mu4 z2, at P1, to
     order P1_SERIES_ORDER (the parameterization method: Haro et al., The
@@ -283,9 +343,9 @@ def p1_conjugacy(params: LomseParams) -> P1Conjugacy:
 
     Each series keeps its coefficients from order 1 on (the order-0 ones,
     phi0 and its powers, are folded into the constants): Q = S^2 + phi0 S,
-    D, G, B, C and E = U + psi.  defect extrapolates the coefficients'
-    decay one order on: with A_d = sum_j |U_(d,j)| (norms), A_(N+1) ~ A_N^2
-    / A_(N-1), times the divisor's bound at order N + 1.
+    D, G, B, C and E = U + psi.  The defect estimate (P1Conjugacy.defect)
+    extrapolates the coefficients' decay one order on from the last two,
+    times scale, the divisor's bound at order N + 1.
     """
     lin = linearize_p1(params)
     a, b, mu3, mu4, spiral = lin.a, lin.b, lin.mu3, lin.mu4, lin.spiral
@@ -328,5 +388,7 @@ def p1_conjugacy(params: LomseParams) -> P1Conjugacy:
     u_coef = np.array(u_coef)
     norms = np.array([np.abs(u_coef[_DEGREE == d]).sum() for d in range(P1_SERIES_ORDER + 1)])
     top = (P1_SERIES_ORDER + 1) * max(abs(mu3), abs(mu4))
-    defect = (top * top + abs(b) * top + abs(a)) * norms[-1] * norms[-1] / norms[-2]
-    return P1Conjugacy(lin, np.stack((u_coef, lam * u_coef), axis=1), norms, float(defect))
+    last = [np.abs(u_coef[_DEGREE == d]).tolist() for d in (P1_SERIES_ORDER - 1, P1_SERIES_ORDER)]
+    weights = (tuple(row[::-1] for row in last), tuple(last))
+    return P1Conjugacy(lin, np.stack((u_coef, lam * u_coef), axis=1), norms,
+                       float(top * top + abs(b) * top + abs(a)), weights)

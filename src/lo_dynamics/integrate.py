@@ -1,37 +1,43 @@
-"""Adaptive integration of the reduced system and unstable-manifold shooting.
+"""Shooting the unstable manifold of the saddle (0,0) of the reduced system,
+in three stretches: the launch series, the DP5 transit and P1's series.
 
-The connecting orbit leaves the saddle (0,0) along the eigenvector
-V1 = (1, k-1) and limits to the equilibrium (phi0, 0).  The spiral case
-contracts by a factor exp(Re(mu3) * pi / Im(mu3)) per half-oscillation,
-which for (3,2,4) is about 3.6e-3: after ten crossings the distance to
-the equilibrium is far below the resolution of phi as a float.  The
-integrator therefore advances the deviation u = phi - phi0 instead of
-phi itself, with f1(phi)*phi evaluated in the cancellation-free factored
-form, so the inward spiral stays accurate relative to its own amplitude
-down to ~1e-290.
+The connecting orbit leaves the saddle along the eigenvector V1 = (1, k-1)
+and limits to the equilibrium (phi0, 0).  The spiral case contracts by a
+factor exp(Re(mu3) * pi / Im(mu3)) per half-oscillation, which for (3,2,4)
+is about 3.6e-3: after ten crossings the distance to the equilibrium is
+far below the resolution of phi as a float.  Every stretch therefore keeps
+the deviation u = phi - phi0 instead of phi itself, with f1(phi)*phi
+evaluated in the cancellation-free factored form, so the inward spiral
+stays accurate relative to its own amplitude down to ~1e-290.
 
-Integrator: embedded Dormand-Prince 5(4) pair with PI step-size control
-against the purely relative error scale rel_tol * max(|u|, |psi|).
-The field is dynsys.offset_field, a scalar closure returning dpsi/dt; du/dt
-is psi itself, so each stage's u-derivative is that stage's psi argument.
-Each attempted step calls the field 6 times: the 7th stage, taken at the
-5th-order solution, is the first stage of the next step (FSAL), so a run
-makes 1 + 6 x attempts calls.
+The launch: near the saddle the orbit is P(s), s = e^{(k-1)t}, the series
+of dynsys.unstable_manifold_series, sampled from s = eps to s0 =
+_LAUNCH_END = 0.1 (_launch), with the field at each sample.  No step
+error enters there, and the orbit past s0 is the same whatever eps is.
 
-Every run leaves DP5 at the first accepted state of max-norm below
-_SERIES_AMPLITUDE = 1e-2 whose coordinates (z1, z2)
-(dynsys.P1Linearization) lie within the radius of dynsys.p1_conjugacy's
-series at rel_tol, where the estimated invariance defect is at most
-rel_tol/10 of the state (the hand-off), at a spiral P1 and at a node
-(type I) alike.  From there the orbit is one closed form in the
-coordinates (z1* e^{mu3 tau}, z2* e^{mu4 tau}) of P1's conjugacy, (z1*,
-z2*) by Newton's method from the hand-off state (_closed_form): the
-series, with the field at each sample, on a uniform grid no coarser than
-DP5's steps there.  A node's series runs past its first sample with
-hypot(u, psi) below _TYPE_I_STOP, the run's end.  A spiral's runs down
-to its first sample with |w| inside the conjugacy's splice radius, where
-the series' nonlinear terms are at most rel_tol/10 of the linear part
-(the splice); then that linear part (Re w, Re mu w) of w = z1* e^{mu3
+The DP5 transit: an embedded Dormand-Prince 5(4) pair with PI step-size
+control against the purely relative error scale rel_tol * max(|u|,
+|psi|), from P(s0).  The field is dynsys.offset_field, a scalar closure
+returning dpsi/dt; du/dt is psi itself, so each stage's u-derivative is
+that stage's psi argument.  Each attempted step calls the field 6 times:
+the 7th stage, taken at the 5th-order solution, is the first stage of the
+next step (FSAL), so the transit makes 1 + 6 x attempts calls.
+
+P1's series: DP5 hands off at the first accepted state of max-norm below
+_SERIES_AMPLITUDE = 1e-1 where the estimated invariance defect of
+dynsys.p1_conjugacy's series at the state's own coordinates (|z1|, |z2|)
+(P1Conjugacy.defect) is at most min(rel_tol, 1e-10)/10 of the state
+(_SERIES_REL_TOL), at a spiral P1 and at a node (type I) alike.  From
+there the orbit is one closed form in the coordinates (z1* e^{mu3 tau},
+z2* e^{mu4 tau}) of P1's conjugacy, (z1*, z2*) by Newton's method from
+the hand-off state (_closed_form): the series, with the field at each
+sample, on a grid no coarser than DP5's steps there, spaced by |mu4| at
+a node while its fast mode is above rel_tol/10 of the slow one.  A
+node's series runs past its first sample with hypot(u, psi) below
+_TYPE_I_STOP, the run's end.  A spiral's runs
+down to its first sample with |w| inside the conjugacy's splice radius,
+where the series' nonlinear terms are at most rel_tol/10 of the linear
+part (the splice); then that linear part (Re w, Re mu w) of w = z1* e^{mu3
 tau}, once per quarter-turn of w's phase with each psi zero in the middle
 of its sample segment, so that the zeros equal the sample sign changes
 (the tail).  Trajectory keeps the conjugacy, the splice index and w there.
@@ -44,16 +50,17 @@ max_crossings strict psi sign changes counted from the launch
 the run's last; where none holds, the last sample is, converged_to_p1.
 The DP5 loop only integrates, to t_max or the hand-off.
 
-A run fails when |phi| exceeds 1e3 phi0, at the launch or at an accepted
+A run fails when |phi| exceeds 1e3 phi0 at DP5's start or at an accepted
 step, or when a rejected step falls below 1e-13/(k-1).  The bound is on
 phi alone, as the orbit's peak |psi| grows with k while its peak phi stays
 bounded (1.435 for (3,2,k)); the floor follows the saddle's time scale 1/(k-1).
 
-Trajectory.stats records the accepted and rejected DP5 steps, the field
-evaluations (1 + 6 per attempt), the smallest and largest accepted step
-and the numbers of series and closed-form tail samples, of the run as kept.
-Dense output is cubic Hermite on (value, slope) at the samples, DP5 and
-series samples alike (_hermite), on the segment the one segment rule
+Trajectory.stats records the launch samples, the accepted and rejected
+DP5 steps, the field evaluations of the transit (1 + 6 per attempt), the
+smallest and largest accepted step and the numbers of series and
+closed-form tail samples, of the run as kept.
+Dense output is cubic Hermite on (value, slope) at the samples, of every
+stretch alike (_hermite), on the segment the one segment rule
 picks (_segments); events are refined by bisection on the interpolant of
 the segment that holds them, to 1e-12 in t.  Past the splice, where the
 quarter-turn samples leave the cubic far from the flow, psi zeros and
@@ -73,7 +80,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynsys import P1Conjugacy, P1Linearization, offset_field, p1_conjugacy
+from .dynsys import (P1Conjugacy, P1Linearization, offset_field, p1_conjugacy,
+                     unstable_manifold_series)
 from .errors import IntegrationFailure
 from .params import LomseParams, StabilityType
 
@@ -100,13 +108,21 @@ _H_MIN = 1e-13  # over k - 1, the saddle's time scale
 _DEEP_FLOOR = 1e-290  # snap to the equilibrium before subnormal thrashing
 _TYPE_I_STOP = 1e-8  # a real-eigenvalue run ends once hypot(u, psi) is below this
 _BLOWUP_FACTOR = 1e3
-_SERIES_AMPLITUDE = 1e-2  # a run may leave DP5 for the P1 series below this
-# the series samples' spacing times |mu3| / rel_tol^(1/5); DP5's mean step
-# over the same stretch measured 3.28-3.53 on the (31, 20) spirals at
-# rel_tol 1e-6, 1e-10 and 1e-12, and 3.50-3.59 on the nodes at 1e-10 and
-# 1e-12 (at 1e-6 down to 1.82, on (29,28,2), whose hand-off state still
-# carries the fast mode z2 e^{mu4 tau})
-_SERIES_STEP = 3.0
+_SERIES_AMPLITUDE = 1e-1  # a run may leave DP5 for the P1 series below this
+# the hand-off's defect budget is min(rel_tol, _SERIES_REL_TOL)/10 of the
+# state: the series costs the same at any accuracy, so a loose rel_tol
+# coarsens DP5's steps but not the series (at rel_tol 1e-6 a budget of
+# rel_tol/10 left the series 4.8e-9 off a rel_tol 1e-14 run on (5,4,20))
+_SERIES_REL_TOL = 1e-10
+_LAUNCH_END = 0.1  # s0: the launch series' samples end at s = e^{(k-1)t} = s0
+_LAUNCH_ORDER = 99  # the launch series' order at most
+_EPS = float(np.finfo(float).eps)
+# the launch and series samples' spacing times |mu| / rel_tol^(1/5), mu the
+# eigenvalue of the stretch (k - 1, mu3); DP5's mean step over the P1
+# series stretch from the hand-off at amplitude 1e-1 measured down to 2.83
+# on the (31, 20) table at the default rel_tol, on (31,28,2), where its
+# steps are held near |mu4| h = 1 by its own stiff mode
+_SERIES_STEP = 2.75
 
 
 class Termination(enum.Enum):
@@ -192,7 +208,9 @@ class StepStats:
     evaluations per attempted step plus the one at the start (FSAL); an
     attempt cut short by an overflowing stage counts in full.  h_min and
     h_max are the smallest and largest accepted DP5 steps, None when no
-    step was accepted.  series_samples and tail_samples count the samples
+    step was accepted.  launch_samples counts the samples of the saddle's
+    series past the first, the last being DP5's start (0 without a launch
+    stretch).  series_samples and tail_samples count the samples
     of the closed form that follow the DP5 steps: the P1 series' up to a
     spiral's splice or to a node's end, then a spiral's linear part, one
     per quarter-turn of w's phase (each 0 when the run never reached it;
@@ -204,6 +222,7 @@ class StepStats:
     rhs_evals: int
     h_min: float | None
     h_max: float | None
+    launch_samples: int
     series_samples: int
     tail_samples: int
 
@@ -218,8 +237,9 @@ class CrossingReport:
 class Trajectory:
     """Dense, ordered output of one integration run.
 
-    Stores (t_i, u_i, psi_i) at every sample, the DP5 steps, then the P1
-    series samples and a spiral run's linear tail samples, together with
+    Stores (t_i, u_i, psi_i) at every sample, the launch series' samples,
+    the DP5 steps, then the P1 series samples and a spiral run's linear
+    tail samples, together with
     the psi derivative, so the Hermite dense output reads (u, psi) with slopes
     (psi, dpsi) between samples.  phi values are reconstructed as phi0 + u;
     the offsets keep full relative precision long after phi0 + u rounds to
@@ -232,7 +252,7 @@ class Trajectory:
 
     def __init__(self, params, t, u, psi, dpsi, eps_start, rel_tol, terminated_by,
                  rejected=0, tail_samples=0, series_samples=0, tail_coordinate=None,
-                 conjugacy=None):
+                 conjugacy=None, launch_samples=0):
         self.params, self.eps_start, self.rel_tol = params, eps_start, rel_tol
         self.terminated_by, self.tail_coordinate = terminated_by, tail_coordinate
         self.conjugacy = conjugacy
@@ -249,14 +269,15 @@ class Trajectory:
             raise ValueError("a trajectory has a tail coordinate exactly when it has a tail, "
                              "and a tail needs its conjugacy")
         self.splice_index = len(steps) - tail_samples
-        accepted = self.splice_index - series_samples
-        dp5_steps = steps[:accepted]
+        accepted = self.splice_index - series_samples - launch_samples
+        dp5_steps = steps[launch_samples:launch_samples + accepted]
         self.stats = StepStats(
             accepted=accepted,
             rejected=rejected,
             rhs_evals=1 + 6 * (accepted + rejected),
             h_min=float(dp5_steps.min()) if accepted else None,
             h_max=float(dp5_steps.max()) if accepted else None,
+            launch_samples=launch_samples,
             series_samples=series_samples,
             tail_samples=tail_samples,
         )
@@ -342,12 +363,14 @@ def _closed_form(params, conj: P1Conjugacy, t0, u0, psi0, t_max, rel_tol):
     splice or None).
 
     The series samples Phi(w1, w2), with the field at each (offset_field
-    on the arrays), at tau = i h, h = _SERIES_STEP rel_tol^(1/5) / |mu3|,
-    up to the splice (t_s, w_s): at a spiral the first sample short of
-    t_max with |w1| below conj.splice_radius; a node has none.  At a spiral
-    the tail samples the linear part L(w) = (Re w, Re mu w) of w = w_s
-    e^{mu tau} past t_s, with dpsi = a u + b psi, at tau = tau1 + (i - 1/2)
-    q, q = pi / (2 omega), tau1 the first psi zero (_flow_zeros), so each
+    on the arrays), at tau = i h, h = _SERIES_STEP rel_tol^(1/5) / |mu3|;
+    at a node first at steps of h |mu3| / |mu4| while the fast mode |z2
+    e^{mu4 tau}| is above rel_tol/10 of |z1 e^{mu3 tau}|, then at steps of
+    h.  They run up to the splice (t_s, w_s): at a spiral the first sample
+    short of t_max with |w1| below conj.splice_radius; a node has none.  At
+    a spiral the tail samples the linear part L(w) = (Re w, Re mu w) of w =
+    w_s e^{mu tau} past t_s, with dpsi = a u + b psi, at tau = tau1 + (i -
+    1/2) q, q = pi / (2 omega), tau1 the first psi zero (_flow_zeros), so each
     psi zero sits mid-segment.  In each part t_max takes the place of the
     first sample at or past it.  The samples reach past the run's end,
     which the cut over the whole run (_run_end) finds: the series to the
@@ -370,7 +393,14 @@ def _closed_form(params, conj: P1Conjugacy, t0, u0, psi0, t_max, rel_tol):
     radius = conj.splice_radius(rel_tol) if lin.spiral else 0.0
     fall = size / radius if lin.spiral else math.sqrt(2.0) * conj.bound(size, 1) / _TYPE_I_STOP
     span = min(math.log(fall) / -mu.real, t_max - t0)
-    t, tau = until_t_max(t0, h * np.arange(1, max(math.floor(span / h), 0) + 2))
+    # at a node, spaced by |mu4| while |z2 e^{mu4 tau}| > rel_tol/10 |z1 e^{mu3 tau}|
+    share = abs(z2) / (rel_tol / 10.0 * abs(z1)) if z1 else math.inf
+    fast = 0.0 if lin.spiral or share <= 1.0 else min(math.log(share) / (mu - lin.mu4).real, span)
+    h_fast = h * abs(mu) / abs(lin.mu4)
+    tau = h_fast * np.arange(1, math.ceil(fast / h_fast) + 1)
+    last = float(tau[-1]) if len(tau) else 0.0
+    tau = np.concatenate((tau, last + h * np.arange(1, max(math.floor((span - last) / h), 0) + 2)))
+    t, tau = until_t_max(t0, tau)
     w = z1 * np.exp(mu * tau)
     u, psi = conj.states(w, z2 * np.exp(lin.mu4 * tau))
     splice = np.flatnonzero((np.abs(w) < radius) & (t < t_max))
@@ -391,9 +421,11 @@ def _closed_form(params, conj: P1Conjugacy, t0, u0, psi0, t_max, rel_tol):
     return t, u, psi, dpsi, s, w_s
 
 
-def _advance(params, t0, u0, psi0, t_max, rel_tol, max_crossings=math.inf):
+def _advance(params, launch, t_max, rel_tol, max_crossings=math.inf, eps=None) -> Trajectory:
     """Adaptive DP5(4) driver in deviation coordinates, then the closed
-    form, cut at the run's end.
+    form, cut at the run's end: the run's Trajectory.  The launch columns
+    (t, u, psi, dpsi) are its first samples; DP5 starts from their last
+    state, the field there being its first stage (dpsi holds the others').
 
     Error is measured against rel_tol * |state|, where |state| is the
     max-norm over both components and over the step's two end states;
@@ -406,15 +438,17 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, max_crossings=math.inf):
 
     The loop only integrates: it lands on t_max, or leaves at the hand-off,
     the first accepted state short of t_max with max-norm below
-    _SERIES_AMPLITUDE and both coordinates within the P1 series' radius at
-    rel_tol (dynsys.P1Conjugacy.radius), by their linear guess, from which
-    the closed form (_closed_form) continues.  The series is built at the
-    first state below _SERIES_AMPLITUDE, not before.  One cut over all the
-    samples (_run_end), the node rule applying at a type-I P1, then keeps
-    the run up to its end.  Returns the kept columns, the reason, the
-    rejected steps that led to kept samples, the kept series and tail
-    sample counts, w at the splice (None without a kept tail) and the
-    conjugacy handed off to (None without a kept series sample).
+    _SERIES_AMPLITUDE where the P1 series' estimated defect at the state's
+    own coordinates (dynsys.P1Conjugacy.defect at |z1|, |z2|, by their
+    linear guess) is at most min(rel_tol, _SERIES_REL_TOL)/10 of the
+    state, that taken as its linear part's least max-norm
+    (P1Linearization.least), from which the closed form (_closed_form)
+    continues.  The series is built at the first state below
+    _SERIES_AMPLITUDE, not before.  One cut over all the samples
+    (_run_end), the node rule applying at a type-I P1, then keeps the run
+    up to its end; its stats count the rejected steps that led to
+    kept samples, and it keeps w at the splice (None without a kept tail)
+    and the conjugacy handed off to (None without a kept series sample).
     """
     dpsi = offset_field(params)
     series_at = _SERIES_AMPLITUDE
@@ -422,7 +456,8 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, max_crossings=math.inf):
     h_floor = _H_MIN / (params.k - 1)
     phi0 = params.phi0
     blowup_at = _BLOWUP_FACTOR * phi0
-    if abs(phi0 + u0) > blowup_at:
+    t, u, psi = (float(column[-1]) for column in launch[:3])
+    if abs(phi0 + u) > blowup_at:
         raise IntegrationFailure(
             f"initial state lies outside the bounded region for "
             f"(n,p,k)=({params.n},{params.p},{params.k})"
@@ -434,15 +469,14 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, max_crossings=math.inf):
     e1, _, e3, e4, e5, e6, e7 = _DP_E
     inf = math.inf
 
-    ts = [t0]
-    us = [u0]
-    psis = [psi0]
-    k1p = dpsi(u0, psi0)
+    ts = [t]
+    us = [u]
+    psis = [psi]
+    k1p = dpsi(u, psi)
     dpsis = [k1p]
     ts_append, us_append = ts.append, us.append
     psis_append, dpsis_append = psis.append, dpsis.append
 
-    t, u, psi = t0, u0, psi0
     amp = max(abs(u), abs(psi))  # max-norm of the accepted state, carried forward
     h = 1e-3
     err_prev = 1.0
@@ -525,9 +559,10 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, max_crossings=math.inf):
             if amp < series_at and t < t_max:
                 if conj is None:
                     conj = p1_conjugacy(params)
-                    radius = conj.radius(rel_tol)
+                    bound = min(rel_tol, _SERIES_REL_TOL) / 10.0 * conj.lin.least
                 z1, z2 = conj.lin.coordinates(u, psi)
-                if abs(z1) < radius and abs(z2) < radius:
+                r1, r2 = abs(z1), abs(z2)
+                if conj.defect(r1, r2) <= bound * (r1 if r1 > r2 else r2):
                     break  # the hand-off
             h *= fac
             if h > _H_MAX:
@@ -540,8 +575,10 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, max_crossings=math.inf):
             if h < h_floor:
                 raise IntegrationFailure(f"step size underflow at t={t:.6g}")
 
-    a = len(ts) - 1  # the last DP5 state, the hand-off state when there is one
-    columns = [np.array(x) for x in (ts, us, psis, dpsis)]
+    head = len(launch[0]) - 1  # launch samples before DP5's start
+    a = head + len(ts) - 1  # the last DP5 state, the hand-off state when there is one
+    columns = [np.concatenate((x, y)) for x, y in zip((*(c[:-1] for c in launch[:3]), launch[3]),
+                                                        (ts, us, psis, dpsis))]
     s, w_s = 0, None
     if t < t_max:  # the loop left at the hand-off
         *samples, s, w_s = _closed_form(params, conj, t, u, psi, t_max, rel_tol)
@@ -549,9 +586,48 @@ def _advance(params, t0, u0, psi0, t_max, rel_tol, max_crossings=math.inf):
     stop, reason = _run_end(*columns[:3], t_max, max_crossings,
                             params.stability is StabilityType.CENTER_TYPE_I)
     series, tail = min(max(stop - a, 0), s), max(stop - a - s, 0)
-    return (*(column[:stop + 1] for column in columns), reason,
-            sum(i <= stop for i in rejections), series, tail, w_s if tail else None,
-            conj if series else None)
+    return Trajectory(params, *(column[:stop + 1] for column in columns), eps, rel_tol, reason,
+                      sum(head + i <= stop for i in rejections), tail, series,
+                      w_s if tail else None, conj if series else None, min(stop, head))
+
+
+def _launch(params, eps, t_max, rel_tol):
+    """The launch columns (t, u, psi, dpsi): the saddle's unstable manifold
+    P(s) = (phi(s), psi(s)), s = e^{(k-1)t}, from its series
+    (dynsys.unstable_manifold_series), at log s = log eps + i H, H =
+    _SERIES_STEP max(rel_tol, 2^-52)^(1/5), the P1 series' spacing rule in
+    t (rounding bounds the grid), up to s = _LAUNCH_END, t_max taking the
+    place of the first sample at or past it; dpsi holds the field at each
+    sample but the last, DP5's start, whose field is DP5's first stage.
+
+    The series' order is the first at which two odd terms in a row fall
+    below 2^-53 of the first at s = max(eps, _LAUNCH_END).  An eps at or
+    above _LAUNCH_END leaves one sample, P(eps).  The series reaches s
+    where it so converges by _LAUNCH_ORDER and s <= 1, past which its high
+    orders' rounding would grow with s; an eps beyond is refused
+    (ValueError).
+    """
+    mu1 = float(params.k - 1)
+    end = max(eps, _LAUNCH_END)
+    x = [] if end > 1.0 else unstable_manifold_series(params, _LAUNCH_ORDER, end)
+    if not 0 < len(x) <= _LAUNCH_ORDER // 2:
+        raise ValueError(f"eps={eps}: the saddle's series, which launches each run up to "
+                         f"s0 = {_LAUNCH_END}, does not reach s = {end}")
+    lo, hi = math.log(eps), math.log(end)
+    step = _SERIES_STEP * max(rel_tol, _EPS) ** 0.2
+    ls = lo + step * np.arange(max(math.ceil((hi - lo) / step), 1))
+    ls = np.append(ls[ls < hi], hi)
+    t = ls / mu1
+    if t[-1] >= t_max:
+        keep = t < t_max
+        t, ls = np.append(t[keep], t_max), np.append(ls[keep], t_max * mu1)
+    s = np.exp(ls)
+    s2 = s * s
+    odd = np.arange(1, 2 * len(x), 2)
+    phi = s * np.polyval(x[::-1], s2)
+    psi = mu1 * s * np.polyval((odd * x)[::-1], s2)
+    u = phi - params.phi0
+    return t, u, psi, offset_field(params)(u[:-1], psi[:-1])
 
 
 def shoot_unstable_manifold(params: LomseParams,
@@ -559,11 +635,16 @@ def shoot_unstable_manifold(params: LomseParams,
                             t_max: float = DEFAULT_T_MAX,
                             max_crossings: int = DEFAULT_MAX_CROSSINGS,
                             rel_tol: float = DEFAULT_REL_TOL) -> Trajectory:
-    """Launch from eps * V1/|V1| off the saddle and integrate forward.
+    """Launch at s = eps on the saddle's unstable manifold and integrate
+    forward, in three stretches: the launch series, the DP5 transit and
+    P1's series.
 
-    The start time is calibrated as t_start = log(eps)/(k-1) so that the
-    O(e^{(k-1)t}) growth of phi matches t: near launch phi ~ e^{(k-1)t}
-    up to the constant 1/|V1|.
+    The orbit near the saddle is P(s), s = e^{(k-1)t}, phi(s) = s/|V1| +
+    O(s^3): the launch samples it from t_start = log(eps)/(k-1) to s0 =
+    _LAUNCH_END = 0.1 (_launch), and DP5 starts from P(s0), with no error
+    of its own there.  An eps at or above s0 has no launch stretch: DP5
+    starts from P(eps) where the series still reaches that far, and an
+    eps past its reach is refused naming s0.
 
     The run ends by the end rules (_run_end): distance to (phi0, 0) below
     _TYPE_I_STOP = 1e-8 for the real-eigenvalue type, a fixed sampling end
@@ -580,24 +661,15 @@ def shoot_unstable_manifold(params: LomseParams,
             raise ValueError(f"{name} must be positive and finite, got {value}")
     if max_crossings < 1:
         raise ValueError("max_crossings must be at least 1")
-    mu1 = params.k - 1
-    norm_v1 = math.sqrt(1.0 + mu1 * mu1)
-    phi_start = eps / norm_v1
-    psi_start = eps * mu1 / norm_v1
-    t_start = math.log(eps) / mu1
+    t_start = math.log(eps) / (params.k - 1)
     if not t_max > t_start:
         raise ValueError(f"t_max={t_max} must exceed the launch time log(eps)/(k-1)={t_start}")
-    u_start = phi_start - params.phi0
-    if params.phi0 + u_start == 0.0:
+    launch = _launch(params, eps, t_max, rel_tol)
+    if params.phi0 + launch[1][0] == 0.0:
         raise ValueError(f"eps={eps} is below the resolution of phi0: the launch "
                          "rounds onto the saddle")
-
     type_one = params.stability is StabilityType.CENTER_TYPE_I
-    ts, us, psis, dpsis, reason, rejected, series_samples, tail_samples, w_s, conj = _advance(
-        params, t_start, u_start, psi_start, t_max, rel_tol,
-        math.inf if type_one else max_crossings)
-    return Trajectory(params, ts, us, psis, dpsis, eps, rel_tol, reason, rejected, tail_samples,
-                      series_samples, w_s, conj)
+    return _advance(params, launch, t_max, rel_tol, math.inf if type_one else max_crossings, eps)
 
 
 def _level_crossings(traj: Trajectory, y, m, level: float, row: int):

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from unittest import mock
 
 import mpmath
@@ -14,7 +15,7 @@ import numpy as np
 import lo_dynamics.integrate as integrate
 from lo_dynamics.analysis import _cut
 from lo_dynamics.barrier import cycle_region_threshold
-from lo_dynamics.dynsys import f1, f1_prime, f2, vector_field_xy
+from lo_dynamics.dynsys import P1_SERIES_ORDER, f1, f1_prime, f2, vector_field_xy
 from lo_dynamics.errors import IntegrationFailure
 from lo_dynamics.geometry import volume_ratio
 from lo_dynamics.hopf import angle_sum, hopf_map, random_sphere_points
@@ -95,10 +96,33 @@ def dp5_run(params: LomseParams, t0: float, u0: float, psi0: float, t_end: float
     t_end, with the hand-off to P1's series turned off for the call
     (integrate._SERIES_AMPLITUDE patched to 0): DP5 to the end, cut by the
     package's end rules (integrate._run_end) at t_end at the latest."""
+    start = [np.array([x]) for x in (t0, u0, psi0)] + [np.array([])]
     with mock.patch.object(integrate, "_SERIES_AMPLITUDE", 0.0):
-        ts, us, psis, dpsis, reason, rejected, *_ = integrate._advance(
-            params, t0, u0, psi0, t_end, rel_tol, max_crossings)
-    return Trajectory(params, ts, us, psis, dpsis, None, rel_tol, reason, rejected)
+        return integrate._advance(params, start, t_end, rel_tol, max_crossings)
+
+
+def hand_off_index(traj: Trajectory) -> int:
+    """The index of a run's last DP5 state, the hand-off state when the run
+    has one: its launch samples and DP5 steps."""
+    return traj.stats.launch_samples + traj.stats.accepted
+
+
+def corner_defect(conj, r1: float, r2: float) -> float:
+    """The P1 series' defect estimate that the hand-off used before it read
+    the state's own coordinates, in place of P1Conjugacy.defect: the
+    estimate at the corner |z1| = |z2| = max(r1, r2), D max(r1, r2)^(order
+    + 1) with D = scale norms[order]^2 / norms[order - 1]."""
+    return (conj.scale * conj.norms[-1] ** 2 / conj.norms[-2]
+            * max(r1, r2) ** (P1_SERIES_ORDER + 1))
+
+
+def dp5_from_the_launch(traj: Trajectory, t_end: float, rel_tol: float = DEFAULT_REL_TOL,
+                        max_crossings=DEFAULT_MAX_CROSSINGS) -> Trajectory:
+    """traj's run again from DP5's start, its launch series' last sample,
+    with the series and the splice switched off (dp5_run) to t_end."""
+    l = traj.stats.launch_samples
+    return dp5_run(traj.params, float(traj.t[l]), float(traj.u[l]), float(traj.psi[l]), t_end,
+                   rel_tol, max_crossings)
 
 
 def advance_from(params: LomseParams, state0: PhaseState, t_end: float) -> Trajectory:
@@ -309,11 +333,14 @@ def simpson_theta_at_cut(cols, params: LomseParams, cut: tuple[float, float],
     core = 0.0
     if x_cut > x0:
         m = n_panels + (n_panels % 2)  # Simpson needs an even panel count
-        xs = np.linspace(x0, x_cut, m + 1)
+        h = (x_cut - x0) / m
+        # nodes counted back from the cut, where e^{(n+1)x} puts the weight:
+        # spaced by h there to rounding, as linspace's are not, whose last
+        # step to the cut is off by about m ulps of h, a 1e-13 error
+        xs = x_cut - h * np.arange(m, -1, -1)
         w = np.ones(m + 1)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
-        h = (x_cut - x0) / m
         core = float(np.sum(w * g_of(xs) * np.exp((n + 1.0) * (xs - x_cut)))) * h / 3.0
     tail = float(g_of(np.array([x0]))[0]) * math.exp((n + 1.0) * (x0 - x_cut)) / (n + 1.0)
     # (r_cut / R)^{n+1} = (1 + phi_cut^2)^{-(n+1)/2}, and |S^n| / omega_{n+1} = n + 1
@@ -820,6 +847,50 @@ def no_limit_cycle_full_grid(params: LomseParams, grid: tuple[int, int]) -> floa
                 )
             margin = max(margin, total)
     return margin
+
+
+def launch_series_exact(params: LomseParams, order: int, b=None) -> list:
+    """The saddle's unstable manifold phi(sigma) = sum c_j sigma^j, sigma =
+    s/|V1|, s = e^{(k-1)t}, in exact rationals (Fraction) to order `order`,
+    every order, the even ones included: c_0 = 0, c_1 = 1 and, as sigma' =
+    mu1 sigma, psi = phi' has coefficients j mu1 c_j.  psi' = X2(phi, psi)
+    at order j reads c_j (j^2 mu1^2 + b j mu1 - (K - n)) = [X2 of the
+    series truncated below order j]_j, X2 in its textbook form -psi - (f2
+    psi - f1 phi)(1 + (phi + psi)^2) with f1 and f2 through G = 1/(1 +
+    lambda^2 phi^2); b is n + 1 unless given, which the linear part at the
+    saddle fixes.  The package's x_j is c_j / |V1|^j."""
+    n, p, big_k, mu1 = params.n, params.p, params.big_k, params.k - 1
+    lam2 = Fraction(big_k, p)
+    b = n + 1 if b is None else b
+    size = order + 1
+
+    def mul(a, c):
+        return [sum((a[i] * c[m - i] for i in range(m + 1)), Fraction(0)) for m in range(size)]
+
+    def add(*terms):
+        return [sum(column, Fraction(0)) for column in zip(*terms)]
+
+    def scaled(a, f):
+        return [f * x for x in a]
+
+    def constant(x):
+        return [Fraction(x)] + [Fraction(0)] * order
+
+    phi = [Fraction(0)] * size
+    phi[1] = Fraction(1)
+    for j in range(2, size):
+        psi = [m * mu1 * x for m, x in enumerate(phi)]
+        den = add(constant(1), scaled(mul(phi, phi), lam2))
+        g = [Fraction(1)] + [Fraction(0)] * order  # 1/den, den[0] = 1
+        for m in range(1, size):
+            g[m] = -sum((den[i] * g[m - i] for i in range(1, m + 1)), Fraction(0))
+        f1 = add(scaled(g, (lam2 - 1) * p), constant(-(n - p)))
+        f2 = add(constant(n - p), scaled(g, p))
+        slope = add(phi, psi)
+        bracket = add(mul(f2, psi), scaled(mul(f1, phi), -1))
+        x2 = add(scaled(psi, -1), scaled(mul(bracket, add(constant(1), mul(slope, slope))), -1))
+        phi[j] = x2[j] / (j * j * mu1 * mu1 + b * j * mu1 - (big_k - n))
+    return phi
 
 
 def mpmath_p1_eigenvalues(params: LomseParams):

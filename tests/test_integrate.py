@@ -30,8 +30,8 @@ from lo_dynamics.integrate import (
     _segments,
     state_at,
 )
-from oracles import (PhaseState, advance_from, dense, dp5_run, mpmath_p1_eigenvalues,
-                     orbit_at, reference_integrate)
+from oracles import (PhaseState, advance_from, dense, dp5_run, hand_off_index,
+                     mpmath_p1_eigenvalues, orbit_at, reference_integrate)
 
 
 def test_type1_converges(p322, traj322):
@@ -297,49 +297,63 @@ def test_tolerances_recorded(traj322):
     assert traj322.rel_tol == 1e-10
 
 
-# P1 series samples after the DP5 steps, then a spiral run's closed-form tail
-# samples, one per quarter-turn of the flow; type-I runs have no tail.  The
-# spirals' splice radius in the conjugacy's coordinate took (3,2,4) from 946
-# series and 70 tail samples to 882 and 71, and (5,4,6) from 826 to 808
-_SERIES_SAMPLES = {"traj322": 444, "traj324": 882, "traj542": 430, "traj546": 808}
+# the launch series' samples before the DP5 steps, 419 at the default eps
+# and rel_tol; P1 series samples after them, then a spiral run's
+# closed-form tail samples, one per quarter-turn of the flow; type-I runs
+# have no tail.  The earlier hand-off and the finer spacing (2.75 for 3.0
+# rel_tol^(1/5) / |mu3|) took the series samples from 444, 882, 430 and 808
+_LAUNCH_SAMPLES = 419
+_SERIES_SAMPLES = {"traj322": 841, "traj324": 961, "traj542": 940, "traj546": 897}
 _TAIL_SAMPLES = {"traj324": 71, "traj546": 56}
 
 
-# accepted DP5 steps and termination of the session fixtures; (5,4,6)
-# stops at the deep floor before 40 crossings
-@pytest.mark.parametrize("fixture, accepted, reason", [
-    ("traj322", 355, Termination.CONVERGED_TO_P1),
-    ("traj324", 281, Termination.MAX_CROSSINGS),
-    ("traj542", 458, Termination.CONVERGED_TO_P1),
-    ("traj546", 358, Termination.CONVERGED_TO_P1),
-])
-def test_step_sequence_pinned(request, fixture, accepted, reason):
+# accepted and rejected DP5 steps and termination of the session fixtures;
+# (5,4,6) stops at the deep floor before 40 crossings.  The launch on the
+# saddle's series and the hand-off took the accepted steps from 355, 281,
+# 458 and 358, all with no rejected step; the ids keep the counts the
+# cases were first pinned at, so that a re-pin leaves the test names
+@pytest.mark.parametrize("fixture, accepted, rejected, reason", [
+    ("traj322", 270, 0, Termination.CONVERGED_TO_P1),
+    ("traj324", 211, 1, Termination.MAX_CROSSINGS),
+    ("traj542", 373, 0, Termination.CONVERGED_TO_P1),
+    ("traj546", 283, 0, Termination.CONVERGED_TO_P1),
+], ids=["traj322-355-Termination.CONVERGED_TO_P1", "traj324-281-Termination.MAX_CROSSINGS",
+        "traj542-458-Termination.CONVERGED_TO_P1", "traj546-358-Termination.CONVERGED_TO_P1"])
+def test_step_sequence_pinned(request, fixture, accepted, rejected, reason):
     traj = request.getfixturevalue(fixture)
     stats = traj.stats
     assert traj.terminated_by is reason
     assert stats.accepted == accepted
+    assert stats.launch_samples == _LAUNCH_SAMPLES
     assert stats.series_samples == _SERIES_SAMPLES.get(fixture, 0)
     assert stats.tail_samples == _TAIL_SAMPLES.get(fixture, 0)
-    assert stats.accepted + stats.series_samples + stats.tail_samples == len(traj) - 1
-    assert stats.rejected == 0
+    assert (stats.launch_samples + stats.accepted + stats.series_samples + stats.tail_samples
+            == len(traj) - 1)
+    assert stats.rejected == rejected
     assert stats.rhs_evals == 1 + 6 * (stats.accepted + stats.rejected)
-    steps = np.diff(traj.t)[:stats.accepted]
+    steps = np.diff(traj.t)[stats.launch_samples:hand_off_index(traj)]
     assert stats.h_min == steps.min() and stats.h_max == steps.max()
 
 
 def test_table_work_pinned(table_trajs):
-    # the whole (31, 20) table: a step that moved on any triple changes a total
+    # the whole (31, 20) table: a step that moved on any triple changes a
+    # total.  The launch on the saddle's series and the hand-off at each
+    # node's own coordinates took the DP5 steps from 186 321 (179 512 at the
+    # nodes, 6 809 at the spirals), the rejected ones from 638 and the field
+    # calls from 1 121 984; with the finer spacing the series samples rose
+    # from 101 078 (86 621 at the nodes); the tail samples are unchanged
     stats = [traj.stats for traj in table_trajs.values()]
     type_one = [traj.params.stability is StabilityType.CENTER_TYPE_I
                 for traj in table_trajs.values()]
-    assert sum(s.accepted for s in stats) == 186_321
-    assert sum(s.accepted for s, one in zip(stats, type_one) if one) == 179_512
-    assert sum(s.accepted for s, one in zip(stats, type_one) if not one) == 6_809
-    assert sum(s.rejected for s in stats) == 638
-    assert sum(s.series_samples for s, one in zip(stats, type_one) if one) == 86_621
-    assert sum(s.series_samples for s in stats) == 101_078
+    assert sum(s.accepted for s in stats) == 151_914
+    assert sum(s.accepted for s, one in zip(stats, type_one) if one) == 146_646
+    assert sum(s.accepted for s, one in zip(stats, type_one) if not one) == 5_268
+    assert sum(s.rejected for s in stats) == 551
+    assert sum(s.launch_samples for s in stats) == 96_370
+    assert sum(s.series_samples for s, one in zip(stats, type_one) if one) == 135_867
+    assert sum(s.series_samples for s in stats) == 152_155
     assert sum(s.tail_samples for s in stats) == 1_205
-    assert sum(s.rhs_evals for s in stats) == 1_121_984
+    assert sum(s.rhs_evals for s in stats) == 915_020
     ends = {}
     for (triple, traj), one in zip(table_trajs.items(), type_one):
         ends.setdefault((one, traj.terminated_by), []).append(triple)
@@ -369,7 +383,7 @@ def test_dpsi_column_is_the_field_bit_for_bit(table_trajs):
     # arrays bit for bit as the scalar calls (dynsys.offset_field_at), each
     # closed-form tail sample a u + b psi; type-I runs have no tail
     for triple, traj in table_trajs.items():
-        a, s = traj.stats.accepted, traj.splice_index
+        a, s = hand_off_index(traj), traj.splice_index
         assert s - a == traj.stats.series_samples, triple
         field = offset_field(traj.params)
         scalar = np.array([field(u, psi) for u, psi in zip(traj.u[:s + 1].tolist(),
@@ -473,27 +487,38 @@ def test_rejected_steps_past_the_end_are_not_counted(monkeypatch, p324):
 # runs that end before or near the hand-off, each pinned bit for bit: the
 # sha256 of its columns (t, u, psi, dpsi), its StepStats, its reason and
 # whether it kept no conjugacy.  (3,2,6) and (3,2,20) cross once before the
-# hand-off, (3,2,4) first in the series stretch; (3,2,2) hands off at t = 4.1
-@pytest.mark.parametrize("triple, options, digest, stats, reason, no_conjugacy", [
-    ((3, 2, 6), {"max_crossings": 1}, "0676e2689c5751213cce097db7509557",
-     (288, 2, 1741, 0.0009999999999998899, 0.09731289582889735, 0, 0),
+# hand-off, (3,2,4) first in the series stretch; (3,2,2) hands off at t =
+# 3.72 (4.1 before the hand-off read each node's own coordinates).  The ids
+# keep the digests the cases were first pinned at, so that a re-pin leaves
+# the test names
+_FIRST_PINNED = ["0676e2689c5751213cce097db7509557", "f682f80908d3da3efbfa609c0d436cc2",
+                 "eeea8a921cf618971a3d192489be7471", "72df88b5cf86dd4c1061047ed9eda97d",
+                 "ca4c9f42b26265bfec597888a9d3e0a3", "4072dcca6f1c4ff4f46e833ee7d26c3e"]
+_NEAR_HAND_OFF = [
+    ((3, 2, 6), {"max_crossings": 1}, "e02954badcf906cb192adccce443dbea",
+     (217, 2, 1315, 0.0010000000000000009, 0.01932427139828674, 419, 0, 0),
      Termination.MAX_CROSSINGS, True),
-    ((3, 2, 20), {"max_crossings": 1}, "f682f80908d3da3efbfa609c0d436cc2",
-     (369, 6, 2251, 0.0010000000000000009, 0.025549494012622964, 0, 0),
+    ((3, 2, 20), {"max_crossings": 1}, "3f473a6e8154df8fbab01087681cd537",
+     (298, 4, 1813, 0.0010000000000000009, 0.01526385514427897, 419, 0, 0),
      Termination.MAX_CROSSINGS, True),
-    ((3, 2, 4), {"max_crossings": 1}, "eeea8a921cf618971a3d192489be7471",
-     (281, 0, 1687, 0.001000000000000334, 0.1625544239863954, 23, 0),
+    ((3, 2, 4), {"max_crossings": 1}, "2313a35a0dc90ebfbf6615dad0320e8d",
+     (211, 1, 1273, 0.0010000000000000009, 0.021490729178234025, 419, 25, 0),
      Termination.MAX_CROSSINGS, False),
-    ((3, 2, 4), {"t_max": 2.5}, "72df88b5cf86dd4c1061047ed9eda97d",
-     (281, 0, 1687, 0.001000000000000334, 0.1625544239863954, 19, 0),
+    ((3, 2, 4), {"t_max": 2.5}, "2261baafc339e3b9e6f9ca79bf0a3928",
+     (211, 1, 1273, 0.0010000000000000009, 0.021490729178234025, 419, 20, 0),
      Termination.MAX_TIME, False),
-    ((3, 2, 2), {"t_max": 3.0}, "ca4c9f42b26265bfec597888a9d3e0a3",
-     (318, 0, 1909, 0.0009999999999994458, 0.49341577715548013, 0, 0),
+    ((3, 2, 2), {"t_max": 3.0}, "4788f9009fb16bfbf0dd3f78c9f97048",
+     (247, 0, 1483, 0.0003956748356737094, 0.04215980809857056, 419, 0, 0),
      Termination.MAX_TIME, True),
-    ((3, 2, 2), {"t_max": 6.0}, "4072dcca6f1c4ff4f46e833ee7d26c3e",
-     (355, 0, 2131, 0.0009999999999994458, 0.49341577715548013, 95, 0),
+    ((3, 2, 2), {"t_max": 6.0}, "6af6193c0adb087983449bc2f9a700e0",
+     (270, 0, 1621, 0.0009999999999998899, 0.04215980809857056, 419, 208, 0),
      Termination.MAX_TIME, False),
-])
+]
+
+
+@pytest.mark.parametrize("triple, options, digest, stats, reason, no_conjugacy", _NEAR_HAND_OFF,
+                         ids=[f"triple{i}-options{i}-{first}-stats{i}-{case[4]}-{case[5]}"
+                              for i, (first, case) in enumerate(zip(_FIRST_PINNED, _NEAR_HAND_OFF))])
 def test_runs_ending_near_the_hand_off_are_pinned(triple, options, digest, stats, reason,
                                                   no_conjugacy):
     traj = shoot_unstable_manifold(build_params(*triple), **options)

@@ -38,17 +38,17 @@ from lo_dynamics.integrate import (
     _run_end,
     _strict_sign_change,
 )
-from oracles import dp5_run, fine_tail, mpmath_orbit, mpmath_p1_eigenvalues
+from oracles import (dp5_from_the_launch, dp5_run, fine_tail, hand_off_index, mpmath_orbit,
+                     mpmath_p1_eigenvalues)
 
 _SPIRAL_PARAMS = [p for p in enumerate_admissible(31, 20)
                   if p.stability is StabilityType.SPIRAL_TYPE_II]
 
 
 def _dp5_only(traj, rel_tol=DEFAULT_REL_TOL):
-    """traj's run again with the series and the splice switched off: DP5
-    from its launch to a little past its end, cut by the same end rules."""
-    return dp5_run(traj.params, float(traj.t[0]), float(traj.u[0]), float(traj.psi[0]),
-                   traj.t_end + 1.0, rel_tol, DEFAULT_MAX_CROSSINGS)
+    """traj's run again from DP5's start with the series and the splice
+    switched off, to a little past its end, cut by the same end rules."""
+    return dp5_from_the_launch(traj, traj.t_end + 1.0, rel_tol)
 
 
 def _amp(traj):
@@ -118,7 +118,7 @@ def test_type_one_runs_never_splice(table_trajs):
         if traj.params.stability is StabilityType.CENTER_TYPE_I:
             assert traj.stats.series_samples > 0 and traj.conjugacy is not None, triple
             assert traj.stats.tail_samples == 0 and traj.tail_coordinate is None, triple
-            assert (traj.stats.accepted + traj.stats.series_samples == traj.splice_index
+            assert (hand_off_index(traj) + traj.stats.series_samples == traj.splice_index
                     == len(traj) - 1), triple
 
 
@@ -126,9 +126,9 @@ def test_type_one_runs_never_splice(table_trajs):
 def test_spliced_run_keeps_the_dp5_prefix(triple, spirals):
     traj = spirals[triple]
     dp5 = _dp5_only(traj)
-    s = traj.stats.accepted  # the hand-off state, the last DP5 state
+    l, s = traj.stats.launch_samples, hand_off_index(traj)  # DP5's start and last state
     for name in ("t", "u", "psi", "dpsi"):
-        assert np.array_equal(getattr(traj, name)[:s + 1], getattr(dp5, name)[:s + 1]), name
+        assert np.array_equal(getattr(traj, name)[l:s + 1], getattr(dp5, name)[:s - l + 1]), name
     assert dp5.stats.series_samples == dp5.stats.tail_samples == 0
 
 
@@ -219,7 +219,7 @@ def test_tail_continues_the_hand_off_coordinate(spirals):
     for triple, traj in spirals.items():
         conj = traj.conjugacy
         lin, mu = conj.lin, conj.lin.mu3
-        a, s = traj.stats.accepted, traj.splice_index
+        a, s = hand_off_index(traj), traj.splice_index
         w_s = traj.tail_coordinate
         z0, _ = conj.invert(float(traj.u[a]), float(traj.psi[a]))
         assert abs(w_s - z0 * cmath.exp(mu * (traj.t[s] - traj.t[a]))) <= 1.5e-14 * abs(w_s)
@@ -309,7 +309,7 @@ def test_reports_match_on_the_fine_tail(spirals):
                    for name, column in zip(("t", "u", "psi", "dpsi"), fine)]
         rebuilt = Trajectory(traj.params, *columns, traj.eps_start, traj.rel_tol, reason,
                              traj.stats.rejected, len(fine[0]), traj.stats.series_samples,
-                             traj.tail_coordinate, traj.conjugacy)
+                             traj.tail_coordinate, traj.conjugacy, traj.stats.launch_samples)
         assert len(rebuilt) > len(traj) + 10 * traj.stats.tail_samples, triple
         assert rebuilt.stats == dataclasses.replace(traj.stats, tail_samples=len(fine[0]))
         for target in (phi0, phi0 + 2e-14):
@@ -553,10 +553,11 @@ def test_mpmath_zeros_straddling_the_splice(spirals):
     t1 = exact[0][0]
     for z, (tz, uz) in zip(zeros, exact):
         assert abs(z.phi_offset - uz) <= 1e-8 * abs(uz)
-        # measured 1.3e-9 on the time since the first zero, 2.8e-9 relative
+        # measured 1.1e-9 on the time since the first zero, 2.8e-9 relative
         # on the offsets
         assert abs((z.t - zeros[0].t) - (tz - t1)) <= 3e-9
-        # every float zero comes 2.48e-6 early: the launch steps control
-        # psi ~ 1e-6 only to rel_tol * |u| with |u| ~ phi0, which shifts the
-        # whole orbit in t without changing its offsets
-        assert abs(z.t - tz) <= 3e-6
+        # each zero's time within 1.2e-9 (measured), where every zero came
+        # 2.48e-6 early when DP5 launched off the saddle at s = eps: the
+        # launch steps controlled psi ~ 1e-6 only to rel_tol * |u|, |u| ~
+        # phi0.  DP5 now starts at s0 = 0.1 from the saddle's series
+        assert abs(z.t - tz) <= 2.5e-9
