@@ -4,8 +4,9 @@ verification, geometry and density reports, and the witness-map check.
 Exit codes (public contract):
     0  success
     2  usage / invalid arguments, a value whose run would leave the float
-       range (a huge k, a tiny -c, an --eps that lands on the saddle), or a
-       --radii or --target-phi value a real-eigenvalue run ends short of
+       range (a huge k, the launch rounding onto the saddle from k = 10^10
+       on, or a tiny -c), or a --radii or --target-phi value a
+       real-eigenvalue run ends short of
     3  inadmissible triple without --allow-inadmissible
     4  integration failure: |phi| left 1e3 phi0, a rejected step fell
        below 1e-13/(k-1), or r^2 + rho^2 stopped rising along the profile
@@ -74,7 +75,6 @@ _SVG_WIDTH, _SVG_HEIGHT = 800, 600
 @dataclass
 class RunConfig:
     rel_tol: float = integrate.DEFAULT_REL_TOL
-    eps_start: float = integrate.DEFAULT_EPS
     t_max: float = integrate.DEFAULT_T_MAX
     max_crossings: int = integrate.DEFAULT_MAX_CROSSINGS
     sample_count: int = hopf.DEFAULT_SAMPLE_COUNT
@@ -254,13 +254,12 @@ def _build(args) -> LomseParams:
     return params
 
 
-_SHOOT_FIELDS = ("rel_tol", "eps_start", "t_max", "max_crossings")
+_SHOOT_FIELDS = ("rel_tol", "t_max", "max_crossings")
 
 
 def _shoot(params: LomseParams, cfg: RunConfig) -> Trajectory:
     """The connecting orbit with the settings of cfg it reads, _SHOOT_FIELDS."""
-    return shoot_unstable_manifold(params, eps=cfg.eps_start, t_max=cfg.t_max,
-                                   max_crossings=cfg.max_crossings,
+    return shoot_unstable_manifold(params, t_max=cfg.t_max, max_crossings=cfg.max_crossings,
                                    rel_tol=cfg.rel_tol)
 
 
@@ -445,7 +444,7 @@ def cmd_density(args) -> int:
         print(f"  log10_gap_{i + 1} = {fmt17(gaps[i])} (error bar 10^{fmt17(errors[i])})")
     print(f"  resolved gaps = {sum(e < g for g, e in zip(gaps, errors))} of {len(gaps)}")
     print(f"  strictly_below_cone = {report.strictly_below_cone}")
-    return EXIT_OK if report.strictly_below_cone is True else EXIT_BARRIER_FAILURE
+    return EXIT_OK if report.strictly_below_cone else EXIT_BARRIER_FAILURE
 
 
 def cmd_maps_check(args) -> int:
@@ -471,7 +470,6 @@ def cmd_maps_check(args) -> int:
 
 _FLAGS = {
     "rel_tol": "--rel-tol",
-    "eps_start": "--eps",
     "t_max": "--t-max",
     "max_crossings": "--max-crossings",
     "sample_count": "--samples",

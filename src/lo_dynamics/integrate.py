@@ -11,9 +11,10 @@ evaluated in the cancellation-free factored form, so the inward spiral
 stays accurate relative to its own amplitude down to ~1e-290.
 
 The launch: near the saddle the orbit is P(s), s = e^{(k-1)t}, the series
-of dynsys.unstable_manifold_series, sampled from s = eps to s0 =
-_LAUNCH_END = 0.1 (_launch), with the field at each sample.  No step
-error enters there, and the orbit past s0 is the same whatever eps is.
+of dynsys.unstable_manifold_series, sampled from s = _LAUNCH_START =
+1e-6 to s0 = _LAUNCH_END = 0.1 (_launch), with the field at each sample.
+No step error enters there.  The orbit is one up to a shift in t, so the
+launch has no setting: _LAUNCH_START only sets where its samples begin.
 
 The DP5 transit: an embedded Dormand-Prince 5(4) pair with PI step-size
 control against the purely relative error scale rel_tol * max(|u|,
@@ -99,7 +100,6 @@ _DP_A = (
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 DEFAULT_REL_TOL = 1e-10
-DEFAULT_EPS = 1e-6
 DEFAULT_T_MAX = 400.0
 DEFAULT_MAX_CROSSINGS = 40
 EVENT_TOL = 1e-12
@@ -114,7 +114,8 @@ _SERIES_AMPLITUDE = 1e-1  # a run may leave DP5 for the P1 series below this
 # coarsens DP5's steps but not the series (at rel_tol 1e-6 a budget of
 # rel_tol/10 left the series 4.8e-9 off a rel_tol 1e-14 run on (5,4,20))
 _SERIES_REL_TOL = 1e-10
-_LAUNCH_END = 0.1  # s0: the launch series' samples end at s = e^{(k-1)t} = s0
+_LAUNCH_START = 1e-6  # the launch series' samples begin at s = e^{(k-1)t} = this
+_LAUNCH_END = 0.1  # s0: they end at s0, DP5's start
 _LAUNCH_ORDER = 99  # the launch series' order at most
 _EPS = float(np.finfo(float).eps)
 # the launch and series samples' spacing times |mu| / rel_tol^(1/5), mu the
@@ -209,12 +210,11 @@ class StepStats:
     attempt cut short by an overflowing stage counts in full.  h_min and
     h_max are the smallest and largest accepted DP5 steps, None when no
     step was accepted.  launch_samples counts the samples of the saddle's
-    series past the first, the last being DP5's start (0 without a launch
-    stretch).  series_samples and tail_samples count the samples
-    of the closed form that follow the DP5 steps: the P1 series' up to a
-    spiral's splice or to a node's end, then a spiral's linear part, one
-    per quarter-turn of w's phase (each 0 when the run never reached it;
-    tail_samples is 0 at a node).
+    series past the first, the last being DP5's start.  series_samples and
+    tail_samples count the samples of the closed form that follow the DP5
+    steps: the P1 series' up to a spiral's splice or to a node's end, then
+    a spiral's linear part, one per quarter-turn of w's phase (each 0 when
+    the run never reached it; tail_samples is 0 at a node).
     """
 
     accepted: int
@@ -250,10 +250,10 @@ class Trajectory:
     conjugacy is the run's P1Conjugacy, None without a series sample.
     """
 
-    def __init__(self, params, t, u, psi, dpsi, eps_start, rel_tol, terminated_by,
+    def __init__(self, params, t, u, psi, dpsi, rel_tol, terminated_by,
                  rejected=0, tail_samples=0, series_samples=0, tail_coordinate=None,
                  conjugacy=None, launch_samples=0):
-        self.params, self.eps_start, self.rel_tol = params, eps_start, rel_tol
+        self.params, self.rel_tol = params, rel_tol
         self.terminated_by, self.tail_coordinate = terminated_by, tail_coordinate
         self.conjugacy = conjugacy
         columns = [np.asarray(x, dtype=float) for x in (t, u, psi, dpsi)]
@@ -421,7 +421,7 @@ def _closed_form(params, conj: P1Conjugacy, t0, u0, psi0, t_max, rel_tol):
     return t, u, psi, dpsi, s, w_s
 
 
-def _advance(params, launch, t_max, rel_tol, max_crossings=math.inf, eps=None) -> Trajectory:
+def _advance(params, launch, t_max, rel_tol, max_crossings=math.inf) -> Trajectory:
     """Adaptive DP5(4) driver in deviation coordinates, then the closed
     form, cut at the run's end: the run's Trajectory.  The launch columns
     (t, u, psi, dpsi) are its first samples; DP5 starts from their last
@@ -586,90 +586,77 @@ def _advance(params, launch, t_max, rel_tol, max_crossings=math.inf, eps=None) -
     stop, reason = _run_end(*columns[:3], t_max, max_crossings,
                             params.stability is StabilityType.CENTER_TYPE_I)
     series, tail = min(max(stop - a, 0), s), max(stop - a - s, 0)
-    return Trajectory(params, *(column[:stop + 1] for column in columns), eps, rel_tol, reason,
+    return Trajectory(params, *(column[:stop + 1] for column in columns), rel_tol, reason,
                       sum(head + i <= stop for i in rejections), tail, series,
                       w_s if tail else None, conj if series else None, min(stop, head))
 
 
-def _launch(params, eps, t_max, rel_tol):
+def _launch(params, rel_tol):
     """The launch columns (t, u, psi, dpsi): the saddle's unstable manifold
     P(s) = (phi(s), psi(s)), s = e^{(k-1)t}, from its series
-    (dynsys.unstable_manifold_series), at log s = log eps + i H, H =
-    _SERIES_STEP max(rel_tol, 2^-52)^(1/5), the P1 series' spacing rule in
-    t (rounding bounds the grid), up to s = _LAUNCH_END, t_max taking the
-    place of the first sample at or past it; dpsi holds the field at each
-    sample but the last, DP5's start, whose field is DP5's first stage.
+    (dynsys.unstable_manifold_series), at log s = log _LAUNCH_START + i H,
+    H = _SERIES_STEP max(rel_tol, 2^-52)^(1/5), the P1 series' spacing rule
+    in t (rounding bounds the grid), up to s = _LAUNCH_END; dpsi holds the
+    field at each sample but the last, DP5's start, whose field is DP5's
+    first stage.
 
     The series' order is the first at which two odd terms in a row fall
-    below 2^-53 of the first at s = max(eps, _LAUNCH_END).  An eps at or
-    above _LAUNCH_END leaves one sample, P(eps).  The series reaches s
-    where it so converges by _LAUNCH_ORDER and s <= 1, past which its high
-    orders' rounding would grow with s; an eps beyond is refused
+    below 2^-53 of the first at s = _LAUNCH_END.  A triple whose series
+    does not so converge by _LAUNCH_ORDER, (31,1,2) among them, is refused
     (ValueError).
     """
     mu1 = float(params.k - 1)
-    end = max(eps, _LAUNCH_END)
-    x = [] if end > 1.0 else unstable_manifold_series(params, _LAUNCH_ORDER, end)
-    if not 0 < len(x) <= _LAUNCH_ORDER // 2:
-        raise ValueError(f"eps={eps}: the saddle's series, which launches each run up to "
-                         f"s0 = {_LAUNCH_END}, does not reach s = {end}")
-    lo, hi = math.log(eps), math.log(end)
+    x = unstable_manifold_series(params, _LAUNCH_ORDER, _LAUNCH_END)
+    if len(x) > _LAUNCH_ORDER // 2:
+        raise ValueError(f"({params.n},{params.p},{params.k}): the saddle's series, which "
+                         f"launches each run, does not reach s0 = {_LAUNCH_END}")
+    lo, hi = math.log(_LAUNCH_START), math.log(_LAUNCH_END)
     step = _SERIES_STEP * max(rel_tol, _EPS) ** 0.2
-    ls = lo + step * np.arange(max(math.ceil((hi - lo) / step), 1))
+    ls = lo + step * np.arange(math.ceil((hi - lo) / step))
     ls = np.append(ls[ls < hi], hi)
-    t = ls / mu1
-    if t[-1] >= t_max:
-        keep = t < t_max
-        t, ls = np.append(t[keep], t_max), np.append(ls[keep], t_max * mu1)
     s = np.exp(ls)
     s2 = s * s
     odd = np.arange(1, 2 * len(x), 2)
     phi = s * np.polyval(x[::-1], s2)
     psi = mu1 * s * np.polyval((odd * x)[::-1], s2)
     u = phi - params.phi0
-    return t, u, psi, offset_field(params)(u[:-1], psi[:-1])
+    return ls / mu1, u, psi, offset_field(params)(u[:-1], psi[:-1])
 
 
 def shoot_unstable_manifold(params: LomseParams,
-                            eps: float = DEFAULT_EPS,
                             t_max: float = DEFAULT_T_MAX,
                             max_crossings: int = DEFAULT_MAX_CROSSINGS,
                             rel_tol: float = DEFAULT_REL_TOL) -> Trajectory:
-    """Launch at s = eps on the saddle's unstable manifold and integrate
-    forward, in three stretches: the launch series, the DP5 transit and
-    P1's series.
+    """Launch on the saddle's unstable manifold and integrate forward, in
+    three stretches: the launch series, the DP5 transit and P1's series.
 
     The orbit near the saddle is P(s), s = e^{(k-1)t}, phi(s) = s/|V1| +
-    O(s^3): the launch samples it from t_start = log(eps)/(k-1) to s0 =
+    O(s^3): the launch samples it from s = _LAUNCH_START = 1e-6 to s0 =
     _LAUNCH_END = 0.1 (_launch), and DP5 starts from P(s0), with no error
-    of its own there.  An eps at or above s0 has no launch stretch: DP5
-    starts from P(eps) where the series still reaches that far, and an
-    eps past its reach is refused naming s0.
+    of its own there.  The connecting orbit is unique up to a shift in t,
+    so no setting moves the launch.
 
     The run ends by the end rules (_run_end): distance to (phi0, 0) below
     _TYPE_I_STOP = 1e-8 for the real-eigenvalue type, a fixed sampling end
     rather than a setting; max_crossings psi sign changes for the spiral
     type; t_max otherwise.  Every run continues on P1's series past the
     hand-off, and a spiral run on its linear part past the splice
-    (_closed_form).  eps, rel_tol and t_max must be positive and finite,
-    t_max must exceed t_start, max_crossings must be at least 1, and eps
-    must move phi off the saddle once phi is written as phi0 + u.  Each
-    setting is checked whichever type drops it.
+    (_closed_form).  rel_tol and t_max must be positive and finite and
+    max_crossings at least 1; each setting is checked whichever type drops
+    it.  A k so large that the launch's first sample rounds onto the saddle
+    once phi is written as phi0 + u (from k = 10^10) is refused.
     """
-    for name, value in (("eps", eps), ("rel_tol", rel_tol), ("t_max", t_max)):
+    for name, value in (("rel_tol", rel_tol), ("t_max", t_max)):
         if not 0.0 < value < math.inf:  # NaN fails too
             raise ValueError(f"{name} must be positive and finite, got {value}")
     if max_crossings < 1:
         raise ValueError("max_crossings must be at least 1")
-    t_start = math.log(eps) / (params.k - 1)
-    if not t_max > t_start:
-        raise ValueError(f"t_max={t_max} must exceed the launch time log(eps)/(k-1)={t_start}")
-    launch = _launch(params, eps, t_max, rel_tol)
+    launch = _launch(params, rel_tol)
     if params.phi0 + launch[1][0] == 0.0:
-        raise ValueError(f"eps={eps} is below the resolution of phi0: the launch "
+        raise ValueError(f"k={params.k} is too large: the launch at s = {_LAUNCH_START} "
                          "rounds onto the saddle")
     type_one = params.stability is StabilityType.CENTER_TYPE_I
-    return _advance(params, launch, t_max, rel_tol, math.inf if type_one else max_crossings, eps)
+    return _advance(params, launch, t_max, rel_tol, math.inf if type_one else max_crossings)
 
 
 def _level_crossings(traj: Trajectory, y, m, level: float, row: int):

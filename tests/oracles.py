@@ -908,8 +908,10 @@ def mpmath_p1_eigenvalues(params: LomseParams):
 def mpmath_orbit(traj, start=None):
     """mpmath odefun (Taylor) solution of traj's launch in offset variables
     (u, psi), at the caller's working precision, with the exact phi0 and
-    lambda^2 it uses; call it inside mpmath.workdps.  start, a sample index,
-    starts it from that stored state instead of the launch."""
+    lambda^2 it uses; call it inside mpmath.workdps.  It starts on the
+    saddle's eigenvector at the launch's first point s = e^{(k-1)t} =
+    integrate._LAUNCH_START, or, with start, a sample index, from that
+    stored state."""
     params = traj.params
     n, p, big_k = params.n, params.p, params.big_k
     lam2 = mpmath.mpf(big_k) / p
@@ -926,9 +928,9 @@ def mpmath_orbit(traj, start=None):
     if start is not None:
         state = [mpmath.mpf(float(col[start])) for col in (traj.u, traj.psi)]
         return mpmath.odefun(field, mpmath.mpf(float(traj.t[start])), state), phi0, lam2
-    eps = mpmath.mpf(traj.eps_start)
+    s = mpmath.mpf(integrate._LAUNCH_START)
     mu1 = params.k - 1
     norm_v1 = mpmath.sqrt(1 + mu1 * mu1)
-    sol = mpmath.odefun(field, mpmath.log(eps) / mu1,
-                        [eps / norm_v1 - phi0, eps * mu1 / norm_v1])
+    sol = mpmath.odefun(field, mpmath.log(s) / mu1,
+                        [s / norm_v1 - phi0, s * mu1 / norm_v1])
     return sol, phi0, lam2

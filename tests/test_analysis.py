@@ -21,7 +21,7 @@ from lo_dynamics.analysis import (
 )
 from lo_dynamics.errors import IntegrationFailure, NotApplicable
 from lo_dynamics.geometry import volume_ratio
-from lo_dynamics.integrate import state_at
+from lo_dynamics.integrate import _LAUNCH_START, state_at
 from lo_dynamics.radial import Profile, rescale_profile, to_profile
 from oracles import (
     ball_volume,
@@ -548,7 +548,7 @@ def test_boundary_identity_on_an_mpmath_orbit(traj324):
     n, p = params.n, params.p
     with mpmath.workdps(20):
         sol, phi0, lam2 = mpmath_orbit(traj324)
-        t0, t1 = mpmath.log(mpmath.mpf(traj324.eps_start)) / (params.k - 1), mpmath.mpf(0.5)
+        t0, t1 = mpmath.log(mpmath.mpf(_LAUNCH_START)) / (params.k - 1), mpmath.mpf(0.5)
 
         def parts(t):
             u, psi = sol(t)

@@ -340,14 +340,14 @@ def test_density_546_resolves_every_gap(tmp_path, capsys):
 def test_density_unresolved_exits_barrier_failure(tmp_path, capsys, monkeypatch):
     real = analysis.density_report
 
-    def unresolved(traj):
-        return dataclasses.replace(real(traj), strictly_below_cone=None)
+    def unresolved(traj):  # the one failing verdict a DensityReport carries
+        return dataclasses.replace(real(traj), strictly_below_cone=False)
 
     monkeypatch.setattr(analysis, "density_report", unresolved)
     argv = ["density", "3", "2", "4", "--max-crossings", "4", "--out-dir", str(tmp_path)]
     assert run(argv) == EXIT_BARRIER_FAILURE
-    assert json.loads((tmp_path / "density.json").read_text())["strictly_below_cone"] is None
-    assert "strictly_below_cone = None" in capsys.readouterr().out
+    assert json.loads((tmp_path / "density.json").read_text())["strictly_below_cone"] is False
+    assert "strictly_below_cone = False" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("key", ["jobs", "abs_tol", "event_tol"])
@@ -406,7 +406,7 @@ def test_samples_above_the_bound_are_usage_errors(tmp_path, capsys, monkeypatch)
 
 def test_config_file_and_flag_precedence(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment line\neps_start = 1e-5\nmax_crossings = 6\nformats = json\n")
+    cfg.write_text("# comment line\nmax_crossings = 6\nformats = json\n")
     out_a = tmp_path / "a"
     monkeypatch.setenv("LO_DYNAMICS_CONFIG", str(cfg))
     assert run(["orbit", "3", "2", "4", "--out-dir", str(out_a)]) == EXIT_OK
@@ -444,8 +444,8 @@ def test_run_config_validation():
     with pytest.raises(ValueError, match="rel_tol must be positive and finite"):
         shoot_unstable_manifold(params, rel_tol=0.0)
     for bad in ("nan", "inf"):
-        with pytest.raises(ValueError, match="eps must be positive and finite"):
-            shoot_unstable_manifold(params, eps=float(bad))
+        with pytest.raises(ValueError, match="t_max must be positive and finite"):
+            shoot_unstable_manifold(params, t_max=float(bad))
 
 
 @pytest.mark.parametrize("argv, key", [
@@ -467,7 +467,7 @@ def test_counts_below_one_are_usage_errors(argv, key, tmp_path, capsys):
       for flag, value, message in (
           ("--rel-tol", "nan", "rel_tol must be positive and finite, got nan"),
           ("--rel-tol", "0", "rel_tol must be positive and finite, got 0.0"),
-          ("--eps", "inf", "eps must be positive and finite, got inf"),
+          ("--t-max", "0", "t_max must be positive and finite, got 0.0"),
           ("--t-max", "inf", "t_max must be positive and finite, got inf"))),
     (["density", "3", "2", "4", "--t-max", "-1"], "t_max must be positive and finite"),
 ])
@@ -489,16 +489,7 @@ def test_an_inadmissible_triple_outranks_a_bad_setting(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_t_max_before_the_launch_names_t_max(tmp_path, capsys):
-    # eps 2 launches at t = log 2 > 0.5, so the run would have one state
-    out = tmp_path / "out"
-    assert run(["orbit", "3", "2", "2", "--eps", "2", "--t-max", "0.5",
-                "--out-dir", str(out)]) == EXIT_USAGE
-    assert "error: t_max=0.5 must exceed the launch time" in capsys.readouterr().err
-    assert not out.exists()
-
-
-_K_400 = str(10 ** 400)
+_K_400, _K_1E10 = str(10 ** 400), str(10 ** 10)
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -508,14 +499,15 @@ _K_400 = str(10 ** 400)
       for command in ("classify", "geometry", "verify")),
     (["verify", "3", "2", str(10 ** 154)], f"(3,2,{10 ** 154}) leaves the float range"),
     (["geometry", "31", "30", "100000000000"], "cos_alpha of (31,30,100000000000)"),
-    *(([command, *triple, "--eps", "1e-16"], "eps=1e-16 is below the resolution of phi0")
-      for command, triple in (("orbit", ("3", "2", "4")), ("orbit", ("3", "2", "2")),
-                              ("density", ("3", "2", "4")))),
+    # from k = 10^10 the launch's first sample, phi = 1e-6/|V1| ~ 1e-16, is
+    # below half an ulp of phi0: the launch would be the saddle itself
+    *(([command, *pair, _K_1E10], f"k={_K_1E10} is too large: the launch at s = 1e-06 "
+                                  "rounds onto the saddle")
+      for command, pair in (("orbit", ("3", "2")), ("orbit", ("31", "30")),
+                            ("density", ("3", "2")))),
     # lambda^4 in f1' overflows in the step-1 slope sweep; the reduced form
     # printed PASS here, its min() passing over a nan grid point
     (["verify", "5", "4", str(10 ** 150)], f"(5,4,{10 ** 150}) leaves the float range"),
-    # the default eps/|V1| is about 1e-16 at this k, below half an ulp of phi0
-    (["orbit", "3", "2", str(10 ** 10)], "eps=1e-06 is below the resolution of phi0"),
 ])
 def test_runs_outside_the_float_range_are_usage_errors(argv, named, tmp_path, capsys):
     # each ended in a traceback (exit 1), in nan or inf in barrier.json at
@@ -528,10 +520,16 @@ def test_runs_outside_the_float_range_are_usage_errors(argv, named, tmp_path, ca
     assert not out.exists()
 
 
-def test_eps_above_the_saddle_floor_still_shoots(tmp_path):
-    assert run(["orbit", "3", "2", "4", "--eps", "1e-12", "--formats", "json",
-                "--out-dir", str(tmp_path)]) == EXIT_OK
-    assert len(json.loads((tmp_path / "events.json").read_text())["psi_zeros"]) == 40
+def test_eps_above_the_saddle_floor_still_shoots(tmp_path, capsys):
+    # the launch's first sample, at s = 1e-6, still moves phi off the
+    # saddle at k = 10^9, one decade short of the refusal above: the
+    # spiral reaches its 40 crossings and the node P1, where a launch on
+    # the saddle would stay there to t_max
+    for pair, end in ((("3", "2"), "max_crossings, 40 psi zeros"),
+                      (("31", "30"), "converged_to_p1")):
+        assert run(["orbit", *pair, str(10 ** 9), "--formats", "json",
+                    "--out-dir", str(tmp_path / pair[0])]) == EXIT_OK
+        assert f"terminated_by={end}" in capsys.readouterr().out
 
 
 def test_verify_reads_the_case1_verdict_from_the_report(tmp_path, capsys, monkeypatch):
@@ -577,19 +575,18 @@ _HUGE_TRIPLES = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(triple=_TRIPLES,
        rel_tol=st.one_of(_log_uniform(-12.0, -3.0), st.just(1e-300)),
-       eps=_log_uniform(-12.0, 3.0),
        t_max=_log_uniform(-2.0, 2.6),
        max_crossings=st.one_of(st.none(), st.integers(1, 60)))
-def test_orbit_exits_with_a_documented_code(tmp_path_factory, triple, rel_tol, eps, t_max,
+def test_orbit_exits_with_a_documented_code(tmp_path_factory, triple, rel_tol, t_max,
                                             max_crossings):
     # every run of the shooting loop ends in an exit code, never an exception:
-    # 2 (t_max before the launch time leaves one sample, or --max-crossings
-    # on a type-I triple), 4 (blowup for a large eps, step underflow for a
-    # tiny rel_tol) and 0 are the ones seen
+    # 2 (--max-crossings on a type-I triple, or a triple whose launch series
+    # does not reach s0), 4 (step underflow for a tiny rel_tol) and 0 are
+    # the ones seen
     out = tmp_path_factory.mktemp("orbit")
     crossings = [] if max_crossings is None else ["--max-crossings", str(max_crossings)]
     code = run(["orbit", *map(str, triple), "--allow-inadmissible",
-                "--rel-tol", repr(rel_tol), "--eps", repr(eps), "--t-max", repr(t_max),
+                "--rel-tol", repr(rel_tol), "--t-max", repr(t_max),
                 *crossings, "--formats", "json", "--out-dir", str(out)])
     assert code in (0, 2, 3, 4, 5, 6)
 
@@ -612,12 +609,9 @@ def _usually(good):
     return _one_in(10, _JUNK, good)
 
 
-# a value text for each config key but out_dir, which the flag always sets;
-# an eps below about 1e-16 launches on the saddle
+# a value text for each config key but out_dir, which the flag always sets
 _KEY_VALUES = {
     "rel_tol": _usually(st.one_of(_log_uniform(-12.0, -3.0), st.just(1e-300)).map(repr)),
-    "eps_start": _usually(st.one_of(_log_uniform(-12.0, 3.0),
-                                    _log_uniform(-320.0, -12.0)).map(repr)),
     "t_max": _usually(_log_uniform(-2.0, 2.6).map(repr)),
     "max_crossings": _usually(st.integers(1, 60).map(str)),
     "sample_count": _usually(st.integers(1, 40).map(str)),
@@ -627,7 +621,7 @@ _KEY_VALUES = {
 assert set(_KEY_VALUES) == {f.name for f in dataclasses.fields(RunConfig)} - {"out_dir"}
 _FOREIGN_KEYS = st.one_of(
     st.sampled_from(["grid_points", "cycle_grid", "quad_panels", "fd_step", "conv_tol",
-                     "jobs", "abs_tol", "event_tol"]),
+                     "eps_start", "jobs", "abs_tol", "event_tol"]),
     st.from_regex(r"[a-z][a-z_]{0,11}", fullmatch=True).filter(
         lambda k: k not in _KEY_VALUES and k != "out_dir"),
 )
@@ -648,14 +642,14 @@ _RADII = st.lists(st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-0.5"])
 # the flags for one stability type only, by the type they do not apply to
 _WRONG_TYPE = {StabilityType.CENTER_TYPE_I: {"--max-crossings"},
                StabilityType.SPIRAL_TYPE_II: {"-c"}}
-_SHOOT_FLAGS = {"--rel-tol": _KEY_VALUES["rel_tol"], "--eps": _KEY_VALUES["eps_start"],
-                "--t-max": _KEY_VALUES["t_max"], "--max-crossings": _KEY_VALUES["max_crossings"]}
+_SHOOT_FLAGS = {"--rel-tol": _KEY_VALUES["rel_tol"], "--t-max": _KEY_VALUES["t_max"],
+                "--max-crossings": _KEY_VALUES["max_crossings"]}
 # (triples, the flags the command takes, flags it no longer takes)
 _COMMANDS = {
     "orbit": (st.one_of(_TRIPLES, st.sampled_from(_SPIRALS)),
               {**_SHOOT_FLAGS, "--formats": _KEY_VALUES["formats"],
                "--target-phi": _one_in(2, _JUNK, _log_uniform(-2.0, 1.0).map(repr))},
-              ["--quad-panels=200", "--conv-tol=1e-8", "--radii=1"]),
+              ["--quad-panels=200", "--conv-tol=1e-8", "--eps=1e-6", "--radii=1"]),
     "verify": (st.one_of(_TRIPLES, _HUGE_TRIPLES),
                {"-c": _usually(st.one_of(st.floats(0.05, 1.0), _log_uniform(-323.3, 0.0),
                                          st.just(5e-324)).map(repr))},
@@ -663,7 +657,7 @@ _COMMANDS = {
     "geometry": (st.one_of(_TRIPLES, _HUGE_TRIPLES), {}, ["--formats=json"]),
     "density": (st.one_of(_TRIPLES, st.sampled_from(_SPIRALS)),
                 {**_SHOOT_FLAGS, "--radii": _RADII},
-                ["--quad-panels=200", "--conv-tol=1e-8", "--formats=csv"]),
+                ["--quad-panels=200", "--conv-tol=1e-8", "--eps=1e-6", "--formats=csv"]),
     "maps-check": (None, {"--samples": _KEY_VALUES["sample_count"],
                           "--seed": _KEY_VALUES["seed"]}, ["--step=200", "--formats=json"]),
 }
@@ -770,7 +764,7 @@ def test_bounded_orbits_shoot_at_huge_k(tmp_path, pair, e):
 # k = 10^e up to 10^9, where bounded orbits shoot (test_first_zero_converges_in_k),
 # at rel_tol >= 1e-12: with DP5 starting from the saddle's series at s0 =
 # 0.1, (31,30,1e9) at 1e-12 shoots in 0.7 s on a 2-core VM (5.7 s when DP5
-# launched at eps), and the 60 examples take 0.9-1.7 s there
+# launched at s = 1e-6), and the 60 examples take 0.9-1.7 s there
 _SHOOTABLE_K = st.integers(2, 9).map(lambda e: 10 ** e)
 
 
@@ -780,17 +774,16 @@ _SHOOTABLE_K = st.integers(2, 9).map(lambda e: 10 ** e)
                                   _SHOOTABLE_K).map(lambda t: (*t[0], t[1])),
                         _off_table(_SHOOTABLE_K)),
        rel_tol=_log_uniform(-12.0, -3.0),
-       eps=_log_uniform(-12.0, 3.0),
        t_max=_log_uniform(-2.0, 2.6),
        radii=st.one_of(st.none(), _RADII))
 def test_huge_k_shoots_exit_with_a_documented_code(tmp_path_factory, command, triple, rel_tol,
-                                                   eps, t_max, radii):
+                                                   t_max, radii):
     out = tmp_path_factory.mktemp(command)
     extra = [f"--radii={radii}"] if command == "density" and radii is not None else []
     stdout, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
         code = run([command, *map(str, triple), "--allow-inadmissible",
-                    "--rel-tol", repr(rel_tol), "--eps", repr(eps), "--t-max", repr(t_max),
+                    "--rel-tol", repr(rel_tol), "--t-max", repr(t_max),
                     *extra, "--out-dir", str(out)])
     _assert_documented(code, stdout.getvalue(), err.getvalue(), out)
 

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from lo_dynamics import build_params, shoot_unstable_manifold
-from lo_dynamics.cli import EXIT_BARRIER_FAILURE, EXIT_OK, EXIT_USAGE, RunConfig, main, make_parser
+from lo_dynamics import build_params, hopf, shoot_unstable_manifold
+from lo_dynamics.cli import (EXIT_BARRIER_FAILURE, EXIT_OK, EXIT_USAGE, RunConfig, build_config,
+                             load_config_file, main, make_parser)
 from lo_dynamics.radial import to_profile
 from oracles import simpson_theta
 
@@ -27,11 +28,11 @@ def _option_flags(cmd: argparse.ArgumentParser) -> set[str]:
 
 OPTION_FLAGS = {
     "classify": {"--allow-inadmissible", "--out-dir", "--sweep"},
-    "orbit": {"--allow-inadmissible", "--config", "--eps", "--formats", "--max-crossings",
+    "orbit": {"--allow-inadmissible", "--config", "--formats", "--max-crossings",
               "--out-dir", "--rel-tol", "--t-max", "--target-phi"},
     "verify": {"--allow-inadmissible", "--config", "--out-dir", "-c"},
     "geometry": {"--allow-inadmissible", "--config", "--out-dir"},
-    "density": {"--allow-inadmissible", "--config", "--eps", "--max-crossings",
+    "density": {"--allow-inadmissible", "--config", "--max-crossings",
                 "--out-dir", "--radii", "--rel-tol", "--t-max"},
     "maps-check": {"--config", "--out-dir", "--samples", "--seed"},
 }
@@ -40,13 +41,16 @@ OPTION_FLAGS = {
 def test_option_flags_per_command():
     flags = {name: _option_flags(cmd) for name, cmd in _commands().items()}
     assert flags == OPTION_FLAGS
-    assert sum(map(len, flags.values())) == 31
+    assert sum(map(len, flags.values())) == 29
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _readme_flag_table() -> dict[str, set[str]]:
     """README's table of each command's flags, plus the --out-dir that its
     text says every command takes."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = _README.read_text(encoding="utf-8")
     table = readme.split("| command | flags |", 1)[1].split("\n\n", 1)[0]
     rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
     return {re.match(r" `([\w-]+)", cmd).group(1):
@@ -59,10 +63,25 @@ def test_readme_flag_table_matches_parser():
                                     for name, cmd in _commands().items()}
 
 
+def test_readme_example_config_is_valid(tmp_path):
+    # README's example file: each key a RunConfig field, each value one
+    # that build_config parses and the library functions that take it
+    # accept, so the example keeps no retired key
+    example = _README.read_text(encoding="utf-8").split("Example:\n\n```\n", 1)[1]
+    cfg = tmp_path / "example.cfg"
+    cfg.write_text(example.split("```", 1)[0], encoding="utf-8")
+    keys = tuple(load_config_file(cfg))
+    assert keys and set(keys) <= {f.name for f in dataclasses.fields(RunConfig)}
+    config = build_config(argparse.Namespace(config=str(cfg), fields=keys,
+                                             **dict.fromkeys(keys)))
+    shoot_unstable_manifold(build_params(3, 2, 4), t_max=config.t_max,
+                            max_crossings=config.max_crossings, rel_tol=config.rel_tol)
+    hopf.condition_b_check(build_params(3, 2, 2), config.sample_count, seed=config.seed)
+
+
 def test_run_config_fields():
     assert [f.name for f in dataclasses.fields(RunConfig)] == [
-        "rel_tol", "eps_start", "t_max", "max_crossings", "sample_count", "seed",
-        "out_dir", "formats"]
+        "rel_tol", "t_max", "max_crossings", "sample_count", "seed", "out_dir", "formats"]
 
 
 # ----------------------------------------------------------------------
@@ -82,14 +101,10 @@ _MAPS = ["maps-check", "--samples", "5"]
 # (command, flag) -> (base command line, a value of the flag that differs from the base)
 FLAG_CASES = {
     ("orbit", "--rel-tol"): (_ORBIT, "1e-8"),
-    ("orbit", "--eps"): (_ORBIT, "1e-5"),
     ("orbit", "--t-max"): (_ORBIT, "5"),
     ("orbit", "--max-crossings"): (["orbit", "3", "2", "4"], "4"),
     ("orbit", "--formats"): (_ORBIT, "json"),
     ("density", "--rel-tol"): (_DENSITY, "1e-8"),
-    # below s0 = 0.1 the launch series makes density's output eps-free:
-    # DP5 starts from P(s0) whatever eps is.  From s0 on it starts from P(eps)
-    ("density", "--eps"): (_DENSITY, "0.2"),
     ("density", "--t-max"): (_DENSITY, "8"),
     ("density", "--max-crossings"): (_DENSITY, "3"),
     ("maps-check", "--samples"): (_MAPS, "6"),
@@ -121,8 +136,9 @@ def test_flag_cases_are_all_taken():
 
 # ----------------------------------------------------------------------
 # flags every command took before, whether it read them or not; the
-# sampling resolutions --grid-points and --quad-panels are now taken by
-# none, --formats by orbit only and --config by all but classify
+# sampling resolutions --grid-points and --quad-panels and the launch's
+# start --eps are now taken by none, --formats by orbit only and --config
+# by all but classify
 
 _FORMER_COMMON = ("--config", "--out-dir", "--formats", "--seed", "--rel-tol", "--conv-tol",
                   "--eps", "--t-max", "--max-crossings", "--grid-points", "--quad-panels")
@@ -131,7 +147,7 @@ _UNREAD = sorted((name, flag) for name, flags in OPTION_FLAGS.items()
 
 
 def test_unread_flag_count():
-    assert len(_UNREAD) == 45
+    assert len(_UNREAD) == 47
 
 
 @pytest.mark.parametrize("command,flag", _UNREAD)
@@ -145,8 +161,9 @@ def test_unread_flags_are_usage_errors(command, flag, tmp_path, capsys):
 
 # ----------------------------------------------------------------------
 # the sampling resolutions, the end of a real-eigenvalue run among them,
-# are module constants: their former flags and config keys exit 2 and
-# write nothing (the unread-flag test above covers --conv-tol)
+# and the launch's start are module constants: their former flags and
+# config keys exit 2 and write nothing (the unread-flag test above covers
+# --conv-tol and --eps)
 
 _REMOVED_FLAGS = {
     ("verify", "--grid-points"): ["verify", "3", "2", "2"],
@@ -159,6 +176,7 @@ _REMOVED_KEYS = {
     "quad_panels": _DENSITY,
     "fd_step": _MAPS,
     "conv_tol": _ORBIT,
+    "eps_start": _ORBIT,
 }
 
 

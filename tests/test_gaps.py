@@ -20,7 +20,7 @@ from lo_dynamics import (StabilityType, detect_phi_hits, enumerate_admissible, l
 from lo_dynamics import analysis
 from lo_dynamics.analysis import density_report, theta_infinity
 from lo_dynamics.dynsys import p1_conjugacy
-from lo_dynamics.integrate import DEFAULT_REL_TOL, _linear_flow
+from lo_dynamics.integrate import DEFAULT_REL_TOL, _LAUNCH_START, _linear_flow
 from oracles import (GL_NODES, GL_WEIGHTS, ball_volume, gap_logs, mpmath_orbit, sphere_volume,
                      tail_logs, verdict)
 
@@ -35,7 +35,7 @@ def test_whole_orbit_identity(table_trajs):
     for triple, traj in table_trajs.items():
         params = traj.params
         mu1 = params.k - 1
-        phi_start = traj.eps_start / math.hypot(1.0, mu1)
+        phi_start = _LAUNCH_START / math.hypot(1.0, mu1)
         below = (sphere_volume(params.n) / ball_volume(params.n + 1)
                  * mu1 * phi_start ** 2 / 2.0)
         log_gap, log_err = gap_logs(traj, [traj.t[0]])

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import lo_dynamics.integrate as integrate
 from lo_dynamics import (
     PhiHit,
     PsiZero,
@@ -22,6 +23,7 @@ from lo_dynamics.barrier import barrier_h, default_c
 from lo_dynamics.dynsys import linearize_p1, offset_field
 from lo_dynamics.errors import IntegrationFailure
 from lo_dynamics.integrate import (
+    _LAUNCH_START,
     DEFAULT_MAX_CROSSINGS,
     EVENT_TOL,
     _bisect,
@@ -48,10 +50,10 @@ def test_type1_monotone(traj322):
 def test_launch_point(p324, traj324):
     mu1 = p324.k - 1
     norm = math.sqrt(1.0 + mu1 * mu1)
-    eps = traj324.eps_start
-    assert traj324.t[0] == pytest.approx(math.log(eps) / mu1)
-    assert traj324.phi[0] == pytest.approx(eps / norm, rel=1e-9)
-    assert traj324.psi[0] == pytest.approx(eps * mu1 / norm, rel=1e-9)
+    s = _LAUNCH_START
+    assert traj324.t[0] == pytest.approx(math.log(s) / mu1)
+    assert traj324.phi[0] == pytest.approx(s / norm, rel=1e-9)
+    assert traj324.psi[0] == pytest.approx(s * mu1 / norm, rel=1e-9)
 
 
 def test_type2_crossings(p324, traj324):
@@ -103,40 +105,21 @@ def test_546_envelope(p546, traj546):
     assert np.all(traj546.phi + traj546.psi > 0.0)
 
 
-def test_eps_nonpositive(p322):
-    with pytest.raises(ValueError, match="eps must be positive and finite"):
-        shoot_unstable_manifold(p322, eps=0.0)
-    with pytest.raises(ValueError, match="eps must be positive and finite"):
-        shoot_unstable_manifold(p322, eps=-1e-6)
-    with pytest.raises(ValueError, match="eps must be positive and finite"):
-        shoot_unstable_manifold(p322, eps=math.nan)
-
-
 @pytest.mark.parametrize("triple", [(3, 2, 2), (3, 2, 4)])
 @pytest.mark.parametrize("setting, message", [
     *(({"rel_tol": bad}, "rel_tol must be positive and finite")
       for bad in (math.nan, 0.0, -1.0)),
     *(({"max_crossings": bad}, "max_crossings must be at least 1") for bad in (0, -3)),
-    ({"eps": math.inf}, "eps must be positive and finite"),
     *(({"t_max": bad}, "t_max must be positive and finite")
-      for bad in (math.inf, math.nan, -math.inf, -10.0)),
+      for bad in (0.0, math.inf, math.nan, -math.inf, -10.0)),
 ])
 def test_shoot_rejects_a_bad_setting(triple, setting, message):
     # checked on both types, also by the type that drops the setting: a
     # type-I run ignores max_crossings, and a spiral run at max_crossings 0
-    # once ended max_crossings after one step.  A NaN, negative or infinite
-    # t_max is named as such, not as a t_max short of the launch time
+    # once ended max_crossings after one step.  Every launch sample lies at
+    # t <= log(0.1)/(k-1) < 0, so a positive t_max is past the launch
     with pytest.raises(ValueError, match=message):
         shoot_unstable_manifold(build_params(*triple), **setting)
-
-
-@pytest.mark.parametrize("triple", [(3, 2, 2), (3, 2, 4)])
-@pytest.mark.parametrize("eps", [1e-16, 1e-320])
-def test_eps_that_launches_on_the_saddle(triple, eps):
-    # eps/|V1| below half an ulp of phi0: u = -phi0 exactly, the launch is
-    # the saddle itself, and the run found no crossing at exit 0
-    with pytest.raises(ValueError, match=f"eps={eps} is below the resolution of phi0"):
-        shoot_unstable_manifold(build_params(*triple), eps=eps)
 
 
 @pytest.mark.parametrize("rel_tol", [0.0, -1e-10, math.nan, math.inf])
@@ -144,13 +127,6 @@ def test_shoot_rejects_a_bad_rel_tol(p324, rel_tol):
     # NaN would end in a step-size underflow, inf in an 8.88 TiB tail grid
     with pytest.raises(ValueError, match="rel_tol must be positive and finite"):
         shoot_unstable_manifold(p324, rel_tol=rel_tol)
-
-
-@pytest.mark.parametrize("eps, t_max", [(2.0, 0.5), (2.0, math.log(2.0))])
-def test_shoot_needs_t_max_past_the_launch(p322, eps, t_max):
-    # the launch time is log(eps)/(k-1): log 2 for eps 2
-    with pytest.raises(ValueError, match="t_max=.* must exceed the launch time"):
-        shoot_unstable_manifold(p322, eps=eps, t_max=t_max)
 
 
 def test_type1_no_psi_zeros(traj322):
@@ -167,13 +143,12 @@ def test_type1_no_psi_zeros(traj322):
 def test_trajectory_refusals(p322, t, psi, match):
     zero = np.zeros(3)
     with pytest.raises(ValueError, match=match):
-        Trajectory(p322, t, zero, psi, zero, None, 0.0, Termination.MAX_TIME)
+        Trajectory(p322, t, zero, psi, zero, 0.0, Termination.MAX_TIME)
 
 
 def test_psi_zero_refinement_on_synthetic_sine(p322):
     t = np.arange(0.1, 10.0, 0.05)
-    traj = Trajectory(p322, t, np.zeros_like(t), np.sin(t), np.cos(t),
-                      None, 0.0, Termination.MAX_TIME)
+    traj = Trajectory(p322, t, np.zeros_like(t), np.sin(t), np.cos(t), 0.0, Termination.MAX_TIME)
     zeros = detect_psi_zeros(traj)
     expected = [math.pi, 2 * math.pi, 3 * math.pi]
     assert len(zeros) == 3
@@ -265,8 +240,10 @@ def test_blowup_detected(p322):
         advance_from(p322, PhaseState(2000.0 * p322.phi0, 0.0, 0.0), 1.0)
 
 
-def test_eps_halving_stability(p324, traj324):
-    half = shoot_unstable_manifold(p324, eps=5e-7)
+def test_eps_halving_stability(p324, traj324, monkeypatch):
+    # the launch has no setting: its first sample's s, halved
+    monkeypatch.setattr(integrate, "_LAUNCH_START", 0.5 * _LAUNCH_START)
+    half = shoot_unstable_manifold(p324)
     za = detect_psi_zeros(traj324)
     zb = detect_psi_zeros(half)
     assert len(za) == len(zb)
@@ -436,8 +413,6 @@ def test_tail_ratios_converge_in_k(n, p, omega_inf):
 
 
 def test_rhs_evals_count_field_calls(monkeypatch, p324):
-    import lo_dynamics.integrate as integrate
-
     calls = []
     real = integrate.offset_field
 
@@ -683,7 +658,7 @@ def test_segments_match_a_per_point_lookup(traj324):
 
 def _hand_built(params, t, u, psi):
     t = np.asarray(t, dtype=float)
-    return Trajectory(params, t, u, psi, np.zeros_like(t), None, 0.0, Termination.MAX_TIME)
+    return Trajectory(params, t, u, psi, np.zeros_like(t), 0.0, Termination.MAX_TIME)
 
 
 def test_phi_hits_exact_zero_samples(p322):

@@ -247,7 +247,7 @@ def test_a_tail_needs_its_coordinate(traj324):
                                    (0, traj.tail_coordinate, traj.conjugacy),
                                    (stats.tail_samples, traj.tail_coordinate, None)):
         with pytest.raises(ValueError, match="tail coordinate"):
-            Trajectory(traj.params, *columns, traj.eps_start, traj.rel_tol, traj.terminated_by,
+            Trajectory(traj.params, *columns, traj.rel_tol, traj.terminated_by,
                        stats.rejected, tail, stats.series_samples, coordinate, conj)
 
 
@@ -307,7 +307,7 @@ def test_reports_match_on_the_fine_tail(spirals):
         assert reason is traj.terminated_by, triple
         columns = [np.concatenate((getattr(traj, name)[:s + 1], column))
                    for name, column in zip(("t", "u", "psi", "dpsi"), fine)]
-        rebuilt = Trajectory(traj.params, *columns, traj.eps_start, traj.rel_tol, reason,
+        rebuilt = Trajectory(traj.params, *columns, traj.rel_tol, reason,
                              traj.stats.rejected, len(fine[0]), traj.stats.series_samples,
                              traj.tail_coordinate, traj.conjugacy, traj.stats.launch_samples)
         assert len(rebuilt) > len(traj) + 10 * traj.stats.tail_samples, triple
@@ -557,7 +557,7 @@ def test_mpmath_zeros_straddling_the_splice(spirals):
         # on the offsets
         assert abs((z.t - zeros[0].t) - (tz - t1)) <= 3e-9
         # each zero's time within 1.2e-9 (measured), where every zero came
-        # 2.48e-6 early when DP5 launched off the saddle at s = eps: the
+        # 2.48e-6 early when DP5 launched off the saddle at s = 1e-6: the
         # launch steps controlled psi ~ 1e-6 only to rel_tol * |u|, |u| ~
         # phi0.  DP5 now starts at s0 = 0.1 from the saddle's series
         assert abs(z.t - tz) <= 2.5e-9
