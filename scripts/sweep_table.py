@@ -9,9 +9,8 @@ per triple, but the invariants take values in a discrete set.
 
 import argparse
 
-from lo_dynamics import enumerate_admissible
 from lo_dynamics.geometry import geometry_report
-from lo_dynamics.params import StabilityType
+from lo_dynamics.params import StabilityType, enumerate_admissible
 
 
 def main() -> None:

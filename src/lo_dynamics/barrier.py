@@ -2,7 +2,9 @@
 
 Both certificates sweep the raw slope inequality
 h'(phi) > (X2/X1)(phi, h(phi)) on a phi grid in (0, phi0), over one family
-of barrier curves h(phi) = f1(phi) phi / (c (n-p)) + lift phi.
+of barrier curves h(phi) = f1(phi) phi / (c (n-p)) + lift phi.  The
+sweeps read the reduced field of dynsys in its (phi, psi) form, f1, f2,
+f1_prime and vector_field_xy, which live here, as nothing else reads them.
 
 Real-eigenvalue case (lift = 0): the region bounded below by the phi-axis
 and above by the graph of h is forward invariant when the cubic
@@ -35,9 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .dynsys import f1, f1_prime, vector_field_xy
 from .errors import NotApplicable
 from .params import LomseParams, StabilityType
 
@@ -89,6 +88,29 @@ def default_c(params: LomseParams) -> float:
     return 0.5 if params.n >= 7 else 1.0
 
 
+def f1(phi: float, params: LomseParams) -> float:
+    lam2 = params.lambda_sq
+    return (lam2 - 1.0) * params.p / (1.0 + lam2 * phi * phi) - (params.n - params.p)
+
+
+def f2(phi: float, params: LomseParams) -> float:
+    return params.n - params.p + params.p / (1.0 + params.lambda_sq * phi * phi)
+
+
+def f1_prime(phi: float, params: LomseParams) -> float:
+    lam2 = params.lambda_sq
+    d = 1.0 + lam2 * phi * phi
+    return -2.0 * (lam2 - 1.0) * params.p * lam2 * phi / (d * d)
+
+
+def vector_field_xy(phi: float, psi: float, params: LomseParams) -> tuple[float, float]:
+    """(X1, X2) at (phi, psi), the reduced field of dynsys in (phi, psi)
+    form; the sweeps take their slopes and Y2 + X2 from it."""
+    s = phi + psi
+    x2 = -psi - (f2(phi, params) * psi - f1(phi, params) * phi) * (1.0 + s * s)
+    return psi, x2
+
+
 def barrier_h(phi: float, params: LomseParams, c: float, lift: float = 0.0) -> float:
     return f1(phi, params) * phi / (c * (params.n - params.p)) + lift * phi
 
@@ -137,7 +159,7 @@ def case1_closed_forms(params: LomseParams, c: float) -> tuple[float, float, flo
     return f0, g0, g_end
 
 
-def case1_polynomial(params: LomseParams, c: float) -> np.ndarray:
+def case1_polynomial(params: LomseParams, c: float):
     """Ascending coefficients of the cubic F(s) = I + II + III*IV.
 
     I(s)   = 1 + s/c
@@ -146,8 +168,11 @@ def case1_polynomial(params: LomseParams, c: float) -> np.ndarray:
     IV(s)  = 1 + (S - s)(1 + s/c)/lambda^2
 
     IV here is the proof's lower bound of the exact slope expression (the
-    1/(1+s) factor dropped).
+    1/(1+s) factor dropped).  An array: numpy is imported here, so that
+    verify runs without it.
     """
+    import numpy as np
+
     n, p = params.n, params.p
     lam2 = params.lambda_sq
     S = (lam2 * p - n) / (n - p)

@@ -33,28 +33,27 @@ shortest round-trip text (an integral float keeps its .0); CSV columns are
 fixed (trajectory.csv: t,phi,psi; profile.csv: r,rho,rho_r,rho_rr,residual)
 and always carry headers.  SVG plots are static polyline renderings with
 a viewBox computed from the data extents plus a 5% margin.
+
+Only params and errors load with this module: each command binds the
+layers it runs, and integrate's functions it calls, here on first use
+(_bind), so classify, geometry and verify never load numpy.  The PEP 562
+hook __getattr__ exists only for perfbench/cli_shim.py's traced run, which
+wraps those names on cli before main runs: it goes with the other names
+kept only for the benchmark (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from . import analysis, barrier, geometry, hopf, integrate, radial
 from .errors import InadmissibleTriple, IntegrationFailure, NotApplicable
-from .integrate import (
-    Trajectory,
-    crossing_report,
-    detect_psi_zeros,
-    shoot_unstable_manifold,
-)
 from .params import LomseParams, StabilityType, build_params, enumerate_admissible
 
 EXIT_OK = 0
@@ -71,13 +70,51 @@ CONFIG_ENV_VAR = "LO_DYNAMICS_CONFIG"
 _FORMATS = ("json", "csv", "svg")
 _SVG_WIDTH, _SVG_HEIGHT = 800, 600
 
+# the names the commands bind on first use (_bind): layers, and the
+# functions of integrate they call by name
+_LAYERS = ("analysis", "barrier", "geometry", "hopf", "integrate", "radial")
+_INTEGRATE_CALLS = ("shoot_unstable_manifold", "crossing_report", "detect_psi_zeros")
+
+
+def _load(name: str):
+    """The layer name of _LAYERS or integrate's function name, imported if need be."""
+    if name in _LAYERS:
+        return importlib.import_module(f".{name}", __package__)
+    if name in _INTEGRATE_CALLS:
+        return getattr(_load("integrate"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _eager(name: str):
+    """cli.<name>, every layer imported first: perfbench's traced run wraps
+    radial's functions here, and analysis must have bound the originals."""
+    value = _load(name)  # an AttributeError if name is none of _load's
+    for layer in _LAYERS:
+        _load(layer)
+    return value
+
+
+__getattr__ = _eager  # PEP 562
+
+
+def _bind(*names: str) -> None:
+    """Bind names (_load's) in this module's globals, where the commands
+    call them; a binding already there, a traced wrapper say, stays."""
+    for name in names:
+        globals().setdefault(name, _load(name))
+
+
+_SHOOT_FIELDS = ("rel_tol", "t_max", "max_crossings")
+# the layer whose DEFAULT_<FIELD> is the default of a RunConfig field left None
+_DEFAULTS_FROM = {**dict.fromkeys(_SHOOT_FIELDS, "integrate"), "sample_count": "hopf"}
+
 
 @dataclass
 class RunConfig:
-    rel_tol: float = integrate.DEFAULT_REL_TOL
-    t_max: float = integrate.DEFAULT_T_MAX
-    max_crossings: int = integrate.DEFAULT_MAX_CROSSINGS
-    sample_count: int = hopf.DEFAULT_SAMPLE_COUNT
+    rel_tol: float | None = None
+    t_max: float | None = None
+    max_crossings: int | None = None
+    sample_count: int | None = None
     seed: int = 0
     out_dir: str = "."
     formats: tuple[str, ...] = ("json", "csv")
@@ -127,8 +164,10 @@ def _coerce(cfg: RunConfig, key: str, value: str) -> None:
 def build_config(args: argparse.Namespace) -> RunConfig:
     """The settings of args.fields, the RunConfig fields the command reads,
     from its config file and then its flags; the file's other keys are
-    skipped unparsed if they name a field and refused if not."""
-    cfg = RunConfig()
+    skipped unparsed if they name a field and refused if not.  A field of
+    args.fields that the library owns starts at its default (_DEFAULTS_FROM)."""
+    cfg = RunConfig(**{key: getattr(_load(layer), f"DEFAULT_{key.upper()}")
+                       for key, layer in _DEFAULTS_FROM.items() if key in args.fields})
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     for key, value in (load_config_file(path) if path else {}).items():
         if key not in vars(cfg):
@@ -151,17 +190,13 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _fields(obj) -> dict:
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-
-
 def _plain(obj) -> dict:
     """json.dumps's default: LomseParams as its triple {n, p, k}, any other
     dataclass as its fields in declaration order."""
     if isinstance(obj, LomseParams):
         return {"n": obj.n, "p": obj.p, "k": obj.k}
     if dataclasses.is_dataclass(obj):
-        return _fields(obj)
+        return vars(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
@@ -254,9 +289,6 @@ def _build(args) -> LomseParams:
     return params
 
 
-_SHOOT_FIELDS = ("rel_tol", "t_max", "max_crossings")
-
-
 def _shoot(params: LomseParams, cfg: RunConfig) -> Trajectory:
     """The connecting orbit with the settings of cfg it reads, _SHOOT_FIELDS."""
     return shoot_unstable_manifold(params, t_max=cfg.t_max, max_crossings=cfg.max_crossings,
@@ -328,7 +360,7 @@ def _orbit_svgs(out: Path, traj: Trajectory, profile: radial.Profile) -> None:
     else:
         t_cut = traj.t_end
     # t is strictly increasing: the samples up to t_cut are a prefix
-    m = int(np.searchsorted(traj.t, t_cut, side="right"))
+    m = int(traj.t.searchsorted(t_cut, side="right"))
     rs = profile.r[:m].tolist()
     rhos = profile.rho[:m].tolist()
     ray = [params.phi0 * r for r in rs]
@@ -337,6 +369,7 @@ def _orbit_svgs(out: Path, traj: Trajectory, profile: radial.Profile) -> None:
 
 
 def cmd_orbit(args) -> int:
+    _bind("radial", *_INTEGRATE_CALLS)
     cfg = build_config(args)
     params = _build(args)
     traj = _shoot(params, cfg)
@@ -362,11 +395,12 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _bind("barrier")
     cfg = build_config(args)
     params = _build(args)
     if params.stability is StabilityType.CENTER_TYPE_I:
         report = barrier.case1_check(params, c=args.c)
-        payload = {"params": params, "case": 1, **_fields(report)}
+        payload = {"params": params, "case": 1, **vars(report)}
         print(f"invariant region ({params.n},{params.p},{params.k}) with c={fmt17(report.c)}:")
         print(f"  F(0) = {fmt17(report.f0)}")
         print(f"  G(0) = {fmt17(report.g0)}")
@@ -374,7 +408,7 @@ def cmd_verify(args) -> int:
         print(f"  grid margin = {fmt17(report.grid_margin)}")
     else:
         report = barrier.case2_check(params)
-        payload = {"params": params, "case": 2, **_fields(report)}
+        payload = {"params": params, "case": 2, **vars(report)}
         print(f"spiral certificates ({params.n},{params.p},{params.k}):")
         print(f"  min F(s) = {fmt17(report.fs_min)} at s = {fmt17(report.fs_argmin)}")
         print(f"  step-1 grid margin = {fmt17(report.g_grid_margin)}")
@@ -385,6 +419,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_geometry(args) -> int:
+    _bind("geometry")
     cfg = build_config(args)
     params = _build(args)
     report = geometry.geometry_report(params)
@@ -406,6 +441,7 @@ def _radius(text: str) -> float:
 
 
 def cmd_density(args) -> int:
+    _bind("analysis", "radial", "shoot_unstable_manifold")
     cfg = build_config(args)
     params = _build(args)
     radii = None if args.radii is None else [_radius(v) for v in args.radii.split(",")]
@@ -416,12 +452,8 @@ def cmd_density(args) -> int:
             thetas = [analysis.theta_of_radius(profile, params, R) for R in radii]
         except ValueError as exc:
             raise ValueError(f"radii: {exc}") from None
-        payload = {
-            "params": params,
-            "radii": radii,
-            "thetas": thetas,
-            "theta_infinity": analysis.theta_infinity(params),
-        }
+        payload = {"params": params, "radii": radii, "thetas": thetas,
+                   "theta_infinity": analysis.theta_infinity(params)}
         _write_json(cfg, "density.json", payload)
         for r, th in zip(radii, thetas):
             print(f"Theta({fmt17(r)}) = {fmt17(th)}")
@@ -448,16 +480,12 @@ def cmd_density(args) -> int:
 
 
 def cmd_maps_check(args) -> int:
+    _bind("hopf")
     cfg = build_config(args)
     params = build_params(3, 2, 2)
     sv_dev, sum_dev = hopf.condition_b_check(params, cfg.sample_count, seed=cfg.seed)
-    payload = {
-        "params": params,
-        "samples": cfg.sample_count,
-        "seed": cfg.seed,
-        "max_singular_value_deviation": sv_dev,
-        "max_angle_sum_deviation": sum_dev,
-    }
+    payload = {"params": params, "samples": cfg.sample_count, "seed": cfg.seed,
+               "max_singular_value_deviation": sv_dev, "max_angle_sum_deviation": sum_dev}
     _write_json(cfg, "maps_check.json", payload)
     print(f"witness map over {cfg.sample_count} points:")
     print(f"  max |singular values - (2,2,0)| = {fmt17(sv_dev)}")
@@ -466,17 +494,9 @@ def cmd_maps_check(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# the command-line flag of each RunConfig field that has one
+# the command-line flag of a RunConfig field: --field-name, but --samples
 
-_FLAGS = {
-    "rel_tol": "--rel-tol",
-    "t_max": "--t-max",
-    "max_crossings": "--max-crossings",
-    "sample_count": "--samples",
-    "seed": "--seed",
-    "out_dir": "--out-dir",
-    "formats": "--formats",
-}
+_FLAGS = {"sample_count": "--samples"}
 
 
 def _add_command(sub, name: str, func, help: str, fields: tuple[str, ...],
@@ -495,7 +515,7 @@ def _add_command(sub, name: str, func, help: str, fields: tuple[str, ...],
     if fields:
         cmd.add_argument("--config", help=f"config file (or set {CONFIG_ENV_VAR})")
     for field in fields:
-        cmd.add_argument(_FLAGS[field], dest=field,
+        cmd.add_argument(_FLAGS.get(field, "--" + field.replace("_", "-")), dest=field,
                          help="comma list from json,csv,svg" if field == "formats" else None)
     cmd.set_defaults(func=func, fields=fields)
     return cmd

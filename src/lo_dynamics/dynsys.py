@@ -13,8 +13,11 @@ with
 The field vanishes exactly at (0,0) and (+-phi0, 0), is odd under
 (phi,psi) -> (-phi,-psi), and its linearization at (phi0, 0) is available
 in closed form below; whether it is a spiral is params.stability.  The
-field squares phi + psi as a product, rounding alike on floats and numpy
-arrays; P1's eigenvalues split the exact discriminant without cancellation.
+(phi, psi) form, f1 and f2 among it, lives in barrier, its one reader;
+the integrator advances the offset form u = phi - phi0 (offset_field).
+The field squares phi + psi as a product, rounding alike on floats and
+numpy arrays; P1's eigenvalues split the exact discriminant without
+cancellation.
 """
 
 from __future__ import annotations
@@ -210,16 +213,6 @@ def _series_sum(rows: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     return total
 
 
-def f1(phi: float, params: LomseParams) -> float:
-    lam2 = params.lambda_sq
-    return (lam2 - 1.0) * params.p / (1.0 + lam2 * phi * phi) - (params.n - params.p)
-
-
-def f2(phi: float, params: LomseParams) -> float:
-    lam2 = params.lambda_sq
-    return params.n - params.p + params.p / (1.0 + lam2 * phi * phi)
-
-
 def offset_field(params: LomseParams):
     """dpsi/dt(u, psi) as a closure over the parameters, u = phi - phi0, on
     floats or arrays alike.
@@ -243,19 +236,6 @@ def offset_field(params: LomseParams):
         return -psi - ((n_minus_p + p / den) * psi - f1_phi) * (1.0 + s * s)
 
     return dpsi
-
-
-def vector_field_xy(phi: float, psi: float, params: LomseParams) -> tuple[float, float]:
-    """(X1, X2) at (phi, psi); barrier takes its slopes and Y2 + X2 from it."""
-    s = phi + psi
-    x2 = -psi - (f2(phi, params) * psi - f1(phi, params) * phi) * (1.0 + s * s)
-    return psi, x2
-
-
-def f1_prime(phi: float, params: LomseParams) -> float:
-    lam2 = params.lambda_sq
-    d = 1.0 + lam2 * phi * phi
-    return -2.0 * (lam2 - 1.0) * params.p * lam2 * phi / (d * d)
 
 
 def linearize_p1(params: LomseParams) -> P1Linearization:

@@ -1,6 +1,7 @@
 import pytest
 
-from lo_dynamics import StabilityType, build_params, enumerate_admissible, shoot_unstable_manifold
+from lo_dynamics.integrate import shoot_unstable_manifold
+from lo_dynamics.params import StabilityType, build_params, enumerate_admissible
 
 
 @pytest.fixture(scope="session")

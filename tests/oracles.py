@@ -14,12 +14,11 @@ import numpy as np
 
 import lo_dynamics.integrate as integrate
 from lo_dynamics.analysis import _cut
-from lo_dynamics.barrier import cycle_region_threshold
-from lo_dynamics.dynsys import P1_SERIES_ORDER, f1, f1_prime, f2, vector_field_xy
+from lo_dynamics.barrier import cycle_region_threshold, f1, f1_prime, f2, vector_field_xy
+from lo_dynamics.dynsys import P1_SERIES_ORDER, linearize_p1
 from lo_dynamics.errors import IntegrationFailure
 from lo_dynamics.geometry import volume_ratio
 from lo_dynamics.hopf import angle_sum, hopf_map, random_sphere_points
-from lo_dynamics.dynsys import linearize_p1
 from lo_dynamics.integrate import (
     _BLOWUP_FACTOR,
     _DEEP_FLOOR,

@@ -16,15 +16,7 @@ from unittest import mock
 
 import numpy as np
 
-from lo_dynamics import (
-    Termination,
-    build_params,
-    detect_phi_hits,
-    detect_psi_zeros,
-    enumerate_admissible,
-    integrate,
-    shoot_unstable_manifold,
-)
+from lo_dynamics import integrate
 from lo_dynamics.analysis import density_report, theta_infinity, theta_of_radius
 from lo_dynamics.barrier import (
     barrier_h,
@@ -36,7 +28,13 @@ from lo_dynamics.barrier import (
 )
 from lo_dynamics.geometry import geometry_report, volume_ratio
 from lo_dynamics.hopf import angle_sum, hopf_map, numeric_singular_values
-from lo_dynamics.params import StabilityType
+from lo_dynamics.integrate import (
+    Termination,
+    detect_phi_hits,
+    detect_psi_zeros,
+    shoot_unstable_manifold,
+)
+from lo_dynamics.params import StabilityType, build_params, enumerate_admissible
 from lo_dynamics.radial import ode1_residual, to_profile
 from oracles import (
     HOPF_ROUNDING,
@@ -264,20 +262,23 @@ def test_criterion_14_oracle_equivalence():
 
 
 def test_criterion_15_eps_robustness():
-    # the launch has no setting: its samples begin at s = 1e-6, halved here
+    # the launch has no setting: DP5 starts where the launch series ends,
+    # at s0 = 0.1, halved here, so DP5 takes over sooner and runs longer
     traj = _shot(3, 2, 4)
-    with mock.patch.object(integrate, "_LAUNCH_START", 0.5 * integrate._LAUNCH_START):
+    with mock.patch.object(integrate, "_LAUNCH_END", 0.5 * integrate._LAUNCH_END):
         half = shoot_unstable_manifold(_params(3, 2, 4))
     za = detect_psi_zeros(traj)
     zb = detect_psi_zeros(half)
     assert len(za) == len(zb)
     for a, b in zip(za, zb):
+        assert abs(a.t - b.t) < 1e-7
         assert abs(a.phi_offset - b.phi_offset) < 1e-7
     hits_a = detect_phi_hits(traj, 0.9 * traj.params.phi0)
     hits_b = detect_phi_hits(half, 0.9 * traj.params.phi0)
+    assert hits_a and len(hits_a) == len(hits_b)
     for a, b in zip(hits_a, hits_b):
-        assert abs(orbit_at(traj, a.t).phi - orbit_at(half, b.t).phi) < 1e-7
-    _ok(15, "reported crossings stable under halving the launch start")
+        assert abs(a.t - b.t) < 1e-7
+    _ok(15, "reported crossings stable under halving s0, where DP5 takes over from the launch")
 
 
 _ALL = [

@@ -4,14 +4,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from lo_dynamics import (
-    StabilityType,
-    build_params,
-    detect_phi_hits,
-    enumerate_admissible,
-    detect_psi_zeros,
-    shoot_unstable_manifold,
-)
 from lo_dynamics.analysis import (
     DensityReport,
     _cut,
@@ -21,7 +13,13 @@ from lo_dynamics.analysis import (
 )
 from lo_dynamics.errors import IntegrationFailure, NotApplicable
 from lo_dynamics.geometry import volume_ratio
-from lo_dynamics.integrate import _LAUNCH_START, state_at
+from lo_dynamics.integrate import (_LAUNCH_START, detect_phi_hits, detect_psi_zeros,
+                                   shoot_unstable_manifold, state_at)
+from lo_dynamics.params import (
+    StabilityType,
+    build_params,
+    enumerate_admissible,
+)
 from lo_dynamics.radial import Profile, rescale_profile, to_profile
 from oracles import (
     ball_volume,

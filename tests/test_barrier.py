@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lo_dynamics import build_params, enumerate_admissible
 from lo_dynamics.barrier import (
     DEFAULT_GRID_POINTS,
     FS_ARGMIN,
@@ -18,12 +17,14 @@ from lo_dynamics.barrier import (
     case2_check,
     cycle_region_threshold,
     default_c,
+    f1,
+    f2,
     no_limit_cycle_check,
+    vector_field_xy,
 )
 from lo_dynamics.cli import main
-from lo_dynamics.dynsys import f1, f2, vector_field_xy
 from lo_dynamics.errors import NotApplicable
-from lo_dynamics.params import StabilityType
+from lo_dynamics.params import StabilityType, build_params, enumerate_admissible
 from oracles import case1_iv_unreduced, no_limit_cycle_full_grid, reverse_field_xy, step1_margin
 
 SPIRAL_TRIPLES = [params.triple() for params in enumerate_admissible(31, 20)

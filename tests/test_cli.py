@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import math
@@ -15,8 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lo_dynamics
-from lo_dynamics import (analysis, barrier, build_params, enumerate_admissible, geometry, hopf,
-                         stability_discriminant)
+from lo_dynamics import analysis, barrier, geometry, hopf
 from lo_dynamics.cli import (
     EXIT_BARRIER_FAILURE,
     EXIT_BLOWUP,
@@ -32,8 +33,9 @@ from lo_dynamics.cli import (
     write_csv,
     write_svg,
 )
-from lo_dynamics import crossing_report, detect_psi_zeros, shoot_unstable_manifold
-from lo_dynamics.params import LomseParams, StabilityType
+from lo_dynamics.integrate import crossing_report, detect_psi_zeros, shoot_unstable_manifold
+from lo_dynamics.params import (LomseParams, StabilityType, build_params, enumerate_admissible,
+                                stability_discriminant)
 from lo_dynamics.radial import ode1_residual, to_profile
 from oracles import HOPF_ROUNDING, quadrature_theta, simpson_theta, to_profile_per_sample
 
@@ -893,14 +895,17 @@ def test_determinism_same_bytes(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def _run_module(*args):
-    """`python -m lo_dynamics ARGS` in a child that imports the package this
-    process imported, installed or not."""
+def _run_python(*args):
+    """`python ARGS` in a child that imports the package this process
+    imported, installed or not."""
     pkg_root = str(Path(lo_dynamics.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "lo_dynamics", *args],
-                          capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def _run_module(*args):
+    return _run_python("-m", "lo_dynamics", *args)
 
 
 def test_module_entry_point():
@@ -912,3 +917,83 @@ def test_module_entry_point():
 def test_usage_exit_code():
     proc = _run_module("no-such-command")
     assert proc.returncode == EXIT_USAGE
+
+
+# ----------------------------------------------------------------------
+# each command imports only the layers it runs
+
+# the exit code of each command line of argv[1], a JSON list, and whether
+# numpy is loaded after it, one line each, in a fresh interpreter
+_NUMPY_AFTER = """
+import contextlib, io, json, sys
+from lo_dynamics.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(code, "numpy" in sys.modules)
+"""
+
+
+def test_light_commands_never_load_numpy(tmp_path):
+    # classify, geometry and verify import params, geometry and barrier
+    # only: a stray top-level import of numpy, or of a layer that imports
+    # it, fails here; orbit loads it
+    commands = [["classify", "--sweep", "31", "20"], ["geometry", "3", "2", "2"],
+                ["verify", "3", "2", "2"], ["verify", "3", "2", "4"], ["orbit", "3", "2", "2"]]
+    argvs = [[*argv, "--out-dir", str(tmp_path / str(i))] for i, argv in enumerate(commands)]
+    proc = _run_python("-c", _NUMPY_AFTER, json.dumps(argvs))
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines() == ["0 False"] * 4 + ["0 True"]
+
+
+def _shim_calls() -> dict:
+    """CLI_CALLS of perfbench/cli_shim.py, read from its source: the names
+    its traced run wraps on cli, by the module attribute that owns them."""
+    shim = Path(__file__).resolve().parents[1] / "perfbench" / "cli_shim.py"
+    tree = ast.parse(shim.read_text(encoding="utf-8"))
+    return next(ast.literal_eval(s.value) for s in tree.body if isinstance(s, ast.Assign)
+                and [t.id for t in s.targets] == ["CLI_CALLS"])
+
+
+@pytest.fixture
+def fresh_cli(monkeypatch):
+    """lo_dynamics.cli imported anew, as a fresh interpreter imports it,
+    before any command has bound a layer; this process's module is put
+    back afterwards."""
+    monkeypatch.delitem(sys.modules, "lo_dynamics.cli")
+    monkeypatch.setattr(lo_dynamics, "cli", None)
+    return importlib.import_module("lo_dynamics.cli")
+
+
+def test_every_name_the_traced_run_binds_resolves(fresh_cli):
+    calls = _shim_calls()
+    assert calls
+    for owner, names in calls.items():
+        module = fresh_cli if owner is None else getattr(fresh_cli, owner)
+        assert owner is None or module is sys.modules[f"lo_dynamics.{owner}"]
+        for name in names:
+            fn = getattr(module, name)
+            assert fn is getattr(sys.modules[fn.__module__], name), (owner, name)
+
+
+def test_a_name_read_on_cli_imports_every_layer_first():
+    # the traced run wraps radial.to_profile through cli.radial; analysis,
+    # which imports to_profile by name, must have bound the original by then
+    proc = _run_python("-c", "from lo_dynamics import cli\n"
+                       "cli.radial.to_profile = None\n"
+                       "from lo_dynamics import analysis\n"
+                       "print(analysis.to_profile is not None)")
+    assert (proc.stderr, proc.stdout) == ("", "True\n")
+
+
+def test_a_wrapper_set_on_cli_is_the_one_called(fresh_cli, tmp_path):
+    # the traced run wraps these names on cli before main runs; the command
+    # must call the wrapper, not bind the original over it
+    calls = []
+    for name in ("shoot_unstable_manifold", "crossing_report"):
+        def counting(*args, _original=getattr(fresh_cli, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        setattr(fresh_cli, name, counting)
+    assert fresh_cli.main(["orbit", "3", "2", "2", "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert calls == ["shoot_unstable_manifold", "crossing_report"]

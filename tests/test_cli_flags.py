@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from lo_dynamics import build_params, hopf, shoot_unstable_manifold
+from lo_dynamics import hopf
 from lo_dynamics.cli import (EXIT_BARRIER_FAILURE, EXIT_OK, EXIT_USAGE, RunConfig, build_config,
                              load_config_file, main, make_parser)
+from lo_dynamics.integrate import shoot_unstable_manifold
+from lo_dynamics.params import build_params
 from lo_dynamics.radial import to_profile
 from oracles import simpson_theta
 
@@ -71,9 +73,11 @@ def test_readme_example_config_is_valid(tmp_path):
     cfg = tmp_path / "example.cfg"
     cfg.write_text(example.split("```", 1)[0], encoding="utf-8")
     keys = tuple(load_config_file(cfg))
-    assert keys and set(keys) <= {f.name for f in dataclasses.fields(RunConfig)}
-    config = build_config(argparse.Namespace(config=str(cfg), fields=keys,
-                                             **dict.fromkeys(keys)))
+    fields = tuple(f.name for f in dataclasses.fields(RunConfig))
+    assert keys and set(keys) <= set(fields)
+    # every field read, so that those the file leaves take their defaults
+    config = build_config(argparse.Namespace(config=str(cfg), fields=fields,
+                                             **dict.fromkeys(fields)))
     shoot_unstable_manifold(build_params(3, 2, 4), t_max=config.t_max,
                             max_crossings=config.max_crossings, rel_tol=config.rel_tol)
     hopf.condition_b_check(build_params(3, 2, 2), config.sample_count, seed=config.seed)

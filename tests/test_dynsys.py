@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lo_dynamics import (StabilityType, build_params, enumerate_admissible, linearize_p1,
-                         vector_field_xy)
-from lo_dynamics.dynsys import f1, f1_prime, f2, offset_field
+from lo_dynamics.barrier import f1, f1_prime, f2, vector_field_xy
+from lo_dynamics.dynsys import linearize_p1, offset_field
+from lo_dynamics.params import StabilityType, build_params, enumerate_admissible
 from oracles import (PhaseState, fd_jacobian, jacobian, linearize_origin, mpmath_p1_eigenvalues,
                      reverse_field_xy)
 

@@ -15,12 +15,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from lo_dynamics import (StabilityType, detect_phi_hits, enumerate_admissible, linearize_p1,
-                         shoot_unstable_manifold)
 from lo_dynamics import analysis
 from lo_dynamics.analysis import density_report, theta_infinity
-from lo_dynamics.dynsys import p1_conjugacy
-from lo_dynamics.integrate import DEFAULT_REL_TOL, _LAUNCH_START, _linear_flow
+from lo_dynamics.dynsys import linearize_p1, p1_conjugacy
+from lo_dynamics.integrate import (DEFAULT_REL_TOL, _LAUNCH_START, _linear_flow, detect_phi_hits,
+                                   shoot_unstable_manifold)
+from lo_dynamics.params import StabilityType, enumerate_admissible
 from oracles import (GL_NODES, GL_WEIGHTS, ball_volume, gap_logs, mpmath_orbit, sphere_volume,
                      tail_logs, verdict)
 

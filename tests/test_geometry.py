@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from lo_dynamics import build_params, enumerate_admissible
 from lo_dynamics.geometry import cos_alpha, geometry_report, volume_ratio
+from lo_dynamics.params import build_params, enumerate_admissible
 from oracles import ball_volume, sphere_volume, volume_element_check, volume_element_factor
 
 

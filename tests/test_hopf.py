@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lo_dynamics import build_params, shoot_unstable_manifold
 from lo_dynamics.hopf import (
     MAX_SAMPLE_COUNT,
     _POINT_BLOCK,
@@ -13,6 +12,8 @@ from lo_dynamics.hopf import (
     numeric_singular_values,
     random_sphere_points,
 )
+from lo_dynamics.integrate import shoot_unstable_manifold
+from lo_dynamics.params import build_params
 from lo_dynamics.radial import to_profile
 from oracles import (
     HOPF_ROUNDING,

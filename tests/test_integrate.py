@@ -7,30 +7,30 @@ import numpy as np
 import pytest
 
 import lo_dynamics.integrate as integrate
-from lo_dynamics import (
-    PhiHit,
-    PsiZero,
-    StabilityType,
-    Termination,
-    Trajectory,
-    build_params,
-    crossing_report,
-    detect_phi_hits,
-    detect_psi_zeros,
-    shoot_unstable_manifold,
-)
 from lo_dynamics.barrier import barrier_h, default_c
 from lo_dynamics.dynsys import linearize_p1, offset_field
 from lo_dynamics.errors import IntegrationFailure
 from lo_dynamics.integrate import (
-    _LAUNCH_START,
     DEFAULT_MAX_CROSSINGS,
     EVENT_TOL,
+    PhiHit,
+    PsiZero,
+    Termination,
+    Trajectory,
+    _LAUNCH_START,
     _bisect,
     _linear_flow,
     _run_end,
     _segments,
+    crossing_report,
+    detect_phi_hits,
+    detect_psi_zeros,
+    shoot_unstable_manifold,
     state_at,
+)
+from lo_dynamics.params import (
+    StabilityType,
+    build_params,
 )
 from oracles import (PhaseState, advance_from, dense, dp5_run, hand_off_index,
                      mpmath_p1_eigenvalues, orbit_at, reference_integrate)
@@ -241,13 +241,17 @@ def test_blowup_detected(p322):
 
 
 def test_eps_halving_stability(p324, traj324, monkeypatch):
-    # the launch has no setting: its first sample's s, halved
-    monkeypatch.setattr(integrate, "_LAUNCH_START", 0.5 * _LAUNCH_START)
+    # the launch has no setting: s0, where DP5 takes over from the launch
+    # series, halved (halving the first sample's s adds samples and moves
+    # no event)
+    monkeypatch.setattr(integrate, "_LAUNCH_END", 0.5 * integrate._LAUNCH_END)
     half = shoot_unstable_manifold(p324)
+    assert half.stats.accepted > traj324.stats.accepted  # DP5 did run from the new s0
     za = detect_psi_zeros(traj324)
     zb = detect_psi_zeros(half)
     assert len(za) == len(zb)
     for a, b in zip(za, zb):
+        assert abs(a.t - b.t) < 1e-7
         assert abs(a.phi_offset - b.phi_offset) < 1e-7
 
 

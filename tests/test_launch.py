@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 import lo_dynamics.integrate as integrate
-from lo_dynamics import (build_params, detect_phi_hits, enumerate_admissible,
-                         shoot_unstable_manifold)
 from lo_dynamics.analysis import theta_of_radius
 from lo_dynamics.dynsys import unstable_manifold_series
+from lo_dynamics.integrate import detect_phi_hits, shoot_unstable_manifold
+from lo_dynamics.params import build_params, enumerate_admissible
 from lo_dynamics.radial import to_profile
 from oracles import dp5_run, launch_series_exact
 

@@ -2,9 +2,9 @@
 `cli.main`, the package's module-level statements, or the names that
 `scripts/*.py` and the non-test `perfbench/*.py` use; code only tests call
 belongs in `tests/oracles.py`.  Uses are followed by name to a fixed point,
-and a reached class uses every name in its body.  Imports (`__init__`'s
-re-exports among them) are no use.  perfbench also binds functions by
-name, so there a string that is exactly a name counts as a use.
+and a reached class uses every name in its body.  Imports are no use.
+perfbench also binds functions by name, so there a string that is
+exactly a name counts as a use.
 """
 
 import ast

@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from lo_dynamics import (
+from lo_dynamics.errors import InadmissibleTriple
+from lo_dynamics.params import (
     StabilityType,
     build_params,
     check_admissibility,
     enumerate_admissible,
     stability_discriminant,
 )
-from lo_dynamics.errors import InadmissibleTriple
 
 
 def test_322_derived_constants(p322):

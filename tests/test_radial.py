@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lo_dynamics import build_params
+from lo_dynamics.params import build_params
 from lo_dynamics.radial import Profile, ode1_residual, rescale_profile, to_profile
 from oracles import (
     ProfileSample,

@@ -20,8 +20,9 @@ import types
 import numpy as np
 import pytest
 
-from lo_dynamics import build_params, enumerate_admissible
-from lo_dynamics.dynsys import offset_field, vector_field_xy
+from lo_dynamics.barrier import vector_field_xy
+from lo_dynamics.dynsys import offset_field
+from lo_dynamics.params import build_params, enumerate_admissible
 
 _TABLE = enumerate_admissible(31, 20)
 _STATES = 20  # random states per triple

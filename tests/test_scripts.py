@@ -4,9 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from lo_dynamics import enumerate_admissible
 from lo_dynamics.cli import EXIT_BLOWUP, EXIT_OK, EXIT_USAGE
-from lo_dynamics.params import StabilityType
+from lo_dynamics.params import StabilityType, enumerate_admissible
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 

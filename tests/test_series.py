@@ -15,21 +15,21 @@ import numpy as np
 import pytest
 
 import lo_dynamics.integrate as integrate
-from lo_dynamics import (
-    StabilityType,
-    Termination,
-    build_params,
-    detect_psi_zeros,
-    enumerate_admissible,
-    shoot_unstable_manifold,
-)
 from lo_dynamics.dynsys import P1_SERIES_ORDER, P1Conjugacy, offset_field, p1_conjugacy
 from lo_dynamics.integrate import (
+    DEFAULT_REL_TOL,
+    Termination,
     _SERIES_AMPLITUDE,
     _TYPE_I_STOP,
-    DEFAULT_REL_TOL,
     _hermite,
     _strict_sign_change,
+    detect_psi_zeros,
+    shoot_unstable_manifold,
+)
+from lo_dynamics.params import (
+    StabilityType,
+    build_params,
+    enumerate_admissible,
 )
 from oracles import corner_defect, dp5_from_the_launch, dp5_run, hand_off_index
 

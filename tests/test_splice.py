@@ -15,28 +15,27 @@ import numpy as np
 import pytest
 
 import lo_dynamics.integrate as integrate
-from lo_dynamics import (
-    StabilityType,
-    Termination,
-    Trajectory,
-    build_params,
-    crossing_report,
-    detect_phi_hits,
-    detect_psi_zeros,
-    enumerate_admissible,
-    linearize_p1,
-    shoot_unstable_manifold,
-)
 from lo_dynamics.analysis import density_report
-from lo_dynamics.dynsys import p1_conjugacy
+from lo_dynamics.dynsys import linearize_p1, p1_conjugacy
 from lo_dynamics.integrate import (
-    _DEEP_FLOOR,
     DEFAULT_MAX_CROSSINGS,
     DEFAULT_REL_TOL,
+    Termination,
+    Trajectory,
+    _DEEP_FLOOR,
     _closed_form,
     _linear_flow,
     _run_end,
     _strict_sign_change,
+    crossing_report,
+    detect_phi_hits,
+    detect_psi_zeros,
+    shoot_unstable_manifold,
+)
+from lo_dynamics.params import (
+    StabilityType,
+    build_params,
+    enumerate_admissible,
 )
 from oracles import (dp5_from_the_launch, dp5_run, fine_tail, hand_off_index, mpmath_orbit,
                      mpmath_p1_eigenvalues)
